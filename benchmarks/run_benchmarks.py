@@ -44,11 +44,6 @@ Sections:
   ``Maj(1001)`` at 10^6 trials (the ISSUE's ≥5x acceptance case), plus
   Probe_CW / Probe_Tree / Probe_HQS secondaries; every case asserts
   bit-identical histograms inside the benchmark.
-* ``compiled_kernels`` — the numba-jitted fused kernels
-  (:mod:`repro.core.compiled`) versus the bitpacked backend at equal
-  trials when numba is installed; without numba the section records the
-  measured interpreted-loop slowdown plus a writeup of why the jitted
-  speedup cannot be demonstrated on this host.
 * ``exact_packed_dp`` — the word-batched packed mask-DP
   (``ExactSolver.packed_probe_complexity``) versus the trit-table sweep
   (``n ≤ 15``) and the sparse dict DP it replaces for ``15 < n ≤ 21``.
@@ -383,9 +378,9 @@ def bench_streaming_engine(quick: bool) -> dict:
         # 3), so the metric measures sharded throughput, not the one-off
         # worker spawn cost — which varies wildly across CI hosts and
         # would make the compare_bench gate flaky.
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.core.engine import ChunkPool
 
-        with ProcessPoolExecutor(max_workers=2) as pool:
+        with ChunkPool(max_workers=2) as pool:
             stream_probes(
                 algorithm, source, trials=chunk, chunk_size=chunk, seed=1,
                 jobs=2, executor=pool,
@@ -512,119 +507,6 @@ def bench_bitpacked_kernels(quick: bool) -> list[dict]:
     return results
 
 
-def bench_compiled_kernels(quick: bool) -> dict:
-    """Compiled (numba) versus bitpacked kernels through the streaming engine.
-
-    With numba installed this mirrors ``bitpacked_kernels`` — equal trials,
-    chunking and seed, histograms asserted identical — and records the
-    compiled-over-bitpacked speedup (the ISSUE's ≥2x target for the gate
-    engines at 10^6 trials).  Without numba the compiled backend cannot be
-    dispatched (``resolve_backend`` refuses it), so the section records a
-    measured writeup instead: the same loop bodies run as interpreted
-    Python, and the measured slowdown versus bitpacked documents why the
-    speedup target is not demonstrable on this host — no pip installs are
-    available in the benchmark container, so there is no way to measure
-    the jitted form here.
-    """
-    from functools import partial
-
-    from repro.core.bitpacked import pack_matrix, run_packed
-    from repro.core.compiled import NUMBA_AVAILABLE, run_compiled
-    from repro.core.engine import stream_probes
-
-    if not NUMBA_AVAILABLE:
-        from repro.core.batched import sample_red_matrix
-
-        trials = 1024 if quick else 4096
-        cases = []
-        for name, algorithm in (
-            ("ProbeMaj", ProbeMaj(MajoritySystem(101))),
-            ("ProbeTree", ProbeTree(TreeSystem(6))),
-        ):
-            packed = pack_matrix(
-                sample_red_matrix(algorithm.system.n, 0.5, trials, rng=1)
-            )
-            packed_seconds, packed_result = timed(
-                lambda: run_packed(algorithm, packed), repeat=3
-            )
-            interp_seconds, interp_result = timed(
-                lambda: run_compiled(algorithm, packed), repeat=3
-            )
-            assert (interp_result[0] == packed_result[0]).all(), (
-                f"{name}: interpreted compiled loop diverged from bitpacked"
-            )
-            cases.append(
-                {
-                    "algorithm": name,
-                    "system": algorithm.system.name,
-                    "n": algorithm.system.n,
-                    "trials": trials,
-                    "bitpacked_seconds": packed_seconds,
-                    "interpreted_loop_seconds": interp_seconds,
-                    # Deliberately not named *_ratio: higher means worse
-                    # here and must not enter the regression gate.
-                    "interpreted_slowdown": interp_seconds / packed_seconds,
-                }
-            )
-        return {
-            "numba_available": False,
-            "note": (
-                "numba is not installed and the container forbids installing "
-                "it, so the jitted kernels cannot be dispatched or measured; "
-                "the interpreted forms of the same loop bodies run "
-                "'interpreted_slowdown'x slower than bitpacked (scalar "
-                "per-word Python vs vectorized numpy word ops), which is "
-                "the overhead numba's compilation exists to remove. "
-                "Bit identity of the loop bodies is still asserted here "
-                "and in tests/core/test_compiled.py."
-            ),
-            "interpreted_cases": cases,
-        }
-
-    trials = 100_000 if quick else 1_000_000
-    chunk = 65_536
-    repeat = 3 if quick else 1
-    cases = [
-        ("ProbeMaj", ProbeMaj(MajoritySystem(1001)), 0.5),
-        ("ProbeCW", ProbeCW(TriangSystem(45)), 0.5),
-        ("ProbeTree", ProbeTree(TreeSystem(9)), 0.5),
-        ("ProbeHQS", ProbeHQS(HQS(6)), 0.5),
-    ]
-    results = []
-    for name, algorithm, p in cases:
-        run = partial(
-            stream_probes, algorithm, p=p, trials=trials, chunk_size=chunk, seed=1
-        )
-        # Warm the JIT cache outside the timed region: compilation is a
-        # one-off cost, not kernel throughput.
-        stream_probes(algorithm, p=p, trials=256, chunk_size=256, seed=1,
-                      backend="compiled")
-        packed_seconds, packed_result = timed(
-            partial(run, backend="bitpacked"), repeat=repeat
-        )
-        compiled_seconds, compiled_result = timed(
-            partial(run, backend="compiled"), repeat=repeat
-        )
-        assert compiled_result.histogram == packed_result.histogram, (
-            f"{name}: compiled histogram diverged from bitpacked"
-        )
-        assert compiled_result.witness_red == packed_result.witness_red
-        results.append(
-            {
-                "algorithm": name,
-                "system": algorithm.system.name,
-                "n": algorithm.system.n,
-                "trials": trials,
-                "chunk_size": chunk,
-                "bitpacked_seconds": packed_seconds,
-                "compiled_seconds": compiled_seconds,
-                "speedup": packed_seconds / compiled_seconds,
-                "mean_probes": compiled_result.mean,
-            }
-        )
-    return {"numba_available": True, "cases": results}
-
-
 def bench_exact_packed_dp(quick: bool) -> list[dict]:
     """Word-batched packed mask-DP versus the older exact-PC routes.
 
@@ -701,7 +583,6 @@ def main(argv=None) -> int:
         "runner_overhead": bench_runner_overhead(args.quick),
         "streaming_engine": bench_streaming_engine(args.quick),
         "bitpacked_kernels": bench_bitpacked_kernels(args.quick),
-        "compiled_kernels": bench_compiled_kernels(args.quick),
         "exact_packed_dp": bench_exact_packed_dp(args.quick),
     }
     output = args.output
@@ -759,22 +640,6 @@ def main(argv=None) -> int:
             f"{case['bitpacked_seconds']*1e3:.1f}ms vs numpy "
             f"{case['numpy_seconds']*1e3:.1f}ms ({case['speedup']:.1f}x)"
         )
-    compiled = snapshot["compiled_kernels"]
-    if compiled["numba_available"]:
-        for case in compiled["cases"]:
-            print(
-                f"compiled {case['algorithm']} n={case['n']} x{case['trials']}: "
-                f"{case['compiled_seconds']*1e3:.1f}ms vs bitpacked "
-                f"{case['bitpacked_seconds']*1e3:.1f}ms ({case['speedup']:.1f}x)"
-            )
-    else:
-        print("compiled kernels: numba not installed; interpreted loop bodies run")
-        for case in compiled["interpreted_cases"]:
-            print(
-                f"  {case['algorithm']} n={case['n']} x{case['trials']}: "
-                f"{case['interpreted_slowdown']:.0f}x slower than bitpacked "
-                "(bit-identical)"
-            )
     for case in snapshot["exact_packed_dp"]:
         line = (
             f"exact PC {case['system']} n={case['n']}: packed DP "

@@ -37,11 +37,9 @@ Monte-Carlo estimation runs through the streaming engine
 ``--target-ci`` (adaptive stopping at a 95% CI half-width tolerance),
 ``--max-trials`` (the adaptive cap), ``--jobs`` (shard chunks across
 worker processes, byte-identical to sequential), ``--backend``
-(``numpy``/``bitpacked``/``compiled``/``auto`` kernel backend;
-deterministic algorithms produce byte-identical histograms under every
-backend — see README, "Kernel backends") and
-``--auto-backend-min-trials`` (the trial count at which ``auto`` leaves
-numpy for a packed backend).
+(``numpy``/``bitpacked``/``auto`` kernel backend; deterministic
+algorithms produce byte-identical histograms under every backend — see
+README, "Kernel backends").
 
 Fault tolerance (see README, "Fault tolerance, checkpoints, and
 resume"): ``estimate``/``sweep`` accept ``--retries`` (per-chunk retry
@@ -724,22 +722,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["numpy", "bitpacked", "compiled", "auto"],
+        choices=["numpy", "bitpacked", "auto"],
         default=None,
-        help="kernel backend: bit-packed (64 trials/word) or compiled "
-        "(numba-fused, requires numba) for deterministic algorithms, numpy "
-        "otherwise; auto prefers compiled, then bitpacked, per algorithm "
-        "and trial count",
-    )
-    parser.add_argument(
-        "--auto-backend-min-trials",
-        type=int,
-        default=None,
-        dest="auto_backend_min_trials",
-        metavar="N",
-        help="trial count at which --backend auto leaves numpy for a packed "
-        "backend (default 8192; also settable via "
-        "REPRO_AUTO_BACKEND_MIN_TRIALS)",
+        help="kernel backend: bit-packed (64 trials/word) for deterministic "
+        "algorithms, numpy otherwise; auto picks bitpacked per algorithm "
+        "from 8192 trials up",
     )
 
 
@@ -1038,20 +1025,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         run_parser.add_argument(
             "--backend",
-            choices=["numpy", "bitpacked", "compiled", "auto"],
+            choices=["numpy", "bitpacked", "auto"],
             default=None,
             help="kernel backend for the experiments' engine calls "
             "(auto recommended for mixed algorithm sets)",
-        )
-        run_parser.add_argument(
-            "--auto-backend-min-trials",
-            type=int,
-            default=None,
-            dest="auto_backend_min_trials",
-            metavar="N",
-            help="trial count at which backend auto leaves numpy for a "
-            "packed backend (default 8192; also settable via "
-            "REPRO_AUTO_BACKEND_MIN_TRIALS)",
         )
 
     run = sub.add_parser(
@@ -1073,13 +1050,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "auto_backend_min_trials", None) is not None:
-        from repro.core.batched import set_auto_backend_min_trials
-
-        try:
-            set_auto_backend_min_trials(args.auto_backend_min_trials)
-        except ValueError as exc:
-            parser.error(str(exc))
     return args.func(args)
 
 

@@ -14,13 +14,11 @@ and a **backend** (:func:`register_kernel`); a subclass overrides probing
 behavior, so it never inherits its parent's kernel and must register its
 own.  The default ``numpy`` backend evaluates bool matrices; the
 ``bitpacked`` backend (:mod:`repro.core.bitpacked`) evaluates 64 trials
-per ``uint64`` word for the deterministic algorithms, bit-identically;
-the optional ``compiled`` backend (:mod:`repro.core.compiled`) fuses the
-same bit-sliced recurrences into numba-jitted loops and requires numba.
+per ``uint64`` word for the deterministic algorithms, bit-identically.
 :func:`resolve_backend` maps a requested backend — including the ``auto``
-policy, which prefers ``compiled`` → ``bitpacked`` → ``numpy`` — to a
-concrete one, rejecting the packed backends loudly for randomized
-algorithms.  Registered out of the box under ``numpy``:
+policy, which prefers ``bitpacked`` over ``numpy`` — to a concrete one,
+rejecting ``bitpacked`` loudly for randomized algorithms.  Registered out
+of the box under ``numpy``:
 
 * :class:`~repro.algorithms.majority.ProbeMaj` — fixed-order scan until one
   color reaches the quorum size (cumulative counts + argmax);
@@ -44,7 +42,6 @@ falls back to the per-trial loop for algorithms without a kernel.
 
 from __future__ import annotations
 
-import os
 import random
 import weakref
 from collections.abc import Callable
@@ -80,61 +77,15 @@ BatchedKernel = Callable[
 ]
 
 #: Concrete kernel backends a kernel can be registered under.
-BACKENDS = ("numpy", "bitpacked", "compiled")
+BACKENDS = ("numpy", "bitpacked")
 
 #: What callers may request: a concrete backend or the ``auto`` policy.
-BACKEND_CHOICES = ("numpy", "bitpacked", "compiled", "auto")
+BACKEND_CHOICES = ("numpy", "bitpacked", "auto")
 
 #: ``auto`` stays on numpy below this many trials: the bit-sliced kernels
 #: amortize their per-element Python loop over the 64-trial words, so tiny
-#: batches don't cover the fixed per-column cost.  The same threshold gates
-#: the compiled backend, whose first call additionally pays a JIT warmup.
-#: Override per-process with :func:`set_auto_backend_min_trials` or the
-#: ``REPRO_AUTO_BACKEND_MIN_TRIALS`` environment variable.
+#: batches don't cover the fixed per-column cost.
 AUTO_BITPACKED_MIN_TRIALS = 8192
-
-#: Environment variable overriding the ``auto`` backend trial threshold.
-AUTO_BACKEND_MIN_TRIALS_ENV = "REPRO_AUTO_BACKEND_MIN_TRIALS"
-
-_AUTO_MIN_TRIALS_OVERRIDE: int | None = None
-
-
-def set_auto_backend_min_trials(value: int | None) -> None:
-    """Set (or with ``None`` clear) the process-wide ``auto`` trial threshold.
-
-    Takes precedence over the ``REPRO_AUTO_BACKEND_MIN_TRIALS`` environment
-    variable; the CLI's ``--auto-backend-min-trials`` flag lands here.
-    """
-    global _AUTO_MIN_TRIALS_OVERRIDE
-    if value is not None and value < 0:
-        raise ValueError(f"auto-backend trial threshold must be >= 0, got {value}")
-    _AUTO_MIN_TRIALS_OVERRIDE = value
-
-
-def auto_backend_min_trials() -> int:
-    """The trial count at which ``auto`` switches off the numpy backend.
-
-    Resolution order: :func:`set_auto_backend_min_trials` override, then the
-    ``REPRO_AUTO_BACKEND_MIN_TRIALS`` environment variable, then the
-    :data:`AUTO_BITPACKED_MIN_TRIALS` default.  A malformed or negative
-    environment value fails loudly rather than silently repinning ``auto``.
-    """
-    if _AUTO_MIN_TRIALS_OVERRIDE is not None:
-        return _AUTO_MIN_TRIALS_OVERRIDE
-    raw = os.environ.get(AUTO_BACKEND_MIN_TRIALS_ENV)
-    if raw is None:
-        return AUTO_BITPACKED_MIN_TRIALS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{AUTO_BACKEND_MIN_TRIALS_ENV}={raw!r} is not an integer"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"{AUTO_BACKEND_MIN_TRIALS_ENV} must be >= 0, got {value}"
-        )
-    return value
 
 _KERNELS: dict[tuple[type, str], BatchedKernel] = {}
 
@@ -167,15 +118,13 @@ def resolve_backend(
 ) -> str:
     """Resolve a requested backend (or the ``auto`` policy) to a concrete one.
 
-    ``bitpacked`` and ``compiled`` are *demands*: they fail loudly when the
-    algorithm is randomized (the packed kernels have no per-trial RNG
-    contract — the numpy path is not a silent substitute), when no kernel
-    is registered, or — for ``compiled`` — when numba is not importable.
-    ``auto`` prefers ``compiled`` → ``bitpacked`` → ``numpy``: it picks the
-    fastest backend that is available for the algorithm when the run is
-    large enough (``trials`` of at least :func:`auto_backend_min_trials`;
-    ``None`` — adaptive runs — counts as large), and falls back to
-    ``numpy`` otherwise.
+    ``bitpacked`` is a *demand*: it fails loudly when the algorithm is
+    randomized (the packed kernels have no per-trial RNG contract — the
+    numpy path is not a silent substitute) or when no kernel is
+    registered.  ``auto`` picks ``bitpacked`` when the algorithm has a
+    packed kernel and the run is large enough (``trials`` of at least
+    :data:`AUTO_BITPACKED_MIN_TRIALS`; ``None`` — adaptive runs — counts
+    as large), and ``numpy`` otherwise.
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
@@ -184,25 +133,6 @@ def resolve_backend(
     if backend == "numpy":
         return "numpy"
     randomized = getattr(algorithm, "randomized", False)
-    if backend == "compiled":
-        if randomized:
-            raise ValueError(
-                f"backend 'compiled' supports deterministic algorithms only; "
-                f"{algorithm.name} is randomized (run it with backend='numpy')"
-            )
-        if kernel_for(algorithm, backend="compiled") is None:
-            raise ValueError(
-                f"no compiled kernel registered for {algorithm.name}"
-            )
-        from repro.core import compiled as _compiled_mod
-
-        if not _compiled_mod.NUMBA_AVAILABLE:
-            raise ValueError(
-                "backend 'compiled' requires numba, which is not installed; "
-                "install numba or request backend='auto' to fall back to "
-                "the bitpacked backend"
-            )
-        return "compiled"
     has_packed = kernel_for(algorithm, backend="bitpacked") is not None
     if backend == "bitpacked":
         if randomized:
@@ -215,20 +145,9 @@ def resolve_backend(
                 f"no bitpacked kernel registered for {algorithm.name}"
             )
         return "bitpacked"
-    if randomized:
+    if randomized or (trials is not None and trials < AUTO_BITPACKED_MIN_TRIALS):
         return "numpy"
-    if trials is not None and trials < auto_backend_min_trials():
-        return "numpy"
-    from repro.core import compiled as _compiled_mod
-
-    if (
-        _compiled_mod.NUMBA_AVAILABLE
-        and kernel_for(algorithm, backend="compiled") is not None
-    ):
-        return "compiled"
-    if has_packed:
-        return "bitpacked"
-    return "numpy"
+    return "bitpacked" if has_packed else "numpy"
 
 
 #: Per-algorithm-instance scratch space for kernel precomputation (probe
@@ -480,14 +399,10 @@ register_kernel(ProbeHQS, probe_hqs_kernel)
 register_kernel(RProbeHQS, r_probe_hqs_kernel)
 register_kernel(IRProbeHQS, ir_probe_hqs_kernel)
 
-# The bitpacked and compiled backends register their kernels on import;
-# importing here (after the registry and scratch helpers exist — both
-# modules import back into this one) makes every backend available as soon
-# as the registry is.  The compiled module always registers its kernels —
-# their pure-Python forms are exercised by tests even without numba — but
-# ``resolve_backend`` only hands out ``"compiled"`` when numba is present.
+# The bitpacked backend registers its kernels on import; importing here
+# (after the registry and scratch helpers exist — the module imports back
+# into this one) makes it available as soon as the registry is.
 from repro.core import bitpacked as _bitpacked  # noqa: E402,F401  (registration side effect)
-from repro.core import compiled as _compiled  # noqa: E402,F401  (registration side effect)
 
 
 # -- estimators -------------------------------------------------------------------

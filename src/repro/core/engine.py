@@ -51,27 +51,30 @@ Seeding guarantees (the "seed schedule"):
   later chunk's inputs.  Randomized algorithms are distribution-identical
   across chunk layouts (same caveat as batched-vs-sequential before).
 
-Chunks shard across a ``ProcessPoolExecutor`` (``jobs > 1``); results are
-merged in absolute chunk order and the ``target_ci`` stopping rule is
-evaluated after each in-order merge, so speculative chunks computed past
-the stopping point are discarded and the parallel stop point equals the
-sequential one.
+Execution is one scheduler over *chunk leases*, whichever transport runs
+the chunks: inline in the caller (``jobs=1``), a respawnable process pool
+(:class:`ChunkPool`, ``jobs > 1``) or networked workers
+(:class:`repro.distributed.Coordinator`).  The scheduler keeps a window of
+leases in absolute chunk order and merges only at its head, evaluating the
+``target_ci`` stopping rule after each in-order merge, so speculative
+chunks computed past the stopping point are discarded and every transport
+stops where the sequential run stops.
 
-Fault tolerance: execution is organized as *chunk leases*.  A
-:class:`ChunkLedger` gives every chunk a bounded retry budget with
-exponential backoff; a worker exception re-runs just that chunk, a lost
-worker (``BrokenProcessPool``) or an expired per-chunk ``chunk_timeout``
-respawns the pool (:meth:`ChunkPool.respawn`) and re-submits only the
-unmerged chunks.  Because chunks are keyed by ``(seed, start)`` and merged
-in absolute order, a recovered run is byte-identical to a fault-free one.
-``checkpoint_path`` serializes the exact-integer accumulator plus the
-lease position durably (tmp + fsync + ``os.replace``) every
-``checkpoint_every`` merges — and on ``KeyboardInterrupt`` — so
-``resume=``/:func:`resume_stream` continues a killed run byte-identically
-from the last durable chunk boundary.  The fault paths are exercised, not
-just claimed: :mod:`repro.testing.faults` injects worker kills, delays,
-kernel errors and interrupts at the ``"chunk"``/``"merge"`` sites wired
-into :func:`_run_chunk` and the merge loop.
+Fault tolerance: a :class:`ChunkLedger` gives every chunk a bounded retry
+budget with exponential backoff; a worker exception re-runs just that
+chunk, a lost worker (``BrokenProcessPool``) or an expired per-chunk
+``chunk_timeout`` respawns the pool (:meth:`ChunkPool.respawn`) and
+re-dispatches only the unmerged chunks.  Because chunks are keyed by
+``(seed, start)`` and merged in absolute order, a recovered run is
+byte-identical to a fault-free one.  ``checkpoint_path`` serializes the
+exact-integer accumulator plus the lease position durably (tmp + fsync +
+``os.replace``) every ``checkpoint_every`` merges — and on
+``KeyboardInterrupt`` — so ``resume=``/:func:`resume_stream` continues a
+killed run byte-identically from the last durable chunk boundary.  The
+fault paths are exercised, not just claimed: :mod:`repro.testing.faults`
+injects worker kills, delays, kernel errors and interrupts at the
+``"chunk"``/``"merge"`` sites wired into :func:`_run_chunk` and the merge
+step.
 """
 
 from __future__ import annotations
@@ -83,9 +86,10 @@ import time
 from collections import OrderedDict
 from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +257,8 @@ class StreamResult:
     retries_used: int = 0
     pool_respawns: int = 0
     worker_reassignments: int = 0
-    #: The *resolved* kernel backend the run executed on ("numpy",
-    #: "bitpacked" or "compiled" — never "auto"); deterministic kernels
+    #: The *resolved* kernel backend the run executed on ("numpy" or
+    #: "bitpacked" — never "auto"); deterministic kernels
     #: produce byte-identical statistics on every backend.
     backend: str = "numpy"
 
@@ -385,31 +389,24 @@ def _run_chunk(
 ) -> ChunkStats:
     """Sample and evaluate one chunk; returns O(n) sufficient statistics.
 
-    ``backend`` is a *resolved* backend ("numpy", "bitpacked" or
-    "compiled").  The packed paths draw the chunk directly into bit-planes
-    from the same trial-aligned stream and run the bit-sliced (bitpacked)
-    or numba-fused (compiled) kernel; their probe counts and witness
-    tallies are bit-identical to the numpy path for deterministic kernels,
-    so the merged statistics don't depend on the backend.
+    ``backend`` is a *resolved* backend ("numpy" or "bitpacked").  The
+    bitpacked path draws the chunk directly into bit-planes from the same
+    trial-aligned stream and runs the bit-sliced kernel; its probe counts
+    and witness tallies are bit-identical to the numpy path for
+    deterministic kernels, so the merged statistics don't depend on the
+    backend.
     """
     from repro.core.batched import batched_or_sequential_run
 
     fire_fault("chunk", start)
     sample_rng = _chunk_sample_generator(source, entropy, start)
-    if backend in ("bitpacked", "compiled"):
+    if backend == "bitpacked":
         from repro.core.bitpacked import run_packed, sample_packed
 
         packed = sample_packed(source, source.n, size, sample_rng)
-        if backend == "compiled":
-            from repro.core.compiled import run_compiled
-
-            probes, witness_green = run_compiled(
-                algorithm, packed, _chunk_algorithm_generator(entropy, start)
-            )
-        else:
-            probes, witness_green = run_packed(
-                algorithm, packed, _chunk_algorithm_generator(entropy, start)
-            )
+        probes, witness_green = run_packed(
+            algorithm, packed, _chunk_algorithm_generator(entropy, start)
+        )
     else:
         red = source.sample_matrix(source.n, size, sample_rng)
         probes, witness_green = batched_or_sequential_run(
@@ -422,29 +419,45 @@ def _run_chunk(
     )
 
 
-def _pair_payload(
-    algorithm: ProbingAlgorithm, source: ColoringSource, backend: str = "numpy"
-) -> tuple[bytes, str]:
-    """Pickle the (algorithm, source, backend) triple once per run, plus a
-    cache token.
+@dataclass(frozen=True)
+class ChunkTask:
+    """What every chunk of one run evaluates, whichever transport runs it."""
 
-    The parent serializes the triple a single time and ships the same bytes
-    with every chunk task; workers deserialize once per token and then
-    reuse the *same* objects for all their chunks, so the per-algorithm
-    kernel scratch (:func:`repro.core.batched.kernel_scratch`) stays warm
-    inside workers exactly as it does sequentially.  The resolved backend
-    rides in the payload so sharded and distributed workers evaluate their
-    chunks on the same kernels as the parent.
-    """
-    blob = pickle.dumps(
-        (algorithm, source, backend), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    return blob, hashlib.blake2s(blob, digest_size=16).hexdigest()
+    algorithm: ProbingAlgorithm
+    source: ColoringSource
+    backend: str
+    entropy: int
+
+    @cached_property
+    def payload(self) -> tuple[bytes, str]:
+        """The pickled ``(algorithm, source, backend)`` triple plus a cache
+        token, serialized once per run.
+
+        The same bytes ship with every pool task and to every networked
+        worker; workers deserialize once per token and then reuse the
+        *same* objects for all their chunks, so the per-algorithm kernel
+        scratch (:func:`repro.core.batched.kernel_scratch`) stays warm
+        inside workers exactly as it does inline.  The resolved backend
+        rides along so every worker evaluates on the parent's kernels.
+        """
+        blob = pickle.dumps(
+            (self.algorithm, self.source, self.backend),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        return blob, hashlib.blake2s(blob, digest_size=16).hexdigest()
+
+    def run(self, start: int, size: int) -> ChunkStats:
+        """Evaluate the chunk ``[start, start + size)`` in this process."""
+        return _run_chunk(
+            self.algorithm, self.source, self.entropy, start, size, self.backend
+        )
 
 
-def _unpack_pair(pair) -> tuple[ProbingAlgorithm, ColoringSource, str]:
-    """Unpack a deserialized pair payload; pre-backend payloads (legacy
-    checkpoints) were plain ``(algorithm, source)`` pairs on numpy."""
+def load_pair(blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource, str]:
+    """Deserialize a :attr:`ChunkTask.payload` blob to ``(algorithm,
+    source, backend)``; pre-backend blobs (legacy checkpoints) were plain
+    ``(algorithm, source)`` pairs on numpy."""
+    pair = pickle.loads(blob)
     if len(pair) == 2:
         return pair[0], pair[1], "numpy"
     return pair
@@ -462,13 +475,13 @@ def _run_chunk_task(payload) -> ChunkStats:
     blob, token, entropy, start, size = payload
     pair = _WORKER_PAIRS.get(token)
     if pair is None:
-        pair = pickle.loads(blob)
+        pair = load_pair(blob)
         _WORKER_PAIRS[token] = pair
         while len(_WORKER_PAIRS) > _WORKER_PAIRS_MAX:
             _WORKER_PAIRS.popitem(last=False)
     else:
         _WORKER_PAIRS.move_to_end(token)
-    algorithm, source, backend = _unpack_pair(pair)
+    algorithm, source, backend = pair
     return _run_chunk(algorithm, source, entropy, start, size, backend)
 
 
@@ -525,28 +538,6 @@ class ChunkPool:
         self.shutdown()
 
 
-class _BorrowedPool:
-    """Adapter for a caller-owned raw ``ProcessPoolExecutor``.
-
-    The engine can use it but must not respawn it — the owner holds a
-    reference to the same executor and would keep submitting to the old
-    one.  Worker-crash recovery requires a :class:`ChunkPool`.
-    """
-
-    def __init__(self, executor: ProcessPoolExecutor) -> None:
-        self._executor = executor
-
-    def submit(self, fn, /, *args):
-        return self._executor.submit(fn, *args)
-
-    def respawn(self) -> None:
-        raise RuntimeError(
-            "a worker process died but the engine was handed a raw "
-            "ProcessPoolExecutor it must not respawn; pass a "
-            "repro.core.engine.ChunkPool to enable worker-crash recovery"
-        )
-
-
 class ChunkLedger:
     """Chunk-lease bookkeeping: bounded retries with exponential backoff.
 
@@ -588,11 +579,154 @@ class ChunkLedger:
         return self.backoff * (2 ** (count - 1))
 
 
+class Lease:
+    """One chunk ``[start, start + size)`` in the scheduler's window.
+
+    ``handle`` is the transport's claim on the running chunk (a future, a
+    worker link) and ``None`` while the chunk awaits dispatch;
+    ``deadline`` is an expiry the transport may keep; ``stats`` holds the
+    result once it arrived, merged when the lease reaches the head.
+    """
+
+    __slots__ = ("start", "size", "handle", "deadline", "stats")
+
+    def __init__(self, start: int, size: int) -> None:
+        self.start = start
+        self.size = size
+        self.handle = None
+        self.deadline: float | None = None
+        self.stats: ChunkStats | None = None
+
+
+@dataclass(frozen=True)
+class LeaseFailure:
+    """A transport's report that ``leases`` failed with ``error``.
+
+    The scheduler charges every listed lease to the :class:`ChunkLedger`
+    (which re-raises ``error`` once a budget runs out), calls
+    :meth:`Transport.respawn` when ``respawn`` is set, then backs off by
+    the first lease's attempt count.
+    """
+
+    error: BaseException
+    leases: tuple[Lease, ...]
+    respawn: bool = False
+
+
+class Transport:
+    """How one run's leases get computed; the scheduler's only dependency.
+
+    * ``window()`` — how many leases may be outstanding (asked once per
+      scheduler step);
+    * ``advance(pending)`` — dispatch every lease whose ``handle`` is
+      ``None``, wait for progress, set ``stats`` on finished leases and
+      return this step's failures, detaching (``handle = None``) each lease
+      it reports;
+    * ``respawn(pending)`` — replace lost workers; every lease is then
+      detached and re-dispatched;
+    * ``cancel(lease)`` — drop a speculative lease when the run ends.
+
+    ``respawns``/``reassignments`` count the recoveries the run reports.
+    """
+
+    respawns = 0
+    reassignments = 0
+
+    def window(self) -> int:
+        raise NotImplementedError
+
+    def advance(self, pending: list[Lease]) -> list[LeaseFailure]:
+        raise NotImplementedError
+
+    def respawn(self, pending: list[Lease]) -> None:
+        raise NotImplementedError
+
+    def cancel(self, lease: Lease) -> None:
+        pass
+
+
+class _InlineTransport(Transport):
+    """Runs the head chunk in the caller: window 1, nothing speculative."""
+
+    def __init__(self, task: ChunkTask) -> None:
+        self._task = task
+
+    def window(self) -> int:
+        return 1
+
+    def advance(self, pending: list[Lease]) -> list[LeaseFailure]:
+        head = pending[0]
+        try:
+            head.stats = self._task.run(head.start, head.size)
+        except Exception as error:
+            return [LeaseFailure(error, (head,))]
+        return []
+
+
+class _PoolTransport(Transport):
+    """Shards leases over a :class:`ChunkPool`: window 2 × workers.
+
+    Three failure shapes: a task exception fails just the head lease (the
+    pool is healthy); a pool break — whether the head's future or any
+    dispatch reports it — fails every lease in flight, since any of them
+    may have killed the worker; a head missing ``chunk_timeout`` fails the
+    head.  The last two respawn the pool, because only killing the
+    workers reclaims a dead or hung pool.
+    """
+
+    def __init__(
+        self, pool: ChunkPool, task: ChunkTask, chunk_timeout: float | None
+    ) -> None:
+        self._pool = pool
+        self._task = task
+        self._chunk_timeout = chunk_timeout
+
+    def window(self) -> int:
+        return 2 * self._pool.max_workers
+
+    def advance(self, pending: list[Lease]) -> list[LeaseFailure]:
+        blob, token = self._task.payload
+        head = pending[0]
+        try:
+            for lease in pending:
+                if lease.handle is None:
+                    lease.handle = self._pool.submit(
+                        _run_chunk_task,
+                        (blob, token, self._task.entropy, lease.start, lease.size),
+                    )
+        except BrokenExecutor as error:
+            return [LeaseFailure(error, tuple(pending), respawn=True)]
+        if not futures_wait([head.handle], timeout=self._chunk_timeout).done:
+            error = TimeoutError(
+                f"chunk at trial {head.start} exceeded "
+                f"chunk_timeout={self._chunk_timeout}s"
+            )
+            return [LeaseFailure(error, (head,), respawn=True)]
+        try:
+            head.stats = head.handle.result()
+        except BrokenExecutor as error:
+            return [LeaseFailure(error, tuple(pending), respawn=True)]
+        except Exception as error:
+            head.handle = None
+            return [LeaseFailure(error, (head,))]
+        return []
+
+    def respawn(self, pending: list[Lease]) -> None:
+        self._pool.respawn()
+        self.respawns += 1
+        for lease in pending:
+            lease.handle = None
+
+    def cancel(self, lease: Lease) -> None:
+        if lease.handle is not None:
+            lease.handle.cancel()
+
+
 # -- scheduling -------------------------------------------------------------------
 
 
 class _StoppingRule:
-    """When to stop merging chunks, shared by the sequential and sharded paths."""
+    """When to stop merging chunks."""
 
     def __init__(
         self,
@@ -626,6 +760,148 @@ class _StoppingRule:
         if accumulator.count < self.min_trials:
             return False
         return accumulator.ci95 <= self.target_ci
+
+
+class _Scheduler:
+    """The one lease/merge loop, and the run state it merges into.
+
+    :meth:`drive` keeps a window of leases in absolute chunk order (the
+    transport sizes it) and merges only at its head, so statistics fold in
+    sequential order whichever worker finishes when and however often a
+    chunk is retried.  It charges every failure a transport reports to the
+    :class:`ChunkLedger` and sleeps its backoff, checkpoints, honours
+    ``stop_event``/``run_timeout``/``KeyboardInterrupt`` at chunk
+    boundaries, and cancels its own speculative leases on every exit path.
+    """
+
+    def __init__(
+        self,
+        rule: _StoppingRule,
+        ledger: ChunkLedger,
+        chunk_size: int,
+        *,
+        state,
+        checkpoint_path: str | Path | None,
+        checkpoint_config: dict,
+        checkpoint_every: int,
+        stop_event,
+        run_timeout: float | None,
+    ) -> None:
+        self.rule = rule
+        self.ledger = ledger
+        self.chunk_size = chunk_size
+        self.accumulator = MomentAccumulator()
+        self.chunks_merged = 0
+        self.next_start = 0
+        if state is not None:
+            self.accumulator.load_state(state.count, state.witness_red, state.histogram)
+            self.chunks_merged = state.chunks_merged
+            self.next_start = state.next_start
+        # A checkpoint marked complete has nothing left to run; an adaptive
+        # resume may likewise already satisfy its tolerance at the restored
+        # state (the interrupted run would have stopped at that very merge).
+        self._finished = (state is not None and state.complete) or (
+            self.accumulator.count > 0 and rule.should_stop(self.accumulator)
+        )
+        self._checkpoint_path = checkpoint_path
+        self._checkpoint_config = checkpoint_config
+        self._checkpoint_every = checkpoint_every
+        self._stop_event = stop_event
+        self._run_timeout = run_timeout
+        self._deadline_at = (
+            None if run_timeout is None else time.monotonic() + run_timeout
+        )
+
+    def checkpoint(self, complete: bool) -> None:
+        """Persist the run at the current chunk boundary (if asked to)."""
+        if self._checkpoint_path is None:
+            return
+        from repro.core.checkpoint import EngineCheckpoint, save_engine_checkpoint
+
+        save_engine_checkpoint(
+            self._checkpoint_path,
+            EngineCheckpoint(
+                **self._checkpoint_config,
+                count=self.accumulator.count,
+                witness_red=self.accumulator.witness_red,
+                histogram=tuple(int(c) for c in self.accumulator.histogram),
+                chunks_merged=self.chunks_merged,
+                next_start=self.next_start,
+                complete=complete,
+            ),
+        )
+
+    def drive(self, transport: Transport) -> None:
+        if self._finished:
+            return
+        schedule = self.rule.chunk_starts(self.chunk_size, first=self.next_start)
+        pending: list[Lease] = []
+        exhausted = False
+        try:
+            while True:
+                while pending and pending[0].stats is not None:
+                    if self._merge(pending.pop(0)):
+                        return
+                window = transport.window()
+                while not exhausted and len(pending) < window:
+                    item = next(schedule, None)
+                    if item is None:
+                        exhausted = True
+                        break
+                    pending.append(Lease(*item))
+                if not pending:
+                    return
+                for failure in transport.advance(pending):
+                    for lease in failure.leases:
+                        self.ledger.record_failure(lease.start, failure.error)
+                    if failure.respawn:
+                        transport.respawn(pending)
+                    _sleep(self.ledger.backoff_seconds(failure.leases[0].start))
+        except KeyboardInterrupt:
+            # Leave a durable resume point before propagating the interrupt.
+            self.checkpoint(complete=False)
+            raise
+        finally:
+            # Orphaned speculative chunks would otherwise keep running (or
+            # hold queue slots on a shared pool) after this run is gone.
+            for lease in pending:
+                transport.cancel(lease)
+
+    def _merge(self, lease: Lease) -> bool:
+        """Fold the head lease; True when the stopping rule says stop."""
+        self.accumulator.merge(lease.stats)
+        self.chunks_merged += 1
+        self.next_start = lease.start + lease.size
+        fire_fault("merge", self.chunks_merged)
+        if self.chunks_merged % self._checkpoint_every == 0:
+            self.checkpoint(complete=False)
+        if self.rule.should_stop(self.accumulator):
+            return True
+        # Cooperative control lands exactly here — after the merge, so the
+        # checkpoint written on the way out holds every finished chunk and
+        # resume continues byte-identically from this boundary.
+        if self._stop_event is not None and self._stop_event.is_set():
+            self._halt(
+                RunInterrupted,
+                f"run stopped at trial {self.next_start} (stop_event set)",
+                "no checkpoint_path, progress discarded",
+            )
+        if self._deadline_at is not None and time.monotonic() > self._deadline_at:
+            self._halt(
+                RunDeadlineExceeded,
+                f"run exceeded run_timeout={self._run_timeout}s "
+                f"at trial {self.next_start}",
+            )
+        return False
+
+    def _halt(self, error_type: type, message: str, unsaved: str = "") -> None:
+        """Checkpoint, then raise ``error_type`` saying where progress is."""
+        self.checkpoint(complete=False)
+        if self._checkpoint_path is not None:
+            message += f"; checkpoint durable at {self._checkpoint_path}"
+        elif unsaved:
+            message += f"; {unsaved}"
+        raise error_type(message)
 
 
 def resolve_fixed_trials(
@@ -664,7 +940,7 @@ def stream_probes(
     max_trials: int | None = None,
     seed: int | None = None,
     jobs: int = 1,
-    executor: "ProcessPoolExecutor | ChunkPool | None" = None,
+    executor: ChunkPool | None = None,
     coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
@@ -680,14 +956,13 @@ def stream_probes(
 
     ``backend`` selects the kernel backend — ``"numpy"``, ``"bitpacked"``
     (64 trials per word; deterministic algorithms only, rejected loudly
-    otherwise), ``"compiled"`` (the same packed layout fused into
-    numba-jitted loops; requires numba, rejected loudly without it) or
-    ``"auto"`` (prefers compiled → bitpacked → numpy; see
-    :func:`repro.core.batched.resolve_backend`); ``None`` defers to the
-    ambient default (:func:`default_backend`, normally numpy).  The
-    backend is an execution knob like ``jobs``: for deterministic kernels
-    the merged statistics are byte-identical across backends, and the
-    resolved choice is recorded on ``StreamResult.backend``.
+    otherwise) or ``"auto"`` (bitpacked where a kernel exists and the run
+    is large enough; see :func:`repro.core.batched.resolve_backend`);
+    ``None`` defers to the ambient default (:func:`default_backend`,
+    normally numpy).  The backend is an execution knob like ``jobs``: for
+    deterministic kernels the merged statistics are byte-identical across
+    backends, and the resolved choice is recorded on
+    ``StreamResult.backend``.
 
     Exactly one of the stopping modes applies: with ``target_ci=None``
     (fixed mode) exactly ``trials`` trials run; with a ``target_ci``
@@ -695,17 +970,18 @@ def stream_probes(
     the tolerance, evaluating the rule only after ``min_trials`` (default:
     one full chunk) and giving up at ``max_trials`` (default ``10^6``;
     ``reached_target`` reports which way it ended).  ``source`` defaults to
-    the i.i.d. model at ``p``.  ``jobs > 1`` shards chunks across worker
-    processes with results byte-identical to the sequential run (see the
-    module docstring for the full seeding contract); callers issuing many
-    engine runs (e.g. the sweep grid) may pass a shared ``executor`` —
-    preferably a :class:`ChunkPool`, which the engine can respawn after a
-    worker crash — so worker processes are spawned once, not per run; the
-    engine then never shuts the pool down, it only cancels its own
-    not-yet-started chunks.  A ``coordinator``
-    (:class:`repro.distributed.Coordinator`) is the third backend: chunks
-    are leased to networked workers instead, still byte-identical to
-    ``jobs=1`` (mutually exclusive with ``jobs > 1``/``executor``).
+    the i.i.d. model at ``p``.
+
+    Where chunks run is the transport, and every transport is
+    byte-identical to ``jobs=1`` (see the module docstring for the seeding
+    contract): inline by default; ``jobs > 1`` shards chunks over a
+    :class:`ChunkPool` of that many processes; callers issuing many engine
+    runs (e.g. the sweep grid) may pass a shared ``executor`` — a
+    :class:`ChunkPool`, which the engine respawns after a worker crash but
+    never shuts down — so worker processes are spawned once, not per run.
+    A ``coordinator`` (:class:`repro.distributed.Coordinator`) leases
+    chunks to networked workers instead (mutually exclusive with
+    ``jobs > 1``/``executor``).
 
     Fault tolerance: each chunk has a retry budget of ``retries``
     (default :data:`DEFAULT_RETRIES`) with exponential backoff
@@ -795,6 +1071,12 @@ def stream_probes(
         raise ValueError(
             f"need 1 <= min_trials ({min_trials}) <= max_trials ({max_trials})"
         )
+    if executor is not None and not isinstance(executor, ChunkPool):
+        raise TypeError(
+            f"executor must be a repro.core.engine.ChunkPool, not "
+            f"{type(executor).__name__}; a ChunkPool can be respawned after "
+            "a worker crash, a raw executor cannot"
+        )
     if coordinator is not None and (jobs > 1 or executor is not None):
         raise ValueError(
             "a distributed coordinator replaces the process pool; pass "
@@ -808,7 +1090,6 @@ def stream_probes(
         raise ValueError("checkpoint_every must be at least one chunk")
     if run_timeout is not None and run_timeout <= 0:
         raise ValueError("run_timeout must be positive (None disables it)")
-    deadline_at = None if run_timeout is None else time.monotonic() + run_timeout
     from repro.core.batched import resolve_backend
 
     backend = resolve_backend(
@@ -816,153 +1097,47 @@ def stream_probes(
         _AMBIENT_BACKEND if backend is None else backend,
         trials if trials is not None else max_trials,
     )
-
-    entropy = _resolve_entropy(seed)
-    rule = _StoppingRule(trials, target_ci, min_trials, max_trials)
-    ledger = ChunkLedger(retries, retry_backoff)
-    accumulator = MomentAccumulator()
-    chunks_merged = 0
-    next_start = 0
-    if state is not None:
-        accumulator.load_state(state.count, state.witness_red, state.histogram)
-        chunks_merged = state.chunks_merged
-        next_start = state.next_start
-
-    pair_blob = None
-    if checkpoint_path is not None:
-        pair_blob, _ = _pair_payload(algorithm, source, backend)
-
-    def write_checkpoint(complete: bool) -> None:
-        if checkpoint_path is None:
-            return
-        from repro.core.checkpoint import EngineCheckpoint, save_engine_checkpoint
-
-        save_engine_checkpoint(
-            checkpoint_path,
-            EngineCheckpoint(
-                entropy=entropy,
-                mode=mode,
-                trials=trials,
-                target_ci=target_ci,
-                chunk_size=chunk_size,
-                min_trials=min_trials,
-                max_trials=max_trials,
-                algorithm=algorithm.name,
-                source=source.name,
-                n=source.n,
-                count=accumulator.count,
-                witness_red=accumulator.witness_red,
-                histogram=tuple(int(c) for c in accumulator.histogram),
-                chunks_merged=chunks_merged,
-                next_start=next_start,
-                complete=complete,
-                pair_blob=pair_blob,
-            ),
-        )
-
-    def absorb(start: int, size: int, stats: ChunkStats) -> bool:
-        """Fold one in-order chunk; True when the stopping rule says stop."""
-        nonlocal chunks_merged, next_start
-        accumulator.merge(stats)
-        chunks_merged += 1
-        next_start = start + size
-        fire_fault("merge", chunks_merged)
-        if chunks_merged % checkpoint_every == 0:
-            write_checkpoint(complete=False)
-        if rule.should_stop(accumulator):
-            return True
-        # Cooperative control lands exactly here — after the merge, so the
-        # checkpoint below holds every finished chunk and resume continues
-        # byte-identically from this boundary.
-        if stop_event is not None and stop_event.is_set():
-            write_checkpoint(complete=False)
-            raise RunInterrupted(
-                f"run stopped at trial {next_start} (stop_event set); "
-                + (
-                    f"checkpoint durable at {checkpoint_path}"
-                    if checkpoint_path is not None
-                    else "no checkpoint_path, progress discarded"
-                )
-            )
-        if deadline_at is not None and time.monotonic() > deadline_at:
-            write_checkpoint(complete=False)
-            raise RunDeadlineExceeded(
-                f"run exceeded run_timeout={run_timeout}s at trial {next_start}"
-                + (
-                    f"; checkpoint durable at {checkpoint_path}"
-                    if checkpoint_path is not None
-                    else ""
-                )
-            )
-        return False
+    task = ChunkTask(algorithm, source, backend, _resolve_entropy(seed))
+    scheduler = _Scheduler(
+        _StoppingRule(trials, target_ci, min_trials, max_trials),
+        ChunkLedger(retries, retry_backoff),
+        chunk_size,
+        state=state,
+        checkpoint_path=checkpoint_path,
+        checkpoint_config=dict(
+            entropy=task.entropy,
+            mode=mode,
+            trials=trials,
+            target_ci=target_ci,
+            chunk_size=chunk_size,
+            min_trials=min_trials,
+            max_trials=max_trials,
+            algorithm=algorithm.name,
+            source=source.name,
+            n=source.n,
+            pair_blob=None if checkpoint_path is None else task.payload[0],
+        ),
+        checkpoint_every=checkpoint_every,
+        stop_event=stop_event,
+        run_timeout=run_timeout,
+    )
 
     start_time = time.perf_counter()
-    respawns = 0
-    reassignments = 0
-    # A checkpoint marked complete has nothing left to run; an adaptive
-    # resume may likewise already satisfy its tolerance at the restored
-    # state (the interrupted run would have stopped at that very merge).
-    finished = (state is not None and state.complete) or (
-        accumulator.count > 0 and rule.should_stop(accumulator)
-    )
+    owned = ChunkPool(jobs) if jobs > 1 and executor is None else None
+    if coordinator is not None:
+        transport = coordinator.transport(task, fallback=_InlineTransport(task))
+    elif executor is not None or owned is not None:
+        transport = _PoolTransport(executor or owned, task, chunk_timeout)
+    else:
+        transport = _InlineTransport(task)
     try:
-        if not finished:
-            schedule = rule.chunk_starts(chunk_size, first=next_start)
-            if coordinator is not None:
-                from repro.distributed.coordinator import distributed_drive
-
-                reassigned_before = coordinator.reassignments
-                try:
-                    distributed_drive(
-                        algorithm,
-                        source,
-                        entropy,
-                        schedule,
-                        ledger,
-                        coordinator,
-                        absorb=absorb,
-                        backend=backend,
-                    )
-                finally:
-                    reassignments = coordinator.reassignments - reassigned_before
-            elif jobs <= 1 and executor is None:
-                _sequential_drive(
-                    algorithm, source, entropy, schedule, ledger, absorb, backend
-                )
-            else:
-                if executor is None:
-                    pool: "ChunkPool | _BorrowedPool" = ChunkPool(max_workers=jobs)
-                    owned: ChunkPool | None = pool
-                elif isinstance(executor, ChunkPool):
-                    pool, owned = executor, None
-                else:
-                    pool, owned = _BorrowedPool(executor), None
-                respawns_before = getattr(pool, "respawns", 0)
-                try:
-                    _sharded_drive(
-                        algorithm,
-                        source,
-                        entropy,
-                        schedule,
-                        ledger,
-                        pool,
-                        window=2 * max(jobs, 1),
-                        chunk_timeout=chunk_timeout,
-                        absorb=absorb,
-                        backend=backend,
-                    )
-                finally:
-                    respawns = getattr(pool, "respawns", 0) - respawns_before
-                    if owned is not None:
-                        owned.shutdown(wait=False)
-    except KeyboardInterrupt:
-        # Leave a durable resume point before propagating the interrupt.
-        write_checkpoint(complete=False)
-        raise
-
-    write_checkpoint(complete=True)
+        scheduler.drive(transport)
+    finally:
+        if owned is not None:
+            owned.shutdown(wait=False)
+    scheduler.checkpoint(complete=True)
     seconds = time.perf_counter() - start_time
-    reached = None if target_ci is None else accumulator.ci95 <= target_ci
+    accumulator = scheduler.accumulator
     result = StreamResult(
         algorithm=algorithm.name,
         source=source.name,
@@ -971,15 +1146,15 @@ def stream_probes(
         std=accumulator.std,
         n_trials_used=accumulator.count,
         chunk_size=chunk_size,
-        chunks=chunks_merged,
+        chunks=scheduler.chunks_merged,
         witness_red=accumulator.witness_red,
         histogram=tuple(int(c) for c in accumulator.histogram),
         target_ci=target_ci,
-        reached_target=reached,
+        reached_target=None if target_ci is None else accumulator.ci95 <= target_ci,
         seconds=seconds,
-        retries_used=ledger.failures,
-        pool_respawns=respawns,
-        worker_reassignments=reassignments,
+        retries_used=scheduler.ledger.failures,
+        pool_respawns=transport.respawns,
+        worker_reassignments=transport.reassignments,
         backend=backend,
     )
     for totals in _RECOVERY_COLLECTORS:
@@ -988,132 +1163,11 @@ def stream_probes(
     return result
 
 
-def _sequential_drive(
-    algorithm: ProbingAlgorithm,
-    source: ColoringSource,
-    entropy: int,
-    schedule: Iterator[tuple[int, int]],
-    ledger: ChunkLedger,
-    absorb,
-    backend: str = "numpy",
-) -> None:
-    """Run chunks in-process, retrying failures against the lease ledger."""
-    for start, size in schedule:
-        while True:
-            try:
-                stats = _run_chunk(algorithm, source, entropy, start, size, backend)
-                break
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                ledger.record_failure(start, error)
-                _sleep(ledger.backoff_seconds(start))
-        if absorb(start, size, stats):
-            return
-
-
-def _sharded_drive(
-    algorithm: ProbingAlgorithm,
-    source: ColoringSource,
-    entropy: int,
-    schedule: Iterator[tuple[int, int]],
-    ledger: ChunkLedger,
-    pool: "ChunkPool | _BorrowedPool",
-    *,
-    window: int,
-    chunk_timeout: float | None,
-    absorb,
-    backend: str = "numpy",
-) -> None:
-    """Shard chunks over worker processes with crash/timeout recovery.
-
-    ``pending`` is the live lease list in absolute chunk order; merges
-    only ever happen at its head, so statistics fold in the same order as
-    a sequential run no matter which worker finishes when or how often a
-    chunk is retried.  Three failure shapes are handled:
-
-    * a worker exception re-runs just that chunk (the pool is healthy);
-    * ``BrokenProcessPool`` charges *every* in-flight lease (any of them
-      may have killed the worker), respawns the pool, re-submits all;
-    * a chunk missing ``chunk_timeout`` charges that chunk and respawns
-      too — only killing the worker reclaims a hung chunk.
-    """
-    blob, token = _pair_payload(algorithm, source, backend)
-
-    def submit(start: int, size: int):
-        return pool.submit(_run_chunk_task, (blob, token, entropy, start, size))
-
-    pending: list[list] = []  # [start, size, future] in absolute chunk order
-
-    def recover(error: BaseException, charge_all: bool) -> None:
-        # Charge the lease budgets first (re-raises the original error on
-        # exhaustion), then replace the pool and re-submit every unmerged
-        # chunk — their futures all belonged to the dead pool.
-        head_start = pending[0][0]
-        if charge_all:
-            for lease in pending:
-                ledger.record_failure(lease[0], error)
-        else:
-            ledger.record_failure(head_start, error)
-        pool.respawn()
-        _sleep(ledger.backoff_seconds(head_start))
-        for lease in pending:
-            lease[2] = submit(lease[0], lease[1])
-
-    exhausted = False
-    try:
-        while True:
-            try:
-                while not exhausted and len(pending) < window:
-                    item = next(schedule, None)
-                    if item is None:
-                        exhausted = True
-                        break
-                    # Append before submitting so a submit-time pool break
-                    # still has the lease on the books for recovery.
-                    pending.append([item[0], item[1], None])
-                    pending[-1][2] = submit(item[0], item[1])
-                if not pending:
-                    return
-                start, size, future = pending[0]
-                stats = future.result(timeout=chunk_timeout)
-            except BrokenExecutor as error:
-                recover(error, charge_all=True)
-                continue
-            except FuturesTimeout:
-                recover(
-                    TimeoutError(
-                        f"chunk at trial {start} exceeded "
-                        f"chunk_timeout={chunk_timeout}s"
-                    ),
-                    charge_all=False,
-                )
-                continue
-            except Exception as error:
-                # Task-level failure: the pool is healthy, retry just this
-                # chunk.
-                ledger.record_failure(start, error)
-                _sleep(ledger.backoff_seconds(start))
-                pending[0][2] = submit(start, size)
-                continue
-            pending.pop(0)
-            if absorb(start, size, stats):
-                return
-    finally:
-        # Always drain our own leases — on the stop path *and* on error
-        # paths, shared pool or owned: orphaned speculative chunks would
-        # otherwise keep running (or hold queue slots) after this run is
-        # gone.
-        for lease in pending:
-            if lease[2] is not None:
-                lease[2].cancel()
-
-
 def resume_stream(
     path: str | Path,
     *,
     jobs: int = 1,
-    executor: "ProcessPoolExecutor | ChunkPool | None" = None,
+    executor: ChunkPool | None = None,
     coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
@@ -1133,6 +1187,7 @@ def resume_stream(
     interrupted run resolved (backends are byte-identical for
     deterministic kernels, so overriding ``backend`` is safe).
     """
+    from repro.core.batched import BACKENDS
     from repro.core.checkpoint import load_engine_checkpoint
 
     state = load_engine_checkpoint(path)
@@ -1142,7 +1197,14 @@ def resume_stream(
             "pair; resume through stream_probes(resume=...) with the "
             "original objects instead"
         )
-    algorithm, source, recorded_backend = _unpack_pair(pickle.loads(state.pair_blob))
+    algorithm, source, recorded_backend = load_pair(state.pair_blob)
+    if backend is None and recorded_backend not in BACKENDS:
+        raise ValueError(
+            f"{path}: checkpoint ran on the {recorded_backend!r} kernel "
+            f"backend, which no longer exists; pass backend='bitpacked' or "
+            "'numpy' to resume it (deterministic kernels are byte-identical "
+            "on every backend)"
+        )
     return stream_probes(
         algorithm,
         source,
@@ -1159,50 +1221,3 @@ def resume_stream(
         stop_event=stop_event,
         run_timeout=run_timeout,
     )
-
-
-def stream_estimate(
-    algorithm: ProbingAlgorithm,
-    source: ColoringSource | None = None,
-    *,
-    p: float | None = None,
-    trials: int | None = None,
-    target_ci: float | None = None,
-    chunk_size: int | None = None,
-    min_trials: int | None = None,
-    max_trials: int | None = None,
-    seed: int | None = None,
-    jobs: int = 1,
-    executor: "ProcessPoolExecutor | ChunkPool | None" = None,
-    coordinator=None,
-    retries: int | None = None,
-    chunk_timeout: float | None = None,
-    retry_backoff: float | None = None,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
-    resume=None,
-    backend: str | None = None,
-) -> Estimate:
-    """:func:`stream_probes`, reduced to a plain
-    :class:`~repro.core.estimator.Estimate` (``trials`` = trials used)."""
-    return stream_probes(
-        algorithm,
-        source,
-        p=p,
-        trials=trials,
-        target_ci=target_ci,
-        chunk_size=chunk_size,
-        min_trials=min_trials,
-        max_trials=max_trials,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        coordinator=coordinator,
-        retries=retries,
-        chunk_timeout=chunk_timeout,
-        retry_backoff=retry_backoff,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        backend=backend,
-    ).estimate

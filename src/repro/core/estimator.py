@@ -135,9 +135,9 @@ def estimate_average_probes(
     if batched or streaming:
         if validate:
             raise ValueError("validate=True requires the sequential path")
-        from repro.core.engine import stream_estimate
+        from repro.core.engine import stream_probes
 
-        return stream_estimate(
+        return stream_probes(
             algorithm,
             source,
             p=p,
@@ -149,7 +149,7 @@ def estimate_average_probes(
             seed=seed,
             jobs=jobs,
             backend=backend,
-        )
+        ).estimate
     if source is not None:
         from repro.core.coloring import as_numpy_generator
 

@@ -13,7 +13,6 @@ from repro.distributed.coordinator import (
     Coordinator,
     DistributedError,
     WorkerChunkError,
-    distributed_drive,
 )
 from repro.distributed.protocol import PROTOCOL_VERSION, FrameError, parse_hostport
 from repro.distributed.worker import (
@@ -34,7 +33,6 @@ __all__ = [
     "FrameError",
     "PROTOCOL_VERSION",
     "WorkerChunkError",
-    "distributed_drive",
     "parse_hostport",
     "run_worker",
     "shutdown_workers",

@@ -1,19 +1,19 @@
 """Coordinator side of the networked chunk-lease protocol.
 
 A :class:`Coordinator` listens for workers (they dial in with
-``repro-probe worker --connect HOST:PORT``) and :func:`distributed_drive`
-plugs the connected pool into the streaming engine as a third execution
-backend beside in-process and ``ProcessPoolExecutor`` — the engine's
-``ChunkLedger`` retry/backoff semantics, stopping rules, checkpoints and
-merge order are all reused unchanged, so a distributed run is
+``repro-probe worker --connect HOST:PORT``) and hands the streaming engine
+a :class:`~repro.core.engine.Transport` over them — the third one beside
+inline and :class:`~repro.core.engine.ChunkPool`.  The engine's one
+scheduler keeps the lease window, merge order, ``ChunkLedger``
+retry/backoff, stopping rules and checkpoints, so a distributed run is
 byte-identical to ``jobs=1``.
 
 Concurrency model: one daemon accept thread per listening socket and one
 daemon reader thread per worker push events (``connect``/``disconnect``/
-``result``/``error``/``heartbeat``) onto a queue; the *drive loop* — the
-caller's thread, inside :func:`repro.core.engine.stream_probes` — is the
-only consumer and the only place leases are granted, expired, merged or
-retried.  All determinism-relevant state is therefore single-threaded.
+``result``/``error``/``heartbeat``) onto a queue; the engine's scheduler
+— the caller's thread, inside :func:`repro.core.engine.stream_probes` — is
+the only consumer and the only place leases are granted, expired, merged
+or retried.  All determinism-relevant state is therefore single-threaded.
 
 Failure handling, per lease:
 
@@ -44,7 +44,7 @@ import time
 
 import numpy as np
 
-from repro.core import engine
+from repro.core.engine import ChunkStats, ChunkTask, Lease, LeaseFailure, Transport
 from repro.distributed import protocol
 
 
@@ -58,19 +58,6 @@ class AllWorkersLostError(DistributedError):
 
 class WorkerChunkError(DistributedError):
     """A worker's kernel raised while computing a leased chunk."""
-
-
-class _Lease:
-    """One outstanding chunk lease (drive-loop private)."""
-
-    __slots__ = ("start", "size", "worker", "deadline", "stats")
-
-    def __init__(self, start: int, size: int) -> None:
-        self.start = start
-        self.size = size
-        self.worker: "WorkerLink | None" = None
-        self.deadline: float | None = None
-        self.stats = None
 
 
 class WorkerLink:
@@ -276,32 +263,10 @@ class Coordinator:
             self._workers.pop(link.ident, None)
         link.close()
 
-    # -- drive-loop plumbing ------------------------------------------------------
-
-    def _next_run_id(self) -> int:
-        return next(self._runs)
-
-    def _next_event(self, timeout: float):
-        try:
-            return self._events.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def _send_lease(
-        self, link: WorkerLink, token: str, blob: bytes, run: int, entropy: int, lease: _Lease
-    ) -> bool:
-        """Grant ``lease`` to ``link`` (shipping the pair first if new)."""
-        if token not in link.tokens:
-            if not link.send(protocol.pair_message(token, blob)):
-                return False
-            link.tokens.add(token)
-        if not link.send(
-            protocol.lease_message(run, token, entropy, lease.start, lease.size)
-        ):
-            return False
-        lease.worker = link
-        lease.deadline = time.monotonic() + self.lease_timeout
-        return True
+    def transport(self, task: ChunkTask, fallback: Transport) -> Transport:
+        """The engine's transport for one run over this coordinator's
+        workers; ``fallback`` computes the head chunk when none is live."""
+        return _CoordinatorTransport(self, task, fallback)
 
     def close(self) -> None:
         """Shut down: tell workers to exit, close every socket."""
@@ -322,7 +287,7 @@ class Coordinator:
         self.close()
 
 
-def _stats_from_result(payload: dict):
+def _stats_from_result(payload: dict) -> ChunkStats:
     """Validate a ``result`` frame into :class:`~repro.core.engine.ChunkStats`."""
     try:
         trials = int(payload["trials"])
@@ -344,172 +309,139 @@ def _stats_from_result(payload: dict):
             f"trials={trials}, witness_red={witness_red}, "
             f"histogram sum={int(histogram.sum()) if histogram.size else 0}"
         )
-    return engine.ChunkStats(trials=trials, histogram=histogram, witness_red=witness_red)
+    return ChunkStats(trials=trials, histogram=histogram, witness_red=witness_red)
 
 
-def _find_lease(pending: list[_Lease], start) -> _Lease | None:
-    for lease in pending:
-        if lease.start == start:
-            return lease
-    return None
+class _CoordinatorTransport(Transport):
+    """One engine run's leases over the coordinator's workers.
 
-
-def distributed_drive(
-    algorithm,
-    source,
-    entropy: int,
-    schedule,
-    ledger,
-    coordinator: Coordinator,
-    *,
-    absorb,
-    backend: str = "numpy",
-) -> None:
-    """Drive one engine run over the coordinator's workers.
-
-    The exact analogue of :func:`repro.core.engine._sharded_drive`:
-    ``pending`` is the live lease list in absolute chunk order, merges
-    only happen at its head, failures charge the shared
-    :class:`~repro.core.engine.ChunkLedger` (which re-raises the original
-    error on budget exhaustion), and returning on an adaptive stop simply
-    abandons speculative leases — their results arrive tagged with this
-    run's id and are discarded by the next run.
+    The window is 2 × live workers + 2.  Unleased chunks go to the
+    least-loaded live worker; a lease's ``handle`` is its
+    :class:`WorkerLink` and its ``deadline`` the heartbeat expiry.  With
+    no live worker the ``fallback`` transport computes the head chunk in
+    process.
     """
-    blob, token = engine._pair_payload(algorithm, source, backend)
-    run_id = coordinator._next_run_id()
-    pending: list[_Lease] = []
-    exhausted = False
 
-    def fail_lease(lease: _Lease, error: BaseException) -> None:
-        lease.worker = None
-        lease.deadline = None
-        ledger.record_failure(lease.start, error)
+    def __init__(self, coordinator: Coordinator, task: ChunkTask, fallback: Transport) -> None:
+        self._coordinator = coordinator
+        self._task = task
+        self._fallback = fallback
+        self._run = next(coordinator._runs)
+        self._workers: list[WorkerLink] = []
 
-    def drop_worker(link: WorkerLink, error: BaseException) -> None:
-        coordinator._discard(link)
-        lost = [
-            lease
-            for lease in pending
-            if lease.worker is link and lease.stats is None
-        ]
-        for lease in lost:
-            coordinator.reassignments += 1
-            fail_lease(lease, error)
-        if lost:
-            engine._sleep(ledger.backoff_seconds(lost[0].start))
+    def window(self) -> int:
+        # The scheduler asks once per step, right before ``advance``; that
+        # step then assigns to the same workers the window was sized for.
+        self._workers = self._coordinator.live_workers()
+        return 2 * max(1, len(self._workers)) + 2
 
-    while True:
-        # 1. Merge completed leases at the head — absolute chunk order, so
-        #    the accumulator folds exactly like a sequential run.
-        while pending and pending[0].stats is not None:
-            lease = pending.pop(0)
-            if absorb(lease.start, lease.size, lease.stats):
-                return
-        # 2. Keep a bounded window of leases outstanding.
-        workers = coordinator.live_workers()
-        window = 2 * max(1, len(workers)) + 2
-        while not exhausted and len(pending) < window:
-            item = next(schedule, None)
-            if item is None:
-                exhausted = True
-                break
-            pending.append(_Lease(item[0], item[1]))
-        if not pending:
-            return
-        # 3. Assign unleased chunks to the least-loaded live workers.
-        if workers:
-            load = {link.ident: 0 for link in workers}
-            by_ident = {link.ident: link for link in workers}
-            for lease in pending:
-                if lease.worker is not None and lease.worker.ident in load:
-                    load[lease.worker.ident] += 1
-            for lease in pending:
-                if lease.stats is not None or lease.worker is not None:
-                    continue
-                ident = min(load, key=lambda i: (load[i], i))
-                if not coordinator._send_lease(
-                    by_ident[ident], token, blob, run_id, entropy, lease
-                ):
-                    break  # link just died; its disconnect event is queued
-                load[ident] += 1
-        elif pending[0].worker is None and pending[0].stats is None:
+    def advance(self, pending: list[Lease]) -> list[LeaseFailure]:
+        if self._workers:
+            self._assign(pending)
+        elif pending[0].handle is None:
             # Every worker is gone and the head chunk is unowned: degrade
             # to in-process execution (or fail loudly when asked to).
-            if not coordinator.local_fallback:
+            if not self._coordinator.local_fallback:
                 raise AllWorkersLostError(
                     "all distributed workers are gone and the local fallback "
-                    f"is disabled; {coordinator.reassignments} lease(s) were "
-                    "reassigned before the pool emptied"
+                    f"is disabled; {self._coordinator.reassignments} lease(s) "
+                    "were reassigned before the pool emptied"
                 )
-            head = pending[0]
-            while True:
-                try:
-                    head.stats = engine._run_chunk(
-                        algorithm, source, entropy, head.start, head.size, backend
-                    )
-                    break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    ledger.record_failure(head.start, error)
-                    engine._sleep(ledger.backoff_seconds(head.start))
-            continue
-        # 4. Wait for the next protocol event, bounded by the nearest
-        #    lease deadline so expiries are noticed promptly.
+            return self._fallback.advance(pending)
+        # Wait for the next protocol event, bounded by the nearest lease
+        # deadline so expiries are noticed promptly.
         now = time.monotonic()
-        deadlines = [
-            lease.deadline
-            for lease in pending
-            if lease.deadline is not None and lease.stats is None
-        ]
-        timeout = min(
-            0.25, max(0.02, min((d - now for d in deadlines), default=0.25))
+        nearest = min(
+            (lease.deadline - now for lease in pending if lease.deadline is not None),
+            default=0.25,
         )
-        event = coordinator._next_event(timeout)
-        if event is not None:
-            kind, link, payload = event
-            if kind == "disconnect":
-                drop_worker(link, payload)
-            elif kind == "result" and payload.get("run") == run_id:
-                lease = _find_lease(pending, payload.get("start"))
-                if lease is not None and lease.stats is None:
-                    try:
-                        lease.stats = _stats_from_result(payload)
-                    except ValueError as error:
-                        drop_worker(link, DistributedError(str(error)))
-                    else:
-                        lease.worker = None
-                        lease.deadline = None
-            elif kind == "error" and payload.get("run") == run_id:
-                lease = _find_lease(pending, payload.get("start"))
-                if lease is not None and lease.stats is None:
-                    fail_lease(
-                        lease,
-                        WorkerChunkError(
-                            f"worker {link.name} failed chunk at trial "
-                            f"{lease.start}: {payload.get('error', 'unknown error')}"
-                        ),
-                    )
-                    engine._sleep(ledger.backoff_seconds(lease.start))
-            elif kind == "heartbeat" and payload.get("run") == run_id:
-                lease = _find_lease(pending, payload.get("start"))
-                if lease is not None and lease.worker is link:
-                    lease.deadline = time.monotonic() + coordinator.lease_timeout
-            # "connect" needs no handling: step 3 assigns next iteration.
-        # 5. Expire leases whose worker missed its heartbeats: hung or
-        #    partitioned — only dropping the connection reclaims the chunk.
+        failures = []
+        try:
+            kind, link, payload = self._coordinator._events.get(
+                timeout=min(0.25, max(0.02, nearest))
+            )
+        except queue.Empty:
+            pass
+        else:
+            failures += self._on_event(kind, link, payload, pending)
+        # Expire leases whose worker missed its heartbeats: hung or
+        # partitioned — only dropping the connection reclaims the chunk.
         now = time.monotonic()
-        for lease in list(pending):
-            if (
-                lease.stats is None
-                and lease.worker is not None
-                and lease.deadline is not None
-                and now > lease.deadline
-            ):
-                drop_worker(
-                    lease.worker,
+        for lease in pending:
+            if lease.handle is not None and now > lease.deadline:
+                failures += self._drop(
+                    lease.handle,
                     TimeoutError(
                         f"lease for chunk at trial {lease.start} missed "
-                        f"heartbeats for {coordinator.lease_timeout:g}s"
+                        f"heartbeats for {self._coordinator.lease_timeout:g}s"
                     ),
+                    pending,
                 )
+        return failures
+
+    def _assign(self, pending: list[Lease]) -> None:
+        load = {link.ident: 0 for link in self._workers}
+        by_ident = {link.ident: link for link in self._workers}
+        for lease in pending:
+            if lease.handle is not None and lease.handle.ident in load:
+                load[lease.handle.ident] += 1
+        for lease in pending:
+            if lease.stats is not None or lease.handle is not None:
+                continue
+            ident = min(load, key=lambda i: (load[i], i))
+            if not self._send_lease(by_ident[ident], lease):
+                break  # link just died; its disconnect event is queued
+            load[ident] += 1
+
+    def _send_lease(self, link: WorkerLink, lease: Lease) -> bool:
+        """Grant ``lease`` to ``link`` (shipping the pair first if new)."""
+        blob, token = self._task.payload
+        if token not in link.tokens:
+            if not link.send(protocol.pair_message(token, blob)):
+                return False
+            link.tokens.add(token)
+        if not link.send(
+            protocol.lease_message(
+                self._run, token, self._task.entropy, lease.start, lease.size
+            )
+        ):
+            return False
+        lease.handle = link
+        lease.deadline = time.monotonic() + self._coordinator.lease_timeout
+        return True
+
+    def _on_event(self, kind: str, link: WorkerLink, payload, pending) -> list[LeaseFailure]:
+        if kind == "disconnect":
+            return self._drop(link, payload, pending)
+        if kind not in ("result", "error", "heartbeat") or payload.get("run") != self._run:
+            return []  # "connect" needs nothing: the next step assigns
+        lease = next((lease for lease in pending if lease.start == payload.get("start")), None)
+        if lease is None or lease.stats is not None:
+            return []
+        if kind == "heartbeat":
+            if lease.handle is link:
+                lease.deadline = time.monotonic() + self._coordinator.lease_timeout
+            return []
+        if kind == "error":
+            lease.handle = lease.deadline = None
+            error = WorkerChunkError(
+                f"worker {link.name} failed chunk at trial {lease.start}: "
+                f"{payload.get('error', 'unknown error')}"
+            )
+            return [LeaseFailure(error, (lease,))]
+        try:
+            lease.stats = _stats_from_result(payload)
+        except ValueError as error:
+            return self._drop(link, DistributedError(str(error)), pending)
+        lease.handle = lease.deadline = None
+        return []
+
+    def _drop(self, link: WorkerLink, error: BaseException, pending) -> list[LeaseFailure]:
+        """Disconnect ``link`` and fail every lease it held."""
+        self._coordinator._discard(link)
+        lost = tuple(lease for lease in pending if lease.handle is link)
+        for lease in lost:
+            lease.handle = lease.deadline = None
+        self.reassignments += len(lost)
+        self._coordinator.reassignments += len(lost)
+        return [LeaseFailure(error, lost)] if lost else []

@@ -3,8 +3,8 @@
 A worker dials the coordinator (``repro-probe worker --connect
 HOST:PORT``), then serves leases until the coordinator says ``shutdown``
 or disappears: for every ``lease`` frame it runs the exact same
-:func:`repro.core.engine._run_chunk` the in-process and process-pool
-backends run — same ``(seed, start)``-keyed streams, same histogram
+:meth:`repro.core.engine.ChunkTask.run` the inline and process-pool
+transports run — same ``(seed, start)``-keyed streams, same histogram
 reduction — so a chunk's bytes do not depend on which machine computed it.
 While a chunk computes, a daemon thread heartbeats the lease so the
 coordinator can tell "slow" from "dead".
@@ -26,7 +26,6 @@ Failure behavior mirrors the fault model the reproduction studies:
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import subprocess
 import sys
@@ -35,6 +34,7 @@ import time
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.core.engine import ChunkTask, load_pair
 from repro.distributed import protocol
 from repro.testing.faults import take_fault
 
@@ -143,7 +143,7 @@ def _serve(sock: socket.socket, pairs: "OrderedDict[str, tuple]", interval: floa
             return
         kind = message["type"]
         if kind == "pair":
-            pairs[message["token"]] = pickle.loads(protocol.pair_blob(message))
+            pairs[message["token"]] = load_pair(protocol.pair_blob(message))
             pairs.move_to_end(message["token"])
             while len(pairs) > _PAIR_CACHE_MAX:
                 pairs.popitem(last=False)
@@ -160,8 +160,6 @@ def _serve_lease(
     pairs: "OrderedDict[str, tuple]",
     interval: float,
 ) -> None:
-    from repro.core.engine import _run_chunk, _unpack_pair
-
     run = int(message["run"])
     start = int(message["start"])
     size = int(message["size"])
@@ -177,7 +175,7 @@ def _serve_lease(
                 ),
             )
         return
-    algorithm, source, backend = _unpack_pair(pair)
+    task = ChunkTask(*pair, entropy=int(message["entropy"]))
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
@@ -188,9 +186,7 @@ def _serve_lease(
     try:
         # The same chunk evaluation every backend runs — including its
         # "chunk"-site faults, so an injected kill dies here like SIGKILL.
-        stats = _run_chunk(
-            algorithm, source, int(message["entropy"]), start, size, backend
-        )
+        stats = task.run(start, size)
     except Exception as error:
         stop.set()
         beat.join()

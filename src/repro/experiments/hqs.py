@@ -259,15 +259,15 @@ def run_randomized_hqs(
     for height in heights:
         system = HQS(height)
         if batched:
-            from repro.core.engine import stream_estimate
+            from repro.core.engine import stream_probes
 
             source = HQSFamilyPSource(system)
-            est_r = stream_estimate(
+            est_r = stream_probes(
                 RProbeHQS(system), source, trials=trials, seed=seed + height
-            )
-            est_ir = stream_estimate(
+            ).estimate
+            est_ir = stream_probes(
                 IRProbeHQS(system), source, trials=trials, seed=seed + height
-            )
+            ).estimate
         else:
             sampler = worst_case_family_sampler(system)
             est_r = estimate_average_under(

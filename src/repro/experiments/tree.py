@@ -30,11 +30,11 @@ def _hard_input_estimator(algorithm, system, trials, seed, batched):
     """Estimate on the Theorem 4.8 hard distribution, streamed or per-trial."""
     if batched:
         from repro.analysis.yao import TreeHardSource
-        from repro.core.engine import stream_estimate
+        from repro.core.engine import stream_probes
 
-        return stream_estimate(
+        return stream_probes(
             algorithm, TreeHardSource(system), trials=trials, seed=seed
-        )
+        ).estimate
     return estimate_average_under(
         algorithm, tree_hard_sampler(system), trials=trials, seed=seed
     )

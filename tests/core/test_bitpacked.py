@@ -230,15 +230,13 @@ class TestBackendResolution:
             resolve_backend(RProbeMaj(MajoritySystem(5)), "bitpacked")
 
     def test_auto_policy(self):
-        # With numba installed ``auto`` prefers the compiled backend; the
-        # packed fallback is bitpacked either way.
-        from repro.core.compiled import NUMBA_AVAILABLE
-
-        packed = "compiled" if NUMBA_AVAILABLE else "bitpacked"
         deterministic = ProbeMaj(MajoritySystem(5))
-        assert resolve_backend(deterministic, "auto", AUTO_BITPACKED_MIN_TRIALS) == packed
+        assert (
+            resolve_backend(deterministic, "auto", AUTO_BITPACKED_MIN_TRIALS)
+            == "bitpacked"
+        )
         assert resolve_backend(deterministic, "auto", AUTO_BITPACKED_MIN_TRIALS - 1) == "numpy"
-        assert resolve_backend(deterministic, "auto", None) == packed
+        assert resolve_backend(deterministic, "auto", None) == "bitpacked"
         assert resolve_backend(RProbeMaj(MajoritySystem(5)), "auto", 10**6) == "numpy"
 
     def test_unknown_backend_rejected(self):

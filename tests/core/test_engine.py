@@ -41,7 +41,6 @@ from repro.core.distributions import (
 from repro.core.engine import (
     DEFAULT_MAX_TRIALS,
     MomentAccumulator,
-    stream_estimate,
     stream_probes,
 )
 from repro.core.estimator import Estimate, estimate_average_probes
@@ -225,9 +224,6 @@ class TestResultShape:
         assert isinstance(estimate, Estimate)
         assert estimate.mean == result.mean
         assert estimate.trials == result.n_trials_used == 100
-        assert stream_estimate(
-            algorithm, p=0.5, trials=100, chunk_size=32, seed=5
-        ) == estimate
 
     def test_moment_accumulator_matches_numpy(self):
         algorithm = ProbeHQS(HQS(3))
@@ -268,7 +264,7 @@ class TestResultShape:
 
         algorithm = ProbeMaj(MajoritySystem(25))
         source = BernoulliSource(25, 0.5)
-        blob, token = engine_module._pair_payload(algorithm, source)
+        blob, token = engine_module.ChunkTask(algorithm, source, "numpy", 5).payload
         engine_module._WORKER_PAIRS.pop(token, None)
         first = engine_module._run_chunk_task((blob, token, 5, 0, 16))
         cached_algorithm = engine_module._WORKER_PAIRS[token][0]

@@ -17,19 +17,22 @@ The load-bearing claims (ISSUE 6):
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.algorithms import ProbeTree
 from repro.core import engine
-from repro.core.checkpoint import load_engine_checkpoint
+from repro.core.checkpoint import load_engine_checkpoint, save_engine_checkpoint
 from repro.core.engine import (
     ChunkLedger,
     ChunkPool,
-    _BorrowedPool,
     resume_stream,
     stream_probes,
 )
@@ -179,12 +182,40 @@ class TestFailurePaths:
             after = _baseline(jobs=4, executor=pool)
         assert _same_statistics(after, _baseline())
 
-    def test_borrowed_raw_executor_refuses_respawn(self):
+    def test_raw_executor_is_rejected_naming_chunk_pool(self):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=1) as raw:
-            with pytest.raises(RuntimeError, match="ChunkPool"):
-                _BorrowedPool(raw).respawn()
+            with pytest.raises(TypeError, match="ChunkPool"):
+                _baseline(jobs=2, executor=raw)
+
+    def test_pool_break_on_retry_resubmit_is_recovered(self):
+        """A pool that breaks while a failed chunk is re-dispatched goes
+        through the same recovery as any other pool break: charge every
+        lease in flight, respawn, re-run — byte-identically."""
+
+        class BreaksOnResubmit(ChunkPool):
+            def __init__(self) -> None:
+                super().__init__(2)
+                self.first_chunk_submits = 0
+
+            def submit(self, fn, payload):
+                if payload[3] == 0:
+                    self.first_chunk_submits += 1
+                    if self.first_chunk_submits == 1:
+                        failed = Future()
+                        failed.set_exception(RuntimeError("task failed"))
+                        return failed
+                    if self.first_chunk_submits == 2:
+                        raise BrokenProcessPool("pool broke during re-submit")
+                return super().submit(fn, payload)
+
+        with BreaksOnResubmit() as pool:
+            result = _baseline(jobs=2, executor=pool, retries=2)
+        assert _same_statistics(result, _baseline())
+        assert result.pool_respawns == 1
+        # The task failure, then the break charged all four leases in flight.
+        assert result.retries_used == 5
 
     def test_invalid_fault_tolerance_arguments(self):
         with pytest.raises(ValueError, match="chunk_timeout"):
@@ -260,6 +291,18 @@ class TestInterruptionSemantics:
         other = ProbeTree(build_system("tree", 3))
         with pytest.raises(ValueError, match="checkpoint records"):
             stream_probes(other, p=0.2, resume=checkpoint)
+
+    def test_checkpoint_of_removed_compiled_backend_fails_loudly(self, tmp_path):
+        checkpoint = tmp_path / "run.ckpt"
+        _baseline(checkpoint_path=checkpoint)
+        state = load_engine_checkpoint(checkpoint)
+        algorithm, source, _ = pickle.loads(state.pair_blob)
+        blob = pickle.dumps((algorithm, source, "compiled"))
+        save_engine_checkpoint(checkpoint, dataclasses.replace(state, pair_blob=blob))
+        with pytest.raises(ValueError, match="'compiled' kernel backend"):
+            resume_stream(checkpoint)
+        # Every remaining backend is byte-identical, so naming one resumes it.
+        assert _same_statistics(resume_stream(checkpoint, backend="numpy"), _baseline())
 
     def test_checkpoint_written_without_pair_blob_refuses_cli_resume(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"
