@@ -114,21 +114,25 @@ def test_coloring_random_large(benchmark):
 
 
 def test_batched_montecarlo_probe_maj(benchmark):
-    from repro.core.batched import estimate_average_probes_batched
+    from repro.core.engine import stream_probes
 
     algorithm = ProbeMaj(MajoritySystem(1001))
     estimate = benchmark(
-        lambda: estimate_average_probes_batched(algorithm, 0.5, trials=1000, seed=12)
+        lambda: stream_probes(
+            algorithm, p=0.5, trials=1000, chunk_size=1000, seed=12
+        ).estimate
     )
     assert estimate.trials == 1000
 
 
 def test_batched_montecarlo_probe_cw(benchmark):
-    from repro.core.batched import estimate_average_probes_batched
+    from repro.core.engine import stream_probes
 
     algorithm = ProbeCW(TriangSystem(45))
     estimate = benchmark(
-        lambda: estimate_average_probes_batched(algorithm, 0.5, trials=1000, seed=13)
+        lambda: stream_probes(
+            algorithm, p=0.5, trials=1000, chunk_size=1000, seed=13
+        ).estimate
     )
     assert estimate.trials == 1000
 

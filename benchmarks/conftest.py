@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables/figures (see the
-per-experiment index in DESIGN.md), asserts the *shape* claims (who wins,
-bound satisfied, exponent in range) and prints the regenerated rows so the
-numbers can be compared against EXPERIMENTS.md.
+experiment registry, ``repro-probe list``), asserts the *shape* claims (who
+wins, bound satisfied, exponent in range) and prints the regenerated rows
+so the numbers can be compared against the paper.
 
 The experiment drivers are deliberately run once per benchmark round
 (``rounds=1``) — the quantity being benchmarked is the experiment itself,

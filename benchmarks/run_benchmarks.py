@@ -13,15 +13,16 @@ Sections:
 * ``exact_solver`` — mask-DP :class:`ExactSolver` versus the seed's
   frozenset ``lru_cache`` DP (replicated below as ``legacy_ppc``) on an
   ``n = 14`` crumbling wall, plus the warm-cache re-query cost;
-* ``batched_montecarlo`` — vectorized versus per-trial Monte-Carlo
-  estimation (1000 trials) for Probe_Maj on ``Maj(1001)`` and Probe_CW on
+* ``batched_montecarlo`` — vectorized (one engine chunk) versus per-trial
+  Monte-Carlo estimation (1000 trials) for Probe_Maj on ``Maj(1001)`` and Probe_CW on
   ``Triang(45)`` (n = 1035);
 * ``batched_gates`` — the level-synchronous gate engine
   (:mod:`repro.core.batched_gates`) versus the recursive per-trial loops
   for Probe_Tree / R_Probe_Tree on ``Tree(h=9)`` (n = 1023) and
   Probe_HQS / IR_Probe_HQS on ``HQS(h=6)`` (n = 729);
 * ``coloring_sampling`` — ``Coloring.random`` at ``n = 2000`` and the
-  ``random_batch`` matrix sampler;
+  i.i.d. matrix sampler ``sample_bernoulli_matrix`` (reported as
+  ``random_batch_seconds``);
 * ``distribution_sampling`` — every registered
   :class:`~repro.core.distributions.ColoringSource` at ``n ≈ 1000``:
   the vectorized ``sample_matrix`` batch versus the per-trial scalar
@@ -32,7 +33,7 @@ Sections:
   environment metadata, artifact serialization) versus calling the same
   driver functions directly, on the ``lemmas`` experiment.
 * ``streaming_engine`` — the chunked streaming engine
-  (:mod:`repro.core.engine`) versus the one-shot batched path at equal
+  (:mod:`repro.core.engine`) versus a one-chunk engine run at equal
   trials (chunking overhead must stay bounded: ``chunked_vs_one_shot``
   ratios ≥ ~0.9x), the sharded (2-job) run, and the adaptive ``target_ci``
   mode on Maj(1001) near the critical ``p = 1/2``: a fixed-trial baseline
@@ -75,8 +76,9 @@ from repro.algorithms import (  # noqa: E402
     ProbeTree,
     RProbeTree,
 )
-from repro.core.batched import estimate_average_probes_batched  # noqa: E402
 from repro.core.coloring import Coloring  # noqa: E402
+from repro.core.distributions import sample_bernoulli_matrix  # noqa: E402
+from repro.core.engine import stream_probes  # noqa: E402
 from repro.core.estimator import estimate_average_probes  # noqa: E402
 from repro.core.exact import ExactSolver  # noqa: E402
 from repro.systems import (  # noqa: E402
@@ -150,11 +152,14 @@ def bench_exact_solver(quick: bool) -> dict:
 
 
 def _bench_batched_vs_loop(cases: list, trials: int, p: float = 0.5) -> list[dict]:
-    """Time the batched kernel against the per-trial loop for each case."""
+    """Time one kernel call (a one-chunk engine run) against the per-trial
+    loop for each case."""
     results = []
     for name, algorithm in cases:
         batched_seconds, batched_estimate = timed(
-            lambda: estimate_average_probes_batched(algorithm, p, trials=trials, seed=1),
+            lambda: stream_probes(
+                algorithm, p=p, trials=trials, chunk_size=trials, seed=1
+            ).estimate,
             repeat=3,
         )
         loop_seconds, loop_estimate = timed(
@@ -205,7 +210,7 @@ def bench_coloring_sampling(quick: bool) -> dict:
     single_seconds, _ = timed(
         lambda: [Coloring.random(n, 0.5, rng) for _ in range(count)]
     )
-    batch_seconds, _ = timed(lambda: Coloring.random_batch(n, 0.5, count, rng=7))
+    batch_seconds, _ = timed(lambda: sample_bernoulli_matrix(n, 0.5, count, rng=7))
     return {
         "n": n,
         "colorings": count,
@@ -332,7 +337,7 @@ def bench_runner_overhead(quick: bool) -> dict:
 
 
 def bench_streaming_engine(quick: bool) -> dict:
-    """Chunked/sharded/adaptive engine versus the one-shot batched path.
+    """Chunked/sharded/adaptive engine versus a one-chunk engine run.
 
     ``chunked_vs_one_shot`` cases must hold the acceptance bar (≥ ~0.9x
     one-shot throughput at equal trials; the assert below pins mean
@@ -345,9 +350,7 @@ def bench_streaming_engine(quick: bool) -> dict:
     from functools import partial
 
     from repro.algorithms import RProbeCW
-    from repro.core.batched import estimate_average_source_batched
     from repro.core.distributions import BernoulliSource
-    from repro.core.engine import stream_probes
 
     trials = 2000 if quick else 20000
     chunk = 512 if quick else 2048
@@ -360,7 +363,7 @@ def bench_streaming_engine(quick: bool) -> dict:
         source = BernoulliSource(algorithm.system.n, p)
         one_shot_seconds, one_shot = timed(
             partial(
-                estimate_average_source_batched, algorithm, source, trials=trials, seed=1
+                stream_probes, algorithm, source, trials=trials, chunk_size=trials, seed=1
             ),
             repeat=3,
         )
@@ -464,8 +467,6 @@ def bench_bitpacked_kernels(quick: bool) -> list[dict]:
     acceptance bar (≥ 5x at n ≈ 1000, 10^6 trials in the full run).
     """
     from functools import partial
-
-    from repro.core.engine import stream_probes
 
     trials = 100_000 if quick else 1_000_000
     chunk = 65_536

@@ -18,7 +18,7 @@ The package provides:
   models and the two motivating applications (quorum mutual exclusion,
   quorum-replicated storage);
 * :mod:`repro.experiments` — drivers regenerating Table 1 and every
-  per-theorem experiment listed in DESIGN.md.
+  per-theorem experiment in the registry (``repro-probe list``).
 """
 
 from repro.core import (

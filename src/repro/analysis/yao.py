@@ -13,22 +13,21 @@ expectation.  The paper uses three such distributions:
   every height-1 bottom subtree exactly two of the three nodes are red,
   uniformly and independently; the value is ``2(n + 1)/3``.
 
-Each distribution comes in four forms:
+Each distribution comes in three forms:
 
 * a :class:`~repro.core.distributions.ColoringSource`
   (``MajorityHardSource`` / ``CWHardSource`` / ``TreeHardSource``),
   registered in the coloring-source registry as ``majority_hard`` /
   ``cw_hard`` / ``tree_hard`` so experiment drivers, the sweep runner and
-  the CLI resolve it by name like any other scenario;
+  the CLI resolve it by name like any other scenario; its
+  ``sample_matrix`` draws a whole trial batch as the ``(trials, n)`` bool
+  red matrix the batched kernels of :mod:`repro.core.batched` /
+  :mod:`repro.core.batched_gates` consume;
 * a *sampler* closure (``*_hard_sampler``) drawing one
   :class:`~repro.core.coloring.Coloring` per call over a
   ``random.Random``, for the historical per-trial Monte-Carlo loops — all
   row/subtree precomputation is hoisted out of the closure so the
   per-sample cost is the draw itself;
-* a *matrix sampler* (``*_hard_matrix``) drawing a whole trial batch as a
-  ``(trials, n)`` numpy bool red matrix, the native input of the batched
-  kernels in :mod:`repro.core.batched` /
-  :mod:`repro.core.batched_gates` — now a thin delegate of the source;
 * an explicit :class:`~repro.core.coloring.ColoringDistribution`
   (``*_hard_distribution``) for exact best-deterministic computations on
   small systems via
@@ -78,13 +77,6 @@ class MajorityHardSource(FixedCountSource):
 
     def __init__(self, system: MajoritySystem) -> None:
         super().__init__(system.n, system.quorum_size)
-
-
-def majority_hard_matrix(
-    system: MajoritySystem, trials: int, rng=None
-) -> np.ndarray:
-    """Batched Theorem 4.2 sampler: ``trials`` uniform ``(k + 1)``-red rows."""
-    return MajorityHardSource(system).sample_matrix(system.n, trials, rng)
 
 
 def majority_hard_distribution(system: MajoritySystem) -> ColoringDistribution:
@@ -145,11 +137,6 @@ class CWHardSource(ColoringSource):
             green = columns[generator.integers(columns.size, size=trials)]
             red[rows_idx, green] = False
         return red
-
-
-def cw_hard_matrix(system: CrumblingWall, trials: int, rng=None) -> np.ndarray:
-    """Batched Theorem 4.6 sampler: all red except one uniform green per row."""
-    return CWHardSource(system).sample_matrix(system.n, trials, rng)
 
 
 def cw_hard_distribution(system: CrumblingWall) -> ColoringDistribution:
@@ -232,15 +219,6 @@ class TreeHardSource(ColoringSource):
         green = trios[np.arange(trios.shape[0])[None, :], choice]  # (trials, m)
         red[np.arange(trials)[:, None], green] = False
         return red
-
-
-def tree_hard_matrix(system: TreeSystem, trials: int, rng=None) -> np.ndarray:
-    """Batched Theorem 4.8 sampler.
-
-    Starts all green, reddens every bottom-subtree trio and then clears one
-    uniformly chosen member per ``(trial, trio)``.
-    """
-    return TreeHardSource(system).sample_matrix(system.n, trials, rng)
 
 
 def tree_hard_distribution(system: TreeSystem) -> ColoringDistribution:

@@ -21,8 +21,7 @@ writing Python:
 Experiment dispatch is registry-driven (:mod:`repro.experiments.registry`):
 the CLI holds no per-experiment branches, so registering a new
 :class:`~repro.experiments.registry.ExperimentSpec` is all it takes to make
-a workload runnable here.  ``repro-probe experiment`` remains as a
-deprecated alias of ``run``.
+a workload runnable here.
 
 Input scenarios are likewise registry-driven
 (:mod:`repro.core.distributions`): ``estimate``/``sweep`` accept
@@ -31,8 +30,9 @@ Input scenarios are likewise registry-driven
 i.i.d. model, exact-count, correlated groups, the Yao hard families —
 drives the batched kernels without new CLI surface.
 
-Monte-Carlo estimation runs through the streaming engine
-(:mod:`repro.core.engine`): ``estimate`` and ``sweep`` accept
+Monte-Carlo estimation always runs through the streaming engine
+(:mod:`repro.core.engine`), which uses the vectorized kernel where one is
+registered and the per-trial loop otherwise: ``estimate`` and ``sweep`` accept
 ``--chunk-size`` (trials per chunk; memory stays O(chunk)),
 ``--target-ci`` (adaptive stopping at a 95% CI half-width tolerance),
 ``--max-trials`` (the adaptive cap), ``--jobs`` (shard chunks across
@@ -72,7 +72,6 @@ from contextlib import contextmanager
 
 from repro.algorithms import default_deterministic_algorithm, default_randomized_algorithm
 from repro.core.coloring import Coloring
-from repro.core.estimator import estimate_average_probes
 from repro.systems import (
     SYSTEM_CHOICES,
     CrumblingWall,
@@ -327,88 +326,59 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         except ValueError as error:
             raise SystemExit(str(error)) from None
     _reject_trials_with_target_ci(args)
-    streaming = (
-        args.target_ci is not None
-        or args.chunk_size is not None
-        or args.max_trials is not None
-        or args.jobs > 1
-        or args.retries is not None
-        or args.chunk_timeout is not None
-        or args.checkpoint is not None
-        or args.workers is not None
-        or args.spawn_workers > 0
-        or args.backend is not None
-    )
-    stream_result = None
-    if streaming or args.batched:
-        from repro.core.engine import stream_probes
-        from repro.distributed import DistributedError
+    from repro.core.batched import supports_batched
+    from repro.core.engine import stream_probes
+    from repro.distributed import DistributedError
 
-        try:
-            with _distributed_coordinator(args) as coordinator:
-                stream_result = stream_probes(
-                    algorithm,
-                    source,
-                    p=args.p,
-                    trials=args.trials,
-                    target_ci=args.target_ci,
-                    chunk_size=args.chunk_size,
-                    max_trials=args.max_trials,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    coordinator=coordinator,
-                    retries=args.retries,
-                    chunk_timeout=args.chunk_timeout,
-                    checkpoint_path=args.checkpoint,
-                    backend=args.backend,
-                )
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-        except DistributedError as error:
-            raise SystemExit(f"{type(error).__name__}: {error}") from None
-        estimate = stream_result.estimate
-    else:
-        estimate = estimate_average_probes(
-            algorithm,
-            args.p,
-            trials=args.trials,
-            seed=args.seed,
-            source=source,
-        )
+    try:
+        with _distributed_coordinator(args) as coordinator:
+            stream_result = stream_probes(
+                algorithm,
+                source,
+                p=args.p,
+                trials=args.trials,
+                target_ci=args.target_ci,
+                chunk_size=args.chunk_size,
+                max_trials=args.max_trials,
+                seed=args.seed,
+                jobs=args.jobs,
+                coordinator=coordinator,
+                retries=args.retries,
+                chunk_timeout=args.chunk_timeout,
+                checkpoint_path=args.checkpoint,
+                backend=args.backend,
+            )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+    except DistributedError as error:
+        raise SystemExit(f"{type(error).__name__}: {error}") from None
+    estimate = stream_result.estimate
     print(f"system    : {system.name} (n={system.n})")
     print(f"algorithm : {algorithm.name}")
     print(f"p         : {args.p}")
     if not bernoulli:
         print(f"inputs    : {distribution}")
-    if stream_result is not None:
-        from repro.core.batched import supports_batched
-
-        kind = "vectorized kernel" if supports_batched(algorithm) else "per-trial fallback"
-        jobs = f", {args.jobs} jobs" if args.jobs > 1 else ""
+    kind = "vectorized kernel" if supports_batched(algorithm) else "per-trial fallback"
+    jobs = f", {args.jobs} jobs" if args.jobs > 1 else ""
+    print(f"estimator : streaming ({kind}, chunk {stream_result.chunk_size}{jobs})")
+    print(f"backend   : {stream_result.backend}")
+    if (
+        stream_result.retries_used
+        or stream_result.pool_respawns
+        or stream_result.worker_reassignments
+    ):
         print(
-            f"estimator : streaming ({kind}, "
-            f"chunk {stream_result.chunk_size}{jobs})"
+            f"recovery  : {stream_result.retries_used} chunk retries, "
+            f"{stream_result.pool_respawns} pool respawns, "
+            f"{stream_result.worker_reassignments} lease reassignments"
         )
-        print(f"backend   : {stream_result.backend}")
-        if (
-            stream_result.retries_used
-            or stream_result.pool_respawns
-            or stream_result.worker_reassignments
-        ):
-            print(
-                f"recovery  : {stream_result.retries_used} chunk retries, "
-                f"{stream_result.pool_respawns} pool respawns, "
-                f"{stream_result.worker_reassignments} lease reassignments"
-            )
-        if stream_result.target_ci is not None:
-            verdict = (
-                "reached" if stream_result.reached_target else "NOT reached"
-            )
-            print(
-                f"stopping  : target ci95 {stream_result.target_ci:g} {verdict} "
-                f"after {stream_result.n_trials_used} trials "
-                f"(ci95 {stream_result.ci95:.4g})"
-            )
+    if stream_result.target_ci is not None:
+        verdict = "reached" if stream_result.reached_target else "NOT reached"
+        print(
+            f"stopping  : target ci95 {stream_result.target_ci:g} {verdict} "
+            f"after {stream_result.n_trials_used} trials "
+            f"(ci95 {stream_result.ci95:.4g})"
+        )
     print(f"avg probes: {estimate.mean:.3f} ± {estimate.ci95:.3f} ({estimate.trials} trials)")
     if not bernoulli:
         print("paper bounds: stated for the i.i.d. model only")
@@ -585,11 +555,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_table
     from repro.experiments.runner import artifact_path, run_experiments, write_artifact
 
-    if getattr(args, "deprecated_alias", False):
-        print(
-            "note: `repro-probe experiment` is deprecated; use `repro-probe run`",
-            file=sys.stderr,
-        )
     specs = _selected_specs(args)
     param_overrides = _parse_param_overrides(args.param)
     if len(specs) == 1:
@@ -809,11 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=None)
     estimate.add_argument("--randomized", action="store_true")
     estimate.add_argument(
-        "--batched",
-        action="store_true",
-        help="use the vectorized (numpy) Monte-Carlo estimator",
-    )
-    estimate.add_argument(
         "--distribution",
         default="bernoulli",
         help="registered coloring source for the inputs (see `distributions`)",
@@ -990,58 +950,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     listing.set_defaults(func=_cmd_list)
 
-    def add_run_arguments(run_parser: argparse.ArgumentParser, ids_nargs: str) -> None:
-        run_parser.add_argument(
-            "ids", nargs=ids_nargs, metavar="id", help="registered experiment id(s)"
-        )
-        run_parser.add_argument("--tag", default=None, help="run every experiment with this tag")
-        run_parser.add_argument(
-            "--all", action="store_true", help="run every registered experiment"
-        )
-        run_parser.add_argument(
-            "--trials", type=int, default=None, help="Monte-Carlo trials override"
-        )
-        run_parser.add_argument("--seed", type=int, default=None, help="experiment seed override")
-        run_parser.add_argument(
-            "--param",
-            action="append",
-            metavar="NAME=VALUE",
-            default=[],
-            help="override a declared parameter (repeatable); see `list --params`",
-        )
-        run_parser.add_argument(
-            "--jobs", type=int, default=1, help="fan experiments out across N processes"
-        )
-        run_parser.add_argument(
-            "--output",
-            default=None,
-            help="write JSON artifact(s): a directory, or a .json path for a single id",
-        )
-        run_parser.add_argument(
-            "--fail-fast",
-            action="store_true",
-            dest="fail_fast",
-            help="abort on the first failing experiment instead of recording it",
-        )
-        run_parser.add_argument(
-            "--backend",
-            choices=["numpy", "bitpacked", "auto"],
-            default=None,
-            help="kernel backend for the experiments' engine calls "
-            "(auto recommended for mixed algorithm sets)",
-        )
-
     run = sub.add_parser(
         "run", help="run registered experiments through the unified runner"
     )
-    add_run_arguments(run, "*")
-    run.set_defaults(func=_cmd_run)
-
-    experiment = sub.add_parser(
-        "experiment", help="deprecated alias of `run`"
+    run.add_argument(
+        "ids", nargs="*", metavar="id", help="registered experiment id(s)"
     )
-    add_run_arguments(experiment, "+")
-    experiment.set_defaults(func=_cmd_run, deprecated_alias=True)
+    run.add_argument("--tag", default=None, help="run every experiment with this tag")
+    run.add_argument(
+        "--all", action="store_true", help="run every registered experiment"
+    )
+    run.add_argument(
+        "--trials", type=int, default=None, help="Monte-Carlo trials override"
+    )
+    run.add_argument("--seed", type=int, default=None, help="experiment seed override")
+    run.add_argument(
+        "--param",
+        action="append",
+        metavar="NAME=VALUE",
+        default=[],
+        help="override a declared parameter (repeatable); see `list --params`",
+    )
+    run.add_argument(
+        "--jobs", type=int, default=1, help="fan experiments out across N processes"
+    )
+    run.add_argument(
+        "--output",
+        default=None,
+        help="write JSON artifact(s): a directory, or a .json path for a single id",
+    )
+    run.add_argument(
+        "--fail-fast",
+        action="store_true",
+        dest="fail_fast",
+        help="abort on the first failing experiment instead of recording it",
+    )
+    run.add_argument(
+        "--backend",
+        choices=["numpy", "bitpacked", "auto"],
+        default=None,
+        help="kernel backend for the experiments' engine calls "
+        "(auto recommended for mixed algorithm sets)",
+    )
+    run.set_defaults(func=_cmd_run)
 
     return parser
 

@@ -5,7 +5,8 @@ The per-trial estimators in :mod:`repro.core.estimator` construct a fresh
 probe loop for every sample.  For the paper's structured algorithms the
 whole trial batch can instead be evaluated with numpy: a batch of colorings
 is one boolean matrix (``True`` = red, column ``i`` ⇔ element ``i + 1``,
-the same convention as :meth:`Coloring.random_batch`), and the probe count
+the convention of :meth:`ColoringSource.sample_matrix
+<repro.core.distributions.ColoringSource.sample_matrix>`), and the probe count
 of every trial falls out of cumulative-sum / argmax / per-level gate
 arithmetic over that matrix.
 
@@ -36,8 +37,10 @@ of the box under ``numpy``:
 Every deterministic kernel reproduces the sequential algorithm's probe
 count *exactly* for a given input matrix, and the randomized ones draw
 from the same distribution over probe orders, which the equivalence tests
-assert trial-by-trial.  ``estimate_average_probes_batched`` transparently
-falls back to the per-trial loop for algorithms without a kernel.
+assert trial-by-trial.  Estimates run through the streaming engine
+(:func:`repro.core.engine.stream_probes`), which calls
+:func:`batched_or_sequential_run` once per chunk and so falls back to the
+per-trial loop for algorithms without a kernel.
 """
 
 from __future__ import annotations
@@ -61,12 +64,6 @@ from repro.core.batched_gates import (
     r_probe_tree_kernel,
 )
 from repro.core.coloring import Coloring, as_numpy_generator as as_generator
-from repro.core.distributions import (
-    BernoulliSource,
-    ColoringSource,
-    sample_bernoulli_matrix,
-)
-from repro.core.estimator import Estimate
 
 #: A batched kernel: ``(algorithm, red, rng) -> (probes, witness_green)``
 #: over an already-validated ``(trials, n)`` bool matrix (``numpy``
@@ -184,17 +181,6 @@ def scratch_ones(algorithm: ProbingAlgorithm, shape: tuple[int, ...]) -> np.ndar
         ones.flags.writeable = False
         scratch["ones"] = ones
     return ones
-
-
-def sample_red_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
-    """Sample ``trials`` i.i.d. colorings as a ``(trials, n)`` bool matrix.
-
-    Alias of :func:`repro.core.distributions.sample_bernoulli_matrix` (the
-    single i.i.d. implementation); prefer drawing through a
-    :class:`~repro.core.distributions.ColoringSource` so non-i.i.d.
-    scenarios reach the same kernels.
-    """
-    return sample_bernoulli_matrix(n, p, trials, rng)
 
 
 def supports_batched(algorithm: ProbingAlgorithm, backend: str = "numpy") -> bool:
@@ -403,103 +389,3 @@ register_kernel(IRProbeHQS, ir_probe_hqs_kernel)
 # (after the registry and scratch helpers exist — the module imports back
 # into this one) makes it available as soon as the registry is.
 from repro.core import bitpacked as _bitpacked  # noqa: E402,F401  (registration side effect)
-
-
-# -- estimators -------------------------------------------------------------------
-
-
-def estimate_average_probes_batched(
-    algorithm: ProbingAlgorithm,
-    p: float,
-    trials: int = 1000,
-    seed: int | None = None,
-) -> Estimate:
-    """Vectorized counterpart of
-    :func:`repro.core.estimator.estimate_average_probes`.
-
-    Samples the whole trial batch as one boolean matrix and evaluates the
-    algorithm's kernel over it; statistically equivalent to the per-trial
-    loop (identical probe-count distribution) but orders of magnitude
-    faster on large universes.
-    """
-    return estimate_average_source_batched(
-        algorithm, BernoulliSource(algorithm.system.n, p), trials=trials, seed=seed
-    )
-
-
-def estimate_average_source_batched(
-    algorithm: ProbingAlgorithm,
-    source: ColoringSource,
-    trials: int = 1000,
-    seed: int | None = None,
-) -> Estimate:
-    """Estimate expected probes when inputs come from a
-    :class:`~repro.core.distributions.ColoringSource`.
-
-    The whole trial batch is drawn with ``source.sample_matrix`` and
-    evaluated through the algorithm's vectorized kernel, so *any*
-    registered scenario — exact-count, correlated groups, the Yao hard
-    families — runs at batched speed, not just the i.i.d. model.
-
-    This is the one-shot building block: it materializes the full
-    ``(trials, n)`` matrix.  For large trial counts, adaptive stopping
-    or process sharding, use the streaming engine
-    (:func:`repro.core.engine.stream_probes`), whose chunked means are
-    byte-identical to this path for deterministic kernels under
-    stream-aligned sources.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    generator = as_generator(seed)
-    red = source.sample_matrix(algorithm.system.n, trials, generator)
-    probes, _ = batched_or_sequential_run(algorithm, red, generator)
-    return Estimate.from_samples(probes)
-
-
-def estimate_average_under_batched(
-    algorithm: ProbingAlgorithm,
-    matrix_sampler,
-    trials: int = 1000,
-    seed: int | None = None,
-) -> Estimate:
-    """Vectorized counterpart of
-    :func:`repro.core.estimator.estimate_average_under`.
-
-    ``matrix_sampler(trials, generator)`` must return a ``(trials, n)``
-    bool red matrix — e.g. the batched Yao hard-distribution samplers of
-    :mod:`repro.analysis.yao` wrapped in a ``functools.partial``.  The
-    whole batch then runs through the algorithm's kernel at once.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    generator = as_generator(seed)
-    red = matrix_sampler(trials, generator)
-    probes, _ = batched_or_sequential_run(algorithm, red, generator)
-    return Estimate.from_samples(probes)
-
-
-def estimate_expected_probes_on_batched(
-    algorithm: ProbingAlgorithm,
-    coloring: Coloring,
-    trials: int = 1000,
-    seed: int | None = None,
-) -> Estimate:
-    """Vectorized counterpart of
-    :func:`repro.core.estimator.estimate_expected_probes_on`.
-
-    Replicates one fixed input coloring across the batch; only the
-    algorithm's randomness varies between trials.  Deterministic algorithms
-    are evaluated once, exactly as in the sequential version.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not algorithm.randomized:
-        run = algorithm.run_on(coloring)
-        return Estimate(mean=float(run.probes), std=0.0, trials=1)
-    generator = as_generator(seed)
-    row = np.zeros(coloring.n, dtype=bool)
-    for e in coloring.red_elements:
-        row[e - 1] = True
-    red = np.broadcast_to(row, (trials, coloring.n))
-    probes, _ = batched_or_sequential_run(algorithm, red, generator)
-    return Estimate.from_samples(probes)

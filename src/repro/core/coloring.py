@@ -93,8 +93,9 @@ class Coloring(Mapping[int, Color]):
     def from_red_row(cls, row) -> "Coloring":
         """Build a coloring from a boolean numpy row (True = red).
 
-        This is the bridge from :meth:`random_batch` samples back to
-        individual colorings.
+        This is the bridge from
+        :meth:`~repro.core.distributions.ColoringSource.sample_matrix` rows
+        back to individual colorings.
         """
         import numpy as np
 
@@ -149,23 +150,6 @@ class Coloring(Mapping[int, Color]):
         r = int(np.random.default_rng(rng.getrandbits(64)).binomial(n, p))
         red = rng.sample(range(1, n + 1), r)
         return cls(n, red)
-
-    @classmethod
-    def random_batch(cls, n: int, p: float, size: int, rng=None):
-        """Sample ``size`` i.i.d. colorings as a boolean matrix.
-
-        Returns a ``(size, n)`` numpy bool array whose entry ``[t, i]`` is
-        True when element ``i + 1`` is red in trial ``t``.  This is the
-        native input format of the vectorized estimators in
-        :mod:`repro.core.batched`.  ``rng`` may be ``None``, an int seed, a
-        ``random.Random`` or a ``numpy.random.Generator``.
-
-        Alias of :func:`repro.core.distributions.sample_bernoulli_matrix`,
-        the single i.i.d. matrix-sampler implementation.
-        """
-        from repro.core.distributions import sample_bernoulli_matrix
-
-        return sample_bernoulli_matrix(n, p, size, rng)
 
     @classmethod
     def with_exact_reds(

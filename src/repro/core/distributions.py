@@ -6,7 +6,7 @@ Yao hard distributions — and the repo historically grew a separate
 representation for each ("where do colorings come from"): the scalar
 :class:`~repro.core.coloring.ColoringDistribution`, the
 :class:`~repro.simulation.failures.FailureModel` hierarchy, the i.i.d.-only
-matrix samplers and the ad-hoc ``*_hard_matrix`` functions.  Only the
+matrix samplers and ad-hoc hard-distribution matrix functions.  Only the
 i.i.d. model could reach the vectorized kernels of
 :mod:`repro.core.batched`.
 
@@ -20,8 +20,7 @@ This module unifies them behind one protocol:
   int seed, a ``random.Random``, a numpy ``Generator`` or a per-cell
   stream from :mod:`repro.core.seeding`.
 * concrete sources for every failure scenario the repo knows: Bernoulli
-  (the single i.i.d. sampler implementation — ``Coloring.random_batch``
-  and ``repro.core.batched.sample_red_matrix`` both delegate here),
+  (:func:`sample_bernoulli_matrix` is the single i.i.d. sampler),
   exact-count, correlated whole-group failures, fixed adversarial sets and
   finite explicit distributions (vectorized CDF inversion).  The Yao/HQS
   hard families register their sources from :mod:`repro.analysis.yao` and
@@ -56,10 +55,8 @@ from repro.core.coloring import Coloring, ColoringDistribution, as_numpy_generat
 def sample_bernoulli_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
     """Sample ``trials`` i.i.d. colorings as a ``(trials, n)`` bool matrix.
 
-    The canonical i.i.d. matrix sampler: ``Coloring.random_batch`` and
-    ``repro.core.batched.sample_red_matrix`` are aliases of this function,
-    which keeps the RNG consumption (one uniform per matrix entry)
-    identical across every historical call site.
+    The canonical i.i.d. matrix sampler: one uniform per matrix entry, the
+    same stream :class:`BernoulliSource` draws for the same generator.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must be in [0, 1], got {p}")

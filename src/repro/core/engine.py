@@ -39,8 +39,8 @@ Seeding guarantees (the "seed schedule"):
   trial ``t`` sees exactly the uniforms it would see in a single one-shot
   ``sample_matrix`` call from ``default_rng(seed)``.  For these sources
   the sampled inputs — and hence the means of algorithms whose kernels
-  consume no randomness — are byte-identical to the one-shot batched path
-  *and* invariant under the chunk size.
+  consume no randomness — are byte-identical to one kernel call over that
+  single matrix *and* invariant under the chunk size.
 * Sources with data-dependent consumption (the ``integers``-based hard
   families) fall back to a per-chunk spawned stream keyed by ``start``:
   still deterministic and jobs-invariant, but the chunk layout becomes
@@ -345,8 +345,8 @@ def _resolve_entropy(seed: int | None) -> int:
 
     The seed is used verbatim — ``PCG64(seed)`` must match the one-shot
     path's ``default_rng(seed)`` for *every* accepted seed, so no silent
-    masking.  Negative seeds are rejected exactly like the one-shot
-    batched path (``default_rng`` raises on them too).
+    masking.  Negative seeds are rejected, as ``default_rng`` rejects
+    them.
     """
     if seed is None:
         return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])

@@ -76,19 +76,13 @@ class Estimate:
 def estimate_average_probes(
     algorithm: ProbingAlgorithm,
     p: float | None = None,
-    trials: int | None = None,
+    trials: int = 1000,
     seed: int | None = None,
     validate: bool = False,
-    batched: bool = False,
     source=None,
-    chunk_size: int | None = None,
-    target_ci: float | None = None,
-    min_trials: int | None = None,
-    max_trials: int | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> Estimate:
-    """Estimate the expected probe count under an input distribution.
+    """Estimate the expected probe count under an input distribution, one
+    trial at a time.
 
     With a bare ``p``, each trial draws a fresh coloring from the i.i.d.
     model (every element red with probability ``p``) and a fresh stream of
@@ -99,57 +93,15 @@ def estimate_average_probes(
     scenario (exact-count, correlated groups, the Yao hard families)
     estimates through the same entry point; ``p`` is ignored then.
 
-    With ``batched=True`` — or any streaming parameter set — estimation
-    runs through the streaming engine (:mod:`repro.core.engine`): the
-    trials are evaluated in fixed-size chunks through the vectorized
-    kernels of :mod:`repro.core.batched` (falling back to the per-trial
-    loop for unsupported algorithms), optionally sharded across ``jobs``
-    worker processes.  ``target_ci`` switches from fixed-``trials`` mode
-    to adaptive CI-targeted stopping — the two are mutually exclusive
-    (an explicit ``trials`` with ``target_ci`` raises; cap adaptive runs
-    with ``max_trials`` instead) and the returned estimate's ``trials``
-    is the count actually used.  For deterministic algorithms under
-    stream-aligned sources the engine's mean is byte-identical to the
-    one-shot batched path of old; randomized algorithms draw the same
-    distribution from per-chunk streams, so per-seed values differ from
-    the sequential path.  ``validate`` is not supported there.
-
-    ``backend`` selects the engine's kernel backend (``numpy``,
-    ``bitpacked`` or ``auto``, see
-    :func:`repro.core.batched.resolve_backend`); setting it routes
-    estimation through the streaming engine like the other engine knobs.
+    This is the per-trial reference path.  Batched, chunked, adaptive or
+    sharded estimation goes through the streaming engine
+    (:func:`repro.core.engine.stream_probes` and its ``.estimate``), which
+    draws the same distribution from its own per-chunk streams.
     """
-    streaming = (
-        target_ci is not None
-        or chunk_size is not None
-        or min_trials is not None
-        or max_trials is not None
-        or jobs != 1
-        or backend is not None
-    )
-    from repro.core.engine import resolve_fixed_trials
-
-    trials = resolve_fixed_trials(trials, target_ci, default=1000)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if source is None and p is None:
         raise ValueError("pass a failure probability p or a ColoringSource")
-    if batched or streaming:
-        if validate:
-            raise ValueError("validate=True requires the sequential path")
-        from repro.core.engine import stream_probes
-
-        return stream_probes(
-            algorithm,
-            source,
-            p=p,
-            trials=trials,
-            target_ci=target_ci,
-            chunk_size=chunk_size,
-            min_trials=min_trials,
-            max_trials=max_trials,
-            seed=seed,
-            jobs=jobs,
-            backend=backend,
-        ).estimate
     if source is not None:
         from repro.core.coloring import as_numpy_generator
 
@@ -250,11 +202,11 @@ def estimate_average_under(
     """Estimate expected probes when inputs come from an arbitrary sampler.
 
     ``sampler(rng)`` must return a :class:`Coloring`; used for the hard
-    input distributions of the Yao-style lower-bound experiments.  When the
-    input family has a batched matrix sampler (see
-    :mod:`repro.analysis.yao`), prefer
-    :func:`repro.core.batched.estimate_average_under_batched`, which runs
-    the whole batch through the algorithm's vectorized kernel.
+    input distributions of the Yao-style lower-bound experiments.  Every
+    such family is also a registered
+    :class:`~repro.core.distributions.ColoringSource`; pass that to
+    :func:`repro.core.engine.stream_probes` to run the whole batch through
+    the algorithm's vectorized kernel.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -15,10 +15,9 @@ user of the library expects, and is exercised by the examples.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterable
 
-from repro.core.coloring import Coloring, enumerate_colorings_with_reds
+from repro.core.coloring import enumerate_colorings_with_reds
 from repro.core.estimator import Estimate
 from repro.systems.base import QuorumSystem
 
@@ -55,39 +54,23 @@ def availability_monte_carlo(
     p: float,
     trials: int = 2000,
     seed: int | None = None,
-    batched: bool = False,
 ) -> Estimate:
-    """Monte-Carlo estimate of ``F_p(S)``.
+    """Monte-Carlo estimate of ``F_p(S)`` from one streaming-engine run.
 
-    With ``batched=True`` the whole trial batch is sampled as one red
-    matrix and the witness colors come from the system's batched probing
-    kernel (the witness is green exactly when a live quorum exists);
-    systems without a kernel fall back to the per-trial loop inside the
-    batched layer.  The batched path draws from a different RNG stream, so
-    per-seed values differ from the sequential path.
+    The system's default deterministic algorithm probes every trial; its
+    witness is red exactly when no live quorum exists, so the failure
+    rate is the engine's ``witness_red / n_trials_used``.  Systems without
+    a kernel fall back to the engine's per-trial loop.
     """
-    _check_probability(p)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if batched:
-        import numpy as np
+    from repro.algorithms import default_deterministic_algorithm
+    from repro.core.engine import stream_probes
 
-        from repro.algorithms import default_deterministic_algorithm
-        from repro.core.batched import batched_or_sequential_run
-        from repro.core.coloring import as_numpy_generator
-        from repro.core.distributions import sample_bernoulli_matrix
-
-        algorithm = default_deterministic_algorithm(system)
-        generator = as_numpy_generator(seed)
-        red = sample_bernoulli_matrix(system.n, p, trials, generator)
-        _, witness_green = batched_or_sequential_run(algorithm, red, generator)
-        return Estimate.from_samples(np.where(witness_green, 0.0, 1.0))
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(trials):
-        coloring = Coloring.random(system.n, p, rng)
-        samples.append(0.0 if system.has_live_quorum(coloring) else 1.0)
-    return Estimate.from_samples(samples)
+    result = stream_probes(
+        default_deterministic_algorithm(system), p=p, trials=trials, seed=seed
+    )
+    red, used = result.witness_red, result.n_trials_used
+    std = math.sqrt(red * (used - red) / (used * (used - 1))) if used > 1 else 0.0
+    return Estimate(mean=red / used, std=std, trials=used)
 
 
 def check_availability_identity(system: QuorumSystem, p: float) -> bool:

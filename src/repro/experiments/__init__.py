@@ -2,8 +2,9 @@
 
 Each driver returns a list of :class:`~repro.experiments.report.Row`
 objects; ``render_table`` turns them into plain text.  The mapping from
-driver to paper artifact is documented in DESIGN.md (per-experiment index)
-and EXPERIMENTS.md (measured results).
+driver to paper artifact is the experiment registry: ``repro-probe list
+--params`` prints every registered experiment with its paper reference,
+and :mod:`repro.experiments.writer` renders the measured results.
 
 Drivers are registered declaratively (:mod:`repro.experiments.registry` /
 :mod:`repro.experiments.specs`) and executed through the unified runner
@@ -33,7 +34,6 @@ from repro.experiments.figures import (
     render_tree,
 )
 from repro.experiments.hqs import (
-    hqs_family_p_matrix,
     probe_hqs_expected_exact,
     run_probe_hqs_optimality,
     run_probe_hqs_scaling,
@@ -103,7 +103,6 @@ __all__ = [
     "render_crumbling_wall",
     "render_hqs",
     "render_tree",
-    "hqs_family_p_matrix",
     "probe_hqs_expected_exact",
     "run_probe_hqs_optimality",
     "run_probe_hqs_scaling",

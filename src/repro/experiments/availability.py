@@ -32,13 +32,11 @@ def run_availability_experiment(
     ps: Sequence[float] = (0.1, 0.3, 0.5),
     trials: int = 4000,
     seed: int = 61,
-    batched: bool = True,
 ) -> list[Row]:
     """Availability of every paper system: recursion vs enumeration vs MC.
 
-    ``batched=True`` routes the Monte-Carlo estimates through the batched
-    probing kernels (witness color ⇔ live quorum); systems without a kernel
-    fall back to the per-trial loop.
+    The Monte-Carlo estimates read the witness color of the streaming
+    engine's probing runs (witness red ⇔ no live quorum).
     """
     rows: list[Row] = []
 
@@ -53,7 +51,7 @@ def run_availability_experiment(
         for p in ps:
             exact = availability_exact(system, p)
             mc = availability_monte_carlo(
-                system, p, trials=trials, seed=cell_seed(seed, system.name, p), batched=batched
+                system, p, trials=trials, seed=cell_seed(seed, system.name, p)
             )
             rows.append(
                 Row(

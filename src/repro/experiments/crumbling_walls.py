@@ -14,12 +14,9 @@ from collections.abc import Sequence
 from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW, probe_cw_row_bound
 from repro.analysis.bounds import generic_lower_bound_ppc
 from repro.analysis.yao import cw_hard_sampler, cw_lower_bound
-from repro.core.batched import estimate_expected_probes_on_batched
-from repro.core.estimator import (
-    estimate_average_probes,
-    estimate_average_under,
-)
-from repro.core.coloring import Coloring
+from repro.core.distributions import AdversarialSource
+from repro.core.engine import stream_probes
+from repro.core.estimator import estimate_average_under
 from repro.experiments.report import Row
 from repro.experiments.seeding import cell_seed
 from repro.systems.crumbling_walls import CrumblingWall, TriangSystem, uniform_wall
@@ -30,7 +27,6 @@ def run_probe_cw_bound(
     ps: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     trials: int = 2000,
     seed: int = 11,
-    batched: bool = True,
 ) -> list[Row]:
     """Measured average probes of Probe_CW versus the ``2k − 1`` bound."""
     if walls is None:
@@ -46,13 +42,9 @@ def run_probe_cw_bound(
         algorithm = ProbeCW(wall)
         k = wall.num_rows
         for p in ps:
-            estimate = estimate_average_probes(
-                algorithm,
-                p,
-                trials=trials,
-                seed=cell_seed(seed, wall.name, wall.n, p),
-                batched=batched,
-            )
+            estimate = stream_probes(
+                algorithm, p=p, trials=trials, seed=cell_seed(seed, wall.name, wall.n, p)
+            ).estimate
             rows.append(
                 Row(
                     experiment="thm3.3-cw",
@@ -69,16 +61,14 @@ def run_probe_cw_bound(
     return rows
 
 
-def run_wheel_and_triang_corollaries(
-    trials: int = 4000, seed: int = 13, batched: bool = True
-) -> list[Row]:
+def run_wheel_and_triang_corollaries(trials: int = 4000, seed: int = 13) -> list[Row]:
     """Corollary 3.4 (Wheel ≤ 3) and Corollary 3.5 (Triang vs. lower bound)."""
     rows: list[Row] = []
     for n in (10, 50, 200):
         wall = CrumblingWall([1, n - 1], name=f"Wheel({n})")
-        estimate = estimate_average_probes(
-            ProbeCW(wall), 0.5, trials=trials, seed=cell_seed(seed, wall.name, n), batched=batched
-        )
+        estimate = stream_probes(
+            ProbeCW(wall), p=0.5, trials=trials, seed=cell_seed(seed, wall.name, n)
+        ).estimate
         rows.append(
             Row(
                 experiment="thm3.3-cw",
@@ -94,9 +84,9 @@ def run_wheel_and_triang_corollaries(
         )
     for depth in (8, 15, 25):
         triang = TriangSystem(depth)
-        estimate = estimate_average_probes(
-            ProbeCW(triang), 0.5, trials=trials, seed=cell_seed(seed, triang.name, depth), batched=batched
-        )
+        estimate = stream_probes(
+            ProbeCW(triang), p=0.5, trials=trials, seed=cell_seed(seed, triang.name, depth)
+        ).estimate
         rows.append(
             Row(
                 experiment="thm3.3-cw",
@@ -130,15 +120,14 @@ def run_cw_independence_of_n(
     rows_count: int = 8,
     trials: int = 1500,
     seed: int = 17,
-    batched: bool = True,
 ) -> list[Row]:
     """Fix the number of rows, grow the row width: average probes stay flat."""
     rows: list[Row] = []
     for width in widths_per_row:
         wall = uniform_wall(rows=rows_count, width=width)
-        estimate = estimate_average_probes(
-            ProbeCW(wall), 0.5, trials=trials, seed=cell_seed(seed, rows_count, width), batched=batched
-        )
+        estimate = stream_probes(
+            ProbeCW(wall), p=0.5, trials=trials, seed=cell_seed(seed, rows_count, width)
+        ).estimate
         rows.append(
             Row(
                 experiment="thm3.3-cw",
@@ -203,11 +192,12 @@ def run_randomized_cw(
     # R_Probe_CW is all elements green except the hub (forcing the rim scan).
     for n in (8, 16, 32):
         wheel_wall = CrumblingWall([1, n - 1], name=f"Wheel({n})")
-        algorithm = RProbeCW(wheel_wall)
-        worst = Coloring(n, red=[1])
-        estimate = estimate_expected_probes_on_batched(
-            algorithm, worst, trials=trials, seed=cell_seed(seed, "wheel", n)
-        )
+        estimate = stream_probes(
+            RProbeCW(wheel_wall),
+            AdversarialSource(n, [1]),
+            trials=trials,
+            seed=cell_seed(seed, "wheel", n),
+        ).estimate
         rows.append(
             Row(
                 experiment="thm4.4-cw-rand",

@@ -31,7 +31,7 @@ from repro.core.distributions import (
     register_source,
     require_system,
 )
-from repro.core.estimator import estimate_average_probes, estimate_average_under
+from repro.core.engine import stream_probes
 from repro.core.exact import ExactSolver
 from repro.experiments.report import Row
 from repro.experiments.seeding import cell_seed
@@ -59,7 +59,6 @@ def run_probe_hqs_scaling(
     ps: Sequence[float] = (0.5, 0.25),
     trials: int = 1500,
     seed: int = 37,
-    batched: bool = True,
     distribution: str = "bernoulli",
 ) -> tuple[list[Row], dict[float, PowerLawFit]]:
     """Measured Probe_HQS averages vs ``2.5^h`` and the exponent fits.
@@ -78,14 +77,13 @@ def run_probe_hqs_scaling(
         costs: list[float] = []
         for height in heights:
             system = HQS(height)
-            estimate = estimate_average_probes(
+            estimate = stream_probes(
                 ProbeHQS(system),
-                p,
+                None if bernoulli else build_source(distribution, system, p),
+                p=p,
                 trials=trials,
                 seed=cell_seed(seed, system.n, p),
-                batched=batched,
-                source=None if bernoulli else build_source(distribution, system, p),
-            )
+            ).estimate
             sizes.append(float(system.n))
             costs.append(estimate.mean)
             rows.append(
@@ -240,16 +238,10 @@ register_source(
 )
 
 
-def hqs_family_p_matrix(system: HQS, trials: int, rng=None) -> np.ndarray:
-    """Batched sampler over the worst-case family ``P`` of Lemma 4.11."""
-    return HQSFamilyPSource(system).sample_matrix(system.n, trials, rng)
-
-
 def run_randomized_hqs(
     heights: Sequence[int] = (2, 3, 4, 5),
     trials: int = 1500,
     seed: int = 41,
-    batched: bool = True,
 ) -> list[Row]:
     """R_Probe_HQS vs IR_Probe_HQS on the family ``P``, with exponent fits."""
     rows: list[Row] = []
@@ -258,24 +250,13 @@ def run_randomized_hqs(
     costs_ir: list[float] = []
     for height in heights:
         system = HQS(height)
-        if batched:
-            from repro.core.engine import stream_probes
-
-            source = HQSFamilyPSource(system)
-            est_r = stream_probes(
-                RProbeHQS(system), source, trials=trials, seed=seed + height
-            ).estimate
-            est_ir = stream_probes(
-                IRProbeHQS(system), source, trials=trials, seed=seed + height
-            ).estimate
-        else:
-            sampler = worst_case_family_sampler(system)
-            est_r = estimate_average_under(
-                RProbeHQS(system), sampler, trials=trials, seed=seed + height
-            )
-            est_ir = estimate_average_under(
-                IRProbeHQS(system), sampler, trials=trials, seed=seed + height
-            )
+        source = HQSFamilyPSource(system)
+        est_r = stream_probes(
+            RProbeHQS(system), source, trials=trials, seed=seed + height
+        ).estimate
+        est_ir = stream_probes(
+            IRProbeHQS(system), source, trials=trials, seed=seed + height
+        ).estimate
         sizes.append(float(system.n))
         costs_r.append(est_r.mean)
         costs_ir.append(est_ir.mean)

@@ -25,7 +25,8 @@ from repro.analysis.walks import (
 )
 from repro.analysis.yao import majority_hard_sampler, majority_lower_bound
 from repro.core.coloring import Coloring
-from repro.core.estimator import estimate_average_probes, estimate_average_under
+from repro.core.engine import stream_probes
+from repro.core.estimator import estimate_average_under
 from repro.experiments.report import Row
 from repro.experiments.seeding import cell_seed
 from repro.systems.majority import MajoritySystem
@@ -39,12 +40,10 @@ def run_probabilistic_majority(
     ps: Sequence[float] = DEFAULT_PS,
     trials: int = 2000,
     seed: int = 2001,
-    batched: bool = True,
 ) -> list[Row]:
     """Measured PPC of Probe_Maj versus Proposition 3.2.
 
-    Uses the vectorized estimator by default; pass ``batched=False`` for
-    the per-trial path.  Every ``(n, p)`` cell samples from its own stream
+    Every ``(n, p)`` cell is one streaming-engine run on its own stream
     derived from ``(seed, n, p)`` (see :mod:`repro.experiments.seeding`),
     so cells are independent and reproduce regardless of grid shape.
     """
@@ -53,9 +52,9 @@ def run_probabilistic_majority(
         system = MajoritySystem(n)
         algorithm = ProbeMaj(system)
         for p in ps:
-            estimate = estimate_average_probes(
-                algorithm, p, trials=trials, seed=cell_seed(seed, n, p), batched=batched
-            )
+            estimate = stream_probes(
+                algorithm, p=p, trials=trials, seed=cell_seed(seed, n, p)
+            ).estimate
             rows.append(
                 Row(
                     experiment="prop3.2-maj",
@@ -75,15 +74,14 @@ def majority_sqrt_deficit_fit(
     sizes: Sequence[int] = (25, 51, 101, 201, 401),
     trials: int = 3000,
     seed: int = 7,
-    batched: bool = True,
 ):
     """Fit the ``n − measured ≈ A√n`` deficit at ``p = 1/2`` (the Θ(√n) term)."""
     costs = []
     for n in sizes:
         algorithm = ProbeMaj(MajoritySystem(n))
-        estimate = estimate_average_probes(
-            algorithm, 0.5, trials=trials, seed=cell_seed(seed, n, 0.5), batched=batched
-        )
+        estimate = stream_probes(
+            algorithm, p=0.5, trials=trials, seed=cell_seed(seed, n, 0.5)
+        ).estimate
         costs.append(estimate.mean)
     return fit_sqrt_correction([float(n) for n in sizes], costs)
 

@@ -1,9 +1,9 @@
 """Common result-row structure and plain-text table rendering.
 
 Every experiment driver returns a list of :class:`Row` objects; the same
-rows back the pytest-benchmark harness, the example scripts and
-EXPERIMENTS.md, so paper-versus-measured comparisons are produced by exactly
-one code path.
+rows back the pytest-benchmark harness, the example scripts and the
+Markdown report of :mod:`repro.experiments.writer`, so paper-versus-measured
+comparisons are produced by exactly one code path.
 """
 
 from __future__ import annotations

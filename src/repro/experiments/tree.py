@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from repro.algorithms.tree import ProbeTree, RProbeTree
 from repro.analysis.fitting import PowerLawFit, fit_power_law
 from repro.analysis.bounds import tree_ppc_exponent
-from repro.analysis.yao import tree_hard_sampler, tree_lower_bound
-from repro.core.estimator import estimate_average_probes, estimate_average_under
+from repro.analysis.yao import TreeHardSource, tree_lower_bound
+from repro.core.engine import stream_probes
 from repro.experiments.report import Row
 from repro.experiments.seeding import cell_seed
 from repro.systems.tree import TreeSystem
@@ -26,18 +26,11 @@ from repro.systems.tree import TreeSystem
 DEFAULT_HEIGHTS = (3, 4, 5, 6, 7, 8)
 
 
-def _hard_input_estimator(algorithm, system, trials, seed, batched):
-    """Estimate on the Theorem 4.8 hard distribution, streamed or per-trial."""
-    if batched:
-        from repro.analysis.yao import TreeHardSource
-        from repro.core.engine import stream_probes
-
-        return stream_probes(
-            algorithm, TreeHardSource(system), trials=trials, seed=seed
-        ).estimate
-    return estimate_average_under(
-        algorithm, tree_hard_sampler(system), trials=trials, seed=seed
-    )
+def _hard_input_estimator(algorithm, system, trials, seed):
+    """Estimate on the Theorem 4.8 hard distribution."""
+    return stream_probes(
+        algorithm, TreeHardSource(system), trials=trials, seed=seed
+    ).estimate
 
 
 def run_probe_tree_scaling(
@@ -45,7 +38,6 @@ def run_probe_tree_scaling(
     ps: Sequence[float] = (0.5, 0.3, 0.1),
     trials: int = 1500,
     seed: int = 23,
-    batched: bool = True,
     distribution: str = "bernoulli",
 ) -> tuple[list[Row], dict[float, PowerLawFit]]:
     """Measured Probe_Tree averages and per-``p`` power-law exponent fits.
@@ -67,14 +59,13 @@ def run_probe_tree_scaling(
         costs: list[float] = []
         for height in heights:
             system = TreeSystem(height)
-            estimate = estimate_average_probes(
+            estimate = stream_probes(
                 ProbeTree(system),
-                p,
+                None if bernoulli else build_source(distribution, system, p),
+                p=p,
                 trials=trials,
                 seed=cell_seed(seed, system.n, p),
-                batched=batched,
-                source=None if bernoulli else build_source(distribution, system, p),
-            )
+            ).estimate
             sizes.append(float(system.n))
             costs.append(estimate.mean)
             rows.append(
@@ -115,7 +106,6 @@ def run_randomized_tree(
     heights: Sequence[int] = (3, 5, 7, 9),
     trials: int = 2000,
     seed: int = 29,
-    batched: bool = True,
 ) -> list[Row]:
     """R_Probe_Tree on the hard distribution of Theorem 4.8 versus bounds."""
     rows: list[Row] = []
@@ -123,9 +113,7 @@ def run_randomized_tree(
         system = TreeSystem(height)
         algorithm = RProbeTree(system)
         n = system.n
-        estimate = _hard_input_estimator(
-            algorithm, system, trials, seed + height, batched
-        )
+        estimate = _hard_input_estimator(algorithm, system, trials, seed + height)
         rows.append(
             Row(
                 experiment="thm4.7-tree-rand",
@@ -157,7 +145,6 @@ def run_deterministic_vs_randomized_tree(
     heights: Sequence[int] = (3, 5, 7),
     trials: int = 2000,
     seed: int = 31,
-    batched: bool = True,
 ) -> list[Row]:
     """Head-to-head on the hard inputs: Probe_Tree (deterministic order) vs
     R_Probe_Tree, illustrating the constant-factor randomized advantage in
@@ -165,12 +152,8 @@ def run_deterministic_vs_randomized_tree(
     rows: list[Row] = []
     for height in heights:
         system = TreeSystem(height)
-        det = _hard_input_estimator(
-            ProbeTree(system), system, trials, seed + height, batched
-        )
-        rand = _hard_input_estimator(
-            RProbeTree(system), system, trials, seed + height, batched
-        )
+        det = _hard_input_estimator(ProbeTree(system), system, trials, seed + height)
+        rand = _hard_input_estimator(RProbeTree(system), system, trials, seed + height)
         rows.append(
             Row(
                 experiment="thm4.7-tree-rand",

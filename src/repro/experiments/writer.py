@@ -2,9 +2,9 @@
 
 Turns experiment rows — live :class:`Row` lists, completed
 :class:`~repro.experiments.runner.RunResult` objects or unified JSON
-artifacts on disk — into a Markdown document of the same shape as
-EXPERIMENTS.md, so a user can regenerate the paper-vs-measured report for
-their own instance sizes / trial counts with one call:
+artifacts on disk — into a Markdown paper-vs-measured report (one section
+per registered experiment), so a user can regenerate it for their own
+instance sizes / trial counts with one call:
 
     from repro.experiments.writer import write_markdown_report
     write_markdown_report("my_experiments.md", trials=2000)

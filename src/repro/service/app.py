@@ -47,6 +47,7 @@ import queue
 import threading
 import time
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -262,12 +263,13 @@ class ProbeService:
         """The public record for ``job_id``, or ``None`` (404)."""
         with self._lock:
             job = self._jobs.get(job_id)
-        if job is None:
-            try:
-                job = self.journal.load(job_id)
-            except FileNotFoundError:
-                return None
-        return job.public_view()
+            if job is not None:
+                # Under the lock: ``state`` and ``result`` are never torn.
+                return job.public_view()
+        try:
+            return self.journal.load(job_id).public_view()
+        except FileNotFoundError:
+            return None
 
     def next_request_ordinal(self) -> int:
         """1-based POST ordinal (the ``"service-handler"`` fault key)."""
@@ -417,20 +419,24 @@ class ProbeService:
         return sweep_result_payload(result)
 
     def _finish_done(self, job: Job, result: dict, seconds: float) -> None:
+        # Durable and cached before anyone can read ``done``: a client that
+        # sees it and repeats the request at once hits the cache, and a
+        # crash before the publish re-runs a job no client saw finish.
         with self._lock:
-            job.state = "done"
-            job.result = result
-            job.error = ""
+            done = replace(job, state="done", result=result, error="")
+        # Journal first, cache second: a crash in between leaves a done
+        # record without a cache entry, which the startup scan backfills.
+        self.journal.write(done)
+        self.cache.put(job.cache_key, {"kind": job.kind, **job.params}, result)
         self.metrics.inc("jobs_done_total")
         self.metrics.inc("job_seconds_total", seconds)
         recovery = result.get("recovery", {})
         self.metrics.inc("chunk_retries_total", recovery.get("retries_used", 0))
         self.metrics.inc("pool_respawns_total", recovery.get("pool_respawns", 0))
         self.metrics.inc("trials_total", _trials_of(job.kind, result))
-        # Journal first, cache second: a crash in between leaves a done
-        # record without a cache entry, which the startup scan backfills.
-        self.journal.write(job)
-        self.cache.put(job.cache_key, {"kind": job.kind, **job.params}, result)
+        with self._lock:
+            job.state, job.result, job.error = "done", result, ""
+            job.updated = done.updated
         _logger.info("%s done (%d attempt(s))", job.id, job.attempts)
 
     def _finish_failed(self, job: Job, error: str) -> None:

@@ -1,4 +1,4 @@
-"""Batched Monte-Carlo trial runner over the simulated cluster.
+"""Monte-Carlo trial runner over the simulated cluster.
 
 Bridges the complexity experiments and the systems substrate: for each trial
 a fresh failure snapshot is drawn, a cluster is configured accordingly, the
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.base import ProbingAlgorithm
-from repro.core.distributions import BernoulliSource, ColoringSource
 from repro.core.estimator import Estimate
 from repro.core.seeding import cell_seed
 from repro.simulation.cluster import ClusterProbeOracle, SimulatedCluster
@@ -99,79 +98,4 @@ def run_cluster_trials(
         elapsed=elapsed,
         availability_failure_rate=failure_rate,
         trials=trials,
-    )
-
-
-def run_batched_trials(
-    algorithm: ProbingAlgorithm,
-    p: float | None = None,
-    trials: int | None = None,
-    latency: LatencyModel | None = None,
-    seed: int | None = None,
-    source: ColoringSource | FailureModel | None = None,
-    chunk_size: int | None = None,
-    target_ci: float | None = None,
-    min_trials: int | None = None,
-    max_trials: int | None = None,
-    jobs: int = 1,
-) -> BatchResult:
-    """Vectorized counterpart of :func:`run_cluster_trials`.
-
-    Runs through the streaming engine (:mod:`repro.core.engine`): the
-    failure batch is sampled and evaluated in trial chunks through the
-    registered kernels of :mod:`repro.core.batched` — including the
-    level-synchronous Tree/HQS gate kernels of
-    :mod:`repro.core.batched_gates` — falling back to a per-trial loop for
-    algorithms without a kernel.  Memory stays O(chunk), ``jobs > 1``
-    shards chunks across processes, and ``target_ci`` switches to the
-    adaptive CI-targeted stopping mode — mutually exclusive with an
-    explicit ``trials`` (cap adaptive runs with ``max_trials``); the
-    returned ``trials`` is the count actually used.
-
-    Snapshots come from ``source`` — a
-    :class:`~repro.core.distributions.ColoringSource` or a
-    :class:`~repro.simulation.failures.FailureModel` (converted via
-    :meth:`~repro.simulation.failures.FailureModel.as_source`) — so
-    exact-count, correlated-group and adversarial clusters run batched,
-    not just the i.i.d. model; a bare ``p`` remains shorthand for
-    Bernoulli failures.  The elapsed-time estimate uses the latency
-    model's *mean* per probe — the batched path trades per-probe latency
-    sampling for throughput; use :func:`run_cluster_trials` when latency
-    jitter matters.
-    """
-    from repro.core.engine import resolve_fixed_trials, stream_probes
-
-    trials = resolve_fixed_trials(trials, target_ci, default=500)
-
-    if source is None:
-        if p is None:
-            raise ValueError("pass a failure probability p or a source")
-        source = BernoulliSource(algorithm.system.n, p)
-    elif isinstance(source, FailureModel):
-        source = source.as_source(algorithm.system.n)
-
-    latency = latency or ConstantLatency(1.0)
-    result = stream_probes(
-        algorithm,
-        source,
-        trials=trials,
-        target_ci=target_ci,
-        chunk_size=chunk_size,
-        min_trials=min_trials,
-        max_trials=max_trials,
-        seed=seed,
-        jobs=jobs,
-    )
-    probe_estimate = result.estimate
-    per_probe = latency.mean()
-    elapsed = Estimate(
-        mean=probe_estimate.mean * per_probe,
-        std=probe_estimate.std * per_probe,
-        trials=result.n_trials_used,
-    )
-    return BatchResult(
-        probes=probe_estimate,
-        elapsed=elapsed,
-        availability_failure_rate=result.failure_rate,
-        trials=result.n_trials_used,
     )

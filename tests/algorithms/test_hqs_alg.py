@@ -64,7 +64,8 @@ class TestProbeHQS:
         the exact optimum (6.140625) is slightly *below* Probe_HQS's
         2.5^2 = 6.25 — the directional algorithm is not exactly optimal,
         a small measured deviation from the paper's claim (documented in
-        EXPERIMENTS.md).  What must always hold is optimum <= 2.5^h.
+        ``repro.experiments.hqs.run_probe_hqs_optimality``).  What must
+        always hold is optimum <= 2.5^h.
         """
         optimum_h1 = ExactSolver(HQS(1)).probabilistic_probe_complexity(0.5)
         assert abs(optimum_h1 - 2.5) < 1e-9

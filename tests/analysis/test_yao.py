@@ -9,16 +9,16 @@ import pytest
 import numpy as np
 
 from repro.analysis.yao import (
+    CWHardSource,
+    MajorityHardSource,
+    TreeHardSource,
     cw_hard_distribution,
-    cw_hard_matrix,
     cw_hard_sampler,
     cw_lower_bound,
     majority_hard_distribution,
-    majority_hard_matrix,
     majority_hard_sampler,
     majority_lower_bound,
     tree_hard_distribution,
-    tree_hard_matrix,
     tree_hard_sampler,
     tree_lower_bound,
     tree_subtree_expected_probes,
@@ -117,25 +117,25 @@ class TestTreeHardDistribution:
 
 
 class TestBatchedHardSamplers:
-    """The matrix samplers must hit the same supports as the explicit
+    """The sources' matrix draws must hit the same supports as the explicit
     distributions, with uniform frequencies at small ``n``."""
 
     def test_majority_matrix_rows_have_exactly_k_plus_one_reds(self):
         system = MajoritySystem(9)
-        red = majority_hard_matrix(system, 400, rng=1)
+        red = MajorityHardSource(system).sample_matrix(system.n, 400, rng=1)
         assert red.shape == (400, 9) and red.dtype == np.bool_
         assert (red.sum(axis=1) == 5).all()
 
     def test_cw_matrix_leaves_one_green_per_row(self):
         wall = TriangSystem(4)
-        red = cw_hard_matrix(wall, 300, rng=2)
+        red = CWHardSource(wall).sample_matrix(wall.n, 300, rng=2)
         for row in wall.rows:
             columns = np.asarray(sorted(row)) - 1
             assert ((~red[:, columns]).sum(axis=1) == 1).all()
 
     def test_tree_matrix_reds_come_in_bottom_subtree_pairs(self):
         tree = TreeSystem(3)
-        red = tree_hard_matrix(tree, 300, rng=3)
+        red = TreeHardSource(tree).sample_matrix(tree.n, 300, rng=3)
         subtree_roots = [v for v in range(1, tree.n + 1) if tree.depth_of(v) == 2]
         assert (red.sum(axis=1) == 2 * len(subtree_roots)).all()
         for root in subtree_roots:
@@ -148,17 +148,17 @@ class TestBatchedHardSamplers:
         assert not red[:, upper].any()
 
     @pytest.mark.parametrize(
-        "matrix,distribution,system",
+        "source,distribution,system",
         [
-            (majority_hard_matrix, majority_hard_distribution, MajoritySystem(5)),
-            (cw_hard_matrix, cw_hard_distribution, CrumblingWall([1, 2, 2])),
-            (tree_hard_matrix, tree_hard_distribution, TreeSystem(2)),
+            (MajorityHardSource, majority_hard_distribution, MajoritySystem(5)),
+            (CWHardSource, cw_hard_distribution, CrumblingWall([1, 2, 2])),
+            (TreeHardSource, tree_hard_distribution, TreeSystem(2)),
         ],
         ids=["majority", "cw", "tree"],
     )
-    def test_matrix_matches_explicit_distribution(self, matrix, distribution, system):
+    def test_matrix_matches_explicit_distribution(self, source, distribution, system):
         trials = 6000
-        red = matrix(system, trials, rng=4)
+        red = source(system).sample_matrix(system.n, trials, rng=4)
         support = {w.coloring: w.probability for w in distribution(system).support}
         counts: dict[Coloring, int] = {}
         for t in range(trials):

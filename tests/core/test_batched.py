@@ -2,13 +2,13 @@
 
 The deterministic kernels must reproduce the sequential algorithms
 *trial-by-trial* on a shared input matrix; the randomized kernels must
-match in distribution.  The estimator wrappers and the batched simulation
-entry point are checked against their per-trial counterparts.
+match in distribution.  Engine estimates over the kernels are checked
+against their per-trial counterparts.
 """
 
 from __future__ import annotations
 
-import math
+import inspect
 import random
 
 import numpy as np
@@ -18,16 +18,14 @@ from repro.algorithms import ProbeCW, ProbeMaj, ProbeTree, RProbeCW, RProbeMaj, 
 from repro.core.batched import (
     batched_or_sequential_run,
     batched_run,
-    estimate_average_probes_batched,
-    estimate_expected_probes_on_batched,
     kernel_for,
     register_kernel,
-    sample_red_matrix,
     supports_batched,
 )
 from repro.core.coloring import Coloring
+from repro.core.distributions import AdversarialSource, sample_bernoulli_matrix
+from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_probes, estimate_expected_probes_on
-from repro.simulation.montecarlo import run_batched_trials
 from repro.systems import CrumblingWall, MajoritySystem, TreeSystem, TriangSystem, uniform_wall
 
 
@@ -46,7 +44,7 @@ DETERMINISTIC_CASES = [
 class TestDeterministicKernelsMatchExactly:
     def test_trial_by_trial(self, algorithm, p):
         n = algorithm.system.n
-        red = sample_red_matrix(n, p, 200, rng=42)
+        red = sample_bernoulli_matrix(n, p, 200, rng=42)
         probes, witness_green = batched_run(algorithm, red)
         for t in range(red.shape[0]):
             run = algorithm.run_on(Coloring.from_red_row(red[t]))
@@ -62,7 +60,7 @@ class TestRandomizedKernelsMatchInDistribution:
     )
     def test_means_agree(self, factory, system):
         algorithm = factory(system)
-        red = sample_red_matrix(system.n, 0.5, 3000, rng=7)
+        red = sample_bernoulli_matrix(system.n, 0.5, 3000, rng=7)
         probes, _ = batched_run(algorithm, red, rng=np.random.default_rng(1))
         rng = random.Random(2)
         sequential = [
@@ -74,7 +72,7 @@ class TestRandomizedKernelsMatchInDistribution:
     def test_rcw_witness_color_matches_system(self):
         system = TriangSystem(6)
         algorithm = RProbeCW(system)
-        red = sample_red_matrix(system.n, 0.5, 300, rng=3)
+        red = sample_bernoulli_matrix(system.n, 0.5, 300, rng=3)
         _, witness_green = batched_run(algorithm, red, rng=np.random.default_rng(4))
         for t in range(red.shape[0]):
             coloring = Coloring.from_red_row(red[t])
@@ -103,7 +101,7 @@ class TestDispatchAndFallback:
         register_kernel(TweakedProbeMaj, kernel_for(ProbeMaj(MajoritySystem(5))))
         try:
             assert supports_batched(algorithm)
-            red = sample_red_matrix(5, 0.5, 30, rng=1)
+            red = sample_bernoulli_matrix(5, 0.5, 30, rng=1)
             probes, _ = batched_run(algorithm, red)
             reference, _ = batched_run(ProbeMaj(MajoritySystem(5)), red)
             assert (probes == reference).all()
@@ -114,7 +112,7 @@ class TestDispatchAndFallback:
 
     def test_fallback_matches_sequential(self):
         algorithm = SequentialScan(TreeSystem(3))
-        red = sample_red_matrix(15, 0.5, 50, rng=5)
+        red = sample_bernoulli_matrix(15, 0.5, 50, rng=5)
         probes, witness_green = batched_or_sequential_run(algorithm, red)
         for t in range(red.shape[0]):
             run = algorithm.run_on(Coloring.from_red_row(red[t]))
@@ -126,52 +124,52 @@ class TestDispatchAndFallback:
             batched_run(ProbeMaj(MajoritySystem(5)), np.zeros((3, 4), dtype=bool))
 
 
-class TestBatchedEstimators:
+class TestEngineEstimates:
     def test_average_probes_agrees_with_sequential(self):
         algorithm = ProbeMaj(MajoritySystem(101))
-        batched = estimate_average_probes_batched(algorithm, 0.5, trials=4000, seed=1)
+        engine = stream_probes(algorithm, p=0.5, trials=4000, seed=1).estimate
         sequential = estimate_average_probes(algorithm, 0.5, trials=4000, seed=1)
-        assert abs(batched.mean - sequential.mean) < 3 * (batched.ci95 + sequential.ci95)
+        assert abs(engine.mean - sequential.mean) < 3 * (engine.ci95 + sequential.ci95)
 
-    def test_estimator_flag_routes_to_batched(self):
-        algorithm = ProbeCW(TriangSystem(8))
-        via_flag = estimate_average_probes(algorithm, 0.5, trials=500, seed=9, batched=True)
-        direct = estimate_average_probes_batched(algorithm, 0.5, trials=500, seed=9)
-        assert via_flag.mean == direct.mean
-        assert via_flag.trials == direct.trials == 500
-
-    def test_validate_incompatible_with_batched(self):
-        with pytest.raises(ValueError):
-            estimate_average_probes(
-                ProbeMaj(MajoritySystem(5)), 0.5, trials=10, batched=True, validate=True
-            )
+    def test_estimator_has_no_engine_knobs(self):
+        # The per-trial reference path takes no engine options; batched,
+        # chunked and adaptive runs call stream_probes directly.
+        parameters = inspect.signature(estimate_average_probes).parameters
+        assert list(parameters) == ["algorithm", "p", "trials", "seed", "validate", "source"]
 
     def test_expected_probes_on_fixed_input(self):
         system = CrumblingWall([1, 7], name="Wheel(8)")
         algorithm = RProbeCW(system)
         worst = Coloring(8, red=[1, 5])
-        batched = estimate_expected_probes_on_batched(algorithm, worst, trials=4000, seed=11)
+        engine = stream_probes(
+            algorithm, AdversarialSource(8, [1, 5]), trials=4000, seed=11
+        ).estimate
         sequential = estimate_expected_probes_on(algorithm, worst, trials=4000, seed=11)
-        assert abs(batched.mean - sequential.mean) < 3 * (batched.ci95 + sequential.ci95)
+        assert abs(engine.mean - sequential.mean) < 3 * (engine.ci95 + sequential.ci95)
 
     def test_expected_probes_on_deterministic_is_exact(self):
         system = TriangSystem(4)
         algorithm = ProbeCW(system)
         coloring = Coloring(system.n, red=[2, 5, 9])
-        estimate = estimate_expected_probes_on_batched(algorithm, coloring, trials=100)
+        estimate = estimate_expected_probes_on(algorithm, coloring, trials=100)
         assert estimate.trials == 1 and estimate.std == 0.0
         assert estimate.mean == float(algorithm.run_on(coloring).probes)
+        engine = stream_probes(
+            algorithm, AdversarialSource(system.n, [2, 5, 9]), trials=100, seed=1
+        )
+        assert engine.histogram[-1] == 100 and engine.std == 0.0
+        assert engine.mean == estimate.mean
 
 
-class TestSamplersAndBatchResult:
-    def test_sample_red_matrix_distribution(self):
-        red = sample_red_matrix(200, 0.3, 500, rng=13)
+class TestSamplersAndFailureRate:
+    def test_bernoulli_matrix_distribution(self):
+        red = sample_bernoulli_matrix(200, 0.3, 500, rng=13)
         assert red.shape == (500, 200) and red.dtype == np.bool_
         assert abs(float(red.mean()) - 0.3) < 0.01
 
-    def test_random_batch_rejects_bad_p(self):
+    def test_bernoulli_matrix_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            Coloring.random_batch(10, 1.5, 4)
+            sample_bernoulli_matrix(10, 1.5, 4)
 
     def test_from_red_row_round_trip(self):
         rng = random.Random(17)
@@ -186,48 +184,42 @@ class TestSamplersAndBatchResult:
         counts = [len(Coloring.random(2000, 0.25, rng).red_elements) for _ in range(30)]
         assert abs(float(np.mean(counts)) - 500.0) < 30.0
 
-    def test_run_batched_trials_matches_availability(self):
+    def test_engine_failure_rate_matches_availability(self):
         algorithm = ProbeMaj(MajoritySystem(101))
-        result = run_batched_trials(algorithm, p=0.3, trials=2000, seed=23)
-        assert result.trials == 2000
+        result = stream_probes(algorithm, p=0.3, trials=2000, seed=23)
+        assert result.n_trials_used == 2000
         # At p = 0.3 a 101-element majority is almost surely alive.
-        assert result.availability_failure_rate < 0.01
-        assert math.isclose(result.elapsed.mean, result.probes.mean)
-        balanced = run_batched_trials(algorithm, p=0.5, trials=2000, seed=29)
-        assert abs(balanced.availability_failure_rate - 0.5) < 0.05
+        assert result.failure_rate < 0.01
+        balanced = stream_probes(algorithm, p=0.5, trials=2000, seed=29)
+        assert abs(balanced.failure_rate - 0.5) < 0.05
 
 
-class TestRunBatchedTrialsSources:
+class TestEngineFailureModelSources:
     def test_failure_model_snapshots_run_batched(self):
         from repro.simulation.failures import FixedCountFailures
 
         system = MajoritySystem(15)
-        result = run_batched_trials(
+        result = stream_probes(
             ProbeMaj(system),
-            source=FixedCountFailures(8),
+            FixedCountFailures(8).as_source(system.n),
             trials=400,
             seed=7,
         )
         # 8 of 15 failed: no live quorum exists in any trial.
-        assert result.availability_failure_rate == 1.0
-        assert result.trials == 400
+        assert result.failure_rate == 1.0
+        assert result.n_trials_used == 400
 
     def test_source_path_matches_p_shorthand(self):
         from repro.core.distributions import BernoulliSource
 
         system = MajoritySystem(15)
-        via_p = run_batched_trials(ProbeMaj(system), p=0.3, trials=300, seed=5)
-        via_source = run_batched_trials(
-            ProbeMaj(system),
-            source=BernoulliSource(system.n, 0.3),
-            trials=300,
-            seed=5,
+        via_p = stream_probes(ProbeMaj(system), p=0.3, trials=300, seed=5)
+        via_source = stream_probes(
+            ProbeMaj(system), BernoulliSource(system.n, 0.3), trials=300, seed=5
         )
-        assert via_p.probes == via_source.probes
-        assert via_p.availability_failure_rate == via_source.availability_failure_rate
+        assert via_p.histogram == via_source.histogram
+        assert via_p.witness_red == via_source.witness_red
 
     def test_requires_p_or_source(self):
-        import pytest
-
         with pytest.raises(ValueError):
-            run_batched_trials(ProbeMaj(MajoritySystem(5)), trials=10)
+            stream_probes(ProbeMaj(MajoritySystem(5)), trials=10)

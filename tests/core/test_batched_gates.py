@@ -23,15 +23,12 @@ from repro.algorithms import (
     RProbeHQS,
     RProbeTree,
 )
-from repro.core.batched import (
-    batched_run,
-    estimate_average_under_batched,
-    sample_red_matrix,
-    supports_batched,
-)
+from repro.core.batched import batched_run, supports_batched
 from repro.core.coloring import Coloring
+from repro.core.distributions import sample_bernoulli_matrix
+from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_under
-from repro.experiments.hqs import hqs_family_p_matrix, worst_case_family_sampler
+from repro.experiments.hqs import HQSFamilyPSource, worst_case_family_sampler
 from repro.systems import HQS, TreeSystem
 
 
@@ -43,7 +40,7 @@ HQS_HEIGHTS = [0, 1, 2, 3]
 def test_probe_tree_kernel_is_trial_exact(height):
     system = TreeSystem(height)
     algorithm = ProbeTree(system)
-    red = sample_red_matrix(system.n, 0.5, 150, rng=height + 1)
+    red = sample_bernoulli_matrix(system.n, 0.5, 150, rng=height + 1)
     probes, witness_green = batched_run(algorithm, red)
     for t in range(red.shape[0]):
         run = algorithm.run_on(Coloring.from_red_row(red[t]))
@@ -56,7 +53,7 @@ def test_probe_tree_kernel_is_trial_exact(height):
 def test_probe_hqs_kernel_is_trial_exact(height, p):
     system = HQS(height)
     algorithm = ProbeHQS(system)
-    red = sample_red_matrix(system.n, p, 150, rng=height + 7)
+    red = sample_bernoulli_matrix(system.n, p, 150, rng=height + 7)
     probes, witness_green = batched_run(algorithm, red)
     rng = random.Random(0)
     for t in range(red.shape[0]):
@@ -77,7 +74,7 @@ class TestRandomizedKernelsMatchInDistribution:
     )
     def test_means_agree_on_random_inputs(self, factory, system):
         algorithm = factory(system)
-        red = sample_red_matrix(system.n, 0.5, 4000, rng=11)
+        red = sample_bernoulli_matrix(system.n, 0.5, 4000, rng=11)
         probes, _ = batched_run(algorithm, red, rng=np.random.default_rng(12))
         rng = random.Random(13)
         sequential = [
@@ -122,7 +119,7 @@ class TestRandomizedKernelsMatchInDistribution:
             (IRProbeHQS, HQS(height)),
         ]:
             algorithm = factory(system)
-            red = sample_red_matrix(system.n, 0.5, 200, rng=height)
+            red = sample_bernoulli_matrix(system.n, 0.5, 200, rng=height)
             _, witness_green = batched_run(
                 algorithm, red, rng=np.random.default_rng(height)
             )
@@ -133,27 +130,19 @@ class TestRandomizedKernelsMatchInDistribution:
     def test_ir_does_not_exceed_r_on_family_p(self):
         """Theorem 4.10's point: the grandchild peek helps on family P."""
         system = HQS(4)
-        from functools import partial
-
-        sampler = partial(hqs_family_p_matrix, system)
-        est_r = estimate_average_under_batched(
-            RProbeHQS(system), sampler, trials=6000, seed=21
-        )
-        est_ir = estimate_average_under_batched(
-            IRProbeHQS(system), sampler, trials=6000, seed=22
-        )
+        source = HQSFamilyPSource(system)
+        est_r = stream_probes(RProbeHQS(system), source, trials=6000, seed=21).estimate
+        est_ir = stream_probes(IRProbeHQS(system), source, trials=6000, seed=22).estimate
         assert est_ir.mean <= est_r.mean + est_ir.ci95 + est_r.ci95
 
 
-class TestBatchedUnderEstimator:
+class TestEngineOnFamilyP:
     def test_matches_sequential_on_family_p(self):
-        from functools import partial
-
         system = HQS(3)
         algorithm = RProbeHQS(system)
-        batched = estimate_average_under_batched(
-            algorithm, partial(hqs_family_p_matrix, system), trials=4000, seed=31
-        )
+        batched = stream_probes(
+            algorithm, HQSFamilyPSource(system), trials=4000, seed=31
+        ).estimate
         sequential = estimate_average_under(
             algorithm, worst_case_family_sampler(system), trials=4000, seed=32
         )
@@ -162,9 +151,7 @@ class TestBatchedUnderEstimator:
     def test_rejects_zero_trials(self):
         system = HQS(1)
         with pytest.raises(ValueError):
-            estimate_average_under_batched(
-                RProbeHQS(system), lambda t, g: np.zeros((t, 3), bool), trials=0
-            )
+            stream_probes(RProbeHQS(system), HQSFamilyPSource(system), trials=0)
 
 
 class TestGateKernelRegistration:
@@ -180,11 +167,9 @@ class TestGateKernelRegistration:
         ):
             assert supports_batched(algorithm)
 
-    def test_estimator_flag_routes_tree_to_kernel(self):
-        from repro.core.batched import estimate_average_probes_batched
-        from repro.core.estimator import estimate_average_probes
-
+    def test_engine_routes_tree_to_kernel(self):
         algorithm = ProbeTree(TreeSystem(4))
-        via_flag = estimate_average_probes(algorithm, 0.5, trials=300, seed=8, batched=True)
-        direct = estimate_average_probes_batched(algorithm, 0.5, trials=300, seed=8)
-        assert via_flag.mean == direct.mean
+        engine = stream_probes(algorithm, p=0.5, trials=300, seed=8)
+        red = sample_bernoulli_matrix(algorithm.system.n, 0.5, 300, rng=8)
+        probes, _ = batched_run(algorithm, red)
+        assert engine.mean == float(probes.mean())

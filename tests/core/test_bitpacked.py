@@ -22,7 +22,6 @@ from repro.core.batched import (
     AUTO_BITPACKED_MIN_TRIALS,
     batched_run,
     resolve_backend,
-    sample_red_matrix,
     scratch_ones,
     supports_batched,
 )
@@ -40,9 +39,8 @@ from repro.core.bitpacked import (
     threshold_counter,
     unpack_matrix,
 )
-from repro.core.distributions import BernoulliSource, build_source
+from repro.core.distributions import BernoulliSource, build_source, sample_bernoulli_matrix
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_probes
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -75,7 +73,7 @@ _case_id = lambda case: f"{case[0].name}-n{case[0].system.n}-p{case[1]}"  # noqa
 class TestPacking:
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 70, 128, 200])
     def test_roundtrip(self, trials):
-        red = sample_red_matrix(11, 0.4, trials, rng=3)
+        red = sample_bernoulli_matrix(11, 0.4, trials, rng=3)
         packed = pack_matrix(red)
         assert packed.trials == trials
         assert packed.n == 11
@@ -84,7 +82,7 @@ class TestPacking:
 
     def test_layout_is_transposed_little_endian(self):
         # Trial t of element e+1 is bit (t mod 64) of words[t // 64, e].
-        red = sample_red_matrix(5, 0.5, 130, rng=9)
+        red = sample_bernoulli_matrix(5, 0.5, 130, rng=9)
         packed = pack_matrix(red)
         for trial, element in [(0, 0), (63, 4), (64, 2), (129, 3)]:
             bit = (int(packed.words[trial // 64, element]) >> (trial % 64)) & 1
@@ -181,7 +179,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("trials", [70, 256])
     def test_packed_matches_numpy_trial_by_trial(self, case, trials):
         algorithm, p = case
-        red = sample_red_matrix(algorithm.system.n, p, trials, rng=23)
+        red = sample_bernoulli_matrix(algorithm.system.n, p, trials, rng=23)
         probes, witness = batched_run(algorithm, red)
         packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
         np.testing.assert_array_equal(packed_probes, probes)
@@ -331,15 +329,16 @@ class TestStreamIdentity:
             stream_probes(
                 RProbeMaj(MajoritySystem(9)), p=0.5, trials=64, seed=1, backend="bitpacked"
             )
-        with pytest.raises(ValueError, match="randomized"):
-            estimate_average_probes(
-                RProbeMaj(MajoritySystem(9)), 0.5, trials=64, seed=1, backend="bitpacked"
-            )
 
-    def test_estimator_backend_knob(self):
+    def test_engine_estimate_backend_identity(self):
         algorithm = ProbeMaj(MajoritySystem(25))
-        base = estimate_average_probes(algorithm, 0.4, trials=500, seed=13, backend="numpy")
-        packed = estimate_average_probes(algorithm, 0.4, trials=500, seed=13, backend="bitpacked")
+        runs = {
+            backend: stream_probes(
+                algorithm, p=0.4, trials=500, seed=13, backend=backend
+            ).estimate
+            for backend in ("numpy", "bitpacked")
+        }
+        base, packed = runs["numpy"], runs["bitpacked"]
         assert packed.mean == base.mean
         assert packed.std == base.std
 
@@ -385,7 +384,7 @@ class TestPopcountFallback:
     @pytest.mark.parametrize("case", PACKED_CASES, ids=_case_id)
     def test_kernels_bit_identical_under_lut(self, case):
         algorithm, p = case
-        red = sample_red_matrix(algorithm.system.n, p, 200, rng=31)
+        red = sample_bernoulli_matrix(algorithm.system.n, p, 200, rng=31)
         probes, witness = batched_run(algorithm, red)
         packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
         np.testing.assert_array_equal(packed_probes, probes)

@@ -11,10 +11,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ProbeMaj, ProbeTree
-from repro.core.batched import (
-    estimate_average_source_batched,
-    sample_red_matrix,
-)
 from repro.core.coloring import (
     Coloring,
     ColoringDistribution,
@@ -34,6 +30,7 @@ from repro.core.distributions import (
     source_names,
     source_specs,
 )
+from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_probes
 from repro.systems import HQS, MajoritySystem, TreeSystem, TriangSystem
 
@@ -157,11 +154,9 @@ class TestSourceContract:
 
 class TestBernoulliSource:
     def test_is_the_single_iid_sampler_implementation(self):
-        # Dedup satellite: all four historical entry points draw the same
-        # stream for the same seed.
+        # The matrix sampler and the source draw the same stream for the
+        # same seed.
         reference = sample_bernoulli_matrix(12, 0.3, 40, rng=9)
-        assert (Coloring.random_batch(12, 0.3, 40, rng=9) == reference).all()
-        assert (sample_red_matrix(12, 0.3, 40, rng=9) == reference).all()
         source = BernoulliSource(12, 0.3)
         assert (source.sample_matrix(12, 40, rng=9) == reference).all()
 
@@ -302,9 +297,7 @@ class TestSourceAwareEstimators:
     def test_batched_and_scalar_estimates_agree(self):
         system = MajoritySystem(21)
         source = FixedCountSource(system.n, 8)
-        batched = estimate_average_source_batched(
-            ProbeMaj(system), source, trials=3000, seed=11
-        )
+        batched = stream_probes(ProbeMaj(system), source, trials=3000, seed=11).estimate
         scalar = estimate_average_probes(
             ProbeMaj(system), source=source, trials=3000, seed=13
         )
@@ -322,17 +315,11 @@ class TestSourceAwareEstimators:
                 trials=10,
             )
 
-    def test_source_path_matches_p_path_for_bernoulli_batched(self):
+    def test_source_path_matches_p_path_for_bernoulli_engine(self):
         # Same seed, same stream: the p shorthand is the Bernoulli source.
         system = TreeSystem(4)
-        via_p = estimate_average_probes(
-            ProbeTree(system), 0.4, trials=500, seed=3, batched=True
-        )
-        via_source = estimate_average_probes(
-            ProbeTree(system),
-            source=BernoulliSource(system.n, 0.4),
-            trials=500,
-            seed=3,
-            batched=True,
-        )
+        via_p = stream_probes(ProbeTree(system), p=0.4, trials=500, seed=3).estimate
+        via_source = stream_probes(
+            ProbeTree(system), BernoulliSource(system.n, 0.4), trials=500, seed=3
+        ).estimate
         assert via_p == via_source

@@ -26,26 +26,31 @@ from repro.algorithms import (
     RProbeMaj,
     RProbeTree,
 )
-from repro.core.batched import (
-    batched_run,
-    estimate_average_source_batched,
-    sample_red_matrix,
-)
+from repro.core.batched import batched_or_sequential_run, batched_run
+from repro.core.coloring import as_numpy_generator
 from repro.core.distributions import (
     AdversarialSource,
     BernoulliSource,
     ColoringSource,
     FixedCountSource,
     build_source,
+    sample_bernoulli_matrix,
 )
 from repro.core.engine import (
     DEFAULT_MAX_TRIALS,
     MomentAccumulator,
     stream_probes,
 )
-from repro.core.estimator import Estimate, estimate_average_probes
-from repro.simulation.montecarlo import run_batched_trials
+from repro.core.estimator import Estimate
 from repro.systems import HQS, MajoritySystem, TreeSystem, TriangSystem
+
+
+def one_kernel_call(algorithm, source, trials, seed):
+    """The whole run as one ``sample_matrix`` draw and one kernel call."""
+    generator = as_numpy_generator(seed)
+    red = source.sample_matrix(algorithm.system.n, trials, generator)
+    probes, _ = batched_or_sequential_run(algorithm, red, generator)
+    return Estimate.from_samples(probes)
 
 
 class TestChunkInvariance:
@@ -55,7 +60,7 @@ class TestChunkInvariance:
     def test_probe_maj_bernoulli(self, chunk_size):
         algorithm = ProbeMaj(MajoritySystem(101))
         source = BernoulliSource(101, 0.4)
-        one_shot = estimate_average_source_batched(algorithm, source, trials=37, seed=5)
+        one_shot = one_kernel_call(algorithm, source, trials=37, seed=5)
         result = stream_probes(
             algorithm, source, trials=37, chunk_size=chunk_size, seed=5
         )
@@ -251,10 +256,8 @@ class TestResultShape:
         source = BernoulliSource(101, 0.4)
         big = 2**64 + 7
         engine = stream_probes(algorithm, source, trials=64, chunk_size=16, seed=big)
-        one_shot = estimate_average_source_batched(
-            algorithm, source, trials=64, seed=big
-        )
-        low_bits = estimate_average_source_batched(algorithm, source, trials=64, seed=7)
+        one_shot = one_kernel_call(algorithm, source, trials=64, seed=big)
+        low_bits = one_kernel_call(algorithm, source, trials=64, seed=7)
         assert engine.mean == one_shot.mean
         assert engine.mean != low_bits.mean
 
@@ -282,42 +285,30 @@ class TestResultShape:
         assert result.n_trials_used == 64
 
 
-class TestEstimatorIntegration:
-    def test_batched_flag_matches_legacy_one_shot(self):
+class TestEngineEstimate:
+    def test_fixed_run_matches_one_kernel_call(self):
         algorithm = ProbeCW(TriangSystem(8))
-        via_flag = estimate_average_probes(
-            algorithm, 0.5, trials=500, seed=9, batched=True
-        )
-        one_shot = estimate_average_source_batched(
+        engine = stream_probes(algorithm, p=0.5, trials=500, seed=9).estimate
+        one_shot = one_kernel_call(
             algorithm, BernoulliSource(algorithm.system.n, 0.5), trials=500, seed=9
         )
-        assert via_flag.mean == one_shot.mean
+        assert engine.mean == one_shot.mean
+        assert engine.trials == one_shot.trials == 500
 
-    def test_target_ci_through_estimator(self):
+    def test_target_ci_estimate(self):
         algorithm = ProbeMaj(MajoritySystem(101))
-        estimate = estimate_average_probes(
-            algorithm, 0.5, seed=3, target_ci=0.8, chunk_size=128
-        )
+        estimate = stream_probes(
+            algorithm, p=0.5, seed=3, target_ci=0.8, chunk_size=128
+        ).estimate
         assert estimate.ci95 <= 0.8
         assert estimate.trials % 128 == 0
 
-    def test_streaming_params_imply_engine(self):
-        # chunk_size alone (no batched=True) routes through the engine.
+    def test_target_ci_failure_rate(self):
         algorithm = ProbeMaj(MajoritySystem(101))
-        chunked = estimate_average_probes(
-            algorithm, 0.4, trials=200, seed=5, chunk_size=50
-        )
-        direct = stream_probes(algorithm, p=0.4, trials=200, chunk_size=50, seed=5)
-        assert chunked.mean == direct.mean
-
-    def test_run_batched_trials_target_ci(self):
-        algorithm = ProbeMaj(MajoritySystem(101))
-        result = run_batched_trials(
-            algorithm, p=0.5, target_ci=0.8, chunk_size=128, seed=7
-        )
-        assert result.probes.ci95 <= 0.8
-        assert result.trials == result.probes.trials
-        assert 0.3 < result.availability_failure_rate < 0.7
+        result = stream_probes(algorithm, p=0.5, target_ci=0.8, chunk_size=128, seed=7)
+        assert result.ci95 <= 0.8
+        assert result.estimate.trials == result.n_trials_used
+        assert 0.3 < result.failure_rate < 0.7
 
 
 class TestKernelScratch:
@@ -335,7 +326,7 @@ class TestKernelScratch:
     )
     def test_cached_second_call_matches_fresh_instance(self, factory, system):
         warm = factory(system)
-        red = sample_red_matrix(system.n, 0.5, 80, rng=31)
+        red = sample_bernoulli_matrix(system.n, 0.5, 80, rng=31)
         first, _ = batched_run(warm, red)
         second, _ = batched_run(warm, red)  # scratch populated by call one
         fresh, _ = batched_run(factory(system), red)
@@ -352,7 +343,7 @@ class TestKernelScratch:
         ids=["RProbeMaj", "RProbeCW", "RProbeTree"],
     )
     def test_randomized_cached_call_matches_fresh_instance(self, factory, system):
-        red = sample_red_matrix(system.n, 0.5, 60, rng=37)
+        red = sample_bernoulli_matrix(system.n, 0.5, 60, rng=37)
         warm = factory(system)
         batched_run(warm, red, rng=np.random.default_rng(1))  # warm the scratch
         cached, _ = batched_run(warm, red, rng=np.random.default_rng(2))
@@ -372,7 +363,7 @@ class TestKernelScratch:
         for trials in (10, 64, 10):
             probes, _ = batched_run(
                 algorithm,
-                sample_red_matrix(25, 0.5, trials, rng=5),
+                sample_bernoulli_matrix(25, 0.5, trials, rng=5),
                 rng=np.random.default_rng(3),
             )
             assert probes.shape == (trials,)

@@ -72,6 +72,26 @@ class TestLifecycle:
         # A cache hit creates no new job record.
         assert len(service.journal.load_all()) == 1
 
+    def test_done_is_published_only_after_the_cache_put(self, service_factory, monkeypatch):
+        # A slow cache write widens the window between the result being
+        # computed and it being addressable; ``done`` must not show inside it.
+        from repro.service.cache import ResultCache
+
+        put = ResultCache.put
+
+        def slow_put(self, *args, **kwargs):
+            time.sleep(0.3)
+            return put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put", slow_put)
+        service = service_factory()
+        record = submit_and_wait(service)
+        status, body = service.submit("estimate", dict(REQUEST))
+        assert status == 200 and body["cached"] is True
+        assert body["result"] == record["result"]
+        assert service.journal.load(record["id"]).state == "done"
+        assert len(service.journal.load_all()) == 1
+
     def test_sweep_job_completes(self, service_factory):
         service = service_factory()
         record = submit_and_wait(

@@ -130,6 +130,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "avg probes" in out
+        assert "estimator : streaming (vectorized kernel" in out
         assert "Theorem 3.3" in out or "Corollary 3.5" in out
 
     def test_estimate_without_paper_bounds(self, capsys):
@@ -137,7 +138,10 @@ class TestCommands:
             ["estimate", "--system", "grid", "--size", "3", "--trials", "100", "--seed", "6"]
         )
         assert code == 0
-        assert "none stated" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "none stated" in out
+        # No kernel for Grid: the engine runs its per-trial fallback.
+        assert "estimator : streaming (per-trial fallback" in out
 
     def test_table1_small(self, capsys):
         code = main(
@@ -216,11 +220,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Maj3 worked example" in out
 
-    def test_experiment_is_deprecated_alias_of_run(self, capsys):
-        assert main(["experiment", "maj3"]) == 0
-        captured = capsys.readouterr()
-        assert "consistent with the paper" in captured.out
-        assert "deprecated" in captured.err
+    def test_experiment_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["experiment", "maj3"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'experiment'" in capsys.readouterr().err
+
+    def test_estimate_batched_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["estimate", "--batched"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batched" in capsys.readouterr().err
 
 
 class TestDistributionsCLI:
@@ -234,7 +244,7 @@ class TestDistributionsCLI:
         code = main(
             [
                 "estimate", "--system", "maj", "--size", "21", "--p", "0.4",
-                "--batched", "--trials", "200", "--seed", "1",
+                "--trials", "200", "--seed", "1",
                 "--distribution", "fixed_count",
             ]
         )
@@ -293,7 +303,7 @@ class TestStreamingEngineCLI:
         code = main(
             [
                 "estimate", "--system", "maj", "--size", "101", "--p", "0.5",
-                "--batched", "--seed", "1",
+                "--seed", "1",
                 "--target-ci", "0.8", "--chunk-size", "128",
             ]
         )
@@ -305,7 +315,7 @@ class TestStreamingEngineCLI:
     def test_estimate_chunked_matches_one_shot_mean(self, capsys):
         args = [
             "estimate", "--system", "triang", "--size", "8", "--p", "0.5",
-            "--batched", "--trials", "300", "--seed", "4",
+            "--trials", "300", "--seed", "4",
         ]
         assert main(args) == 0
         one_shot = capsys.readouterr().out
