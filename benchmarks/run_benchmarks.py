@@ -45,6 +45,10 @@ Sections:
   ``Maj(1001)`` at 10^6 trials (the ISSUE's ≥5x acceptance case), plus
   Probe_CW / Probe_Tree / Probe_HQS secondaries; every case asserts
   bit-identical histograms inside the benchmark.
+* ``packed_sampling`` — the bit-plane Bernoulli sampler
+  (:meth:`~repro.core.distributions.BernoulliSource.sample_words` through
+  ``sample_packed``) against the packed kernel it feeds, per algorithm at
+  ``p ∈ {1/2, 0.3}`` and 4,096 / 65,536 trials: the sample/kernel split.
 * ``exact_packed_dp`` — the word-batched packed mask-DP
   (``ExactSolver.packed_probe_complexity``) versus the trit-table sweep
   (``n ≤ 15``) and the sparse dict DP it replaces for ``15 < n ≤ 21``.
@@ -508,6 +512,51 @@ def bench_bitpacked_kernels(quick: bool) -> list[dict]:
     return results
 
 
+def bench_packed_sampling(quick: bool) -> list[dict]:
+    """The bit-plane Bernoulli sampler and the sample/kernel split.
+
+    For every algorithm of the ``packed-fixed`` workload at ``p ∈ {1/2,
+    0.3}`` and 4,096 / 65,536 trials: ``sample_seconds`` times
+    :func:`~repro.core.bitpacked.sample_packed`, ``kernel_seconds`` the
+    packed kernel on that sample, and ``sample_share`` is the sampler's
+    part of the two (best of 3 each, both sizes in ``--quick`` too).
+    """
+    from repro.core.bitpacked import run_packed, sample_packed
+    from repro.core.distributions import BernoulliSource
+
+    cases = [
+        ("ProbeMaj", ProbeMaj(MajoritySystem(1001))),
+        ("ProbeCW", ProbeCW(TriangSystem(45))),  # n = 1035
+        ("ProbeTree", ProbeTree(TreeSystem(9))),  # n = 1023
+        ("ProbeHQS", ProbeHQS(HQS(6))),  # n = 729
+    ]
+    results = []
+    for trials in (4096, 65_536):
+        for p in (0.5, 0.3):
+            for name, algorithm in cases:
+                n = algorithm.system.n
+                source = BernoulliSource(n, p)
+                sample_seconds, packed = timed(
+                    lambda: sample_packed(source, n, trials, rng=1), repeat=3
+                )
+                kernel_seconds, _ = timed(lambda: run_packed(algorithm, packed), repeat=3)
+                results.append(
+                    {
+                        "algorithm": name,
+                        "system": algorithm.system.name,
+                        "name": f"p={p}/trials={trials}",
+                        "n": n,
+                        "p": p,
+                        "trials": trials,
+                        "planes_per_word": source.draws_per_word // n,
+                        "sample_seconds": sample_seconds,
+                        "kernel_seconds": kernel_seconds,
+                        "sample_share": sample_seconds / (sample_seconds + kernel_seconds),
+                    }
+                )
+    return results
+
+
 def bench_exact_packed_dp(quick: bool) -> list[dict]:
     """Word-batched packed mask-DP versus the older exact-PC routes.
 
@@ -585,6 +634,7 @@ def main(argv=None) -> int:
         "streaming_engine": bench_streaming_engine(args.quick),
         "bitpacked_kernels": bench_bitpacked_kernels(args.quick),
         "exact_packed_dp": bench_exact_packed_dp(args.quick),
+        "packed_sampling": bench_packed_sampling(args.quick),
     }
     output = args.output
     if output is None:
@@ -640,6 +690,12 @@ def main(argv=None) -> int:
             f"bitpacked {case['algorithm']} n={case['n']} x{case['trials']}: "
             f"{case['bitpacked_seconds']*1e3:.1f}ms vs numpy "
             f"{case['numpy_seconds']*1e3:.1f}ms ({case['speedup']:.1f}x)"
+        )
+    for case in snapshot["packed_sampling"]:
+        print(
+            f"packed sampling {case['algorithm']} n={case['n']} p={case['p']} "
+            f"x{case['trials']}: sample {case['sample_seconds']*1e3:.2f}ms, kernel "
+            f"{case['kernel_seconds']*1e3:.2f}ms ({case['sample_share']:.0%} sampling)"
         )
     for case in snapshot["exact_packed_dp"]:
         line = (

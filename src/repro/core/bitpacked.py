@@ -27,12 +27,13 @@ Packed kernels exist for the deterministic algorithms only:
 
 Each packed kernel reproduces its numpy counterpart's per-trial probe
 counts and witness colors *exactly* (integer arithmetic both ways), and
-:func:`sample_packed` consumes the underlying PCG64 stream exactly like
-``ColoringSource.sample_matrix`` does — ``generator.random`` fills
-row-major, so drawing in row slabs is stream-identical to the one-shot
-matrix draw.  Probe-count histograms are therefore bit-identical between
-backends under every chunk size, ``jobs=N`` and distributed split, which
-``tests/core/test_bitpacked.py`` pins.
+:func:`sample_packed` returns exactly the colorings
+``ColoringSource.sample_matrix`` returns for the same generator — for
+Bernoulli sources both are the same lane words, drawn one bit-plane per
+raw ``uint64`` (:meth:`repro.core.distributions.BernoulliSource.sample_words`),
+which the numpy path unpacks.  Probe-count histograms are therefore
+bit-identical between backends under every chunk size, ``jobs=N`` and
+distributed split, which ``tests/core/test_bitpacked.py`` pins.
 
 Randomized algorithms keep the numpy path: their per-trial permutation
 draws have no packed formulation that preserves the sequential RNG
@@ -58,15 +59,10 @@ from repro.algorithms.majority import ProbeMaj
 from repro.algorithms.tree import ProbeTree
 from repro.core.batched import kernel_scratch, register_kernel
 from repro.core.coloring import as_numpy_generator
-from repro.core.distributions import BernoulliSource, ColoringSource
+from repro.core.distributions import BernoulliSource, ColoringSource, unpack_words
 
 #: All 64 bits set — the packed representation of "every trial lane".
 ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Trials per packing slab in :func:`sample_packed` (must be a multiple of
-#: 64 so every slab fills whole words).  Bounds the transient bool matrix
-#: to ``slab * n`` bytes regardless of the chunk size.
-PACK_SLAB_TRIALS = 4096
 
 
 # -- popcount ---------------------------------------------------------------------
@@ -149,57 +145,37 @@ class PackedColorings:
         return mask
 
 
-def _pack_rows(red: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, n)`` bool matrix into ``(ceil(rows / 64), n)`` words."""
-    rows, n = red.shape
-    n_words = -(-rows // 64)
-    packed_bytes = np.packbits(red, axis=0, bitorder="little")
-    padded = np.zeros((n_words * 8, n), dtype=np.uint8)
-    padded[: packed_bytes.shape[0]] = packed_bytes
-    shifted = padded.reshape(n_words, 8, n).astype(np.uint64)
-    words = np.zeros((n_words, n), dtype=np.uint64)
-    for byte in range(8):
-        words |= shifted[:, byte, :] << np.uint64(8 * byte)
-    return words
-
-
 def pack_matrix(red: np.ndarray) -> PackedColorings:
     """Pack a ``(trials, n)`` bool red matrix into bit-planes."""
     red = np.asarray(red, dtype=bool)
     if red.ndim != 2:
         raise ValueError(f"red matrix must be 2-D, got shape {red.shape}")
-    return PackedColorings(_pack_rows(red), red.shape[0])
+    trials, n = red.shape
+    n_words = -(-trials // 64)
+    octets = np.zeros((n_words * 8, n), dtype=np.uint8)
+    octets[: -(-trials // 8)] = np.packbits(red, axis=0, bitorder="little")
+    words = np.ascontiguousarray(octets.reshape(n_words, 8, n).transpose(0, 2, 1))
+    return PackedColorings(words.view("<u8").reshape(n_words, n).astype(np.uint64), trials)
 
 
 def unpack_lanes(bits: np.ndarray, trials: int) -> np.ndarray:
     """Unpack a ``(n_words,)`` lane mask into a ``(trials,)`` bool array."""
-    raw = np.ascontiguousarray(bits, dtype=np.uint64).astype("<u8", copy=False)
-    lanes = np.unpackbits(raw.view(np.uint8), bitorder="little")
-    return lanes[:trials].astype(bool)
+    return unpack_words(np.reshape(bits, (-1, 1)), trials)[:, 0]
 
 
 def unpack_matrix(packed: PackedColorings) -> np.ndarray:
     """Inverse of :func:`pack_matrix`: the ``(trials, n)`` bool matrix."""
-    columns = np.ascontiguousarray(packed.words.T).astype("<u8", copy=False)
-    bits = np.unpackbits(columns.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, : packed.trials].T.astype(bool)
+    return unpack_words(packed.words, packed.trials)
 
 
-def sample_packed(
-    source: ColoringSource,
-    n: int,
-    trials: int,
-    rng=None,
-    slab_trials: int = PACK_SLAB_TRIALS,
-) -> PackedColorings:
+def sample_packed(source: ColoringSource, n: int, trials: int, rng=None) -> PackedColorings:
     """Draw ``trials`` colorings from ``source`` directly into bit-planes.
 
-    Stream-identical to ``pack_matrix(source.sample_matrix(n, trials, rng))``
-    for every source: Bernoulli draws are filled slab-by-slab (64-trial
-    aligned) without ever materializing the full bool matrix —
-    ``Generator.random`` consumes one uniform per cell in row-major order,
-    so splitting the draw by rows leaves the stream unchanged — and other
-    sources fall back to packing their (validated) one-shot matrix.
+    Equal to ``pack_matrix(source.sample_matrix(n, trials, rng))`` for
+    every source: Bernoulli draws fill the lane words natively
+    (:meth:`~repro.core.distributions.BernoulliSource.sample_words`, which
+    the numpy path unpacks), other sources pack their (validated) one-shot
+    matrix.
     """
     if n != source.n:
         raise ValueError(
@@ -208,21 +184,22 @@ def sample_packed(
         )
     if trials < 0:
         raise ValueError("batch size must be nonnegative")
-    if slab_trials < 64 or slab_trials % 64:
-        raise ValueError(f"slab_trials must be a positive multiple of 64, got {slab_trials}")
     generator = as_numpy_generator(rng)
-    if not isinstance(source, BernoulliSource):
-        return pack_matrix(source.sample_matrix(n, trials, generator))
-    p = source.p
-    words = np.zeros((-(-trials // 64), n), dtype=np.uint64)
-    start = 0
-    while start < trials:
-        count = min(slab_trials, trials - start)
-        red = generator.random((count, n)) < p
-        word = start // 64
-        words[word : word + -(-count // 64)] = _pack_rows(red)
-        start += count
-    return PackedColorings(words, trials)
+    if isinstance(source, BernoulliSource):
+        return PackedColorings(source.sample_words(trials, generator), trials)
+    return pack_matrix(source.sample_matrix(n, trials, generator))
+
+
+def drop_lanes(packed: PackedColorings, lead: int) -> PackedColorings:
+    """``packed`` without its first ``lead`` (< 64) trials: every plane
+    shifted down ``lead`` lanes, the next word's low lanes carried in."""
+    if not lead:
+        return packed
+    words = packed.words
+    shifted = words >> np.uint64(lead)
+    shifted[:-1] |= words[1:] << np.uint64(64 - lead)
+    trials = packed.trials - lead
+    return PackedColorings(shifted[: -(-trials // 64)], trials)
 
 
 # -- bit-sliced arithmetic --------------------------------------------------------

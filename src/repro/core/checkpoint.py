@@ -32,13 +32,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.core.distributions import SAMPLER_STREAM
+
 _logger = logging.getLogger("repro.checkpoint")
 
 #: ``kind`` field of engine checkpoint files.
 CHECKPOINT_KIND = "engine_checkpoint"
 
-#: Version of the engine checkpoint JSON schema.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
+#: stream; version-1 runs drew floats and cannot be continued).
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 # -- atomic writes ----------------------------------------------------------------
@@ -173,6 +176,15 @@ def check_schema_version(
     return version
 
 
+def check_resumable(version: int, path: str | Path) -> None:
+    """Refuse an engine or sweep checkpoint of the float sampler stream."""
+    if version < 2:
+        raise ValueError(
+            f"{path}: schema version {version} predates the Bernoulli sampler "
+            f"stream {SAMPLER_STREAM!r}; resuming would mix two streams, so start afresh"
+        )
+
+
 # -- engine checkpoints -----------------------------------------------------------
 
 
@@ -241,7 +253,7 @@ class EngineCheckpoint:
     def from_payload(
         cls, payload: Mapping[str, Any], path: str | Path = "<payload>"
     ) -> "EngineCheckpoint":
-        check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path)
+        check_resumable(check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path), path)
         field = lambda key: required_field(payload, key, path)  # noqa: E731
         blob = field("pair_blob")
         return cls(

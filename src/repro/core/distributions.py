@@ -20,7 +20,7 @@ This module unifies them behind one protocol:
   int seed, a ``random.Random``, a numpy ``Generator`` or a per-cell
   stream from :mod:`repro.core.seeding`.
 * concrete sources for every failure scenario the repo knows: Bernoulli
-  (:func:`sample_bernoulli_matrix` is the single i.i.d. sampler),
+  (:meth:`BernoulliSource.sample_words` is the single i.i.d. sampler),
   exact-count, correlated whole-group failures, fixed adversarial sets and
   finite explicit distributions (vectorized CDF inversion).  The Yao/HQS
   hard families register their sources from :mod:`repro.analysis.yao` and
@@ -52,17 +52,73 @@ import numpy as np
 from repro.core.coloring import Coloring, ColoringDistribution, as_numpy_generator
 
 
-def sample_bernoulli_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
-    """Sample ``trials`` i.i.d. colorings as a ``(trials, n)`` bool matrix.
+#: Version tag of the Bernoulli draw stream, folded into the service's
+#: cache keys so results of another stream are never served for a seed.
+SAMPLER_STREAM = "bitplane-v1"
 
-    The canonical i.i.d. matrix sampler: one uniform per matrix entry, the
-    same stream :class:`BernoulliSource` draws for the same generator.
+#: Words (of 64 trials) per raw-draw slab of :meth:`BernoulliSource.sample_words`.
+_SLAB_WORDS = 64
+
+
+def sample_bernoulli_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
+    """Sample ``trials`` i.i.d. colorings as a ``(trials, n)`` bool matrix."""
+    return BernoulliSource(n, p).sample_matrix(n, trials, rng)
+
+
+def bernoulli_threshold(p: float) -> tuple[int, tuple[bool, ...]]:
+    """``B = ceil(p · 2^53)``, exactly, and its bits from ``2^52`` down to
+    its lowest set bit: a cell is red iff its 53-bit uniform ``V < B`` (with
+    probability ``B / 2^53``, that of ``random() < p``), which those
+    ``K(p) = 53 - tz(B)`` planes decide (none at p ∈ {0, 1})."""
+    numerator, denominator = float(p).as_integer_ratio()
+    threshold = -((-numerator << 53) // denominator)
+    if threshold in (0, 1 << 53):
+        return threshold, ()
+    lowest = (threshold & -threshold).bit_length() - 1
+    return threshold, tuple(bool(threshold >> bit & 1) for bit in range(52, lowest - 1, -1))
+
+
+def compare_planes(planes: np.ndarray, bits, lt=None, eq=None):
+    """Bit-sliced ``V < B`` over uint64 lanes, returning ``(lt, eq)``.
+
+    ``planes[..., j, :]`` holds bit ``52 - j`` of each lane's ``V`` and
+    ``bits[j]`` the matching bit of ``B``; ``lt`` marks lanes below ``B``,
+    ``eq`` lanes still tied (pass both back to continue with later planes).
+    Stops once no lane is tied, checked every fourth plane (a check costs
+    about as much as a plane's word ops).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability must be in [0, 1], got {p}")
-    if trials < 0:
-        raise ValueError("batch size must be nonnegative")
-    return as_numpy_generator(rng).random((trials, n)) < p
+    same = None
+    for j, bit in enumerate(bits):
+        plane = planes[..., j, :]
+        if eq is None:
+            lt = ~plane if bit else np.zeros_like(plane)
+            eq = plane.copy() if bit else ~plane
+            continue
+        if j % 4 == 0 and not eq.any():
+            break
+        if same is None:
+            same = np.empty_like(eq)
+        np.bitwise_and(eq, plane, out=same)
+        eq ^= same  # now eq & ~plane: a 0 bit where the prefix matched
+        if bit:
+            lt |= eq
+            eq, same = same, eq
+    return lt, eq
+
+
+def unpack_words(words: np.ndarray, trials: int) -> np.ndarray:
+    """``(n_words, n)`` lane words to the ``(trials, n)`` bool matrix: bit
+    ``t`` of ``words[w, e]`` is row ``64 w + t``, column ``e``.
+
+    Shifts each byte into its 8 rows rather than ``np.unpackbits`` along
+    a row axis, whose strided writes thrash the cache when ``n`` is near a
+    power of two (2-7x slower at ``n`` = 1023-1024).
+    """
+    n_words, n = words.shape
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(n_words, n, 8)
+    bits = octets.transpose(0, 2, 1)[:, :, None, :] >> np.arange(8, dtype=np.uint8)[:, None]
+    bits &= 1
+    return bits.reshape(64 * n_words, n)[:trials].view(bool)
 
 
 class ColoringSource(ABC):
@@ -85,11 +141,11 @@ class ColoringSource(ABC):
         """Size of the universe the source draws over."""
 
     @property
-    def uniforms_per_trial(self) -> int | None:
-        """Base uniforms ``_sample_matrix`` consumes per trial, when fixed.
+    def draws_per_word(self) -> int | None:
+        """Raw 64-bit draws ``_sample_matrix`` consumes per 64 trials, when fixed.
 
         The streaming engine (:mod:`repro.core.engine`) uses this to give
-        every *trial* — not every chunk — its own position in one
+        every 64-trial *word* — not every chunk — its own position in one
         ``PCG64`` stream, which makes chunked sampling byte-identical to a
         one-shot ``sample_matrix`` call regardless of chunk boundaries.
         Return ``None`` (the default) when the consumption is unknown or
@@ -135,6 +191,7 @@ class BernoulliSource(ColoringSource):
             raise ValueError(f"failure probability must be in [0, 1], got {p}")
         self._n = n
         self._p = p
+        self._bits = bernoulli_threshold(p)[1]
 
     @property
     def n(self) -> int:
@@ -145,11 +202,58 @@ class BernoulliSource(ColoringSource):
         return self._p
 
     @property
-    def uniforms_per_trial(self) -> int:
-        return self._n
+    def draws_per_word(self) -> int:
+        return len(self._bits) * self._n
 
     def _sample_matrix(self, trials, generator):
-        return generator.random((trials, self._n)) < self._p
+        return unpack_words(self.sample_words(trials, generator), trials)
+
+    def sample_words(self, trials: int, generator: np.random.Generator) -> np.ndarray:
+        """Draw ``trials`` colorings as ``(ceil(trials / 64), n)`` lane words
+        (zero past ``trials``): each raw draw is one bit-plane over 64 trials,
+        word ``w`` reading its ``K(p) · n`` draws as ``(plane, element)``."""
+        n_words = -(-trials // 64)
+        if not self._bits or not self._n:
+            words = np.full((n_words, self._n), (1 << 64) - 1 if self._p == 1 else 0, np.uint64)
+        else:
+            words = np.empty((n_words, self._n), dtype=np.uint64)
+            for first in range(0, n_words, _SLAB_WORDS):
+                count = min(_SLAB_WORDS, n_words - first)
+                words[first : first + count] = self._slab(generator.bit_generator, count)
+        if trials % 64:
+            words[-1] &= np.uint64((1 << trials % 64) - 1)
+        return words
+
+    def _slab(self, bit_generator, count: int) -> np.ndarray:
+        """``count`` words from the next ``count · K(p) · n`` draws.
+
+        A slab's lanes are settled after about ``log2(lanes)`` planes, so
+        each word draws only those and skips the rest with ``advance``; a
+        word with a lane still tied redraws its remaining planes from a
+        copy of the slab's starting state.  The words depend on the draws
+        only.  Only PCG64 streams skip (their ``advance(d)`` passes exactly
+        ``d`` raw draws); other bit generators draw every plane.
+        """
+        n, bits = self._n, self._bits
+        planes = len(bits)
+        head = min(planes, (64 * count * n).bit_length())
+        skips = isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+        if head == planes or not skips:
+            raw = bit_generator.random_raw(count * planes * n).reshape(count, planes, n)
+            return compare_planes(raw, bits)[0]
+        start = bit_generator.state
+        raw = np.empty((count, head, n), dtype=np.uint64)
+        for word in range(count):
+            raw[word] = bit_generator.random_raw(head * n).reshape(head, n)
+            bit_generator.advance((planes - head) * n)
+        lt, eq = compare_planes(raw, bits[:head])
+        for word in np.flatnonzero(eq.any(axis=1)):
+            rest = type(bit_generator)()
+            rest.state = start
+            rest.advance((int(word) * planes + head) * n)
+            tail = rest.random_raw((planes - head) * n).reshape(planes - head, n)
+            lt[word] = compare_planes(tail, bits[head:], lt[word], eq[word])[0]
+        return lt
 
     def sample(self, rng=None) -> Coloring:
         generator = as_numpy_generator(rng)
@@ -182,9 +286,9 @@ class FixedCountSource(ColoringSource):
         return self._count
 
     @property
-    def uniforms_per_trial(self) -> int:
+    def draws_per_word(self) -> int:
         # The degenerate counts return without touching the generator.
-        return 0 if self._count in (0, self._n) else self._n
+        return 0 if self._count in (0, self._n) else 64 * self._n
 
     def _sample_matrix(self, trials, generator):
         red = np.zeros((trials, self._n), dtype=bool)
@@ -247,8 +351,8 @@ class CorrelatedGroupsSource(ColoringSource):
         return self._group_p
 
     @property
-    def uniforms_per_trial(self) -> int:
-        return len(self._groups)
+    def draws_per_word(self) -> int:
+        return 64 * len(self._groups)
 
     def _sample_matrix(self, trials, generator):
         if not self._groups:
@@ -290,7 +394,7 @@ class AdversarialSource(ColoringSource):
         return self._failed
 
     @property
-    def uniforms_per_trial(self) -> int:
+    def draws_per_word(self) -> int:
         return 0
 
     def _sample_matrix(self, trials, generator):
@@ -334,8 +438,8 @@ class FiniteSource(ColoringSource):
         return self._distribution
 
     @property
-    def uniforms_per_trial(self) -> int:
-        return 1
+    def draws_per_word(self) -> int:
+        return 64
 
     def _sample_matrix(self, trials, generator):
         draws = generator.random(trials)

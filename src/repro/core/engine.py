@@ -32,15 +32,17 @@ Seeding guarantees (the "seed schedule"):
   ``start`` is the chunk's absolute first trial index — never from which
   worker ran it or how many chunks preceded it.  Sequential and
   ``jobs=N`` runs are therefore byte-identical.
-* Sources that declare a fixed RNG consumption per trial
-  (:attr:`~repro.core.distributions.ColoringSource.uniforms_per_trial`)
-  are sampled *trial-aligned*: the chunk starting at trial ``s`` uses a
-  ``PCG64(seed)`` stream advanced by ``s × uniforms_per_trial`` draws, so
-  trial ``t`` sees exactly the uniforms it would see in a single one-shot
-  ``sample_matrix`` call from ``default_rng(seed)``.  For these sources
-  the sampled inputs — and hence the means of algorithms whose kernels
-  consume no randomness — are byte-identical to one kernel call over that
-  single matrix *and* invariant under the chunk size.
+* Sources that declare a fixed RNG consumption per 64-trial word
+  (:attr:`~repro.core.distributions.ColoringSource.draws_per_word`) are
+  sampled *word-aligned*: the chunk starting at trial ``s`` uses a
+  ``PCG64(seed)`` stream advanced by ``(s // 64) × draws_per_word`` draws,
+  draws ``s % 64 + size`` trials and drops the leading ``s % 64``, so
+  trial ``t`` sees exactly the draws it would see in a single one-shot
+  ``sample_matrix`` call from ``default_rng(seed)`` (Bernoulli words read
+  ``K(p) · n`` bit-plane draws, one per element and plane).  For these
+  sources the sampled inputs — and hence the means of algorithms
+  whose kernels consume no randomness — are byte-identical to one kernel
+  call over that single matrix *and* invariant under the chunk size.
 * Sources with data-dependent consumption (the ``integers``-based hard
   families) fall back to a per-chunk spawned stream keyed by ``start``:
   still deterministic and jobs-invariant, but the chunk layout becomes
@@ -358,20 +360,22 @@ def _resolve_entropy(seed: int | None) -> int:
 
 def _chunk_sample_generator(
     source: ColoringSource, entropy: int, start: int
-) -> np.random.Generator:
-    """The sampling stream of the chunk starting at absolute trial ``start``.
+) -> tuple[np.random.Generator, int]:
+    """The sampling stream of the chunk starting at absolute trial ``start``
+    and the number of leading trials to draw and drop (``start % 64``).
 
-    Trial-aligned (``PCG64(entropy)`` advanced past the preceding trials'
-    draws) when the source declares a fixed per-trial consumption; a
+    Word-aligned (``PCG64(entropy)`` advanced past the preceding words'
+    draws) when the source declares a fixed per-word consumption; a
     per-chunk spawned stream otherwise.
     """
-    per_trial = source.uniforms_per_trial
-    if per_trial is None:
-        return np.random.default_rng(cell_sequence(entropy, "engine-sample", start))
+    per_word = source.draws_per_word
+    if per_word is None:
+        return np.random.default_rng(cell_sequence(entropy, "engine-sample", start)), 0
+    word, lead = divmod(start, 64)
     bit_generator = np.random.PCG64(entropy)
-    if start and per_trial:
-        bit_generator.advance(start * per_trial)
-    return np.random.Generator(bit_generator)
+    if word and per_word:
+        bit_generator.advance(word * per_word)
+    return np.random.Generator(bit_generator), lead
 
 
 def _chunk_algorithm_generator(entropy: int, start: int) -> np.random.Generator:
@@ -391,7 +395,7 @@ def _run_chunk(
 
     ``backend`` is a *resolved* backend ("numpy" or "bitpacked").  The
     bitpacked path draws the chunk directly into bit-planes from the same
-    trial-aligned stream and runs the bit-sliced kernel; its probe counts
+    word-aligned stream and runs the bit-sliced kernel; its probe counts
     and witness tallies are bit-identical to the numpy path for
     deterministic kernels, so the merged statistics don't depend on the
     backend.
@@ -399,16 +403,16 @@ def _run_chunk(
     from repro.core.batched import batched_or_sequential_run
 
     fire_fault("chunk", start)
-    sample_rng = _chunk_sample_generator(source, entropy, start)
+    sample_rng, lead = _chunk_sample_generator(source, entropy, start)
     if backend == "bitpacked":
-        from repro.core.bitpacked import run_packed, sample_packed
+        from repro.core.bitpacked import drop_lanes, run_packed, sample_packed
 
-        packed = sample_packed(source, source.n, size, sample_rng)
+        packed = drop_lanes(sample_packed(source, source.n, lead + size, sample_rng), lead)
         probes, witness_green = run_packed(
             algorithm, packed, _chunk_algorithm_generator(entropy, start)
         )
     else:
-        red = source.sample_matrix(source.n, size, sample_rng)
+        red = source.sample_matrix(source.n, lead + size, sample_rng)[lead:]
         probes, witness_green = batched_or_sequential_run(
             algorithm, red, _chunk_algorithm_generator(entropy, start)
         )

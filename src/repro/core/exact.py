@@ -328,7 +328,7 @@ class ExactSolver:
         """
         import numpy as np
 
-        from repro.core.bitpacked import _pack_rows
+        from repro.core.bitpacked import pack_matrix
 
         full = self._full
         rows = masks.size
@@ -346,7 +346,7 @@ class ExactSolver:
                 red_full[:, lane_sel[j]] |= bit_vals[r0 : r0 + rb, j : j + 1]
             green_full = mb[:, None] ^ red_full
             st = contains_table[green_full] | ~contains_table[full ^ red_full]
-            out[r0 : r0 + rb] = _pack_rows(st.T).T
+            out[r0 : r0 + rb] = pack_matrix(st.T).words.T
         return out
 
     def _packed_pc(self) -> int:

@@ -40,10 +40,11 @@ from repro.experiments.report import Row, row_from_dict, row_to_dict, violations
 #: ``status``/``error`` fields (degraded runs); version 3 adds the
 #: ``recovery`` counters (chunk retries / pool respawns / distributed
 #: lease reassignments observed by the run's engine calls); version 4
-#: adds the ``backend`` kernel-backend knob the run was invoked with.
+#: adds the ``backend`` kernel-backend knob the run was invoked with;
+#: version 5 marks numbers seeded on the bit-plane Bernoulli stream.
 #: Older artifacts still load, with ``"ok"`` status, empty recovery and
 #: backend ``"numpy"``.
-ARTIFACT_SCHEMA_VERSION = 4
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: ``kind`` field of unified experiment artifacts.
 ARTIFACT_KIND = "experiment"

@@ -37,6 +37,7 @@ from repro.algorithms import (
 from repro.core.batched import supports_batched
 from repro.core.checkpoint import (
     atomic_write_json,
+    check_resumable,
     check_schema_version,
     load_json_payload,
     remove_stale_tmp,
@@ -60,16 +61,17 @@ SWEEP_KIND = "p_sweep"
 #: per-cell ``status``/``error`` fields (degraded grids); version 2 adds
 #: the per-cell recovery counters (``retries_used``/``pool_respawns``/
 #: ``worker_reassignments``); version 3 adds the per-cell resolved kernel
-#: ``backend``.  Older artifacts still load, with every cell ``"ok"``
-#: (v0), all recovery counters zero (v0/v1) and backend ``"numpy"``
-#: (v0-v2).
-SWEEP_SCHEMA_VERSION = 3
+#: ``backend``; version 4 marks cells seeded on the bit-plane Bernoulli
+#: stream.  Older artifacts still load, with every cell ``"ok"`` (v0), all
+#: recovery counters zero (v0/v1) and backend ``"numpy"`` (v0-v2).
+SWEEP_SCHEMA_VERSION = 4
 
 #: ``kind`` field of sweep checkpoint files (grid-level resume).
 SWEEP_CHECKPOINT_KIND = "sweep_checkpoint"
 
-#: Version of the sweep checkpoint JSON schema.
-SWEEP_CHECKPOINT_SCHEMA_VERSION = 1
+#: Version of the sweep checkpoint JSON schema (2: bit-plane Bernoulli
+#: stream; version-1 grids cannot be resumed).
+SWEEP_CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ def save_sweep_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> Path
 def load_sweep_checkpoint(path: str | Path) -> SweepCheckpoint:
     """Load a sweep checkpoint; strict about kind, schema and fields."""
     payload = load_json_payload(path, SWEEP_CHECKPOINT_KIND)
-    check_schema_version(payload, SWEEP_CHECKPOINT_SCHEMA_VERSION, path)
+    check_resumable(check_schema_version(payload, SWEEP_CHECKPOINT_SCHEMA_VERSION, path), path)
     return SweepCheckpoint(
         config=dict(required_field(payload, "config", path)),
         cells=tuple(

@@ -33,6 +33,7 @@ from repro.core.checkpoint import (
     required_field,
     sweep_stale_tmp,
 )
+from repro.core.distributions import SAMPLER_STREAM
 
 _logger = logging.getLogger("repro.service.cache")
 
@@ -54,8 +55,9 @@ def canonical_json(payload: Any) -> str:
 
 
 def cache_key(params: dict) -> str:
-    """Content address of a resolved request's parameters."""
-    return hashlib.blake2s(canonical_json(params).encode()).hexdigest()
+    """Content address of a resolved request's parameters and of the
+    Bernoulli sampler stream, so results of another stream miss."""
+    return hashlib.blake2s(f"{SAMPLER_STREAM}:{canonical_json(params)}".encode()).hexdigest()
 
 
 def result_crc(result: dict) -> int:

@@ -107,7 +107,7 @@ class TestSamplePacked:
     @pytest.mark.parametrize("trials", [1, 64, 70, 5000])
     def test_bernoulli_stream_identical_to_matrix_draw(self, trials):
         source = BernoulliSource(13, 0.35)
-        packed = sample_packed(source, 13, trials, rng=17, slab_trials=1024)
+        packed = sample_packed(source, 13, trials, rng=17)
         expected = source.sample_matrix(13, trials, np.random.default_rng(17))
         np.testing.assert_array_equal(unpack_matrix(packed), expected)
 
@@ -122,8 +122,9 @@ class TestSamplePacked:
         source = BernoulliSource(8, 0.5)
         with pytest.raises(ValueError, match="n=8"):
             sample_packed(source, 9, 64)
-        with pytest.raises(ValueError, match="multiple of 64"):
-            sample_packed(source, 8, 64, slab_trials=100)
+        # The slab size is internal: no keyword sizes it.
+        with pytest.raises(TypeError, match="slab_trials"):
+            sample_packed(source, 8, 64, slab_trials=1024)
 
 
 # -- bit-sliced arithmetic and popcount -------------------------------------------

@@ -91,21 +91,26 @@ class TestChunkInvariance:
         # reproduces exactly.
         system = TreeSystem(3)
         source = build_source("tree_hard", system, 0.5)
-        assert source.uniforms_per_trial is None
+        assert source.draws_per_word is None
         a = stream_probes(ProbeTree(system), source, trials=64, chunk_size=16, seed=7)
         b = stream_probes(ProbeTree(system), source, trials=64, chunk_size=16, seed=7)
         assert a.mean == b.mean and a.histogram == b.histogram
 
     def test_aligned_source_declarations(self):
         maj = MajoritySystem(21)
-        assert build_source("bernoulli", maj, 0.3).uniforms_per_trial == 21
-        assert build_source("fixed_count", maj, 0.3).uniforms_per_trial == 21
-        assert build_source("adversarial", maj, 0.3).uniforms_per_trial == 0
+        # Bernoulli reads K(p) bit-planes of 21 draws per 64-trial word:
+        # K(0.3) = 53 - tz(ceil(0.3 * 2^53)) = 52, K(1/2) = 1, K(0) = K(1) = 0.
+        assert build_source("bernoulli", maj, 0.3).draws_per_word == 52 * 21
+        assert build_source("bernoulli", maj, 0.5).draws_per_word == 21
+        assert build_source("bernoulli", maj, 0.0).draws_per_word == 0
+        assert build_source("bernoulli", maj, 1.0).draws_per_word == 0
+        assert build_source("fixed_count", maj, 0.3).draws_per_word == 64 * 21
+        assert build_source("adversarial", maj, 0.3).draws_per_word == 0
         groups = build_source("correlated_groups", maj, 0.3)
-        assert groups.uniforms_per_trial == len(groups.groups)
+        assert groups.draws_per_word == 64 * len(groups.groups)
         # Degenerate exact counts never touch the generator.
-        assert FixedCountSource(9, 0).uniforms_per_trial == 0
-        assert FixedCountSource(9, 9).uniforms_per_trial == 0
+        assert FixedCountSource(9, 0).draws_per_word == 0
+        assert FixedCountSource(9, 9).draws_per_word == 0
 
 
 class TestShardInvariance:
@@ -381,7 +386,7 @@ class TestSourceContract:
             def _sample_matrix(self, trials, generator):
                 return generator.random((trials, 9)) < 0.5
 
-        assert Custom().uniforms_per_trial is None
+        assert Custom().draws_per_word is None
         result = stream_probes(
             ProbeMaj(MajoritySystem(9)), Custom(), trials=40, chunk_size=8, seed=1
         )

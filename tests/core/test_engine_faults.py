@@ -18,6 +18,7 @@ The load-bearing claims (ISSUE 6):
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -303,6 +304,15 @@ class TestInterruptionSemantics:
             resume_stream(checkpoint)
         # Every remaining backend is byte-identical, so naming one resumes it.
         assert _same_statistics(resume_stream(checkpoint, backend="numpy"), _baseline())
+
+    def test_checkpoint_from_the_float_sampler_stream_fails_loudly(self, tmp_path):
+        checkpoint = tmp_path / "run.ckpt"
+        _baseline(checkpoint_path=checkpoint)
+        payload = json.loads(checkpoint.read_text())
+        payload["schema"] = 1
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="run.ckpt.*sampler stream"):
+            resume_stream(checkpoint)
 
     def test_checkpoint_written_without_pair_blob_refuses_cli_resume(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"

@@ -167,6 +167,17 @@ class TestCheckpointLoader:
         with pytest.raises(ValueError, match="kind"):
             load_sweep_checkpoint(path)
 
+    def test_checkpoint_from_the_float_sampler_stream_refused(self, tmp_path):
+        # Version-1 grids drew Bernoulli floats; resuming one would mix its
+        # cells with cells of the bit-plane stream.
+        path = tmp_path / "sweep.ckpt"
+        run_sweep("tree", checkpoint_path=path, **GRID)
+        payload = json.loads(path.read_text())
+        payload["schema"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="sweep.ckpt.*sampler stream"):
+            run_sweep("tree", resume=path, **GRID)
+
 
 class TestRecoveryCounters:
     def test_faulted_cell_records_retries_and_artifact_round_trips(self, tmp_path):

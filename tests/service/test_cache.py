@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro.service.cache import ResultCache, cache_key, canonical_json, result_crc
@@ -18,6 +19,16 @@ def test_cache_key_ignores_dict_ordering():
 
 def test_cache_key_separates_different_parameters():
     assert cache_key(PARAMS) != cache_key({**PARAMS, "seed": 1})
+
+
+def test_entry_keyed_before_the_sampler_stream_change_misses(tmp_path):
+    # Pre-change keys hashed the parameters alone; the result stored there
+    # came from the float Bernoulli stream, which the seed no longer gives.
+    cache = ResultCache(tmp_path)
+    old_key = hashlib.blake2s(canonical_json(PARAMS).encode()).hexdigest()
+    cache.put(old_key, PARAMS, RESULT)
+    assert cache_key(PARAMS) != old_key
+    assert cache.get(cache_key(PARAMS)) is None
 
 
 def test_canonical_json_is_compact_and_sorted():
