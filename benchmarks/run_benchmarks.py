@@ -19,7 +19,7 @@ Sections:
 * ``batched_gates`` — the level-synchronous gate engine
   (:mod:`repro.core.batched_gates`) versus the recursive per-trial loops
   for Probe_Tree / R_Probe_Tree on ``Tree(h=9)`` (n = 1023) and
-  Probe_HQS / IR_Probe_HQS on ``HQS(h=6)`` (n = 729);
+  Probe_HQS / R_Probe_HQS / IR_Probe_HQS on ``HQS(h=6)`` (n = 729);
 * ``coloring_sampling`` — ``Coloring.random`` at ``n = 2000`` and the
   i.i.d. matrix sampler ``sample_bernoulli_matrix`` (reported as
   ``random_batch_seconds``);
@@ -78,6 +78,7 @@ from repro.algorithms import (  # noqa: E402
     ProbeHQS,
     ProbeMaj,
     ProbeTree,
+    RProbeHQS,
     RProbeTree,
 )
 from repro.core.coloring import Coloring  # noqa: E402
@@ -202,6 +203,7 @@ def bench_batched_gates(quick: bool) -> list[dict]:
         ("ProbeTree", ProbeTree(TreeSystem(tree_height))),
         ("RProbeTree", RProbeTree(TreeSystem(tree_height))),
         ("ProbeHQS", ProbeHQS(HQS(hqs_height))),
+        ("RProbeHQS", RProbeHQS(HQS(hqs_height))),
         ("IRProbeHQS", IRProbeHQS(HQS(hqs_height))),
     ]
     return _bench_batched_vs_loop(cases, trials)

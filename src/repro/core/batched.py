@@ -167,17 +167,20 @@ def kernel_scratch(algorithm: ProbingAlgorithm) -> dict:
     return scratch
 
 
-def scratch_ones(algorithm: ProbingAlgorithm, shape: tuple[int, ...]) -> np.ndarray:
-    """A cached all-ones int64 array of ``shape``.
+def scratch_ones(
+    algorithm: ProbingAlgorithm, shape: tuple[int, ...], dtype: type[np.integer]
+) -> np.ndarray:
+    """A cached all-ones array of ``shape`` and ``dtype``.
 
     The returned buffer is shared across calls and is read-only — writing
     to it raises, so a kernel that mutates its leaf-level probe counts
-    fails loudly instead of corrupting every later chunk.
+    fails loudly instead of corrupting every later chunk.  A request for
+    another shape or dtype replaces it.
     """
     scratch = kernel_scratch(algorithm)
     ones = scratch.get("ones")
-    if ones is None or ones.shape != shape:
-        ones = np.ones(shape, dtype=np.int64)
+    if ones is None or ones.shape != shape or ones.dtype != dtype:
+        ones = np.ones(shape, dtype=dtype)
         ones.flags.writeable = False
         scratch["ones"] = ones
     return ones

@@ -7,46 +7,48 @@ would return and the number of probes it would spend — depends only on the
 same pair at the node's children (and, for IR_Probe_HQS, grandchildren).
 Evaluating one tree level at a time over a whole ``(trials, n)`` coloring
 matrix therefore turns a batch of recursive evaluations into ``O(height)``
-rounds of numpy arithmetic, one column slice per level, with per-level
-masks implementing "skip the third child when the first two agree" and
-per-trial index matrices implementing the uniform order choices of the
-randomized variants.
+rounds of numpy arithmetic, one column slice per level.
 
-Per-node recurrences (``e`` = the node's own color, ``C``/``P`` = child
-value/probes, colors stored as booleans with ``True`` = red):
+Every level step follows three rules:
 
-* **Probe_Tree** (Prop. 3.6): probe the root, recurse right, recurse left
-  only on disagreement::
+* **Values are majorities.**  A Tree node returns ``majority(e, left,
+  right)`` and an HQS gate ``majority(c0, c1, c2)`` whatever order the
+  algorithm probes them in, so the value is one ``np.where`` and never
+  depends on the order choice.
+* **Probes are a sum minus a skip.**  A node spends the probes of all its
+  parts (children, plus the root element on a Tree) less the part it
+  skips because the first two it evaluated agree (``e`` = the node's own
+  color, ``C``/``P`` = child value/probes, ``True`` = red)::
 
-      P(v) = 1 + P(right) + [C(right) != e] * P(left)
-      C(v) = e                if C(right) == e else C(left)
+      Probe_Tree    P = 1 + P(right) + [C(right) != e] * P(left)
+      R_Probe_Tree  P = P(left) * ~(k == 0 & C(right) == e)
+                      + P(right) * ~(k == 1 & C(left) == e)
+                      + (k != 2 | C(left) != C(right))
+      Probe_HQS     P = P(c0) + P(c1) + P(c2) * [C(c0) != C(c1)]
+      R_Probe_HQS   P = sum_i P(ci) * ~(THIRD[k] == i & the other two agree)
 
-* **R_Probe_Tree** (Thm. 4.7): a uniform choice among (root, right)-then-
-  left, (root, left)-then-right and (left, right)-then-root, drawn as a
-  per-(trial, node) integer matrix.
+  where R_Probe_Tree's ``k`` picks (root, right)-then-left,
+  (root, left)-then-right or (left, right)-then-root, and R_Probe_HQS's
+  ``k`` indexes the 6 permutations of the gate's children, of which
+  ``THIRD[k]`` is the one evaluated last.
+* **Counters are narrow.**  A node never spends more probes than its
+  subtree has elements, so counts are held in :func:`probe_dtype` of
+  ``n`` (``int16`` below ``2**15`` elements) and widened to ``int64``
+  only for the root's column.
 
-* **Probe_HQS** (Thm. 3.8): evaluate the first two children of the 2-of-3
-  gate, the third only on disagreement::
+IR_Probe_HQS (Fig. 8) evaluates a random child ``r1``, peeks at one random
+grandchild of a second random child ``r2``, then either finishes ``r2`` or
+jumps to ``r3`` depending on whether the peek agreed with ``r1``.  Its
+level step therefore consumes *two* levels of bottom-up state — the
+children's standalone ``(value, probes)`` and the grandchildren's — and
+gathers ``r1``/``r2``/``r3`` and ``r2``'s grandchildren with
+``take_along_axis``.
 
-      P(v) = P(c1) + P(c2) + [C(c1) != C(c2)] * P(c3)
-      C(v) = majority(C(c1), C(c2), C(c3))
-
-* **R_Probe_HQS** (Fig. 7): the same gate rule after a uniform per-gate
-  permutation of the three children (an index into the 6 permutations of
-  ``(0, 1, 2)``, gathered with ``take_along_axis``).
-
-* **IR_Probe_HQS** (Fig. 8): evaluate a random child ``r1``, peek at one
-  random grandchild of a second random child ``r2``, then either finish
-  ``r2`` or jump to ``r3`` depending on whether the peek agreed with
-  ``r1``.  The level step therefore consumes *two* levels of bottom-up
-  state: the children's standalone ``(value, probes)`` and the
-  grandchildren's, from which the conditional finishing cost of ``r2``
-  is assembled without ever evaluating it as a standalone subtree.
-
-The deterministic kernels reproduce the recursive implementations
-*trial-exactly* (identical probe count and witness color per row); the
-randomized ones draw their order choices from the same distributions, so
-they match in distribution but not per-seed.  Both claims are pinned by
+The randomized kernels draw one ``generator.integers(3)`` (Tree) or
+``generator.integers(6)`` (HQS; two per IR level) matrix per level, in
+level order.  The deterministic kernels reproduce the recursive
+implementations *trial-exactly*; the randomized ones match them in
+distribution, and per seed are pinned by golden digests — both in
 ``tests/core/test_batched_gates.py``.
 
 Kernels follow the uniform signature ``kernel(algorithm, red, rng)`` and
@@ -67,86 +69,75 @@ PERMUTATIONS_3 = np.array(
     [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]],
     dtype=np.intp,
 )
+#: The child each permutation evaluates last: ``[2, 1, 2, 0, 1, 0]``.
+THIRD = PERMUTATIONS_3[:, 2].astype(np.int8)
+
+
+def probe_dtype(n: int) -> type[np.signedinteger]:
+    """The narrowest counter that holds any probe count of an ``n``-element
+    system: a node never spends more probes than its subtree has elements."""
+    return np.int16 if n < 2**15 else np.int32
+
+
+def _leaf_ones(algorithm, shape: tuple[int, ...]) -> np.ndarray:
+    """Leaf-level probe counts: the algorithm's shared read-only ones-buffer
+    in its :func:`probe_dtype`."""
+    from repro.core.batched import scratch_ones
+
+    return scratch_ones(algorithm, shape, probe_dtype(algorithm.system.n))
+
+
+def _result(value: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root's ``(probes as int64, witness_green)``."""
+    return probes[:, 0].astype(np.int64), ~value[:, 0]
 
 
 # -- binary Tree system ------------------------------------------------------------
 
 
-def _tree_leaf_level(
-    algorithm, red: np.ndarray, height: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _tree_leaf_level(algorithm, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Initial ``(value, probes)`` arrays for the tree's leaf level.
 
     Heap node ``v`` is universe element ``v`` (column ``v - 1``); the
-    leaves of a height-``h`` tree are nodes ``2^h .. 2^(h+1) - 1``.  The
-    all-ones probe buffer is read-only in every level step, so it is
-    reused across chunk invocations via the kernel scratch (except for
-    height 0, where it is the returned result itself).
+    leaves of a height-``h`` tree are nodes ``2^h .. 2^(h+1) - 1``.
     """
-    first = 1 << height
+    first = 1 << algorithm.system.height
     value = red[:, first - 1 : 2 * first - 1]
-    probes = _leaf_ones(algorithm, value.shape, height)
-    return value, probes
-
-
-def _leaf_ones(algorithm, shape: tuple[int, ...], height: int) -> np.ndarray:
-    """Leaf-level probe counts: a reusable ones-buffer for nonzero heights."""
-    from repro.core.batched import scratch_ones
-
-    if height == 0:
-        # The buffer would be returned to the caller directly; hand out a
-        # fresh array rather than a view of the shared scratch.
-        return np.ones(shape, dtype=np.int64)
-    return scratch_ones(algorithm, shape)
+    return value, _leaf_ones(algorithm, value.shape)
 
 
 def probe_tree_kernel(algorithm, red: np.ndarray, rng=None):
     """Algorithm Probe_Tree (Prop. 3.6), one vector step per tree level."""
-    system = algorithm.system
-    value, probes = _tree_leaf_level(algorithm, red, system.height)
-    for depth in range(system.height - 1, -1, -1):
+    value, probes = _tree_leaf_level(algorithm, red)
+    for depth in range(algorithm.system.height - 1, -1, -1):
         lo = 1 << depth
         elem = red[:, lo - 1 : 2 * lo - 1]
         left_v, right_v = value[:, 0::2], value[:, 1::2]
-        left_p, right_p = probes[:, 0::2], probes[:, 1::2]
         right_matches = right_v == elem
         value = np.where(right_matches, elem, left_v)
-        probes = 1 + right_p + np.where(right_matches, 0, left_p)
-    return probes[:, 0], ~value[:, 0]
+        probes = 1 + probes[:, 1::2] + probes[:, 0::2] * ~right_matches
+    return _result(value, probes)
 
 
 def r_probe_tree_kernel(algorithm, red: np.ndarray, rng=None):
     """Algorithm R_Probe_Tree (Thm. 4.7): per-(trial, node) uniform choice
     among the three evaluation orders."""
     generator = as_numpy_generator(rng)
-    system = algorithm.system
-    value, probes = _tree_leaf_level(algorithm, red, system.height)
-    for depth in range(system.height - 1, -1, -1):
+    value, probes = _tree_leaf_level(algorithm, red)
+    for depth in range(algorithm.system.height - 1, -1, -1):
         lo = 1 << depth
         elem = red[:, lo - 1 : 2 * lo - 1]
         left_v, right_v = value[:, 0::2], value[:, 1::2]
-        left_p, right_p = probes[:, 0::2], probes[:, 1::2]
         choice = generator.integers(3, size=elem.shape)
-        right_first = right_v == elem  # choice 0: (root, right) then left
-        left_first = left_v == elem  # choice 1: (root, left) then right
-        subtrees_agree = left_v == right_v  # choice 2: (left, right) then root
-        value = np.select(
-            [choice == 0, choice == 1],
-            [
-                np.where(right_first, elem, left_v),
-                np.where(left_first, elem, right_v),
-            ],
-            default=np.where(subtrees_agree, left_v, elem),
-        )
-        probes = np.select(
-            [choice == 0, choice == 1],
-            [
-                1 + right_p + np.where(right_first, 0, left_p),
-                1 + left_p + np.where(left_first, 0, right_p),
-            ],
-            default=left_p + right_p + np.where(subtrees_agree, 0, 1),
-        )
-    return probes[:, 0], ~value[:, 0]
+        right_matches = right_v == elem
+        # Choice 0 skips the left subtree, choice 1 the right one, choice 2
+        # the root; each only when the first two probed nodes agree.
+        skip_left = (choice == 0) & right_matches
+        skip_right = (choice == 1) & (left_v == elem)
+        probes = probes[:, 0::2] * ~skip_left + probes[:, 1::2] * ~skip_right
+        probes += (choice != 2) | (left_v != right_v)
+        value = np.where(right_matches, elem, left_v)
+    return _result(value, probes)
 
 
 # -- HQS (ternary 2-of-3 gate tree) ---------------------------------------------------
@@ -157,39 +148,34 @@ def _hqs_gate_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One 2-then-3 gate level; ``generator`` draws the per-gate shuffle
     (``None`` for the deterministic left-to-right order)."""
-    trials, width = value.shape
-    gates = width // 3
-    values = value.reshape(trials, gates, 3)
-    costs = probes.reshape(trials, gates, 3)
-    if generator is not None:
-        order = PERMUTATIONS_3[generator.integers(6, size=(trials, gates))]
-        values = np.take_along_axis(values, order, axis=2)
-        costs = np.take_along_axis(costs, order, axis=2)
-    first_two_agree = values[..., 0] == values[..., 1]
-    new_value = np.where(first_two_agree, values[..., 0], values[..., 2])
-    new_probes = (
-        costs[..., 0] + costs[..., 1] + np.where(first_two_agree, 0, costs[..., 2])
-    )
-    return new_value, new_probes
+    v0, v1, v2 = value[:, 0::3], value[:, 1::3], value[:, 2::3]
+    c0, c1, c2 = probes[:, 0::3], probes[:, 1::3], probes[:, 2::3]
+    first_two_agree = v0 == v1
+    if generator is None:
+        new_probes = c0 + c1 + c2 * ~first_two_agree
+    else:
+        third = THIRD[generator.integers(6, size=v0.shape)]
+        new_probes = c0 * ~((third == 0) & (v1 == v2))
+        new_probes += c1 * ~((third == 1) & (v0 == v2))
+        new_probes += c2 * ~((third == 2) & first_two_agree)
+    return np.where(first_two_agree, v0, v2), new_probes
 
 
 def probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
     """Algorithm Probe_HQS (Thm. 3.8): deterministic 2-then-3 gates."""
-    value = red
-    probes = _leaf_ones(algorithm, red.shape, algorithm.system.height)
+    value, probes = red, _leaf_ones(algorithm, red.shape)
     for _ in range(algorithm.system.height):
         value, probes = _hqs_gate_level(value, probes, None)
-    return probes[:, 0], ~value[:, 0]
+    return _result(value, probes)
 
 
 def r_probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
     """Algorithm R_Probe_HQS (Fig. 7): uniformly shuffled 2-then-3 gates."""
     generator = as_numpy_generator(rng)
-    value = red
-    probes = _leaf_ones(algorithm, red.shape, algorithm.system.height)
+    value, probes = red, _leaf_ones(algorithm, red.shape)
     for _ in range(algorithm.system.height):
         value, probes = _hqs_gate_level(value, probes, generator)
-    return probes[:, 0], ~value[:, 0]
+    return _result(value, probes)
 
 
 def ir_probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
@@ -203,10 +189,9 @@ def ir_probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
     generator = as_numpy_generator(rng)
     height = algorithm.system.height
     trials = red.shape[0]
-    grand_value = red
-    grand_probes = _leaf_ones(algorithm, red.shape, height)
+    grand_value, grand_probes = red, _leaf_ones(algorithm, red.shape)
     if height == 0:
-        return grand_probes[:, 0], ~grand_value[:, 0]
+        return _result(grand_value, grand_probes)
     # Height-1 gates have leaf children: no grandchildren to peek at.
     value, probes = _hqs_gate_level(grand_value, grand_probes, generator)
     for depth in range(height - 2, -1, -1):
@@ -233,16 +218,14 @@ def ir_probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
         peek_v, peek_p = gv[..., 0], gp[..., 0]
         # Cost of finishing r2's gate after the peek: second grandchild,
         # plus the third when the first two disagree.
-        finish_p = gp[..., 1] + np.where(gv[..., 0] == gv[..., 1], 0, gp[..., 2])
+        finish_p = gp[..., 1] + gp[..., 2] * (gv[..., 0] != gv[..., 1])
 
+        # Step 5 (the peek agrees with r1): finish r2, skip r3 if r2 agrees
+        # too.  Step 6: jump to r3, skip finishing r2 if r3 agrees with r1.
         peek_agrees = peek_v == v1
         grand_value, grand_probes = value, probes
-        probes = p1 + peek_p + np.where(
-            peek_agrees,
-            # Step 5: finish r2; evaluate r3 only if r2 disagrees with r1.
-            finish_p + np.where(v2 == v1, 0, p3),
-            # Step 6: jump to r3; finish r2 only if r3 disagrees with r1.
-            p3 + np.where(v3 == v1, 0, finish_p),
-        )
+        probes = p1 + peek_p + p3 + finish_p
+        probes -= p3 * (peek_agrees & (v2 == v1))
+        probes -= finish_p * (~peek_agrees & (v3 == v1))
         value = child_v.sum(axis=2) >= 2
-    return probes[:, 0], ~value[:, 0]
+    return _result(value, probes)

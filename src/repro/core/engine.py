@@ -459,12 +459,8 @@ class ChunkTask:
 
 def load_pair(blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource, str]:
     """Deserialize a :attr:`ChunkTask.payload` blob to ``(algorithm,
-    source, backend)``; pre-backend blobs (legacy checkpoints) were plain
-    ``(algorithm, source)`` pairs on numpy."""
-    pair = pickle.loads(blob)
-    if len(pair) == 2:
-        return pair[0], pair[1], "numpy"
-    return pair
+    source, backend)``."""
+    return pickle.loads(blob)
 
 
 #: Worker-side cache of deserialized (algorithm, source) pairs, keyed by

@@ -243,9 +243,15 @@ class TestBackendResolution:
             resolve_backend(ProbeMaj(MajoritySystem(5)), "cuda")
 
     def test_scratch_ones_is_read_only(self):
-        ones = scratch_ones(ProbeMaj(MajoritySystem(5)), (16,))
+        algorithm = ProbeMaj(MajoritySystem(5))
+        ones = scratch_ones(algorithm, (16,), np.int64)
         with pytest.raises(ValueError):
             ones[0] = 5
+        narrow = scratch_ones(algorithm, (16,), np.int16)
+        assert narrow.dtype == np.int16 and narrow is not ones
+        with pytest.raises(ValueError):
+            narrow[0] = 5
+        assert scratch_ones(algorithm, (16,), np.int16) is narrow
 
 
 # -- streaming-engine bit identity ------------------------------------------------

@@ -12,7 +12,6 @@ inline, :class:`ChunkPool` and the distributed coordinator — against the
 
 from __future__ import annotations
 
-import pickle
 import random
 import threading
 from concurrent.futures import Future
@@ -206,10 +205,6 @@ class TestChunkTask:
         assert algorithm.system.n == ALGORITHM.system.n
         assert (source.n, source.name) == (25, BernoulliSource(25, P).name)
         assert backend == "bitpacked"
-
-    def test_load_pair_reads_legacy_pairs_as_numpy(self):
-        blob = pickle.dumps((ALGORITHM, BernoulliSource(25, P)))
-        assert load_pair(blob)[2] == "numpy"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_matches_worker_entry_point(self, backend):
