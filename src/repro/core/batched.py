@@ -239,13 +239,18 @@ def _sequential_run(
 # -- majority / crumbling-wall kernels --------------------------------------------
 
 
-def _probe_maj_kernel(algorithm, red, rng=None):
+def _maj_columns(algorithm) -> np.ndarray:
+    """Probe_Maj's 0-based columns in probe order, built once per algorithm."""
     scratch = kernel_scratch(algorithm)
     columns = scratch.get("maj_columns")
     if columns is None:
         columns = np.asarray(algorithm.order, dtype=np.intp) - 1
         scratch["maj_columns"] = columns
-    return _majority_scan_kernel(algorithm.system.quorum_size, red[:, columns])
+    return columns
+
+
+def _probe_maj_kernel(algorithm, red, rng=None):
+    return _majority_scan_kernel(algorithm.system.quorum_size, red[:, _maj_columns(algorithm)])
 
 
 def _r_probe_maj_kernel(algorithm, red, rng=None):

@@ -6,24 +6,25 @@ scale the memory traffic of the ``(trials, n)`` matrices is the throughput
 ceiling.  This module stores a batch of colorings *transposed and packed*:
 a ``(n_words, n)`` ``uint64`` array where bit ``t`` of ``words[w, e]`` is
 the red bit of trial ``64 * w + t`` for element ``e + 1`` (one bit-plane
-per element, 64 trials per word).  Quorum tests then become word-parallel
-AND/XOR/popcount operations, and the per-trial probe counters become
-*bit-sliced* (carry-save) integers: a counter over 64 trials is a short
-list of ``uint64`` planes, least-significant bit first, and adding a 0/1
-mask into it is a ripple-carry chain of ``XOR``/``AND`` word ops.
+per element, 64 trials per word).
 
 Packed kernels exist for the deterministic algorithms only:
 
-* ``ProbeMaj`` — running red/green quorum counters over the probe order
-  with a per-trial early-exit mask (bias-offset counters: initialized to
-  ``2**B - target`` so the carry out of the top plane *is* the quorum
-  test);
-* ``ProbeCW`` — per-wall-row mode scan (XNOR against the mode bits,
-  popcount-driven early exit, mode flip on a matchless row);
 * ``ProbeTree`` / ``ProbeHQS`` — the level-synchronous gate recurrences of
-  :mod:`repro.core.batched_gates` with child probe counts carried as
-  bit-plane lists and combined by full-adder chains against the gate
-  conditions.
+  :mod:`repro.core.batched_gates` on the words themselves: gate values are
+  AND/XOR word ops, and child probe counts are *bit-sliced* (carry-save)
+  integers, short lists of ``uint64`` planes (least-significant bit first)
+  combined by full-adder chains under the gate conditions.
+* ``ProbeMaj`` / ``ProbeCW`` — each trial stops at an element that depends
+  on its colors, so these kernels transpose the chunk once into one row of
+  element bits per trial (:func:`lane_rows`) and find every trial's
+  stopping point with whole-array ops (a select on cumulative popcounts
+  for Probe_Maj, a count of trailing zeros per wall row for Probe_CW),
+  never looping over elements.
+
+Popcounts (and so ``ctz``) go through :func:`popcount64`, looked up at
+call time: ``np.bitwise_count`` where numpy has it, a 16-bit lookup table
+before numpy 2.0.
 
 Each packed kernel reproduces its numpy counterpart's per-trial probe
 counts and witness colors *exactly* (integer arithmetic both ways), and
@@ -49,6 +50,7 @@ than calling them directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,7 @@ from repro.algorithms.crumbling_walls import ProbeCW
 from repro.algorithms.hqs import ProbeHQS
 from repro.algorithms.majority import ProbeMaj
 from repro.algorithms.tree import ProbeTree
-from repro.core.batched import kernel_scratch, register_kernel
+from repro.core.batched import _cw_row_columns, _maj_columns, kernel_scratch, register_kernel
 from repro.core.coloring import as_numpy_generator
 from repro.core.distributions import BernoulliSource, ColoringSource, unpack_words
 
@@ -101,11 +103,6 @@ if hasattr(np, "bitwise_count"):
 
 else:  # pragma: no cover - numpy >= 2.0 in the pinned environment
     popcount64 = _popcount64_lut
-
-
-def count_ones(words: np.ndarray) -> int:
-    """Total number of set bits across ``words``."""
-    return int(popcount64(words).sum())
 
 
 # -- packed layout ----------------------------------------------------------------
@@ -202,54 +199,88 @@ def drop_lanes(packed: PackedColorings, lead: int) -> PackedColorings:
     return PackedColorings(shifted[: -(-trials // 64)], trials)
 
 
+# -- lane rows --------------------------------------------------------------------
+
+#: Delta swaps ``(shift, mask)`` that transpose the 8x8 bit block held in
+#: one uint64 (bit ``j`` of byte ``i`` <-> bit ``i`` of byte ``j``).
+_TRANSPOSE8 = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def lane_rows(planes: np.ndarray, n_bytes: int) -> np.ndarray:
+    """Transpose ``(n_words, m)`` bit-planes into ``(64 * n_words, n_bytes)``
+    per-lane byte rows: bit ``j`` of byte ``k`` in row ``t`` is lane ``t``'s
+    bit of element ``8k + j``, and elements past ``m`` are zero.
+
+    Each block of 8 elements x 8 lanes is gathered into one uint64 (byte
+    ``i`` holds element ``i``'s 8 lanes) and transposed by three delta
+    swaps, so a chunk costs a few whole-array passes.
+    """
+    n_words, m = planes.shape
+    buffer = np.zeros((n_words, 8 * n_bytes), dtype=np.uint64)
+    buffer[:, :m] = planes
+    # axes (word, element byte, element in block, lane byte) -> lane byte before element
+    blocks = buffer.view(np.uint8).reshape(n_words, n_bytes, 8, 8).transpose(0, 1, 3, 2)
+    x = np.ascontiguousarray(blocks).view(np.uint64)
+    t = buffer.reshape(x.shape)  # free once x holds the blocks
+    for shift, mask in _TRANSPOSE8:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    # axes (word, element byte, lane byte, lane in block) -> lane 64*word + 8*byte + bit
+    rows = buffer.view(np.uint8).reshape(n_words, 8, 8, n_bytes)
+    rows[...] = x.view(np.uint8).reshape(n_words, n_bytes, 8, 8).transpose(0, 2, 3, 1)
+    return rows.reshape(64 * n_words, n_bytes)
+
+
+def _select_table() -> np.ndarray:
+    """``table[b, r]``: the position of the ``(r + 1)``-th set bit of byte ``b``."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    byte, position = np.nonzero(bits)
+    table = np.zeros((256, 8), dtype=np.uint8)
+    table[byte, np.cumsum(bits, axis=1)[byte, position] - 1] = position
+    return table
+
+
+_SELECT = _select_table()
+
+#: Words per lane-row pass: the lane rows of 4,096 trials (the engine's
+#: default chunk) stay in cache, and a larger chunk runs slab by slab, so a
+#: pass costs the same per trial at any chunk size.
+_SLAB_WORDS = 64
+
+
+def _by_slab(kernel):
+    """Run a lane-row kernel over at most :data:`_SLAB_WORDS` words at a time."""
+
+    @functools.wraps(kernel)
+    def run(algorithm, packed: PackedColorings, rng=None):
+        parts = []
+        for w in range(0, max(packed.n_words, 1), _SLAB_WORDS):
+            trials = min(packed.trials - 64 * w, 64 * _SLAB_WORDS)
+            slab = PackedColorings(packed.words[w : w + _SLAB_WORDS], trials)
+            parts.append(kernel(algorithm, slab))
+        probes, witness_green = zip(*parts)
+        return np.concatenate(probes), np.concatenate(witness_green)
+
+    return run
+
+
+#: Widest run of a wall row read as one field: a field starts up to 7 bits
+#: into the 8 bytes read from its first byte, so 57 bits always fit.
+_FIELD_BITS = 57
+
+
 # -- bit-sliced arithmetic --------------------------------------------------------
 #
 # A "plane list" is a little-endian bit-sliced integer: planes[i] holds bit
 # i of a per-lane counter, each plane a uint64 array (one lane per trial).
-
-
-def accumulate_bit(planes: list[np.ndarray], bits: np.ndarray) -> None:
-    """``planes += bits`` in place (``bits`` is a 0/1-per-lane mask),
-    growing the plane list when the ripple carry overflows the top plane."""
-    carry = bits
-    for i, plane in enumerate(planes):
-        if not carry.any():
-            return
-        planes[i] = plane ^ carry
-        carry = plane & carry
-    if carry.any():
-        planes.append(carry)
-
-
-def counter_add(planes: list[np.ndarray], bits: np.ndarray) -> np.ndarray:
-    """``planes += bits`` in a fixed-width counter; returns the carry out
-    of the top plane (the per-lane overflow mask — see
-    :func:`threshold_counter`)."""
-    carry = bits
-    for i, plane in enumerate(planes):
-        planes[i] = plane ^ carry
-        carry = plane & carry
-    return carry
-
-
-def threshold_counter(target: int, shape: tuple[int, ...]) -> list[np.ndarray]:
-    """A bias-offset counter that overflows after exactly ``target`` adds.
-
-    Planes are initialized to ``2**B - target`` (``B`` = bit length of
-    ``target``) in every lane, so the ``target``-th :func:`counter_add`
-    increment carries out of the top plane — the carry mask *is* the
-    "count reached target" test, with no comparison pass.
-    """
-    if target < 1:
-        raise ValueError(f"threshold target must be positive, got {target}")
-    width = target.bit_length()
-    offset = (1 << width) - target
-    return [
-        np.full(shape, ALL_LANES, dtype=np.uint64)
-        if (offset >> i) & 1
-        else np.zeros(shape, dtype=np.uint64)
-        for i in range(width)
-    ]
 
 
 def planes_add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -300,63 +331,134 @@ def _ones_planes(shape: tuple[int, ...]) -> list[np.ndarray]:
 # -- packed kernels ---------------------------------------------------------------
 
 
+@_by_slab
 def packed_probe_maj_kernel(algorithm, packed: PackedColorings, rng=None):
-    """Algorithm Probe_Maj over bit-planes: red/green threshold counters
-    along the probe order, early exit once every trial lane has stopped."""
-    scratch = kernel_scratch(algorithm)
-    columns = scratch.get("maj_columns")
-    if columns is None:
-        columns = np.asarray(algorithm.order, dtype=np.intp) - 1
-        scratch["maj_columns"] = columns
+    """Algorithm Probe_Maj over lane rows: each trial stops at its majority
+    color's ``target``-th element in probe order.
+
+    Only the majority color reaches ``target = (n + 1) / 2`` (``n`` is odd).
+    Cumulative popcounts of each lane's 64-element words find the word
+    where it does, those of that word's bytes the byte, and a select table
+    the bit.  Padding bits past ``n`` read green but come after every real
+    element, so they never decide a trial.
+    """
     target = algorithm.system.quorum_size
-    words = packed.words
-    active = packed.valid_mask()
-    red_count = threshold_counter(target, active.shape)
-    green_count = threshold_counter(target, active.shape)
-    probes: list[np.ndarray] = []
-    witness_green = np.zeros_like(active)
-    for column in columns:
-        bits = words[:, column]
-        accumulate_bit(probes, active)
-        red_fire = counter_add(red_count, bits & active)
-        green_fire = counter_add(green_count, ~bits & active)
-        witness_green |= green_fire
-        active = active & ~(red_fire | green_fire)
-        if not count_ones(active):
-            break
-    return planes_to_counts(probes, packed.trials), unpack_lanes(
-        witness_green, packed.trials
+    trials = packed.trials
+    n_words = -(-packed.n // 64)
+    planes = packed.words[:, _maj_columns(algorithm)]
+    lane_words = lane_rows(planes, 8 * n_words)[:trials].view(np.uint64)
+    red = np.cumsum(popcount64(lane_words), axis=1)
+    red_wins = red[:, -1] >= target
+    majority = np.where(red_wins[:, None], red, np.arange(64, 64 * n_words + 1, 64) - red)
+    word_index = (majority >= target).argmax(axis=1)
+    lane = np.arange(trials)
+    word = lane_words[lane, word_index] ^ np.where(red_wins, np.uint64(0), ALL_LANES)
+    need = target - majority[lane, word_index] + popcount64(word)  # rank inside the word
+    octets = word.view(np.uint8).reshape(trials, 8)
+    byte_counts = popcount64(octets)
+    seen = np.cumsum(byte_counts, axis=1)
+    byte_index = (seen >= need[:, None]).argmax(axis=1)
+    rank = need - seen[lane, byte_index] + byte_counts[lane, byte_index] - 1
+    bit = _SELECT[octets[lane, byte_index], rank]
+    return 64 * word_index + 8 * byte_index + bit + 1, ~red_wins
+
+
+@dataclass(frozen=True)
+class _WallLayout:
+    """Where Probe_CW's rows below the top sit, built once per algorithm.
+
+    ``columns`` lists their elements row by row (``row_starts`` into it,
+    ``column_rows`` per entry).  Each row is read as one or more fields of
+    at most ``_FIELD_BITS`` bits: byte offset, bit shift and width in the
+    lane rows, and the fields that continue a wider row, grouped by depth.
+    """
+
+    top: int
+    columns: np.ndarray
+    row_starts: np.ndarray
+    column_rows: np.ndarray
+    n_bytes: int
+    field_bytes: np.ndarray
+    field_shifts: np.ndarray
+    field_widths: np.ndarray
+    field_sentinels: np.ndarray
+    continuations: list[np.ndarray]
+
+
+def _wall_layout(algorithm) -> _WallLayout:
+    scratch = kernel_scratch(algorithm)
+    layout = scratch.get("cw_layout")
+    if layout is not None:
+        return layout
+    top, *below = _cw_row_columns(algorithm)
+    widths = [columns.size for columns in below]
+    starts = np.cumsum([0] + widths)[:-1].astype(np.intp)
+    fields = [
+        (start + offset, min(_FIELD_BITS, width - offset), offset // _FIELD_BITS)
+        for start, width in zip(starts.tolist(), widths)
+        for offset in range(0, width, _FIELD_BITS)
+    ]
+    begin, width, depth = np.array(fields, dtype=np.int64).reshape(-1, 3).T
+    layout = _WallLayout(
+        top=int(top[0]),
+        columns=np.concatenate([np.empty(0, dtype=np.intp), *below]),
+        row_starts=starts,
+        column_rows=np.repeat(np.arange(len(below)), widths),
+        n_bytes=-(-sum(widths) // 8) + 7,  # every field's 8-byte window stays in the row
+        field_bytes=begin // 8,
+        field_shifts=(begin % 8).astype(np.uint64),
+        field_widths=width,
+        field_sentinels=~((np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)),
+        continuations=[np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1)],
     )
+    scratch["cw_layout"] = layout
+    return layout
 
 
+@_by_slab
 def packed_probe_cw_kernel(algorithm, packed: PackedColorings, rng=None):
-    """Algorithm Probe_CW over bit-planes: XNOR each row element against
-    the per-trial mode bits, stop lanes at their first match, flip the mode
-    where a row ran out without one."""
+    """Algorithm Probe_CW over lane rows: each row costs the position of its
+    first mode-colored element, or its width if it has none.
+
+    The mode entering a row is the color of the last monochromatic row
+    above it (the width-1 top row always is one), so all modes come from
+    word-parallel AND/OR reductions per row and a scan over rows.  XNOR
+    against the row's mode marks the elements that stop the row; after the
+    lane transpose a row is a bit field per lane, and a sentinel bit at its
+    width makes ``min(ctz + 1, width)`` its probe count.  The witness is
+    the final mode.
+    """
     if algorithm.randomized:
         raise ValueError(
             "the bitpacked Probe_CW kernel supports the deterministic "
             "in-row order only"
         )
-    from repro.core.batched import _cw_row_columns
-
-    row_columns = _cw_row_columns(algorithm)
+    layout = _wall_layout(algorithm)
     words = packed.words
-    valid = packed.valid_mask()
-    mode_red = words[:, row_columns[0][0]].copy()
-    probes: list[np.ndarray] = [valid.copy()]  # the width-1 top row
-    for columns in row_columns[1:]:
-        still = valid.copy()
-        for column in columns:
-            accumulate_bit(probes, still)
-            matches_mode = ~(words[:, column] ^ mode_red)
-            still = still & ~matches_mode
-            if not count_ones(still):
-                break
-        mode_red ^= still  # flip lanes that saw no mode-colored element
-    return planes_to_counts(probes, packed.trials), unpack_lanes(
-        ~mode_red & valid, packed.trials
+    trials = packed.trials
+    planes = words[:, layout.columns]
+    all_red = np.bitwise_and.reduceat(planes, layout.row_starts, axis=1)
+    any_red = np.bitwise_or.reduceat(planes, layout.row_starts, axis=1)
+    modes = np.empty_like(all_red)
+    mode = words[:, layout.top]
+    for row in range(modes.shape[1]):
+        modes[:, row] = mode
+        mode = all_red[:, row] | (mode & any_red[:, row])
+    matches = ~(planes ^ modes[:, layout.column_rows])
+    rows = lane_rows(matches, layout.n_bytes)[:trials]
+    # every byte offset's next 8 bytes as one uint64, without a copy
+    windows = np.ndarray(
+        (trials, layout.n_bytes - 7), dtype="<u8", buffer=rows, strides=(layout.n_bytes, 1)
     )
+    fields = (windows[:, layout.field_bytes] >> layout.field_shifts) | layout.field_sentinels
+    # popcount(x ^ (x - 1)) = ctz(x) + 1: up to the first match, or one past the width
+    reach = popcount64(fields ^ (fields - np.uint64(1)))
+    widths = layout.field_widths
+    cost = np.minimum(reach, widths)
+    for follow in layout.continuations:
+        before = follow - 1
+        cost[:, follow] *= (reach[:, before] > widths[before]) & (cost[:, before] > 0)
+    return 1 + cost.sum(axis=1), unpack_lanes(~mode, trials)
 
 
 def packed_probe_tree_kernel(algorithm, packed: PackedColorings, rng=None):

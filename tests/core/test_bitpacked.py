@@ -6,12 +6,16 @@ numpy backend's per-trial probe counts and witness colors exactly — and
 therefore identical histograms through the streaming engine under every
 chunk size, ``jobs=N`` and distributed split.  Randomized algorithms must
 be rejected loudly.  The packing layout, the slab sampler's RNG-stream
-equivalence, the bit-sliced arithmetic and the popcount fallback are
-pinned directly.
+equivalence, the bit-sliced arithmetic, the lane transpose and the popcount
+fallback are pinned directly.  The Probe_Maj and Probe_CW lane-row kernels
+also carry golden digests taken from the kernels they replaced, and every
+packed kernel is checked against ``run_on`` on every coloring of a small
+universe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import numpy as np
@@ -26,21 +30,25 @@ from repro.core.batched import (
     supports_batched,
 )
 from repro.core.bitpacked import (
+    PackedColorings,
     _popcount64_lut,
-    accumulate_bit,
-    count_ones,
-    counter_add,
+    lane_rows,
     pack_matrix,
     planes_add,
     planes_to_counts,
     popcount64,
     run_packed,
     sample_packed,
-    threshold_counter,
     unpack_matrix,
 )
-from repro.core.distributions import BernoulliSource, build_source, sample_bernoulli_matrix
-from repro.core.engine import stream_probes
+from repro.core.coloring import Coloring
+from repro.core.distributions import (
+    BernoulliSource,
+    build_source,
+    sample_bernoulli_matrix,
+    unpack_words,
+)
+from repro.core.engine import ChunkTask, stream_probes
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -131,17 +139,6 @@ class TestSamplePacked:
 
 
 class TestBitSliced:
-    def test_accumulate_and_unpack(self):
-        rng = np.random.default_rng(2)
-        planes: list[np.ndarray] = []
-        reference = np.zeros(100, dtype=np.int64)
-        for _ in range(13):
-            lanes = rng.random(100) < 0.6
-            bits = pack_matrix(lanes[:, None]).words[:, 0]
-            accumulate_bit(planes, bits)
-            reference += lanes
-        np.testing.assert_array_equal(planes_to_counts(planes, 100), reference)
-
     def test_planes_add_matches_integer_addition(self):
         rng = np.random.default_rng(4)
         a_val = rng.integers(0, 50, size=64)
@@ -157,19 +154,21 @@ class TestBitSliced:
         total = planes_add(planes_of(a_val), planes_of(b_val))
         np.testing.assert_array_equal(planes_to_counts(total, 64), a_val + b_val)
 
-    @pytest.mark.parametrize("target", [1, 2, 3, 7, 13])
-    def test_threshold_counter_fires_on_the_target_th_add(self, target):
-        ones = np.full(1, np.uint64(0xFFFFFFFFFFFFFFFF))
-        counter = threshold_counter(target, ones.shape)
-        for add in range(1, target + 1):
-            fired = counter_add(counter, ones)
-            assert bool(fired[0]) == (add == target)
-
     def test_popcount_lut_matches_bitwise_count(self):
         rng = np.random.default_rng(8)
         words = rng.integers(0, 2**64, size=200, dtype=np.uint64)
         np.testing.assert_array_equal(_popcount64_lut(words), popcount64(words))
-        assert count_ones(words) == int(popcount64(words).sum())
+
+    @pytest.mark.parametrize("n_words,m,n_bytes", [(1, 1, 1), (1, 8, 2), (2, 9, 2), (3, 100, 20)])
+    def test_lane_rows_is_the_bit_transpose(self, n_words, m, n_bytes):
+        rng = np.random.default_rng(m)
+        planes = rng.integers(0, 2**64, size=(n_words, m), dtype=np.uint64)
+        rows = lane_rows(planes, n_bytes)
+        bits = unpack_words(planes, 64 * n_words)  # (lane, element) bools
+        expected = np.zeros((64 * n_words, n_bytes), dtype=np.uint8)
+        expected[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        assert rows.dtype == np.uint8 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, expected)
 
 
 # -- kernel equivalence -----------------------------------------------------------
@@ -210,6 +209,173 @@ class TestKernelEquivalence:
         algorithm = RProbeCW(TriangSystem(4))
         with pytest.raises(ValueError, match="deterministic"):
             packed_probe_cw_kernel(algorithm, pack_matrix(np.zeros((64, algorithm.system.n), bool)))
+
+
+# -- Probe_Maj and Probe_CW lane-row kernels ---------------------------------------
+
+#: The two lane-row kernels' inputs: the paper's Maj(1001) and Triang(45),
+#: and a wall whose rows span several 56-bit fields (100 and 70 elements).
+LANE_ROW_SYSTEMS = {
+    "Maj1001": lambda: ProbeMaj(MajoritySystem(1001)),
+    "Triang45": lambda: ProbeCW(TriangSystem(45)),
+    "CW1-5-100-3-70": lambda: ProbeCW(CrumblingWall([1, 5, 100, 3, 70])),
+}
+
+# blake2s-128 over trials 1, 63, 65, 777, 4096 and 9000 (in that order) of
+# ``probes`` (as int64) followed by ``witness_green`` (as bool), on
+# ``sample_packed(BernoulliSource(n, p), n, trials, default_rng(trials))``.
+# Taken from the element-by-element bit-sliced kernels that the lane-row
+# kernels replaced.
+LANE_ROW_DIGESTS = {
+    ("Maj1001", 0.0): "95ccbb6d3843641a223b677ef4f7af8f",
+    ("Maj1001", 0.5): "e16a9b14b1bad577e36c7f0beaea1418",
+    ("Maj1001", 0.3): "aa3136bca3feb2e5794fdf037e90a493",
+    ("Maj1001", 1.0): "851a2f55523b05e0d5942ddafa3f6962",
+    ("Triang45", 0.0): "469956f8a6dc2e166ac3def9cca97f9d",
+    ("Triang45", 0.5): "0010e6aa25cf336ce37c323e2e614c54",
+    ("Triang45", 0.3): "0adabe3ff70fac23b60353ccce533fa0",
+    ("Triang45", 1.0): "e5df88b64f5e9816036df368f529821e",
+    ("CW1-5-100-3-70", 0.0): "3261cec252eb281b88b855e7e65ba85f",
+    ("CW1-5-100-3-70", 0.5): "0ed36403ee3ac5eb7ee622cdbf905006",
+    ("CW1-5-100-3-70", 0.3): "8356f1cfbc40c5f5eebb053404004c55",
+    ("CW1-5-100-3-70", 1.0): "46a3b67ec2bbb294792a632985dcefd2",
+}
+
+
+class TestLaneRowKernels:
+    @pytest.mark.parametrize("name,p", list(LANE_ROW_DIGESTS), ids=lambda v: str(v))
+    def test_output_matches_golden_digest(self, name, p):
+        algorithm = LANE_ROW_SYSTEMS[name]()
+        n = algorithm.system.n
+        digest = hashlib.blake2s(digest_size=16)
+        for trials in (1, 63, 65, 777, 4096, 9000):
+            packed = sample_packed(BernoulliSource(n, p), n, trials, np.random.default_rng(trials))
+            probes, witness_green = run_packed(algorithm, packed)
+            assert probes.dtype == np.int64 and witness_green.dtype == bool
+            assert probes.shape == witness_green.shape == (trials,)
+            # Set bits in the padding lanes past ``trials``: they never count.
+            dirty = PackedColorings(packed.words | ~packed.valid_mask()[:, None], trials)
+            dirty_probes, dirty_witness = run_packed(algorithm, dirty)
+            np.testing.assert_array_equal(dirty_probes, probes)
+            np.testing.assert_array_equal(dirty_witness, witness_green)
+            digest.update(probes.astype(np.int64).tobytes() + witness_green.tobytes())
+        assert digest.hexdigest() == LANE_ROW_DIGESTS[name, p]
+
+    @pytest.mark.parametrize(
+        "widths", [[1, 200], [1, 57, 3, 113, 64, 1], [1, 1, 1], [1]], ids=str
+    )
+    @pytest.mark.parametrize("flip", [0.0, 0.01, 0.05])
+    def test_walls_with_rare_flips(self, widths, flip):
+        # Each row is one color per trial with rare flips, so a row whose
+        # color differs from the mode is scanned deep, often past one field.
+        algorithm = ProbeCW(CrumblingWall(widths))
+        rng = np.random.default_rng(len(widths))
+        trials = 300
+        base = rng.random((trials, len(widths))) < 0.5
+        red = np.repeat(base, widths, axis=1) ^ (rng.random((trials, sum(widths))) < flip)
+        probes, witness = batched_run(algorithm, red)
+        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
+        np.testing.assert_array_equal(packed_probes, probes)
+        np.testing.assert_array_equal(packed_witness, witness)
+
+    @pytest.mark.parametrize("widths", [[1, 200], [1, 3, 130], [1, 5, 2, 121]], ids=str)
+    def test_first_match_at_every_position_of_a_long_row(self, widths):
+        # Rows above the long one are red, so the mode entering it is red.
+        # Lane k's long row is green before position k and red at k (the
+        # last lane has no red), with field boundaries at assorted shifts.
+        algorithm = ProbeCW(CrumblingWall(widths))
+        long_row, n = widths[-1], sum(widths)
+        red = np.random.default_rng(long_row).random((long_row + 1, n)) < 0.5
+        red[:, : n - long_row] = True
+        lanes = np.arange(long_row + 1)[:, None]
+        red[:, n - long_row :] &= np.arange(long_row) > lanes
+        red[lanes[:-1, 0], n - long_row + lanes[:-1, 0]] = True
+        probes, witness = batched_run(algorithm, red)
+        above = len(widths) - 1  # the top row and one probe per red row
+        assert list(probes) == [above + k + 1 for k in range(long_row)] + [above + long_row]
+        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
+        np.testing.assert_array_equal(packed_probes, probes)
+        np.testing.assert_array_equal(packed_witness, witness)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_maj_follows_a_custom_probe_order(self, order):
+        system = MajoritySystem(129)
+        elements = list(range(129, 0, -1))
+        if order == "shuffled":
+            elements = [int(e) for e in np.random.default_rng(3).permutation(elements)]
+        algorithm = ProbeMaj(system, order=elements)
+        red = sample_bernoulli_matrix(129, 0.5, 200, rng=4)
+        probes, witness = batched_run(algorithm, red)
+        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
+        np.testing.assert_array_equal(packed_probes, probes)
+        np.testing.assert_array_equal(packed_witness, witness)
+
+
+class TestLaneRowChunking:
+    """``stream_probes(backend="bitpacked")`` equals one packed pass over
+    every trial, whatever the chunk size and word alignment of each chunk."""
+
+    ALGORITHMS = {
+        "Maj65": ProbeMaj(MajoritySystem(65)),
+        "Triang8": ProbeCW(TriangSystem(8)),
+        "CW1-3-70-5": ProbeCW(CrumblingWall([1, 3, 70, 5])),
+    }
+
+    @staticmethod
+    def _one_shot(algorithm, source, trials, seed, start=0):
+        packed = sample_packed(
+            source, source.n, start + trials, np.random.default_rng(seed)
+        )
+        probes, witness_green = run_packed(algorithm, packed)
+        return list(np.bincount(probes[start:])), trials - int(witness_green[start:].sum())
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    @pytest.mark.parametrize("chunk_size", [1, 7, 63, 65, 777, 4096])
+    def test_every_chunk_size_matches_one_shot(self, name, chunk_size):
+        algorithm = self.ALGORITHMS[name]
+        source = BernoulliSource(algorithm.system.n, 0.3)
+        trials = 300 if chunk_size == 1 else 5000
+        result = stream_probes(
+            algorithm, source, trials=trials, chunk_size=chunk_size, seed=8,
+            backend="bitpacked",
+        )
+        assert (list(result.histogram), result.witness_red) == self._one_shot(
+            algorithm, source, trials, 8
+        )
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    @pytest.mark.parametrize("start", [37, 4096 + 5])
+    def test_unaligned_full_chunk(self, name, start):
+        algorithm = self.ALGORITHMS[name]
+        source = BernoulliSource(algorithm.system.n, 0.5)
+        stats = ChunkTask(algorithm, source, "bitpacked", 6).run(start, 4096)
+        assert (list(stats.histogram), stats.witness_red) == self._one_shot(
+            algorithm, source, 4096, 6, start
+        )
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        ProbeMaj(MajoritySystem(15)),
+        ProbeCW(CrumblingWall([1, 2, 3, 3, 3])),
+        ProbeCW(TriangSystem(5)),
+        ProbeTree(TreeSystem(3)),
+        ProbeHQS(HQS(2)),
+    ],
+    ids=lambda a: f"{a.name}-n{a.system.n}",
+)
+def test_every_coloring_through_the_packed_kernel(algorithm):
+    """Exhaustive, not sampled: each packed kernel against ``run_on`` on
+    every coloring of the universe."""
+    n = algorithm.system.n
+    # Trial t is the coloring with red mask t (element e red iff bit e - 1
+    # is set), so the packed words are the bit-planes of a counter.
+    counter = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    probes, witness_green = run_packed(algorithm, pack_matrix(counter))
+    runs = [algorithm.run_on(Coloring.from_red_mask(n, mask)) for mask in range(1 << n)]
+    np.testing.assert_array_equal(probes, [run.probes for run in runs])
+    np.testing.assert_array_equal(witness_green, [run.witness.is_green for run in runs])
 
 
 # -- backend registry and resolution ----------------------------------------------
@@ -397,8 +563,30 @@ class TestPopcountFallback:
         np.testing.assert_array_equal(packed_probes, probes)
         np.testing.assert_array_equal(packed_witness, witness)
 
-    def test_count_ones_uses_the_patched_popcount(self):
-        # count_ones resolves popcount64 at call time, so the fallback is
-        # actually exercised by the kernels above.
-        words = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
-        assert count_ones(words) == 65
+    def test_lane_row_kernels_call_the_patched_popcount(self, monkeypatch):
+        # The Maj and CW kernels resolve ``popcount64`` at call time, so the
+        # LUT above is what they ran on.
+        from repro.core import bitpacked
+
+        calls = []
+
+        def counting(words):
+            calls.append(np.shape(words))
+            return _popcount64_lut(words)
+
+        monkeypatch.setattr(bitpacked, "popcount64", counting)
+        for algorithm in (ProbeMaj(MajoritySystem(25)), ProbeCW(TriangSystem(8))):
+            calls.clear()
+            run_packed(algorithm, pack_matrix(np.ones((70, algorithm.system.n), bool)))
+            assert calls, algorithm.name
+
+    @pytest.mark.parametrize("case", PACKED_CASES, ids=_case_id)
+    def test_kernels_run_on_numpy_without_bitwise_count(self, case, monkeypatch):
+        # numpy < 2.0 (which setup.py allows) has no ``np.bitwise_count``.
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        algorithm, p = case
+        red = sample_bernoulli_matrix(algorithm.system.n, p, 130, rng=37)
+        probes, witness = batched_run(algorithm, red)
+        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
+        np.testing.assert_array_equal(packed_probes, probes)
+        np.testing.assert_array_equal(packed_witness, witness)

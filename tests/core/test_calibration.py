@@ -6,6 +6,8 @@ exact expectation ``E_p[probes]``, computed independently of every kernel by
 enumerating all ``2^n`` colorings through ``algorithm.run_on`` and weighting
 each by ``p^r (1 - p)^(n - r)``.  Over 200 fixed seeds the engine's 95%
 confidence interval must cover that value at close to its nominal rate.
+Each case names the backend it runs on; the ProbeCW case runs the
+bitpacked lane-row kernel.
 
 The randomized gate algorithms R_Probe_Tree and R_Probe_HQS get the same
 check against an exact oracle: their order choices are independent per
@@ -22,10 +24,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from repro.algorithms import ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
+from repro.algorithms import ProbeCW, ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
-from repro.systems import HQS, MajoritySystem, TreeSystem
+from repro.systems import HQS, CrumblingWall, MajoritySystem, TreeSystem
 
 SEEDS = range(200)
 TRIALS = 400
@@ -91,17 +93,23 @@ def exact_randomized_expected_probes(algorithm, p: float) -> float:
 
 
 CASES = [
-    pytest.param(ProbeMaj(MajoritySystem(15)), 0.45, 12.73681, id="ProbeMaj-Maj15-p0.45"),
-    pytest.param(ProbeTree(TreeSystem(3)), 0.4, 7.78995, id="ProbeTree-h3-p0.4"),
-    pytest.param(RProbeTree(TreeSystem(3)), 0.3, 8.03265, id="RProbeTree-h3-p0.3"),
-    pytest.param(RProbeTree(TreeSystem(3)), 0.5, 9.16667, id="RProbeTree-h3-p0.5"),
-    pytest.param(RProbeHQS(HQS(2)), 0.3, 5.65962, id="RProbeHQS-h2-p0.3"),
-    pytest.param(RProbeHQS(HQS(2)), 0.5, 6.25, id="RProbeHQS-h2-p0.5"),
+    pytest.param(
+        ProbeMaj(MajoritySystem(15)), 0.45, 12.73681, "numpy", id="ProbeMaj-Maj15-p0.45"
+    ),
+    pytest.param(ProbeTree(TreeSystem(3)), 0.4, 7.78995, "numpy", id="ProbeTree-h3-p0.4"),
+    pytest.param(RProbeTree(TreeSystem(3)), 0.3, 8.03265, "numpy", id="RProbeTree-h3-p0.3"),
+    pytest.param(RProbeTree(TreeSystem(3)), 0.5, 9.16667, "numpy", id="RProbeTree-h3-p0.5"),
+    pytest.param(RProbeHQS(HQS(2)), 0.3, 5.65962, "numpy", id="RProbeHQS-h2-p0.3"),
+    pytest.param(RProbeHQS(HQS(2)), 0.5, 6.25, "numpy", id="RProbeHQS-h2-p0.5"),
+    pytest.param(
+        ProbeCW(CrumblingWall([1, 2, 3, 3, 3])), 0.4, 7.54480, "bitpacked",
+        id="ProbeCW-CW12-p0.4-bitpacked",
+    ),
 ]
 
 
-@pytest.mark.parametrize("algorithm,p,approx", CASES)
-def test_ci95_covers_the_exact_expectation(algorithm, p, approx):
+@pytest.mark.parametrize("algorithm,p,approx,backend", CASES)
+def test_ci95_covers_the_exact_expectation(algorithm, p, approx, backend):
     """Tolerance: over 200 fixed seeds the nominal 95% interval covers the
     exact value at a rate within [0.90, 0.99], about -3.2 and +2.6 binomial
     standard errors (0.015) around 0.95."""
@@ -112,7 +120,7 @@ def test_ci95_covers_the_exact_expectation(algorithm, p, approx):
     assert exact == pytest.approx(approx, abs=1e-5)
     covered = 0
     for seed in SEEDS:
-        result = stream_probes(algorithm, p=p, trials=TRIALS, seed=seed, backend="numpy")
+        result = stream_probes(algorithm, p=p, trials=TRIALS, seed=seed, backend=backend)
         assert result.n_trials_used == TRIALS
         covered += abs(result.mean - exact) <= result.ci95
     coverage = covered / len(SEEDS)
