@@ -3,7 +3,7 @@
 These are conventional pytest-benchmark timings (operations per second) for
 the hot paths a downstream user cares about: running each of the paper's
 algorithms once on a large instance, evaluating the characteristic function,
-and serving probes from the simulated cluster.  They complement the
+and serving probes from an in-memory oracle.  They complement the
 experiment-level benchmarks, which measure probes rather than wall-clock
 time.
 """
@@ -15,8 +15,6 @@ import random
 from repro.algorithms import IRProbeHQS, ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeTree
 from repro.core.coloring import Coloring
 from repro.core.oracle import ColoringOracle
-from repro.simulation.cluster import ClusterProbeOracle, SimulatedCluster
-from repro.simulation.failures import BernoulliFailures
 from repro.systems import HQS, MajoritySystem, TreeSystem, TriangSystem
 
 
@@ -79,19 +77,6 @@ def test_characteristic_function_evaluation(benchmark):
     subset = frozenset(e for e in system.universe if e % 3 != 0)
     value = benchmark(lambda: system.contains_quorum(subset))
     assert isinstance(value, bool)
-
-
-def test_cluster_probe_round_trip(benchmark):
-    system = TriangSystem(45)
-    cluster = SimulatedCluster(system.n, failure_model=BernoulliFailures(0.3), seed=9)
-    algorithm = ProbeCW(system)
-
-    def probe_once():
-        oracle = ClusterProbeOracle(cluster)
-        return algorithm.run(oracle, rng=None)
-
-    result = benchmark(probe_once)
-    assert result.witness is not None
 
 
 def test_in_memory_oracle_overhead(benchmark):

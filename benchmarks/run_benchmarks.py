@@ -27,7 +27,7 @@ Sections:
   :class:`~repro.core.distributions.ColoringSource` at ``n ≈ 1000``:
   the vectorized ``sample_matrix`` batch versus the per-trial scalar
   path each scenario used before the unified source layer
-  (``FailureModel.sample_coloring`` / the ``*_hard_sampler`` closures);
+  (a ``random.Random`` loop per trial / the ``*_hard_sampler`` closures);
 * ``runner_overhead`` — the unified experiment runner
   (:mod:`repro.experiments.runner`: registry lookup, parameter resolution,
   environment metadata, artifact serialization) versus calling the same
@@ -70,7 +70,10 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# Where the default ``BENCH_<date>.json`` goes (and where ``src`` is found).
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.algorithms import (  # noqa: E402
     IRProbeHQS,
@@ -230,10 +233,11 @@ def bench_distribution_sampling(quick: bool) -> list[dict]:
 
     ``batched_seconds`` times ``source.sample_matrix`` (one call for the
     whole batch); ``per_trial_seconds`` times the scalar path each
-    scenario used before the unified source layer — the
-    ``FailureModel.sample_coloring`` loop for the failure models and the
-    hoisted sampler closures for the Yao/HQS hard families — which is the
-    loop the batched consumers replace.
+    scenario used before the unified source layer — a ``random.Random``
+    loop building one :class:`~repro.core.coloring.Coloring` per trial
+    (with its range checks) for the failure scenarios, and the hoisted
+    sampler closures for the Yao/HQS hard families — which is the loop the
+    batched consumers replace.
     """
     from repro.analysis.yao import (
         cw_hard_sampler,
@@ -242,12 +246,6 @@ def bench_distribution_sampling(quick: bool) -> list[dict]:
     )
     from repro.core.distributions import build_source
     from repro.experiments.hqs import worst_case_family_sampler
-    from repro.simulation.failures import (
-        AdversarialFailures,
-        BernoulliFailures,
-        CorrelatedGroupFailures,
-        FixedCountFailures,
-    )
 
     trials = 200 if quick else 1000
     p = 0.3
@@ -257,27 +255,46 @@ def bench_distribution_sampling(quick: bool) -> list[dict]:
     hqs = HQS(6)  # n = 729
     reds = round(p * maj.n)
 
-    def model_loop(model, n):
+    def coloring_loop(failed, n):
         rng = random.Random(11)
-        return lambda: [model.sample_coloring(n, rng) for _ in range(trials)]
+        return lambda: [Coloring(n, failed(n, rng)) for _ in range(trials)]
+
+    def bernoulli(n, rng):
+        return frozenset(e for e in range(1, n + 1) if rng.random() < p)
+
+    def fixed_count(n, rng):
+        return frozenset(rng.sample(range(1, n + 1), reds))
+
+    # The per-draw range checks below are part of the scalar work the old
+    # per-trial path did (most of it for ``adversarial``); keep them so
+    # ``per_trial_seconds`` stays comparable across snapshots.
+    groups = [frozenset(row) for row in triang.rows]
+
+    def correlated_groups(n, rng):
+        failed: set[int] = set()
+        for group in groups:
+            if any(not 1 <= e <= n for e in group):
+                raise ValueError("group contains elements outside the universe")
+            if rng.random() < p:
+                failed.update(group)
+        return frozenset(failed)
+
+    adversarial_set = frozenset(range(1, reds + 1))
+
+    def adversarial(n, rng):
+        if any(not 1 <= e <= n for e in adversarial_set):
+            raise ValueError("failed set contains elements outside the universe")
+        return adversarial_set
 
     def sampler_loop(sampler):
         rng = random.Random(13)
         return lambda: [sampler(rng) for _ in range(trials)]
 
     cases = [
-        ("bernoulli", maj, model_loop(BernoulliFailures(p), maj.n)),
-        ("fixed_count", maj, model_loop(FixedCountFailures(reds), maj.n)),
-        (
-            "correlated_groups",
-            triang,
-            model_loop(CorrelatedGroupFailures(triang.rows, p), triang.n),
-        ),
-        (
-            "adversarial",
-            maj,
-            model_loop(AdversarialFailures(range(1, reds + 1)), maj.n),
-        ),
+        ("bernoulli", maj, coloring_loop(bernoulli, maj.n)),
+        ("fixed_count", maj, coloring_loop(fixed_count, maj.n)),
+        ("correlated_groups", triang, coloring_loop(correlated_groups, triang.n)),
+        ("adversarial", maj, coloring_loop(adversarial, maj.n)),
         ("majority_hard", maj, sampler_loop(majority_hard_sampler(maj))),
         ("cw_hard", triang, sampler_loop(cw_hard_sampler(triang))),
         ("tree_hard", tree, sampler_loop(tree_hard_sampler(tree))),
@@ -618,12 +635,28 @@ def main(argv=None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="output path (default: BENCH_<date>.json in the repo root)",
+        help=(
+            "output path, overwritten if present (default: BENCH_<date>.json "
+            "in the repo root, which must not exist yet)"
+        ),
     )
     args = parser.parse_args(argv)
 
+    date = datetime.date.today().isoformat()
+    output = args.output
+    if output is None:
+        output = REPO_ROOT / f"BENCH_{date}.json"
+        if output.exists():
+            print(
+                f"error: {output} already exists; refusing to overwrite a "
+                "committed snapshot. Pass --output PATH to write elsewhere "
+                "(an explicit --output is overwritten).",
+                file=sys.stderr,
+            )
+            return 2
+
     snapshot = {
-        "date": datetime.date.today().isoformat(),
+        "date": date,
         "quick": args.quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -638,12 +671,6 @@ def main(argv=None) -> int:
         "exact_packed_dp": bench_exact_packed_dp(args.quick),
         "packed_sampling": bench_packed_sampling(args.quick),
     }
-    output = args.output
-    if output is None:
-        output = (
-            Path(__file__).resolve().parent.parent
-            / f"BENCH_{snapshot['date']}.json"
-        )
     output.write_text(json.dumps(snapshot, indent=2) + "\n")
     print(json.dumps(snapshot, indent=2))
     print(f"\nwrote {output}")

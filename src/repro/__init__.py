@@ -14,9 +14,6 @@ The package provides:
 * :mod:`repro.analysis` — the paper's closed-form bounds, technical lemmas,
   availability recursions, Yao-principle machinery and finite-size scaling
   fits;
-* :mod:`repro.simulation` — a discrete-event simulated cluster with failure
-  models and the two motivating applications (quorum mutual exclusion,
-  quorum-replicated storage);
 * :mod:`repro.experiments` — drivers regenerating Table 1 and every
   per-theorem experiment in the registry (``repro-probe list``).
 """

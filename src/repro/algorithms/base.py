@@ -104,22 +104,3 @@ class ProbingAlgorithm(ABC):
     def _require_rng(rng: random.Random | None) -> random.Random:
         """Return the given rng or a fresh unseeded one."""
         return rng if rng is not None else random.Random()
-
-    def _witness_from_known(self, oracle: ProbeOracle) -> Witness:
-        """Build a witness directly from the oracle's revealed colors.
-
-        Used by algorithms whose termination argument guarantees that the
-        probed elements already settle the system state; raises if not.
-        """
-        known = oracle.known
-        green = frozenset(e for e, c in known.items() if c is Color.GREEN)
-        red = frozenset(e for e, c in known.items() if c is Color.RED)
-        quorum = self._system.find_quorum_within(green)
-        if quorum is not None:
-            return Witness(Color.GREEN, quorum)
-        if self._system.is_transversal(red):
-            return Witness(Color.RED, red)
-        raise RuntimeError(
-            f"{self.name} terminated without conclusive knowledge "
-            f"(green={sorted(green)}, red={sorted(red)})"
-        )

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.lemmas import (
-    binomial_pmf,
-    grid_walk_exit_time_bound,
-    grid_walk_exit_time_exact,
-)
+from repro.analysis.lemmas import binomial_pmf, grid_walk_exit_time_exact
 from repro.core.estimator import Estimate
 
 
@@ -87,10 +83,6 @@ class GridRandomWalk:
     def expected_exit_time_exact(self) -> float:
         """Exact expectation (Lemma 2.4 ground truth)."""
         return grid_walk_exit_time_exact(self._n, self._p)
-
-    def expected_exit_time_bound(self) -> float:
-        """Closed-form estimate of Lemma 2.4."""
-        return grid_walk_exit_time_bound(self._n, self._p)
 
 
 def majority_expected_probes_exact(n: int, p: float) -> float:

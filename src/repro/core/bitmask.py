@@ -45,11 +45,6 @@ def iter_elements(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def element_bit(element: int) -> int:
-    """The single-bit mask of one element."""
-    return 1 << (element - 1)
-
-
 def validate_mask(mask: int, n: int) -> None:
     """Raise if ``mask`` is negative or has bits outside ``{1, ..., n}``."""
     if mask < 0:

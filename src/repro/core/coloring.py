@@ -204,10 +204,6 @@ class Coloring(Mapping[int, Color]):
         """The set of live processors."""
         return elements_of(self.green_mask)
 
-    def color_of(self, element: int) -> Color:
-        """Color of a single element (same as ``coloring[element]``)."""
-        return self[element]
-
     def is_green(self, element: int) -> bool:
         return self[element] is Color.GREEN
 

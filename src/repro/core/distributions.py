@@ -4,9 +4,9 @@ The paper evaluates probe complexity under several input regimes — i.i.d.
 Bernoulli failures, exact-count and adversarial red sets, and the Section-4
 Yao hard distributions — and the repo historically grew a separate
 representation for each ("where do colorings come from"): the scalar
-:class:`~repro.core.coloring.ColoringDistribution`, the
-:class:`~repro.simulation.failures.FailureModel` hierarchy, the i.i.d.-only
-matrix samplers and ad-hoc hard-distribution matrix functions.  Only the
+:class:`~repro.core.coloring.ColoringDistribution`, a separate hierarchy of
+failure models, the i.i.d.-only matrix samplers and ad-hoc
+hard-distribution matrix functions.  Only the
 i.i.d. model could reach the vectorized kernels of
 :mod:`repro.core.batched`.
 
@@ -128,7 +128,7 @@ class ColoringSource(ABC):
     :meth:`sample_matrix` validates the universe size and coerces ``rng``.
     The default scalar :meth:`sample` draws a one-row matrix, so every
     source is automatically usable by per-trial consumers (the sequential
-    estimators, the simulated cluster); sources with a cheaper scalar draw
+    estimators, the experiment drivers); sources with a cheaper scalar draw
     override it.
     """
 

@@ -13,9 +13,8 @@ Two oracle flavours are provided here:
 * :class:`RecordingOracle` wraps another oracle and records the exact probe
   sequence, used by the strategy-tree tools and by tests.
 
-The discrete-event cluster oracle lives in
-:mod:`repro.simulation.cluster`; it satisfies the same protocol so the
-probing algorithms run unchanged against the simulated distributed system.
+Any object satisfying :class:`ProbeOracle` works, so the probing algorithms
+run unchanged against other sources of element colors.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Parameter-keyed seed streams (the per-cell seeding primitives).
 
 A Monte-Carlo experiment is a grid of *cells* — one ``(system, p)`` point,
-one urn case, one ablation variant group, one simulated-cluster trial.
+one urn case, one ablation variant group.
 Reusing the experiment seed for every cell correlates the samples across
 cells, which silently couples sampling errors between rows that are
 supposed to be independent measurements.
 
 The fix, introduced for the sweep runner and now shared by every layer
-(drivers, the sweep runner, the simulated cluster), is to key each cell's
+(drivers, the sweep runner, the streaming engine), is to key each cell's
 stream by the cell's own parameter values: a numpy ``SeedSequence`` whose
 entropy is the experiment seed and whose spawn key encodes the cell
 parameters.  Two properties follow:
@@ -21,9 +21,9 @@ Keys may be ints (two's complement into uint64), floats (IEEE-754 bit
 pattern) or strings (BLAKE2s digest), since ``SeedSequence`` only accepts
 non-negative integer entropy.
 
-The module lives in :mod:`repro.core` so that lower layers (e.g.
-:mod:`repro.simulation`) can derive cell streams without importing the
-experiments package; :mod:`repro.experiments.seeding` re-exports it.
+The module lives in :mod:`repro.core` so that lower layers can derive cell
+streams without importing the experiments package;
+:mod:`repro.experiments.seeding` re-exports it.
 """
 
 from __future__ import annotations

@@ -153,7 +153,10 @@ def run_probe_hqs_optimality(heights: Sequence[int] = (1, 2)) -> list[Row]:
                 paper=2.5**height,
                 relation="<=",
                 params={"n": system.n, "h": height},
-                note="Thm 3.9 claims equality; see EXPERIMENTS.md deviation note",
+                note=(
+                    "Thm 3.9 claims equality, but from h = 2 the exact optimum "
+                    "is below 2.5^h, which Probe_HQS attains"
+                ),
             )
         )
         rows.append(

@@ -1,8 +1,8 @@
 """Per-cell seeded streams shared by every experiment driver.
 
 The implementation lives in :mod:`repro.core.seeding` (so that lower
-layers like :mod:`repro.simulation` can derive cell streams without
-importing the experiments package); this module remains the historical
+layers can derive cell streams without importing the experiments
+package); this module remains the historical
 import location for the drivers and re-exports the helpers unchanged.
 See the core module's docstring for the key-encoding contract.
 """

@@ -52,18 +52,6 @@ class Table1Sizes:
     tree_height: int = 7
     hqs_height: int = 5
 
-    @property
-    def triang_n(self) -> int:
-        return self.triang_depth * (self.triang_depth + 1) // 2
-
-    @property
-    def tree_n(self) -> int:
-        return 2 ** (self.tree_height + 1) - 1
-
-    @property
-    def hqs_n(self) -> int:
-        return 3**self.hqs_height
-
 
 def run_table1(
     sizes: Table1Sizes | None = None,

@@ -100,17 +100,6 @@ class QuorumSystem(ABC):
         validate_mask(mask, self._n)
         return self.contains_quorum(elements_of(mask))
 
-    def find_quorum_within_mask(self, mask: int) -> int | None:
-        """Mask-native :meth:`find_quorum_within`."""
-        validate_mask(mask, self._n)
-        quorum = self.find_quorum_within(elements_of(mask))
-        return None if quorum is None else mask_of(quorum)
-
-    def is_transversal_mask(self, mask: int) -> bool:
-        """Mask-native :meth:`is_transversal`."""
-        validate_mask(mask, self._n)
-        return not self.contains_quorum_mask(self.universe_mask & ~mask)
-
     def quorum_masks(self) -> tuple[int, ...]:
         """All minimal quorums as integer masks, computed once per instance.
 

@@ -118,11 +118,6 @@ class CrumblingWall(QuorumSystem):
                 return False
         return False
 
-    @property
-    def row_masks(self) -> list[int]:
-        """The rows as integer masks, from top (row 1) to bottom (row k)."""
-        return list(self._row_masks)
-
     def find_quorum_within(self, elements: Iterable[int]) -> frozenset[int] | None:
         s = frozenset(elements)
         if not s <= self.universe:

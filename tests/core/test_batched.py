@@ -194,16 +194,13 @@ class TestSamplersAndFailureRate:
         assert abs(balanced.failure_rate - 0.5) < 0.05
 
 
-class TestEngineFailureModelSources:
-    def test_failure_model_snapshots_run_batched(self):
-        from repro.simulation.failures import FixedCountFailures
+class TestEngineSources:
+    def test_fixed_count_source_runs_batched(self):
+        from repro.core.distributions import FixedCountSource
 
         system = MajoritySystem(15)
         result = stream_probes(
-            ProbeMaj(system),
-            FixedCountFailures(8).as_source(system.n),
-            trials=400,
-            seed=7,
+            ProbeMaj(system), FixedCountSource(15, 8), trials=400, seed=7
         )
         # 8 of 15 failed: no live quorum exists in any trial.
         assert result.failure_rate == 1.0

@@ -6,8 +6,9 @@ exact expectation ``E_p[probes]``, computed independently of every kernel by
 enumerating all ``2^n`` colorings through ``algorithm.run_on`` and weighting
 each by ``p^r (1 - p)^(n - r)``.  Over 200 fixed seeds the engine's 95%
 confidence interval must cover that value at close to its nominal rate.
-Each case names the backend it runs on; the ProbeCW case runs the
-bitpacked lane-row kernel.
+Each case names the backend it runs on; the ProbeCW and ProbeHQS cases run
+the bitpacked kernels.  For ProbeHQS the enumerated value is also checked
+against the closed recursion of :mod:`repro.experiments.hqs`.
 
 The randomized gate algorithms R_Probe_Tree and R_Probe_HQS get the same
 check against an exact oracle: their order choices are independent per
@@ -24,9 +25,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from repro.algorithms import ProbeCW, ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
+from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
+from repro.experiments.hqs import probe_hqs_expected_exact
 from repro.systems import HQS, CrumblingWall, MajoritySystem, TreeSystem
 
 SEEDS = range(200)
@@ -105,7 +107,13 @@ CASES = [
         ProbeCW(CrumblingWall([1, 2, 3, 3, 3])), 0.4, 7.54480, "bitpacked",
         id="ProbeCW-CW12-p0.4-bitpacked",
     ),
+    pytest.param(ProbeHQS(HQS(2)), 0.4, 6.09136, "bitpacked", id="ProbeHQS-h2-p0.4-bitpacked"),
 ]
+
+
+def test_probe_hqs_enumeration_matches_the_recursion():
+    enumerated = exact_expected_probes(ProbeHQS(HQS(2)), 0.4)
+    assert enumerated == pytest.approx(probe_hqs_expected_exact(2, 0.4), abs=1e-12)
 
 
 @pytest.mark.parametrize("algorithm,p,approx,backend", CASES)

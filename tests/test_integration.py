@@ -1,7 +1,7 @@
 """End-to-end integration tests crossing module boundaries.
 
-These tests wire together systems + algorithms + analysis + simulation the
-way the experiments and examples do, and check the paper's claims at small
+These tests wire together systems + algorithms + analysis + the streaming
+engine the way the experiments and examples do, and check the paper's claims at small
 -to-medium scale with deterministic seeds.
 """
 
@@ -19,18 +19,16 @@ from repro.algorithms import (
     ProbeMaj,
     ProbeTree,
     RProbeMaj,
-    default_deterministic_algorithm,
 )
 from repro.analysis.bounds import Direction, Model, bounds_for
 from repro.analysis.walks import majority_expected_probes_exact
 from repro.analysis.yao import majority_hard_distribution
 from repro.core.coloring import Coloring, enumerate_colorings
+from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_probes
 from repro.core.exact import ExactSolver
 from repro.core.metrics import availability_exact
 from repro.core.strategy_tree import strategy_tree_from_algorithm
-from repro.simulation import BernoulliFailures, SimulatedCluster, run_cluster_trials
-from repro.simulation.protocols import ReplicatedRegister, run_replication_workload
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -146,14 +144,12 @@ class TestRandomizedMajorityPinching:
 
 
 class TestAvailabilityConsistencyAcrossLayers:
-    def test_cluster_measurements_match_exact_availability(self):
-        """Simulation layer vs enumeration layer vs recursion layer."""
+    def test_engine_failure_rate_matches_exact_availability(self):
+        """Streaming-engine layer vs enumeration layer."""
         system = TreeSystem(2)
         exact = availability_exact(system, 0.3)
-        batch = run_cluster_trials(
-            ProbeTree(system), BernoulliFailures(0.3), trials=3000, seed=3
-        )
-        assert abs(batch.availability_failure_rate - exact) < 0.03
+        result = stream_probes(ProbeTree(system), p=0.3, trials=3000, seed=3)
+        assert abs(result.failure_rate - exact) < 0.03
 
     def test_witness_color_frequency_matches_availability_for_all_algorithms(self):
         system = HQS(2)
@@ -167,46 +163,6 @@ class TestAvailabilityConsistencyAcrossLayers:
                 run = algorithm.run_on(coloring, rng=rng)
                 reds += 0 if run.witness.is_green else 1
             assert abs(reds / trials - exact) < 0.04
-
-
-class TestApplicationLayerAgainstComplexityLayer:
-    def test_replication_probe_cost_matches_estimator(self):
-        """The replicated store's probes/op equals the algorithm's average
-        probe count measured by the estimator (same failure probability)."""
-        system = TriangSystem(6)
-        p = 0.3
-        estimate = estimate_average_probes(ProbeCW(system), p, trials=3000, seed=5)
-
-        cluster = SimulatedCluster(system.n, failure_model=BernoulliFailures(p), seed=6)
-        register = ReplicatedRegister(cluster, ProbeCW(system), seed=7)
-        # Redraw the failure pattern before every operation so operations see
-        # i.i.d. states, matching the estimator's model.
-        rng = random.Random(8)
-        probes_before = register.stats.total_probes
-        operations = 400
-        for i in range(operations):
-            cluster.apply_coloring(Coloring.random(system.n, p, rng))
-            if i % 3 == 0:
-                register.write(f"v{i}")
-            else:
-                register.read()
-        probes_per_op = (register.stats.total_probes - probes_before) / operations
-        assert abs(probes_per_op - estimate.mean) < 0.6
-        assert register.stats.stale_reads == 0
-
-    def test_full_workload_on_every_default_algorithm(self):
-        for system in (MajoritySystem(9), TriangSystem(4), TreeSystem(3), HQS(2)):
-            algorithm = default_deterministic_algorithm(system)
-            cluster = SimulatedCluster(
-                system.n, failure_model=BernoulliFailures(0.2), seed=9
-            )
-            register = ReplicatedRegister(cluster, algorithm, seed=10)
-            stats = run_replication_workload(
-                register, operations=60, write_fraction=0.5,
-                failure_rate_between_ops=0.05, seed=11,
-            )
-            assert stats.stale_reads == 0
-            assert stats.operations == 60
 
 
 class TestExhaustiveCrossValidation:
