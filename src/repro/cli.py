@@ -35,11 +35,10 @@ Monte-Carlo estimation always runs through the streaming engine
 registered and the per-trial loop otherwise: ``estimate`` and ``sweep`` accept
 ``--chunk-size`` (trials per chunk; memory stays O(chunk)),
 ``--target-ci`` (adaptive stopping at a 95% CI half-width tolerance),
-``--max-trials`` (the adaptive cap), ``--jobs`` (shard chunks across
-worker processes, byte-identical to sequential), ``--backend``
-(``numpy``/``bitpacked``/``auto`` kernel backend; deterministic
-algorithms produce byte-identical histograms under every backend — see
-README, "Kernel backends").
+``--max-trials`` (the adaptive cap) and ``--jobs`` (shard chunks across
+worker processes, byte-identical to sequential).  Each algorithm has one
+kernel, so there is no backend to choose: the ``backend :`` line of the
+output reports the one that ran (README, "One kernel per algorithm").
 
 Fault tolerance (see README, "Fault tolerance, checkpoints, and
 resume"): ``estimate``/``sweep`` accept ``--retries`` (per-chunk retry
@@ -280,7 +279,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
                 retries=args.retries,
                 chunk_timeout=args.chunk_timeout,
                 checkpoint_path=args.checkpoint,
-                backend=args.backend,
             )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
@@ -346,7 +344,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 retries=args.retries,
                 chunk_timeout=args.chunk_timeout,
                 checkpoint_path=args.checkpoint,
-                backend=args.backend,
             )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -430,7 +427,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     chunk_timeout=args.chunk_timeout,
                     coordinator=coordinator,
                     checkpoint_path=args.checkpoint,
-                    backend=args.backend,
                 )
             else:
                 result = run_sweep(
@@ -450,7 +446,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     chunk_timeout=args.chunk_timeout,
                     coordinator=coordinator,
                     checkpoint_path=args.checkpoint,
-                    backend=args.backend,
                 )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
@@ -583,7 +578,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides=overrides,
             jobs=args.jobs,
             fail_fast=args.fail_fast,
-            backend=args.backend,
         )
     except ValueError as error:
         raise SystemExit(f"invalid parameter value: {error}") from None
@@ -684,14 +678,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="chunk_timeout",
         help="seconds before a chunk's worker is declared hung and respawned",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["numpy", "bitpacked", "auto"],
-        default=None,
-        help="kernel backend: bit-packed (64 trials/word) for deterministic "
-        "algorithms, numpy otherwise; auto picks bitpacked per algorithm "
-        "from 8192 trials up",
     )
 
 
@@ -984,13 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="fail_fast",
         help="abort on the first failing experiment instead of recording it",
-    )
-    run.add_argument(
-        "--backend",
-        choices=["numpy", "bitpacked", "auto"],
-        default=None,
-        help="kernel backend for the experiments' engine calls "
-        "(auto recommended for mixed algorithm sets)",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -10,37 +10,38 @@ the convention of :meth:`ColoringSource.sample_matrix
 of every trial falls out of cumulative-sum / argmax / per-level gate
 arithmetic over that matrix.
 
-Kernels are looked up in a registry keyed by the *exact* algorithm class
-and a **backend** (:func:`register_kernel`); a subclass overrides probing
-behavior, so it never inherits its parent's kernel and must register its
-own.  The default ``numpy`` backend evaluates bool matrices; the
-``bitpacked`` backend (:mod:`repro.core.bitpacked`) evaluates 64 trials
-per ``uint64`` word for the deterministic algorithms, bit-identically.
-:func:`resolve_backend` maps a requested backend — including the ``auto``
-policy, which prefers ``bitpacked`` over ``numpy`` — to a concrete one,
-rejecting ``bitpacked`` loudly for randomized algorithms.  Registered out
-of the box under ``numpy``:
+Every algorithm has exactly one kernel, registered under the backend it
+runs on (:func:`register_kernel`, keyed by the *exact* algorithm class; a
+subclass overrides probing behavior, so it never inherits its parent's
+kernel and must register its own).  The deterministic algorithms run on
+the ``bitpacked`` backend (:mod:`repro.core.bitpacked`, 64 trials per
+``uint64`` word); the randomized ones keep ``numpy`` kernels over bool
+matrices, because their per-trial order draws have no packed form.  The
+backend is therefore a fact about the algorithm, not a choice:
+:func:`resolve_backend` derives it, and :func:`batched_run` packs a bool
+matrix for a packed kernel.  Registered out of the box under ``numpy``:
 
-* :class:`~repro.algorithms.majority.ProbeMaj` — fixed-order scan until one
-  color reaches the quorum size (cumulative counts + argmax);
-* :class:`~repro.algorithms.majority.RProbeMaj` — the same scan after a
-  per-trial uniform permutation;
-* :class:`~repro.algorithms.crumbling_walls.ProbeCW` — the top-down wall
-  scan of Fig. 5, one vector step per row;
+* :class:`~repro.algorithms.majority.RProbeMaj` — the fixed-order majority
+  scan after a per-trial uniform permutation (cumulative counts + argmax);
+* :class:`~repro.algorithms.crumbling_walls.ProbeCW` with
+  ``within_row_order="random"`` — the top-down wall scan of Fig. 5 with
+  shuffled rows, one vector step per row;
 * :class:`~repro.algorithms.crumbling_walls.RProbeCW` — the bottom-up
   randomized scan of Theorem 4.4, one vector step per row over the
   still-active trials;
-* the five gate-tree algorithms — Probe_Tree, R_Probe_Tree, Probe_HQS,
-  R_Probe_HQS and IR_Probe_HQS — through the level-synchronous engine of
+* the three randomized gate-tree algorithms — R_Probe_Tree, R_Probe_HQS
+  and IR_Probe_HQS — through the level-synchronous engine of
   :mod:`repro.core.batched_gates`.
 
-Every deterministic kernel reproduces the sequential algorithm's probe
-count *exactly* for a given input matrix, and the randomized ones draw
-from the same distribution over probe orders, which the equivalence tests
-assert trial-by-trial.  Estimates run through the streaming engine
+Probe_Maj, Probe_CW, Probe_Tree and Probe_HQS are registered under
+``bitpacked`` and reproduce the sequential algorithm's probe count
+*exactly* for a given input matrix; the randomized kernels draw from the
+same distribution over probe orders, which the equivalence tests assert.
+Estimates run through the streaming engine
 (:func:`repro.core.engine.stream_probes`), which calls
-:func:`batched_or_sequential_run` once per chunk and so falls back to the
-per-trial loop for algorithms without a kernel.
+:func:`batched_or_sequential_run` (numpy) or
+:func:`repro.core.bitpacked.run_packed` once per chunk and so falls back
+to the per-trial loop for algorithms without a kernel.
 """
 
 from __future__ import annotations
@@ -53,16 +54,10 @@ import numpy as np
 
 from repro.algorithms.base import ProbingAlgorithm
 from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW
-from repro.algorithms.hqs import IRProbeHQS, ProbeHQS, RProbeHQS
-from repro.algorithms.majority import ProbeMaj, RProbeMaj
-from repro.algorithms.tree import ProbeTree, RProbeTree
-from repro.core.batched_gates import (
-    ir_probe_hqs_kernel,
-    probe_hqs_kernel,
-    probe_tree_kernel,
-    r_probe_hqs_kernel,
-    r_probe_tree_kernel,
-)
+from repro.algorithms.hqs import IRProbeHQS, RProbeHQS
+from repro.algorithms.majority import RProbeMaj
+from repro.algorithms.tree import RProbeTree
+from repro.core.batched_gates import ir_probe_hqs_kernel, r_probe_hqs_kernel, r_probe_tree_kernel
 from repro.core.coloring import Coloring, as_numpy_generator as as_generator
 
 #: A batched kernel: ``(algorithm, red, rng) -> (probes, witness_green)``
@@ -76,13 +71,9 @@ BatchedKernel = Callable[
 #: Concrete kernel backends a kernel can be registered under.
 BACKENDS = ("numpy", "bitpacked")
 
-#: What callers may request: a concrete backend or the ``auto`` policy.
+#: Backend names a request may carry; :func:`resolve_backend` validates
+#: them but derives the backend from the algorithm.
 BACKEND_CHOICES = ("numpy", "bitpacked", "auto")
-
-#: ``auto`` stays on numpy below this many trials: the bit-sliced kernels
-#: amortize their per-element Python loop over the 64-trial words, so tiny
-#: batches don't cover the fixed per-column cost.
-AUTO_BITPACKED_MIN_TRIALS = 8192
 
 _KERNELS: dict[tuple[type, str], BatchedKernel] = {}
 
@@ -110,41 +101,30 @@ def kernel_for(
     return _KERNELS.get((type(algorithm), backend))
 
 
-def resolve_backend(
-    algorithm: ProbingAlgorithm, backend: str, trials: int | None = None
-) -> str:
-    """Resolve a requested backend (or the ``auto`` policy) to a concrete one.
+def resolve_backend(algorithm: ProbingAlgorithm, backend: str | None = None) -> str:
+    """The backend ``algorithm`` runs on: ``bitpacked`` when it is
+    deterministic and has a packed kernel, ``numpy`` otherwise (its numpy
+    kernel, or the per-trial fallback).
 
-    ``bitpacked`` is a *demand*: it fails loudly when the algorithm is
-    randomized (the packed kernels have no per-trial RNG contract — the
-    numpy path is not a silent substitute) or when no kernel is
-    registered.  ``auto`` picks ``bitpacked`` when the algorithm has a
-    packed kernel and the run is large enough (``trials`` of at least
-    :data:`AUTO_BITPACKED_MIN_TRIALS`; ``None`` — adaptive runs — counts
-    as large), and ``numpy`` otherwise.
+    A requested ``backend`` is checked, not obeyed: an unknown name
+    raises, and so does ``bitpacked`` for an algorithm without a packed
+    kernel — every randomized algorithm, whose per-trial order draws have
+    no packed form (the numpy path is not a silent substitute).
     """
-    if backend not in BACKEND_CHOICES:
+    if backend is not None and backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
         )
-    if backend == "numpy":
-        return "numpy"
     randomized = getattr(algorithm, "randomized", False)
-    has_packed = kernel_for(algorithm, backend="bitpacked") is not None
-    if backend == "bitpacked":
+    packed = not randomized and kernel_for(algorithm, "bitpacked") is not None
+    if backend == "bitpacked" and not packed:
         if randomized:
             raise ValueError(
                 f"backend 'bitpacked' supports deterministic algorithms only; "
-                f"{algorithm.name} is randomized (run it with backend='numpy')"
+                f"{algorithm.name} is randomized"
             )
-        if not has_packed:
-            raise ValueError(
-                f"no bitpacked kernel registered for {algorithm.name}"
-            )
-        return "bitpacked"
-    if randomized or (trials is not None and trials < AUTO_BITPACKED_MIN_TRIALS):
-        return "numpy"
-    return "bitpacked" if has_packed else "numpy"
+        raise ValueError(f"no bitpacked kernel registered for {algorithm.name}")
+    return "bitpacked" if packed else "numpy"
 
 
 #: Per-algorithm-instance scratch space for kernel precomputation (probe
@@ -186,9 +166,9 @@ def scratch_ones(
     return ones
 
 
-def supports_batched(algorithm: ProbingAlgorithm, backend: str = "numpy") -> bool:
-    """True when a vectorized kernel exists for this algorithm and backend."""
-    return kernel_for(algorithm, backend) is not None
+def supports_batched(algorithm: ProbingAlgorithm) -> bool:
+    """True when the algorithm has a vectorized kernel on either backend."""
+    return resolve_backend(algorithm) == "bitpacked" or kernel_for(algorithm) is not None
 
 
 def batched_run(
@@ -197,7 +177,8 @@ def batched_run(
     """Run every trial of ``red`` through the algorithm's vectorized kernel.
 
     Returns ``(probes, witness_green)``: the per-trial probe counts and
-    witness colors.  Raises :class:`TypeError` when no kernel exists; use
+    witness colors.  A packed kernel gets ``red`` packed into bit-planes
+    first.  Raises :class:`TypeError` when no kernel exists; use
     :func:`supports_batched` or :func:`batched_or_sequential_run` when the
     algorithm may be arbitrary.
     """
@@ -206,6 +187,8 @@ def batched_run(
         raise ValueError(
             f"red matrix must have shape (trials, {algorithm.system.n})"
         )
+    if resolve_backend(algorithm) == "bitpacked":
+        return _bitpacked.run_packed(algorithm, _bitpacked.pack_matrix(red), rng)
     kernel = kernel_for(algorithm)
     if kernel is None:
         raise TypeError(f"no batched kernel for {algorithm.name}")
@@ -237,20 +220,6 @@ def _sequential_run(
 
 
 # -- majority / crumbling-wall kernels --------------------------------------------
-
-
-def _maj_columns(algorithm) -> np.ndarray:
-    """Probe_Maj's 0-based columns in probe order, built once per algorithm."""
-    scratch = kernel_scratch(algorithm)
-    columns = scratch.get("maj_columns")
-    if columns is None:
-        columns = np.asarray(algorithm.order, dtype=np.intp) - 1
-        scratch["maj_columns"] = columns
-    return columns
-
-
-def _probe_maj_kernel(algorithm, red, rng=None):
-    return _majority_scan_kernel(algorithm.system.quorum_size, red[:, _maj_columns(algorithm)])
 
 
 def _r_probe_maj_kernel(algorithm, red, rng=None):
@@ -303,34 +272,25 @@ def _cw_row_columns(algorithm) -> list[np.ndarray]:
     return columns
 
 
-def _probe_cw_dispatch(algorithm, red, rng=None):
-    shuffle = algorithm.within_row_order == "random"
-    generator = as_generator(rng) if shuffle else None
-    return _probe_cw_kernel(red, _cw_row_columns(algorithm), generator)
-
-
-def _probe_cw_kernel(
-    red: np.ndarray,
-    row_columns: list[np.ndarray],
-    generator: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm Probe_CW (Fig. 5), one vector step per wall row.
+def _probe_cw_kernel(algorithm, red, rng=None):
+    """Algorithm Probe_CW (Fig. 5) with a shuffled in-row order (the
+    order-ablation variant), one vector step per wall row.
 
     Maintains the per-trial mode; in each row the probe count is the
     position of the first element matching the mode, or the whole row width
-    (upon which the mode flips).  ``generator`` is set when the in-row order
-    is randomized (the order-ablation variant).
+    (upon which the mode flips).  The lexicographic order runs on the
+    packed kernel.
     """
+    generator = as_generator(rng)
+    row_columns = _cw_row_columns(algorithm)
     trials = red.shape[0]
     first = row_columns[0][0]
     mode_red = red[:, first].copy()
     probes = np.ones(trials, dtype=np.int64)
     for columns in row_columns[1:]:
         width = columns.size
-        row_red = red[:, columns]
-        if generator is not None:
-            order = generator.random(row_red.shape).argsort(axis=1)
-            row_red = np.take_along_axis(row_red, order, axis=1)
+        order = generator.random((trials, width)).argsort(axis=1)
+        row_red = np.take_along_axis(red[:, columns], order, axis=1)
         matches_mode = row_red == mode_red[:, None]
         found = matches_mode.any(axis=1)
         first_match = matches_mode.argmax(axis=1)
@@ -339,15 +299,7 @@ def _probe_cw_kernel(
     return probes, ~mode_red
 
 
-def _r_probe_cw_dispatch(algorithm, red, rng=None):
-    return _r_probe_cw_kernel(red, _cw_row_columns(algorithm), as_generator(rng))
-
-
-def _r_probe_cw_kernel(
-    red: np.ndarray,
-    row_columns: list[np.ndarray],
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+def _r_probe_cw_kernel(algorithm, red, rng=None):
     """Algorithm R_Probe_CW (Theorem 4.4), bottom-up over active trials.
 
     Each row is probed in a fresh uniform order until both colors have been
@@ -355,6 +307,8 @@ def _r_probe_cw_kernel(
     a both-colors row is one past the later of the two first-occurrence
     positions.
     """
+    generator = as_generator(rng)
+    row_columns = _cw_row_columns(algorithm)
     trials = red.shape[0]
     probes = np.zeros(trials, dtype=np.int64)
     witness_green = np.zeros(trials, dtype=bool)
@@ -383,17 +337,15 @@ def _r_probe_cw_kernel(
     return probes, witness_green
 
 
-register_kernel(ProbeMaj, _probe_maj_kernel)
 register_kernel(RProbeMaj, _r_probe_maj_kernel)
-register_kernel(ProbeCW, _probe_cw_dispatch)
-register_kernel(RProbeCW, _r_probe_cw_dispatch)
-register_kernel(ProbeTree, probe_tree_kernel)
+register_kernel(ProbeCW, _probe_cw_kernel)
+register_kernel(RProbeCW, _r_probe_cw_kernel)
 register_kernel(RProbeTree, r_probe_tree_kernel)
-register_kernel(ProbeHQS, probe_hqs_kernel)
 register_kernel(RProbeHQS, r_probe_hqs_kernel)
 register_kernel(IRProbeHQS, ir_probe_hqs_kernel)
 
-# The bitpacked backend registers its kernels on import; importing here
-# (after the registry and scratch helpers exist — the module imports back
-# into this one) makes it available as soon as the registry is.
-from repro.core import bitpacked as _bitpacked  # noqa: E402,F401  (registration side effect)
+# The bitpacked backend registers the deterministic kernels on import;
+# importing here (after the registry and scratch helpers exist — the module
+# imports back into this one) makes them available as soon as the registry
+# is.
+from repro.core import bitpacked as _bitpacked  # noqa: E402  (also registers its kernels)

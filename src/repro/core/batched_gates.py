@@ -1,4 +1,5 @@
-"""Level-synchronous vectorized gate kernels for the Tree and HQS systems.
+"""Level-synchronous vectorized gate kernels for the randomized Tree and
+HQS algorithms.
 
 The recursive probing algorithms of Sections 3.3/3.4 and 4.3/4.4 walk a
 gate tree top-down, but their probe counts admit a *bottom-up* formulation:
@@ -7,7 +8,10 @@ would return and the number of probes it would spend — depends only on the
 same pair at the node's children (and, for IR_Probe_HQS, grandchildren).
 Evaluating one tree level at a time over a whole ``(trials, n)`` coloring
 matrix therefore turns a batch of recursive evaluations into ``O(height)``
-rounds of numpy arithmetic, one column slice per level.
+rounds of numpy arithmetic, one column slice per level.  The
+deterministic Probe_Tree and Probe_HQS run the same recurrences on
+bit-planes (:mod:`repro.core.bitpacked`); this module holds the numpy
+kernels of their randomized counterparts.
 
 Every level step follows three rules:
 
@@ -44,11 +48,10 @@ children's standalone ``(value, probes)`` and the grandchildren's — and
 gathers ``r1``/``r2``/``r3`` and ``r2``'s grandchildren with
 ``take_along_axis``.
 
-The randomized kernels draw one ``generator.integers(3)`` (Tree) or
+The kernels draw one ``generator.integers(3)`` (Tree) or
 ``generator.integers(6)`` (HQS; two per IR level) matrix per level, in
-level order.  The deterministic kernels reproduce the recursive
-implementations *trial-exactly*; the randomized ones match them in
-distribution, and per seed are pinned by golden digests — both in
+level order.  They match the recursive implementations in distribution,
+and per seed are pinned by golden digests — both in
 ``tests/core/test_batched_gates.py``.
 
 Kernels follow the uniform signature ``kernel(algorithm, red, rng)`` and
@@ -106,19 +109,6 @@ def _tree_leaf_level(algorithm, red: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return value, _leaf_ones(algorithm, value.shape)
 
 
-def probe_tree_kernel(algorithm, red: np.ndarray, rng=None):
-    """Algorithm Probe_Tree (Prop. 3.6), one vector step per tree level."""
-    value, probes = _tree_leaf_level(algorithm, red)
-    for depth in range(algorithm.system.height - 1, -1, -1):
-        lo = 1 << depth
-        elem = red[:, lo - 1 : 2 * lo - 1]
-        left_v, right_v = value[:, 0::2], value[:, 1::2]
-        right_matches = right_v == elem
-        value = np.where(right_matches, elem, left_v)
-        probes = 1 + probes[:, 1::2] + probes[:, 0::2] * ~right_matches
-    return _result(value, probes)
-
-
 def r_probe_tree_kernel(algorithm, red: np.ndarray, rng=None):
     """Algorithm R_Probe_Tree (Thm. 4.7): per-(trial, node) uniform choice
     among the three evaluation orders."""
@@ -144,29 +134,17 @@ def r_probe_tree_kernel(algorithm, red: np.ndarray, rng=None):
 
 
 def _hqs_gate_level(
-    value: np.ndarray, probes: np.ndarray, generator: np.random.Generator | None
+    value: np.ndarray, probes: np.ndarray, generator: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One 2-then-3 gate level; ``generator`` draws the per-gate shuffle
-    (``None`` for the deterministic left-to-right order)."""
+    """One 2-then-3 gate level; ``generator`` draws the per-gate shuffle."""
     v0, v1, v2 = value[:, 0::3], value[:, 1::3], value[:, 2::3]
     c0, c1, c2 = probes[:, 0::3], probes[:, 1::3], probes[:, 2::3]
     first_two_agree = v0 == v1
-    if generator is None:
-        new_probes = c0 + c1 + c2 * ~first_two_agree
-    else:
-        third = THIRD[generator.integers(6, size=v0.shape)]
-        new_probes = c0 * ~((third == 0) & (v1 == v2))
-        new_probes += c1 * ~((third == 1) & (v0 == v2))
-        new_probes += c2 * ~((third == 2) & first_two_agree)
+    third = THIRD[generator.integers(6, size=v0.shape)]
+    new_probes = c0 * ~((third == 0) & (v1 == v2))
+    new_probes += c1 * ~((third == 1) & (v0 == v2))
+    new_probes += c2 * ~((third == 2) & first_two_agree)
     return np.where(first_two_agree, v0, v2), new_probes
-
-
-def probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):
-    """Algorithm Probe_HQS (Thm. 3.8): deterministic 2-then-3 gates."""
-    value, probes = red, _leaf_ones(algorithm, red.shape)
-    for _ in range(algorithm.system.height):
-        value, probes = _hqs_gate_level(value, probes, None)
-    return _result(value, probes)
 
 
 def r_probe_hqs_kernel(algorithm, red: np.ndarray, rng=None):

@@ -1,20 +1,19 @@
-"""Bit-packed kernel backend: 64 Monte-Carlo trials per ``uint64`` word.
+"""Bit-packed kernels: 64 Monte-Carlo trials per ``uint64`` word.
 
-The numpy kernels of :mod:`repro.core.batched` spend one byte per
-``(trial, element)`` cell and one int64 lane per trial; at streaming-engine
-scale the memory traffic of the ``(trials, n)`` matrices is the throughput
-ceiling.  This module stores a batch of colorings *transposed and packed*:
-a ``(n_words, n)`` ``uint64`` array where bit ``t`` of ``words[w, e]`` is
-the red bit of trial ``64 * w + t`` for element ``e + 1`` (one bit-plane
-per element, 64 trials per word).
+Every deterministic algorithm with a vectorized kernel — Probe_Maj,
+Probe_CW, Probe_Tree and Probe_HQS — has exactly one, and it lives here.
+A batch of colorings is stored *transposed and packed*: a ``(n_words, n)``
+``uint64`` array where bit ``t`` of ``words[w, e]`` is the red bit of
+trial ``64 * w + t`` for element ``e + 1`` (one bit-plane per element, 64
+trials per word), so a kernel streams one bit per ``(trial, element)``
+cell instead of the byte of a bool matrix.
 
-Packed kernels exist for the deterministic algorithms only:
-
-* ``ProbeTree`` / ``ProbeHQS`` — the level-synchronous gate recurrences of
-  :mod:`repro.core.batched_gates` on the words themselves: gate values are
-  AND/XOR word ops, and child probe counts are *bit-sliced* (carry-save)
-  integers, short lists of ``uint64`` planes (least-significant bit first)
-  combined by full-adder chains under the gate conditions.
+* ``ProbeTree`` / ``ProbeHQS`` — the level-synchronous gate recurrences
+  of :mod:`repro.core.batched_gates` on the words themselves: gate values
+  are AND/XOR word ops, and child probe counts are *bit-sliced*
+  (carry-save) integers, short lists of ``uint64`` planes
+  (least-significant bit first) combined by full-adder chains under the
+  gate conditions.
 * ``ProbeMaj`` / ``ProbeCW`` — each trial stops at an element that depends
   on its colors, so these kernels transpose the chunk once into one row of
   element bits per trial (:func:`lane_rows`) and find every trial's
@@ -26,26 +25,26 @@ Popcounts (and so ``ctz``) go through :func:`popcount64`, looked up at
 call time: ``np.bitwise_count`` where numpy has it, a 16-bit lookup table
 before numpy 2.0.
 
-Each packed kernel reproduces its numpy counterpart's per-trial probe
-counts and witness colors *exactly* (integer arithmetic both ways), and
+Each kernel reproduces the sequential algorithm's per-trial probe counts
+and witness colors *exactly*, which ``tests/core/test_bitpacked.py`` pins
+against ``run_on`` on every coloring of small universes.
 :func:`sample_packed` returns exactly the colorings
 ``ColoringSource.sample_matrix`` returns for the same generator — for
 Bernoulli sources both are the same lane words, drawn one bit-plane per
 raw ``uint64`` (:meth:`repro.core.distributions.BernoulliSource.sample_words`),
-which the numpy path unpacks.  Probe-count histograms are therefore
-bit-identical between backends under every chunk size, ``jobs=N`` and
-distributed split, which ``tests/core/test_bitpacked.py`` pins.
+which the bool-matrix path unpacks — so a chunk's statistics do not
+depend on whether it was sampled packed or packed after sampling.
 
-Randomized algorithms keep the numpy path: their per-trial permutation
-draws have no packed formulation that preserves the sequential RNG
-contract, and :func:`repro.core.batched.resolve_backend` rejects
-``backend="bitpacked"`` for them loudly.
+Randomized algorithms keep their numpy kernels: their per-trial
+permutation draws have no packed formulation that preserves the
+sequential RNG contract, and :func:`repro.core.batched.resolve_backend`
+rejects ``backend="bitpacked"`` for them loudly.
 
 Kernels follow the signature ``kernel(algorithm, packed, rng)`` over a
 :class:`PackedColorings` and are registered with
 :func:`repro.core.batched.register_kernel` under ``backend="bitpacked"``;
-use :func:`run_packed` (or the streaming engine's ``backend=``) rather
-than calling them directly.
+use :func:`run_packed` (or :func:`repro.core.batched.batched_run` on a
+bool matrix) rather than calling them directly.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from repro.algorithms.crumbling_walls import ProbeCW
 from repro.algorithms.hqs import ProbeHQS
 from repro.algorithms.majority import ProbeMaj
 from repro.algorithms.tree import ProbeTree
-from repro.core.batched import _cw_row_columns, _maj_columns, kernel_scratch, register_kernel
+from repro.core.batched import _cw_row_columns, kernel_scratch, register_kernel
 from repro.core.coloring import as_numpy_generator
 from repro.core.distributions import BernoulliSource, ColoringSource, unpack_words
 
@@ -143,16 +142,23 @@ class PackedColorings:
 
 
 def pack_matrix(red: np.ndarray) -> PackedColorings:
-    """Pack a ``(trials, n)`` bool red matrix into bit-planes."""
+    """Pack a ``(trials, n)`` bool red matrix into bit-planes.
+
+    Each element's column is transposed into a contiguous row first, so
+    ``packbits`` runs along rows and its bytes, read 8 at a time, are the
+    little-endian lane words.
+    """
     red = np.asarray(red, dtype=bool)
     if red.ndim != 2:
         raise ValueError(f"red matrix must be 2-D, got shape {red.shape}")
     trials, n = red.shape
     n_words = -(-trials // 64)
-    octets = np.zeros((n_words * 8, n), dtype=np.uint8)
-    octets[: -(-trials // 8)] = np.packbits(red, axis=0, bitorder="little")
-    words = np.ascontiguousarray(octets.reshape(n_words, 8, n).transpose(0, 2, 1))
-    return PackedColorings(words.view("<u8").reshape(n_words, n).astype(np.uint64), trials)
+    octets = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    octets[:, : -(-trials // 8)] = np.packbits(
+        np.ascontiguousarray(red.T), axis=1, bitorder="little"
+    )
+    words = octets.view("<u8").astype(np.uint64, copy=False)
+    return PackedColorings(np.ascontiguousarray(words.T), trials)
 
 
 def unpack_lanes(bits: np.ndarray, trials: int) -> np.ndarray:
@@ -329,6 +335,16 @@ def _ones_planes(shape: tuple[int, ...]) -> list[np.ndarray]:
 
 
 # -- packed kernels ---------------------------------------------------------------
+
+
+def _maj_columns(algorithm) -> np.ndarray:
+    """Probe_Maj's 0-based columns in probe order, built once per algorithm."""
+    scratch = kernel_scratch(algorithm)
+    columns = scratch.get("maj_columns")
+    if columns is None:
+        columns = np.asarray(algorithm.order, dtype=np.intp) - 1
+        scratch["maj_columns"] = columns
+    return columns
 
 
 @_by_slab
@@ -518,8 +534,8 @@ def run_packed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run every packed trial through the algorithm's bitpacked kernel.
 
-    Returns the same ``(probes, witness_green)`` pair as
-    :func:`repro.core.batched.batched_run` — per-trial ``int64`` probe
+    Returns the same ``(probes, witness_green)`` pair as the numpy kernels
+    of :func:`repro.core.batched.batched_run` — per-trial ``int64`` probe
     counts and bool witness colors — so downstream accounting (histograms,
     witness tallies) is backend-agnostic.  Raises for algorithms without a
     packed kernel; randomized algorithms never have one.

@@ -45,6 +45,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -312,10 +313,11 @@ class FixedCountSource(ColoringSource):
 class CorrelatedGroupsSource(ColoringSource):
     """Whole groups of elements fail together, each with probability ``group_p``.
 
-    The batched draw is one Bernoulli per ``(trial, group)`` expanded
-    through a group-membership matrix (a BLAS matmul), so correlated
-    scenarios cost barely more than i.i.d. ones.  Elements outside every
-    group never fail.
+    The batched draw is one Bernoulli per ``(trial, group)``; an element is
+    red when any of its groups failed, a boolean OR over each element's
+    groups (one column gather per group an element can share), so
+    correlated scenarios cost barely more than i.i.d. ones.  Elements
+    outside every group never fail.
     """
 
     name = "correlated_groups"
@@ -328,15 +330,12 @@ class CorrelatedGroupsSource(ColoringSource):
         self._n = n
         self._groups = [frozenset(group) for group in groups]
         self._group_p = group_p
-        membership = np.zeros((len(self._groups), n), dtype=np.float32)
-        for index, group in enumerate(self._groups):
+        for group in self._groups:
             for element in group:
                 if not 1 <= element <= n:
                     raise ValueError(
                         f"group element {element} outside universe 1..{n}"
                     )
-                membership[index, element - 1] = 1.0
-        self._membership = membership
 
     @property
     def n(self) -> int:
@@ -354,19 +353,45 @@ class CorrelatedGroupsSource(ColoringSource):
     def draws_per_word(self) -> int:
         return 64 * len(self._groups)
 
+    @cached_property
+    def _memberships(self) -> np.ndarray:
+        """``(depth, n)`` group indices: row ``k`` holds each element's
+        ``k``-th group, or ``len(groups)`` (a group that never fails) once
+        the element has no more.  Built on first use, so a source unpickled
+        from a checkpoint written before the table existed works too."""
+        per_element: list[list[int]] = [[] for _ in range(self._n)]
+        for index, group in enumerate(self._groups):
+            for element in group:
+                per_element[element - 1].append(index)
+        depth = max([1] + [len(indices) for indices in per_element])
+        table = np.full((depth, self._n), len(self._groups), dtype=np.intp)
+        for element, indices in enumerate(per_element):
+            table[: len(indices), element] = indices
+        return table
+
+    def _red(self, fails: np.ndarray) -> np.ndarray:
+        """Red elements of each row of group failures (last axis = groups):
+        one column gather per layer of :attr:`_memberships`, OR-ed."""
+        padded = np.zeros(fails.shape[:-1] + (fails.shape[-1] + 1,), dtype=bool)
+        padded[..., :-1] = fails
+        first, *rest = self._memberships
+        red = padded[..., first]
+        for layer in rest:
+            red |= padded[..., layer]
+        return red
+
     def _sample_matrix(self, trials, generator):
         if not self._groups:
             return np.zeros((trials, self._n), dtype=bool)
-        fails = generator.random((trials, len(self._groups))) < self._group_p
-        return (fails.astype(np.float32) @ self._membership) > 0.5
+        return self._red(generator.random((trials, len(self._groups))) < self._group_p)
 
     def sample(self, rng=None) -> Coloring:
         generator = as_numpy_generator(rng)
         if not self._groups:
             return Coloring.all_green(self._n)
-        fails = generator.random(len(self._groups)) < self._group_p
-        row = (fails.astype(np.float32) @ self._membership) > 0.5
-        return Coloring.from_red_row(row)
+        return Coloring.from_red_row(
+            self._red(generator.random(len(self._groups)) < self._group_p)
+        )
 
 
 class AdversarialSource(ColoringSource):

@@ -3,9 +3,12 @@
 The batched layer (:mod:`repro.core.batched`) evaluates one ``(trials, n)``
 matrix per call, which caps trial counts by RAM and fixes precision up
 front.  This module drives any (algorithm kernel × coloring source) pair in
-fixed-size *trial chunks* instead: each chunk is sampled, run through
-:func:`repro.core.batched.batched_or_sequential_run` and folded into an
-exact running accumulator, so memory stays ``O(chunk_size · n)`` while the
+fixed-size *trial chunks* instead: each chunk is sampled, run through the
+algorithm's one kernel — packed (:func:`repro.core.bitpacked.run_packed`)
+for the deterministic algorithms, numpy
+(:func:`repro.core.batched.batched_or_sequential_run`) for the randomized
+ones and the per-trial fallback — and folded into an exact running
+accumulator, so memory stays ``O(chunk_size · n)`` while the
 trial count scales to ``10^7`` and beyond.
 
 Two stopping modes are supported:
@@ -259,9 +262,8 @@ class StreamResult:
     retries_used: int = 0
     pool_respawns: int = 0
     worker_reassignments: int = 0
-    #: The *resolved* kernel backend the run executed on ("numpy" or
-    #: "bitpacked" — never "auto"); deterministic kernels
-    #: produce byte-identical statistics on every backend.
+    #: The kernel backend the run executed on, derived from the algorithm
+    #: (:func:`repro.core.batched.resolve_backend`): "bitpacked" or "numpy".
     backend: str = "numpy"
 
     @property
@@ -307,36 +309,6 @@ def collect_recovery() -> Iterator[dict]:
         yield totals
     finally:
         _RECOVERY_COLLECTORS.remove(totals)
-
-
-#: Ambient kernel-backend request applied when a run doesn't pass
-#: ``backend=`` explicitly; see :func:`default_backend`.
-_AMBIENT_BACKEND = "numpy"
-
-
-@contextmanager
-def default_backend(backend: str) -> Iterator[None]:
-    """Set the ambient kernel backend for engine runs inside the block.
-
-    Every :func:`stream_probes` call that leaves ``backend=None`` resolves
-    against this value instead of ``"numpy"``.  Used by the experiment
-    runner to apply a backend choice across a spec's internal engine calls
-    without threading ``backend=`` through every ``ExperimentSpec.run``
-    signature (the same shape as :func:`collect_recovery`).
-    """
-    from repro.core.batched import BACKEND_CHOICES
-
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
-        )
-    global _AMBIENT_BACKEND
-    previous = _AMBIENT_BACKEND
-    _AMBIENT_BACKEND = backend
-    try:
-        yield
-    finally:
-        _AMBIENT_BACKEND = previous
 
 
 # -- chunk execution --------------------------------------------------------------
@@ -393,12 +365,10 @@ def _run_chunk(
 ) -> ChunkStats:
     """Sample and evaluate one chunk; returns O(n) sufficient statistics.
 
-    ``backend`` is a *resolved* backend ("numpy" or "bitpacked").  The
+    ``backend`` is the algorithm's backend ("numpy" or "bitpacked").  The
     bitpacked path draws the chunk directly into bit-planes from the same
-    word-aligned stream and runs the bit-sliced kernel; its probe counts
-    and witness tallies are bit-identical to the numpy path for
-    deterministic kernels, so the merged statistics don't depend on the
-    backend.
+    word-aligned stream (the very colorings ``sample_matrix`` would
+    return) and runs the packed kernel.
     """
     from repro.core.batched import batched_or_sequential_run
 
@@ -441,8 +411,8 @@ class ChunkTask:
         worker; workers deserialize once per token and then reuse the
         *same* objects for all their chunks, so the per-algorithm kernel
         scratch (:func:`repro.core.batched.kernel_scratch`) stays warm
-        inside workers exactly as it does inline.  The resolved backend
-        rides along so every worker evaluates on the parent's kernels.
+        inside workers exactly as it does inline.  The backend rides along
+        so every worker evaluates on the parent's kernels.
         """
         blob = pickle.dumps(
             (self.algorithm, self.source, self.backend),
@@ -954,15 +924,12 @@ def stream_probes(
 ) -> StreamResult:
     """Run the streaming engine for one (algorithm, source) pair.
 
-    ``backend`` selects the kernel backend — ``"numpy"``, ``"bitpacked"``
-    (64 trials per word; deterministic algorithms only, rejected loudly
-    otherwise) or ``"auto"`` (bitpacked where a kernel exists and the run
-    is large enough; see :func:`repro.core.batched.resolve_backend`);
-    ``None`` defers to the ambient default (:func:`default_backend`,
-    normally numpy).  The backend is an execution knob like ``jobs``: for
-    deterministic kernels the merged statistics are byte-identical across
-    backends, and the resolved choice is recorded on
-    ``StreamResult.backend``.
+    The kernel backend follows from the algorithm
+    (:func:`repro.core.batched.resolve_backend`: packed for the
+    deterministic algorithms, numpy otherwise) and is recorded on
+    ``StreamResult.backend``.  A ``backend`` argument is validated but
+    chooses nothing: an unknown name raises, and so does ``"bitpacked"``
+    for an algorithm without a packed kernel (every randomized one).
 
     Exactly one of the stopping modes applies: with ``target_ci=None``
     (fixed mode) exactly ``trials`` trials run; with a ``target_ci``
@@ -1092,11 +1059,7 @@ def stream_probes(
         raise ValueError("run_timeout must be positive (None disables it)")
     from repro.core.batched import resolve_backend
 
-    backend = resolve_backend(
-        algorithm,
-        _AMBIENT_BACKEND if backend is None else backend,
-        trials if trials is not None else max_trials,
-    )
+    backend = resolve_backend(algorithm, backend)
     task = ChunkTask(algorithm, source, backend, _resolve_entropy(seed))
     scheduler = _Scheduler(
         _StoppingRule(trials, target_ci, min_trials, max_trials),
@@ -1174,7 +1137,6 @@ def resume_stream(
     retry_backoff: float | None = None,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 1,
-    backend: str | None = None,
     stop_event=None,
     run_timeout: float | None = None,
 ) -> StreamResult:
@@ -1183,11 +1145,11 @@ def resume_stream(
     The checkpoint carries the pickled ``(algorithm, source, backend)``
     payload, so no other description of the run is needed — this is what
     ``repro-probe estimate --resume`` calls.  By default the continued run
-    keeps checkpointing to the same file and stays on the backend the
-    interrupted run resolved (backends are byte-identical for
-    deterministic kernels, so overriding ``backend`` is safe).
+    keeps checkpointing to the same file.  The recorded backend is
+    ignored: the algorithm's own kernel evaluates the remaining chunks,
+    and every kernel a checkpoint may have run on computes the same
+    statistics.
     """
-    from repro.core.batched import BACKENDS
     from repro.core.checkpoint import load_engine_checkpoint
 
     state = load_engine_checkpoint(path)
@@ -1197,18 +1159,10 @@ def resume_stream(
             "pair; resume through stream_probes(resume=...) with the "
             "original objects instead"
         )
-    algorithm, source, recorded_backend = load_pair(state.pair_blob)
-    if backend is None and recorded_backend not in BACKENDS:
-        raise ValueError(
-            f"{path}: checkpoint ran on the {recorded_backend!r} kernel "
-            f"backend, which no longer exists; pass backend='bitpacked' or "
-            "'numpy' to resume it (deterministic kernels are byte-identical "
-            "on every backend)"
-        )
+    algorithm, source, _ = load_pair(state.pair_blob)
     return stream_probes(
         algorithm,
         source,
-        backend=recorded_backend if backend is None else backend,
         jobs=jobs,
         executor=executor,
         coordinator=coordinator,

@@ -40,11 +40,11 @@ from repro.experiments.report import Row, row_from_dict, row_to_dict, violations
 #: ``status``/``error`` fields (degraded runs); version 3 adds the
 #: ``recovery`` counters (chunk retries / pool respawns / distributed
 #: lease reassignments observed by the run's engine calls); version 4
-#: adds the ``backend`` kernel-backend knob the run was invoked with;
-#: version 5 marks numbers seeded on the bit-plane Bernoulli stream.
-#: Older artifacts still load, with ``"ok"`` status, empty recovery and
-#: backend ``"numpy"``.
-ARTIFACT_SCHEMA_VERSION = 5
+#: added a ``backend`` kernel-backend knob, which version 6 drops again
+#: (each algorithm has one kernel); version 5 marks numbers seeded on the
+#: bit-plane Bernoulli stream.  Older artifacts still load, with ``"ok"``
+#: status and empty recovery; their ``backend`` field is ignored.
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: ``kind`` field of unified experiment artifacts.
 ARTIFACT_KIND = "experiment"
@@ -78,12 +78,6 @@ class RunResult:
     :func:`repro.core.engine.collect_recovery`); like ``environment`` it
     describes the execution, not the result — a recovered run's rows are
     byte-identical to a fault-free run's.
-
-    ``backend`` records the kernel-backend knob the run was invoked with
-    (``"numpy"``, ``"bitpacked"`` or ``"auto"``; an ``auto`` run resolves
-    per engine call, see :func:`repro.core.batched.resolve_backend`).
-    Also an execution field: deterministic kernels produce byte-identical
-    rows under every backend.
     """
 
     spec_id: str
@@ -96,7 +90,6 @@ class RunResult:
     status: str = "ok"
     error: str = ""
     recovery: dict[str, int] = field(default_factory=dict)
-    backend: str = "numpy"
 
     @property
     def violation_rows(self) -> list[Row]:
@@ -118,7 +111,6 @@ class RunResult:
             "status": self.status,
             "error": self.error,
             "recovery": dict(self.recovery),
-            "backend": self.backend,
         }
 
     @classmethod
@@ -145,7 +137,6 @@ class RunResult:
                 key: int(value)
                 for key, value in payload.get("recovery", {}).items()
             },
-            backend=payload.get("backend", "numpy"),
         )
 
 
@@ -162,26 +153,18 @@ def run_experiment(
     experiment_id: str,
     overrides: Mapping[str, Any] | None = None,
     strict: bool = True,
-    backend: str | None = None,
 ) -> RunResult:
     """Resolve and run one registered experiment.
 
     ``overrides`` replace declared parameter defaults; with ``strict=False``
     override names a spec does not declare are ignored, so one shared
     override set (e.g. ``trials=20``) can be applied across many specs.
-
-    ``backend`` sets the ambient kernel backend for every engine call the
-    driver issues (see :func:`repro.core.engine.default_backend`); drivers
-    need no backend plumbing of their own.  A run that mixes deterministic
-    and randomized algorithms should use ``"auto"`` rather than
-    ``"bitpacked"`` — the latter raises on randomized algorithms.
     """
-    from repro.core.engine import collect_recovery, default_backend
+    from repro.core.engine import collect_recovery
 
     spec = get_spec(experiment_id)
-    with default_backend("numpy" if backend is None else backend):
-        with collect_recovery() as recovery:
-            params, result = spec.run(overrides, strict=strict)
+    with collect_recovery() as recovery:
+        params, result = spec.run(overrides, strict=strict)
     return RunResult(
         spec_id=spec.id,
         title=spec.title,
@@ -191,17 +174,12 @@ def run_experiment(
         extra=result.extra,
         environment=environment_metadata(),
         recovery=dict(recovery),
-        backend="numpy" if backend is None else backend,
     )
 
 
-def _run_for_pool(
-    experiment_id: str,
-    overrides: dict[str, Any] | None,
-    backend: str | None = None,
-) -> RunResult:
+def _run_for_pool(experiment_id: str, overrides: dict[str, Any] | None) -> RunResult:
     """Top-level worker entry point (must be picklable for process pools)."""
-    return run_experiment(experiment_id, overrides, strict=False, backend=backend)
+    return run_experiment(experiment_id, overrides, strict=False)
 
 
 def failed_result(experiment_id: str, error: BaseException) -> RunResult:
@@ -225,7 +203,6 @@ def run_experiments(
     overrides: Mapping[str, Any] | None = None,
     jobs: int = 1,
     fail_fast: bool = False,
-    backend: str | None = None,
 ) -> list[RunResult]:
     """Run several experiments, optionally across ``jobs`` processes.
 
@@ -260,11 +237,11 @@ def run_experiments(
 
     if jobs <= 1 or len(ids) <= 1:
         return [
-            guarded(lambda i=i: _run_for_pool(i, shared, backend), i) for i in ids
+            guarded(lambda i=i: _run_for_pool(i, shared), i) for i in ids
         ]
     with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
         futures = [
-            pool.submit(_run_for_pool, experiment_id, shared, backend)
+            pool.submit(_run_for_pool, experiment_id, shared)
             for experiment_id in ids
         ]
         return [

@@ -112,9 +112,8 @@ class SweepCell:
     retries_used: int = 0
     pool_respawns: int = 0
     worker_reassignments: int = 0
-    #: Resolved kernel backend the cell ran on ("numpy" or "bitpacked");
-    #: an execution detail like ``seconds`` — cell statistics are
-    #: byte-identical across backends for deterministic kernels.
+    #: Kernel backend the cell ran on, derived from the algorithm
+    #: ("bitpacked" for the deterministic ones, "numpy" otherwise).
     backend: str = "numpy"
 
 
@@ -237,13 +236,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run a streaming Monte-Carlo sweep over the ``(sizes, ps)`` grid.
 
-    ``backend`` selects every cell's kernel backend (``numpy``,
-    ``bitpacked`` or ``auto``, see
-    :func:`repro.core.batched.resolve_backend`); like ``jobs`` it is an
-    execution knob — deterministic cells are byte-identical across
-    backends — and each cell records the backend it resolved to.  Note
-    ``backend="bitpacked"`` on a randomized sweep fails loudly (degraded
-    to per-cell failures unless ``fail_fast``).
+    Each cell runs on its algorithm's one kernel and records the backend
+    it derived (:func:`repro.core.batched.resolve_backend`).  ``backend``
+    is validated per cell but chooses nothing; ``backend="bitpacked"`` on
+    a randomized sweep fails loudly (degraded to per-cell failures unless
+    ``fail_fast``).
 
     ``system_name`` and ``sizes`` use the conventions of
     :func:`repro.systems.build_system` (size knob = tree/HQS height,
@@ -494,7 +491,6 @@ def resume_sweep(
     chunk_timeout: float | None = None,
     coordinator=None,
     checkpoint_path: str | Path | None = None,
-    backend: str | None = None,
     stop_event=None,
     run_timeout: float | None = None,
 ) -> SweepResult:
@@ -528,7 +524,6 @@ def resume_sweep(
         coordinator=coordinator,
         checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
         resume=state,
-        backend=backend,
         stop_event=stop_event,
         run_timeout=run_timeout,
     )

@@ -383,39 +383,29 @@ class ProbeService:
                     run_timeout=self.deadline,
                 )
             return estimate_result_payload(result)
-        from repro.experiments.sweep import resume_sweep, run_sweep
+        from repro.experiments.sweep import run_sweep
 
-        if checkpoint.is_file():
-            result = resume_sweep(
-                checkpoint,
-                jobs=self.engine_jobs,
-                retries=self.retries,
-                chunk_timeout=self.chunk_timeout,
-                backend=params["backend"],
-                stop_event=self.stop_event,
-                run_timeout=self.deadline,
-            )
-        else:
-            result = run_sweep(
-                params["system"],
-                params["sizes"],
-                params["ps"],
-                trials=params["trials"],
-                target_ci=params["target_ci"],
-                seed=params["seed"],
-                randomized=params["randomized"],
-                distribution=params["distribution"],
-                chunk_size=params["chunk_size"],
-                min_trials=params["min_trials"],
-                max_trials=params["max_trials"],
-                jobs=self.engine_jobs,
-                retries=self.retries,
-                chunk_timeout=self.chunk_timeout,
-                checkpoint_path=checkpoint,
-                backend=params["backend"],
-                stop_event=self.stop_event,
-                run_timeout=self.deadline,
-            )
+        result = run_sweep(
+            params["system"],
+            params["sizes"],
+            params["ps"],
+            trials=params["trials"],
+            target_ci=params["target_ci"],
+            seed=params["seed"],
+            randomized=params["randomized"],
+            distribution=params["distribution"],
+            chunk_size=params["chunk_size"],
+            min_trials=params["min_trials"],
+            max_trials=params["max_trials"],
+            jobs=self.engine_jobs,
+            retries=self.retries,
+            chunk_timeout=self.chunk_timeout,
+            checkpoint_path=checkpoint,
+            resume=checkpoint if checkpoint.is_file() else None,
+            backend=params["backend"],
+            stop_event=self.stop_event,
+            run_timeout=self.deadline,
+        )
         return sweep_result_payload(result)
 
     def _finish_done(self, job: Job, result: dict, seconds: float) -> None:

@@ -98,7 +98,8 @@ class TestDispatchAndFallback:
 
         algorithm = TweakedProbeMaj(MajoritySystem(5))
         assert not supports_batched(algorithm)
-        register_kernel(TweakedProbeMaj, kernel_for(ProbeMaj(MajoritySystem(5))))
+        packed = kernel_for(ProbeMaj(MajoritySystem(5)), backend="bitpacked")
+        register_kernel(TweakedProbeMaj, packed, backend="bitpacked")
         try:
             assert supports_batched(algorithm)
             red = sample_bernoulli_matrix(5, 0.5, 30, rng=1)
@@ -108,7 +109,7 @@ class TestDispatchAndFallback:
         finally:
             from repro.core import batched
 
-            del batched._KERNELS[(TweakedProbeMaj, "numpy")]
+            del batched._KERNELS[(TweakedProbeMaj, "bitpacked")]
 
     def test_fallback_matches_sequential(self):
         algorithm = SequentialScan(TreeSystem(3))

@@ -1,16 +1,15 @@
-"""Tests for the bit-packed kernel backend (:mod:`repro.core.bitpacked`).
+"""Tests for the bit-packed kernels (:mod:`repro.core.bitpacked`).
 
-The load-bearing contract is *bit identity*: for every deterministic
-algorithm with a packed kernel, the bitpacked backend must reproduce the
-numpy backend's per-trial probe counts and witness colors exactly — and
-therefore identical histograms through the streaming engine under every
-chunk size, ``jobs=N`` and distributed split.  Randomized algorithms must
-be rejected loudly.  The packing layout, the slab sampler's RNG-stream
-equivalence, the bit-sliced arithmetic, the lane transpose and the popcount
-fallback are pinned directly.  The Probe_Maj and Probe_CW lane-row kernels
-also carry golden digests taken from the kernels they replaced, and every
-packed kernel is checked against ``run_on`` on every coloring of a small
-universe.
+The deterministic algorithms have no other kernel, so the load-bearing
+contract is agreement with the sequential algorithm: every packed kernel
+is checked against ``run_on`` on every coloring of a small universe and
+trial by trial on structured inputs, and the Probe_Maj and Probe_CW
+lane-row kernels carry golden digests taken from the kernels they
+replaced.  The streaming engine must give one packed pass's histogram
+under every chunk size and split.  The packing layout, the slab sampler's
+RNG-stream equivalence, the bit-sliced arithmetic, the lane transpose, the
+popcount fallback and the backend each algorithm derives are pinned
+directly; ``bitpacked`` on a randomized algorithm must fail loudly.
 """
 
 from __future__ import annotations
@@ -21,14 +20,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeCW, RProbeMaj
-from repro.core.batched import (
-    AUTO_BITPACKED_MIN_TRIALS,
-    batched_run,
-    resolve_backend,
-    scratch_ones,
-    supports_batched,
+from repro.algorithms import (
+    ProbeCW,
+    ProbeHQS,
+    ProbeMaj,
+    ProbeTree,
+    RProbeCW,
+    RProbeMaj,
+    SequentialScan,
 )
+from repro.core.batched import batched_run, resolve_backend, scratch_ones, supports_batched
 from repro.core.bitpacked import (
     PackedColorings,
     _popcount64_lut,
@@ -110,6 +111,21 @@ class TestPacking:
         assert packed.n_words == 0
         assert unpack_matrix(packed).shape == (0, 4)
 
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_equals_the_column_packing_formula(self, trials, n):
+        # The earlier formula: packbits down each column, then regroup the
+        # bytes of every 64 trials into one little-endian word per element.
+        red = np.random.default_rng(trials * n).random((trials, n)) < 0.5
+        n_words = -(-trials // 64)
+        octets = np.zeros((n_words * 8, n), dtype=np.uint8)
+        octets[: -(-trials // 8)] = np.packbits(red, axis=0, bitorder="little")
+        regrouped = np.ascontiguousarray(octets.reshape(n_words, 8, n).transpose(0, 2, 1))
+        expected = regrouped.view("<u8").reshape(n_words, n).astype(np.uint64)
+        words = pack_matrix(red).words
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        np.testing.assert_array_equal(words, expected)
+
 
 class TestSamplePacked:
     @pytest.mark.parametrize("trials", [1, 64, 70, 5000])
@@ -177,13 +193,11 @@ class TestBitSliced:
 class TestKernelEquivalence:
     @pytest.mark.parametrize("case", PACKED_CASES, ids=_case_id)
     @pytest.mark.parametrize("trials", [70, 256])
-    def test_packed_matches_numpy_trial_by_trial(self, case, trials):
+    def test_packed_matches_run_on_trial_by_trial(self, case, trials):
         algorithm, p = case
-        red = sample_bernoulli_matrix(algorithm.system.n, p, trials, rng=23)
-        probes, witness = batched_run(algorithm, red)
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
-        np.testing.assert_array_equal(packed_probes, probes)
-        np.testing.assert_array_equal(packed_witness, witness)
+        _assert_matches_run_on(
+            algorithm, sample_bernoulli_matrix(algorithm.system.n, p, trials, rng=23)
+        )
 
     def test_extreme_colorings(self):
         # All-red and all-green matrices hit every early-exit branch.
@@ -191,10 +205,7 @@ class TestKernelEquivalence:
                           ProbeTree(TreeSystem(3)), ProbeHQS(HQS(2))):
             n = algorithm.system.n
             for matrix in (np.zeros((65, n), bool), np.ones((65, n), bool)):
-                probes, witness = batched_run(algorithm, matrix)
-                packed_probes, packed_witness = run_packed(algorithm, pack_matrix(matrix))
-                np.testing.assert_array_equal(packed_probes, probes)
-                np.testing.assert_array_equal(packed_witness, witness)
+                _assert_matches_run_on(algorithm, matrix)
 
     def test_run_packed_rejects_wrong_n_and_missing_kernel(self):
         packed = pack_matrix(np.zeros((64, 5), bool))
@@ -209,6 +220,14 @@ class TestKernelEquivalence:
         algorithm = RProbeCW(TriangSystem(4))
         with pytest.raises(ValueError, match="deterministic"):
             packed_probe_cw_kernel(algorithm, pack_matrix(np.zeros((64, algorithm.system.n), bool)))
+
+
+def _assert_matches_run_on(algorithm, red):
+    """The packed kernel's probes and witnesses equal ``run_on`` row by row."""
+    probes, witness_green = run_packed(algorithm, pack_matrix(red))
+    runs = [algorithm.run_on(Coloring.from_red_row(row)) for row in red]
+    np.testing.assert_array_equal(probes, [run.probes for run in runs])
+    np.testing.assert_array_equal(witness_green, [run.witness.is_green for run in runs])
 
 
 # -- Probe_Maj and Probe_CW lane-row kernels ---------------------------------------
@@ -273,10 +292,7 @@ class TestLaneRowKernels:
         trials = 300
         base = rng.random((trials, len(widths))) < 0.5
         red = np.repeat(base, widths, axis=1) ^ (rng.random((trials, sum(widths))) < flip)
-        probes, witness = batched_run(algorithm, red)
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
-        np.testing.assert_array_equal(packed_probes, probes)
-        np.testing.assert_array_equal(packed_witness, witness)
+        _assert_matches_run_on(algorithm, red)
 
     @pytest.mark.parametrize("widths", [[1, 200], [1, 3, 130], [1, 5, 2, 121]], ids=str)
     def test_first_match_at_every_position_of_a_long_row(self, widths):
@@ -290,12 +306,10 @@ class TestLaneRowKernels:
         lanes = np.arange(long_row + 1)[:, None]
         red[:, n - long_row :] &= np.arange(long_row) > lanes
         red[lanes[:-1, 0], n - long_row + lanes[:-1, 0]] = True
-        probes, witness = batched_run(algorithm, red)
+        probes, _ = run_packed(algorithm, pack_matrix(red))
         above = len(widths) - 1  # the top row and one probe per red row
         assert list(probes) == [above + k + 1 for k in range(long_row)] + [above + long_row]
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
-        np.testing.assert_array_equal(packed_probes, probes)
-        np.testing.assert_array_equal(packed_witness, witness)
+        _assert_matches_run_on(algorithm, red)
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_maj_follows_a_custom_probe_order(self, order):
@@ -305,10 +319,7 @@ class TestLaneRowKernels:
             elements = [int(e) for e in np.random.default_rng(3).permutation(elements)]
         algorithm = ProbeMaj(system, order=elements)
         red = sample_bernoulli_matrix(129, 0.5, 200, rng=4)
-        probes, witness = batched_run(algorithm, red)
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
-        np.testing.assert_array_equal(packed_probes, probes)
-        np.testing.assert_array_equal(packed_witness, witness)
+        _assert_matches_run_on(algorithm, red)
 
 
 class TestLaneRowChunking:
@@ -382,31 +393,56 @@ def test_every_coloring_through_the_packed_kernel(algorithm):
 
 
 class TestBackendResolution:
-    def test_supports_batched_backend_dimension(self):
-        assert supports_batched(ProbeMaj(MajoritySystem(5)), backend="bitpacked")
-        assert not supports_batched(RProbeMaj(MajoritySystem(5)), backend="bitpacked")
+    RANDOMIZED = [
+        RProbeMaj(MajoritySystem(5)),
+        RProbeCW(TriangSystem(4)),
+        ProbeCW(TriangSystem(4), within_row_order="random"),
+    ]
 
-    def test_numpy_passthrough(self):
-        assert resolve_backend(ProbeMaj(MajoritySystem(5)), "numpy") == "numpy"
-        assert resolve_backend(RProbeMaj(MajoritySystem(5)), "numpy") == "numpy"
+    def test_supports_batched_means_either_backend(self):
+        assert supports_batched(ProbeMaj(MajoritySystem(5)))
+        assert supports_batched(RProbeMaj(MajoritySystem(5)))
+        assert not supports_batched(SequentialScan(MajoritySystem(5)))
 
-    def test_bitpacked_rejects_randomized_loudly(self):
+    @pytest.mark.parametrize("requested", [None, "numpy", "auto", "bitpacked"])
+    @pytest.mark.parametrize("case", PACKED_CASES[::2], ids=_case_id)
+    def test_deterministic_algorithms_run_packed(self, case, requested):
+        assert resolve_backend(case[0], requested) == "bitpacked"
+
+    @pytest.mark.parametrize("requested", [None, "numpy", "auto"])
+    @pytest.mark.parametrize("algorithm", RANDOMIZED, ids=lambda a: a.name)
+    def test_randomized_algorithms_run_numpy(self, algorithm, requested):
+        assert resolve_backend(algorithm, requested) == "numpy"
+
+    @pytest.mark.parametrize("algorithm", RANDOMIZED, ids=lambda a: a.name)
+    def test_bitpacked_rejects_randomized_loudly(self, algorithm):
         with pytest.raises(ValueError, match="randomized"):
-            resolve_backend(RProbeMaj(MajoritySystem(5)), "bitpacked")
-
-    def test_auto_policy(self):
-        deterministic = ProbeMaj(MajoritySystem(5))
-        assert (
-            resolve_backend(deterministic, "auto", AUTO_BITPACKED_MIN_TRIALS)
-            == "bitpacked"
-        )
-        assert resolve_backend(deterministic, "auto", AUTO_BITPACKED_MIN_TRIALS - 1) == "numpy"
-        assert resolve_backend(deterministic, "auto", None) == "bitpacked"
-        assert resolve_backend(RProbeMaj(MajoritySystem(5)), "auto", 10**6) == "numpy"
+            resolve_backend(algorithm, "bitpacked")
+        with pytest.raises(ValueError, match="randomized"):
+            stream_probes(algorithm, p=0.5, trials=64, seed=1, backend="bitpacked")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
             resolve_backend(ProbeMaj(MajoritySystem(5)), "cuda")
+        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
+            stream_probes(ProbeMaj(MajoritySystem(5)), p=0.5, trials=64, backend="cuda")
+
+    def test_numpy_request_runs_packed(self, monkeypatch):
+        from repro.core import bitpacked
+
+        calls = []
+
+        def counting(algorithm, packed, rng=None):
+            calls.append(packed.trials)
+            return run_packed(algorithm, packed, rng)
+
+        monkeypatch.setattr(bitpacked, "run_packed", counting)
+        algorithm = ProbeTree(TreeSystem(3))
+        result = stream_probes(algorithm, p=0.4, trials=100, seed=2, backend="numpy")
+        assert result.backend == "bitpacked" and calls == [100]
+        red = sample_bernoulli_matrix(algorithm.system.n, 0.4, 70, rng=2)
+        batched_run(algorithm, red)
+        assert calls == [100, 70]
 
     def test_scratch_ones_is_read_only(self):
         algorithm = ProbeMaj(MajoritySystem(5))
@@ -434,46 +470,17 @@ def _histograms_match(a, b):
 
 
 class TestStreamIdentity:
-    @pytest.mark.parametrize("chunk_size", [1, 97, 500])
-    def test_chunked_histograms_identical(self, chunk_size):
-        algorithm = ProbeMaj(MajoritySystem(25))
-        kwargs = dict(p=0.4, trials=500, seed=13, chunk_size=chunk_size)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
-        packed = stream_probes(algorithm, backend="bitpacked", **kwargs)
-        assert base.backend == "numpy"
-        assert packed.backend == "bitpacked"
-        assert _histograms_match(packed, base)
-
-    @pytest.mark.parametrize("case", PACKED_CASES[:4], ids=_case_id)
-    def test_every_kernel_through_the_engine(self, case):
-        algorithm, p = case
-        kwargs = dict(p=p, trials=300, seed=7, chunk_size=128)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
-        packed = stream_probes(algorithm, backend="bitpacked", **kwargs)
-        assert _histograms_match(packed, base)
-
-    def test_sharded_jobs_identical(self):
-        algorithm = ProbeTree(TreeSystem(4))
-        kwargs = dict(p=0.5, trials=600, seed=3, chunk_size=64)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
-        packed = stream_probes(algorithm, backend="bitpacked", jobs=4, **kwargs)
-        assert _histograms_match(packed, base)
-
-    def test_nonaligned_final_chunk(self):
+    @pytest.mark.parametrize(
+        "algorithm", [ProbeHQS(HQS(2)), ProbeTree(TreeSystem(3))], ids=lambda a: a.name
+    )
+    def test_nonaligned_final_chunk(self, algorithm):
         # trials not a multiple of the chunk size nor of 64: the padded tail
         # lanes of the last word must not leak into the histogram.
-        algorithm = ProbeHQS(HQS(2))
-        kwargs = dict(p=0.3, trials=333, seed=5, chunk_size=100)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
-        packed = stream_probes(algorithm, backend="bitpacked", **kwargs)
-        assert _histograms_match(packed, base)
-
-    def test_adaptive_stop_identical(self):
-        algorithm = ProbeMaj(MajoritySystem(25))
-        kwargs = dict(p=0.4, target_ci=0.3, chunk_size=64, seed=11, max_trials=4096)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
-        packed = stream_probes(algorithm, backend="bitpacked", **kwargs)
-        assert _histograms_match(packed, base)
+        source = BernoulliSource(algorithm.system.n, 0.3)
+        result = stream_probes(algorithm, source, trials=333, seed=5, chunk_size=100)
+        assert (list(result.histogram), result.witness_red) == TestLaneRowChunking._one_shot(
+            algorithm, source, 333, 5
+        )
 
     def test_checkpoint_resume_preserves_backend(self, tmp_path):
         from repro.core.engine import resume_stream
@@ -497,32 +504,15 @@ class TestStreamIdentity:
         assert resumed.backend == "bitpacked"
         assert _histograms_match(resumed, base)
 
-    def test_randomized_backend_error_through_engine(self):
-        with pytest.raises(ValueError, match="randomized"):
-            stream_probes(
-                RProbeMaj(MajoritySystem(9)), p=0.5, trials=64, seed=1, backend="bitpacked"
-            )
-
-    def test_engine_estimate_backend_identity(self):
-        algorithm = ProbeMaj(MajoritySystem(25))
-        runs = {
-            backend: stream_probes(
-                algorithm, p=0.4, trials=500, seed=13, backend=backend
-            ).estimate
-            for backend in ("numpy", "bitpacked")
-        }
-        base, packed = runs["numpy"], runs["bitpacked"]
-        assert packed.mean == base.mean
-        assert packed.std == base.std
 
 
 class TestDistributedIdentity:
-    def test_loopback_workers_match_numpy_sequential(self):
+    def test_loopback_workers_match_sequential(self):
         from repro.distributed import Coordinator, run_worker
 
         algorithm = ProbeCW(TriangSystem(8))
         kwargs = dict(p=0.5, trials=512, seed=29, chunk_size=64)
-        base = stream_probes(algorithm, backend="numpy", **kwargs)
+        base = stream_probes(algorithm, **kwargs)
         with Coordinator() as coordinator:
             workers = [
                 threading.Thread(
@@ -537,9 +527,7 @@ class TestDistributedIdentity:
             for worker in workers:
                 worker.start()
             coordinator.wait_for_workers(2, timeout=30.0)
-            packed = stream_probes(
-                algorithm, backend="bitpacked", coordinator=coordinator, **kwargs
-            )
+            packed = stream_probes(algorithm, coordinator=coordinator, **kwargs)
         assert packed.backend == "bitpacked"
         assert _histograms_match(packed, base)
 
@@ -555,13 +543,14 @@ class TestPopcountFallback:
         monkeypatch.setattr(bitpacked, "popcount64", _popcount64_lut)
 
     @pytest.mark.parametrize("case", PACKED_CASES, ids=_case_id)
-    def test_kernels_bit_identical_under_lut(self, case):
+    def test_kernels_bit_identical_under_lut(self, case, monkeypatch):
         algorithm, p = case
-        red = sample_bernoulli_matrix(algorithm.system.n, p, 200, rng=31)
-        probes, witness = batched_run(algorithm, red)
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
-        np.testing.assert_array_equal(packed_probes, probes)
-        np.testing.assert_array_equal(packed_witness, witness)
+        packed = pack_matrix(sample_bernoulli_matrix(algorithm.system.n, p, 200, rng=31))
+        lut_probes, lut_witness = run_packed(algorithm, packed)
+        monkeypatch.undo()  # back to np.bitwise_count
+        probes, witness = run_packed(algorithm, packed)
+        np.testing.assert_array_equal(lut_probes, probes)
+        np.testing.assert_array_equal(lut_witness, witness)
 
     def test_lane_row_kernels_call_the_patched_popcount(self, monkeypatch):
         # The Maj and CW kernels resolve ``popcount64`` at call time, so the
@@ -583,10 +572,10 @@ class TestPopcountFallback:
     @pytest.mark.parametrize("case", PACKED_CASES, ids=_case_id)
     def test_kernels_run_on_numpy_without_bitwise_count(self, case, monkeypatch):
         # numpy < 2.0 (which setup.py allows) has no ``np.bitwise_count``.
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
         algorithm, p = case
-        red = sample_bernoulli_matrix(algorithm.system.n, p, 130, rng=37)
-        probes, witness = batched_run(algorithm, red)
-        packed_probes, packed_witness = run_packed(algorithm, pack_matrix(red))
+        packed = pack_matrix(sample_bernoulli_matrix(algorithm.system.n, p, 130, rng=37))
+        probes, witness = run_packed(algorithm, packed)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        packed_probes, packed_witness = run_packed(algorithm, packed)
         np.testing.assert_array_equal(packed_probes, probes)
         np.testing.assert_array_equal(packed_witness, witness)

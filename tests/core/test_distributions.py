@@ -207,6 +207,23 @@ class TestCorrelatedGroupsSource:
             for group in groups:
                 assert failed & group in (frozenset(), frozenset(group))
 
+    @pytest.mark.parametrize("trials", [1, 65, 300])
+    def test_overlapping_groups_equal_the_membership_matmul(self, trials):
+        # An element is red when any of its groups failed: the OR over its
+        # groups equals thresholding the float product of the group draws
+        # with the 0/1 membership matrix, on the same generator draws.
+        groups = [{1, 2, 3}, {3, 4}, {2, 5, 9}, set(), {9}, {3}, {1, 2, 3, 4, 5, 6, 7}]
+        source = CorrelatedGroupsSource(10, groups, 0.4)
+        membership = np.zeros((len(groups), 10), dtype=np.float32)
+        for index, group in enumerate(groups):
+            membership[index, np.asarray(sorted(group), dtype=np.intp) - 1] = 1.0
+        fails = np.random.default_rng(trials).random((trials, len(groups))) < 0.4
+        expected = (fails.astype(np.float32) @ membership) > 0.5
+        red = source.sample_matrix(10, trials, np.random.default_rng(trials))
+        np.testing.assert_array_equal(red, expected)
+        one = (np.random.default_rng(5).random(len(groups)) < 0.4) @ membership > 0.5
+        assert source.sample(5).red_elements == frozenset(np.flatnonzero(one) + 1)
+
     def test_group_failure_rate(self):
         source = CorrelatedGroupsSource(6, [{1, 2}, {3, 4, 5}], 0.25)
         red = source.sample_matrix(6, 8000, rng=4)

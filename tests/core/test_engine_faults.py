@@ -293,17 +293,23 @@ class TestInterruptionSemantics:
         with pytest.raises(ValueError, match="checkpoint records"):
             stream_probes(other, p=0.2, resume=checkpoint)
 
-    def test_checkpoint_of_removed_compiled_backend_fails_loudly(self, tmp_path):
+    @pytest.mark.parametrize("recorded", ["numpy", "bitpacked", "compiled"])
+    def test_checkpoint_resumes_whatever_backend_it_recorded(self, tmp_path, recorded):
+        # The pair blob still carries the backend a run was written on (numpy
+        # for every deterministic run of earlier builds); the resume ignores
+        # it and runs the algorithm's own kernel, with the same statistics.
         checkpoint = tmp_path / "run.ckpt"
-        _baseline(checkpoint_path=checkpoint)
+        with pytest.raises(KeyboardInterrupt):
+            with faults.active_plan([Fault("merge", 1, "interrupt")], tmp_path / "plan"):
+                _baseline(checkpoint_path=checkpoint)
         state = load_engine_checkpoint(checkpoint)
+        assert not state.complete
         algorithm, source, _ = pickle.loads(state.pair_blob)
-        blob = pickle.dumps((algorithm, source, "compiled"))
+        blob = pickle.dumps((algorithm, source, recorded))
         save_engine_checkpoint(checkpoint, dataclasses.replace(state, pair_blob=blob))
-        with pytest.raises(ValueError, match="'compiled' kernel backend"):
-            resume_stream(checkpoint)
-        # Every remaining backend is byte-identical, so naming one resumes it.
-        assert _same_statistics(resume_stream(checkpoint, backend="numpy"), _baseline())
+        resumed = resume_stream(checkpoint)
+        assert resumed.backend == "bitpacked"
+        assert _same_statistics(resumed, _baseline())
 
     def test_checkpoint_from_the_float_sampler_stream_fails_loudly(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"

@@ -20,9 +20,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeMaj
+from repro.algorithms import ProbeMaj, RProbeMaj
 from repro.core import engine
-from repro.core.batched import AUTO_BITPACKED_MIN_TRIALS, BACKENDS, resolve_backend
+from repro.core.batched import BACKENDS, resolve_backend
 from repro.core.distributions import BernoulliSource
 from repro.core.engine import (
     ChunkLedger,
@@ -40,7 +40,7 @@ from repro.core.engine import (
     load_pair,
     stream_probes,
 )
-from repro.systems import HQS, MajoritySystem, TreeSystem, TriangSystem
+from repro.systems import MajoritySystem
 
 
 @pytest.fixture(autouse=True)
@@ -689,18 +689,6 @@ class TestCoordinatorTransport:
 
 
 class TestRemovedOptions:
-    @pytest.mark.parametrize(
-        "algorithm",
-        [ProbeMaj(MajoritySystem(9)), ProbeCW(TriangSystem(4)),
-         ProbeTree(TreeSystem(3)), ProbeHQS(HQS(2))],
-        ids=lambda algorithm: algorithm.name,
-    )
-    def test_auto_threshold_is_the_constant(self, monkeypatch, algorithm):
-        monkeypatch.setenv("REPRO_AUTO_BACKEND_MIN_TRIALS", "1")
-        below = resolve_backend(algorithm, "auto", AUTO_BITPACKED_MIN_TRIALS - 1)
-        at = resolve_backend(algorithm, "auto", AUTO_BITPACKED_MIN_TRIALS)
-        assert (below, at) == ("numpy", "bitpacked")
-
     def test_compiled_backend_is_unknown(self):
         with pytest.raises(ValueError, match="compiled"):
             resolve_backend(ProbeMaj(MajoritySystem(9)), "compiled")
@@ -715,9 +703,13 @@ class TestRemovedOptions:
             ["run", "table1", "--backend", "compiled"],
             ["estimate", "--system", "maj", "--auto-backend-min-trials", "10"],
             ["run", "table1", "--auto-backend-min-trials", "10"],
+            ["estimate", "--system", "maj", "--size", "9", "--backend", "bitpacked"],
+            ["sweep", "--backend", "numpy"],
+            ["run", "table1", "--backend", "auto"],
         ],
         ids=["estimate-compiled", "sweep-compiled", "run-compiled",
-             "estimate-threshold", "run-threshold"],
+             "estimate-threshold", "run-threshold",
+             "estimate-backend", "sweep-backend", "run-backend"],
     )
     def test_cli_rejects_removed_flags(self, argv, capsys):
         from repro.cli import main
@@ -726,7 +718,7 @@ class TestRemovedOptions:
             main(argv)
         assert exited.value.code == 2
         error = capsys.readouterr().err
-        assert "compiled" in error or "--auto-backend-min-trials" in error
+        assert "unrecognized arguments" in error and argv[-2] in error
 
     def test_raw_executor_names_chunk_pool(self):
         from concurrent.futures import ThreadPoolExecutor

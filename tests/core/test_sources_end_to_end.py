@@ -7,8 +7,8 @@ built-in sources through the probing algorithms and
 :func:`~repro.core.engine.stream_probes`:
 
 * every algorithm returns a valid witness of the right color on every draw;
-* a fixed red set gives one exact probe count and an exact failure rate on
-  both kernel backends, equal to the per-trial run;
+* a fixed red set gives one exact probe count and an exact failure rate
+  through the packed kernels, equal to the per-trial run;
 * degenerate group probabilities pin the outcome;
 * every source's stream is reproducible per seed and does not depend on the
   chunk size.
@@ -104,10 +104,9 @@ def test_every_algorithm_finds_a_valid_witness_on_every_draw(factory, source_nam
 class TestFixedRedSetThroughTheEngine:
     """A fixed red set makes every trial the same input."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "bitpacked"])
     @pytest.mark.parametrize("which", ["quorum", "complement"])
     @pytest.mark.parametrize("factory", DETERMINISTIC)
-    def test_deterministic_run_is_the_scalar_run(self, factory, which, backend):
+    def test_deterministic_run_is_the_scalar_run(self, factory, which):
         algorithm = factory()
         system = algorithm.system
         red = _red_set(system, which)
@@ -122,9 +121,8 @@ class TestFixedRedSetThroughTheEngine:
             trials=trials,
             chunk_size=50,
             seed=4,
-            backend=backend,
         )
-        assert result.backend == backend
+        assert result.backend == "bitpacked"
         assert result.mean == float(run.probes) and result.std == 0.0
         assert result.histogram[run.probes] == trials
         assert result.failure_rate == (1.0 if run.color is Color.RED else 0.0)

@@ -277,6 +277,17 @@ class TestRecoveryAccounting:
         assert clean.recovery.get("retries_used", 0) == 0
         assert loaded.rows == clean.rows
 
+    def test_artifact_drops_the_backend_field(self, tmp_path):
+        # Schema 6: each algorithm has one kernel, so an experiment records
+        # no backend; schema-4/5 artifacts that carry one still load.
+        result = run_experiment("tree", {"trials": 15}, strict=False)
+        payload = result.to_dict()
+        assert "backend" not in payload and payload["schema"] == 6
+        payload.update(schema=5, backend="auto")
+        path = tmp_path / "schema5.json"
+        path.write_text(json.dumps(payload))
+        assert load_artifact(path).rows == result.rows
+
     def test_legacy_artifact_without_recovery_loads_empty(self, tmp_path):
         result = run_experiment("tree", {"trials": 15}, strict=False)
         payload = result.to_dict()

@@ -52,6 +52,18 @@ class TestRunSweep:
         assert result.algorithm == "RProbeTree"
         assert result.randomized
 
+    def test_cells_record_the_derived_backend(self):
+        packed = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, backend="numpy")
+        assert [cell.backend for cell in packed.cells] == ["bitpacked"]
+        numpy = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, randomized=True)
+        assert [cell.backend for cell in numpy.cells] == ["numpy"]
+        refused = run_sweep(
+            "tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, randomized=True,
+            backend="bitpacked",
+        )
+        assert refused.cells[0].status == "failed"
+        assert "randomized" in refused.cells[0].error
+
     def test_fallback_for_systems_without_kernel(self):
         result = run_sweep("wheel", sizes=(6,), ps=(0.5,), trials=50, seed=5)
         assert not result.cells[0].batched_kernel

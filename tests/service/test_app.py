@@ -104,6 +104,23 @@ class TestLifecycle:
         assert statistics["kind"] == "p_sweep"
         assert len(statistics["cells"]) == 2
 
+    def test_resumed_sweep_still_validates_the_backend(self, service_factory):
+        # A sweep job resumes from its checkpoint with the request's own
+        # parameters, so a backend the grid refused stays refused.
+        from repro.experiments.sweep import run_sweep
+        from repro.service.jobs import normalize_sweep
+
+        service = service_factory(start=False)
+        request = {"system": "tree", "sizes": [2], "ps": [0.2], "trials": 32,
+                   "randomized": True, "backend": "bitpacked"}
+        job = service.journal.new_job("sweep", normalize_sweep(request))
+        checkpoint = service.journal.checkpoint_path(job)
+        first = run_sweep("tree", [2], [0.2], trials=32, seed=0, randomized=True,
+                          backend="bitpacked", checkpoint_path=checkpoint)
+        assert checkpoint.is_file() and first.cells[0].status == "failed"
+        cells = service._execute(job)["statistics"]["cells"]
+        assert [cell["status"] for cell in cells] == ["failed"]
+
     def test_done_jobs_survive_restart_without_rerunning(self, service_factory):
         service = service_factory()
         record = submit_and_wait(service)

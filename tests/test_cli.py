@@ -226,6 +226,13 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "invalid choice: 'experiment'" in capsys.readouterr().err
 
+    def test_estimate_reports_the_derived_backend(self, capsys):
+        for randomized, backend in ((False, "bitpacked"), (True, "numpy")):
+            argv = ["estimate", "--system", "tree", "--size", "3", "--p", "0.4",
+                    "--trials", "100", "--seed", "2"]
+            assert main(argv + ["--randomized"] * randomized) == 0
+            assert f"backend   : {backend}" in capsys.readouterr().out
+
     def test_estimate_batched_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["estimate", "--batched"])
