@@ -16,10 +16,11 @@ Sections:
 * ``batched_montecarlo`` — vectorized (one engine chunk) versus per-trial
   Monte-Carlo estimation (1000 trials) for Probe_Maj on ``Maj(1001)`` and Probe_CW on
   ``Triang(45)`` (n = 1035);
-* ``batched_gates`` — the level-synchronous gate engine
-  (:mod:`repro.core.batched_gates`) versus the recursive per-trial loops
+* ``batched_gates`` — the level-synchronous gate kernels, all packed
+  (:mod:`repro.core.bitpacked`), versus the recursive per-trial loops
   for Probe_Tree / R_Probe_Tree on ``Tree(h=9)`` (n = 1023) and
-  Probe_HQS / R_Probe_HQS / IR_Probe_HQS on ``HQS(h=6)`` (n = 729);
+  Probe_HQS / R_Probe_HQS / IR_Probe_HQS on ``HQS(h=6)`` (n = 729); the
+  section keeps its name so snapshots stay comparable;
 * ``coloring_sampling`` — ``Coloring.random`` at ``n = 2000`` and the
   i.i.d. matrix sampler ``sample_bernoulli_matrix`` (reported as
   ``random_batch_seconds``);

@@ -11,7 +11,9 @@ analyses rely on recursive expressions / bounds for these probabilities:
 
 This module provides the exact recursions (not just the bounds) together
 with binomial formulas for Majority and crumbling walls, so the experiments
-can report paper-bound versus exact versus simulated availability.
+can report paper-bound versus exact versus simulated availability.  The
+same recursions give the exact expected probes of R_Probe_Tree, Probe_HQS
+and R_Probe_HQS at any height.
 """
 
 from __future__ import annotations
@@ -122,6 +124,64 @@ def hqs_availability_bound(height: int, p: float) -> float:
         raise ValueError("height must be nonnegative")
     _check_p(p)
     return p * (3.0 * p - 2.0 * p * p) ** height
+
+
+# -- expected probes ---------------------------------------------------------------------
+#
+# The same recursions carry the expected probe counts of the gate
+# algorithms: a node's children are independent of each other, of the
+# node's own element and of its order draw, so its expected probes follow
+# from the children's expected probes and the probability ``q`` that a
+# subtree evaluates to red.
+
+
+def r_probe_tree_expected_probes(height: int, p: float) -> float:
+    """Exact ``E_p[probes]`` of R_Probe_Tree (Thm. 4.7), in ``O(height)``.
+
+    Two of a node's three orders probe the root and one subtree, then the
+    other subtree when the first differs from the root's color (with
+    probability ``d = q(1 − p) + (1 − q)p``); the third probes both
+    subtrees, then the root when they differ.  From ``(q, E) = (p, 1)``::
+
+        E <- 2/3 (1 + E + d E) + 1/3 (2E + 2q(1 − q))
+        q <- p (1 − (1 − q)²) + (1 − p) q²
+    """
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    _check_p(p)
+    red, probes = p, 1.0
+    for _ in range(height):
+        differs = red * (1.0 - p) + (1.0 - red) * p
+        root_first = 1.0 + probes + differs * probes
+        root_last = 2.0 * probes + 2.0 * red * (1.0 - red)
+        probes = (2.0 * root_first + root_last) / 3.0
+        red = p * (1.0 - (1.0 - red) ** 2) + (1.0 - p) * red**2
+    return probes
+
+
+def hqs_expected_probes(height: int, p: float) -> float:
+    """Exact ``E_p[probes]`` of Probe_HQS (Thm. 3.8) and R_Probe_HQS, in
+    ``O(height)``.
+
+    A gate evaluates two children, and the third when those two differ
+    (probability ``2q(1 − q)`` whichever two come first), so from
+    ``(q, E) = (p, 1)``::
+
+        E <- E (2 + 2q(1 − q)) = E (3 − q² − (1 − q)²)
+        q <- q³ + 3q²(1 − q)
+
+    At ``p = 1/2`` this is exactly ``2.5^height``.  ``q`` is carried as
+    ``1 −`` the live probability of :func:`hqs_availability`.
+    """
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    _check_p(p)
+    live, probes = 1.0 - p, 1.0
+    for _ in range(height):
+        red = 1.0 - live
+        probes = (2.0 + 2.0 * red * (1.0 - red)) * probes
+        live = live**3 + 3.0 * live**2 * (1.0 - live)
+    return probes
 
 
 # -- Fact 2.3 -----------------------------------------------------------------------------

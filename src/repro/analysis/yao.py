@@ -21,8 +21,8 @@ Each distribution comes in three forms:
   ``cw_hard`` / ``tree_hard`` so experiment drivers, the sweep runner and
   the CLI resolve it by name like any other scenario; its
   ``sample_matrix`` draws a whole trial batch as the ``(trials, n)`` bool
-  red matrix the batched kernels of :mod:`repro.core.batched` /
-  :mod:`repro.core.batched_gates` consume;
+  red matrix the kernels of :mod:`repro.core.batched` /
+  :mod:`repro.core.bitpacked` consume;
 * a *sampler* closure (``*_hard_sampler``) drawing one
   :class:`~repro.core.coloring.Coloring` per call over a
   ``random.Random``, for the historical per-trial Monte-Carlo loops — all

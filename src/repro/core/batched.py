@@ -3,45 +3,38 @@
 The per-trial estimators in :mod:`repro.core.estimator` construct a fresh
 :class:`~repro.core.coloring.Coloring`, a fresh oracle and a fresh Python
 probe loop for every sample.  For the paper's structured algorithms the
-whole trial batch can instead be evaluated with numpy: a batch of colorings
-is one boolean matrix (``True`` = red, column ``i`` ⇔ element ``i + 1``,
-the convention of :meth:`ColoringSource.sample_matrix
-<repro.core.distributions.ColoringSource.sample_matrix>`), and the probe count
-of every trial falls out of cumulative-sum / argmax / per-level gate
-arithmetic over that matrix.
+whole trial batch can instead be evaluated with array arithmetic: a batch
+of colorings is one boolean matrix (``True`` = red, column ``i`` ⇔ element
+``i + 1``, the convention of :meth:`ColoringSource.sample_matrix
+<repro.core.distributions.ColoringSource.sample_matrix>`), or the same
+colorings packed 64 trials per word.
 
 Every algorithm has exactly one kernel, registered under the backend it
 runs on (:func:`register_kernel`, keyed by the *exact* algorithm class; a
 subclass overrides probing behavior, so it never inherits its parent's
-kernel and must register its own).  The deterministic algorithms run on
-the ``bitpacked`` backend (:mod:`repro.core.bitpacked`, 64 trials per
-``uint64`` word); the randomized ones keep ``numpy`` kernels over bool
-matrices, because their per-trial order draws have no packed form.  The
-backend is therefore a fact about the algorithm, not a choice:
-:func:`resolve_backend` derives it, and :func:`batched_run` packs a bool
-matrix for a packed kernel.  Registered out of the box under ``numpy``:
+kernel and must register its own).  The ``bitpacked`` backend
+(:mod:`repro.core.bitpacked`) runs Probe_Maj, Probe_CW, Probe_Tree,
+Probe_HQS and the randomized gate algorithms R_Probe_Tree, R_Probe_HQS
+and IR_Probe_HQS.  The algorithms whose trials each draw a whole
+permutation keep ``numpy`` kernels over bool matrices, registered here:
 
 * :class:`~repro.algorithms.majority.RProbeMaj` — the fixed-order majority
   scan after a per-trial uniform permutation (cumulative counts + argmax);
 * :class:`~repro.algorithms.crumbling_walls.ProbeCW` with
   ``within_row_order="random"`` — the top-down wall scan of Fig. 5 with
-  shuffled rows, one vector step per row;
+  shuffled rows, one vector step per row (the lexicographic order runs
+  packed, so the rule is what a kernel accepts, not its class);
 * :class:`~repro.algorithms.crumbling_walls.RProbeCW` — the bottom-up
   randomized scan of Theorem 4.4, one vector step per row over the
-  still-active trials;
-* the three randomized gate-tree algorithms — R_Probe_Tree, R_Probe_HQS
-  and IR_Probe_HQS — through the level-synchronous engine of
-  :mod:`repro.core.batched_gates`.
+  still-active trials.
 
-Probe_Maj, Probe_CW, Probe_Tree and Probe_HQS are registered under
-``bitpacked`` and reproduce the sequential algorithm's probe count
-*exactly* for a given input matrix; the randomized kernels draw from the
-same distribution over probe orders, which the equivalence tests assert.
-Estimates run through the streaming engine
-(:func:`repro.core.engine.stream_probes`), which calls
-:func:`batched_or_sequential_run` (numpy) or
-:func:`repro.core.bitpacked.run_packed` once per chunk and so falls back
-to the per-trial loop for algorithms without a kernel.
+The backend is therefore a fact about the algorithm, not a choice:
+:func:`resolve_backend` derives it, and :func:`batched_run` packs a bool
+matrix for a packed kernel.  The streaming engine
+(:func:`repro.core.engine.stream_probes`) calls
+:func:`repro.core.bitpacked.run_packed` or
+:func:`batched_or_sequential_run` once per chunk, and so falls back to
+the per-trial loop for algorithms without a kernel.
 """
 
 from __future__ import annotations
@@ -54,10 +47,7 @@ import numpy as np
 
 from repro.algorithms.base import ProbingAlgorithm
 from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW
-from repro.algorithms.hqs import IRProbeHQS, RProbeHQS
 from repro.algorithms.majority import RProbeMaj
-from repro.algorithms.tree import RProbeTree
-from repro.core.batched_gates import ir_probe_hqs_kernel, r_probe_hqs_kernel, r_probe_tree_kernel
 from repro.core.coloring import Coloring, as_numpy_generator as as_generator
 
 #: A batched kernel: ``(algorithm, red, rng) -> (probes, witness_green)``
@@ -75,60 +65,63 @@ BACKENDS = ("numpy", "bitpacked")
 #: them but derives the backend from the algorithm.
 BACKEND_CHOICES = ("numpy", "bitpacked", "auto")
 
-_KERNELS: dict[tuple[type, str], BatchedKernel] = {}
+_KERNELS: dict[tuple[type, str], tuple[BatchedKernel, Callable[[ProbingAlgorithm], bool]]] = {}
 
 
 def register_kernel(
-    algorithm_cls: type, kernel: BatchedKernel, backend: str = "numpy"
+    algorithm_cls: type,
+    kernel: BatchedKernel,
+    backend: str = "numpy",
+    accepts: Callable[[ProbingAlgorithm], bool] = lambda algorithm: True,
 ) -> BatchedKernel:
     """Register a vectorized kernel for an algorithm class under a backend.
 
     Dispatch is by exact type — subclasses change probing behavior, so they
     must register their own kernel rather than silently inheriting one.
-    Returns the kernel so future in-module kernels can keep registration
-    next to their definition.
+    ``accepts`` narrows the kernel to the instances it can run (Probe_CW's
+    packed kernel runs the lexicographic in-row order only).  Returns the
+    kernel so future in-module kernels can keep registration next to their
+    definition.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown kernel backend {backend!r}; expected one of {BACKENDS}")
-    _KERNELS[(algorithm_cls, backend)] = kernel
+    _KERNELS[(algorithm_cls, backend)] = (kernel, accepts)
     return kernel
 
 
 def kernel_for(
     algorithm: ProbingAlgorithm, backend: str = "numpy"
 ) -> BatchedKernel | None:
-    """The registered kernel for this algorithm under ``backend``, or ``None``."""
-    return _KERNELS.get((type(algorithm), backend))
+    """The registered kernel that runs this algorithm under ``backend``,
+    or ``None``."""
+    kernel, accepts = _KERNELS.get((type(algorithm), backend), (None, None))
+    return kernel if kernel is not None and accepts(algorithm) else None
 
 
 def resolve_backend(algorithm: ProbingAlgorithm, backend: str | None = None) -> str:
-    """The backend ``algorithm`` runs on: ``bitpacked`` when it is
-    deterministic and has a packed kernel, ``numpy`` otherwise (its numpy
-    kernel, or the per-trial fallback).
+    """The backend ``algorithm`` runs on: ``bitpacked`` when a packed
+    kernel runs it, ``numpy`` otherwise (its numpy kernel, or the
+    per-trial fallback).
 
     A requested ``backend`` is checked, not obeyed: an unknown name
-    raises, and so does ``bitpacked`` for an algorithm without a packed
-    kernel — every randomized algorithm, whose per-trial order draws have
-    no packed form (the numpy path is not a silent substitute).
+    raises, and so does ``bitpacked`` for an algorithm no packed kernel
+    runs — R_Probe_Maj, R_Probe_CW and the random-order Probe_CW, whose
+    per-trial order draws have no packed form (the numpy path is not a
+    silent substitute).
     """
     if backend is not None and backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
         )
-    randomized = getattr(algorithm, "randomized", False)
-    packed = not randomized and kernel_for(algorithm, "bitpacked") is not None
+    packed = kernel_for(algorithm, "bitpacked") is not None
     if backend == "bitpacked" and not packed:
-        if randomized:
-            raise ValueError(
-                f"backend 'bitpacked' supports deterministic algorithms only; "
-                f"{algorithm.name} is randomized"
-            )
-        raise ValueError(f"no bitpacked kernel registered for {algorithm.name}")
+        kind = "randomized algorithm" if getattr(algorithm, "randomized", False) else "algorithm"
+        raise ValueError(f"no bitpacked kernel runs the {kind} {algorithm.name}")
     return "bitpacked" if packed else "numpy"
 
 
 #: Per-algorithm-instance scratch space for kernel precomputation (probe
-#: orders, sorted wall-row column arrays, reusable ones-buffers).  Keyed
+#: orders, sorted wall-row column arrays, reusable buffers).  Keyed
 #: weakly by the algorithm object so the streaming engine's chunk loop —
 #: which invokes the same kernel hundreds of times on one algorithm —
 #: rebuilds these exactly once instead of once per chunk, and the cache
@@ -145,25 +138,6 @@ def kernel_scratch(algorithm: ProbingAlgorithm) -> dict:
         scratch = {}
         _KERNEL_SCRATCH[algorithm] = scratch
     return scratch
-
-
-def scratch_ones(
-    algorithm: ProbingAlgorithm, shape: tuple[int, ...], dtype: type[np.integer]
-) -> np.ndarray:
-    """A cached all-ones array of ``shape`` and ``dtype``.
-
-    The returned buffer is shared across calls and is read-only — writing
-    to it raises, so a kernel that mutates its leaf-level probe counts
-    fails loudly instead of corrupting every later chunk.  A request for
-    another shape or dtype replaces it.
-    """
-    scratch = kernel_scratch(algorithm)
-    ones = scratch.get("ones")
-    if ones is None or ones.shape != shape or ones.dtype != dtype:
-        ones = np.ones(shape, dtype=dtype)
-        ones.flags.writeable = False
-        scratch["ones"] = ones
-    return ones
 
 
 def supports_batched(algorithm: ProbingAlgorithm) -> bool:
@@ -340,9 +314,6 @@ def _r_probe_cw_kernel(algorithm, red, rng=None):
 register_kernel(RProbeMaj, _r_probe_maj_kernel)
 register_kernel(ProbeCW, _probe_cw_kernel)
 register_kernel(RProbeCW, _r_probe_cw_kernel)
-register_kernel(RProbeTree, r_probe_tree_kernel)
-register_kernel(RProbeHQS, r_probe_hqs_kernel)
-register_kernel(IRProbeHQS, ir_probe_hqs_kernel)
 
 # The bitpacked backend registers the deterministic kernels on import;
 # importing here (after the registry and scratch helpers exist — the module

@@ -1,19 +1,25 @@
 """Bit-packed kernels: 64 Monte-Carlo trials per ``uint64`` word.
 
-Every deterministic algorithm with a vectorized kernel — Probe_Maj,
-Probe_CW, Probe_Tree and Probe_HQS — has exactly one, and it lives here.
+Every algorithm with a packed kernel has exactly one, and it lives here:
+the deterministic Probe_Maj, Probe_CW, Probe_Tree and Probe_HQS, and the
+randomized gate algorithms R_Probe_Tree, R_Probe_HQS and IR_Probe_HQS.
 A batch of colorings is stored *transposed and packed*: a ``(n_words, n)``
 ``uint64`` array where bit ``t`` of ``words[w, e]`` is the red bit of
 trial ``64 * w + t`` for element ``e + 1`` (one bit-plane per element, 64
 trials per word), so a kernel streams one bit per ``(trial, element)``
 cell instead of the byte of a bool matrix.
 
-* ``ProbeTree`` / ``ProbeHQS`` — the level-synchronous gate recurrences
-  of :mod:`repro.core.batched_gates` on the words themselves: gate values
-  are AND/XOR word ops, and child probe counts are *bit-sliced*
-  (carry-save) integers, short lists of ``uint64`` planes
-  (least-significant bit first) combined by full-adder chains under the
-  gate conditions.
+* The gate kernels (Tree and HQS) are level-synchronous: a node's
+  ``(value, probes)`` depends only on its children's (and, for
+  IR_Probe_HQS, grandchildren's), so a tree level is a few word ops.  A
+  value is a majority whatever the probe order; a probe count is a
+  *bit-sliced* integer (a stack of ``uint64`` planes, least significant
+  first, added by full-adder chains), the sum of a node's parts less the
+  part it skips when the first two it evaluated agree.  The randomized
+  ones draw one ``generator.integers(3)`` (Tree) or ``integers(6)``
+  (HQS; two per IR_Probe_HQS level) per node, level by level, pack the
+  draws in one :func:`pack_lanes` call and pick each node's order with
+  one-hot lane masks (:func:`_permutation_masks`).
 * ``ProbeMaj`` / ``ProbeCW`` — each trial stops at an element that depends
   on its colors, so these kernels transpose the chunk once into one row of
   element bits per trial (:func:`lane_rows`) and find every trial's
@@ -25,9 +31,11 @@ Popcounts (and so ``ctz``) go through :func:`popcount64`, looked up at
 call time: ``np.bitwise_count`` where numpy has it, a 16-bit lookup table
 before numpy 2.0.
 
-Each kernel reproduces the sequential algorithm's per-trial probe counts
-and witness colors *exactly*, which ``tests/core/test_bitpacked.py`` pins
-against ``run_on`` on every coloring of small universes.
+Each deterministic kernel reproduces the sequential algorithm's per-trial
+probe counts and witness colors *exactly*, which
+``tests/core/test_bitpacked.py`` pins against ``run_on`` on every
+coloring of small universes; the randomized ones are pinned per seed by
+golden digests and against the exact expectations in distribution.
 :func:`sample_packed` returns exactly the colorings
 ``ColoringSource.sample_matrix`` returns for the same generator — for
 Bernoulli sources both are the same lane words, drawn one bit-plane per
@@ -35,10 +43,10 @@ raw ``uint64`` (:meth:`repro.core.distributions.BernoulliSource.sample_words`),
 which the bool-matrix path unpacks — so a chunk's statistics do not
 depend on whether it was sampled packed or packed after sampling.
 
-Randomized algorithms keep their numpy kernels: their per-trial
-permutation draws have no packed formulation that preserves the
-sequential RNG contract, and :func:`repro.core.batched.resolve_backend`
-rejects ``backend="bitpacked"`` for them loudly.
+R_Probe_Maj, R_Probe_CW and the random-order Probe_CW keep numpy kernels:
+each trial draws a whole permutation of a row or of the universe, which
+has no packed form, and :func:`repro.core.batched.resolve_backend` rejects
+``backend="bitpacked"`` for them loudly.
 
 Kernels follow the signature ``kernel(algorithm, packed, rng)`` over a
 :class:`PackedColorings` and are registered with
@@ -46,7 +54,6 @@ Kernels follow the signature ``kernel(algorithm, packed, rng)`` over a
 use :func:`run_packed` (or :func:`repro.core.batched.batched_run` on a
 bool matrix) rather than calling them directly.
 """
-
 from __future__ import annotations
 
 import functools
@@ -55,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.crumbling_walls import ProbeCW
-from repro.algorithms.hqs import ProbeHQS
+from repro.algorithms.hqs import IRProbeHQS, ProbeHQS, RProbeHQS
 from repro.algorithms.majority import ProbeMaj
-from repro.algorithms.tree import ProbeTree
+from repro.algorithms.tree import ProbeTree, RProbeTree
 from repro.core.batched import _cw_row_columns, kernel_scratch, register_kernel
 from repro.core.coloring import as_numpy_generator
 from repro.core.distributions import BernoulliSource, ColoringSource, unpack_words
@@ -114,8 +121,8 @@ class PackedColorings:
     ``words`` has shape ``(n_words, n)``: bit ``t`` of ``words[w, e]`` is
     trial ``64 * w + t``'s red bit for element ``e + 1`` (same column
     convention as the bool matrices of :mod:`repro.core.batched`).  Lanes
-    past ``trials`` in the last word are zero padding; kernels mask them
-    through :meth:`valid_mask` and the final per-trial unpack.
+    past ``trials`` in the last word are zero padding (:meth:`valid_mask`
+    marks the real ones); the kernels' final per-trial unpack drops them.
     """
 
     words: np.ndarray
@@ -139,6 +146,32 @@ class PackedColorings:
             if tail < 64:
                 mask[-1] = np.uint64((1 << tail) - 1)
         return mask
+
+
+#: ``0x01`` in each of a word's eight bytes.
+_BYTE_LOW_BITS = np.uint64(0x0101010101010101)
+
+
+def pack_lanes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """The lane words of a ``(64 * n_words, 8 * m)`` ``uint8`` matrix of
+    ``bits``-bit codes, one row per trial: bit ``t`` of word ``[b, w, c]``
+    of the returned ``(bits, n_words, 8 * m)`` array is bit ``b`` of
+    ``codes[64 * w + t, c]``.
+
+    Eight rows are OR-ed into one byte per column (eight columns to a
+    ``uint64``), then a transpose of those bytes, an eighth of the input,
+    lines them up as 64-lane words.
+    """
+    rows, columns = codes.shape
+    octets = codes.view(np.uint64).reshape(rows // 8, 8, columns // 8)
+    octets = (octets >> np.arange(bits, dtype=np.uint64)[:, None, None, None]) & _BYTE_LOW_BITS
+    gathered = octets[:, :, 0].copy()
+    for row in range(1, 8):
+        gathered |= octets[:, :, row] << np.uint64(row)
+    # axes (bit, word, row byte, column block, column) -> row byte last
+    lanes = gathered.view(np.uint8).reshape(bits, rows // 64, 8, columns // 8, 8)
+    lanes = np.ascontiguousarray(lanes.transpose(0, 1, 3, 4, 2))
+    return lanes.view("<u8").reshape(bits, rows // 64, columns)
 
 
 def pack_matrix(red: np.ndarray) -> PackedColorings:
@@ -285,53 +318,49 @@ _FIELD_BITS = 57
 
 # -- bit-sliced arithmetic --------------------------------------------------------
 #
-# A "plane list" is a little-endian bit-sliced integer: planes[i] holds bit
-# i of a per-lane counter, each plane a uint64 array (one lane per trial).
+# A bit-sliced integer is a little-endian stack of uint64 planes: planes[i]
+# holds bit i of a per-lane counter (one lane per trial), so one array op
+# masks, slices or selects every bit of it at once.
 
 
-def planes_add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Full-adder chain over two bit-sliced integers (new plane list)."""
-    out: list[np.ndarray] = []
-    carry: np.ndarray | None = None
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            x, y = y, None
-        if y is None and carry is None:
-            out.append(x)
-            continue
-        if y is None:
-            y, carry = carry, None
-        total = x ^ y
-        generate = x & y
-        if carry is not None:
-            out.append(total ^ carry)
-            carry = generate | (total & carry)
+def planes_add(a: np.ndarray, b: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """Full-adder chain over two bit-sliced integers, plus 1 in the lanes
+    of ``carry`` when given."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = np.empty((len(a) + 1, *np.shape(a[0])), dtype=np.uint64)
+    for i in range(len(a)):
+        x = a[i]
+        if i < len(b):
+            y = b[i]
+        elif carry is None:
+            out[i : len(a)] = a[i:]
+            return out[: len(a)]
         else:
-            out.append(total)
-            carry = generate
+            y, carry = carry, None
+        if carry is None:
+            np.bitwise_xor(x, y, out=out[i])
+            carry = x & y
+        else:
+            total = x ^ y
+            np.bitwise_xor(total, carry, out=out[i])
+            carry = (x & y) | (total & carry)
     if carry is not None and carry.any():
-        out.append(carry)
-    return out
+        out[-1] = carry
+        return out
+    return out[:-1]
 
 
-def planes_mask(planes: list[np.ndarray], mask: np.ndarray) -> list[np.ndarray]:
-    """The bit-sliced integer gated per lane: value where ``mask``, else 0."""
-    return [plane & mask for plane in planes]
+def planes_to_counts(planes: np.ndarray, trials: int) -> np.ndarray:
+    """Unpack a bit-sliced integer of ``(n_words,)`` lane planes into
+    per-trial ``int64`` counts."""
+    bits = unpack_words(np.reshape(planes, (len(planes), -1)).T, trials)
+    return bits @ (np.int64(1) << np.arange(len(planes), dtype=np.int64))
 
 
-def planes_to_counts(planes: list[np.ndarray], trials: int) -> np.ndarray:
-    """Unpack a bit-sliced integer into per-trial ``int64`` counts."""
-    counts = np.zeros(trials, dtype=np.int64)
-    for i, plane in enumerate(planes):
-        counts += unpack_lanes(np.ravel(plane), trials).astype(np.int64) << i
-    return counts
-
-
-def _ones_planes(shape: tuple[int, ...]) -> list[np.ndarray]:
+def _ones_planes(shape: tuple[int, ...]) -> np.ndarray:
     """The bit-sliced constant 1 in every lane (leaf probe counts)."""
-    return [np.full(shape, ALL_LANES, dtype=np.uint64)]
+    return np.full((1, *shape), ALL_LANES, dtype=np.uint64)
 
 
 # -- packed kernels ---------------------------------------------------------------
@@ -477,10 +506,55 @@ def packed_probe_cw_kernel(algorithm, packed: PackedColorings, rng=None):
     return 1 + cost.sum(axis=1), unpack_lanes(~mode, trials)
 
 
+def _gate_result(value: np.ndarray, probes: np.ndarray, packed: PackedColorings):
+    """The root's per-trial ``(probes, witness_green)`` of a gate kernel."""
+    return planes_to_counts(probes, packed.trials), unpack_lanes(~value, packed.trials)
+
+
+def _draw_planes(generator, high: int, trials: int, widths: list[int]) -> list[np.ndarray]:
+    """One ``generator.integers(high, size=(trials, width))`` call per
+    entry of ``widths``, in order, as ``(bits, n_words, width)`` lane words
+    of each draw's bits (least significant first).
+
+    These are the calls the order choices have always been drawn with, so
+    a seed keeps its probe counts; nothing else reads the generator, so a
+    kernel makes all of them up front and packs them in one
+    :func:`pack_lanes` call.
+    """
+    bounds = np.cumsum([0, *widths]).tolist()
+    codes = np.zeros((64 * -(-trials // 64), 8 * -(-bounds[-1] // 8)), dtype=np.uint8)
+    for lo, hi in zip(bounds, bounds[1:]):
+        codes[:trials, lo:hi] = generator.integers(high, size=(trials, hi - lo))
+    planes = pack_lanes(codes, (high - 1).bit_length())
+    return [planes[:, :, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _permutation_masks(code: np.ndarray):
+    """One-hot lane masks of a drawn index ``k < 6`` into the six
+    permutations of ``(0, 1, 2)`` in lexicographic order (``code`` = the
+    bit-planes of ``k``): ``masks[j][i]`` marks the lanes whose permutation
+    puts child ``i`` in position ``j``.  The first child is ``k // 2``."""
+    b0, b1, b2 = code
+    first = [~(b1 | b2), b1, b2]
+    second = [~b0 & (b1 | b2), ~((b0 ^ b2) | b1), b0 & ~b2]
+    third = [~(f | s) for f, s in zip(first, second)]
+    return first, second, third
+
+
+def _select(masks: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
+    """Per lane, the part its one-hot ``masks`` pick (values or bit-sliced
+    integers with equally many planes)."""
+    return (masks[0] & parts[0]) | (masks[1] & parts[1]) | (masks[2] & parts[2])
+
+
+def _majority(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (a & b) | (c & (a | b))
+
+
 def packed_probe_tree_kernel(algorithm, packed: PackedColorings, rng=None):
     """Algorithm Probe_Tree over bit-planes: the Prop. 3.6 recurrence
     ``P(v) = 1 + P(right) + [C(right) != e] * P(left)`` with child probe
-    counts carried as plane lists and added carry-save per level."""
+    counts carried as bit-sliced integers and added carry-save per level."""
     system = algorithm.system
     words = packed.words
     first = 1 << system.height
@@ -490,43 +564,144 @@ def packed_probe_tree_kernel(algorithm, packed: PackedColorings, rng=None):
         lo = 1 << depth
         elem = words[:, lo - 1 : 2 * lo - 1]
         left_v, right_v = value[:, 0::2], value[:, 1::2]
-        left_p = [plane[:, 0::2] for plane in probes]
-        right_p = [plane[:, 1::2] for plane in probes]
         right_matches = ~(right_v ^ elem)
         value = (right_matches & elem) | (~right_matches & left_v)
-        probes = planes_add(right_p, planes_mask(left_p, ~right_matches))
-        probes = planes_add(probes, _ones_planes(elem.shape))
-    return planes_to_counts(probes, packed.trials), unpack_lanes(
-        ~value[:, 0] & packed.valid_mask(), packed.trials
+        probes = planes_add(
+            probes[:, :, 1::2],
+            probes[:, :, 0::2] & ~right_matches,
+            carry=_ones_planes(elem.shape)[0],
+        )
+    return _gate_result(value, probes, packed)
+
+
+def packed_r_probe_tree_kernel(algorithm, packed: PackedColorings, rng=None):
+    """Algorithm R_Probe_Tree (Thm. 4.7) over bit-planes.
+
+    Each node draws ``k`` uniform in ``{0, 1, 2}``: probe (root, right)
+    then left, (root, left) then right, or (left, right) then root, and
+    skip the last part when the first two agree.  Its probes are the sum
+    of its parts less the skipped one::
+
+        P = P(left)  * ~(k == 0 & C(right) == e)
+          + P(right) * ~(k == 1 & C(left) == e)
+          + (k != 2 | C(left) != C(right))
+
+    and its value is ``majority(e, left, right)`` whatever ``k`` is.
+    """
+    height = algorithm.system.height
+    words = packed.words
+    first = 1 << height
+    value = words[:, first - 1 : 2 * first - 1]
+    probes = _ones_planes(value.shape)
+    depths = range(height - 1, -1, -1)
+    choices = _draw_planes(
+        as_numpy_generator(rng), 3, packed.trials, [1 << depth for depth in depths]
     )
+    for depth, (one, two) in zip(depths, choices):
+        lo = 1 << depth
+        elem = words[:, lo - 1 : 2 * lo - 1]
+        left_v, right_v = value[:, 0::2], value[:, 1::2]
+        probes = planes_add(
+            probes[:, :, 0::2] & (one | two | (right_v ^ elem)),
+            probes[:, :, 1::2] & (~one | (left_v ^ elem)),
+            carry=~two | (left_v ^ right_v),
+        )
+        value = _majority(elem, left_v, right_v)
+    return _gate_result(value, probes, packed)
 
 
 def packed_probe_hqs_kernel(algorithm, packed: PackedColorings, rng=None):
     """Algorithm Probe_HQS over bit-planes: the 2-then-3 gate
     ``P = P(c1) + P(c2) + [C(c1) != C(c2)] * P(c3)`` per level, probe
     counts combined by full-adder chains under the disagreement mask."""
-    words = packed.words
-    n_words = packed.n_words
-    value = words
-    probes = _ones_planes(words.shape)
+    value = packed.words
+    probes = _ones_planes(value.shape)
     for _ in range(algorithm.system.height):
-        gates = value.shape[1] // 3
-        values = value.reshape(n_words, gates, 3)
-        costs = [plane.reshape(n_words, gates, 3) for plane in probes]
-        first_two_agree = ~(values[..., 0] ^ values[..., 1])
-        value = (first_two_agree & values[..., 0]) | (
-            ~first_two_agree & values[..., 2]
-        )
+        v0, v1, v2 = value[:, 0::3], value[:, 1::3], value[:, 2::3]
+        first_two_differ = v0 ^ v1
+        value = (~first_two_differ & v0) | (first_two_differ & v2)
         probes = planes_add(
-            planes_add(
-                [plane[..., 0] for plane in costs],
-                [plane[..., 1] for plane in costs],
-            ),
-            planes_mask([plane[..., 2] for plane in costs], ~first_two_agree),
+            planes_add(probes[:, :, 0::3], probes[:, :, 1::3]),
+            probes[:, :, 2::3] & first_two_differ,
         )
-    return planes_to_counts(probes, packed.trials), unpack_lanes(
-        ~value[:, 0] & packed.valid_mask(), packed.trials
-    )
+    return _gate_result(value, probes, packed)
+
+
+def _r_hqs_gate_level(value, probes, code):
+    """One level of uniformly shuffled 2-then-3 gates (R_Probe_HQS);
+    ``code`` holds each gate's drawn permutation index.
+
+    A gate skips the child it evaluates last when the first two agree::
+
+        P = sum_i P(c_i) * ~(last == i & the other two agree)
+    """
+    v = [value[:, i::3] for i in range(3)]
+    last = _permutation_masks(code)[2]
+    kept = [
+        probes[:, :, i::3] & (~last[i] | (v[(i + 1) % 3] ^ v[(i + 2) % 3])) for i in range(3)
+    ]
+    return _majority(*v), planes_add(planes_add(kept[0], kept[1]), kept[2])
+
+
+def packed_r_probe_hqs_kernel(algorithm, packed: PackedColorings, rng=None):
+    """Algorithm R_Probe_HQS (Fig. 7) over bit-planes: one
+    ``generator.integers(6)`` permutation draw per gate and level."""
+    height = algorithm.system.height
+    widths = [3**depth for depth in range(height - 1, -1, -1)]
+    codes = _draw_planes(as_numpy_generator(rng), 6, packed.trials, widths)
+    value, probes = packed.words, _ones_planes(packed.words.shape)
+    for code in codes:
+        value, probes = _r_hqs_gate_level(value, probes, code)
+    return _gate_result(value, probes, packed)
+
+
+def packed_ir_probe_hqs_kernel(algorithm, packed: PackedColorings, rng=None):
+    """Algorithm IR_Probe_HQS (Fig. 8, Thm. 4.10) over bit-planes.
+
+    A gate of height >= 2 evaluates a random child ``r1``, peeks at one
+    random grandchild of a second random child ``r2``, then finishes
+    ``r2`` when the peek agrees with ``r1`` (and skips ``r3`` if ``r2``
+    agrees too) or else evaluates ``r3`` (and skips finishing ``r2`` if
+    ``r3`` agrees with ``r1``).  So each level reads the children's and
+    grandchildren's standalone ``(value, probes)``; two permutation draws
+    per gate pick ``r1``/``r2``/``r3`` and the order of ``r2``'s children
+    as disjoint one-hot masks, and every pick is an OR over the three
+    candidates.  Height-1 gates run the plain shuffled gate.
+    """
+    height = algorithm.system.height
+    grand_value, grand_probes = packed.words, _ones_planes(packed.words.shape)
+    if height == 0:
+        return _gate_result(grand_value, grand_probes, packed)
+    # Height-1 gates draw once, each higher level twice (r1/r2/r3, then r2's children).
+    widths = [3 ** (height - 1)] + [3**depth for depth in range(height - 2, -1, -1) for _ in (0, 1)]
+    codes = _draw_planes(as_numpy_generator(rng), 6, packed.trials, widths)
+    value, probes = _r_hqs_gate_level(grand_value, grand_probes, codes[0])
+    for order, grand_order in zip(codes[1::2], codes[2::2]):
+        r1, r2, r3 = _permutation_masks(order)
+        children_v = [value[:, i::3] for i in range(3)]
+        children_p = [probes[:, :, i::3] for i in range(3)]
+        v1, v2, v3 = (_select(r, children_v) for r in (r1, r2, r3))
+        p1, p3 = _select(r1, children_p), _select(r3, children_p)
+        # r2's children (grandchild j of child i sits at 9 * gate + 3i + j),
+        # then the peek, second and third of them in the second draw's order.
+        columns = [[slice(3 * i + j, None, 9) for i in range(3)] for j in range(3)]
+        grand_v = [_select(r2, [grand_value[:, c] for c in cs]) for cs in columns]
+        grand_p = [_select(r2, [grand_probes[:, :, c] for c in cs]) for cs in columns]
+        g1, g2, g3 = _permutation_masks(grand_order)
+        peek_v, second_v = _select(g1, grand_v), _select(g2, grand_v)
+        peek_p, second_p, third_p = (_select(g, grand_p) for g in (g1, g2, g3))
+        # Finishing r2 after the peek: its second child, plus the third
+        # when the first two disagree.
+        finish_p = planes_add(second_p, third_p & (peek_v ^ second_v))
+        peek_agrees = ~(peek_v ^ v1)
+        skip_r3 = peek_agrees & ~(v2 ^ v1)
+        skip_finish = ~peek_agrees & ~(v3 ^ v1)
+        grand_value, grand_probes = value, probes
+        probes = planes_add(
+            planes_add(p1, peek_p), planes_add(p3 & ~skip_r3, finish_p & ~skip_finish)
+        )
+        value = _majority(*children_v)
+    return _gate_result(value, probes, packed)
 
 
 def run_packed(
@@ -534,11 +709,12 @@ def run_packed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run every packed trial through the algorithm's bitpacked kernel.
 
-    Returns the same ``(probes, witness_green)`` pair as the numpy kernels
-    of :func:`repro.core.batched.batched_run` — per-trial ``int64`` probe
-    counts and bool witness colors — so downstream accounting (histograms,
-    witness tallies) is backend-agnostic.  Raises for algorithms without a
-    packed kernel; randomized algorithms never have one.
+    Returns per-trial ``int64`` probe counts and bool witness colors — the
+    same ``(probes, witness_green)`` pair as the numpy kernels of
+    :func:`repro.core.batched.batched_run` — so downstream accounting
+    (histograms, witness tallies) is backend-agnostic.  ``rng`` feeds the
+    order draws of the randomized gate kernels.  Raises for algorithms
+    without a packed kernel (:func:`repro.core.batched.resolve_backend`).
     """
     from repro.core.batched import kernel_for
 
@@ -553,6 +729,14 @@ def run_packed(
 
 
 register_kernel(ProbeMaj, packed_probe_maj_kernel, backend="bitpacked")
-register_kernel(ProbeCW, packed_probe_cw_kernel, backend="bitpacked")
+register_kernel(
+    ProbeCW,
+    packed_probe_cw_kernel,
+    backend="bitpacked",
+    accepts=lambda algorithm: not algorithm.randomized,
+)
 register_kernel(ProbeTree, packed_probe_tree_kernel, backend="bitpacked")
+register_kernel(RProbeTree, packed_r_probe_tree_kernel, backend="bitpacked")
 register_kernel(ProbeHQS, packed_probe_hqs_kernel, backend="bitpacked")
+register_kernel(RProbeHQS, packed_r_probe_hqs_kernel, backend="bitpacked")
+register_kernel(IRProbeHQS, packed_ir_probe_hqs_kernel, backend="bitpacked")

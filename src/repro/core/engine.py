@@ -5,9 +5,9 @@ matrix per call, which caps trial counts by RAM and fixes precision up
 front.  This module drives any (algorithm kernel × coloring source) pair in
 fixed-size *trial chunks* instead: each chunk is sampled, run through the
 algorithm's one kernel — packed (:func:`repro.core.bitpacked.run_packed`)
-for the deterministic algorithms, numpy
-(:func:`repro.core.batched.batched_or_sequential_run`) for the randomized
-ones and the per-trial fallback — and folded into an exact running
+for the deterministic and randomized gate algorithms, numpy
+(:func:`repro.core.batched.batched_or_sequential_run`) for the other
+randomized ones and the per-trial fallback — and folded into an exact running
 accumulator, so memory stays ``O(chunk_size · n)`` while the
 trial count scales to ``10^7`` and beyond.
 
@@ -925,11 +925,12 @@ def stream_probes(
     """Run the streaming engine for one (algorithm, source) pair.
 
     The kernel backend follows from the algorithm
-    (:func:`repro.core.batched.resolve_backend`: packed for the
-    deterministic algorithms, numpy otherwise) and is recorded on
+    (:func:`repro.core.batched.resolve_backend`: packed when a packed
+    kernel runs it, numpy otherwise) and is recorded on
     ``StreamResult.backend``.  A ``backend`` argument is validated but
     chooses nothing: an unknown name raises, and so does ``"bitpacked"``
-    for an algorithm without a packed kernel (every randomized one).
+    for an algorithm without a packed kernel (R_Probe_Maj, R_Probe_CW,
+    the random-order Probe_CW and the generic algorithms).
 
     Exactly one of the stopping modes applies: with ``target_ci=None``
     (fixed mode) exactly ``trials`` trials run; with a ``target_ci``

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.algorithms.hqs import IRProbeHQS, ProbeHQS, RProbeHQS
+from repro.analysis.availability import hqs_expected_probes as probe_hqs_expected_exact
 from repro.analysis.bounds import (
     HQS_PCR_BOPPANA_EXPONENT,
     HQS_PCR_IMPROVED_EXPONENT,
@@ -36,22 +37,6 @@ from repro.core.exact import ExactSolver
 from repro.experiments.report import Row
 from repro.experiments.seeding import cell_seed
 from repro.systems.hqs import HQS
-
-
-def probe_hqs_expected_exact(height: int, p: float) -> float:
-    """Exact expected probes of Probe_HQS by the paper's recursion.
-
-    ``T(h) = 2 T(h−1) + 2 F(h−1) (1 − F(h−1)) T(h−1)`` with ``T(0) = 1``,
-    where ``F(h)`` is the probability a height-``h`` subtree evaluates to
-    red (Theorem 3.8).  At ``p = 1/2`` this is exactly ``2.5^h``.
-    """
-    from repro.analysis.availability import hqs_availability
-
-    t = 1.0
-    for h in range(1, height + 1):
-        f = hqs_availability(h - 1, p)
-        t = (2.0 + 2.0 * f * (1.0 - f)) * t
-    return t
 
 
 def run_probe_hqs_scaling(

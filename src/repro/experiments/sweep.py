@@ -239,8 +239,8 @@ def run_sweep(
     Each cell runs on its algorithm's one kernel and records the backend
     it derived (:func:`repro.core.batched.resolve_backend`).  ``backend``
     is validated per cell but chooses nothing; ``backend="bitpacked"`` on
-    a randomized sweep fails loudly (degraded to per-cell failures unless
-    ``fail_fast``).
+    a randomized sweep without packed kernels (Majority, crumbling walls)
+    fails loudly (degraded to per-cell failures unless ``fail_fast``).
 
     ``system_name`` and ``sizes`` use the conventions of
     :func:`repro.systems.build_system` (size knob = tree/HQS height,

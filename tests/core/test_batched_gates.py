@@ -1,4 +1,4 @@
-"""Tests for the level-synchronous gate engine (:mod:`repro.core.batched_gates`).
+"""Tests for the level-synchronous gate kernels (:mod:`repro.core.bitpacked`).
 
 The deterministic Tree/HQS kernels must reproduce the recursive
 implementations *trial-by-trial* on shared red matrices (identical probe
@@ -24,8 +24,7 @@ from repro.algorithms import (
     RProbeHQS,
     RProbeTree,
 )
-from repro.core.batched import batched_run, kernel_scratch, supports_batched
-from repro.core.batched_gates import probe_dtype
+from repro.core.batched import batched_run, supports_batched
 from repro.core.coloring import Coloring
 from repro.core.distributions import sample_bernoulli_matrix
 from repro.core.engine import stream_probes
@@ -215,18 +214,12 @@ def test_kernel_output_matches_golden_digest(factory, system):
     assert digest == GOLDEN_DIGESTS[factory.__name__]
 
 
-def test_probe_dtype_widens_at_two_to_the_fifteen():
-    # A node spends at most as many probes as its subtree has elements,
-    # so int16 holds every count while n < 2**15.
-    assert probe_dtype(2**15 - 1) == np.int16
-    assert probe_dtype(2**15) == np.int32
-
-
-@pytest.mark.parametrize("factory,system", [(RProbeTree, TreeSystem(3)), (RProbeHQS, HQS(2))])
-def test_kernels_return_int64_probes_from_narrow_counters(factory, system):
-    algorithm = factory(system)
+@pytest.mark.parametrize(
+    "factory,system",
+    [(RProbeTree, TreeSystem(3)), (RProbeHQS, HQS(2)), (IRProbeHQS, HQS(3))],
+)
+def test_kernels_return_int64_probes(factory, system):
     red = sample_bernoulli_matrix(system.n, 0.5, 64, rng=3)
-    probes, _ = batched_run(algorithm, red, rng=np.random.default_rng(4))
-    assert probes.dtype == np.int64
-    assert kernel_scratch(algorithm)["ones"].dtype == probe_dtype(system.n)
-
+    probes, witness_green = batched_run(factory(system), red, rng=np.random.default_rng(4))
+    assert probes.dtype == np.int64 and witness_green.dtype == bool
+    assert probes.shape == witness_green.shape == (64,)

@@ -21,15 +21,18 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
+    IRProbeHQS,
     ProbeCW,
     ProbeHQS,
     ProbeMaj,
     ProbeTree,
     RProbeCW,
+    RProbeHQS,
     RProbeMaj,
+    RProbeTree,
     SequentialScan,
 )
-from repro.core.batched import batched_run, resolve_backend, scratch_ones, supports_batched
+from repro.core.batched import batched_run, resolve_backend, supports_batched
 from repro.core.bitpacked import (
     PackedColorings,
     _popcount64_lut,
@@ -409,6 +412,17 @@ class TestBackendResolution:
     def test_deterministic_algorithms_run_packed(self, case, requested):
         assert resolve_backend(case[0], requested) == "bitpacked"
 
+    @pytest.mark.parametrize("requested", [None, "numpy", "auto", "bitpacked"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [RProbeTree(TreeSystem(4)), RProbeHQS(HQS(2)), IRProbeHQS(HQS(3))],
+        ids=lambda a: a.name,
+    )
+    def test_randomized_gate_algorithms_run_packed(self, algorithm, requested):
+        assert resolve_backend(algorithm, requested) == "bitpacked"
+        result = stream_probes(algorithm, p=0.5, trials=64, seed=1, backend=requested)
+        assert result.backend == "bitpacked"
+
     @pytest.mark.parametrize("requested", [None, "numpy", "auto"])
     @pytest.mark.parametrize("algorithm", RANDOMIZED, ids=lambda a: a.name)
     def test_randomized_algorithms_run_numpy(self, algorithm, requested):
@@ -443,17 +457,6 @@ class TestBackendResolution:
         red = sample_bernoulli_matrix(algorithm.system.n, 0.4, 70, rng=2)
         batched_run(algorithm, red)
         assert calls == [100, 70]
-
-    def test_scratch_ones_is_read_only(self):
-        algorithm = ProbeMaj(MajoritySystem(5))
-        ones = scratch_ones(algorithm, (16,), np.int64)
-        with pytest.raises(ValueError):
-            ones[0] = 5
-        narrow = scratch_ones(algorithm, (16,), np.int16)
-        assert narrow.dtype == np.int16 and narrow is not ones
-        with pytest.raises(ValueError):
-            narrow[0] = 5
-        assert scratch_ones(algorithm, (16,), np.int16) is narrow
 
 
 # -- streaming-engine bit identity ------------------------------------------------

@@ -6,16 +6,20 @@ exact expectation ``E_p[probes]``, computed independently of every kernel by
 enumerating all ``2^n`` colorings through ``algorithm.run_on`` and weighting
 each by ``p^r (1 - p)^(n - r)``.  Over 200 fixed seeds the engine's 95%
 confidence interval must cover that value at close to its nominal rate.
-Each case names the backend it runs on; the ProbeCW and ProbeHQS cases run
-the bitpacked kernels.  For ProbeHQS the enumerated value is also checked
-against the closed recursion of :mod:`repro.experiments.hqs`.
+Each case names the backend it requests, which the engine validates; every
+case runs on its algorithm's one kernel, all of them packed.  For ProbeHQS
+the enumerated value is also checked against the closed recursion of
+:mod:`repro.experiments.hqs`.
 
 The randomized gate algorithms R_Probe_Tree and R_Probe_HQS get the same
 check against an exact oracle: their order choices are independent per
 node, so by linearity the expected probes on a fixed coloring follow a
 small recursion over the system's own node structure that averages the
 three evaluation orders (Tree) or six child permutations (HQS) at every
-node, and ``E_p[probes]`` weights that over all colorings.
+node, and ``E_p[probes]`` weights that over all colorings.  The ``O(h)``
+recursions of :mod:`repro.analysis.availability` must agree with that
+oracle, and then stand in for it at the sizes the sweeps run (Tree(h=9),
+HQS(6)), where enumeration is out of reach.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
+from repro.analysis.availability import hqs_expected_probes, r_probe_tree_expected_probes
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
 from repro.experiments.hqs import probe_hqs_expected_exact
@@ -116,6 +121,15 @@ def test_probe_hqs_enumeration_matches_the_recursion():
     assert enumerated == pytest.approx(probe_hqs_expected_exact(2, 0.4), abs=1e-12)
 
 
+def _coverage(algorithm, p: float, exact: float, backend: str | None = None) -> float:
+    covered = 0
+    for seed in SEEDS:
+        result = stream_probes(algorithm, p=p, trials=TRIALS, seed=seed, backend=backend)
+        assert result.n_trials_used == TRIALS
+        covered += abs(result.mean - exact) <= result.ci95
+    return covered / len(SEEDS)
+
+
 @pytest.mark.parametrize("algorithm,p,approx,backend", CASES)
 def test_ci95_covers_the_exact_expectation(algorithm, p, approx, backend):
     """Tolerance: over 200 fixed seeds the nominal 95% interval covers the
@@ -126,10 +140,42 @@ def test_ci95_covers_the_exact_expectation(algorithm, p, approx, backend):
     else:
         exact = exact_expected_probes(algorithm, p)
     assert exact == pytest.approx(approx, abs=1e-5)
-    covered = 0
-    for seed in SEEDS:
-        result = stream_probes(algorithm, p=p, trials=TRIALS, seed=seed, backend=backend)
-        assert result.n_trials_used == TRIALS
-        covered += abs(result.mean - exact) <= result.ci95
-    coverage = covered / len(SEEDS)
+    coverage = _coverage(algorithm, p, exact, backend)
+    assert 0.90 <= coverage <= 0.99, coverage
+
+
+def _recursion(algorithm, p: float) -> float:
+    system = algorithm.system
+    if isinstance(system, TreeSystem):
+        return r_probe_tree_expected_probes(system.height, p)
+    return hqs_expected_probes(system.height, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize(
+    "algorithm",
+    [RProbeTree(TreeSystem(h)) for h in range(4)] + [RProbeHQS(HQS(h)) for h in range(3)],
+    ids=lambda algorithm: f"{algorithm.name}-n{algorithm.system.n}",
+)
+def test_expectation_recursions_match_the_oracle(algorithm, p):
+    assert _recursion(algorithm, p) == pytest.approx(
+        exact_randomized_expected_probes(algorithm, p), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm,p,approx",
+    [
+        pytest.param(RProbeTree(TreeSystem(9)), 0.3, 125.05367, id="RProbeTree-h9-p0.3"),
+        pytest.param(RProbeTree(TreeSystem(9)), 0.5, 222.01532, id="RProbeTree-h9-p0.5"),
+        pytest.param(RProbeHQS(HQS(6)), 0.5, 2.5**6, id="RProbeHQS-h6-p0.5"),
+    ],
+)
+def test_ci95_covers_the_recursion_at_full_size(algorithm, p, approx):
+    """The packed kernels at the sizes the sweeps run, against the exact
+    recursion.  Same tolerance as the enumerated cases: coverage within
+    [0.90, 0.99] over 200 fixed seeds of 400 trials."""
+    exact = _recursion(algorithm, p)
+    assert exact == pytest.approx(approx, abs=1e-5)
+    coverage = _coverage(algorithm, p, exact)
     assert 0.90 <= coverage <= 0.99, coverage

@@ -53,12 +53,21 @@ class TestRunSweep:
         assert result.randomized
 
     def test_cells_record_the_derived_backend(self):
-        packed = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, backend="numpy")
-        assert [cell.backend for cell in packed.cells] == ["bitpacked"]
-        numpy = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, randomized=True)
+        for randomized in (False, True):
+            packed = run_sweep(
+                "tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, randomized=randomized,
+                backend="numpy",
+            )
+            assert [cell.backend for cell in packed.cells] == ["bitpacked"]
+        accepted = run_sweep(
+            "hqs", sizes=(2,), ps=(0.5,), trials=100, seed=4, randomized=True,
+            backend="bitpacked",
+        )
+        assert [(cell.status, cell.backend) for cell in accepted.cells] == [("ok", "bitpacked")]
+        numpy = run_sweep("maj", sizes=(5,), ps=(0.5,), trials=100, seed=4, randomized=True)
         assert [cell.backend for cell in numpy.cells] == ["numpy"]
         refused = run_sweep(
-            "tree", sizes=(3,), ps=(0.5,), trials=100, seed=4, randomized=True,
+            "maj", sizes=(5,), ps=(0.5,), trials=100, seed=4, randomized=True,
             backend="bitpacked",
         )
         assert refused.cells[0].status == "failed"

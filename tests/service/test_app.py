@@ -111,11 +111,11 @@ class TestLifecycle:
         from repro.service.jobs import normalize_sweep
 
         service = service_factory(start=False)
-        request = {"system": "tree", "sizes": [2], "ps": [0.2], "trials": 32,
+        request = {"system": "maj", "sizes": [5], "ps": [0.2], "trials": 32,
                    "randomized": True, "backend": "bitpacked"}
         job = service.journal.new_job("sweep", normalize_sweep(request))
         checkpoint = service.journal.checkpoint_path(job)
-        first = run_sweep("tree", [2], [0.2], trials=32, seed=0, randomized=True,
+        first = run_sweep("maj", [5], [0.2], trials=32, seed=0, randomized=True,
                           backend="bitpacked", checkpoint_path=checkpoint)
         assert checkpoint.is_file() and first.cells[0].status == "failed"
         cells = service._execute(job)["statistics"]["cells"]

@@ -227,8 +227,12 @@ class TestCommands:
         assert "invalid choice: 'experiment'" in capsys.readouterr().err
 
     def test_estimate_reports_the_derived_backend(self, capsys):
-        for randomized, backend in ((False, "bitpacked"), (True, "numpy")):
-            argv = ["estimate", "--system", "tree", "--size", "3", "--p", "0.4",
+        for system, size, randomized, backend in (
+            ("tree", "3", False, "bitpacked"),
+            ("tree", "3", True, "bitpacked"),
+            ("maj", "5", True, "numpy"),
+        ):
+            argv = ["estimate", "--system", system, "--size", size, "--p", "0.4",
                     "--trials", "100", "--seed", "2"]
             assert main(argv + ["--randomized"] * randomized) == 0
             assert f"backend   : {backend}" in capsys.readouterr().out
