@@ -89,13 +89,36 @@ def register_kernel(
     return kernel
 
 
+def _registered(algorithm: ProbingAlgorithm) -> tuple[BatchedKernel | None, str]:
+    """The one kernel that runs ``algorithm`` and the backend whose input
+    it takes: a packed kernel that accepts the instance, else its numpy
+    kernel, else ``(None, "numpy")`` (the per-trial fallback reads bool
+    rows).  Every lookup below goes through here.
+    """
+    for backend in ("bitpacked", "numpy"):
+        kernel, accepts = _KERNELS.get((type(algorithm), backend), (None, None))
+        if kernel is not None and accepts(algorithm):
+            return kernel, backend
+    return None, "numpy"
+
+
 def kernel_for(
     algorithm: ProbingAlgorithm, backend: str = "numpy"
 ) -> BatchedKernel | None:
     """The registered kernel that runs this algorithm under ``backend``,
     or ``None``."""
-    kernel, accepts = _KERNELS.get((type(algorithm), backend), (None, None))
-    return kernel if kernel is not None and accepts(algorithm) else None
+    kernel, registered = _registered(algorithm)
+    return kernel if registered == backend else None
+
+
+def check_backend_name(backend: str) -> str:
+    """``backend`` when it is one of :data:`BACKEND_CHOICES`; raises
+    :class:`ValueError` otherwise."""
+    if backend not in BACKEND_CHOICES:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
+        )
+    return backend
 
 
 def resolve_backend(algorithm: ProbingAlgorithm, backend: str | None = None) -> str:
@@ -109,15 +132,13 @@ def resolve_backend(algorithm: ProbingAlgorithm, backend: str | None = None) -> 
     per-trial order draws have no packed form (the numpy path is not a
     silent substitute).
     """
-    if backend is not None and backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
-        )
-    packed = kernel_for(algorithm, "bitpacked") is not None
-    if backend == "bitpacked" and not packed:
+    if backend is not None:
+        check_backend_name(backend)
+    derived = _registered(algorithm)[1]
+    if backend == "bitpacked" and derived != "bitpacked":
         kind = "randomized algorithm" if getattr(algorithm, "randomized", False) else "algorithm"
         raise ValueError(f"no bitpacked kernel runs the {kind} {algorithm.name}")
-    return "bitpacked" if packed else "numpy"
+    return derived
 
 
 #: Per-algorithm-instance scratch space for kernel precomputation (probe
@@ -142,7 +163,7 @@ def kernel_scratch(algorithm: ProbingAlgorithm) -> dict:
 
 def supports_batched(algorithm: ProbingAlgorithm) -> bool:
     """True when the algorithm has a vectorized kernel on either backend."""
-    return resolve_backend(algorithm) == "bitpacked" or kernel_for(algorithm) is not None
+    return _registered(algorithm)[0] is not None
 
 
 def batched_run(
@@ -161,11 +182,11 @@ def batched_run(
         raise ValueError(
             f"red matrix must have shape (trials, {algorithm.system.n})"
         )
-    if resolve_backend(algorithm) == "bitpacked":
-        return _bitpacked.run_packed(algorithm, _bitpacked.pack_matrix(red), rng)
-    kernel = kernel_for(algorithm)
+    kernel, backend = _registered(algorithm)
     if kernel is None:
         raise TypeError(f"no batched kernel for {algorithm.name}")
+    if backend == "bitpacked":
+        return _bitpacked.run_packed(algorithm, _bitpacked.pack_matrix(red), rng)
     return kernel(algorithm, red, rng)
 
 

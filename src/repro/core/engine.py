@@ -56,6 +56,11 @@ Seeding guarantees (the "seed schedule"):
   later chunk's inputs.  Randomized algorithms are distribution-identical
   across chunk layouts (same caveat as batched-vs-sequential before).
 
+A chunk is described by the pickled ``(algorithm, source)`` pair and the
+run's entropy (:class:`ChunkTask`); which input the algorithm's kernel
+takes, packed words or a bool matrix, is asked of the kernel registry
+(:func:`repro.core.batched.resolve_backend`) wherever the chunk runs.
+
 Execution is one scheduler over *chunk leases*, whichever transport runs
 the chunks: inline in the caller (``jobs=1``), a respawnable process pool
 (:class:`ChunkPool`, ``jobs > 1``) or networked workers
@@ -73,10 +78,9 @@ re-dispatches only the unmerged chunks.  Because chunks are keyed by
 ``(seed, start)`` and merged in absolute order, a recovered run is
 byte-identical to a fault-free one.  ``checkpoint_path`` serializes the
 exact-integer accumulator plus the lease position durably (tmp + fsync +
-``os.replace``) every ``checkpoint_every`` merges — and on
-``KeyboardInterrupt`` — so ``resume=``/:func:`resume_stream` continues a
-killed run byte-identically from the last durable chunk boundary.  The
-fault paths are exercised, not just claimed: :mod:`repro.testing.faults`
+``os.replace``) after every merge — and on ``KeyboardInterrupt`` — so
+``resume=``/:func:`resume_stream` continues a killed run byte-identically
+from the last durable chunk boundary.  The fault paths are exercised, not just claimed: :mod:`repro.testing.faults`
 injects worker kills, delays, kernel errors and interrupts at the
 ``"chunk"``/``"merge"`` sites wired into :func:`_run_chunk` and the merge
 step.
@@ -87,6 +91,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -361,20 +366,20 @@ def _run_chunk(
     entropy: int,
     start: int,
     size: int,
-    backend: str = "numpy",
 ) -> ChunkStats:
     """Sample and evaluate one chunk; returns O(n) sufficient statistics.
 
-    ``backend`` is the algorithm's backend ("numpy" or "bitpacked").  The
-    bitpacked path draws the chunk directly into bit-planes from the same
-    word-aligned stream (the very colorings ``sample_matrix`` would
-    return) and runs the packed kernel.
+    The kernel registry (:func:`repro.core.batched.resolve_backend`) says
+    which input the algorithm's kernel takes.  A packed kernel gets the
+    chunk drawn directly into bit-planes from the same word-aligned stream
+    (the very colorings ``sample_matrix`` would return); every other
+    algorithm gets a bool matrix.
     """
-    from repro.core.batched import batched_or_sequential_run
+    from repro.core.batched import batched_or_sequential_run, resolve_backend
 
     fire_fault("chunk", start)
     sample_rng, lead = _chunk_sample_generator(source, entropy, start)
-    if backend == "bitpacked":
+    if resolve_backend(algorithm) == "bitpacked":
         from repro.core.bitpacked import drop_lanes, run_packed, sample_packed
 
         packed = drop_lanes(sample_packed(source, source.n, lead + size, sample_rng), lead)
@@ -399,60 +404,69 @@ class ChunkTask:
 
     algorithm: ProbingAlgorithm
     source: ColoringSource
-    backend: str
     entropy: int
 
     @cached_property
     def payload(self) -> tuple[bytes, str]:
-        """The pickled ``(algorithm, source, backend)`` triple plus a cache
-        token, serialized once per run.
+        """The pickled ``(algorithm, source)`` pair plus a cache token,
+        serialized once per run.
 
         The same bytes ship with every pool task and to every networked
-        worker; workers deserialize once per token and then reuse the
-        *same* objects for all their chunks, so the per-algorithm kernel
-        scratch (:func:`repro.core.batched.kernel_scratch`) stays warm
-        inside workers exactly as it does inline.  The backend rides along
-        so every worker evaluates on the parent's kernels.
+        worker; workers deserialize once per token (:func:`cached_pair`)
+        and then reuse the *same* objects for all their chunks, so the
+        per-algorithm kernel scratch
+        (:func:`repro.core.batched.kernel_scratch`) stays warm inside
+        workers exactly as it does inline.
         """
         blob = pickle.dumps(
-            (self.algorithm, self.source, self.backend),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            (self.algorithm, self.source), protocol=pickle.HIGHEST_PROTOCOL
         )
         return blob, hashlib.blake2s(blob, digest_size=16).hexdigest()
 
     def run(self, start: int, size: int) -> ChunkStats:
         """Evaluate the chunk ``[start, start + size)`` in this process."""
-        return _run_chunk(
-            self.algorithm, self.source, self.entropy, start, size, self.backend
-        )
+        return _run_chunk(self.algorithm, self.source, self.entropy, start, size)
 
 
-def load_pair(blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource, str]:
+def load_pair(blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource]:
     """Deserialize a :attr:`ChunkTask.payload` blob to ``(algorithm,
-    source, backend)``."""
-    return pickle.loads(blob)
+    source)``; the backend that older checkpoints pickled third is dropped."""
+    algorithm, source, *_ = pickle.loads(blob)
+    return algorithm, source
 
 
-#: Worker-side cache of deserialized (algorithm, source) pairs, keyed by
-#: the payload token; small LRU so long-lived shared pools don't accumulate
-#: every pair they ever ran.
-_WORKER_PAIRS: "OrderedDict[str, tuple]" = OrderedDict()
-_WORKER_PAIRS_MAX = 8
+#: Deserialized pairs a worker keeps (least recently used out first).
+PAIR_CACHE_MAX = 8
+
+#: The worker-side pair cache, one per thread: in-process worker threads
+#: must not share algorithm objects, whose kernel scratch holds buffers.
+_pair_cache = threading.local()
+
+
+def cached_pair(
+    token: str, blob: bytes | None = None
+) -> tuple[ProbingAlgorithm, ColoringSource] | None:
+    """The pair a pool or networked worker cached under ``token``,
+    deserializing ``blob`` on a miss; ``None`` when the token is unknown
+    and no blob came with it."""
+    pairs = getattr(_pair_cache, "pairs", None)
+    if pairs is None:
+        pairs = _pair_cache.pairs = OrderedDict()
+    pair = pairs.get(token)
+    if pair is not None:
+        pairs.move_to_end(token)
+    elif blob is not None:
+        pair = pairs[token] = load_pair(blob)
+        while len(pairs) > PAIR_CACHE_MAX:
+            pairs.popitem(last=False)
+    return pair
 
 
 def _run_chunk_task(payload) -> ChunkStats:
     """Top-level worker entry point (must be picklable for process pools)."""
     blob, token, entropy, start, size = payload
-    pair = _WORKER_PAIRS.get(token)
-    if pair is None:
-        pair = load_pair(blob)
-        _WORKER_PAIRS[token] = pair
-        while len(_WORKER_PAIRS) > _WORKER_PAIRS_MAX:
-            _WORKER_PAIRS.popitem(last=False)
-    else:
-        _WORKER_PAIRS.move_to_end(token)
-    algorithm, source, backend = pair
-    return _run_chunk(algorithm, source, entropy, start, size, backend)
+    algorithm, source = cached_pair(token, blob)
+    return _run_chunk(algorithm, source, entropy, start, size)
 
 
 # -- fault-tolerant pool + chunk leases -------------------------------------------
@@ -753,7 +767,6 @@ class _Scheduler:
         state,
         checkpoint_path: str | Path | None,
         checkpoint_config: dict,
-        checkpoint_every: int,
         stop_event,
         run_timeout: float | None,
     ) -> None:
@@ -775,7 +788,6 @@ class _Scheduler:
         )
         self._checkpoint_path = checkpoint_path
         self._checkpoint_config = checkpoint_config
-        self._checkpoint_every = checkpoint_every
         self._stop_event = stop_event
         self._run_timeout = run_timeout
         self._deadline_at = (
@@ -843,8 +855,7 @@ class _Scheduler:
         self.chunks_merged += 1
         self.next_start = lease.start + lease.size
         fire_fault("merge", self.chunks_merged)
-        if self.chunks_merged % self._checkpoint_every == 0:
-            self.checkpoint(complete=False)
+        self.checkpoint(complete=False)
         if self.rule.should_stop(self.accumulator):
             return True
         # Cooperative control lands exactly here — after the merge, so the
@@ -914,9 +925,7 @@ def stream_probes(
     coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
-    retry_backoff: float | None = None,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
     resume=None,
     backend: str | None = None,
     stop_event=None,
@@ -953,10 +962,10 @@ def stream_probes(
 
     Fault tolerance: each chunk has a retry budget of ``retries``
     (default :data:`DEFAULT_RETRIES`) with exponential backoff
-    (``retry_backoff`` base seconds); worker deaths and chunks that miss
-    ``chunk_timeout`` seconds respawn the pool and re-run only the lost
-    chunks, byte-identically.  ``checkpoint_path`` persists the run state
-    atomically every ``checkpoint_every`` merged chunks and on
+    (:data:`DEFAULT_RETRY_BACKOFF` base seconds); worker deaths and chunks
+    that miss ``chunk_timeout`` seconds respawn the pool and re-run only
+    the lost chunks, byte-identically.  ``checkpoint_path`` persists the
+    run state atomically after every merged chunk and on
     ``KeyboardInterrupt``; ``resume`` (a checkpoint path or loaded
     :class:`~repro.core.checkpoint.EngineCheckpoint`) continues such a run
     from its last durable chunk boundary — the resumed configuration comes
@@ -1051,20 +1060,17 @@ def stream_probes(
             "either coordinator or jobs/executor, not both"
         )
     retries = DEFAULT_RETRIES if retries is None else retries
-    retry_backoff = DEFAULT_RETRY_BACKOFF if retry_backoff is None else retry_backoff
     if chunk_timeout is not None and chunk_timeout <= 0:
         raise ValueError("chunk_timeout must be positive (None disables it)")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least one chunk")
     if run_timeout is not None and run_timeout <= 0:
         raise ValueError("run_timeout must be positive (None disables it)")
     from repro.core.batched import resolve_backend
 
     backend = resolve_backend(algorithm, backend)
-    task = ChunkTask(algorithm, source, backend, _resolve_entropy(seed))
+    task = ChunkTask(algorithm, source, _resolve_entropy(seed))
     scheduler = _Scheduler(
         _StoppingRule(trials, target_ci, min_trials, max_trials),
-        ChunkLedger(retries, retry_backoff),
+        ChunkLedger(retries, DEFAULT_RETRY_BACKOFF),
         chunk_size,
         state=state,
         checkpoint_path=checkpoint_path,
@@ -1081,7 +1087,6 @@ def stream_probes(
             n=source.n,
             pair_blob=None if checkpoint_path is None else task.payload[0],
         ),
-        checkpoint_every=checkpoint_every,
         stop_event=stop_event,
         run_timeout=run_timeout,
     )
@@ -1135,21 +1140,16 @@ def resume_stream(
     coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
-    retry_backoff: float | None = None,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
     stop_event=None,
     run_timeout: float | None = None,
 ) -> StreamResult:
     """Continue a checkpointed run from its own serialized state.
 
-    The checkpoint carries the pickled ``(algorithm, source, backend)``
-    payload, so no other description of the run is needed — this is what
+    The checkpoint carries the pickled ``(algorithm, source)`` payload,
+    so no other description of the run is needed — this is what
     ``repro-probe estimate --resume`` calls.  By default the continued run
-    keeps checkpointing to the same file.  The recorded backend is
-    ignored: the algorithm's own kernel evaluates the remaining chunks,
-    and every kernel a checkpoint may have run on computes the same
-    statistics.
+    keeps checkpointing to the same file.
     """
     from repro.core.checkpoint import load_engine_checkpoint
 
@@ -1160,7 +1160,7 @@ def resume_stream(
             "pair; resume through stream_probes(resume=...) with the "
             "original objects instead"
         )
-    algorithm, source, _ = load_pair(state.pair_blob)
+    algorithm, source = load_pair(state.pair_blob)
     return stream_probes(
         algorithm,
         source,
@@ -1169,9 +1169,7 @@ def resume_stream(
         coordinator=coordinator,
         retries=retries,
         chunk_timeout=chunk_timeout,
-        retry_backoff=retry_backoff,
         checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
-        checkpoint_every=checkpoint_every,
         resume=state,
         stop_event=stop_event,
         run_timeout=run_timeout,

@@ -22,8 +22,7 @@ pattern) or strings (BLAKE2s digest), since ``SeedSequence`` only accepts
 non-negative integer entropy.
 
 The module lives in :mod:`repro.core` so that lower layers can derive cell
-streams without importing the experiments package;
-:mod:`repro.experiments.seeding` re-exports it.
+streams without importing the experiments package.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import zlib
 
 #: Version negotiated in the hello/welcome handshake; bumped on any
 #: incompatible frame or message change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">II")
 

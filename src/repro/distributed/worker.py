@@ -15,7 +15,8 @@ Failure behavior mirrors the fault model the reproduction studies:
   charges the chunk's retry budget and re-leases it);
 * a lost/corrupt connection triggers reconnection with a bounded window
   (``reconnect_for`` seconds of failed attempts before giving up), and the
-  worker keeps its deserialized pair cache across reconnects;
+  worker keeps its deserialized pair cache
+  (:func:`repro.core.engine.cached_pair`) across reconnects;
 * fault injection (:mod:`repro.testing.faults`) reaches every interesting
   point: ``"chunk"`` faults fire inside the kernel (``kill`` = worker
   crash), ``"worker-heartbeat"`` delays suppress heartbeats (partition/
@@ -31,10 +32,9 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 
-from repro.core.engine import ChunkTask, load_pair
+from repro.core.engine import ChunkTask, cached_pair
 from repro.distributed import protocol
 from repro.testing.faults import take_fault
 
@@ -44,10 +44,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: Default window of failed (re)connection attempts before the worker
 #: gives up, in seconds.  Reset after every successful connect.
 DEFAULT_RECONNECT_FOR = 10.0
-
-#: Deserialized (algorithm, source) pairs kept per worker, like the
-#: process-pool worker cache in :mod:`repro.core.engine`.
-_PAIR_CACHE_MAX = 8
 
 
 def default_worker_name() -> str:
@@ -97,7 +93,6 @@ def _run_worker_loop(
     at a frame boundary, not a silent lease-expiry timeout), and the
     worker exits 0 like a served-to-completion run.
     """
-    pairs: "OrderedDict[str, tuple]" = OrderedDict()
     connected_once = False
     window_end = time.monotonic() + max(0.0, reconnect_for)
     while True:
@@ -119,7 +114,7 @@ def _run_worker_loop(
             connected_once = True
             # A successful connect restores the full reconnect budget.
             window_end = time.monotonic() + max(0.0, reconnect_for)
-            _serve(sock, pairs, heartbeat_interval)
+            _serve(sock, heartbeat_interval)
             return 0
         except KeyboardInterrupt:
             return 0
@@ -134,7 +129,7 @@ def _run_worker_loop(
                 pass
 
 
-def _serve(sock: socket.socket, pairs: "OrderedDict[str, tuple]", interval: float) -> None:
+def _serve(sock: socket.socket, interval: float) -> None:
     """One connection's serve loop; returns on shutdown or clean EOF."""
     send_lock = threading.Lock()
     while True:
@@ -143,12 +138,9 @@ def _serve(sock: socket.socket, pairs: "OrderedDict[str, tuple]", interval: floa
             return
         kind = message["type"]
         if kind == "pair":
-            pairs[message["token"]] = load_pair(protocol.pair_blob(message))
-            pairs.move_to_end(message["token"])
-            while len(pairs) > _PAIR_CACHE_MAX:
-                pairs.popitem(last=False)
+            cached_pair(message["token"], protocol.pair_blob(message))
         elif kind == "lease":
-            _serve_lease(sock, send_lock, message, pairs, interval)
+            _serve_lease(sock, send_lock, message, interval)
         # Unknown frame types are ignored: a newer coordinator may add
         # advisory messages without breaking older workers.
 
@@ -157,13 +149,12 @@ def _serve_lease(
     sock: socket.socket,
     send_lock: threading.Lock,
     message: dict,
-    pairs: "OrderedDict[str, tuple]",
     interval: float,
 ) -> None:
     run = int(message["run"])
     start = int(message["start"])
     size = int(message["size"])
-    pair = pairs.get(message["token"])
+    pair = cached_pair(message["token"])
     if pair is None:
         # Protocol breach (the coordinator sends the pair before its first
         # lease); report instead of guessing.

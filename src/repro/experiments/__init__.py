@@ -10,10 +10,11 @@ Drivers are registered declaratively (:mod:`repro.experiments.registry` /
 :mod:`repro.experiments.specs`) and executed through the unified runner
 (:mod:`repro.experiments.runner`), which resolves parameter overrides,
 fans experiments across processes and writes one JSON artifact per run;
-:mod:`repro.experiments.seeding` supplies the per-cell seeded streams
+:mod:`repro.core.seeding` supplies the per-cell seeded streams
 every driver uses.
 """
 
+from repro.core.seeding import cell_generator, cell_seed
 from repro.experiments.ablations import (
     EagerProbeHQS,
     run_cw_order_ablation,
@@ -73,7 +74,6 @@ from repro.experiments.runner import (
     write_artifact,
     write_artifacts,
 )
-from repro.experiments.seeding import cell_generator, cell_seed
 from repro.experiments.sweep import (
     SweepCell,
     SweepResult,

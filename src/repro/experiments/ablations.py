@@ -28,8 +28,8 @@ from repro.core.estimator import estimate_average_probes
 from repro.core.oracle import ProbeOracle
 from repro.core.witness import Witness
 from repro.core.coloring import Color
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.crumbling_walls import TriangSystem
 from repro.systems.hqs import HQS
 

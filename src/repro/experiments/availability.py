@@ -19,8 +19,8 @@ from repro.analysis.availability import (
     tree_availability_bound,
 )
 from repro.core.metrics import availability_exact, availability_monte_carlo
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.crumbling_walls import TriangSystem
 from repro.systems.hqs import HQS
 from repro.systems.majority import MajoritySystem

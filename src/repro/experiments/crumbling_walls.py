@@ -17,8 +17,8 @@ from repro.analysis.yao import cw_hard_sampler, cw_lower_bound
 from repro.core.distributions import AdversarialSource
 from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_under
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.crumbling_walls import CrumblingWall, TriangSystem, uniform_wall
 
 

@@ -34,8 +34,8 @@ from repro.core.distributions import (
 )
 from repro.core.engine import stream_probes
 from repro.core.exact import ExactSolver
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.hqs import HQS
 
 

@@ -18,8 +18,8 @@ from repro.analysis.lemmas import (
 )
 from repro.analysis.walks import GridRandomWalk
 from repro.core.estimator import Estimate
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 
 
 def run_walk_experiment(

@@ -27,8 +27,8 @@ from repro.analysis.yao import majority_hard_sampler, majority_lower_bound
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
 from repro.core.estimator import estimate_average_under
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.majority import MajoritySystem
 
 DEFAULT_SIZES = (11, 25, 51, 101, 201)
@@ -44,7 +44,7 @@ def run_probabilistic_majority(
     """Measured PPC of Probe_Maj versus Proposition 3.2.
 
     Every ``(n, p)`` cell is one streaming-engine run on its own stream
-    derived from ``(seed, n, p)`` (see :mod:`repro.experiments.seeding`),
+    derived from ``(seed, n, p)`` (see :mod:`repro.core.seeding`),
     so cells are independent and reproduce regardless of grid shape.
     """
     rows: list[Row] = []

@@ -9,7 +9,7 @@ One pipeline for every registered experiment
   them out across worker processes (``jobs > 1``) — results are returned
   in request order and are bit-identical to a sequential run, because
   every spec derives its own per-cell seeded streams
-  (:mod:`repro.experiments.seeding`) and no state is shared;
+  (:mod:`repro.core.seeding`) and no state is shared;
 * :func:`write_artifact` / :func:`load_artifact` serialize a run as one
   JSON artifact with a common schema (kind ``"experiment"``): rows +
   resolved params + environment metadata.  Artifacts are deliberately free

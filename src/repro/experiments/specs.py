@@ -11,7 +11,7 @@ way the old CLI did, so a registered run at a fixed seed reproduces the
 pre-registry rows.  ``seed=None`` (the schema default) means "use every
 driver's historical default seed"; an explicit seed is forwarded to all
 component drivers, which derive independent per-cell streams from it (see
-:mod:`repro.experiments.seeding`).
+:mod:`repro.core.seeding`).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from repro.core.engine import (
     resolve_fixed_trials,
     stream_probes,
 )
-from repro.experiments.seeding import cell_seed
+from repro.core.seeding import cell_seed
 from repro.systems import build_system
 
 #: ``kind`` field of sweep artifacts.

@@ -34,9 +34,9 @@ from repro.analysis.yao import (
     tree_lower_bound,
 )
 from repro.core.estimator import estimate_average_probes, estimate_average_under
+from repro.core.seeding import cell_seed
 from repro.experiments.hqs import probe_hqs_expected_exact, worst_case_family_sampler
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.crumbling_walls import TriangSystem
 from repro.systems.hqs import HQS
 from repro.systems.majority import MajoritySystem

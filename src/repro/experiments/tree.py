@@ -19,8 +19,8 @@ from repro.analysis.fitting import PowerLawFit, fit_power_law
 from repro.analysis.bounds import tree_ppc_exponent
 from repro.analysis.yao import TreeHardSource, tree_lower_bound
 from repro.core.engine import stream_probes
+from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
-from repro.experiments.seeding import cell_seed
 from repro.systems.tree import TreeSystem
 
 DEFAULT_HEIGHTS = (3, 4, 5, 6, 7, 8)

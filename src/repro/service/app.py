@@ -78,6 +78,13 @@ from repro.testing.faults import FaultInjected, fire_fault
 
 _logger = logging.getLogger("repro.service")
 
+#: Base of the exponential backoff between a failed job's attempts, in
+#: seconds: attempt ``k`` waits ``JOB_RETRY_BACKOFF * 2^(k-1)``.
+JOB_RETRY_BACKOFF = 0.05
+
+#: Seconds a ``503`` answer's ``Retry-After`` header asks a client to wait.
+RETRY_AFTER_SECONDS = 1.0
+
 # Patchable in tests (retry-backoff pauses).
 _sleep = time.sleep
 
@@ -85,9 +92,7 @@ _sleep = time.sleep
 class ServiceUnavailable(RuntimeError):
     """The service cannot accept this work right now (HTTP 503)."""
 
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
+    retry_after = RETRY_AFTER_SECONDS
 
 
 class ProbeService:
@@ -107,11 +112,9 @@ class ProbeService:
         workers: int = 1,
         engine_jobs: int = 1,
         job_retries: int = 1,
-        retry_backoff: float = 0.05,
         retries: int | None = None,
         chunk_timeout: float | None = None,
         deadline: float | None = None,
-        retry_after: float = 1.0,
     ) -> None:
         if queue_size < 1:
             raise ValueError("queue_size must be at least 1")
@@ -124,11 +127,9 @@ class ProbeService:
         self.workers = workers
         self.engine_jobs = engine_jobs
         self.job_retries = job_retries
-        self.retry_backoff = retry_backoff
         self.retries = retries
         self.chunk_timeout = chunk_timeout
         self.deadline = deadline
-        self.retry_after = retry_after
 
         self.journal = JobJournal(self.data_dir / "journal")
         self.cache = ResultCache(self.data_dir / "cache")
@@ -240,16 +241,10 @@ class ProbeService:
         with self._lock:
             if self.state != "ready":
                 self.metrics.inc("jobs_rejected_total")
-                raise ServiceUnavailable(
-                    f"service is {self.state}; not accepting new jobs",
-                    self.retry_after,
-                )
+                raise ServiceUnavailable(f"service is {self.state}; not accepting new jobs")
             if self._queued >= self.queue_size:
                 self.metrics.inc("jobs_rejected_total")
-                raise ServiceUnavailable(
-                    f"queue full ({self.queue_size} job(s) waiting)",
-                    self.retry_after,
-                )
+                raise ServiceUnavailable(f"queue full ({self.queue_size} job(s) waiting)")
             job = self.journal.new_job(kind, params)
             # Durable before the 202 leaves the socket: an accepted job
             # survives any crash from here on.
@@ -445,7 +440,7 @@ class ProbeService:
                 f"(after {job.attempts} attempt(s))",
             )
             return
-        backoff = self.retry_backoff * (2 ** (job.attempts - 1))
+        backoff = JOB_RETRY_BACKOFF * (2 ** (job.attempts - 1))
         _logger.warning(
             "%s attempt %d failed (%s); retrying in %.2fs",
             job.id,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.batched import check_backend_name
 from repro.core.checkpoint import (
     atomic_write_json,
     check_schema_version,
@@ -140,6 +141,7 @@ def normalize_estimate(payload: dict) -> dict:
         params["trials"] = resolve_fixed_trials(
             params["trials"], params["target_ci"], default=1000
         )
+        params["backend"] = check_backend_name(str(params["backend"]))
     except ValueError as error:
         raise BadRequest(str(error)) from None
     params.update(
@@ -148,7 +150,6 @@ def normalize_estimate(payload: dict) -> dict:
         p=p,
         randomized=bool(params["randomized"]),
         seed=_as_int(params["seed"], "seed"),
-        backend=_validated_backend(params["backend"]),
     )
     return params
 
@@ -190,6 +191,7 @@ def normalize_sweep(payload: dict) -> dict:
         params["trials"] = resolve_fixed_trials(
             params["trials"], params["target_ci"], default=1000
         )
+        params["backend"] = check_backend_name(str(params["backend"]))
     except ValueError as error:
         raise BadRequest(str(error)) from None
     params.update(
@@ -198,20 +200,8 @@ def normalize_sweep(payload: dict) -> dict:
         ps=[float(p) for p in ps],
         randomized=bool(params["randomized"]),
         seed=_as_int(params["seed"], "seed"),
-        backend=_validated_backend(params["backend"]),
     )
     return params
-
-
-def _validated_backend(backend) -> str:
-    from repro.core.batched import BACKEND_CHOICES
-
-    backend = str(backend)
-    if backend not in BACKEND_CHOICES:
-        raise BadRequest(
-            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
-        )
-    return backend
 
 
 NORMALIZERS = {"estimate": normalize_estimate, "sweep": normalize_sweep}

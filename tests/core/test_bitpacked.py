@@ -362,7 +362,7 @@ class TestLaneRowChunking:
     def test_unaligned_full_chunk(self, name, start):
         algorithm = self.ALGORITHMS[name]
         source = BernoulliSource(algorithm.system.n, 0.5)
-        stats = ChunkTask(algorithm, source, "bitpacked", 6).run(start, 4096)
+        stats = ChunkTask(algorithm, source, 6).run(start, 4096)
         assert (list(stats.histogram), stats.witness_red) == self._one_shot(
             algorithm, source, 4096, 6, start
         )

@@ -242,7 +242,7 @@ class TestEngineInvariance:
     @pytest.mark.parametrize("start", [37, 64, 4096 + 5])
     def test_unaligned_full_chunk(self, start):
         source = BernoulliSource(21, 0.3)
-        stats = ChunkTask(self.ALGORITHM, source, "bitpacked", 6).run(start, 4096)
+        stats = ChunkTask(self.ALGORITHM, source, 6).run(start, 4096)
         red = source.sample_matrix(21, start + 4096, np.random.default_rng(6))[start:]
         probes, witness_green = batched_run(self.ALGORITHM, red)
         assert list(stats.histogram) == list(np.bincount(probes))

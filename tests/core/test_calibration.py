@@ -20,6 +20,12 @@ node, and ``E_p[probes]`` weights that over all colorings.  The ``O(h)``
 recursions of :mod:`repro.analysis.availability` must agree with that
 oracle, and then stand in for it at the sizes the sweeps run (Tree(h=9),
 HQS(6)), where enumeration is out of reach.
+
+The same oracles also check the paper's ordering: ``PPC_p(S)``
+(:meth:`repro.core.exact.ExactSolver.probabilistic_probe_complexity`) is
+the least ``E_p[probes]`` of any algorithm on ``S``, so every algorithm's
+exact expectation is at least that optimum, and Probe_Maj, which the paper
+proves optimal on Maj(n), attains it.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeHQS, 
 from repro.analysis.availability import hqs_expected_probes, r_probe_tree_expected_probes
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
+from repro.core.exact import ExactSolver
 from repro.experiments.hqs import probe_hqs_expected_exact
 from repro.systems import HQS, CrumblingWall, MajoritySystem, TreeSystem
 
@@ -99,6 +106,13 @@ def exact_randomized_expected_probes(algorithm, p: float) -> float:
     return float(weights @ expected)
 
 
+def exact_expectation(algorithm, p: float) -> float:
+    """``E_p[probes]`` through whichever oracle fits the algorithm."""
+    if algorithm.randomized:
+        return exact_randomized_expected_probes(algorithm, p)
+    return exact_expected_probes(algorithm, p)
+
+
 CASES = [
     pytest.param(
         ProbeMaj(MajoritySystem(15)), 0.45, 12.73681, "numpy", id="ProbeMaj-Maj15-p0.45"
@@ -135,10 +149,7 @@ def test_ci95_covers_the_exact_expectation(algorithm, p, approx, backend):
     """Tolerance: over 200 fixed seeds the nominal 95% interval covers the
     exact value at a rate within [0.90, 0.99], about -3.2 and +2.6 binomial
     standard errors (0.015) around 0.95."""
-    if algorithm.randomized:
-        exact = exact_randomized_expected_probes(algorithm, p)
-    else:
-        exact = exact_expected_probes(algorithm, p)
+    exact = exact_expectation(algorithm, p)
     assert exact == pytest.approx(approx, abs=1e-5)
     coverage = _coverage(algorithm, p, exact, backend)
     assert 0.90 <= coverage <= 0.99, coverage
@@ -179,3 +190,37 @@ def test_ci95_covers_the_recursion_at_full_size(algorithm, p, approx):
     assert exact == pytest.approx(approx, abs=1e-5)
     coverage = _coverage(algorithm, p, exact)
     assert 0.90 <= coverage <= 0.99, coverage
+
+
+@pytest.mark.parametrize(
+    "system,algorithms,p,optimum,expected",
+    [
+        pytest.param(MajoritySystem(9), [ProbeMaj], 0.3, 6.858662, [6.858662], id="Maj9"),
+        pytest.param(CrumblingWall([1, 2, 3, 3]), [ProbeCW], 0.5, 5.6875, [6.0], id="CW1233"),
+        pytest.param(
+            TreeSystem(3), [ProbeTree, RProbeTree], 0.5, 7.686523, [8.125, 9.166667],
+            id="Tree-h3",
+        ),
+        pytest.param(
+            HQS(2), [ProbeHQS, RProbeHQS], 0.3, 5.580686, [5.659625, 5.659625], id="HQS-h2"
+        ),
+    ],
+)
+def test_no_algorithm_beats_the_optimal_ppc(system, algorithms, p, optimum, expected):
+    """``E_p[probes] >= PPC_p`` at p in {0.3, 0.5, 0.7}, with equality for
+    Probe_Maj; both sides are the same at p and 1 - p.  ``optimum`` and
+    ``expected`` pin the values at one ``p``."""
+    solver = ExactSolver(system)
+    ps = (0.3, 0.5, 0.7)
+    optimal = {q: solver.probabilistic_probe_complexity(q) for q in ps}
+    assert optimal[p] == pytest.approx(optimum, abs=1e-6)
+    assert optimal[0.3] == pytest.approx(optimal[0.7], abs=1e-9)
+    for cls, pinned in zip(algorithms, expected, strict=True):
+        algorithm = cls(system)
+        values = {q: exact_expectation(algorithm, q) for q in ps}
+        assert values[p] == pytest.approx(pinned, abs=1e-6)
+        assert values[0.3] == pytest.approx(values[0.7], abs=1e-9)
+        for q in ps:
+            assert values[q] >= optimal[q] - 1e-9, (algorithm.name, q)
+            if cls is ProbeMaj:
+                assert values[q] == pytest.approx(optimal[q], abs=1e-9)

@@ -221,8 +221,6 @@ class TestFailurePaths:
     def test_invalid_fault_tolerance_arguments(self):
         with pytest.raises(ValueError, match="chunk_timeout"):
             _baseline(chunk_timeout=0.0)
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            _baseline(checkpoint_every=0)
         with pytest.raises(ValueError, match="retries"):
             _baseline(retries=-1)
 
@@ -295,16 +293,16 @@ class TestInterruptionSemantics:
 
     @pytest.mark.parametrize("recorded", ["numpy", "bitpacked", "compiled"])
     def test_checkpoint_resumes_whatever_backend_it_recorded(self, tmp_path, recorded):
-        # The pair blob still carries the backend a run was written on (numpy
-        # for every deterministic run of earlier builds); the resume ignores
-        # it and runs the algorithm's own kernel, with the same statistics.
+        # Earlier builds pickled an (algorithm, source, backend) triple into
+        # the checkpoint; such a checkpoint resumes bit-identically on the
+        # algorithm's own kernel, whichever backend it recorded.
         checkpoint = tmp_path / "run.ckpt"
         with pytest.raises(KeyboardInterrupt):
             with faults.active_plan([Fault("merge", 1, "interrupt")], tmp_path / "plan"):
                 _baseline(checkpoint_path=checkpoint)
         state = load_engine_checkpoint(checkpoint)
         assert not state.complete
-        algorithm, source, _ = pickle.loads(state.pair_blob)
+        algorithm, source = pickle.loads(state.pair_blob)
         blob = pickle.dumps((algorithm, source, recorded))
         save_engine_checkpoint(checkpoint, dataclasses.replace(state, pair_blob=blob))
         resumed = resume_stream(checkpoint)
@@ -338,8 +336,7 @@ class TestCrashResume:
             "from repro.algorithms import ProbeTree\n"
             "from repro.systems import build_system\n"
             "stream_probes(ProbeTree(build_system('tree', 2)), p=0.2, trials=64,\n"
-            f"    chunk_size=16, seed=7, checkpoint_path={str(checkpoint)!r},\n"
-            "    checkpoint_every=1)\n"
+            f"    chunk_size=16, seed=7, checkpoint_path={str(checkpoint)!r})\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

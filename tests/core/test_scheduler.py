@@ -12,6 +12,7 @@ inline, :class:`ChunkPool` and the distributed coordinator — against the
 
 from __future__ import annotations
 
+import pickle
 import random
 import threading
 from concurrent.futures import Future
@@ -22,7 +23,7 @@ import pytest
 
 from repro.algorithms import ProbeMaj, RProbeMaj
 from repro.core import engine
-from repro.core.batched import BACKENDS, resolve_backend
+from repro.core.batched import resolve_backend
 from repro.core.distributions import BernoulliSource
 from repro.core.engine import (
     ChunkLedger,
@@ -56,8 +57,12 @@ P = 0.4
 ENTROPY = 13
 
 
-def _task(algorithm=ALGORITHM, backend="numpy", entropy=ENTROPY) -> ChunkTask:
-    return ChunkTask(algorithm, BernoulliSource(algorithm.system.n, P), backend, entropy)
+#: One algorithm per kernel input form: packed words and a bool matrix.
+FORMS = {"bitpacked": ALGORITHM, "numpy": RProbeMaj(MajoritySystem(25))}
+
+
+def _task(algorithm=ALGORITHM, entropy=ENTROPY) -> ChunkTask:
+    return ChunkTask(algorithm, BernoulliSource(algorithm.system.n, P), entropy)
 
 
 def _scheduler(
@@ -79,7 +84,6 @@ def _scheduler(
         state=state,
         checkpoint_path=None,
         checkpoint_config={},
-        checkpoint_every=1,
         stop_event=stop_event,
         run_timeout=run_timeout,
     )
@@ -192,23 +196,29 @@ class TestChunkTask:
     def test_payload_token_is_a_content_hash(self):
         first, second = _task(), _task()
         assert first.payload == second.payload
-        assert _task(backend="bitpacked").payload[1] != first.payload[1]
+        assert _task(FORMS["numpy"]).payload[1] != first.payload[1]
 
     def test_entropy_stays_out_of_the_payload(self):
         # Workers cache pairs by token across runs: two seeds of the same
         # pair must share it, the entropy rides with each lease instead.
         assert _task(entropy=1).payload == _task(entropy=2).payload
 
+    def test_payload_unpickles_to_exactly_the_pair(self):
+        pair = pickle.loads(_task().payload[0])
+        assert type(pair) is tuple and len(pair) == 2
+        algorithm, source = pair
+        assert type(algorithm) is ProbeMaj and type(source) is BernoulliSource
+
     def test_load_pair_roundtrip(self):
-        algorithm, source, backend = load_pair(_task(backend="bitpacked").payload[0])
+        algorithm, source = load_pair(_task().payload[0])
         assert algorithm.name == ALGORITHM.name
         assert algorithm.system.n == ALGORITHM.system.n
         assert (source.n, source.name) == (25, BernoulliSource(25, P).name)
-        assert backend == "bitpacked"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_matches_worker_entry_point(self, backend):
-        task = _task(backend=backend)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_run_matches_worker_entry_point(self, form):
+        assert resolve_backend(FORMS[form]) == form
+        task = _task(FORMS[form])
         blob, token = task.payload
         local = task.run(64, 50)
         remote = engine._run_chunk_task((blob, token, task.entropy, 64, 50))
@@ -217,12 +227,32 @@ class TestChunkTask:
         np.testing.assert_array_equal(local.histogram, remote.histogram)
 
     def test_worker_pair_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(engine, "_WORKER_PAIRS", engine.OrderedDict())
-        for entropy in range(engine._WORKER_PAIRS_MAX + 3):
+        monkeypatch.setattr(engine, "_pair_cache", threading.local())
+        tokens = []
+        for entropy in range(engine.PAIR_CACHE_MAX + 3):
             algorithm = ProbeMaj(MajoritySystem(2 * entropy + 3))
             blob, token = _task(algorithm).payload
             engine._run_chunk_task((blob, token, entropy, 0, 8))
-        assert len(engine._WORKER_PAIRS) == engine._WORKER_PAIRS_MAX
+            tokens.append(token)
+        assert list(engine._pair_cache.pairs) == tokens[3:]
+        assert engine.cached_pair(tokens[0]) is None
+
+    def test_worker_pair_cache_is_per_thread(self):
+        # In-process worker threads must not share algorithm objects: their
+        # kernel scratch holds buffers a kernel writes on every call.
+        blob, token = _task().payload
+        mine = engine.cached_pair(token, blob)
+        theirs = []
+        thread = threading.Thread(
+            target=lambda: theirs.append(
+                (engine.cached_pair(token), engine.cached_pair(token, blob))
+            )
+        )
+        thread.start()
+        thread.join()
+        assert theirs[0][0] is None
+        assert theirs[0][1][0] is not mine[0]
+        assert engine.cached_pair(token) is mine
 
     @pytest.mark.parametrize("split", [1, 31, 64, 150])
     def test_chunks_compose_to_the_whole_run(self, split):
@@ -265,11 +295,11 @@ class TestMergeOrder:
         scheduler.drive(ScriptedTransport(_task(algorithm), window=5, order="tail"))
         assert _matches(scheduler, _reference(algorithm))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_through_a_wide_window(self, backend):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_backend_through_a_wide_window(self, form):
         scheduler = _scheduler()
-        scheduler.drive(ScriptedTransport(_task(backend=backend), window=6, order="random"))
-        assert _matches(scheduler, _reference())
+        scheduler.drive(ScriptedTransport(_task(FORMS[form]), window=6, order="random"))
+        assert _matches(scheduler, _reference(FORMS[form]))
 
 
 class TestWindow:

@@ -28,14 +28,16 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.algorithms import ProbeTree
+from repro.algorithms import ProbeMaj, ProbeTree
 from repro.core import engine
 from repro.core.checkpoint import load_engine_checkpoint
+from repro.core.distributions import BernoulliSource
 from repro.core.engine import resume_stream, stream_probes
 from repro.distributed import (
     AllWorkersLostError,
     Coordinator,
     WorkerChunkError,
+    protocol,
     run_worker,
     shutdown_workers,
     spawn_local_workers,
@@ -294,6 +296,87 @@ class TestCoordinatorCrashResume:
         assert state.chunks_merged == 1  # durable point before the kill
         resumed = resume_stream(checkpoint)
         assert _same_statistics(resumed, _baseline())
+
+
+class TestHandshake:
+    def test_version_one_hello_is_refused(self):
+        # Version 2 changed the ``pair`` frame: it carries (algorithm,
+        # source) without the backend, so a version-1 worker is turned away.
+        import socket
+
+        with Coordinator() as coordinator:
+            with socket.create_connection(coordinator.addresses[0], timeout=10.0) as sock:
+                hello = {**protocol.hello_message("old-worker"), "protocol": 1}
+                protocol.send_message(sock, hello)
+                try:
+                    answer = protocol.recv_message(sock)
+                except OSError:  # a FrameError or a reset: refused either way
+                    answer = None
+            assert answer is None
+            assert coordinator.worker_count == 0
+
+
+class TestWorkerPairCache:
+    """Networked workers keep pairs in the engine's one bounded cache."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(engine, "_pair_cache", threading.local())
+
+    @staticmethod
+    def _serve(frames: list[dict]) -> list[dict]:
+        """Feed ``frames`` (then ``shutdown``) to one worker connection."""
+        import socket
+
+        from repro.distributed.worker import _serve
+
+        coordinator_end, worker_end = socket.socketpair()
+        with coordinator_end, worker_end:
+            writer = threading.Thread(
+                target=lambda: [
+                    protocol.send_message(coordinator_end, frame)
+                    for frame in [*frames, protocol.shutdown_message()]
+                ]
+            )
+            writer.start()
+            _serve(worker_end, 60.0)
+            writer.join()
+            worker_end.shutdown(socket.SHUT_WR)
+            replies = []
+            while (reply := protocol.recv_message(coordinator_end)) is not None:
+                replies.append(reply)
+        return replies
+
+    def test_pair_frames_fill_the_pool_workers_cache(self):
+        task = engine.ChunkTask(_algorithm(), BernoulliSource(_algorithm().system.n, 0.2), 7)
+        blob, token = task.payload
+        (reply,) = self._serve(
+            [
+                protocol.pair_message(token, blob),
+                protocol.lease_message(1, token, task.entropy, 16, 16),
+            ]
+        )
+        expected = task.run(16, 16)
+        assert reply["type"] == "result"
+        assert reply["histogram"] == [int(count) for count in expected.histogram]
+        assert reply["witness_red"] == expected.witness_red
+        # A pool task on the same thread finds the pair without its blob.
+        pooled = engine._run_chunk_task((b"", token, task.entropy, 16, 16))
+        assert pooled.histogram.tolist() == expected.histogram.tolist()
+
+    def test_cache_bound_holds_for_pair_frames(self):
+        tokens, frames = [], []
+        for size in range(engine.PAIR_CACHE_MAX + 2):
+            system = build_system("maj", 2 * size + 3)
+            blob, token = engine.ChunkTask(
+                ProbeMaj(system), BernoulliSource(system.n, 0.5), 1
+            ).payload
+            tokens.append(token)
+            frames.append(protocol.pair_message(token, blob))
+        frames.append(protocol.lease_message(1, tokens[0], 1, 0, 8))
+        (reply,) = self._serve(frames)
+        assert list(engine._pair_cache.pairs) == tokens[2:]
+        assert reply["type"] == "error" and "unknown pair token" in reply["error"]
 
 
 class TestWorkerLifecycle:

@@ -31,7 +31,7 @@ from repro.experiments.runner import (
     write_artifact,
     write_artifacts,
 )
-from repro.experiments.seeding import cell_generator, cell_seed
+from repro.core.seeding import cell_generator, cell_seed
 
 #: Former hard-wired CLI ids that must all be registered.
 LEGACY_EXPERIMENT_IDS = (

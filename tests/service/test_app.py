@@ -23,6 +23,7 @@ from helpers import http_get, http_post, wait_for_state
 from repro.algorithms import ProbeTree
 from repro.core.engine import stream_probes
 from repro.service import ProbeService, ServiceUnavailable, canonical_json
+from repro.service.app import RETRY_AFTER_SECONDS
 from repro.service.jobs import BadRequest, estimate_result_payload
 from repro.systems import build_system
 from repro.testing import faults
@@ -146,12 +147,12 @@ class TestLifecycle:
 
 class TestAdmission:
     def test_full_queue_rejects_with_retry_after(self, service_factory):
-        service = service_factory(start=False, queue_size=2, retry_after=7)
+        service = service_factory(start=False, queue_size=2)
         assert service.submit("estimate", dict(REQUEST))[0] == 202
         assert service.submit("estimate", {**REQUEST, "p": 0.3})[0] == 202
         with pytest.raises(ServiceUnavailable, match="queue full") as excinfo:
             service.submit("estimate", {**REQUEST, "p": 0.4})
-        assert excinfo.value.retry_after == 7
+        assert excinfo.value.retry_after == RETRY_AFTER_SECONDS
         assert service.metrics.value("jobs_rejected_total") == 1
 
     def test_draining_service_rejects_submissions(self, service_factory):
