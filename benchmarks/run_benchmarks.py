@@ -13,9 +13,10 @@ Sections:
 * ``exact_solver`` — mask-DP :class:`ExactSolver` versus the seed's
   frozenset ``lru_cache`` DP (replicated below as ``legacy_ppc``) on an
   ``n = 14`` crumbling wall, plus the warm-cache re-query cost;
-* ``batched_montecarlo`` — vectorized (one engine chunk) versus per-trial
-  Monte-Carlo estimation (1000 trials) for Probe_Maj on ``Maj(1001)`` and Probe_CW on
-  ``Triang(45)`` (n = 1035);
+* ``batched_montecarlo`` — vectorized (one engine chunk) versus a local
+  per-trial reference loop (one ``Coloring.random`` draw and one
+  ``run_on`` per trial; 1000 trials) for Probe_Maj on ``Maj(1001)`` and
+  Probe_CW on ``Triang(45)`` (n = 1035);
 * ``batched_gates`` — the level-synchronous gate kernels, all packed
   (:mod:`repro.core.bitpacked`), versus the recursive per-trial loops
   for Probe_Tree / R_Probe_Tree on ``Tree(h=9)`` (n = 1023) and
@@ -27,8 +28,9 @@ Sections:
 * ``distribution_sampling`` — every registered
   :class:`~repro.core.distributions.ColoringSource` at ``n ≈ 1000``:
   the vectorized ``sample_matrix`` batch versus the per-trial scalar
-  path each scenario used before the unified source layer
-  (a ``random.Random`` loop per trial / the ``*_hard_sampler`` closures);
+  path each scenario used before the unified source layer (a
+  ``random.Random`` loop per trial building one ``Coloring``, kept here as
+  local reference loops);
 * ``runner_overhead`` — the unified experiment runner's own work
   (:mod:`repro.experiments.runner`: registry lookup, parameter resolution,
   environment metadata, artifact serialization), timed with a driver that
@@ -88,7 +90,7 @@ from repro.algorithms import (  # noqa: E402
 from repro.core.coloring import Coloring  # noqa: E402
 from repro.core.distributions import sample_bernoulli_matrix  # noqa: E402
 from repro.core.engine import stream_probes  # noqa: E402
-from repro.core.estimator import estimate_average_probes  # noqa: E402
+from repro.core.estimator import Estimate  # noqa: E402
 from repro.core.exact import ExactSolver  # noqa: E402
 from repro.systems import (  # noqa: E402
     HQS,
@@ -160,6 +162,16 @@ def bench_exact_solver(quick: bool) -> dict:
     }
 
 
+def per_trial_estimate(algorithm, p: float, trials: int, seed: int) -> Estimate:
+    """The per-trial reference loop: draw one i.i.d. coloring and run the
+    algorithm on it, once per trial, from one ``random.Random`` stream."""
+    rng = random.Random(seed)
+    n = algorithm.system.n
+    return Estimate.from_samples(
+        [algorithm.run_on(Coloring.random(n, p, rng), rng=rng).probes for _ in range(trials)]
+    )
+
+
 def _bench_batched_vs_loop(cases: list, trials: int, p: float = 0.5) -> list[dict]:
     """Time one kernel call (a one-chunk engine run) against the per-trial
     loop for each case."""
@@ -172,7 +184,7 @@ def _bench_batched_vs_loop(cases: list, trials: int, p: float = 0.5) -> list[dic
             repeat=3,
         )
         loop_seconds, loop_estimate = timed(
-            lambda: estimate_average_probes(algorithm, p, trials=trials, seed=1)
+            lambda: per_trial_estimate(algorithm, p, trials=trials, seed=1)
         )
         results.append(
             {
@@ -236,17 +248,11 @@ def bench_distribution_sampling(quick: bool) -> list[dict]:
     whole batch); ``per_trial_seconds`` times the scalar path each
     scenario used before the unified source layer — a ``random.Random``
     loop building one :class:`~repro.core.coloring.Coloring` per trial
-    (with its range checks) for the failure scenarios, and the hoisted
-    sampler closures for the Yao/HQS hard families — which is the loop the
-    batched consumers replace.
+    (with its range checks) for the failure scenarios, and per-draw sampler
+    functions with their row/subtree work hoisted for the Yao/HQS hard
+    families — which is the loop the batched consumers replace.
     """
-    from repro.analysis.yao import (
-        cw_hard_sampler,
-        majority_hard_sampler,
-        tree_hard_sampler,
-    )
     from repro.core.distributions import build_source
-    from repro.experiments.hqs import worst_case_family_sampler
 
     trials = 200 if quick else 1000
     p = 0.3
@@ -291,15 +297,52 @@ def bench_distribution_sampling(quick: bool) -> list[dict]:
         rng = random.Random(13)
         return lambda: [sampler(rng) for _ in range(trials)]
 
+    # Per-draw samplers of the hard families (Thms 4.2/4.6/4.8, Lemma 4.11).
+    def majority_hard(rng):
+        return Coloring(maj.n, rng.sample(range(1, maj.n + 1), maj.quorum_size))
+
+    cw_rows = [sorted(row) for row in triang.rows]
+
+    def cw_hard(rng):
+        return Coloring(triang.n, triang.universe - {rng.choice(row) for row in cw_rows})
+
+    tree_trios = [
+        [v, *tree.children(v)]
+        for v in range(1, tree.n + 1)
+        if tree.depth_of(v) == tree.height - 1
+    ]
+
+    def tree_hard(rng):
+        red: set[int] = set()
+        for trio in tree_trios:
+            green = rng.choice(trio)
+            red.update(v for v in trio if v != green)
+        return Coloring(tree.n, red)
+
+    def hqs_family_p(rng):
+        red: set[int] = set()
+
+        def assign(node: int, value_red: bool) -> None:
+            if hqs.is_leaf_node(node):
+                if value_red:
+                    red.add(hqs.leaf_to_element(node))
+                return
+            minority = rng.randrange(3)
+            for index, child in enumerate(hqs.children(node)):
+                assign(child, value_red != (index == minority))
+
+        assign(hqs.root, rng.random() < 0.5)
+        return Coloring(hqs.n, red)
+
     cases = [
         ("bernoulli", maj, coloring_loop(bernoulli, maj.n)),
         ("fixed_count", maj, coloring_loop(fixed_count, maj.n)),
         ("correlated_groups", triang, coloring_loop(correlated_groups, triang.n)),
         ("adversarial", maj, coloring_loop(adversarial, maj.n)),
-        ("majority_hard", maj, sampler_loop(majority_hard_sampler(maj))),
-        ("cw_hard", triang, sampler_loop(cw_hard_sampler(triang))),
-        ("tree_hard", tree, sampler_loop(tree_hard_sampler(tree))),
-        ("hqs_family_p", hqs, sampler_loop(worst_case_family_sampler(hqs))),
+        ("majority_hard", maj, sampler_loop(majority_hard)),
+        ("cw_hard", triang, sampler_loop(cw_hard)),
+        ("tree_hard", tree, sampler_loop(tree_hard)),
+        ("hqs_family_p", hqs, sampler_loop(hqs_family_p)),
     ]
     results = []
     for name, system, per_trial in cases:

@@ -10,8 +10,8 @@ The script walks through the library's main concepts:
    Tree, HQS) and inspect their structure;
 2. draw a random failure pattern (the paper's probabilistic model) and run
    the paper's probing algorithm to find a witness;
-3. estimate average probe complexities and compare them against the paper's
-   closed-form bounds;
+3. estimate average probe complexities with the streaming Monte-Carlo
+   engine and compare them against the paper's closed-form bounds;
 4. compute the exact probe complexities of the Maj3 worked example
    (PC = 3, PPC = 5/2, PCR = 8/3).
 """
@@ -29,9 +29,9 @@ from repro import (
     TreeSystem,
     TriangSystem,
     HQS,
-    estimate_average_probes,
 )
 from repro.algorithms import ProbeMaj
+from repro.core.engine import stream_probes
 from repro.core.exact import ExactSolver, permutation_algorithm_worst_expected
 from repro.core.metrics import quorum_size_statistics
 from repro.experiments.figures import render_all_figures
@@ -87,7 +87,7 @@ def main() -> None:
          ProbeHQS(HQS(4)), 0.5),
     ]
     for label, algorithm, p in cases:
-        estimate = estimate_average_probes(algorithm, p, trials=800, seed=1)
+        estimate = stream_probes(algorithm, p=p, trials=800, seed=1).estimate
         print(f"{label:<50} measured {estimate.mean:7.2f} ± {estimate.ci95:.2f}")
 
     section("4. The Maj3 worked example (Section 2.3 / Fig. 4)")

@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Setuptools build script.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package or
-PEP 517 build isolation (e.g. fully offline machines) via::
+The project metadata lives here (the repo has no ``pyproject.toml``).  The
+package installs in environments without the ``wheel`` package or PEP 517
+build isolation (e.g. fully offline machines) via::
 
     pip install -e . --no-build-isolation --no-use-pep517
 """

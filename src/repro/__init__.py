@@ -24,7 +24,6 @@ from repro.core import (
     ColoringOracle,
     Estimate,
     Witness,
-    estimate_average_probes,
     probabilistic_probe_complexity,
     probe_complexity,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ColoringOracle",
     "Estimate",
     "Witness",
-    "estimate_average_probes",
     "probabilistic_probe_complexity",
     "probe_complexity",
     "IRProbeHQS",

@@ -13,7 +13,7 @@ expectation.  The paper uses three such distributions:
   every height-1 bottom subtree exactly two of the three nodes are red,
   uniformly and independently; the value is ``2(n + 1)/3``.
 
-Each distribution comes in three forms:
+Each distribution comes in two forms:
 
 * a :class:`~repro.core.distributions.ColoringSource`
   (``MajorityHardSource`` / ``CWHardSource`` / ``TreeHardSource``),
@@ -22,12 +22,9 @@ Each distribution comes in three forms:
   the CLI resolve it by name like any other scenario; its
   ``sample_matrix`` draws a whole trial batch as the ``(trials, n)`` bool
   red matrix the kernels of :mod:`repro.core.batched` /
-  :mod:`repro.core.bitpacked` consume;
-* a *sampler* closure (``*_hard_sampler``) drawing one
-  :class:`~repro.core.coloring.Coloring` per call over a
-  ``random.Random``, for the historical per-trial Monte-Carlo loops — all
-  row/subtree precomputation is hoisted out of the closure so the
-  per-sample cost is the draw itself;
+  :mod:`repro.core.bitpacked` consume, and
+  :func:`repro.core.engine.stream_probes` estimates an algorithm's
+  expected probes on it;
 * an explicit :class:`~repro.core.coloring.ColoringDistribution`
   (``*_hard_distribution``) for exact best-deterministic computations on
   small systems via
@@ -37,7 +34,6 @@ Each distribution comes in three forms:
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -54,16 +50,6 @@ from repro.systems.tree import TreeSystem
 
 
 # -- Majority (Theorem 4.2) -------------------------------------------------------------------
-
-
-def majority_hard_sampler(system: MajoritySystem):
-    """Sampler for the hard distribution of Theorem 4.2."""
-    reds = system.quorum_size  # k + 1
-
-    def sample(rng: random.Random) -> Coloring:
-        return Coloring.with_exact_reds(system.n, reds, rng)
-
-    return sample
 
 
 class MajorityHardSource(FixedCountSource):
@@ -92,23 +78,6 @@ def majority_lower_bound(n: int) -> float:
 
 
 # -- Crumbling walls (Theorem 4.6) ---------------------------------------------------------------
-
-
-def cw_hard_sampler(system: CrumblingWall):
-    """Sampler for the hard distribution of Theorem 4.6.
-
-    Exactly one uniformly chosen element of every row is green; all other
-    elements are red.  The sorted row lists are precomputed once, so each
-    sample costs one RNG draw per row.
-    """
-    sorted_rows = [sorted(row) for row in system.rows]
-
-    def sample(rng: random.Random) -> Coloring:
-        green = {rng.choice(row) for row in sorted_rows}
-        red = system.universe - green
-        return Coloring(system.n, red)
-
-    return sample
 
 
 class CWHardSource(ColoringSource):
@@ -167,29 +136,6 @@ def _tree_hard_trios(system: TreeSystem) -> list[list[int]]:
             left, right = system.children(root)
             trios.append([root, left, right])
     return trios
-
-
-def tree_hard_sampler(system: TreeSystem):
-    """Sampler for the hard distribution of Theorem 4.8.
-
-    Every node of depth at most ``h − 2`` is green.  The ``(n + 1)/4``
-    height-1 subtrees hanging at depth ``h − 1`` each have exactly two of
-    their three nodes (parent plus two leaves) colored red, the green one
-    chosen uniformly and independently per subtree.  The subtree trios are
-    derived once, outside the per-sample closure.
-
-    Requires height at least 1 (so that height-1 subtrees exist).
-    """
-    trios = _tree_hard_trios(system)
-
-    def sample(rng: random.Random) -> Coloring:
-        red: set[int] = set()
-        for trio in trios:
-            green_one = rng.choice(trio)
-            red.update(v for v in trio if v != green_one)
-        return Coloring(system.n, red)
-
-    return sample
 
 
 class TreeHardSource(ColoringSource):

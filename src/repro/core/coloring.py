@@ -16,7 +16,6 @@ lazily.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import random
@@ -148,17 +147,6 @@ class Coloring(Mapping[int, Color]):
         import numpy as np
 
         r = int(np.random.default_rng(rng.getrandbits(64)).binomial(n, p))
-        red = rng.sample(range(1, n + 1), r)
-        return cls(n, red)
-
-    @classmethod
-    def with_exact_reds(
-        cls, n: int, r: int, rng: random.Random | None = None
-    ) -> "Coloring":
-        """Sample a coloring with exactly ``r`` red elements, uniformly."""
-        if not 0 <= r <= n:
-            raise ValueError(f"red count {r} outside 0..{n}")
-        rng = rng or random.Random()
         red = rng.sample(range(1, n + 1), r)
         return cls(n, red)
 
@@ -346,17 +334,6 @@ class ColoringDistribution:
     def cdf(self) -> list[float]:
         """Running probability sums over :attr:`support` (for CDF inversion)."""
         return list(self._cdf)
-
-    def sample(self, rng: random.Random | None = None) -> Coloring:
-        """Draw a coloring according to the distribution.
-
-        One uniform draw inverted through the precomputed CDF
-        (``O(log support)`` per draw); the vectorized counterpart is
-        :class:`repro.core.distributions.FiniteSource`.
-        """
-        rng = rng or random.Random()
-        index = bisect.bisect_left(self._cdf, rng.random())
-        return self._items[min(index, len(self._items) - 1)].coloring
 
     def expectation(self, func) -> float:
         """Expected value of ``func(coloring)`` under the distribution."""

@@ -13,7 +13,7 @@ i.i.d. model could reach the vectorized kernels of
 This module unifies them behind one protocol:
 
 * :class:`ColoringSource` — a distribution over colorings of a fixed
-  universe with **both** a scalar ``sample(rng) -> Coloring`` and a batched
+  universe, drawn in batches by
   ``sample_matrix(n, trials, rng) -> (trials, n) bool ndarray`` (the native
   input of the batched kernels).  ``rng`` is anything
   :func:`~repro.core.coloring.as_numpy_generator` accepts — ``None``, an
@@ -42,7 +42,6 @@ Making a new failure scenario batched-fast everywhere is now a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.coloring import Coloring, ColoringDistribution, as_numpy_generator
+from repro.core.coloring import ColoringDistribution, as_numpy_generator
 
 
 #: Version tag of the Bernoulli draw stream, folded into the service's
@@ -126,11 +125,9 @@ class ColoringSource(ABC):
     """A distribution over colorings of a fixed universe ``{1..n}``.
 
     Subclasses implement :meth:`_sample_matrix`; the public
-    :meth:`sample_matrix` validates the universe size and coerces ``rng``.
-    The default scalar :meth:`sample` draws a one-row matrix, so every
-    source is automatically usable by per-trial consumers (the sequential
-    estimators, the experiment drivers); sources with a cheaper scalar draw
-    override it.
+    :meth:`sample_matrix` — the one way to draw colorings — validates the
+    universe size and coerces ``rng``.  A single coloring is
+    ``Coloring.from_red_row`` of a one-row matrix.
     """
 
     #: Registry-style label recorded in artifacts (subclasses override).
@@ -174,10 +171,6 @@ class ColoringSource(ABC):
         if trials < 0:
             raise ValueError("batch size must be nonnegative")
         return self._sample_matrix(trials, as_numpy_generator(rng))
-
-    def sample(self, rng=None) -> Coloring:
-        """Draw one coloring."""
-        return Coloring.from_red_row(self.sample_matrix(self.n, 1, rng)[0])
 
 
 class BernoulliSource(ColoringSource):
@@ -256,10 +249,6 @@ class BernoulliSource(ColoringSource):
             lt[word] = compare_planes(tail, bits[head:], lt[word], eq[word])[0]
         return lt
 
-    def sample(self, rng=None) -> Coloring:
-        generator = as_numpy_generator(rng)
-        return Coloring.from_red_row(generator.random(self._n) < self._p)
-
 
 class FixedCountSource(ColoringSource):
     """Exactly ``count`` uniformly chosen elements are red.
@@ -302,12 +291,6 @@ class FixedCountSource(ColoringSource):
         chosen = np.argpartition(keys, self._count - 1, axis=1)[:, : self._count]
         np.put_along_axis(red, chosen, True, axis=1)
         return red
-
-    def sample(self, rng=None) -> Coloring:
-        generator = as_numpy_generator(rng)
-        row = np.zeros(self._n, dtype=bool)
-        row[generator.permutation(self._n)[: self._count]] = True
-        return Coloring.from_red_row(row)
 
 
 class CorrelatedGroupsSource(ColoringSource):
@@ -385,14 +368,6 @@ class CorrelatedGroupsSource(ColoringSource):
             return np.zeros((trials, self._n), dtype=bool)
         return self._red(generator.random((trials, len(self._groups))) < self._group_p)
 
-    def sample(self, rng=None) -> Coloring:
-        generator = as_numpy_generator(rng)
-        if not self._groups:
-            return Coloring.all_green(self._n)
-        return Coloring.from_red_row(
-            self._red(generator.random(len(self._groups)) < self._group_p)
-        )
-
 
 class AdversarialSource(ColoringSource):
     """A fixed, adversarially chosen red set (the worst-case model)."""
@@ -408,7 +383,6 @@ class AdversarialSource(ColoringSource):
                 raise ValueError(f"failed element {element} outside universe 1..{n}")
             row[element - 1] = True
         self._row = row
-        self._coloring = Coloring(n, self._failed)
 
     @property
     def n(self) -> int:
@@ -425,9 +399,6 @@ class AdversarialSource(ColoringSource):
     def _sample_matrix(self, trials, generator):
         return np.tile(self._row, (trials, 1))
 
-    def sample(self, rng=None) -> Coloring:
-        return self._coloring
-
 
 class FiniteSource(ColoringSource):
     """A finite explicit distribution, sampled by vectorized CDF inversion.
@@ -435,8 +406,7 @@ class FiniteSource(ColoringSource):
     Wraps a :class:`~repro.core.coloring.ColoringDistribution` (the
     Yao-style small-system representation): the support is packed once
     into a ``(support, n)`` bool matrix and batches are drawn with one
-    ``searchsorted`` over the precomputed CDF — O(log support) per trial
-    instead of the scalar path's linear scan of old.
+    ``searchsorted`` over the precomputed CDF — O(log support) per trial.
     """
 
     name = "finite"
@@ -445,14 +415,12 @@ class FiniteSource(ColoringSource):
         self._distribution = distribution
         self._n = distribution.n
         support = distribution.support
-        self._support = support
         rows = np.zeros((len(support), self._n), dtype=bool)
         for index, weighted in enumerate(support):
             for element in weighted.coloring.red_elements:
                 rows[index, element - 1] = True
         self._rows = rows
-        self._cdf_list = distribution.cdf
-        self._cdf = np.asarray(self._cdf_list, dtype=np.float64)
+        self._cdf = np.asarray(distribution.cdf, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -471,11 +439,6 @@ class FiniteSource(ColoringSource):
         indices = np.searchsorted(self._cdf, draws, side="left")
         indices = np.minimum(indices, len(self._cdf) - 1)
         return self._rows[indices]
-
-    def sample(self, rng=None) -> Coloring:
-        generator = as_numpy_generator(rng)
-        index = bisect_left(self._cdf_list, float(generator.random()))
-        return self._support[min(index, len(self._cdf_list) - 1)].coloring
 
 
 # -- registry ---------------------------------------------------------------------

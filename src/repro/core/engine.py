@@ -290,9 +290,16 @@ class StreamResult:
         return self.witness_red / self.n_trials_used
 
 
-#: Active recovery collectors (see :func:`collect_recovery`); every
-#: finished :func:`stream_probes` run adds its counters to each of them.
-_RECOVERY_COLLECTORS: list[dict] = []
+class _ThreadCollectors(threading.local):
+    """Per-thread stack of active recovery collectors (:func:`collect_recovery`)."""
+
+    def __init__(self) -> None:
+        self.stack: list[dict] = []
+
+
+#: Every finished :func:`stream_probes` run adds its counters to each
+#: collector active on the thread it ran on.
+_RECOVERY_COLLECTORS = _ThreadCollectors()
 
 #: Counter keys a recovery collector accumulates.
 RECOVERY_KEYS = ("retries_used", "pool_respawns", "worker_reassignments")
@@ -303,17 +310,19 @@ def collect_recovery() -> Iterator[dict]:
     """Accumulate recovery counters of every engine run inside the block.
 
     Yields a dict with :data:`RECOVERY_KEYS`; each :func:`stream_probes`
-    completion adds its ``retries_used``/``pool_respawns``/
-    ``worker_reassignments`` into it.  Used by the experiment and sweep
-    runners to persist recovery statistics in artifacts without threading
-    the counters through every ``ExperimentSpec.run`` signature.
+    completion on the calling thread adds its ``retries_used``/
+    ``pool_respawns``/``worker_reassignments`` into it.  Used by the
+    experiment and sweep runners to persist recovery statistics in
+    artifacts without threading the counters through every
+    ``ExperimentSpec.run`` signature.  Collectors are per thread, so runs
+    on other threads (the service's workers) never count here.
     """
     totals = dict.fromkeys(RECOVERY_KEYS, 0)
-    _RECOVERY_COLLECTORS.append(totals)
+    _RECOVERY_COLLECTORS.stack.append(totals)
     try:
         yield totals
     finally:
-        _RECOVERY_COLLECTORS.remove(totals)
+        _RECOVERY_COLLECTORS.stack.remove(totals)
 
 
 # -- chunk execution --------------------------------------------------------------
@@ -1126,7 +1135,7 @@ def stream_probes(
         worker_reassignments=transport.reassignments,
         backend=backend,
     )
-    for totals in _RECOVERY_COLLECTORS:
+    for totals in _RECOVERY_COLLECTORS.stack:
         for key in RECOVERY_KEYS:
             totals[key] += getattr(result, key)
     return result

@@ -39,7 +39,6 @@ from repro.experiments.hqs import (
     run_probe_hqs_optimality,
     run_probe_hqs_scaling,
     run_randomized_hqs,
-    worst_case_family_sampler,
 )
 from repro.experiments.lemmas import run_urn_experiment, run_walk_experiment
 from repro.experiments.maj3 import maj3_strategy_tree_summary, run_maj3_experiment
@@ -107,7 +106,6 @@ __all__ = [
     "run_probe_hqs_optimality",
     "run_probe_hqs_scaling",
     "run_randomized_hqs",
-    "worst_case_family_sampler",
     "run_urn_experiment",
     "run_walk_experiment",
     "maj3_strategy_tree_summary",

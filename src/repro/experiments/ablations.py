@@ -24,7 +24,7 @@ from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW
 from repro.algorithms.generic import CandidateQuorumProbe, RandomScan, SequentialScan
 from repro.algorithms.hqs import IRProbeHQS, ProbeHQS, RProbeHQS
 from repro.algorithms.base import ProbeRun, ProbingAlgorithm
-from repro.core.estimator import estimate_average_probes
+from repro.core.engine import stream_probes
 from repro.core.oracle import ProbeOracle
 from repro.core.witness import Witness
 from repro.core.coloring import Color
@@ -89,12 +89,12 @@ def run_cw_order_ablation(
     ]
     rows: list[Row] = []
     for p in ps:
-        # One stream per (p) cell, shared by all variants: common random
-        # numbers keep the variant comparison paired while cells stay
-        # independent of each other.
+        # One seed per (p) cell, shared by all variants: the engine draws
+        # colorings apart from algorithm randomness, so every variant sees
+        # the same colorings while cells stay independent of each other.
         p_seed = cell_seed(seed, system.n, p)
         for label, algorithm in variants:
-            estimate = estimate_average_probes(algorithm, p, trials=trials, seed=p_seed)
+            estimate = stream_probes(algorithm, p=p, trials=trials, seed=p_seed).estimate
             rows.append(
                 Row(
                     experiment="ablation-cw-order",
@@ -128,7 +128,9 @@ def run_hqs_ablation(
         ]
         height_seed = cell_seed(seed, height, p)
         for label, algorithm, paper_value in variants:
-            estimate = estimate_average_probes(algorithm, p, trials=trials, seed=height_seed)
+            estimate = stream_probes(
+                algorithm, p=p, trials=trials, seed=height_seed
+            ).estimate
             rows.append(
                 Row(
                     experiment="ablation-hqs",
@@ -157,8 +159,8 @@ def run_generic_baseline_ablation(
     for specialised, generic in cases:
         for p in (0.3, 0.5):
             pair_seed = cell_seed(seed, specialised.system.name, p)
-            spec = estimate_average_probes(specialised, p, trials=trials, seed=pair_seed)
-            gen = estimate_average_probes(generic, p, trials=trials, seed=pair_seed)
+            spec = stream_probes(specialised, p=p, trials=trials, seed=pair_seed).estimate
+            gen = stream_probes(generic, p=p, trials=trials, seed=pair_seed).estimate
             rows.append(
                 Row(
                     experiment="ablation-generic",

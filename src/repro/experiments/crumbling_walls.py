@@ -13,10 +13,9 @@ from collections.abc import Sequence
 
 from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW, probe_cw_row_bound
 from repro.analysis.bounds import generic_lower_bound_ppc
-from repro.analysis.yao import cw_hard_sampler, cw_lower_bound
+from repro.analysis.yao import CWHardSource, cw_lower_bound
 from repro.core.distributions import AdversarialSource
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_under
 from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
 from repro.systems.crumbling_walls import CrumblingWall, TriangSystem, uniform_wall
@@ -158,9 +157,12 @@ def run_randomized_cw(
 
         # Upper bound: worst case is attained on the hard inputs with one
         # green per row (forcing the scan to climb to the top row).
-        hard_estimate = estimate_average_under(
-            algorithm, cw_hard_sampler(triang), trials=trials, seed=cell_seed(seed, triang.name, depth)
-        )
+        hard_estimate = stream_probes(
+            algorithm,
+            CWHardSource(triang),
+            trials=trials,
+            seed=cell_seed(seed, triang.name, depth),
+        ).estimate
         row_bound = probe_cw_row_bound(triang.widths)
         rows.append(
             Row(

@@ -11,7 +11,6 @@ variants on the worst-case family ``P`` of Lemma 4.11.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.analysis.bounds import (
     HQS_PPC_EXPONENT,
 )
 from repro.analysis.fitting import PowerLawFit, fit_power_law
-from repro.core.coloring import Coloring
 from repro.core.distributions import (
     ColoringSource,
     build_source,
@@ -157,34 +155,6 @@ def run_probe_hqs_optimality(heights: Sequence[int] = (1, 2)) -> list[Row]:
             )
         )
     return rows
-
-
-def worst_case_family_sampler(system: HQS):
-    """Sampler over the worst-case input family ``P`` of Lemma 4.11.
-
-    Recursively: the root has some value; exactly two of its three children
-    carry that value, and the same property holds in every subtree.  The
-    identity of the minority child is chosen uniformly at every gate, and
-    the root value is a fair coin.
-    """
-
-    def sample(rng: random.Random) -> Coloring:
-        red: set[int] = set()
-
-        def assign(node: int, value_red: bool) -> None:
-            if system.is_leaf_node(node):
-                if value_red:
-                    red.add(system.leaf_to_element(node))
-                return
-            children = list(system.children(node))
-            minority = rng.randrange(3)
-            for index, child in enumerate(children):
-                assign(child, not value_red if index == minority else value_red)
-
-        assign(system.root, rng.random() < 0.5)
-        return Coloring(system.n, red)
-
-    return sample
 
 
 class HQSFamilyPSource(ColoringSource):

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
 from repro.algorithms.majority import ProbeMaj, RProbeMaj
@@ -23,10 +22,9 @@ from repro.analysis.walks import (
     majority_expected_probes_bound,
     majority_expected_probes_exact,
 )
-from repro.analysis.yao import majority_hard_sampler, majority_lower_bound
-from repro.core.coloring import Coloring
+from repro.analysis.yao import MajorityHardSource, majority_lower_bound
+from repro.core.distributions import AdversarialSource
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_under
 from repro.core.seeding import cell_seed
 from repro.experiments.report import Row
 from repro.systems.majority import MajoritySystem
@@ -99,20 +97,20 @@ def run_randomized_majority(
         k = (n - 1) // 2
 
         # Worst-case input family: exactly k+1 red elements (Thm 4.2 proof).
-        worst_input = Coloring(n, range(1, k + 2))
-        rng = random.Random(cell_seed(seed, n, "worst"))
-        samples = [
-            algorithm.run_on(worst_input, rng=rng).probes for _ in range(trials)
-        ]
-        measured_upper = sum(samples) / len(samples)
+        upper_estimate = stream_probes(
+            algorithm,
+            AdversarialSource(n, range(1, k + 2)),
+            trials=trials,
+            seed=cell_seed(seed, n, "worst"),
+        ).estimate
 
         # Yao lower bound: expected probes on the hard distribution.
-        lower_estimate = estimate_average_under(
+        lower_estimate = stream_probes(
             algorithm,
-            majority_hard_sampler(system),
+            MajorityHardSource(system),
             trials=trials,
             seed=cell_seed(seed, n, "yao"),
-        )
+        ).estimate
 
         exact_value = majority_lower_bound(n)
         rows.append(
@@ -120,7 +118,7 @@ def run_randomized_majority(
                 experiment="thm4.2-maj-rand",
                 system=system.name,
                 quantity="E[probes] on worst input (r=k+1)",
-                measured=measured_upper,
+                measured=upper_estimate.mean,
                 paper=exact_value,
                 relation="~",
                 params={"n": n, "trials": trials},

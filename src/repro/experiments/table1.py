@@ -26,16 +26,16 @@ from repro.algorithms.tree import ProbeTree, RProbeTree
 from repro.analysis.bounds import generic_lower_bound_ppc
 from repro.analysis.walks import majority_expected_probes_exact
 from repro.analysis.yao import (
-    cw_hard_sampler,
+    CWHardSource,
+    MajorityHardSource,
+    TreeHardSource,
     cw_lower_bound,
-    majority_hard_sampler,
     majority_lower_bound,
-    tree_hard_sampler,
     tree_lower_bound,
 )
-from repro.core.estimator import estimate_average_probes, estimate_average_under
+from repro.core.engine import stream_probes
 from repro.core.seeding import cell_seed
-from repro.experiments.hqs import probe_hqs_expected_exact, worst_case_family_sampler
+from repro.experiments.hqs import HQSFamilyPSource, probe_hqs_expected_exact
 from repro.experiments.report import Row
 from repro.systems.crumbling_walls import TriangSystem
 from repro.systems.hqs import HQS
@@ -71,15 +71,15 @@ def run_table1(
 def _maj_cells(sizes: Table1Sizes, trials: int, seed: int) -> list[Row]:
     n = sizes.maj_n
     system = MajoritySystem(n)
-    ppc = estimate_average_probes(
-        ProbeMaj(system), 0.5, trials=trials, seed=cell_seed(seed, "maj-ppc", n)
-    )
-    pcr = estimate_average_under(
+    ppc = stream_probes(
+        ProbeMaj(system), p=0.5, trials=trials, seed=cell_seed(seed, "maj-ppc", n)
+    ).estimate
+    pcr = stream_probes(
         RProbeMaj(system),
-        majority_hard_sampler(system),
+        MajorityHardSource(system),
         trials=trials,
         seed=cell_seed(seed, "maj-pcr", n),
-    )
+    ).estimate
     exact_ppc = majority_expected_probes_exact(n, 0.5)
     exact_pcr = majority_lower_bound(n)
     return [
@@ -102,15 +102,15 @@ def _triang_cells(sizes: Table1Sizes, trials: int, seed: int) -> list[Row]:
     depth = sizes.triang_depth
     system = TriangSystem(depth)
     n, k = system.n, depth
-    ppc = estimate_average_probes(
-        ProbeCW(system), 0.5, trials=trials, seed=cell_seed(seed, "triang-ppc", n)
-    )
-    pcr = estimate_average_under(
+    ppc = stream_probes(
+        ProbeCW(system), p=0.5, trials=trials, seed=cell_seed(seed, "triang-ppc", n)
+    ).estimate
+    pcr = stream_probes(
         RProbeCW(system),
-        cw_hard_sampler(system),
+        CWHardSource(system),
         trials=trials,
         seed=cell_seed(seed, "triang-pcr", n),
-    )
+    ).estimate
     return [
         Row("table1", "Triang", "probabilistic p=1/2 (lower 2k-Θ(√k))", ppc.mean,
             paper=generic_lower_bound_ppc(k, 0.5), relation=">=",
@@ -133,15 +133,15 @@ def _tree_cells(sizes: Table1Sizes, trials: int, seed: int) -> list[Row]:
     height = sizes.tree_height
     system = TreeSystem(height)
     n = system.n
-    ppc = estimate_average_probes(
-        ProbeTree(system), 0.5, trials=trials, seed=cell_seed(seed, "tree-ppc", n)
-    )
-    pcr = estimate_average_under(
+    ppc = stream_probes(
+        ProbeTree(system), p=0.5, trials=trials, seed=cell_seed(seed, "tree-ppc", n)
+    ).estimate
+    pcr = stream_probes(
         RProbeTree(system),
-        tree_hard_sampler(system),
+        TreeHardSource(system),
         trials=trials,
         seed=cell_seed(seed, "tree-pcr", n),
-    )
+    ).estimate
     return [
         Row("table1", "Tree", "probabilistic p=1/2 (no lower bound in paper)", ppc.mean,
             paper=None, relation="~", params={"n": n, "h": height}),
@@ -162,15 +162,15 @@ def _hqs_cells(sizes: Table1Sizes, trials: int, seed: int) -> list[Row]:
     height = sizes.hqs_height
     system = HQS(height)
     n = system.n
-    ppc = estimate_average_probes(
-        ProbeHQS(system), 0.5, trials=trials, seed=cell_seed(seed, "hqs-ppc", n)
-    )
-    pcr = estimate_average_under(
+    ppc = stream_probes(
+        ProbeHQS(system), p=0.5, trials=trials, seed=cell_seed(seed, "hqs-ppc", n)
+    ).estimate
+    pcr = stream_probes(
         IRProbeHQS(system),
-        worst_case_family_sampler(system),
+        HQSFamilyPSource(system),
         trials=trials,
         seed=cell_seed(seed, "hqs-pcr", n),
-    )
+    ).estimate
     exact_ppc = probe_hqs_expected_exact(height, 0.5)  # = 2.5^h = n^0.834
     return [
         Row("table1", "HQS", "probabilistic p=1/2 (lower Ω(n^0.834))", ppc.mean,

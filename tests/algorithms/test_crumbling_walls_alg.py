@@ -9,10 +9,8 @@ import pytest
 from repro.algorithms.crumbling_walls import ProbeCW, RProbeCW, probe_cw_row_bound
 from repro.analysis.lemmas import expected_trials_both_colors
 from repro.core.coloring import Coloring
-from repro.core.estimator import (
-    estimate_average_probes,
-    estimate_expected_probes_on,
-)
+from repro.core.distributions import AdversarialSource
+from repro.core.engine import stream_probes
 from repro.systems.crumbling_walls import CrumblingWall, TriangSystem, uniform_wall
 
 
@@ -62,21 +60,21 @@ class TestTheorem33Bound:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_average_probes_at_most_2k_minus_1(self, p):
         wall = TriangSystem(7)
-        estimate = estimate_average_probes(ProbeCW(wall), p, trials=1500, seed=19)
+        estimate = stream_probes(ProbeCW(wall), p=p, trials=1500, seed=19).estimate
         assert estimate.mean <= 2 * wall.num_rows - 1 + 3 * estimate.stderr
 
     def test_bound_independent_of_row_width(self):
         # Same number of rows, widths growing by 25x: average probes stay put.
         narrow = uniform_wall(rows=6, width=4)
         wide = uniform_wall(rows=6, width=100)
-        narrow_est = estimate_average_probes(ProbeCW(narrow), 0.5, trials=1500, seed=23)
-        wide_est = estimate_average_probes(ProbeCW(wide), 0.5, trials=1500, seed=23)
+        narrow_est = stream_probes(ProbeCW(narrow), p=0.5, trials=1500, seed=23).estimate
+        wide_est = stream_probes(ProbeCW(wide), p=0.5, trials=1500, seed=23).estimate
         assert abs(narrow_est.mean - wide_est.mean) < 1.0
         assert wide_est.mean <= 11 + 3 * wide_est.stderr
 
     def test_wheel_corollary_three_probes(self):
         wall = CrumblingWall([1, 99])
-        estimate = estimate_average_probes(ProbeCW(wall), 0.5, trials=2000, seed=29)
+        estimate = stream_probes(ProbeCW(wall), p=0.5, trials=2000, seed=29).estimate
         assert estimate.mean <= 3.0 + 3 * estimate.stderr
 
 
@@ -102,8 +100,8 @@ class TestRProbeCW:
         # colors are seen must match Lemma 2.9 (plus the width-1 top row).
         wall = CrumblingWall([1, 8])
         algorithm = RProbeCW(wall)
-        coloring = Coloring(wall.n, red=[2, 3, 4])  # bottom row: 3 red, 5 green
-        estimate = estimate_expected_probes_on(algorithm, coloring, trials=6000, seed=31)
+        coloring = AdversarialSource(wall.n, [2, 3, 4])  # bottom row: 3 red, 5 green
+        estimate = stream_probes(algorithm, coloring, trials=6000, seed=31).estimate
         expected_row = float(expected_trials_both_colors(3, 5))
         assert abs(estimate.mean - (expected_row + 1)) < 4 * estimate.stderr + 0.05
 
@@ -122,6 +120,6 @@ class TestRProbeCW:
         # Sample several adversarial-ish inputs (one green per row).
         for _ in range(5):
             green = {rng.choice(sorted(row)) for row in triang.rows}
-            coloring = Coloring(triang.n, triang.universe - green)
-            estimate = estimate_expected_probes_on(algorithm, coloring, trials=3000, seed=41)
+            coloring = AdversarialSource(triang.n, triang.universe - green)
+            estimate = stream_probes(algorithm, coloring, trials=3000, seed=41).estimate
             assert estimate.mean <= bound + 4 * estimate.stderr

@@ -7,13 +7,10 @@ import random
 
 from repro.algorithms.hqs import IRProbeHQS, ProbeHQS, RProbeHQS
 from repro.core.coloring import Coloring
-from repro.core.estimator import (
-    estimate_average_probes,
-    estimate_average_under,
-    estimate_expected_probes_on,
-)
+from repro.core.distributions import AdversarialSource
+from repro.core.engine import stream_probes
 from repro.core.exact import ExactSolver
-from repro.experiments.hqs import probe_hqs_expected_exact, worst_case_family_sampler
+from repro.experiments.hqs import HQSFamilyPSource, probe_hqs_expected_exact
 from repro.systems.hqs import HQS
 
 
@@ -47,9 +44,9 @@ class TestProbeHQS:
     def test_average_matches_recursion_value(self):
         for height, p in ((3, 0.5), (4, 0.5), (3, 0.25)):
             hqs = HQS(height)
-            estimate = estimate_average_probes(
-                ProbeHQS(hqs), p, trials=4000, seed=height
-            )
+            estimate = stream_probes(
+                ProbeHQS(hqs), p=p, trials=4000, seed=height
+            ).estimate
             expected = probe_hqs_expected_exact(height, p)
             assert abs(estimate.mean - expected) < 4 * estimate.stderr + 0.2
 
@@ -75,8 +72,8 @@ class TestProbeHQS:
 
     def test_biased_p_needs_fewer_probes_than_half(self):
         hqs = HQS(4)
-        at_half = estimate_average_probes(ProbeHQS(hqs), 0.5, trials=2000, seed=1).mean
-        at_low = estimate_average_probes(ProbeHQS(hqs), 0.2, trials=2000, seed=1).mean
+        at_half = stream_probes(ProbeHQS(hqs), p=0.5, trials=2000, seed=1).mean
+        at_low = stream_probes(ProbeHQS(hqs), p=0.2, trials=2000, seed=1).mean
         assert at_low < at_half
 
 
@@ -85,10 +82,10 @@ class TestRandomizedHQS:
         """On the family P every gate needs its third child with the same
         probability regardless of which children are evaluated first."""
         hqs = HQS(2)
-        sampler = worst_case_family_sampler(hqs)
+        red = HQSFamilyPSource(hqs).sample_matrix(hqs.n, 20, rng=3)
         rng = random.Random(3)
-        for _ in range(20):
-            coloring = sampler(rng)
+        for row in red:
+            coloring = Coloring.from_red_row(row)
             # Each input in P admits a witness; both algorithms must agree
             # with the ground-truth availability.
             for algorithm in (RProbeHQS(hqs), IRProbeHQS(hqs)):
@@ -97,24 +94,24 @@ class TestRandomizedHQS:
 
     def test_ir_does_not_exceed_r_on_worst_case_family(self):
         hqs = HQS(3)
-        sampler = worst_case_family_sampler(hqs)
-        r_est = estimate_average_under(RProbeHQS(hqs), sampler, trials=5000, seed=5)
-        ir_est = estimate_average_under(IRProbeHQS(hqs), sampler, trials=5000, seed=5)
+        source = HQSFamilyPSource(hqs)
+        r_est = stream_probes(RProbeHQS(hqs), source, trials=5000, seed=5).estimate
+        ir_est = stream_probes(IRProbeHQS(hqs), source, trials=5000, seed=5).estimate
         assert ir_est.mean <= r_est.mean + 2 * (r_est.stderr + ir_est.stderr)
 
     def test_randomized_algorithms_probe_fewer_than_n_on_family_p(self):
         hqs = HQS(3)
-        sampler = worst_case_family_sampler(hqs)
+        source = HQSFamilyPSource(hqs)
         for algorithm in (RProbeHQS(hqs), IRProbeHQS(hqs)):
-            estimate = estimate_average_under(algorithm, sampler, trials=2000, seed=7)
+            estimate = stream_probes(algorithm, source, trials=2000, seed=7).estimate
             assert estimate.mean < hqs.n
 
     def test_all_green_input_needs_only_a_quorum_worth_of_probes(self):
         hqs = HQS(3)
         for algorithm in (RProbeHQS(hqs), IRProbeHQS(hqs)):
-            estimate = estimate_expected_probes_on(
-                algorithm, Coloring.all_green(hqs.n), trials=500, seed=9
-            )
+            estimate = stream_probes(
+                algorithm, AdversarialSource(hqs.n, ()), trials=500, seed=9
+            ).estimate
             assert estimate.mean == hqs.quorum_size
 
     def test_ir_falls_back_to_r_at_height_one(self):
@@ -130,7 +127,7 @@ class TestRandomizedHQS:
         case, so on the hard family the measured cost at p=1/2-style inputs
         stays above the quorum size 2^h."""
         hqs = HQS(3)
-        sampler = worst_case_family_sampler(hqs)
+        source = HQSFamilyPSource(hqs)
         for algorithm in (RProbeHQS(hqs), IRProbeHQS(hqs)):
-            estimate = estimate_average_under(algorithm, sampler, trials=3000, seed=13)
+            estimate = stream_probes(algorithm, source, trials=3000, seed=13).estimate
             assert estimate.mean > hqs.quorum_size

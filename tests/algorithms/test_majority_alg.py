@@ -8,7 +8,8 @@ import random
 from repro.algorithms.majority import ProbeMaj, RProbeMaj
 from repro.analysis.walks import majority_expected_probes_exact
 from repro.core.coloring import Coloring
-from repro.core.estimator import estimate_average_probes, estimate_expected_probes_on
+from repro.core.distributions import AdversarialSource
+from repro.core.engine import stream_probes
 from repro.systems.majority import MajoritySystem
 
 
@@ -43,14 +44,14 @@ class TestProbeMaj:
         # N = (n+1)/2; the estimator must agree with the exact expectation.
         for n, p in ((21, 0.5), (21, 0.3), (41, 0.5)):
             algorithm = ProbeMaj(MajoritySystem(n))
-            estimate = estimate_average_probes(algorithm, p, trials=3000, seed=n)
+            estimate = stream_probes(algorithm, p=p, trials=3000, seed=n).estimate
             exact = majority_expected_probes_exact(n, p)
             assert abs(estimate.mean - exact) < 4 * estimate.stderr + 0.1
 
     def test_biased_failure_probability_reduces_probes(self):
         algorithm = ProbeMaj(MajoritySystem(41))
-        at_half = estimate_average_probes(algorithm, 0.5, trials=1500, seed=1).mean
-        at_low = estimate_average_probes(algorithm, 0.1, trials=1500, seed=1).mean
+        at_half = stream_probes(algorithm, p=0.5, trials=1500, seed=1).mean
+        at_low = stream_probes(algorithm, p=0.1, trials=1500, seed=1).mean
         assert at_low < at_half
 
 
@@ -59,8 +60,8 @@ class TestRProbeMaj:
         n = 9
         system = MajoritySystem(n)
         algorithm = RProbeMaj(system)
-        worst = Coloring(n, red=list(range(1, (n + 1) // 2 + 1)))  # k+1 reds
-        estimate = estimate_expected_probes_on(algorithm, worst, trials=8000, seed=3)
+        worst = AdversarialSource(n, range(1, (n + 1) // 2 + 1))  # k+1 reds
+        estimate = stream_probes(algorithm, worst, trials=8000, seed=3).estimate
         expected = n - (n - 1) / (n + 3)
         assert abs(estimate.mean - expected) < 4 * estimate.stderr + 0.05
 
@@ -71,23 +72,23 @@ class TestRProbeMaj:
         system = MajoritySystem(n)
         algorithm = RProbeMaj(system)
         k_plus_1 = (n + 1) // 2
-        harder = estimate_expected_probes_on(
-            algorithm, Coloring(n, red=range(1, k_plus_1 + 1)), trials=4000, seed=5
-        )
-        easier = estimate_expected_probes_on(
-            algorithm, Coloring.all_red(n), trials=4000, seed=5
-        )
+        harder = stream_probes(
+            algorithm, AdversarialSource(n, range(1, k_plus_1 + 1)), trials=4000, seed=5
+        ).estimate
+        easier = stream_probes(
+            algorithm, AdversarialSource(n, range(1, n + 1)), trials=4000, seed=5
+        ).estimate
         assert easier.mean < harder.mean
 
     def test_symmetric_colorings_have_symmetric_cost(self):
         n = 7
         algorithm = RProbeMaj(MajoritySystem(n))
-        reds = estimate_expected_probes_on(
-            algorithm, Coloring(n, red=[1, 2, 3, 4]), trials=6000, seed=7
-        )
-        greens = estimate_expected_probes_on(
-            algorithm, Coloring(n, red=[5, 6, 7]), trials=6000, seed=8
-        )
+        reds = stream_probes(
+            algorithm, AdversarialSource(n, [1, 2, 3, 4]), trials=6000, seed=7
+        ).estimate
+        greens = stream_probes(
+            algorithm, AdversarialSource(n, [5, 6, 7]), trials=6000, seed=8
+        ).estimate
         assert math.isclose(reds.mean, greens.mean, rel_tol=0.05)
 
     def test_all_permutation_orders_possible(self):

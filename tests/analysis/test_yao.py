@@ -13,28 +13,38 @@ from repro.analysis.yao import (
     MajorityHardSource,
     TreeHardSource,
     cw_hard_distribution,
-    cw_hard_sampler,
     cw_lower_bound,
     majority_hard_distribution,
-    majority_hard_sampler,
     majority_lower_bound,
     tree_hard_distribution,
-    tree_hard_sampler,
     tree_lower_bound,
     tree_subtree_expected_probes,
     yao_bound_via_exact,
 )
 from repro.core.coloring import Coloring
+from repro.core.distributions import build_source
 from repro.core.exact import ExactSolver
 from repro.systems import CrumblingWall, MajoritySystem, TreeSystem, TriangSystem
 
 
+def _draws(name: str, system, trials: int, seed: int) -> list[Coloring]:
+    """``trials`` colorings from the registered source ``name`` on ``system``."""
+    red = build_source(name, system, 0.5).sample_matrix(system.n, trials, rng=seed)
+    return [Coloring.from_red_row(row) for row in red]
+
+
+def _chi_square_p_value(statistic: float, df: int) -> float:
+    """Upper tail of the chi-square distribution, Wilson–Hilferty cube-root
+    normal approximation (no scipy needed)."""
+    scale = 2.0 / (9.0 * df)
+    z = ((statistic / df) ** (1.0 / 3.0) - (1.0 - scale)) / math.sqrt(scale)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 class TestMajorityHardDistribution:
-    def test_sampler_produces_exactly_k_plus_one_reds(self, rng):
+    def test_source_draws_exactly_k_plus_one_reds(self):
         system = MajoritySystem(9)
-        sampler = majority_hard_sampler(system)
-        for _ in range(30):
-            coloring = sampler(rng)
+        for coloring in _draws("majority_hard", system, 30, seed=1):
             assert len(coloring.red_elements) == 5
 
     def test_distribution_support(self):
@@ -55,11 +65,9 @@ class TestMajorityHardDistribution:
 
 
 class TestCWHardDistribution:
-    def test_sampler_leaves_one_green_per_row(self, rng):
+    def test_source_leaves_one_green_per_row(self):
         wall = TriangSystem(4)
-        sampler = cw_hard_sampler(wall)
-        for _ in range(30):
-            coloring = sampler(rng)
+        for coloring in _draws("cw_hard", wall, 30, seed=2):
             for row in wall.rows:
                 assert len(row & coloring.green_elements) == 1
 
@@ -82,12 +90,10 @@ class TestCWHardDistribution:
 
 
 class TestTreeHardDistribution:
-    def test_sampler_reds_come_in_bottom_subtree_pairs(self, rng):
+    def test_source_reds_come_in_bottom_subtree_pairs(self):
         tree = TreeSystem(3)
-        sampler = tree_hard_sampler(tree)
         subtree_roots = [v for v in range(1, tree.n + 1) if tree.depth_of(v) == 2]
-        for _ in range(20):
-            coloring = sampler(rng)
+        for coloring in _draws("tree_hard", tree, 20, seed=3):
             assert len(coloring.red_elements) == 2 * len(subtree_roots)
             for root in subtree_roots:
                 trio = {root, *tree.children(root)}
@@ -100,7 +106,7 @@ class TestTreeHardDistribution:
 
     def test_height_zero_rejected(self):
         with pytest.raises(ValueError):
-            tree_hard_sampler(TreeSystem(0))
+            build_source("tree_hard", TreeSystem(0), 0.5)
 
     def test_closed_form_and_subtree_cost(self):
         assert math.isclose(tree_lower_bound(15), 32 / 3)
@@ -171,6 +177,38 @@ class TestBatchedHardSamplers:
             assert abs(frequency - probability) < 5.0 * stderr + 1e-3
 
 
+class TestRegisteredHardSourcesFitTheirDistributions:
+    """Chi-square goodness of fit of each registered hard source's draws
+    against its explicit ``*_hard_distribution``."""
+
+    @pytest.mark.parametrize(
+        "name,distribution,system",
+        [
+            ("majority_hard", majority_hard_distribution, MajoritySystem(5)),
+            ("cw_hard", cw_hard_distribution, CrumblingWall([1, 2, 2])),
+            ("tree_hard", tree_hard_distribution, TreeSystem(2)),
+        ],
+        ids=["majority", "cw", "tree"],
+    )
+    def test_draw_frequencies_fit_the_distribution(self, name, distribution, system):
+        trials = 6000
+        support = {w.coloring: w.probability for w in distribution(system).support}
+        counts = dict.fromkeys(support, 0)
+        for coloring in _draws(name, system, trials, seed=8):
+            assert coloring in support
+            counts[coloring] += 1
+        statistic = sum(
+            (counts[coloring] - trials * probability) ** 2 / (trials * probability)
+            for coloring, probability in support.items()
+        )
+        assert _chi_square_p_value(statistic, len(support) - 1) > 1e-3
+
+    def test_chi_square_tail_matches_known_quantiles(self):
+        # 95th percentiles of chi-square with 3 and 9 degrees of freedom.
+        assert abs(_chi_square_p_value(7.815, 3) - 0.05) < 0.005
+        assert abs(_chi_square_p_value(16.919, 9) - 0.05) < 0.003
+
+
 class TestHardDistributionsAreActuallyHard:
     def test_majority_hard_distribution_is_worst_among_exact_red_counts(self):
         system = MajoritySystem(7)
@@ -183,9 +221,8 @@ class TestHardDistributionsAreActuallyHard:
             values[reds] = solver.best_deterministic_under(dist)
         assert max(values, key=values.get) in (3, 4)
 
-    def test_random_sampling_matches_distribution_support(self, rng):
+    def test_random_sampling_matches_distribution_support(self):
         wall = CrumblingWall([1, 2, 2])
-        sampler = cw_hard_sampler(wall)
         support = {w.coloring for w in cw_hard_distribution(wall).support}
-        for _ in range(30):
-            assert sampler(rng) in support
+        for coloring in _draws("cw_hard", wall, 30, seed=5):
+            assert coloring in support

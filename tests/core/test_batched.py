@@ -3,12 +3,11 @@
 The deterministic kernels must reproduce the sequential algorithms
 *trial-by-trial* on a shared input matrix; the randomized kernels must
 match in distribution.  Engine estimates over the kernels are checked
-against their per-trial counterparts.
+against exact expectations.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 
 import numpy as np
@@ -25,7 +24,8 @@ from repro.core.batched import (
 from repro.core.coloring import Coloring
 from repro.core.distributions import AdversarialSource, sample_bernoulli_matrix
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_probes, estimate_expected_probes_on
+from repro.analysis.lemmas import expected_trials_both_colors
+from repro.analysis.walks import majority_expected_probes_exact
 from repro.systems import CrumblingWall, MajoritySystem, TreeSystem, TriangSystem, uniform_wall
 
 
@@ -126,40 +126,45 @@ class TestDispatchAndFallback:
 
 
 class TestEngineEstimates:
-    def test_average_probes_agrees_with_sequential(self):
+    def test_average_probes_matches_walk_analysis(self):
         algorithm = ProbeMaj(MajoritySystem(101))
         engine = stream_probes(algorithm, p=0.5, trials=4000, seed=1).estimate
-        sequential = estimate_average_probes(algorithm, 0.5, trials=4000, seed=1)
-        assert abs(engine.mean - sequential.mean) < 3 * (engine.ci95 + sequential.ci95)
+        exact = majority_expected_probes_exact(101, 0.5)
+        assert abs(engine.mean - exact) < 3 * engine.ci95
 
-    def test_estimator_has_no_engine_knobs(self):
-        # The per-trial reference path takes no engine options; batched,
-        # chunked and adaptive runs call stream_probes directly.
-        parameters = inspect.signature(estimate_average_probes).parameters
-        assert list(parameters) == ["algorithm", "p", "trials", "seed", "validate", "source"]
+    def test_estimator_module_defines_only_estimate(self):
+        # One Monte-Carlo entry point: stream_probes(...).estimate.  The
+        # estimator module keeps only the result type.
+        import repro.core.estimator as estimator
+
+        defined = {
+            name
+            for name, value in vars(estimator).items()
+            if getattr(value, "__module__", None) == estimator.__name__
+        }
+        assert defined == {"Estimate"}
 
     def test_expected_probes_on_fixed_input(self):
+        # Wheel(8) with red {1, 5}: R_Probe_CW scans the mixed 7-element rim
+        # in random order until it has seen both colors (Lemma 2.9), then
+        # probes the hub.
         system = CrumblingWall([1, 7], name="Wheel(8)")
         algorithm = RProbeCW(system)
-        worst = Coloring(8, red=[1, 5])
         engine = stream_probes(
             algorithm, AdversarialSource(8, [1, 5]), trials=4000, seed=11
         ).estimate
-        sequential = estimate_expected_probes_on(algorithm, worst, trials=4000, seed=11)
-        assert abs(engine.mean - sequential.mean) < 3 * (engine.ci95 + sequential.ci95)
+        exact = float(expected_trials_both_colors(1, 6)) + 1.0
+        assert abs(engine.mean - exact) < 3 * engine.ci95
 
     def test_expected_probes_on_deterministic_is_exact(self):
         system = TriangSystem(4)
         algorithm = ProbeCW(system)
         coloring = Coloring(system.n, red=[2, 5, 9])
-        estimate = estimate_expected_probes_on(algorithm, coloring, trials=100)
-        assert estimate.trials == 1 and estimate.std == 0.0
-        assert estimate.mean == float(algorithm.run_on(coloring).probes)
         engine = stream_probes(
             algorithm, AdversarialSource(system.n, [2, 5, 9]), trials=100, seed=1
         )
         assert engine.histogram[-1] == 100 and engine.std == 0.0
-        assert engine.mean == estimate.mean
+        assert engine.mean == float(algorithm.run_on(coloring).probes)
 
 
 class TestSamplersAndFailureRate:

@@ -28,8 +28,7 @@ from repro.core.batched import batched_run, supports_batched
 from repro.core.coloring import Coloring
 from repro.core.distributions import sample_bernoulli_matrix
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_under
-from repro.experiments.hqs import HQSFamilyPSource, worst_case_family_sampler
+from repro.experiments.hqs import HQSFamilyPSource
 from repro.systems import HQS, TreeSystem
 
 
@@ -95,10 +94,8 @@ class TestRandomizedKernelsMatchInDistribution:
         kernel and the sequential loop must agree bin by bin."""
         system = HQS(2)
         algorithm = factory(system)
-        coloring = worst_case_family_sampler(system)(random.Random(3))
-        row = np.zeros(system.n, dtype=bool)
-        for e in coloring.red_elements:
-            row[e - 1] = True
+        row = HQSFamilyPSource(system).sample_matrix(system.n, 1, rng=3)[0]
+        coloring = Coloring.from_red_row(row)
         trials = 30000
         red = np.broadcast_to(row, (trials, system.n))
         probes, _ = batched_run(algorithm, red, rng=np.random.default_rng(4))
@@ -138,16 +135,16 @@ class TestRandomizedKernelsMatchInDistribution:
 
 
 class TestEngineOnFamilyP:
-    def test_matches_sequential_on_family_p(self):
+    def test_matches_exact_value_on_family_p(self):
+        # Every gate of a family-P input has exactly one minority child, so
+        # R_Probe_HQS needs its third child unless the minority comes last
+        # (probability 1/3): 8/3 children per gate, (8/3)^h probes in all.
         system = HQS(3)
         algorithm = RProbeHQS(system)
         batched = stream_probes(
             algorithm, HQSFamilyPSource(system), trials=4000, seed=31
         ).estimate
-        sequential = estimate_average_under(
-            algorithm, worst_case_family_sampler(system), trials=4000, seed=32
-        )
-        assert abs(batched.mean - sequential.mean) < 2 * (batched.ci95 + sequential.ci95)
+        assert abs(batched.mean - (8 / 3) ** system.height) < 2 * batched.ci95
 
     def test_rejects_zero_trials(self):
         system = HQS(1)

@@ -66,14 +66,6 @@ class TestColoringConstruction:
         with pytest.raises(ValueError):
             Coloring.random(5, 1.5)
 
-    def test_with_exact_reds(self, rng):
-        coloring = Coloring.with_exact_reds(10, 4, rng)
-        assert len(coloring.red_elements) == 4
-
-    def test_with_exact_reds_bounds(self):
-        with pytest.raises(ValueError):
-            Coloring.with_exact_reds(5, 6)
-
 
 class TestColoringQueries:
     def test_mapping_protocol(self):
@@ -150,10 +142,12 @@ class TestColoringDistribution:
         assert math.isclose(mean_reds, 2.0)
 
     def test_sampling_stays_in_support(self, rng):
+        from repro.core.distributions import FiniteSource
+
         dist = ColoringDistribution.exact_reds(4, 1)
         support = {w.coloring for w in dist.support}
-        for _ in range(50):
-            assert dist.sample(rng) in support
+        for row in FiniteSource(dist).sample_matrix(4, 50, rng):
+            assert Coloring.from_red_row(row) in support
 
     def test_normalization(self):
         items = [

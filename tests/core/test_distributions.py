@@ -1,8 +1,8 @@
 """Tests for the unified coloring-source layer (:mod:`repro.core.distributions`).
 
-Covers the registry contract, the scalar/batched agreement of every
-registered source (exact invariants where the distribution has them,
-frequency checks otherwise) and the source-aware estimator entry points.
+Covers the registry contract, every registered source's batched draws
+against its exact per-element red marginals (and exact invariants where the
+distribution has them) and the engine's source-aware estimates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.coloring import (
 from repro.core.distributions import (
     AdversarialSource,
     BernoulliSource,
-    ColoringSource,
     CorrelatedGroupsSource,
     FiniteSource,
     FixedCountSource,
@@ -31,21 +30,35 @@ from repro.core.distributions import (
     source_specs,
 )
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_probes
 from repro.systems import HQS, MajoritySystem, TreeSystem, TriangSystem
 
 
-def _column_frequencies(source: ColoringSource, trials: int, seed: int):
-    """Per-element red frequencies of the scalar and batched paths."""
-    generator = np.random.default_rng(seed)
-    scalar = np.zeros(source.n, dtype=float)
-    for _ in range(trials):
-        coloring = source.sample(generator)
-        for element in coloring.red_elements:
-            scalar[element - 1] += 1.0
-    scalar /= trials
-    batched = source.sample_matrix(source.n, trials, np.random.default_rng(seed + 1))
-    return scalar, batched.mean(axis=0)
+def _exact_marginals(name: str, system, p: float) -> np.ndarray:
+    """Each element's exact probability of being red under source ``name``."""
+    n = system.n
+    if name == "bernoulli":
+        return np.full(n, p)
+    if name == "fixed_count":
+        return np.full(n, round(p * n) / n)
+    if name == "adversarial":
+        return (np.arange(1, n + 1) <= round(p * n)).astype(float)
+    if name == "correlated_groups":
+        groups = build_source(name, system, p).groups
+        count = np.array([sum(e in group for group in groups) for e in range(1, n + 1)])
+        return 1.0 - (1.0 - p) ** count
+    if name == "majority_hard":
+        return np.full(n, system.quorum_size / n)
+    if name == "cw_hard":
+        marginals = np.empty(n)
+        for row in system.rows:
+            marginals[np.asarray(sorted(row)) - 1] = 1.0 - 1.0 / len(row)
+        return marginals
+    if name == "tree_hard":
+        depth = np.array([system.depth_of(v) for v in range(1, n + 1)])
+        return np.where(depth >= system.height - 1, 2.0 / 3.0, 0.0)
+    if name == "hqs_family_p":
+        return np.full(n, 0.5)  # the fair root coin makes every leaf symmetric
+    raise AssertionError(f"no exact marginals for {name}")
 
 
 class TestRegistry:
@@ -129,8 +142,7 @@ class TestSourceContract:
         assert source.n == system.n
         red = source.sample_matrix(system.n, 50, rng=7)
         assert red.shape == (50, system.n) and red.dtype == np.bool_
-        coloring = source.sample(11)
-        assert coloring.n == system.n
+        assert Coloring.from_red_row(red[0]).n == system.n
 
     @pytest.mark.parametrize(
         "name,system,p", _registered_cases(), ids=lambda case: str(case)[:24]
@@ -143,13 +155,14 @@ class TestSourceContract:
     @pytest.mark.parametrize(
         "name,system,p", _registered_cases(), ids=lambda case: str(case)[:24]
     )
-    def test_scalar_and_batched_column_frequencies_agree(self, name, system, p):
+    def test_column_frequencies_match_exact_marginals(self, name, system, p):
         source = build_source(name, system, p)
         trials = 1500
-        scalar, batched = _column_frequencies(source, trials, seed=5)
+        batched = source.sample_matrix(system.n, trials, np.random.default_rng(6)).mean(axis=0)
+        exact = _exact_marginals(name, system, p)
         # Each column frequency is a binomial proportion; 5 sigma + slack.
-        stderr = np.sqrt(np.maximum(batched * (1 - batched), 0.25 / trials) / trials)
-        assert (np.abs(scalar - batched) < 5.0 * stderr + 0.05).all()
+        stderr = np.sqrt(exact * (1 - exact) / trials)
+        assert (np.abs(batched - exact) < 5.0 * stderr + 0.01).all()
 
 
 class TestBernoulliSource:
@@ -176,8 +189,6 @@ class TestFixedCountSource:
         source = FixedCountSource(30, 11)
         red = source.sample_matrix(30, 500, rng=3)
         assert (red.sum(axis=1) == 11).all()
-        for seed in range(20):
-            assert len(source.sample(seed).red_elements) == 11
 
     def test_subsets_are_uniform_over_elements(self):
         source = FixedCountSource(10, 3)
@@ -202,10 +213,6 @@ class TestCorrelatedGroupsSource:
             per_row = red[:, columns].sum(axis=1)
             assert set(per_row.tolist()) <= {0, len(group)}
         assert not red[:, 5].any()  # element 6 is in no group
-        for seed in range(30):
-            failed = source.sample(seed).red_elements
-            for group in groups:
-                assert failed & group in (frozenset(), frozenset(group))
 
     @pytest.mark.parametrize("trials", [1, 65, 300])
     def test_overlapping_groups_equal_the_membership_matmul(self, trials):
@@ -221,8 +228,6 @@ class TestCorrelatedGroupsSource:
         expected = (fails.astype(np.float32) @ membership) > 0.5
         red = source.sample_matrix(10, trials, np.random.default_rng(trials))
         np.testing.assert_array_equal(red, expected)
-        one = (np.random.default_rng(5).random(len(groups)) < 0.4) @ membership > 0.5
-        assert source.sample(5).red_elements == frozenset(np.flatnonzero(one) + 1)
 
     def test_group_failure_rate(self):
         source = CorrelatedGroupsSource(6, [{1, 2}, {3, 4, 5}], 0.25)
@@ -262,7 +267,7 @@ class TestAdversarialSource:
         expected = np.zeros(7, dtype=bool)
         expected[[1, 4]] = True
         assert (red == expected).all()
-        assert source.sample().red_elements == {2, 5}
+        assert Coloring.from_red_row(red[3]).red_elements == {2, 5}
 
     def test_matrix_rows_are_independent_copies(self):
         red = AdversarialSource(4, {1}).sample_matrix(4, 3, rng=1)
@@ -298,11 +303,12 @@ class TestFiniteSource:
             stderr = np.sqrt(probability * (1 - probability) / trials)
             assert abs(counts.get(coloring, 0) / trials - probability) < 5 * stderr + 1e-3
 
-    def test_scalar_sample_matches_distribution_sample(self):
+    def test_single_draws_stay_in_support(self):
         distribution = self._distribution()
         source = FiniteSource(distribution)
+        support = {w.coloring for w in distribution.support}
         for seed in range(25):
-            assert len(source.sample(seed).red_elements) <= 3
+            assert Coloring.from_red_row(source.sample_matrix(4, 1, rng=seed)[0]) in support
 
     def test_cdf_is_monotone_and_normalized(self):
         cdf = self._distribution().cdf
@@ -311,24 +317,25 @@ class TestFiniteSource:
 
 
 class TestSourceAwareEstimators:
-    def test_batched_and_scalar_estimates_agree(self):
+    def test_fixed_count_estimate_matches_exact_value(self):
+        # Probe_Maj stops once it has seen k+1 = 11 elements of one color;
+        # with 8 uniformly placed reds among 21 that is the 11th of the 13
+        # greens, at expected position 11 * 22 / 14.
         system = MajoritySystem(21)
         source = FixedCountSource(system.n, 8)
-        batched = stream_probes(ProbeMaj(system), source, trials=3000, seed=11).estimate
-        scalar = estimate_average_probes(
-            ProbeMaj(system), source=source, trials=3000, seed=13
-        )
-        assert abs(batched.mean - scalar.mean) < batched.ci95 + scalar.ci95 + 0.2
+        estimate = stream_probes(ProbeMaj(system), source, trials=3000, seed=11).estimate
+        exact = 11 * (system.n + 1) / (13 + 1)
+        assert abs(estimate.mean - exact) < estimate.ci95 + 0.2
 
-    def test_estimate_average_probes_requires_p_or_source(self):
+    def test_estimate_requires_p_or_source(self):
         with pytest.raises(ValueError):
-            estimate_average_probes(ProbeMaj(MajoritySystem(5)))
+            stream_probes(ProbeMaj(MajoritySystem(5)))
 
     def test_estimate_rejects_mismatched_source(self):
         with pytest.raises(ValueError):
-            estimate_average_probes(
+            stream_probes(
                 ProbeMaj(MajoritySystem(5)),
-                source=BernoulliSource(7, 0.5),
+                BernoulliSource(7, 0.5),
                 trials=10,
             )
 

@@ -44,7 +44,7 @@ from repro.core.distributions import (
     build_source,
 )
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_expected_probes_on
+from repro.core.estimator import Estimate
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -93,9 +93,9 @@ def _red_set(system, which: str) -> frozenset[int]:
 def test_every_algorithm_finds_a_valid_witness_on_every_draw(factory, source_name):
     algorithm = factory()
     system = algorithm.system
-    source = build_source(source_name, system, 0.4)
+    red = build_source(source_name, system, 0.4).sample_matrix(system.n, 20, rng=1)
     for seed in range(20):
-        coloring = source.sample(seed)
+        coloring = Coloring.from_red_row(red[seed])
         run = algorithm.run_on(coloring, rng=random.Random(seed), validate=True)
         assert run.color is system.witness_color(coloring)
         assert len(run.witness.elements) <= run.probes <= system.n
@@ -142,7 +142,11 @@ class TestFixedRedSetThroughTheEngine:
         # Every run probes at least a witness, and on an ND coterie the
         # smallest witness of either color is a smallest quorum.
         assert result.mean >= system.min_quorum_size()
-        scalar = estimate_expected_probes_on(algorithm, coloring, trials=400, seed=7)
+        # Each engine trial is one run of the algorithm on the fixed input.
+        rng = random.Random(7)
+        scalar = Estimate.from_samples(
+            [algorithm.run_on(coloring, rng=rng).probes for _ in range(400)]
+        )
         assert abs(result.mean - scalar.mean) < 3 * (result.ci95 + scalar.ci95) + 0.05
 
 
@@ -151,7 +155,6 @@ class TestDegenerateSources:
         system = MajoritySystem(9)
         source = CorrelatedGroupsSource(9, [{1, 2, 3}, {4, 5, 6}], 0.0)
         assert not source.sample_matrix(9, 50, rng=1).any()
-        assert source.sample(2) == Coloring.all_green(9)
         result = stream_probes(ProbeMaj(system), source, trials=100, seed=3)
         assert result.failure_rate == 0.0
         assert result.mean == 5.0 and result.std == 0.0  # k + 1 greens
@@ -160,8 +163,8 @@ class TestDegenerateSources:
         system = MajoritySystem(9)
         groups = [{1, 2, 3}, {4, 5, 6}]
         source = CorrelatedGroupsSource(9, groups, 1.0)
-        assert source.sample(5).red_elements == {1, 2, 3, 4, 5, 6}
-        assert source.sample_matrix(9, 50, rng=1)[:, :6].all()
+        red = source.sample_matrix(9, 50, rng=1)
+        assert red[:, :6].all() and not red[:, 6:].any()
         result = stream_probes(ProbeMaj(system), source, trials=100, seed=3)
         assert result.failure_rate == 1.0  # 6 of 9 down: no live majority
 
@@ -169,7 +172,7 @@ class TestDegenerateSources:
         with pytest.raises(ValueError):
             FixedCountSource(6, -1)
 
-    def test_custom_source_gets_the_one_row_scalar_sample(self):
+    def test_custom_source_runs_through_the_engine(self):
         class EveryThird(ColoringSource):
             name = "every_third"
 
@@ -183,7 +186,11 @@ class TestDegenerateSources:
                 return red
 
         source = EveryThird()
-        assert source.sample(6).red_elements == {3, 6, 9}
+        assert Coloring.from_red_row(source.sample_matrix(9, 1, rng=6)[0]).red_elements == {
+            3,
+            6,
+            9,
+        }
         result = stream_probes(ProbeMaj(MajoritySystem(9)), source, trials=20, seed=1)
         assert result.failure_rate == 0.0 and result.std == 0.0
 

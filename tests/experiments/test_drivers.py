@@ -149,6 +149,30 @@ class TestAblations:
         assert len(rows) == 4
         assert all(row.paper is not None for row in rows)
 
+    def test_every_variant_of_a_cell_sees_identical_colorings(self, monkeypatch):
+        # The variants of one ablation cell share a seed, and the engine
+        # draws colorings apart from algorithm randomness: the witness
+        # color depends on the coloring alone, so each variant must report
+        # the same witness_red, whatever kernel or fallback ran it.
+        from repro.core.engine import stream_probes
+        from repro.experiments import ablations
+
+        runs: dict[int, list[tuple[str, int]]] = {}
+
+        def recording(algorithm, *args, **kwargs):
+            result = stream_probes(algorithm, *args, **kwargs)
+            runs.setdefault(kwargs["seed"], []).append((algorithm.name, result.witness_red))
+            return result
+
+        monkeypatch.setattr(ablations, "stream_probes", recording)
+        run_cw_order_ablation(depth=6, ps=(0.3, 0.5), trials=300, seed=14)
+        run_hqs_ablation(heights=(2, 3), trials=300, seed=15)
+        run_generic_baseline_ablation(trials=300, seed=16)
+        assert len(runs) == 2 + 2 + 4
+        for cell in runs.values():
+            assert len(cell) >= 2
+            assert len({witness_red for _, witness_red in cell}) == 1, cell
+
 
 class TestTable1:
     @pytest.fixture(scope="class")

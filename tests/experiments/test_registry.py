@@ -260,6 +260,43 @@ class TestRecoveryAccounting:
             "worker_reassignments",
         }
 
+    def test_collectors_do_not_count_other_threads_runs(self, tmp_path, monkeypatch):
+        import threading
+
+        from repro.algorithms import ProbeTree
+        from repro.core import engine
+        from repro.core.engine import collect_recovery, stream_probes
+        from repro.systems import build_system
+        from repro.testing import faults
+        from repro.testing.faults import ANY_KEY, Fault
+
+        monkeypatch.setattr(engine, "_sleep", lambda seconds: None)
+        algorithm = ProbeTree(build_system("tree", 2))
+        collecting, ran = threading.Event(), threading.Event()
+        totals_by_thread: dict[str, dict] = {}
+
+        def observer():
+            with collect_recovery() as totals:
+                collecting.set()
+                ran.wait(timeout=60)
+            totals_by_thread["observer"] = dict(totals)
+
+        def runner():
+            collecting.wait(timeout=60)
+            with collect_recovery() as totals:
+                stream_probes(algorithm, p=0.2, trials=64, chunk_size=16, seed=7)
+            totals_by_thread["runner"] = dict(totals)
+            ran.set()
+
+        with faults.active_plan([Fault("chunk", ANY_KEY, "raise")], tmp_path):
+            threads = [threading.Thread(target=observer), threading.Thread(target=runner)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert totals_by_thread["runner"]["retries_used"] == 1
+        assert totals_by_thread["observer"] == dict.fromkeys(engine.RECOVERY_KEYS, 0)
+
     def test_run_experiment_records_recovery_in_artifact(self, tmp_path, monkeypatch):
         from repro.core import engine
         from repro.testing import faults

@@ -25,7 +25,6 @@ from repro.analysis.walks import majority_expected_probes_exact
 from repro.analysis.yao import majority_hard_distribution
 from repro.core.coloring import Coloring, enumerate_colorings
 from repro.core.engine import stream_probes
-from repro.core.estimator import estimate_average_probes
 from repro.core.exact import ExactSolver
 from repro.core.metrics import availability_exact
 from repro.core.strategy_tree import strategy_tree_from_algorithm
@@ -67,7 +66,7 @@ class TestStrategyTreesOfPaperAlgorithms:
 
         # (b) The tree's expected depth matches the Monte-Carlo estimate of
         #     the same algorithm.
-        estimate = estimate_average_probes(algorithm, 0.5, trials=3000, seed=1)
+        estimate = stream_probes(algorithm, p=0.5, trials=3000, seed=1).estimate
         assert abs(tree.expected_depth(0.5) - estimate.mean) < 4 * estimate.stderr + 0.05
 
         # (c) The tree never exceeds the deterministic worst case n.
