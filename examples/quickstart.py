@@ -31,6 +31,7 @@ from repro import (
     HQS,
 )
 from repro.algorithms import ProbeMaj
+from repro.analysis import majority_expected_probes_exact
 from repro.core.engine import stream_probes
 from repro.core.exact import ExactSolver, permutation_algorithm_worst_expected
 from repro.core.metrics import quorum_size_statistics
@@ -77,7 +78,7 @@ def main() -> None:
 
     section("3. Average probe complexity vs the paper's bounds")
     cases = [
-        ("Maj(101), Prop 3.2: ~ n - Θ(√n) = 91",
+        (f"Maj(101), Prop 3.2: exact {majority_expected_probes_exact(101, 0.5):.2f}",
          ProbeMaj(MajoritySystem(101)), 0.5),
         ("Triang(12), Thm 3.3: ≤ 2k - 1 = 23",
          ProbeCW(TriangSystem(12)), 0.5),

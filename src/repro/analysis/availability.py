@@ -13,13 +13,16 @@ This module provides the exact recursions (not just the bounds) together
 with binomial formulas for Majority and crumbling walls, so the experiments
 can report paper-bound versus exact versus simulated availability.  The
 same recursions give the exact expected probes of R_Probe_Tree, Probe_HQS
-and R_Probe_HQS at any height.
+and R_Probe_HQS at any height, and, carried on generating polynomials,
+their whole probe-count laws jointly with the witness color.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+
+import numpy as np
 
 
 def _check_p(p: float) -> None:
@@ -182,6 +185,80 @@ def hqs_expected_probes(height: int, p: float) -> float:
         probes = (2.0 + 2.0 * red * (1.0 - red)) * probes
         live = live**3 + 3.0 * live**2 * (1.0 - live)
     return probes
+
+
+# -- probe-count laws --------------------------------------------------------------------
+#
+# A subtree's law is a pair of generating polynomials ``(r, g)`` in ``z``:
+# the coefficient of ``z^k`` in ``r`` (``g``) is the probability that the
+# subtree evaluates to red (green) after ``k`` probes.  A leaf is
+# ``(p z, (1 − p) z)``; independent parts multiply (``np.convolve``).
+
+
+def _add(*terms: np.ndarray) -> np.ndarray:
+    out = np.zeros(max(len(term) for term in terms))
+    for term in terms:
+        out[: len(term)] += term
+    return out
+
+
+def _times_z(poly: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], poly))
+
+
+def _leaf_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    _check_p(p)
+    return np.array([0.0, p]), np.array([0.0, 1.0 - p])
+
+
+def r_probe_tree_probe_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of R_Probe_Tree's probe count and witness color: arrays
+    ``(red, green)`` where ``red[k]`` is the probability that the tree is
+    red and the run probes ``k`` elements.
+
+    A node probes its root first with probability 2/3 (then one subtree,
+    then the other when the first differs from the root) and last with
+    probability 1/3 (both subtrees, then the root when they differ).  With
+    ``s = p g + (1 − p) r`` for "the first subtree differs from the root"::
+
+        root first:  r' = z (p r + s r)     g' = z ((1 − p) g + s g)
+        root last:   r' = r² + 2p z r g     g' = g² + 2(1 − p) z r g
+
+    Its first moment is :func:`r_probe_tree_expected_probes`.
+    """
+    red, green = _leaf_law(height, p)
+    for _ in range(height):
+        rr, rg, gg = np.convolve(red, red), np.convolve(red, green), np.convolve(green, green)
+        first_red = _times_z(_add(p * red, p * rg + (1.0 - p) * rr))
+        first_green = _times_z(_add((1.0 - p) * green, p * gg + (1.0 - p) * rg))
+        last_red = _add(rr, _times_z(2.0 * p * rg))
+        last_green = _add(gg, _times_z(2.0 * (1.0 - p) * rg))
+        red = (2.0 * first_red + last_red) / 3.0
+        green = (2.0 * first_green + last_green) / 3.0
+    return red, green
+
+
+def hqs_probe_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of Probe_HQS's (and R_Probe_HQS's) probe count and witness
+    color, as ``(red, green)`` like :func:`r_probe_tree_probe_law`.
+
+    A gate evaluates two children and the third only when they differ; the
+    children are i.i.d., so the law is the same whichever two come first::
+
+        r' = r² + 2 r g r        g' = g² + 2 r g g
+
+    Its first moment is :func:`hqs_expected_probes`.
+    """
+    red, green = _leaf_law(height, p)
+    for _ in range(height):
+        rg = np.convolve(red, green)
+        red, green = (
+            _add(np.convolve(red, red), 2.0 * np.convolve(rg, red)),
+            _add(np.convolve(green, green), 2.0 * np.convolve(rg, green)),
+        )
+    return red, green
 
 
 # -- Fact 2.3 -----------------------------------------------------------------------------

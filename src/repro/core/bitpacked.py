@@ -16,9 +16,8 @@ cell instead of the byte of a bool matrix.
   *bit-sliced* integer (a stack of ``uint64`` planes, least significant
   first, added by full-adder chains), the sum of a node's parts less the
   part it skips when the first two it evaluated agree.  The randomized
-  ones draw one ``generator.integers(3)`` (Tree) or ``integers(6)``
-  (HQS; two per IR_Probe_HQS level) per node, level by level, pack the
-  draws in one :func:`pack_lanes` call and pick each node's order with
+  ones draw every node's order choice up front as lane planes
+  (:func:`_order_choices`, rule below) and pick each node's order with
   one-hot lane masks (:func:`_permutation_masks`).
 * ``ProbeMaj`` / ``ProbeCW`` — each trial stops at an element that depends
   on its colors, so these kernels transpose the chunk once into one row of
@@ -26,6 +25,30 @@ cell instead of the byte of a bool matrix.
   stopping point with whole-array ops (a select on cumulative popcounts
   for Probe_Maj, a count of trailing zeros per wall row for Probe_CW),
   never looping over elements.
+
+The order choices of one kernel call are drawn from raw ``uint64`` words
+of the chunk's algorithm generator (``bit_generator.random_raw``), each
+word one bit-plane over 64 lanes:
+
+* The call's *node-words* are every level's ``(n_words, width)`` lane
+  columns in level order (IR_Probe_HQS's two draws per level are two
+  levels here), each in C order over ``(word, node)``; say ``M`` of them.
+* A three-way choice (R_Probe_Tree) takes ``random_raw(2M)``: the first
+  ``M`` words are plane ``a``, the next ``M`` plane ``b``, and a lane's
+  value is ``k = a + 2b``.  Lanes at ``k = 3`` are pending.  Each
+  rejection round takes ``random_raw(2m)`` for the ``m`` node-words that
+  still hold a pending lane, in flat order (their ``a`` words, then their
+  ``b`` words), and settles every pending lane whose new value is below
+  3.  The result planes are ``(k == 1, k == 2) = (a, b)``: exactly
+  uniform, since each accepted value is one of three equally likely ones.
+* A six-way choice (R_Probe_HQS, IR_Probe_HQS) is ``k6 = 2t + c``: one
+  ``random_raw(3M)`` call gives planes ``a``, ``b``, ``c``; ``t = a + 2b``
+  is settled by the same rounds, ``c`` is never redrawn, and the planes
+  of ``k6`` are ``(c, t == 1, t == 2)``.  Its first child ``k6 // 2`` is
+  ``t``.
+* Padding lanes past ``trials`` draw like real ones, so what a call
+  consumes depends on the draws only, and nothing else reads the chunk's
+  algorithm generator.
 
 Popcounts (and so ``ctz``) go through :func:`popcount64`, looked up at
 call time: ``np.bitwise_count`` where numpy has it, a 16-bit lookup table
@@ -146,32 +169,6 @@ class PackedColorings:
             if tail < 64:
                 mask[-1] = np.uint64((1 << tail) - 1)
         return mask
-
-
-#: ``0x01`` in each of a word's eight bytes.
-_BYTE_LOW_BITS = np.uint64(0x0101010101010101)
-
-
-def pack_lanes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """The lane words of a ``(64 * n_words, 8 * m)`` ``uint8`` matrix of
-    ``bits``-bit codes, one row per trial: bit ``t`` of word ``[b, w, c]``
-    of the returned ``(bits, n_words, 8 * m)`` array is bit ``b`` of
-    ``codes[64 * w + t, c]``.
-
-    Eight rows are OR-ed into one byte per column (eight columns to a
-    ``uint64``), then a transpose of those bytes, an eighth of the input,
-    lines them up as 64-lane words.
-    """
-    rows, columns = codes.shape
-    octets = codes.view(np.uint64).reshape(rows // 8, 8, columns // 8)
-    octets = (octets >> np.arange(bits, dtype=np.uint64)[:, None, None, None]) & _BYTE_LOW_BITS
-    gathered = octets[:, :, 0].copy()
-    for row in range(1, 8):
-        gathered |= octets[:, :, row] << np.uint64(row)
-    # axes (bit, word, row byte, column block, column) -> row byte last
-    lanes = gathered.view(np.uint8).reshape(bits, rows // 64, 8, columns // 8, 8)
-    lanes = np.ascontiguousarray(lanes.transpose(0, 1, 3, 4, 2))
-    return lanes.view("<u8").reshape(bits, rows // 64, columns)
 
 
 def pack_matrix(red: np.ndarray) -> PackedColorings:
@@ -511,22 +508,39 @@ def _gate_result(value: np.ndarray, probes: np.ndarray, packed: PackedColorings)
     return planes_to_counts(probes, packed.trials), unpack_lanes(~value, packed.trials)
 
 
-def _draw_planes(generator, high: int, trials: int, widths: list[int]) -> list[np.ndarray]:
-    """One ``generator.integers(high, size=(trials, width))`` call per
-    entry of ``widths``, in order, as ``(bits, n_words, width)`` lane words
-    of each draw's bits (least significant first).
+def _order_choices(generator, ways: int, trials: int, widths: list[int]) -> list[tuple]:
+    """Every node's uniform order choice among ``ways`` (3 or 6), per
+    level of ``widths`` nodes, as a tuple of ``(n_words, width)`` lane
+    planes of the choice's bits, least significant first.
 
-    These are the calls the order choices have always been drawn with, so
-    a seed keeps its probe counts; nothing else reads the generator, so a
-    kernel makes all of them up front and packs them in one
-    :func:`pack_lanes` call.
+    Drawn straight from raw ``uint64`` words by the rule in the module
+    docstring: two planes ``a``, ``b`` per node-word give ``k = a + 2b``,
+    lanes at ``k = 3`` redraw both bits until they land below 3, and a
+    six-way choice adds a third plane ``c`` as its low bit.
     """
-    bounds = np.cumsum([0, *widths]).tolist()
-    codes = np.zeros((64 * -(-trials // 64), 8 * -(-bounds[-1] // 8)), dtype=np.uint8)
-    for lo, hi in zip(bounds, bounds[1:]):
-        codes[:trials, lo:hi] = generator.integers(high, size=(trials, hi - lo))
-    planes = pack_lanes(codes, (high - 1).bit_length())
-    return [planes[:, :, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    n_words = -(-trials // 64)
+    bounds = (n_words * np.cumsum([0, *widths])).tolist()
+    m = bounds[-1]
+    bits = generator.bit_generator
+    if isinstance(bits, np.random.MT19937):
+        raise ValueError("order choices need 64-bit raw draws; MT19937 draws 32")
+    count = 2 if ways == 3 else 3
+    raw = bits.random_raw(count * m).reshape(count, m)
+    a, b = raw[0], raw[1]
+    index = np.flatnonzero(a & b)
+    pending = a[index] & b[index]
+    while index.size:
+        fresh = bits.random_raw(2 * index.size).reshape(2, -1)
+        a[index] &= fresh[0] | ~pending
+        b[index] &= fresh[1] | ~pending
+        pending &= fresh[0] & fresh[1]
+        live = pending != 0
+        index, pending = index[live], pending[live]
+    planes = (a, b) if ways == 3 else (raw[2], a, b)
+    return [
+        tuple(plane[lo:hi].reshape(n_words, width) for plane in planes)
+        for lo, hi, width in zip(bounds, bounds[1:], widths)
+    ]
 
 
 def _permutation_masks(code: np.ndarray):
@@ -594,7 +608,7 @@ def packed_r_probe_tree_kernel(algorithm, packed: PackedColorings, rng=None):
     value = words[:, first - 1 : 2 * first - 1]
     probes = _ones_planes(value.shape)
     depths = range(height - 1, -1, -1)
-    choices = _draw_planes(
+    choices = _order_choices(
         as_numpy_generator(rng), 3, packed.trials, [1 << depth for depth in depths]
     )
     for depth, (one, two) in zip(depths, choices):
@@ -644,11 +658,11 @@ def _r_hqs_gate_level(value, probes, code):
 
 
 def packed_r_probe_hqs_kernel(algorithm, packed: PackedColorings, rng=None):
-    """Algorithm R_Probe_HQS (Fig. 7) over bit-planes: one
-    ``generator.integers(6)`` permutation draw per gate and level."""
+    """Algorithm R_Probe_HQS (Fig. 7) over bit-planes: one six-way
+    permutation choice per gate and level."""
     height = algorithm.system.height
     widths = [3**depth for depth in range(height - 1, -1, -1)]
-    codes = _draw_planes(as_numpy_generator(rng), 6, packed.trials, widths)
+    codes = _order_choices(as_numpy_generator(rng), 6, packed.trials, widths)
     value, probes = packed.words, _ones_planes(packed.words.shape)
     for code in codes:
         value, probes = _r_hqs_gate_level(value, probes, code)
@@ -674,7 +688,7 @@ def packed_ir_probe_hqs_kernel(algorithm, packed: PackedColorings, rng=None):
         return _gate_result(grand_value, grand_probes, packed)
     # Height-1 gates draw once, each higher level twice (r1/r2/r3, then r2's children).
     widths = [3 ** (height - 1)] + [3**depth for depth in range(height - 2, -1, -1) for _ in (0, 1)]
-    codes = _draw_planes(as_numpy_generator(rng), 6, packed.trials, widths)
+    codes = _order_choices(as_numpy_generator(rng), 6, packed.trials, widths)
     value, probes = _r_hqs_gate_level(grand_value, grand_probes, codes[0])
     for order, grand_order in zip(codes[1::2], codes[2::2]):
         r1, r2, r3 = _permutation_masks(order)

@@ -40,8 +40,9 @@ _logger = logging.getLogger("repro.checkpoint")
 CHECKPOINT_KIND = "engine_checkpoint"
 
 #: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
-#: stream; version-1 runs drew floats and cannot be continued).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: stream; 3: bit-plane gate order choices).  Older runs drew from another
+#: stream and cannot be continued.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 # -- atomic writes ----------------------------------------------------------------
@@ -177,10 +178,17 @@ def check_schema_version(
 
 
 def check_resumable(version: int, path: str | Path) -> None:
-    """Refuse an engine or sweep checkpoint of the float sampler stream."""
-    if version < 2:
+    """Refuse an engine or sweep checkpoint of an older draw stream: version
+    1 drew Bernoulli floats, version 2 drew the gate algorithms' order
+    choices with ``generator.integers``."""
+    if version < 3:
+        drawn = (
+            "Bernoulli colorings as floats"
+            if version < 2
+            else "the randomized gate kernels' order choices with generator.integers"
+        )
         raise ValueError(
-            f"{path}: schema version {version} predates the Bernoulli sampler "
+            f"{path}: schema version {version} drew {drawn}, not from the sampler "
             f"stream {SAMPLER_STREAM!r}; resuming would mix two streams, so start afresh"
         )
 

@@ -52,9 +52,12 @@ import numpy as np
 from repro.core.coloring import ColoringDistribution, as_numpy_generator
 
 
-#: Version tag of the Bernoulli draw stream, folded into the service's
-#: cache keys so results of another stream are never served for a seed.
-SAMPLER_STREAM = "bitplane-v1"
+#: Version tag of the draw streams behind a seeded result, folded into the
+#: service's cache keys so results of another stream are never served for a
+#: seed.  It versions the Bernoulli colorings (bit-planes since v1) and the
+#: randomized gate kernels' order choices (bit-plane rejection draws of
+#: :mod:`repro.core.bitpacked` since v2).
+SAMPLER_STREAM = "bitplane-v2"
 
 #: Words (of 64 trials) per raw-draw slab of :meth:`BernoulliSource.sample_words`.
 _SLAB_WORDS = 64

@@ -39,8 +39,10 @@ import struct
 import zlib
 
 #: Version negotiated in the hello/welcome handshake; bumped on any
-#: incompatible frame or message change.
-PROTOCOL_VERSION = 2
+#: incompatible frame or message change, and on any change of what a chunk
+#: computes (3: bit-plane gate order choices), so a worker on older kernels
+#: is turned away rather than mixing two streams into one run.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct(">II")
 

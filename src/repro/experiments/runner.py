@@ -42,9 +42,10 @@ from repro.experiments.report import Row, row_from_dict, row_to_dict, violations
 #: lease reassignments observed by the run's engine calls); version 4
 #: added a ``backend`` kernel-backend knob, which version 6 drops again
 #: (each algorithm has one kernel); version 5 marks numbers seeded on the
-#: bit-plane Bernoulli stream.  Older artifacts still load, with ``"ok"``
+#: bit-plane Bernoulli stream, version 7 randomized gate numbers seeded on
+#: the bit-plane order choices.  Older artifacts still load, with ``"ok"``
 #: status and empty recovery; their ``backend`` field is ignored.
-ARTIFACT_SCHEMA_VERSION = 6
+ARTIFACT_SCHEMA_VERSION = 7
 
 #: ``kind`` field of unified experiment artifacts.
 ARTIFACT_KIND = "experiment"

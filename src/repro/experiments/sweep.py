@@ -62,16 +62,17 @@ SWEEP_KIND = "p_sweep"
 #: the per-cell recovery counters (``retries_used``/``pool_respawns``/
 #: ``worker_reassignments``); version 3 adds the per-cell resolved kernel
 #: ``backend``; version 4 marks cells seeded on the bit-plane Bernoulli
-#: stream.  Older artifacts still load, with every cell ``"ok"`` (v0), all
+#: stream, version 5 randomized gate cells seeded on the bit-plane order
+#: choices.  Older artifacts still load, with every cell ``"ok"`` (v0), all
 #: recovery counters zero (v0/v1) and backend ``"numpy"`` (v0-v2).
-SWEEP_SCHEMA_VERSION = 4
+SWEEP_SCHEMA_VERSION = 5
 
 #: ``kind`` field of sweep checkpoint files (grid-level resume).
 SWEEP_CHECKPOINT_KIND = "sweep_checkpoint"
 
 #: Version of the sweep checkpoint JSON schema (2: bit-plane Bernoulli
-#: stream; version-1 grids cannot be resumed).
-SWEEP_CHECKPOINT_SCHEMA_VERSION = 2
+#: stream; 3: bit-plane gate order choices).  Older grids cannot be resumed.
+SWEEP_CHECKPOINT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

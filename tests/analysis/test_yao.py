@@ -33,14 +33,6 @@ def _draws(name: str, system, trials: int, seed: int) -> list[Coloring]:
     return [Coloring.from_red_row(row) for row in red]
 
 
-def _chi_square_p_value(statistic: float, df: int) -> float:
-    """Upper tail of the chi-square distribution, Wilson–Hilferty cube-root
-    normal approximation (no scipy needed)."""
-    scale = 2.0 / (9.0 * df)
-    z = ((statistic / df) ** (1.0 / 3.0) - (1.0 - scale)) / math.sqrt(scale)
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 class TestMajorityHardDistribution:
     def test_source_draws_exactly_k_plus_one_reds(self):
         system = MajoritySystem(9)
@@ -190,7 +182,9 @@ class TestRegisteredHardSourcesFitTheirDistributions:
         ],
         ids=["majority", "cw", "tree"],
     )
-    def test_draw_frequencies_fit_the_distribution(self, name, distribution, system):
+    def test_draw_frequencies_fit_the_distribution(
+        self, name, distribution, system, chi_square_p_value
+    ):
         trials = 6000
         support = {w.coloring: w.probability for w in distribution(system).support}
         counts = dict.fromkeys(support, 0)
@@ -201,12 +195,12 @@ class TestRegisteredHardSourcesFitTheirDistributions:
             (counts[coloring] - trials * probability) ** 2 / (trials * probability)
             for coloring, probability in support.items()
         )
-        assert _chi_square_p_value(statistic, len(support) - 1) > 1e-3
+        assert chi_square_p_value(statistic, len(support) - 1) > 1e-3
 
-    def test_chi_square_tail_matches_known_quantiles(self):
+    def test_chi_square_tail_matches_known_quantiles(self, chi_square_p_value):
         # 95th percentiles of chi-square with 3 and 9 degrees of freedom.
-        assert abs(_chi_square_p_value(7.815, 3) - 0.05) < 0.005
-        assert abs(_chi_square_p_value(16.919, 9) - 0.05) < 0.003
+        assert abs(chi_square_p_value(7.815, 3) - 0.05) < 0.005
+        assert abs(chi_square_p_value(16.919, 9) - 0.05) < 0.003
 
 
 class TestHardDistributionsAreActuallyHard:

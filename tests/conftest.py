@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -70,3 +71,17 @@ def small_nd_system(request):
 @pytest.fixture(params=medium_systems(), ids=lambda s: s.name)
 def medium_system(request):
     return request.param
+
+
+def _chi_square_p_value(statistic: float, df: int) -> float:
+    """Upper tail of the chi-square distribution with ``df`` degrees of
+    freedom, by the Wilson–Hilferty cube-root normal approximation (the
+    tests run without scipy)."""
+    z = ((statistic / df) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * df))) / math.sqrt(2.0 / (9.0 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+@pytest.fixture
+def chi_square_p_value():
+    """:func:`_chi_square_p_value`, for goodness-of-fit tests."""
+    return _chi_square_p_value

@@ -11,12 +11,14 @@ case runs on its algorithm's one kernel, all of them packed.  For ProbeHQS
 the enumerated value is also checked against the closed recursion of
 :mod:`repro.experiments.hqs`.
 
-The randomized gate algorithms R_Probe_Tree and R_Probe_HQS get the same
-check against an exact oracle: their order choices are independent per
-node, so by linearity the expected probes on a fixed coloring follow a
-small recursion over the system's own node structure that averages the
-three evaluation orders (Tree) or six child permutations (HQS) at every
-node, and ``E_p[probes]`` weights that over all colorings.  The ``O(h)``
+The randomized gate algorithms R_Probe_Tree, R_Probe_HQS and IR_Probe_HQS
+get the same check against an exact oracle: their order choices are
+independent per node, so by linearity the expected probes on a fixed
+coloring follow a small recursion over the system's own node structure
+that averages the three evaluation orders (Tree), the six child
+permutations (HQS) or the 36 pairs of child order and grandchild order
+(IR_Probe_HQS) at every node, and ``E_p[probes]`` weights that over all
+colorings.  The ``O(h)``
 recursions of :mod:`repro.analysis.availability` must agree with that
 oracle, and then stand in for it at the sizes the sweeps run (Tree(h=9),
 HQS(6)), where enumeration is out of reach.
@@ -35,7 +37,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from repro.algorithms import ProbeCW, ProbeHQS, ProbeMaj, ProbeTree, RProbeHQS, RProbeTree
+from repro.algorithms import (
+    IRProbeHQS,
+    ProbeCW,
+    ProbeHQS,
+    ProbeMaj,
+    ProbeTree,
+    RProbeHQS,
+    RProbeTree,
+)
 from repro.analysis.availability import hqs_expected_probes, r_probe_tree_expected_probes
 from repro.core.coloring import Coloring
 from repro.core.engine import stream_probes
@@ -95,12 +105,54 @@ def _r_probe_hqs_oracle(system: HQS, red: np.ndarray, v: int):
     return (values[0] & values[1]) | (values[2] & (values[0] | values[1])), sum(orders) / 6
 
 
+def _ir_probe_hqs_oracle(system: HQS, red: np.ndarray, v: int):
+    """``(value, expected probes)`` of IR_Probe_HQS's call at node ``v``.
+
+    A gate of height >= 2 draws an order ``(r1, r2, r3)`` of its children
+    and an order ``(g1, g2, g3)`` of ``r2``'s children.  It evaluates
+    ``r1`` and peeks at ``g1``; on agreement it finishes ``r2`` (``g2``,
+    then ``g3`` if ``g1`` and ``g2`` differ) and then ``r3`` if ``r2``
+    differs from ``r1``; otherwise it evaluates ``r3`` and then finishes
+    ``r2`` if ``r3`` differs from ``r1``.  Each part is a standalone call,
+    whose expected cost is independent of the gate's draws, so the gate's
+    expectation averages the 36 order pairs over the parts' expectations.
+    Height-1 gates are R_Probe_HQS gates.
+    """
+    if system.is_leaf_node(v) or system.is_leaf_node(system.children(v)[0]):
+        return _r_probe_hqs_oracle(system, red, v)
+    kids = list(system.children(v))
+    children = [_ir_probe_hqs_oracle(system, red, child) for child in kids]
+    grand = [
+        [_ir_probe_hqs_oracle(system, red, g) for g in system.children(child)] for child in kids
+    ]
+    total = 0.0
+    for r1, r2, r3 in permutations(range(3)):
+        (v1, c1), (v2, _), (v3, c3) = children[r1], children[r2], children[r3]
+        for g1, g2, g3 in permutations(range(3)):
+            (peek_v, peek_c), (second_v, second_c), (_, third_c) = (
+                grand[r2][g1], grand[r2][g2], grand[r2][g3]
+            )
+            finish = second_c + (peek_v != second_v) * third_c
+            total = total + c1 + peek_c + np.where(
+                peek_v == v1,
+                finish + (v2 != v1) * c3,
+                c3 + (v3 != v1) * finish,
+            )
+    values = [value for value, _ in children]
+    return (values[0] & values[1]) | (values[2] & (values[0] | values[1])), total / 36
+
+
 def exact_randomized_expected_probes(algorithm, p: float) -> float:
-    """``E_p[probes]`` of R_Probe_Tree or R_Probe_HQS: the oracle's
-    per-coloring expectation weighted by ``p^r (1 - p)^(n - r)``."""
+    """``E_p[probes]`` of R_Probe_Tree, R_Probe_HQS or IR_Probe_HQS: the
+    oracle's per-coloring expectation weighted by ``p^r (1 - p)^(n - r)``."""
     system = algorithm.system
     red, reds = _all_colorings(system.n)
-    oracle = _r_probe_tree_oracle if isinstance(system, TreeSystem) else _r_probe_hqs_oracle
+    if isinstance(system, TreeSystem):
+        oracle = _r_probe_tree_oracle
+    elif isinstance(algorithm, IRProbeHQS):
+        oracle = _ir_probe_hqs_oracle
+    else:
+        oracle = _r_probe_hqs_oracle
     _, expected = oracle(system, red, system.root)
     weights = p**reds * (1.0 - p) ** (system.n - reds)
     return float(weights @ expected)
@@ -122,6 +174,12 @@ CASES = [
     pytest.param(RProbeTree(TreeSystem(3)), 0.5, 9.16667, "numpy", id="RProbeTree-h3-p0.5"),
     pytest.param(RProbeHQS(HQS(2)), 0.3, 5.65962, "numpy", id="RProbeHQS-h2-p0.3"),
     pytest.param(RProbeHQS(HQS(2)), 0.5, 6.25, "numpy", id="RProbeHQS-h2-p0.5"),
+    pytest.param(
+        IRProbeHQS(HQS(2)), 0.3, 5.61552, "bitpacked", id="IRProbeHQS-h2-p0.3-bitpacked"
+    ),
+    pytest.param(
+        IRProbeHQS(HQS(2)), 0.5, 6.1875, "bitpacked", id="IRProbeHQS-h2-p0.5-bitpacked"
+    ),
     pytest.param(
         ProbeCW(CrumblingWall([1, 2, 3, 3, 3])), 0.4, 7.54480, "bitpacked",
         id="ProbeCW-CW12-p0.4-bitpacked",

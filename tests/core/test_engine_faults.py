@@ -309,13 +309,17 @@ class TestInterruptionSemantics:
         assert resumed.backend == "bitpacked"
         assert _same_statistics(resumed, _baseline())
 
-    def test_checkpoint_from_the_float_sampler_stream_fails_loudly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "schema,drawn",
+        [(1, "Bernoulli colorings as floats"), (2, "order choices with generator.integers")],
+    )
+    def test_checkpoint_of_an_older_draw_stream_fails_loudly(self, tmp_path, schema, drawn):
         checkpoint = tmp_path / "run.ckpt"
         _baseline(checkpoint_path=checkpoint)
         payload = json.loads(checkpoint.read_text())
-        payload["schema"] = 1
+        payload["schema"] = schema
         checkpoint.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="run.ckpt.*sampler stream"):
+        with pytest.raises(ValueError, match=f"run.ckpt.*{drawn}.*sampler stream 'bitplane-v2'"):
             resume_stream(checkpoint)
 
     def test_checkpoint_written_without_pair_blob_refuses_cli_resume(self, tmp_path):

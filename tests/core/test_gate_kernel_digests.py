@@ -2,11 +2,14 @@
 
 R_Probe_Tree, R_Probe_HQS and IR_Probe_HQS draw their order choices from
 the chunk's algorithm generator, so every estimate they produce depends on
-exactly which ``generator.integers`` calls a kernel makes and what it makes
-of them.  The blake2s digests below were taken from the numpy gate kernels
-these algorithms ran on before they moved to bit-planes; a kernel rewrite
-keeps them only by making the same draws in the same order and computing
-the same per-trial probe counts and witnesses.
+exactly which raw words a kernel draws and what it makes of them.  The
+blake2s digests below pin the bit-plane order-choice stream
+(:func:`repro.core.bitpacked._order_choices`, stream ``bitplane-v2``): the
+height-0 cases draw nothing and keep the digests the numpy kernels set,
+every other case was regenerated when the order choices moved from
+``generator.integers`` to raw-word rejection draws.  A kernel rewrite keeps
+them only by making the same draws in the same order and computing the
+same per-trial probe counts and witnesses.
 
 The cases cover what a packed kernel could get wrong that a single
 aligned chunk would not show: chunk sizes that start chunks mid-word (63,
@@ -26,8 +29,8 @@ from repro.algorithms import IRProbeHQS, RProbeHQS, RProbeTree
 from repro.core.batched import batched_run
 from repro.core.bitpacked import (
     PackedColorings,
-    _draw_planes,
     _permutation_masks,
+    pack_matrix,
     run_packed,
     sample_packed,
     unpack_lanes,
@@ -83,28 +86,28 @@ DIGESTS = {
     "RProbeTree-h0/batched-63": "8939cd3a55fc5c0f6254939b87cde2e7",
     "RProbeTree-h0/batched-65": "33814573d45f177f4b1efe4a4603c6c5",
     "RProbeTree-h0/batched-777": "cdeb46269ba380c1c2b98e7f2504607e",
-    "RProbeTree-h1/chunk-1": "81a81330b878341e261243453c3b066d",
+    "RProbeTree-h1/chunk-1": "b7c48599452c9ce947444633fd3661a4",
     "RProbeTree-h1/chunk-63": "01fffdbd597eb25d273ce81b743b1cc5",
-    "RProbeTree-h1/chunk-100": "453aa752c843fe9ad9dd7aae4c09f3b8",
-    "RProbeTree-h1/chunk-2048": "8a40a022adea10547d64bbbcb56e3695",
-    "RProbeTree-h1/jobs-2": "647c787b31cb10bd59da1ab76b578ca0",
-    "RProbeTree-h1/fixed_count": "c1b19d68c0a3e48f7e6bfa43850e7e6e",
-    "RProbeTree-h1/correlated_groups": "6c5f75c5a9389043c6417d357fccf7b3",
-    "RProbeTree-h1/batched-1": "95df30a9264733ed953d2170a38193e0",
-    "RProbeTree-h1/batched-63": "30d8b36f97cc833b96585c723737d0b0",
-    "RProbeTree-h1/batched-65": "e54b3723cf69ff532fcd690771508096",
-    "RProbeTree-h1/batched-777": "3fe87e789275ec4c202b92193b24e817",
-    "RProbeTree-h5/chunk-1": "eae46452fa1b4139bc73df535b4bae72",
-    "RProbeTree-h5/chunk-63": "c90c51e62007392a7cefd5475b27996e",
-    "RProbeTree-h5/chunk-100": "3b45bdb9060e732b9424a2e3a64d7973",
-    "RProbeTree-h5/chunk-2048": "bee4e15f7d01e44cd0b28b22174ce1d1",
-    "RProbeTree-h5/jobs-2": "328fcee8b0ba9ae299a6b8ec819ff689",
-    "RProbeTree-h5/fixed_count": "3bd7e36d8cc8a73716f2affcf963c462",
-    "RProbeTree-h5/correlated_groups": "60b15a76e113311170a59360105ad942",
-    "RProbeTree-h5/batched-1": "4431802c58fea732d3126edb100d13bb",
-    "RProbeTree-h5/batched-63": "d5a8b12173e872e734efdfb415eb8f05",
-    "RProbeTree-h5/batched-65": "25985ad67979a59cb538e6c97e97ac75",
-    "RProbeTree-h5/batched-777": "b840dfe71a7abd4c9fb614f937b05e2b",
+    "RProbeTree-h1/chunk-100": "b2ffdf0583e71f9ae2367f28ca2275b5",
+    "RProbeTree-h1/chunk-2048": "9a621217c7c9aff76da62adb3a5f01c6",
+    "RProbeTree-h1/jobs-2": "e327761d936bcf5481e1339ee701d2c3",
+    "RProbeTree-h1/fixed_count": "0aca60891ea50a775adaa666a6cb9397",
+    "RProbeTree-h1/correlated_groups": "5b14d9251e89a2c81f3d0d5defacebe3",
+    "RProbeTree-h1/batched-1": "910174bc76a2cb1cdb26591d60a11ca6",
+    "RProbeTree-h1/batched-63": "2a9b04a338e7325894bcbb65c77ca686",
+    "RProbeTree-h1/batched-65": "30dc50bcea959223bc552cf8243bc8b6",
+    "RProbeTree-h1/batched-777": "df7ff34d33b508ad73e9d74226783874",
+    "RProbeTree-h5/chunk-1": "f21029ec0422bb0f6d891582399f4f99",
+    "RProbeTree-h5/chunk-63": "19fb3b2d2f19ab6ce987771b84046f77",
+    "RProbeTree-h5/chunk-100": "3322c3abe1598dee0e1775e3b3b9d3c9",
+    "RProbeTree-h5/chunk-2048": "8d2d625727b48bc32b8eee48f058bdb4",
+    "RProbeTree-h5/jobs-2": "0afb55132d2bdb60b1d873a4c03980ce",
+    "RProbeTree-h5/fixed_count": "e1e515aef985e7affdba5ef102552851",
+    "RProbeTree-h5/correlated_groups": "ba5dfc482f8f5a2c282187f46e22b46f",
+    "RProbeTree-h5/batched-1": "4a17d87855cbc0ccbc80cb28d10b032b",
+    "RProbeTree-h5/batched-63": "22f8f0f94a4122cdbe9cbb9f33633188",
+    "RProbeTree-h5/batched-65": "13f9a1317d1b72edd429990117545840",
+    "RProbeTree-h5/batched-777": "8a345988505e0af526d4d6a88e9bdb36",
     "RProbeHQS-h0/chunk-1": "c9d7c513464e0b10257711a52d18da53",
     "RProbeHQS-h0/chunk-63": "111f93a9f77873ec686d2b7081b84fb4",
     "RProbeHQS-h0/chunk-100": "111f93a9f77873ec686d2b7081b84fb4",
@@ -116,28 +119,28 @@ DIGESTS = {
     "RProbeHQS-h0/batched-63": "8939cd3a55fc5c0f6254939b87cde2e7",
     "RProbeHQS-h0/batched-65": "33814573d45f177f4b1efe4a4603c6c5",
     "RProbeHQS-h0/batched-777": "cdeb46269ba380c1c2b98e7f2504607e",
-    "RProbeHQS-h1/chunk-1": "019dfabb204d76d5e35c340fa49bbbb4",
-    "RProbeHQS-h1/chunk-63": "2112b8c7456739f3ee80b3fef9aef78b",
-    "RProbeHQS-h1/chunk-100": "57e9a7ba489120b66e273a62fcc56eee",
-    "RProbeHQS-h1/chunk-2048": "75635c7cfc16e154c79c758f84ae3c9b",
-    "RProbeHQS-h1/jobs-2": "ad18e5ac8c2bc48529bc4005d88e52b7",
-    "RProbeHQS-h1/fixed_count": "8bfdd8ed086dc0ea8cdad56b72b1e9e6",
-    "RProbeHQS-h1/correlated_groups": "4358422b3493d7ade152ed8122f3e70f",
-    "RProbeHQS-h1/batched-1": "95df30a9264733ed953d2170a38193e0",
-    "RProbeHQS-h1/batched-63": "ac21caf9bfad8f645ab9207a32fc89db",
-    "RProbeHQS-h1/batched-65": "e48e5a56942c1860c3e6911c7a2d16d0",
-    "RProbeHQS-h1/batched-777": "88241645ddbf562789be92e54ea67eba",
-    "RProbeHQS-h4/chunk-1": "fac382c1a5b6ea264fe783afafdb7468",
-    "RProbeHQS-h4/chunk-63": "ce1bf1beaf475aeaff83bd2a632580a3",
-    "RProbeHQS-h4/chunk-100": "6c33c2d6f425c95e604b231dce0ab3c9",
-    "RProbeHQS-h4/chunk-2048": "e2db79e501bc21c69d7741390d19051a",
-    "RProbeHQS-h4/jobs-2": "530963712b2535753ab47684f6bdd3d0",
-    "RProbeHQS-h4/fixed_count": "6430d94c3603e795a10a0b54115bc525",
-    "RProbeHQS-h4/correlated_groups": "7d0b2074ad914d79eb612b213baa6c4f",
-    "RProbeHQS-h4/batched-1": "36cc3ffcb5526e838f1f57c1fc623100",
-    "RProbeHQS-h4/batched-63": "f4291159862722d5244a8c97c9a9b70e",
-    "RProbeHQS-h4/batched-65": "80eac292d2bf3cd1531a6c325f57eef3",
-    "RProbeHQS-h4/batched-777": "ec9b362c689be72339d29178cbd0b1d3",
+    "RProbeHQS-h1/chunk-1": "b7c48599452c9ce947444633fd3661a4",
+    "RProbeHQS-h1/chunk-63": "52cd90ec427234c12817ec7c0f1a09e3",
+    "RProbeHQS-h1/chunk-100": "693827baac0daefb94ea873cd700bd93",
+    "RProbeHQS-h1/chunk-2048": "27e986526ffb6f6202455498e127a553",
+    "RProbeHQS-h1/jobs-2": "5bdde14b960c9d9dccc8c6091866a590",
+    "RProbeHQS-h1/fixed_count": "ca1de5cc6adbe45cca73bc87250fce0c",
+    "RProbeHQS-h1/correlated_groups": "905741af178f1de8cf2da9215580355d",
+    "RProbeHQS-h1/batched-1": "910174bc76a2cb1cdb26591d60a11ca6",
+    "RProbeHQS-h1/batched-63": "79e0a7839b1422b2ea0b040f4fd3ff9a",
+    "RProbeHQS-h1/batched-65": "08d796ed4a7d51118f197fc4a1a2fab1",
+    "RProbeHQS-h1/batched-777": "1454fd252f8ec4a93724560e1867d5df",
+    "RProbeHQS-h4/chunk-1": "da0f496e1a65a112314b22d0c0aeba5a",
+    "RProbeHQS-h4/chunk-63": "a4fc7f337356b354eef2bbfff2cc5ade",
+    "RProbeHQS-h4/chunk-100": "ca41c25524909844d061ef63bf4a133d",
+    "RProbeHQS-h4/chunk-2048": "63ac9b9f65f6341be1edefdca14b77d6",
+    "RProbeHQS-h4/jobs-2": "00a8bab484b644a348a5e2f8913a0263",
+    "RProbeHQS-h4/fixed_count": "df6b9d3713127122d9a298ffce951211",
+    "RProbeHQS-h4/correlated_groups": "116787e50bb4b332cf5a931cde730a96",
+    "RProbeHQS-h4/batched-1": "3c2a240d967a64c42ca3353b551a894a",
+    "RProbeHQS-h4/batched-63": "38bdc0e3dd9795ce8e2f6ddb5c97ffa5",
+    "RProbeHQS-h4/batched-65": "419d641a2405ffad3d8299480061d953",
+    "RProbeHQS-h4/batched-777": "ff84a9fa9882a87bd1d105ca17a83e12",
     "IRProbeHQS-h0/chunk-1": "c9d7c513464e0b10257711a52d18da53",
     "IRProbeHQS-h0/chunk-63": "111f93a9f77873ec686d2b7081b84fb4",
     "IRProbeHQS-h0/chunk-100": "111f93a9f77873ec686d2b7081b84fb4",
@@ -149,50 +152,50 @@ DIGESTS = {
     "IRProbeHQS-h0/batched-63": "8939cd3a55fc5c0f6254939b87cde2e7",
     "IRProbeHQS-h0/batched-65": "33814573d45f177f4b1efe4a4603c6c5",
     "IRProbeHQS-h0/batched-777": "cdeb46269ba380c1c2b98e7f2504607e",
-    "IRProbeHQS-h1/chunk-1": "019dfabb204d76d5e35c340fa49bbbb4",
-    "IRProbeHQS-h1/chunk-63": "2112b8c7456739f3ee80b3fef9aef78b",
-    "IRProbeHQS-h1/chunk-100": "57e9a7ba489120b66e273a62fcc56eee",
-    "IRProbeHQS-h1/chunk-2048": "75635c7cfc16e154c79c758f84ae3c9b",
-    "IRProbeHQS-h1/jobs-2": "ad18e5ac8c2bc48529bc4005d88e52b7",
-    "IRProbeHQS-h1/fixed_count": "8bfdd8ed086dc0ea8cdad56b72b1e9e6",
-    "IRProbeHQS-h1/correlated_groups": "4358422b3493d7ade152ed8122f3e70f",
-    "IRProbeHQS-h1/batched-1": "95df30a9264733ed953d2170a38193e0",
-    "IRProbeHQS-h1/batched-63": "ac21caf9bfad8f645ab9207a32fc89db",
-    "IRProbeHQS-h1/batched-65": "e48e5a56942c1860c3e6911c7a2d16d0",
-    "IRProbeHQS-h1/batched-777": "88241645ddbf562789be92e54ea67eba",
-    "IRProbeHQS-h2/chunk-1": "ebf84857d7a51a4b055cc37a83ce8fec",
-    "IRProbeHQS-h2/chunk-63": "fb3193c9c149d41c2e031478d1ceff54",
-    "IRProbeHQS-h2/chunk-100": "477afc37564532bd8ae9044627c7448a",
-    "IRProbeHQS-h2/chunk-2048": "70bf541ef3d2a1d2e7d5920841d6d805",
-    "IRProbeHQS-h2/jobs-2": "c7003f6d689d733a945b0403e25469cb",
-    "IRProbeHQS-h2/fixed_count": "cdf322d15fd12430c5b4485d3e4fd00c",
-    "IRProbeHQS-h2/correlated_groups": "ed41f15aed3b6fe9b7594ebb9a07ed85",
-    "IRProbeHQS-h2/batched-1": "ee0e228d0f5cec826a0927f970e3ddb7",
-    "IRProbeHQS-h2/batched-63": "68e5275394146f72f894ce69da4c556c",
-    "IRProbeHQS-h2/batched-65": "e73d01dff36063ff4687649aeb907fa2",
-    "IRProbeHQS-h2/batched-777": "c7f3502eb84fbe742d2fcc2368dae654",
-    "IRProbeHQS-h3/chunk-1": "20725a8deb2aafbe4c38992a78201afc",
-    "IRProbeHQS-h3/chunk-63": "5f361b3eda76c08d220051dd94175686",
-    "IRProbeHQS-h3/chunk-100": "271b3a99fe0f6ec9b911510f7d823732",
-    "IRProbeHQS-h3/chunk-2048": "21160108904678c9a18e84de2ee6b7f4",
-    "IRProbeHQS-h3/jobs-2": "037f5430e7143ba7fcb866cf794f7b1b",
-    "IRProbeHQS-h3/fixed_count": "678c76e068bd9f69950599d7fa89bde9",
-    "IRProbeHQS-h3/correlated_groups": "b1ced9de89c2e6d1a3d97cf0031f7e6d",
-    "IRProbeHQS-h3/batched-1": "1ed3b4492704626abe1dbbbe27390307",
-    "IRProbeHQS-h3/batched-63": "4ea619312abe41df1e7b07da475212e7",
-    "IRProbeHQS-h3/batched-65": "ac3587768b64837925ccef8bbaff780d",
-    "IRProbeHQS-h3/batched-777": "5a505eb109deca8706a946e728563690",
-    "IRProbeHQS-h4/chunk-1": "10c57bf194031882ccbd6017b209ce7a",
-    "IRProbeHQS-h4/chunk-63": "cd426cb11bf0ffb04c03203330958c32",
-    "IRProbeHQS-h4/chunk-100": "710920783980734f04f6eb928d6156e0",
-    "IRProbeHQS-h4/chunk-2048": "de218374aa9bfe55e6507844cc028c78",
-    "IRProbeHQS-h4/jobs-2": "45c2d37ed91b5217aeab632602994f61",
-    "IRProbeHQS-h4/fixed_count": "f3f3b34b199c57dd8a2a074028ed8451",
-    "IRProbeHQS-h4/correlated_groups": "409d871b92f4ef9b24045539691f9dc6",
-    "IRProbeHQS-h4/batched-1": "3c2a240d967a64c42ca3353b551a894a",
-    "IRProbeHQS-h4/batched-63": "f5c96a6af4d6e9e77e7158aaa515e988",
-    "IRProbeHQS-h4/batched-65": "9ee5d8ac0b32d65beb0d340ca61dadbc",
-    "IRProbeHQS-h4/batched-777": "e3a63cc8f0da57abc470ad7118ee4436",
+    "IRProbeHQS-h1/chunk-1": "b7c48599452c9ce947444633fd3661a4",
+    "IRProbeHQS-h1/chunk-63": "52cd90ec427234c12817ec7c0f1a09e3",
+    "IRProbeHQS-h1/chunk-100": "693827baac0daefb94ea873cd700bd93",
+    "IRProbeHQS-h1/chunk-2048": "27e986526ffb6f6202455498e127a553",
+    "IRProbeHQS-h1/jobs-2": "5bdde14b960c9d9dccc8c6091866a590",
+    "IRProbeHQS-h1/fixed_count": "ca1de5cc6adbe45cca73bc87250fce0c",
+    "IRProbeHQS-h1/correlated_groups": "905741af178f1de8cf2da9215580355d",
+    "IRProbeHQS-h1/batched-1": "910174bc76a2cb1cdb26591d60a11ca6",
+    "IRProbeHQS-h1/batched-63": "79e0a7839b1422b2ea0b040f4fd3ff9a",
+    "IRProbeHQS-h1/batched-65": "08d796ed4a7d51118f197fc4a1a2fab1",
+    "IRProbeHQS-h1/batched-777": "1454fd252f8ec4a93724560e1867d5df",
+    "IRProbeHQS-h2/chunk-1": "c2b3e5d1a427887eece26f6285a9c1f6",
+    "IRProbeHQS-h2/chunk-63": "9a4dbd5d14fd531bbdccc7fff19b5232",
+    "IRProbeHQS-h2/chunk-100": "8234566203b803feb778656356e0c850",
+    "IRProbeHQS-h2/chunk-2048": "841167c8200f6cc38545b48d3f838dcd",
+    "IRProbeHQS-h2/jobs-2": "c30cd3ad9393ccc5c38d95fdee4eb48a",
+    "IRProbeHQS-h2/fixed_count": "9d4bba3b4df323b8f7f355138adc3e6a",
+    "IRProbeHQS-h2/correlated_groups": "01217744e27041f6ba98a9f2cde4b833",
+    "IRProbeHQS-h2/batched-1": "7065f2f6340b536d17ac70696414612d",
+    "IRProbeHQS-h2/batched-63": "d4a2c3afd4ceaedb352bc0329cbdb59e",
+    "IRProbeHQS-h2/batched-65": "4f92dd745224ece6f9b58e1bd26bcee3",
+    "IRProbeHQS-h2/batched-777": "6283b90531658a07c2f29fa42887a6c7",
+    "IRProbeHQS-h3/chunk-1": "dc5879d3110232b5fc8e262184a8b7ac",
+    "IRProbeHQS-h3/chunk-63": "b58b8d340292242cf0f0c42060a7d987",
+    "IRProbeHQS-h3/chunk-100": "89059c16137eb221fe83d956c470dfb6",
+    "IRProbeHQS-h3/chunk-2048": "7c170cf8772925ee76a9f9728211ffa2",
+    "IRProbeHQS-h3/jobs-2": "c7643a813b89de9b58b98476ab4c8c74",
+    "IRProbeHQS-h3/fixed_count": "d7bb2605cf06d58edfd0e712e6edddc5",
+    "IRProbeHQS-h3/correlated_groups": "f671f64c4762dd283919bbf5fe01bc94",
+    "IRProbeHQS-h3/batched-1": "089ea1578cd13fe9cac718ce8757ab19",
+    "IRProbeHQS-h3/batched-63": "fce0fd92126e9e8a2d101abbe49ec329",
+    "IRProbeHQS-h3/batched-65": "6b90f74b811db5690a028deed90be3f2",
+    "IRProbeHQS-h3/batched-777": "f0f1f91723a0f705883de78eecd2f8d2",
+    "IRProbeHQS-h4/chunk-1": "16b05799e4834b99872868ee31623fa5",
+    "IRProbeHQS-h4/chunk-63": "818aab851db45028dfc5aa5a6e534fa3",
+    "IRProbeHQS-h4/chunk-100": "9f9114bd6b6b6815961fc1505cee1b8b",
+    "IRProbeHQS-h4/chunk-2048": "5782f354c31041498872122e67926379",
+    "IRProbeHQS-h4/jobs-2": "b77a405facdb5ae6b3b5b69d1b6c6d9a",
+    "IRProbeHQS-h4/fixed_count": "f2a5bbbddd89591e00871632483bddb3",
+    "IRProbeHQS-h4/correlated_groups": "d50769acb4493aa342396c1aef5e5ba1",
+    "IRProbeHQS-h4/batched-1": "c0588b7f198906beb6ee17a70f68673e",
+    "IRProbeHQS-h4/batched-63": "b8ed02c2ce5fccb7a1b378a3e030fbe2",
+    "IRProbeHQS-h4/batched-65": "640389bd79043f8555103b5319310a56",
+    "IRProbeHQS-h4/batched-777": "1ac19380acc9de1667782b679994630d",
 }
 
 
@@ -237,18 +240,19 @@ def test_batched_run_matches_pinned_digest(name, case):
     assert batched_digest(name, case) == DIGESTS[f"{name}/{case}"]
 
 
-#: The six permutations of a gate's children, indexed by the drawn
-#: ``integers(6)`` value: the order the sequential algorithms' shuffle is
-#: matched against.
+#: The six permutations of a gate's children, indexed by the drawn six-way
+#: choice ``k``: the order the sequential algorithms' shuffle is matched
+#: against.
 PERMUTATIONS_3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 def test_permutation_masks_follow_the_lexicographic_table():
-    # 600 draws of one gate cover every index many times over.
+    # 600 lanes cover every index many times over; the code planes are the
+    # bits of k, packed 64 lanes to a word.
     trials = 600
-    [code] = _draw_planes(np.random.default_rng(0), 6, trials, [1])
-    k = np.random.default_rng(0).integers(6, size=trials)
+    k = np.arange(trials) % 6
     assert set(k.tolist()) == set(range(6))
+    code = pack_matrix((k[:, None] >> np.arange(3)) & 1).words.T
     masks = _permutation_masks(code)
     for position in range(3):
         for child in range(3):

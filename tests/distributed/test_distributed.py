@@ -299,14 +299,17 @@ class TestCoordinatorCrashResume:
 
 
 class TestHandshake:
-    def test_version_one_hello_is_refused(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_hello_is_refused(self, version):
         # Version 2 changed the ``pair`` frame: it carries (algorithm,
-        # source) without the backend, so a version-1 worker is turned away.
+        # source) without the backend.  Version 3 workers draw the gate
+        # order choices as bit-planes, so a version-2 worker would merge
+        # chunks of the integers stream.  Either is turned away.
         import socket
 
         with Coordinator() as coordinator:
             with socket.create_connection(coordinator.addresses[0], timeout=10.0) as sock:
-                hello = {**protocol.hello_message("old-worker"), "protocol": 1}
+                hello = {**protocol.hello_message("old-worker"), "protocol": version}
                 protocol.send_message(sock, hello)
                 try:
                     answer = protocol.recv_message(sock)

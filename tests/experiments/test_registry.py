@@ -315,11 +315,11 @@ class TestRecoveryAccounting:
         assert loaded.rows == clean.rows
 
     def test_artifact_drops_the_backend_field(self, tmp_path):
-        # Schema 6: each algorithm has one kernel, so an experiment records
-        # no backend; schema-4/5 artifacts that carry one still load.
+        # Since schema 6 each algorithm has one kernel, so an experiment
+        # records no backend; schema-4/5 artifacts that carry one still load.
         result = run_experiment("tree", {"trials": 15}, strict=False)
         payload = result.to_dict()
-        assert "backend" not in payload and payload["schema"] == 6
+        assert "backend" not in payload and payload["schema"] == ARTIFACT_SCHEMA_VERSION
         payload.update(schema=5, backend="auto")
         path = tmp_path / "schema5.json"
         path.write_text(json.dumps(payload))

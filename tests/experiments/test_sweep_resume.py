@@ -167,15 +167,20 @@ class TestCheckpointLoader:
         with pytest.raises(ValueError, match="kind"):
             load_sweep_checkpoint(path)
 
-    def test_checkpoint_from_the_float_sampler_stream_refused(self, tmp_path):
-        # Version-1 grids drew Bernoulli floats; resuming one would mix its
-        # cells with cells of the bit-plane stream.
+    @pytest.mark.parametrize(
+        "schema,drawn",
+        [(1, "Bernoulli colorings as floats"), (2, "order choices with generator.integers")],
+    )
+    def test_checkpoint_of_an_older_draw_stream_refused(self, tmp_path, schema, drawn):
+        # Version-1 grids drew Bernoulli floats, version-2 grids the gate
+        # order choices with generator.integers; resuming one would mix its
+        # cells with cells of the current stream.
         path = tmp_path / "sweep.ckpt"
         run_sweep("tree", checkpoint_path=path, **GRID)
         payload = json.loads(path.read_text())
-        payload["schema"] = 1
+        payload["schema"] = schema
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="sweep.ckpt.*sampler stream"):
+        with pytest.raises(ValueError, match=f"sweep.ckpt.*{drawn}.*sampler stream"):
             run_sweep("tree", resume=path, **GRID)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.service.cache import ResultCache, cache_key, canonical_json, result_crc
 from repro.testing.faults import truncate_file
 
@@ -21,11 +23,13 @@ def test_cache_key_separates_different_parameters():
     assert cache_key(PARAMS) != cache_key({**PARAMS, "seed": 1})
 
 
-def test_entry_keyed_before_the_sampler_stream_change_misses(tmp_path):
-    # Pre-change keys hashed the parameters alone; the result stored there
-    # came from the float Bernoulli stream, which the seed no longer gives.
+@pytest.mark.parametrize("stream", ["", "bitplane-v1:"], ids=["float-stream", "bitplane-v1"])
+def test_entry_keyed_before_a_sampler_stream_change_misses(tmp_path, stream):
+    # Keys before the first stream change hashed the parameters alone (float
+    # Bernoulli draws); "bitplane-v1" keys date from gate order choices drawn
+    # with generator.integers.  Neither result is what the seed gives now.
     cache = ResultCache(tmp_path)
-    old_key = hashlib.blake2s(canonical_json(PARAMS).encode()).hexdigest()
+    old_key = hashlib.blake2s(f"{stream}{canonical_json(PARAMS)}".encode()).hexdigest()
     cache.put(old_key, PARAMS, RESULT)
     assert cache_key(PARAMS) != old_key
     assert cache.get(cache_key(PARAMS)) is None
