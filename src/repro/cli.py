@@ -869,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         dest="data_dir",
         metavar="DIR",
-        help="durable state directory (job journal, checkpoints, result cache)",
+        help="durable state directory (job journal with results, checkpoints)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(

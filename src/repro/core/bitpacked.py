@@ -90,7 +90,7 @@ from repro.algorithms.majority import ProbeMaj
 from repro.algorithms.tree import ProbeTree, RProbeTree
 from repro.core.batched import _cw_row_columns, kernel_scratch, register_kernel
 from repro.core.coloring import as_numpy_generator
-from repro.core.distributions import BernoulliSource, ColoringSource, unpack_words
+from repro.core.distributions import BernoulliSource, ColoringSource, raw_draws_64, unpack_words
 
 #: All 64 bits set — the packed representation of "every trial lane".
 ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -521,9 +521,7 @@ def _order_choices(generator, ways: int, trials: int, widths: list[int]) -> list
     n_words = -(-trials // 64)
     bounds = (n_words * np.cumsum([0, *widths])).tolist()
     m = bounds[-1]
-    bits = generator.bit_generator
-    if isinstance(bits, np.random.MT19937):
-        raise ValueError("order choices need 64-bit raw draws; MT19937 draws 32")
+    bits = raw_draws_64(generator, "order choices")
     count = 2 if ways == 3 else 3
     raw = bits.random_raw(count * m).reshape(count, m)
     a, b = raw[0], raw[1]

@@ -63,6 +63,20 @@ SAMPLER_STREAM = "bitplane-v2"
 _SLAB_WORDS = 64
 
 
+def raw_draws_64(generator: np.random.Generator, purpose: str):
+    """``generator``'s bit generator, whose ``random_raw`` words the
+    bit-plane samplers read as 64 lanes; MT19937's raw words carry only
+    32 bits, which would leave half of every word's lanes fixed, so it is
+    refused with a ``ValueError`` naming it."""
+    bit_generator = generator.bit_generator
+    if isinstance(bit_generator, np.random.MT19937):
+        raise ValueError(
+            f"{purpose} need 64-bit raw draws; "
+            f"{type(bit_generator).__name__} draws 32"
+        )
+    return bit_generator
+
+
 def sample_bernoulli_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
     """Sample ``trials`` i.i.d. colorings as a ``(trials, n)`` bool matrix."""
     return BernoulliSource(n, p).sample_matrix(n, trials, rng)
@@ -209,6 +223,7 @@ class BernoulliSource(ColoringSource):
         """Draw ``trials`` colorings as ``(ceil(trials / 64), n)`` lane words
         (zero past ``trials``): each raw draw is one bit-plane over 64 trials,
         word ``w`` reading its ``K(p) · n`` draws as ``(plane, element)``."""
+        bit_generator = raw_draws_64(generator, "Bernoulli bit-planes")
         n_words = -(-trials // 64)
         if not self._bits or not self._n:
             words = np.full((n_words, self._n), (1 << 64) - 1 if self._p == 1 else 0, np.uint64)
@@ -216,7 +231,7 @@ class BernoulliSource(ColoringSource):
             words = np.empty((n_words, self._n), dtype=np.uint64)
             for first in range(0, n_words, _SLAB_WORDS):
                 count = min(_SLAB_WORDS, n_words - first)
-                words[first : first + count] = self._slab(generator.bit_generator, count)
+                words[first : first + count] = self._slab(bit_generator, count)
         if trials % 64:
             words[-1] &= np.uint64((1 << trials % 64) - 1)
         return words

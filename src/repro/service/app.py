@@ -18,9 +18,11 @@ Robustness model (the point of this module):
   leaves the socket, and every state change is an atomic write.  Runs
   checkpoint through the engine's own ``checkpoint_path`` hook, so
   ``kill -9`` at *any* moment loses at most the chunks since the last
-  durable boundary: the startup scan re-queues interrupted jobs and the
-  resumed runs are byte-identical to uninterrupted ones (the engine's
-  ``(seed, start)`` chunk keying).  Completed jobs are never re-run.
+  durable boundary: the startup scan re-queues interrupted jobs, which
+  rebuild their run from the journaled parameters and resume from the
+  checkpoint's chunk state alone (no code object is read back from disk),
+  byte-identical to uninterrupted runs (the engine's ``(seed, start)``
+  chunk keying).  Completed jobs are never re-run.
 * **Admission control** — a bounded queue; a full queue or a non-ready
   service answers ``503`` with a ``Retry-After`` header instead of
   accepting work it cannot do.  Failed runs retry with exponential
@@ -35,8 +37,10 @@ Robustness model (the point of this module):
   checkpoint and return to ``submitted``, then the server exits.  A
   second signal force-exits.
 * **Caching** — results are content-addressed by the resolved request
-  parameters (:mod:`repro.service.cache`); repeated queries are one file
-  read, integrity-checked by CRC before serving.
+  parameters (:mod:`repro.service.cache`); a repeated query is one lookup
+  in an in-memory index of the journal's ``done`` records, whose CRCs are
+  checked when the journal loads.  The journal is the only durable copy
+  of a result.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from repro.core.engine import (
     ChunkPool,
     RunDeadlineExceeded,
     RunInterrupted,
-    resume_stream,
     stream_probes,
 )
 from repro.service.cache import ResultCache, cache_key
@@ -100,8 +103,8 @@ class ProbeService:
 
     The HTTP layer (:class:`ProbeServer`) is a thin shell over this
     object; tests drive it directly.  ``data_dir`` holds everything
-    durable: ``journal/`` (job records + engine checkpoints) and
-    ``cache/`` (content-addressed results).
+    durable: ``journal/`` (job records, results included) and
+    ``journal/checkpoints/`` (engine and sweep checkpoints).
     """
 
     def __init__(
@@ -132,7 +135,7 @@ class ProbeService:
         self.deadline = deadline
 
         self.journal = JobJournal(self.data_dir / "journal")
-        self.cache = ResultCache(self.data_dir / "cache")
+        self.cache = ResultCache()
         self.metrics = ServiceMetrics()
         self.stop_event = threading.Event()
         self.state = "ready"
@@ -160,14 +163,9 @@ class ProbeService:
         pending, finished = self.journal.recover()
         for job in finished:
             self._jobs[job.id] = job
-            # A crash between the ``done`` journal write and the cache put
-            # leaves a completed result that is not yet addressable;
-            # backfill so repeat queries hit.
-            if job.state == "done" and job.result is not None:
-                if not self.cache.path_for(job.cache_key).is_file():
-                    self.cache.put(
-                        job.cache_key, {"kind": job.kind, **job.params}, job.result
-                    )
+            # Schema-1 records carry no CRC: served, but not indexed.
+            if job.state == "done" and job.schema >= 2:
+                self.cache.put(job.cache_key, job.result)
         for job in pending:
             self._jobs[job.id] = job
             self.metrics.inc("jobs_recovered_total")
@@ -211,8 +209,6 @@ class ProbeService:
             self._pool.shutdown()
             self._pool = None
 
-    close = drain
-
     def _set_state(self, state: str) -> None:
         self.state = state
         self.metrics.set_gauge("service_state", STATE_CODES[state])
@@ -255,16 +251,16 @@ class ProbeService:
         return 202, {"id": job.id, "state": "submitted", "cache_key": job.cache_key}
 
     def job_view(self, job_id: str) -> dict | None:
-        """The public record for ``job_id``, or ``None`` (404)."""
+        """The public record for ``job_id``, or ``None`` (404).
+
+        Every record is loaded at :meth:`start` and every new job joins at
+        :meth:`submit`, so an id this service does not know is unknown —
+        it is never looked up on disk.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is not None:
-                # Under the lock: ``state`` and ``result`` are never torn.
-                return job.public_view()
-        try:
-            return self.journal.load(job_id).public_view()
-        except FileNotFoundError:
-            return None
+            # Under the lock: ``state`` and ``result`` are never torn.
+            return None if job is None else job.public_view()
 
     def next_request_ordinal(self) -> int:
         """1-based POST ordinal (the ``"service-handler"`` fault key)."""
@@ -340,43 +336,36 @@ class ProbeService:
     def _execute(self, job: Job) -> dict:
         params = job.params
         checkpoint = self.journal.checkpoint_path(job)
+        resume = checkpoint if checkpoint.is_file() else None
         if job.kind == "estimate":
-            if checkpoint.is_file():
-                result = resume_stream(
-                    checkpoint,
-                    jobs=self.engine_jobs,
-                    executor=self._pool,
-                    retries=self.retries,
-                    chunk_timeout=self.chunk_timeout,
-                    stop_event=self.stop_event,
-                    run_timeout=self.deadline,
-                )
-            else:
-                system = build_system(params["system"], params["size"])
-                algorithm = (
-                    default_randomized_algorithm(system)
-                    if params["randomized"]
-                    else default_deterministic_algorithm(system)
-                )
-                source = build_source(params["distribution"], system, params["p"])
-                result = stream_probes(
-                    algorithm,
-                    source,
-                    trials=params["trials"],
-                    target_ci=params["target_ci"],
-                    chunk_size=params["chunk_size"],
-                    min_trials=params["min_trials"],
-                    max_trials=params["max_trials"],
-                    seed=params["seed"],
-                    jobs=self.engine_jobs,
-                    executor=self._pool,
-                    retries=self.retries,
-                    chunk_timeout=self.chunk_timeout,
-                    checkpoint_path=checkpoint,
-                    backend=params["backend"],
-                    stop_event=self.stop_event,
-                    run_timeout=self.deadline,
-                )
+            system = build_system(params["system"], params["size"])
+            algorithm = (
+                default_randomized_algorithm(system)
+                if params["randomized"]
+                else default_deterministic_algorithm(system)
+            )
+            source = build_source(params["distribution"], system, params["p"])
+            # A resumed run takes its stopping rule and seed from the
+            # checkpoint, which this job's own parameters wrote.
+            stopping = {} if resume else {
+                name: params[name]
+                for name in ("trials", "target_ci", "chunk_size", "min_trials",
+                             "max_trials", "seed")
+            }
+            result = stream_probes(
+                algorithm,
+                source,
+                **stopping,
+                jobs=self.engine_jobs,
+                executor=self._pool,
+                retries=self.retries,
+                chunk_timeout=self.chunk_timeout,
+                checkpoint_path=checkpoint,
+                resume=resume,
+                backend=params["backend"],
+                stop_event=self.stop_event,
+                run_timeout=self.deadline,
+            )
             return estimate_result_payload(result)
         from repro.experiments.sweep import run_sweep
 
@@ -396,7 +385,7 @@ class ProbeService:
             retries=self.retries,
             chunk_timeout=self.chunk_timeout,
             checkpoint_path=checkpoint,
-            resume=checkpoint if checkpoint.is_file() else None,
+            resume=resume,
             backend=params["backend"],
             stop_event=self.stop_event,
             run_timeout=self.deadline,
@@ -404,15 +393,15 @@ class ProbeService:
         return sweep_result_payload(result)
 
     def _finish_done(self, job: Job, result: dict, seconds: float) -> None:
-        # Durable and cached before anyone can read ``done``: a client that
-        # sees it and repeats the request at once hits the cache, and a
-        # crash before the publish re-runs a job no client saw finish.
+        # Durable and indexed before anyone can read ``done``: a client
+        # that sees it and repeats the request at once hits the cache, and
+        # a crash before the publish re-runs a job no client saw finish.
+        # The ``done`` record is the result's one durable copy; a restart
+        # indexes it again from the journal.
         with self._lock:
             done = replace(job, state="done", result=result, error="")
-        # Journal first, cache second: a crash in between leaves a done
-        # record without a cache entry, which the startup scan backfills.
         self.journal.write(done)
-        self.cache.put(job.cache_key, {"kind": job.kind, **job.params}, result)
+        self.cache.put(job.cache_key, result)
         self.metrics.inc("jobs_done_total")
         self.metrics.inc("job_seconds_total", seconds)
         recovery = result.get("recovery", {})

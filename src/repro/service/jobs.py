@@ -10,19 +10,26 @@ service's work:
   reproduces the run bit-for-bit.
 * ``running`` — a worker picked it up; its engine checkpoint (written by
   the run itself under ``checkpoints/``) carries the chunk-level state.
-* ``done`` / ``failed`` — terminal; ``result`` or ``error`` is recorded.
+* ``done`` / ``failed`` — terminal; ``result`` (with its CRC-32,
+  ``result_crc32``) or ``error`` is recorded.  A ``done`` record is the
+  one durable copy of its result: the service's result cache is an
+  in-memory index built from these records.
 
-Recovery after ``kill -9`` is a scan of this directory: ``done``/
-``failed`` jobs are served from their records (never re-run), ``running``
-jobs are re-queued and resume from their engine checkpoint, ``submitted``
-jobs are re-queued from scratch.  Because requests are resolved at
-submission and engine chunks are keyed by ``(seed, start)``, a recovered
-job's statistics are byte-identical to an uninterrupted run's.
+Recovery after ``kill -9`` is one scan of this directory when the journal
+opens: ``done``/``failed`` jobs are served from their records (never
+re-run), ``running`` jobs are re-queued and resume from their engine
+checkpoint, rebuilding the run from the record's own parameters, and
+``submitted`` jobs are re-queued from scratch.  Because requests are
+resolved at submission and engine chunks are keyed by ``(seed, start)``,
+a recovered job's statistics are byte-identical to an uninterrupted
+run's.
 
 Loading is strict, like every persisted format in the repo: a truncated
 or corrupt record, a wrong ``kind``, a newer schema or a missing field
 fail with a message naming the file and the field — never a raw
-``KeyError``/``JSONDecodeError``.
+``KeyError``/``JSONDecodeError``.  So does a result that no longer
+matches its ``result_crc32``: the service never serves bytes it cannot
+vouch for.
 """
 
 from __future__ import annotations
@@ -43,15 +50,17 @@ from repro.core.checkpoint import (
 )
 from repro.core.distributions import build_source, canonical_source_name
 from repro.core.engine import StreamResult, resolve_fixed_trials
-from repro.service.cache import cache_key
+from repro.service.cache import cache_key, result_crc
 from repro.systems import build_system
 from repro.testing.faults import fire_fault
 
 #: ``kind`` field of job journal records.
 JOB_KIND = "service_job"
 
-#: Version of the job record JSON schema.
-JOB_SCHEMA_VERSION = 1
+#: Version of the job record JSON schema.  Version 2 added
+#: ``result_crc32``; version-1 records still load, and their results are
+#: served but not indexed by the result cache.
+JOB_SCHEMA_VERSION = 2
 
 #: The job lifecycle; ``done``/``failed`` are terminal.
 JOB_STATES = ("submitted", "running", "done", "failed")
@@ -100,6 +109,48 @@ def _as_int(value, name: str) -> int:
     return value
 
 
+#: Request fields both job kinds take, with their defaults, in the order
+#: they follow each kind's own fields.
+_RUN_FIELDS = {
+    "randomized": False,
+    "distribution": "bernoulli",
+    "trials": None,
+    "target_ci": None,
+    "chunk_size": None,
+    "min_trials": None,
+    "max_trials": None,
+    "seed": 0,
+    "backend": "numpy",
+}
+
+
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise BadRequest(f"{name} must be a number, got {value!r}") from None
+
+
+def _resolve(payload, own_fields: dict[str, Any]) -> dict:
+    """What both normalizers share: defaults, unknown keys, the system
+    name, the distribution, the stopping rule, the backend and the seed."""
+    if not isinstance(payload, dict):
+        raise BadRequest("request body must be a JSON object")
+    params = _take(payload, {"system": None, **own_fields, **_RUN_FIELDS})
+    params["system"] = str(_require(params, "system"))
+    try:
+        params["distribution"] = canonical_source_name(str(params["distribution"]))
+        params["trials"] = resolve_fixed_trials(
+            params["trials"], params["target_ci"], default=1000
+        )
+        params["backend"] = check_backend_name(str(params["backend"]))
+    except ValueError as error:
+        raise BadRequest(str(error)) from None
+    params["randomized"] = bool(params["randomized"])
+    params["seed"] = _as_int(params["seed"], "seed")
+    return params
+
+
 def normalize_estimate(payload: dict) -> dict:
     """Resolve a ``POST /estimate`` body into canonical run parameters.
 
@@ -109,98 +160,32 @@ def normalize_estimate(payload: dict) -> dict:
     system/distribution are built once to validate them.  The returned
     dict *is* the cache key's content.
     """
-    if not isinstance(payload, dict):
-        raise BadRequest("request body must be a JSON object")
-    params = _take(
-        payload,
-        {
-            "system": None,
-            "size": 8,
-            "p": None,
-            "randomized": False,
-            "distribution": "bernoulli",
-            "trials": None,
-            "target_ci": None,
-            "chunk_size": None,
-            "min_trials": None,
-            "max_trials": None,
-            "seed": 0,
-            "backend": "numpy",
-        },
-    )
-    system_name = str(_require(params, "system"))
-    size = _as_int(params["size"], "size")
-    p = float(_require(params, "p"))
+    params = _resolve(payload, {"size": 8, "p": None})
+    params["size"] = _as_int(params["size"], "size")
+    params["p"] = _as_float(_require(params, "p"), "p")
     try:
-        system = build_system(system_name, size)
-        params["distribution"] = canonical_source_name(str(params["distribution"]))
-        build_source(params["distribution"], system, p)
+        system = build_system(params["system"], params["size"])
+        build_source(params["distribution"], system, params["p"])
     except ValueError as error:
         raise BadRequest(str(error)) from None
-    try:
-        params["trials"] = resolve_fixed_trials(
-            params["trials"], params["target_ci"], default=1000
-        )
-        params["backend"] = check_backend_name(str(params["backend"]))
-    except ValueError as error:
-        raise BadRequest(str(error)) from None
-    params.update(
-        system=system_name,
-        size=size,
-        p=p,
-        randomized=bool(params["randomized"]),
-        seed=_as_int(params["seed"], "seed"),
-    )
     return params
 
 
 def normalize_sweep(payload: dict) -> dict:
     """Resolve a ``POST /sweep`` body into canonical grid parameters."""
-    if not isinstance(payload, dict):
-        raise BadRequest("request body must be a JSON object")
-    params = _take(
-        payload,
-        {
-            "system": None,
-            "sizes": None,
-            "ps": None,
-            "randomized": False,
-            "distribution": "bernoulli",
-            "trials": None,
-            "target_ci": None,
-            "chunk_size": None,
-            "min_trials": None,
-            "max_trials": None,
-            "seed": 0,
-            "backend": "numpy",
-        },
-    )
-    system_name = str(_require(params, "system"))
+    params = _resolve(payload, {"sizes": None, "ps": None})
     sizes = _require(params, "sizes")
     ps = _require(params, "ps")
     if not isinstance(sizes, list) or not sizes:
         raise BadRequest("sizes must be a non-empty list of integers")
     if not isinstance(ps, list) or not ps:
         raise BadRequest("ps must be a non-empty list of numbers")
+    params["sizes"] = [_as_int(size, "sizes[]") for size in sizes]
+    params["ps"] = [_as_float(p, "ps[]") for p in ps]
     try:
-        build_system(system_name, _as_int(sizes[0], "sizes[0]"))
-        params["distribution"] = canonical_source_name(str(params["distribution"]))
+        build_system(params["system"], params["sizes"][0])
     except ValueError as error:
         raise BadRequest(str(error)) from None
-    try:
-        params["trials"] = resolve_fixed_trials(
-            params["trials"], params["target_ci"], default=1000
-        )
-        params["backend"] = check_backend_name(str(params["backend"]))
-    except ValueError as error:
-        raise BadRequest(str(error)) from None
-    params.update(
-        system=system_name,
-        sizes=[_as_int(size, "sizes[]") for size in sizes],
-        ps=[float(p) for p in ps],
-        randomized=bool(params["randomized"]),
-        seed=_as_int(params["seed"], "seed"),
-    )
     return params
 
 
@@ -290,6 +275,9 @@ class Job:
     result: dict | None = None
     created: float = field(default_factory=time.time)
     updated: float = 0.0
+    #: Schema of the record this job was loaded from; only results of
+    #: version 2 and up carry a CRC the journal has checked.
+    schema: int = JOB_SCHEMA_VERSION
 
     def to_payload(self) -> dict:
         return {
@@ -304,19 +292,26 @@ class Job:
             "attempts": self.attempts,
             "error": self.error,
             "result": self.result,
+            "result_crc32": None if self.result is None else result_crc(self.result),
             "created": self.created,
             "updated": self.updated,
         }
 
     @classmethod
     def from_payload(cls, payload: dict, path: str | Path = "<payload>") -> "Job":
-        check_schema_version(payload, JOB_SCHEMA_VERSION, path)
+        schema = check_schema_version(payload, JOB_SCHEMA_VERSION, path)
         state = str(required_field(payload, "state", path))
         if state not in JOB_STATES:
             raise ValueError(f"{path}: unknown job state {state!r}")
         kind = str(required_field(payload, "job_kind", path))
         if kind not in JOB_KINDS:
             raise ValueError(f"{path}: unknown job kind {kind!r}")
+        result = payload.get("result")
+        if schema >= 2 and result is not None:
+            if required_field(payload, "result_crc32", path) != result_crc(result):
+                raise ValueError(
+                    f"{path}: field 'result_crc32' does not match the recorded result"
+                )
         return cls(
             id=str(required_field(payload, "id", path)),
             seq=int(required_field(payload, "seq", path)),
@@ -326,9 +321,10 @@ class Job:
             state=state,
             attempts=int(required_field(payload, "attempts", path)),
             error=str(payload.get("error", "")),
-            result=payload.get("result"),
+            result=result,
             created=float(required_field(payload, "created", path)),
             updated=float(required_field(payload, "updated", path)),
+            schema=schema,
         )
 
     def public_view(self) -> dict:
@@ -369,9 +365,9 @@ class JobJournal:
         # on startup (satellite of the same durability story).
         sweep_stale_tmp(self.directory)
         sweep_stale_tmp(self.checkpoints)
-        self._next_seq = 1 + max(
-            (job.seq for job in self.load_all()), default=0
-        )
+        # The one read of the directory: ``recover`` hands these out.
+        self._opened = self.load_all()
+        self._next_seq = 1 + max((job.seq for job in self._opened), default=0)
         self._writes = 0
 
     def path_for(self, job_id: str) -> Path:
@@ -425,7 +421,8 @@ class JobJournal:
         return sorted(jobs, key=lambda job: job.seq)
 
     def recover(self) -> tuple[list[Job], list[Job]]:
-        """Scan the journal after a restart.
+        """Sort the records read when the journal opened (once: a second
+        call returns nothing).
 
         Returns ``(pending, finished)``: ``pending`` holds the jobs to
         re-enqueue in submission order — ``submitted`` ones untouched and
@@ -435,7 +432,8 @@ class JobJournal:
         """
         pending: list[Job] = []
         finished: list[Job] = []
-        for job in self.load_all():
+        opened, self._opened = self._opened, []
+        for job in opened:
             if job.state in ("done", "failed"):
                 finished.append(job)
                 continue

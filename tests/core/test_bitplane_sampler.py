@@ -8,7 +8,8 @@ lane masks with ``B = ceil(p · 2^53)``.  These tests pin:
 * the plane count ``K(p)`` and the draw-free extremes ``p ∈ {0, 1}``;
 * the stream itself, against a pure-Python big-integer reference and as
   golden words for seed 0, so any later stream change is a visible edit;
-* the red rate, overall and per lane, within 5σ of ``B / 2^53``;
+* the red rate, overall and per lane, within 5σ of ``B / 2^53``, and on
+  both lane halves for every 64-bit bit generator (MT19937 is refused);
 * chunk and ``jobs=2`` invariance of the engine on the new stream, with
   chunks starting off a word boundary, against one kernel call over the
   one-shot ``sample_matrix`` draw.
@@ -215,6 +216,28 @@ class TestRedRate:
         for cells in (lanes, lanes[:, :1], lanes[:, 63:]):
             sigma = np.sqrt(rate * (1 - rate) / cells.size)
             assert abs(cells.mean() - rate) < 5 * sigma
+
+
+class TestBitGenerators:
+    def test_mt19937_is_refused_on_both_paths(self):
+        # Its raw words carry 32 bits: lanes 32-63 would all compare red.
+        source = BernoulliSource(50, 0.5)
+        for sample in (source.sample_matrix, lambda *a: sample_packed(source, *a)):
+            with pytest.raises(ValueError, match="MT19937"):
+                sample(50, 4096, np.random.Generator(np.random.MT19937(1)))
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+    )
+    def test_64_bit_generators_fill_both_lane_halves(self, bit_generator):
+        matrix = BernoulliSource(50, 0.5).sample_matrix(
+            50, 4096, np.random.Generator(bit_generator(1))
+        )
+        lane = np.arange(4096) % 64
+        for half in (matrix[lane < 32], matrix[lane >= 32]):
+            sigma = np.sqrt(0.25 / half.size)
+            assert abs(half.mean() - 0.5) < 5 * sigma
 
 
 def _one_shot(algorithm, source, trials, seed):

@@ -14,6 +14,7 @@ The load-bearing robustness claims (ISSUE 10):
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 
@@ -22,9 +23,9 @@ from helpers import http_get, http_post, wait_for_state
 
 from repro.algorithms import ProbeTree
 from repro.core.engine import stream_probes
-from repro.service import ProbeService, ServiceUnavailable, canonical_json
+from repro.service import ProbeService, ServiceUnavailable, cache_key, canonical_json
 from repro.service.app import RETRY_AFTER_SECONDS
-from repro.service.jobs import BadRequest, estimate_result_payload
+from repro.service.jobs import BadRequest, estimate_result_payload, normalize_estimate
 from repro.systems import build_system
 from repro.testing import faults
 from repro.testing.faults import ANY_KEY, Fault
@@ -121,6 +122,13 @@ class TestLifecycle:
         assert checkpoint.is_file() and first.cells[0].status == "failed"
         cells = service._execute(job)["statistics"]["cells"]
         assert [cell["status"] for cell in cells] == ["failed"]
+
+    def test_unknown_job_id_is_never_looked_up_on_disk(self, service_factory):
+        service = service_factory()
+        planted = service.data_dir.parent / "outside.json"
+        planted.write_text('{"kind": "service_job"}')  # would fail to load
+        assert service.job_view("../../outside") is None
+        assert service.job_view("job-000001") is None
 
     def test_done_jobs_survive_restart_without_rerunning(self, service_factory):
         service = service_factory()
@@ -267,29 +275,99 @@ class TestDrainAndCrashRecovery:
         record = submit_and_wait(service)
         service.drain()
         # Simulate the crash window: the engine checkpoint is complete on
-        # disk but the journal still says "running", and the cache entry
-        # never landed.
+        # disk but the journal still says "running" with no result, so
+        # nothing indexes the result either.
         job = service.journal.load(record["id"])
-        job.state = "running"
+        job.state, job.result = "running", None
         service.journal.write(job)
-        service.cache.path_for(job.cache_key).unlink()
         reopened = service_factory(subdir="data")
         recovered = wait_for_state(reopened.job_view, record["id"])
         assert recovered["state"] == "done"
         assert canonical_json(recovered["result"]["statistics"]) == canonical_json(
             record["result"]["statistics"]
         )
-        # The repaired cache serves repeats again.
+        # The finished job's result serves repeats again.
         status, body = reopened.submit("estimate", dict(REQUEST))
         assert (status, body["cached"]) == (200, True)
 
-    def test_missing_cache_entry_backfilled_for_done_jobs(self, service_factory):
+    def test_resumed_estimate_never_reads_the_pickled_pair(
+        self, service_factory, tmp_path
+    ):
+        # The job rebuilds its (algorithm, source) from its parameters, so
+        # a checkpoint whose pair blob is garbage still resumes exactly.
+        plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
+        request = {**REQUEST, "chunk_size": 8}
+        with faults.active_plan(plan, tmp_path / "plan"):
+            service = service_factory()
+            status, body = service.submit("estimate", request)
+            wait_for_state(service.job_view, body["id"], states=("running",))
+            service.drain()
+        job = service.journal.load(body["id"])
+        checkpoint = service.journal.checkpoint_path(job)
+        payload = json.loads(checkpoint.read_text())
+        assert payload["pair_blob"] is not None and not payload["complete"]
+        payload["pair_blob"] = base64.b64encode(b"not a pickle").decode()
+        checkpoint.write_text(json.dumps(payload))
+        record = wait_for_state(service_factory(subdir="data").job_view, body["id"])
+        fresh = submit_and_wait(service_factory(subdir="baseline"), request)
+        assert record["state"] == "done"
+        assert canonical_json(record["result"]["statistics"]) == canonical_json(
+            fresh["result"]["statistics"]
+        )
+
+    def test_done_results_are_indexed_from_the_journal(self, service_factory):
         service = service_factory()
         record = submit_and_wait(service)
         service.drain()
-        service.cache.path_for(record["cache_key"]).unlink()
         reopened = service_factory(subdir="data")
-        assert reopened.cache.path_for(record["cache_key"]).is_file()
+        status, body = reopened.submit("estimate", dict(REQUEST))
+        assert (status, body["cached"]) == (200, True)
+        assert body["result"] == record["result"]
+        assert len(reopened.journal.load_all()) == 1
+        # The journal is the only durable store: nothing under cache/.
+        assert not (reopened.data_dir / "cache").exists()
+
+    def test_existing_cache_directory_is_ignored_and_kept(self, service_factory):
+        old = service_factory(start=False).data_dir / "cache"
+        old.mkdir()
+        entry = old / (cache_key({"kind": "estimate", **normalize_estimate(REQUEST)}) + ".json")
+        entry.write_text("{}")
+        service = service_factory(subdir="data")
+        assert submit_and_wait(service)["state"] == "done"
+        assert [path.name for path in old.iterdir()] == [entry.name]
+
+    def test_edited_done_result_fails_startup_naming_the_field(
+        self, service_factory
+    ):
+        service = service_factory()
+        record = submit_and_wait(service)
+        service.drain()
+        path = service.journal.path_for(record["id"])
+        payload = json.loads(path.read_text())
+        payload["result"]["statistics"]["mean"] += 1.0  # bit rot
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"{path}.*'result_crc32'"):
+            ProbeService(service.data_dir)
+
+    def test_schema_1_done_record_is_served_but_not_indexed(self, service_factory):
+        service = service_factory()
+        record = submit_and_wait(service)
+        service.drain()
+        # Rewrite the record as a schema-1 journal wrote it: no CRC field.
+        path = service.journal.path_for(record["id"])
+        payload = json.loads(path.read_text())
+        del payload["result_crc32"]
+        payload["schema"] = 1
+        path.write_text(json.dumps(payload))
+        reopened = service_factory(subdir="data")
+        assert reopened.job_view(record["id"]) == record
+        # A repeat runs once more, then hits.
+        status, body = reopened.submit("estimate", dict(REQUEST))
+        assert status == 202
+        rerun = wait_for_state(reopened.job_view, body["id"])
+        assert rerun["result"]["statistics"] == record["result"]["statistics"]
+        status, body = reopened.submit("estimate", dict(REQUEST))
+        assert (status, body["cached"]) == (200, True)
 
     def test_corrupt_journal_record_fails_startup_loudly(self, service_factory):
         service = service_factory()
@@ -317,6 +395,13 @@ class TestHTTP:
         assert "repro_jobs_done_total 1" in text
         assert http_get(base + "/jobs/nope")[0] == 404
         assert http_get(base + "/elsewhere")[0] == 404
+
+    def test_job_path_outside_the_journal_answers_json_404(self, service_factory):
+        service, base = service_factory(http=True)
+        # "/jobs/../x" once resolved to <data>/journal/../x.json.
+        (service.data_dir / "x.json").write_text("not a job record")
+        status, body, _ = http_get(base + "/jobs/../x")
+        assert (status, body) == (404, {"error": "no such job"})
 
     def test_queue_full_answers_503_with_retry_after(self, service_factory):
         service, base = service_factory(http=True, start=False, queue_size=1)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service import jobs
+from repro.service.cache import cache_key
 from repro.service.jobs import (
+    NORMALIZERS,
     BadRequest,
     Job,
     JobJournal,
@@ -69,6 +72,11 @@ class TestNormalizeEstimate:
         with pytest.raises(BadRequest, match="seed"):
             normalize_estimate({"system": "maj", "p": 0.3, "seed": True})
 
+    @pytest.mark.parametrize("p", ["high", [0.3]])
+    def test_non_numeric_p_rejected(self, p):
+        with pytest.raises(BadRequest, match="p must be a number"):
+            normalize_estimate({"system": "maj", "p": p})
+
 
 class TestNormalizeSweep:
     def test_minimal_grid(self):
@@ -84,6 +92,44 @@ class TestNormalizeSweep:
             normalize_sweep({"system": "tree", "sizes": [], "ps": [0.1]})
         with pytest.raises(BadRequest, match="ps"):
             normalize_sweep({"system": "tree", "sizes": [2], "ps": []})
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"backend": "gpu"}, "unknown backend"),
+            ({"trials": 10, "target_ci": 0.1}, "not both"),
+            ({"seed": True}, "seed"),
+            ({"distribution": "nope"}, "nope"),
+            ({"system": "quorumish"}, "unknown system"),
+            ({"ps": ["x"]}, "ps"),
+        ],
+    )
+    def test_shares_the_estimate_checks(self, extra, message):
+        with pytest.raises(BadRequest, match=message):
+            normalize_sweep({"system": "tree", "sizes": [2], "ps": [0.1], **extra})
+
+
+#: Cache keys of request bodies, computed before the two normalizers shared
+#: their field table; results cached under them must keep hitting.
+PINNED_KEYS = [
+    ("estimate", {"system": "maj", "size": 9, "p": 0.3},
+     "d663b1c774b0a37b254169bda7c4ed287bc22f519fc9b374d05e22a7a4ffc131"),
+    ("estimate", {"system": "tree", "size": 2, "p": 0.2, "trials": 64, "chunk_size": 16},
+     "531f1bea80216a046351f81091e0efc4e7fda25989df5c6a95ba8db985f4a4ff"),
+    ("estimate", {"system": "triang", "size": 10, "p": 0.5, "target_ci": 0.5,
+                  "randomized": True, "seed": 7, "distribution": "fixed_count"},
+     "0a4e35494fd1b7a4c06c2b162ae7d404b5f2eac8122b2e712dbe09afd8c7d256"),
+    ("sweep", {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32},
+     "43c5a5c36e18b9c6fb16017df8140928324368d6b1fec9ad5667af3627c2e4ba"),
+    ("sweep", {"system": "maj", "sizes": [5, 7], "ps": [0.5], "target_ci": 0.25,
+               "max_trials": 4000, "backend": "bitpacked"},
+     "556cecde992f56357504414858c6e86d2d0770621f8b25ee054e0e9cc2f99d63"),
+]
+
+
+@pytest.mark.parametrize("kind, body, key", PINNED_KEYS)
+def test_cache_keys_are_pinned(kind, body, key):
+    assert cache_key({"kind": kind, **NORMALIZERS[kind](body)}) == key
 
 
 def test_deterministic_view_strips_wall_clock_recursively():
@@ -137,6 +183,45 @@ class TestJournal:
         assert [job.id for job in finished] == [done.id]
         # The demotion is durable, not just in memory.
         assert JobJournal(tmp_path).load(running.id).state == "submitted"
+
+    def test_opening_and_recovering_read_each_record_once(self, tmp_path, monkeypatch):
+        journal = JobJournal(tmp_path)
+        for p in (0.3, 0.4, 0.5):
+            journal.write(journal.new_job("estimate", {**PARAMS, "p": p}))
+        reads = []
+        load = jobs.load_json_payload
+        monkeypatch.setattr(
+            jobs, "load_json_payload", lambda path, kind: reads.append(path) or load(path, kind)
+        )
+        reopened = JobJournal(tmp_path)
+        pending, finished = reopened.recover()
+        assert len(pending) == 3 and finished == []
+        assert sorted(reads) == sorted(tmp_path.glob("job-*.json"))
+        assert reopened.new_job("estimate", PARAMS).seq == 4
+
+    def test_done_record_carries_the_result_crc(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        job = journal.new_job("estimate", PARAMS)
+        job.state, job.result = "done", {"statistics": {"mean": 1.5}}
+        payload = job.to_payload()
+        assert payload["schema"] == 2
+        assert Job.from_payload(payload) == job
+        payload["result"]["statistics"]["mean"] = 2.5
+        with pytest.raises(ValueError, match="job.json: field 'result_crc32'"):
+            Job.from_payload(payload, "job.json")
+        del payload["result_crc32"]
+        with pytest.raises(ValueError, match="job.json: missing required field 'result_crc32'"):
+            Job.from_payload(payload, "job.json")
+
+    def test_schema_1_record_loads_without_a_crc(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        job = journal.new_job("estimate", PARAMS)
+        job.state, job.result = "done", {"statistics": {"mean": 1.5}}
+        payload = job.to_payload()
+        del payload["result_crc32"]
+        payload["schema"] = 1
+        loaded = Job.from_payload(payload)
+        assert (loaded.schema, loaded.result) == (1, job.result)
 
     def test_missing_record_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="job-9"):
