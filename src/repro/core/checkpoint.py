@@ -110,7 +110,7 @@ def sweep_stale_tmp(directory: str | Path) -> list[Path]:
     """Remove every ``.*.tmp`` atomic-write leftover in ``directory``.
 
     The directory-wide variant of :func:`remove_stale_tmp` for startup
-    scans of state directories (the service's journal and cache), where
+    scans of state directories (the service's journal), where
     the crashed writer's target name is not known in advance.
     """
     removed = []

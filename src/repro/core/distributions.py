@@ -370,6 +370,13 @@ class CorrelatedGroupsSource(ColoringSource):
             table[: len(indices), element] = indices
         return table
 
+    def __getstate__(self) -> dict:
+        # Leave the membership table out: the pickled bytes, which a resume
+        # compares with its checkpoint's, must not depend on prior sampling.
+        state = dict(self.__dict__)
+        state.pop("_memberships", None)
+        return state
+
     def _red(self, fails: np.ndarray) -> np.ndarray:
         """Red elements of each row of group failures (last axis = groups):
         one column gather per layer of :attr:`_memberships`, OR-ed."""

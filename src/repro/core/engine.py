@@ -98,7 +98,7 @@ from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -979,7 +979,9 @@ def stream_probes(
     :class:`~repro.core.checkpoint.EngineCheckpoint`) continues such a run
     from its last durable chunk boundary — the resumed configuration comes
     from the checkpoint, so the stopping-mode and seeding arguments must
-    be left unset.
+    be left unset, and the ``(algorithm, source)`` pair must pickle to the
+    checkpoint's ``pair_blob`` byte for byte (a ``ValueError`` names the
+    checkpoint otherwise).
 
     Cooperative control: ``stop_event`` (a ``threading.Event``-alike) is
     polled after every merged chunk — once set, the run checkpoints (when
@@ -1077,6 +1079,15 @@ def stream_probes(
 
     backend = resolve_backend(algorithm, backend)
     task = ChunkTask(algorithm, source, _resolve_entropy(seed))
+    if state is not None and state.pair_blob is not None and state.pair_blob != task.payload[0]:
+        # Names alone do not pin the run: a BernoulliSource is "bernoulli"
+        # at every p.  The pickled pair does; it is compared, never loaded.
+        where = "checkpoint" if resume is state else str(resume)
+        raise ValueError(
+            f"{where}: the checkpoint's pickled (algorithm, source) pair "
+            f"differs from this {algorithm.name} on {source.name} "
+            f"(n={source.n}), so resuming would not continue its run"
+        )
     scheduler = _Scheduler(
         _StoppingRule(trials, target_ci, min_trials, max_trials),
         ChunkLedger(retries, DEFAULT_RETRY_BACKOFF),
@@ -1179,7 +1190,9 @@ def resume_stream(
         retries=retries,
         chunk_timeout=chunk_timeout,
         checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
-        resume=state,
+        # The pair is the checkpoint's own, so there is nothing to compare
+        # (and an older build's blob pickled a third, dropped field).
+        resume=replace(state, pair_blob=None),
         stop_event=stop_event,
         run_timeout=run_timeout,
     )

@@ -1,8 +1,8 @@
 """Common result-row structure and plain-text table rendering.
 
 Every experiment driver returns a list of :class:`Row` objects; the same
-rows back the pytest-benchmark harness, the example scripts and the
-Markdown report of :mod:`repro.experiments.writer`, so paper-versus-measured
+rows back the driver tests, the example scripts and the Markdown report
+of :mod:`repro.experiments.writer`, so paper-versus-measured
 comparisons are produced by exactly one code path.
 """
 

@@ -142,6 +142,9 @@ class ProbeService:
 
         self._lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
+        # Cache key -> id of the queued or running job computing it, so a
+        # repeat of an in-flight request joins that job.
+        self._active: dict[str, str] = {}
         # Admission is enforced by ``_queued`` against ``queue_size`` (the
         # Queue itself is unbounded so the recovery scan can always
         # re-enqueue every interrupted job, however many there are).
@@ -168,6 +171,7 @@ class ProbeService:
                 self.cache.put(job.cache_key, job.result)
         for job in pending:
             self._jobs[job.id] = job
+            self._active[job.cache_key] = job.id
             self.metrics.inc("jobs_recovered_total")
             self._enqueue(job)
         if pending:
@@ -220,7 +224,9 @@ class ProbeService:
 
         Raises :class:`~repro.service.jobs.BadRequest` for malformed
         requests and :class:`ServiceUnavailable` when admission control
-        rejects — the HTTP layer maps those to 400 and 503.
+        rejects — the HTTP layer maps those to 400 and 503.  A repeat of a
+        request whose job is still queued or running joins that job: 202
+        with its id, and no new journal record.
         """
         params = NORMALIZERS[kind](payload)
         key = cache_key({"kind": kind, **params})
@@ -238,6 +244,10 @@ class ProbeService:
             if self.state != "ready":
                 self.metrics.inc("jobs_rejected_total")
                 raise ServiceUnavailable(f"service is {self.state}; not accepting new jobs")
+            active = self._active.get(key)
+            if active is not None:
+                job = self._jobs[active]
+                return 202, {"id": job.id, "state": job.state, "cache_key": key}
             if self._queued >= self.queue_size:
                 self.metrics.inc("jobs_rejected_total")
                 raise ServiceUnavailable(f"queue full ({self.queue_size} job(s) waiting)")
@@ -246,6 +256,7 @@ class ProbeService:
             # survives any crash from here on.
             self.journal.write(job)
             self._jobs[job.id] = job
+            self._active[key] = job.id
             self.metrics.inc("jobs_submitted_total")
             self._enqueue(job)
         return 202, {"id": job.id, "state": "submitted", "cache_key": job.cache_key}
@@ -411,15 +422,22 @@ class ProbeService:
         with self._lock:
             job.state, job.result, job.error = "done", result, ""
             job.updated = done.updated
+            self._settle(job)
         _logger.info("%s done (%d attempt(s))", job.id, job.attempts)
 
     def _finish_failed(self, job: Job, error: str) -> None:
         with self._lock:
             job.state = "failed"
             job.error = error
+            self._settle(job)
         self.metrics.inc("jobs_failed_total")
         self.journal.write(job)
         _logger.warning("%s failed: %s", job.id, error)
+
+    def _settle(self, job: Job) -> None:
+        """Drop ``job`` from the in-flight index (call under ``_lock``)."""
+        if self._active.get(job.cache_key) == job.id:
+            del self._active[job.cache_key]
 
     def _retry_or_fail(self, job: Job, error: BaseException) -> None:
         if job.attempts > self.job_retries:

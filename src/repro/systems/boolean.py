@@ -54,6 +54,14 @@ class CharacteristicFunction:
             {} if system.n <= _SETTLED_MEMO_LIMIT else None
         )
 
+    def __getstate__(self) -> dict:
+        # Pickle the memo empty: the pickled bytes, which a resume compares
+        # with its checkpoint's, must not depend on the queries made so far.
+        state = dict(self.__dict__)
+        if state["_settled_memo"] is not None:
+            state["_settled_memo"] = {}
+        return state
+
     @property
     def system(self) -> QuorumSystem:
         return self._system

@@ -28,9 +28,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.algorithms import ProbeTree
+from repro.algorithms import ProbeTree, default_deterministic_algorithm
 from repro.core import engine
 from repro.core.checkpoint import load_engine_checkpoint, save_engine_checkpoint
+from repro.core.distributions import BernoulliSource, FixedCountSource, build_source
 from repro.core.engine import (
     ChunkLedger,
     ChunkPool,
@@ -290,6 +291,53 @@ class TestInterruptionSemantics:
         other = ProbeTree(build_system("tree", 3))
         with pytest.raises(ValueError, match="checkpoint records"):
             stream_probes(other, p=0.2, resume=checkpoint)
+
+    @staticmethod
+    def _interrupted(tmp_path, algorithm, source):
+        """A checkpoint of a 64-trial run of the pair, stopped after one merge."""
+        checkpoint = tmp_path / "run.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            with faults.active_plan([Fault("merge", 1, "interrupt")], tmp_path / "plan"):
+                stream_probes(algorithm, source, trials=64, chunk_size=16, seed=7,
+                              checkpoint_path=checkpoint)
+        return checkpoint
+
+    @pytest.mark.parametrize(
+        "written,resumed",
+        [
+            (BernoulliSource(7, 0.2), BernoulliSource(7, 0.9)),
+            (FixedCountSource(7, 2), FixedCountSource(7, 3)),
+        ],
+        ids=["bernoulli-p", "fixed_count-count"],
+    )
+    def test_resume_refuses_a_source_with_other_parameters(self, tmp_path, written, resumed):
+        # Same algorithm, same source name and n: only the pickled pair
+        # tells the runs apart.
+        checkpoint = self._interrupted(tmp_path, _algorithm(), written)
+        assert written.name == resumed.name
+        with pytest.raises(ValueError, match=r"run\.ckpt: .*pickled"):
+            stream_probes(_algorithm(), resumed, resume=checkpoint)
+        with pytest.raises(ValueError, match="checkpoint: .*pickled"):
+            stream_probes(_algorithm(), resumed, resume=load_engine_checkpoint(checkpoint))
+
+    @pytest.mark.parametrize(
+        "system,source",
+        [("tree", "correlated_groups"), ("wheel", "bernoulli")],
+        ids=["correlated_groups-source", "per-trial-algorithm"],
+    )
+    def test_a_used_pair_still_resumes_bit_identically(self, tmp_path, system, source):
+        # A correlated_groups source builds its membership table on first
+        # use, and the per-trial fallback memoizes settled states; neither
+        # cache may change the pickled pair a resume compares.
+        system = build_system(system, 3)
+        algorithm = default_deterministic_algorithm(system)
+        used = build_source(source, system, 0.3)
+        base = stream_probes(algorithm, used, trials=64, chunk_size=16, seed=7)
+        checkpoint = self._interrupted(
+            tmp_path, default_deterministic_algorithm(system), build_source(source, system, 0.3)
+        )
+        resumed = stream_probes(algorithm, used, resume=checkpoint)
+        assert _same_statistics(resumed, base)
 
     @pytest.mark.parametrize("recorded", ["numpy", "bitpacked", "compiled"])
     def test_checkpoint_resumes_whatever_backend_it_recorded(self, tmp_path, recorded):

@@ -237,6 +237,17 @@ class TestPackedMaskDP:
         solver = ExactSolver(system)
         assert solver.packed_probe_complexity() == solver.probe_complexity()
 
+    @pytest.mark.parametrize(
+        "system",
+        [MajoritySystem(11), TriangSystem(4), TreeSystem(2), HQS(2)],
+        ids=lambda s: s.name,
+    )
+    def test_sparse_dict_dp_matches(self, system):
+        # The dict DP, the route above the packed limit, agrees with both.
+        solver = ExactSolver(system)
+        pc = solver.probe_complexity()
+        assert ExactSolver(system)._pc_value(0, 0) == solver.packed_probe_complexity() == pc
+
     def test_non_evasive_system(self):
         # Two quorums sharing element 1: probe 1 (must, else adversary
         # hides), then at most the two partner elements -> PC = 3 < n = 8.

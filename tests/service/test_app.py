@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -176,6 +178,63 @@ class TestAdmission:
         assert service.journal.load_all() == []
 
 
+class TestRepeatsJoinInFlightJobs:
+    def test_repeat_of_a_queued_request_joins_its_job(self, service_factory):
+        service = service_factory(start=False)
+        status, first = service.submit("estimate", dict(REQUEST))
+        repeat_status, repeat = service.submit("estimate", dict(REQUEST))
+        assert status == repeat_status == 202
+        assert repeat["id"] == first["id"]
+        assert repeat["cache_key"] == first["cache_key"]
+        assert [job.id for job in service.journal.load_all()] == [first["id"]]
+        assert service.metrics.value("jobs_submitted_total") == 1
+
+    def test_concurrent_repeats_make_one_job(self, service_factory):
+        service = service_factory(start=False)
+        bodies = []
+
+        def submit():
+            bodies.append(service.submit("estimate", dict(REQUEST))[1])
+
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(bodies) == 8 and len({body["id"] for body in bodies}) == 1
+        assert len(service.journal.load_all()) == 1
+
+    def test_repeat_after_a_failure_makes_a_new_job(self, service_factory, tmp_path):
+        plan = [Fault("chunk", 0, "raise", once=False)]
+        with faults.active_plan(plan, tmp_path / "plan"):
+            service = service_factory(retries=0, job_retries=0)
+            failed = submit_and_wait(service)
+        assert failed["state"] == "failed"
+        status, body = service.submit("estimate", dict(REQUEST))
+        assert status == 202 and body["id"] != failed["id"]
+        assert wait_for_state(service.job_view, body["id"])["state"] == "done"
+
+    def test_repeat_after_a_restart_joins_the_recovered_job(
+        self, service_factory, tmp_path
+    ):
+        _, body = service_factory(start=False).submit("estimate", dict(REQUEST))
+        # Slow chunks keep the recovered job in flight while the repeat arrives.
+        plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.2, once=False)]
+        with faults.active_plan(plan, tmp_path / "plan"):
+            restarted = service_factory(subdir="data")
+            status, repeat = restarted.submit("estimate", dict(REQUEST))
+            assert (status, repeat["id"]) == (202, body["id"])
+            record = wait_for_state(restarted.job_view, body["id"])
+        assert record["state"] == "done"
+        assert [job.id for job in restarted.journal.load_all()] == [body["id"]]
+
+
 class TestFaultRecovery:
     def test_failed_run_retries_then_succeeds_byte_identically(
         self, service_factory, tmp_path
@@ -293,8 +352,10 @@ class TestDrainAndCrashRecovery:
     def test_resumed_estimate_never_reads_the_pickled_pair(
         self, service_factory, tmp_path
     ):
-        # The job rebuilds its (algorithm, source) from its parameters, so
-        # a checkpoint whose pair blob is garbage still resumes exactly.
+        # The job rebuilds its (algorithm, source) from its parameters and
+        # only compares their pickled bytes with the checkpoint's blob: a
+        # garbage blob fails the job, naming the checkpoint, without being
+        # loaded, and a repeat of the request then runs afresh.
         plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
         request = {**REQUEST, "chunk_size": 8}
         with faults.active_plan(plan, tmp_path / "plan"):
@@ -308,10 +369,14 @@ class TestDrainAndCrashRecovery:
         assert payload["pair_blob"] is not None and not payload["complete"]
         payload["pair_blob"] = base64.b64encode(b"not a pickle").decode()
         checkpoint.write_text(json.dumps(payload))
-        record = wait_for_state(service_factory(subdir="data").job_view, body["id"])
+        restarted = service_factory(subdir="data")
+        record = wait_for_state(restarted.job_view, body["id"])
+        assert record["state"] == "failed"
+        assert f"{checkpoint}: " in record["error"] and "pickled" in record["error"]
+        repeat = submit_and_wait(restarted, request)
         fresh = submit_and_wait(service_factory(subdir="baseline"), request)
-        assert record["state"] == "done"
-        assert canonical_json(record["result"]["statistics"]) == canonical_json(
+        assert repeat["state"] == "done" and repeat["id"] != body["id"]
+        assert canonical_json(repeat["result"]["statistics"]) == canonical_json(
             fresh["result"]["statistics"]
         )
 
