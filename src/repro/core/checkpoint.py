@@ -40,9 +40,23 @@ _logger = logging.getLogger("repro.checkpoint")
 CHECKPOINT_KIND = "engine_checkpoint"
 
 #: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
-#: stream; 3: bit-plane gate order choices).  Older runs drew from another
-#: stream and cannot be continued.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
+#: ``bitplane-v3``).  Older runs drew from another stream and cannot be
+#: continued.
+CHECKPOINT_SCHEMA_VERSION = 4
+
+#: What each pre-``bitplane-v3`` checkpoint schema drew differently.
+_OLDER_STREAMS = {
+    1: "Bernoulli colorings as floats",
+    2: "the randomized gate kernels' order choices with generator.integers",
+    3: "Bernoulli colorings from the sampler stream 'bitplane-v2'",
+}
+
+
+class CheckpointRefused(ValueError):
+    """A checkpoint that this build will not continue: it was written on an
+    older draw stream or for another run.  The refusal is deterministic, so
+    a caller that retries failed work should not retry it."""
 
 
 # -- atomic writes ----------------------------------------------------------------
@@ -178,18 +192,15 @@ def check_schema_version(
 
 
 def check_resumable(version: int, path: str | Path) -> None:
-    """Refuse an engine or sweep checkpoint of an older draw stream: version
-    1 drew Bernoulli floats, version 2 drew the gate algorithms' order
-    choices with ``generator.integers``."""
-    if version < 3:
-        drawn = (
-            "Bernoulli colorings as floats"
-            if version < 2
-            else "the randomized gate kernels' order choices with generator.integers"
-        )
-        raise ValueError(
-            f"{path}: schema version {version} drew {drawn}, not from the sampler "
-            f"stream {SAMPLER_STREAM!r}; resuming would mix two streams, so start afresh"
+    """Refuse an engine or sweep checkpoint of an older draw stream with
+    :class:`CheckpointRefused`: version 1 drew Bernoulli floats, version 2
+    the gate algorithms' order choices with ``generator.integers``, version
+    3 the Bernoulli colorings of stream ``bitplane-v2``."""
+    if version < 4:
+        raise CheckpointRefused(
+            f"{path}: schema version {version} drew {_OLDER_STREAMS[max(version, 1)]}, "
+            f"not from the sampler stream {SAMPLER_STREAM!r}; resuming would mix two "
+            "streams, so start afresh"
         )
 
 

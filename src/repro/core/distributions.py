@@ -37,6 +37,26 @@ This module unifies them behind one protocol:
 
 Making a new failure scenario batched-fast everywhere is now a
 :func:`register_source` call away.
+
+The Bernoulli stream (``bitplane-v3``).  With ``B = ceil(p · 2^53)`` a cell
+is red iff its 53-bit uniform ``V < B``, which the ``K(p)`` leading bits
+("planes") of ``V`` decide (:func:`bernoulli_threshold`).  Each raw draw is
+one plane over a word's 64 trials (its 64 *lanes*), and word ``w`` owns the
+``draws_per_word`` draws starting at ``w · draws_per_word``:
+
+* **Dense planes.** With ``H = min(K, 10)`` (:data:`_DENSE_PLANES`), draw
+  ``j · n + e`` of the word's block is plane ``j`` of element ``e`` for
+  ``j < H``.  When ``K ≤ 10`` (p ∈ {0, ¼, ⅜, ½, ¾, 1}, ...) that is the
+  whole block, ``K · n`` draws.
+* **Tail.** When ``K > H`` the block is ``(H + 64) · n`` draws.  Every lane
+  still tied to ``B`` after the ``H`` dense planes, taken in (element,
+  lane) order, reads the next draw of the word's queue, which starts at
+  offset ``H · n``; the lane is red iff the draw's top ``K − H`` bits are
+  below ``B``'s planes ``H..K−1`` read as an integer.  A word has at most
+  ``64 · n`` tied lanes, so the queue never runs out.
+
+Each tail draw is fresh and goes to one lane, chosen by earlier draws
+only, so every cell is red with probability exactly ``B / 2^53``.
 """
 
 from __future__ import annotations
@@ -54,13 +74,19 @@ from repro.core.coloring import ColoringDistribution, as_numpy_generator
 
 #: Version tag of the draw streams behind a seeded result, folded into the
 #: service's cache keys so results of another stream are never served for a
-#: seed.  It versions the Bernoulli colorings (bit-planes since v1) and the
-#: randomized gate kernels' order choices (bit-plane rejection draws of
+#: seed.  It versions the Bernoulli colorings (bit-planes since v1, dense
+#: planes plus a per-word tail queue since v3) and the randomized gate
+#: kernels' order choices (bit-plane rejection draws of
 #: :mod:`repro.core.bitpacked` since v2).
-SAMPLER_STREAM = "bitplane-v2"
+SAMPLER_STREAM = "bitplane-v3"
 
 #: Words (of 64 trials) per raw-draw slab of :meth:`BernoulliSource.sample_words`.
 _SLAB_WORDS = 64
+
+#: Planes every Bernoulli word reads for each element before its still-tied
+#: lanes move to the tail queue.  Part of the stream: changing it changes
+#: the words at every p with ``K(p)`` above it.
+_DENSE_PLANES = 10
 
 
 def raw_draws_64(generator: np.random.Generator, purpose: str):
@@ -75,6 +101,14 @@ def raw_draws_64(generator: np.random.Generator, purpose: str):
             f"{type(bit_generator).__name__} draws 32"
         )
     return bit_generator
+
+
+def _queue_draws(n: int) -> int:
+    """Tail-queue draws a PCG64 word reads up front (not part of the stream):
+    the expected number of lanes still tied after the dense planes, plus
+    eight standard deviations and 16."""
+    expected = 64 * n / (1 << _DENSE_PLANES)
+    return int(expected + 8 * expected**0.5) + 16
 
 
 def sample_bernoulli_matrix(n: int, p: float, trials: int, rng=None) -> np.ndarray:
@@ -214,15 +248,19 @@ class BernoulliSource(ColoringSource):
 
     @property
     def draws_per_word(self) -> int:
-        return len(self._bits) * self._n
+        """``K · n`` when ``K(p) ≤ 10``, else ``(10 + 64) · n``: the dense
+        planes plus a tail queue long enough for every lane of the word."""
+        planes = len(self._bits)
+        return (planes if planes <= _DENSE_PLANES else _DENSE_PLANES + 64) * self._n
 
     def _sample_matrix(self, trials, generator):
         return unpack_words(self.sample_words(trials, generator), trials)
 
     def sample_words(self, trials: int, generator: np.random.Generator) -> np.ndarray:
         """Draw ``trials`` colorings as ``(ceil(trials / 64), n)`` lane words
-        (zero past ``trials``): each raw draw is one bit-plane over 64 trials,
-        word ``w`` reading its ``K(p) · n`` draws as ``(plane, element)``."""
+        (zero past ``trials``): word ``w`` reads the ``draws_per_word`` raw
+        draws of its block as dense planes ``(plane, element)`` and then,
+        when ``K(p) > 10``, as a tail queue (see the module docstring)."""
         bit_generator = raw_draws_64(generator, "Bernoulli bit-planes")
         n_words = -(-trials // 64)
         if not self._bits or not self._n:
@@ -237,35 +275,66 @@ class BernoulliSource(ColoringSource):
         return words
 
     def _slab(self, bit_generator, count: int) -> np.ndarray:
-        """``count`` words from the next ``count · K(p) · n`` draws.
+        """``count`` words from the next ``count · draws_per_word`` draws.
 
-        A slab's lanes are settled after about ``log2(lanes)`` planes, so
-        each word draws only those and skips the rest with ``advance``; a
-        word with a lane still tied redraws its remaining planes from a
-        copy of the slab's starting state.  The words depend on the draws
-        only.  Only PCG64 streams skip (their ``advance(d)`` passes exactly
-        ``d`` raw draws); other bit generators draw every plane.
+        With ``K(p) ≤ 10`` every draw is a dense plane.  Otherwise a word's
+        ``64 · n``-draw tail queue is mostly unread (about ``64 n / 2^10``
+        lanes are still tied after the dense planes), so PCG64 streams draw
+        the dense planes plus :func:`_queue_draws` queue draws per word and
+        skip the rest with ``advance``; a word that needs more draws the
+        rest of its queue from a copy of the slab's starting state, so the
+        words depend on the draws only.  Other bit generators (Philox's
+        ``advance`` steps a 4-draw counter) draw every block whole.
         """
         n, bits = self._n, self._bits
         planes = len(bits)
-        head = min(planes, (64 * count * n).bit_length())
-        skips = isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-        if head == planes or not skips:
+        if planes <= _DENSE_PLANES:
             raw = bit_generator.random_raw(count * planes * n).reshape(count, planes, n)
             return compare_planes(raw, bits)[0]
-        start = bit_generator.state
-        raw = np.empty((count, head, n), dtype=np.uint64)
-        for word in range(count):
-            raw[word] = bit_generator.random_raw(head * n).reshape(head, n)
-            bit_generator.advance((planes - head) * n)
-        lt, eq = compare_planes(raw, bits[:head])
-        for word in np.flatnonzero(eq.any(axis=1)):
+        dense = _DENSE_PLANES * n
+        block = self.draws_per_word
+        if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+            queue = min(block - dense, _queue_draws(n))
+            start = bit_generator.state
+            raw = np.empty((count, dense + queue), dtype=np.uint64)
+            for word in range(count):
+                raw[word] = bit_generator.random_raw(dense + queue)
+                bit_generator.advance(block - dense - queue)
+        else:
+            start, queue = None, block - dense
+            raw = bit_generator.random_raw(count * block).reshape(count, block)
+        lt, eq = compare_planes(
+            raw[:, :dense].reshape(count, _DENSE_PLANES, n), bits[:_DENSE_PLANES]
+        )
+        lt, eq = lt.reshape(-1), eq.reshape(-1)
+        held = np.flatnonzero(eq != 0)
+        # One row of 64 lane bits per word with a tied lane; its flat
+        # nonzeros run in (word, element, lane) order, the queue order.
+        lanes = np.unpackbits(
+            eq[held].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+            axis=1,
+            bitorder="little",
+        )
+        tied = np.flatnonzero(lanes.view(bool))
+        owner = held[tied >> 6] // n
+        counts = np.bincount(owner, minlength=count)
+        first = np.cumsum(counts) - counts
+        rank = np.arange(tied.size) - first[owner]
+        draws = np.empty(tied.size, dtype=np.uint64)
+        inside = rank < queue
+        draws[inside] = raw[owner[inside], dense + rank[inside]]
+        for word in np.flatnonzero(counts > queue):
             rest = type(bit_generator)()
             rest.state = start
-            rest.advance((int(word) * planes + head) * n)
-            tail = rest.random_raw((planes - head) * n).reshape(planes - head, n)
-            lt[word] = compare_planes(tail, bits[head:], lt[word], eq[word])[0]
-        return lt
+            rest.advance(int(word) * block + dense + queue)
+            draws[first[word] + queue : first[word] + counts[word]] = rest.random_raw(
+                int(counts[word]) - queue
+            )
+        tail = planes - _DENSE_PLANES
+        below = sum(int(bit) << (tail - 1 - j) for j, bit in enumerate(bits[_DENSE_PLANES:]))
+        lanes.reshape(-1)[tied] = (draws >> np.uint64(64 - tail)) < np.uint64(below)
+        lt[held] |= np.packbits(lanes, axis=1, bitorder="little").view("<u8").reshape(-1)
+        return lt.reshape(count, n)
 
 
 class FixedCountSource(ColoringSource):

@@ -41,8 +41,9 @@ Seeding guarantees (the "seed schedule"):
   ``PCG64(seed)`` stream advanced by ``(s // 64) × draws_per_word`` draws,
   draws ``s % 64 + size`` trials and drops the leading ``s % 64``, so
   trial ``t`` sees exactly the draws it would see in a single one-shot
-  ``sample_matrix`` call from ``default_rng(seed)`` (Bernoulli words read
-  ``K(p) · n`` bit-plane draws, one per element and plane).  For these
+  ``sample_matrix`` call from ``default_rng(seed)`` (a Bernoulli word owns
+  ``K(p) · n`` bit-plane draws, or ``(10 + 64) · n`` with its tail queue
+  when ``K(p) > 10``).  For these
   sources the sampled inputs — and hence the means of algorithms
   whose kernels consume no randomness — are byte-identical to one kernel
   call over that single matrix *and* invariant under the chunk size.
@@ -980,8 +981,10 @@ def stream_probes(
     from its last durable chunk boundary — the resumed configuration comes
     from the checkpoint, so the stopping-mode and seeding arguments must
     be left unset, and the ``(algorithm, source)`` pair must pickle to the
-    checkpoint's ``pair_blob`` byte for byte (a ``ValueError`` names the
-    checkpoint otherwise).
+    checkpoint's ``pair_blob`` byte for byte.  A checkpoint of an older
+    draw stream or of another pair raises
+    :class:`~repro.core.checkpoint.CheckpointRefused` (a ``ValueError``)
+    naming it.
 
     Cooperative control: ``stop_event`` (a ``threading.Event``-alike) is
     polled after every merged chunk — once set, the run checkpoints (when
@@ -992,7 +995,11 @@ def stream_probes(
     """
     state = None
     if resume is not None:
-        from repro.core.checkpoint import EngineCheckpoint, load_engine_checkpoint
+        from repro.core.checkpoint import (
+            CheckpointRefused,
+            EngineCheckpoint,
+            load_engine_checkpoint,
+        )
 
         state = (
             resume
@@ -1033,7 +1040,7 @@ def stream_probes(
         or state.source != source.name
         or state.n != source.n
     ):
-        raise ValueError(
+        raise CheckpointRefused(
             f"checkpoint records {state.algorithm} on {state.source} "
             f"(n={state.n}); resuming with {algorithm.name} on {source.name} "
             f"(n={source.n})"
@@ -1083,7 +1090,7 @@ def stream_probes(
         # Names alone do not pin the run: a BernoulliSource is "bernoulli"
         # at every p.  The pickled pair does; it is compared, never loaded.
         where = "checkpoint" if resume is state else str(resume)
-        raise ValueError(
+        raise CheckpointRefused(
             f"{where}: the checkpoint's pickled (algorithm, source) pair "
             f"differs from this {algorithm.name} on {source.name} "
             f"(n={source.n}), so resuming would not continue its run"

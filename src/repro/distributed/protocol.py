@@ -40,9 +40,10 @@ import zlib
 
 #: Version negotiated in the hello/welcome handshake; bumped on any
 #: incompatible frame or message change, and on any change of what a chunk
-#: computes (3: bit-plane gate order choices), so a worker on older kernels
-#: is turned away rather than mixing two streams into one run.
-PROTOCOL_VERSION = 3
+#: computes (3: bit-plane gate order choices; 4: the Bernoulli tail queue of
+#: stream ``bitplane-v3``), so a worker on older kernels or samplers is
+#: turned away rather than mixing two streams into one run.
+PROTOCOL_VERSION = 4
 
 _HEADER = struct.Struct(">II")
 

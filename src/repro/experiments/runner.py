@@ -43,9 +43,11 @@ from repro.experiments.report import Row, row_from_dict, row_to_dict, violations
 #: added a ``backend`` kernel-backend knob, which version 6 drops again
 #: (each algorithm has one kernel); version 5 marks numbers seeded on the
 #: bit-plane Bernoulli stream, version 7 randomized gate numbers seeded on
-#: the bit-plane order choices.  Older artifacts still load, with ``"ok"``
-#: status and empty recovery; their ``backend`` field is ignored.
-ARTIFACT_SCHEMA_VERSION = 7
+#: the bit-plane order choices, version 8 Bernoulli numbers seeded on the
+#: tail-queue stream ``bitplane-v3`` at every p with ``K(p) > 10``.  Older
+#: artifacts still load, with ``"ok"`` status and empty recovery; their
+#: ``backend`` field is ignored.
+ARTIFACT_SCHEMA_VERSION = 8
 
 #: ``kind`` field of unified experiment artifacts.
 ARTIFACT_KIND = "experiment"

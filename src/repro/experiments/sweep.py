@@ -63,16 +63,18 @@ SWEEP_KIND = "p_sweep"
 #: ``worker_reassignments``); version 3 adds the per-cell resolved kernel
 #: ``backend``; version 4 marks cells seeded on the bit-plane Bernoulli
 #: stream, version 5 randomized gate cells seeded on the bit-plane order
-#: choices.  Older artifacts still load, with every cell ``"ok"`` (v0), all
-#: recovery counters zero (v0/v1) and backend ``"numpy"`` (v0-v2).
-SWEEP_SCHEMA_VERSION = 5
+#: choices, version 6 Bernoulli cells seeded on the tail-queue stream
+#: ``bitplane-v3``.  Older artifacts still load, with every cell ``"ok"``
+#: (v0), all recovery counters zero (v0/v1) and backend ``"numpy"`` (v0-v2).
+SWEEP_SCHEMA_VERSION = 6
 
 #: ``kind`` field of sweep checkpoint files (grid-level resume).
 SWEEP_CHECKPOINT_KIND = "sweep_checkpoint"
 
 #: Version of the sweep checkpoint JSON schema (2: bit-plane Bernoulli
-#: stream; 3: bit-plane gate order choices).  Older grids cannot be resumed.
-SWEEP_CHECKPOINT_SCHEMA_VERSION = 3
+#: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
+#: ``bitplane-v3``).  Older grids cannot be resumed.
+SWEEP_CHECKPOINT_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ Robustness model (the point of this module):
   accepting work it cannot do.  Failed runs retry with exponential
   backoff up to a bounded attempt budget; each attempt runs under the
   service deadline (the engine's ``run_timeout``) and the existing
-  chunk-timeout machinery.
+  chunk-timeout machinery.  A refused checkpoint
+  (:class:`~repro.core.checkpoint.CheckpointRefused`: an older draw
+  stream or another run) fails the job at once, naming the file.
 * **Degraded mode** — a lost worker pool (``BrokenExecutor``, or the
   ``"service-pool"`` fault site) flips the service read-only: job status
   and cached results keep serving, new submissions get ``503``.
@@ -59,6 +61,7 @@ from repro.algorithms import (
     default_deterministic_algorithm,
     default_randomized_algorithm,
 )
+from repro.core.checkpoint import CheckpointRefused
 from repro.core.distributions import build_source
 from repro.core.engine import (
     ChunkPool,
@@ -334,6 +337,10 @@ class ProbeService:
             return
         except RunDeadlineExceeded as error:
             self._finish_failed(job, f"deadline exceeded: {error}")
+            return
+        except CheckpointRefused as error:
+            # Deterministic: every retry would read the same checkpoint.
+            self._finish_failed(job, f"{type(error).__name__}: {error}")
             return
         except Exception as error:
             self._retry_or_fail(job, error)

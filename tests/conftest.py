@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
+from repro.core.bitpacked import PackedColorings
+from repro.core.distributions import bernoulli_threshold, compare_planes
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -85,3 +88,27 @@ def _chi_square_p_value(statistic: float, df: int) -> float:
 def chi_square_p_value():
     """:func:`_chi_square_p_value`, for goodness-of-fit tests."""
     return _chi_square_p_value
+
+
+def _bitplane_v2_packed(n: int, p: float, trials: int, seed: int) -> PackedColorings:
+    """``trials`` Bernoulli colorings of the retired ``bitplane-v2`` stream:
+    word ``w`` reads draws ``[w·K·n, (w+1)·K·n)`` of ``PCG64(seed)`` as
+    planes ``(plane, element)`` and marks the lanes whose ``K(p)`` leading
+    bits are below ``B``'s.  Frozen here so the kernels' golden digests do
+    not move when the sampler's stream does."""
+    bits = bernoulli_threshold(p)[1]
+    n_words = -(-trials // 64)
+    if bits and n:
+        raw = np.random.PCG64(seed).random_raw(n_words * len(bits) * n)
+        words = compare_planes(raw.reshape(n_words, len(bits), n), bits)[0]
+    else:
+        words = np.full((n_words, n), (1 << 64) - 1 if p == 1 else 0, dtype=np.uint64)
+    packed = PackedColorings(words, trials)
+    words &= packed.valid_mask()[:, None]
+    return packed
+
+
+@pytest.fixture
+def bitplane_v2_packed():
+    """:func:`_bitplane_v2_packed`, for digests pinned on fixed colorings."""
+    return _bitplane_v2_packed

@@ -244,10 +244,11 @@ LANE_ROW_SYSTEMS = {
 }
 
 # blake2s-128 over trials 1, 63, 65, 777, 4096 and 9000 (in that order) of
-# ``probes`` (as int64) followed by ``witness_green`` (as bool), on
-# ``sample_packed(BernoulliSource(n, p), n, trials, default_rng(trials))``.
-# Taken from the element-by-element bit-sliced kernels that the lane-row
-# kernels replaced.
+# ``probes`` (as int64) followed by ``witness_green`` (as bool), on the
+# ``bitplane-v2`` colorings of seed ``trials`` (the ``bitplane_v2_packed``
+# fixture, which froze the sampler's stream of the time so that the digests
+# pin the kernels alone).  Taken from the element-by-element bit-sliced
+# kernels that the lane-row kernels replaced.
 LANE_ROW_DIGESTS = {
     ("Maj1001", 0.0): "95ccbb6d3843641a223b677ef4f7af8f",
     ("Maj1001", 0.5): "e16a9b14b1bad577e36c7f0beaea1418",
@@ -266,12 +267,12 @@ LANE_ROW_DIGESTS = {
 
 class TestLaneRowKernels:
     @pytest.mark.parametrize("name,p", list(LANE_ROW_DIGESTS), ids=lambda v: str(v))
-    def test_output_matches_golden_digest(self, name, p):
+    def test_output_matches_golden_digest(self, name, p, bitplane_v2_packed):
         algorithm = LANE_ROW_SYSTEMS[name]()
         n = algorithm.system.n
         digest = hashlib.blake2s(digest_size=16)
         for trials in (1, 63, 65, 777, 4096, 9000):
-            packed = sample_packed(BernoulliSource(n, p), n, trials, np.random.default_rng(trials))
+            packed = bitplane_v2_packed(n, p, trials, trials)
             probes, witness_green = run_packed(algorithm, packed)
             assert probes.dtype == np.int64 and witness_green.dtype == bool
             assert probes.shape == witness_green.shape == (trials,)

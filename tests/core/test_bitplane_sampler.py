@@ -1,13 +1,17 @@
 """The bit-plane Bernoulli sampler against exact ground truth.
 
-:meth:`BernoulliSource.sample_words` reads one raw ``uint64`` per
-(64-trial word, plane, element) and turns ``K(p)`` planes into ``V < B``
-lane masks with ``B = ceil(p · 2^53)``.  These tests pin:
+:meth:`BernoulliSource.sample_words` turns raw ``uint64`` draws into
+``V < B`` lane masks with ``B = ceil(p · 2^53)``: one draw per (64-trial
+word, plane, element) for the first ``min(K(p), 10)`` planes, then one
+draw per lane still tied (stream ``bitplane-v3``).  These tests pin:
 
 * the comparator on hand-built planes enumerating every leading-bit value;
 * the plane count ``K(p)`` and the draw-free extremes ``p ∈ {0, 1}``;
-* the stream itself, against a pure-Python big-integer reference and as
-  golden words for seed 0, so any later stream change is a visible edit;
+* the stream itself, against a pure-Python big-integer reference on cases
+  that reach the tail queue, with nothing drawn past the words' blocks,
+  the same words whatever the queue draws read up front, the
+  ``bitplane-v2`` words wherever ``K(p) ≤ 10``, and as golden words for
+  seed 0, so any later stream change is a visible edit;
 * the red rate, overall and per lane, within 5σ of ``B / 2^53``, and on
   both lane halves for every 64-bit bit generator (MT19937 is refused);
 * chunk and ``jobs=2`` invariance of the engine on the new stream, with
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ProbeMaj
+from repro.core import distributions
 from repro.core.batched import batched_run
 from repro.core.bitpacked import sample_packed, unpack_matrix
 from repro.core.distributions import (
@@ -126,51 +131,96 @@ class TestExtremes:
         np.testing.assert_array_equal(words, ~raw)
 
 
-def _reference_words(n: int, p: float, trials: int, seed: int) -> list[list[int]]:
-    """Pure-Python stream reference: word ``w`` reads draws
-    ``[w·K·n, (w+1)·K·n)`` as planes ``(plane, element)``; a lane is red
-    iff its leading K bits are below ``B``'s."""
+def _reference_words(n: int, p: float, trials: int, bit_generator):
+    """Pure-Python stream reference, returning ``(words, tail_draws)``.
+
+    Word ``w`` owns the ``draws_per_word`` draws from ``w · draws_per_word``
+    on.  Its first ``H = min(K, 10)`` planes are dense, draw ``j·n + e`` of
+    the block being plane ``j`` of element ``e``; when ``K > H`` every lane
+    whose ``H`` leading bits equal ``B``'s, in (element, lane) order, reads
+    its remaining ``K − H`` bits from the top of the next draw of the queue
+    that starts at offset ``H·n``.  A lane is red iff its bits, as the
+    leading bits of ``V``, put ``V`` below ``B``.  ``bit_generator`` is left
+    just past the words' blocks.
+    """
     threshold, bits = bernoulli_threshold(p)
     planes = len(bits)
+    dense = min(planes, 10)
+    block = (planes if planes <= 10 else dense + 64) * n
     n_words = -(-trials // 64)
-    raw = np.random.PCG64(seed).random_raw(n_words * planes * n)
-    words = []
+    raw = [int(x) for x in bit_generator.random_raw(n_words * block)]
+    words, tail_draws = [], 0
     for w in range(n_words):
+        queue = iter(raw[w * block + dense * n : (w + 1) * block])
         row = []
         for e in range(n):
             word = 0
             for lane in range(64):
                 value = 0
-                for j in range(planes):
-                    draw = int(raw[(w * planes + j) * n + e])
-                    value = value << 1 | (draw >> lane & 1)
-                if value << (53 - planes) < threshold and 64 * w + lane < trials:
+                for j in range(dense):
+                    value = value << 1 | (raw[w * block + j * n + e] >> lane & 1)
+                used = dense
+                if planes > dense and value == threshold >> (53 - dense):
+                    value = value << (planes - dense) | next(queue) >> (64 - planes + dense)
+                    used, tail_draws = planes, tail_draws + 1
+                if value << (53 - used) < threshold and 64 * w + lane < trials:
                     word |= 1 << lane
             row.append(word)
         words.append(row)
-    return words
+    return words, tail_draws
+
+
+def _as_lists(words) -> list[list[int]]:
+    return [[int(x) for x in row] for row in words]
 
 
 class TestStream:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("p", [0.3, 0.001, 0.75, 1 / 3, 0.5])
-    def test_matches_the_big_integer_reference(self, p, seed):
-        # n = 3 over 3 words keeps the planes drawn up front few, so some
-        # words have a lane still tied and redraw their remaining planes.
-        words = BernoulliSource(3, p).sample_words(130, np.random.default_rng(seed))
-        expected = _reference_words(3, p, 130, seed)
-        assert [[int(x) for x in row] for row in words] == expected
+    # 5000 trials are 79 words, over two 64-word slabs; every case with
+    # K(p) > 10 sends some lanes to the tail queue.
+    TRIALS = 5000
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    # 2049/4096 has K = 12: a tied lane's two tail bits often equal B's.
+    @pytest.mark.parametrize("p", [0.3, 1 / 3, 0.001, 0.4, 2049 / 4096])
+    def test_matches_the_big_integer_reference(self, p, n):
+        generator = np.random.default_rng(n)
+        words = BernoulliSource(n, p).sample_words(self.TRIALS, generator)
+        reference = np.random.PCG64(n)
+        expected, tail_draws = _reference_words(n, p, self.TRIALS, reference)
+        assert _as_lists(words) == expected
+        assert tail_draws > 0
+        # Nothing past the words' blocks is consumed.
+        assert generator.bit_generator.random_raw() == reference.random_raw()
+
+    @pytest.mark.parametrize("queue", [0, 1])
+    @pytest.mark.parametrize("p", [0.3, 0.001])
+    def test_words_do_not_depend_on_the_draws_read_up_front(self, monkeypatch, p, queue):
+        # With no or one queue draw read up front, every word with a tied
+        # lane takes the overflow path and draws its queue afresh.
+        expected = BernoulliSource(3, p).sample_words(self.TRIALS, np.random.default_rng(4))
+        monkeypatch.setattr(distributions, "_queue_draws", lambda n: queue)
+        generator = np.random.default_rng(4)
+        words = BernoulliSource(3, p).sample_words(self.TRIALS, generator)
+        np.testing.assert_array_equal(words, expected)
+        reference = np.random.PCG64(4)
+        assert _as_lists(words) == _reference_words(3, p, self.TRIALS, reference)[0]
+        assert generator.bit_generator.random_raw() == reference.random_raw()
 
     def test_other_bit_generators_draw_every_plane(self):
         # Philox's advance steps a 4-draw counter, so it must never skip:
-        # the words read each plane in (word, plane, element) order.
-        source = BernoulliSource(3, 0.3)
-        planes = len(bernoulli_threshold(0.3)[1])
-        words = source.sample_words(130, np.random.Generator(np.random.Philox(5)))
-        raw = np.random.Philox(5).random_raw(3 * planes * 3).reshape(3, planes, 3)
-        lt, _ = compare_planes(raw, bernoulli_threshold(0.3)[1])
-        lt[-1] &= np.uint64((1 << 2) - 1)
-        np.testing.assert_array_equal(words, lt)
+        # it reads every draw of every block, the unread queue included.
+        generator = np.random.Generator(np.random.Philox(5))
+        words = BernoulliSource(3, 0.3).sample_words(self.TRIALS, generator)
+        reference = np.random.Philox(5)
+        expected, tail_draws = _reference_words(3, 0.3, self.TRIALS, reference)
+        assert _as_lists(words) == expected and tail_draws > 0
+        assert generator.bit_generator.random_raw() == reference.random_raw()
+
+    @pytest.mark.parametrize("p", [0.5, 0.25, 0.75, 0.375])
+    def test_at_most_ten_planes_keep_the_bitplane_v2_words(self, p, bitplane_v2_packed):
+        for n, trials, seed in [(1, 130, 0), (7, 5000, 1), (64, 4096, 2)]:
+            words = BernoulliSource(n, p).sample_words(trials, np.random.default_rng(seed))
+            np.testing.assert_array_equal(words, bitplane_v2_packed(n, p, trials, seed).words)
 
     def test_slabs_continue_the_stream(self):
         # 70 words span two 64-word slabs.
@@ -194,8 +244,8 @@ class TestStream:
             (
                 0.3,
                 [0x0CC0040002212C80, 0x1247020679262090, 0x6582801631320502,
-                 0xD3049000043D0DE2, 0x800044A111594021, 0x410283D540629C00,
-                 0xC0804031AA45E000, 0x98A7081050A4017B],
+                 0xD3049000043D0DE2, 0x0003580100249082, 0x00A08105B48B0299,
+                 0x50A01060A00C4352, 0x0918AA16A00A0252],
             ),
         ],
     )

@@ -98,9 +98,10 @@ class TestChunkInvariance:
 
     def test_aligned_source_declarations(self):
         maj = MajoritySystem(21)
-        # Bernoulli reads K(p) bit-planes of 21 draws per 64-trial word:
+        # Bernoulli reads K(p) bit-planes of 21 draws per 64-trial word when
+        # K(p) <= 10, else 10 dense planes and a 64 * 21-draw tail queue:
         # K(0.3) = 53 - tz(ceil(0.3 * 2^53)) = 52, K(1/2) = 1, K(0) = K(1) = 0.
-        assert build_source("bernoulli", maj, 0.3).draws_per_word == 52 * 21
+        assert build_source("bernoulli", maj, 0.3).draws_per_word == (10 + 64) * 21
         assert build_source("bernoulli", maj, 0.5).draws_per_word == 21
         assert build_source("bernoulli", maj, 0.0).draws_per_word == 0
         assert build_source("bernoulli", maj, 1.0).draws_per_word == 0

@@ -30,7 +30,11 @@ import pytest
 
 from repro.algorithms import ProbeTree, default_deterministic_algorithm
 from repro.core import engine
-from repro.core.checkpoint import load_engine_checkpoint, save_engine_checkpoint
+from repro.core.checkpoint import (
+    CheckpointRefused,
+    load_engine_checkpoint,
+    save_engine_checkpoint,
+)
 from repro.core.distributions import BernoulliSource, FixedCountSource, build_source
 from repro.core.engine import (
     ChunkLedger,
@@ -359,7 +363,11 @@ class TestInterruptionSemantics:
 
     @pytest.mark.parametrize(
         "schema,drawn",
-        [(1, "Bernoulli colorings as floats"), (2, "order choices with generator.integers")],
+        [
+            (1, "Bernoulli colorings as floats"),
+            (2, "order choices with generator.integers"),
+            (3, "Bernoulli colorings from the sampler stream 'bitplane-v2'"),
+        ],
     )
     def test_checkpoint_of_an_older_draw_stream_fails_loudly(self, tmp_path, schema, drawn):
         checkpoint = tmp_path / "run.ckpt"
@@ -367,7 +375,9 @@ class TestInterruptionSemantics:
         payload = json.loads(checkpoint.read_text())
         payload["schema"] = schema
         checkpoint.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"run.ckpt.*{drawn}.*sampler stream 'bitplane-v2'"):
+        with pytest.raises(
+            CheckpointRefused, match=f"run.ckpt.*{drawn}.*sampler stream 'bitplane-v3'"
+        ):
             resume_stream(checkpoint)
 
     def test_checkpoint_written_without_pair_blob_refuses_cli_resume(self, tmp_path):

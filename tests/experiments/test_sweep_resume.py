@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.core import engine
+from repro.core.checkpoint import CheckpointRefused
 from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import (
     SweepCheckpoint,
@@ -169,18 +170,23 @@ class TestCheckpointLoader:
 
     @pytest.mark.parametrize(
         "schema,drawn",
-        [(1, "Bernoulli colorings as floats"), (2, "order choices with generator.integers")],
+        [
+            (1, "Bernoulli colorings as floats"),
+            (2, "order choices with generator.integers"),
+            (3, "Bernoulli colorings from the sampler stream 'bitplane-v2'"),
+        ],
     )
     def test_checkpoint_of_an_older_draw_stream_refused(self, tmp_path, schema, drawn):
         # Version-1 grids drew Bernoulli floats, version-2 grids the gate
-        # order choices with generator.integers; resuming one would mix its
+        # order choices with generator.integers, version-3 grids the
+        # Bernoulli colorings of bitplane-v2; resuming one would mix its
         # cells with cells of the current stream.
         path = tmp_path / "sweep.ckpt"
         run_sweep("tree", checkpoint_path=path, **GRID)
         payload = json.loads(path.read_text())
         payload["schema"] = schema
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"sweep.ckpt.*{drawn}.*sampler stream"):
+        with pytest.raises(CheckpointRefused, match=f"sweep.ckpt.*{drawn}.*sampler stream"):
             run_sweep("tree", resume=path, **GRID)
 
 

@@ -380,6 +380,37 @@ class TestDrainAndCrashRecovery:
             fresh["result"]["statistics"]
         )
 
+    @pytest.mark.parametrize(
+        "kind, request_body",
+        [
+            ("estimate", REQUEST),
+            ("sweep", {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32}),
+        ],
+    )
+    def test_checkpoint_of_an_older_stream_fails_the_job_at_once(
+        self, service_factory, kind, request_body
+    ):
+        # A daemon upgraded past a stream switch finds its in-flight jobs'
+        # checkpoints on the old stream.  The refusal is deterministic, so
+        # the job fails on its first attempt, naming the file and stream.
+        from repro.service.jobs import normalize_estimate, normalize_sweep
+
+        normalize = {"estimate": normalize_estimate, "sweep": normalize_sweep}[kind]
+        old = service_factory(start=False)
+        job = old.journal.new_job(kind, normalize(dict(request_body)))
+        old.journal.write(job)
+        old._execute(job)  # leaves the job's checkpoint
+        checkpoint = old.journal.checkpoint_path(job)
+        payload = json.loads(checkpoint.read_text())
+        payload["schema"] = 3
+        checkpoint.write_text(json.dumps(payload))
+        upgraded = service_factory(subdir="data", job_retries=3)
+        record = wait_for_state(upgraded.job_view, job.id)
+        assert record["state"] == "failed" and record["attempts"] == 1
+        assert record["error"].startswith(f"CheckpointRefused: {checkpoint}: ")
+        assert "'bitplane-v2'" in record["error"]
+        assert upgraded.metrics.value("job_retries_total") == 0
+
     def test_done_results_are_indexed_from_the_journal(self, service_factory):
         service = service_factory()
         record = submit_and_wait(service)

@@ -21,11 +21,16 @@ def test_cache_key_separates_different_parameters():
     assert cache_key(PARAMS) != cache_key({**PARAMS, "seed": 1})
 
 
-@pytest.mark.parametrize("stream", ["", "bitplane-v1:"], ids=["float-stream", "bitplane-v1"])
+@pytest.mark.parametrize(
+    "stream",
+    ["", "bitplane-v1:", "bitplane-v2:"],
+    ids=["float-stream", "bitplane-v1", "bitplane-v2"],
+)
 def test_entry_keyed_before_a_sampler_stream_change_misses(stream):
     # Keys before the first stream change hashed the parameters alone (float
     # Bernoulli draws); "bitplane-v1" keys date from gate order choices drawn
-    # with generator.integers.  Neither result is what the seed gives now.
+    # with generator.integers, "bitplane-v2" keys from Bernoulli words that
+    # read every plane densely.  No such result is what the seed gives now.
     cache = ResultCache()
     old_key = hashlib.blake2s(f"{stream}{canonical_json(PARAMS)}".encode()).hexdigest()
     cache.put(old_key, RESULT)
