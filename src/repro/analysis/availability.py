@@ -14,7 +14,8 @@ with binomial formulas for Majority and crumbling walls, so the experiments
 can report paper-bound versus exact versus simulated availability.  The
 same recursions give the exact expected probes of R_Probe_Tree, Probe_HQS
 and R_Probe_HQS at any height, and, carried on generating polynomials,
-their whole probe-count laws jointly with the witness color.
+their whole probe-count laws jointly with the witness color (and
+Probe_Tree's too).
 """
 
 from __future__ import annotations
@@ -213,6 +214,43 @@ def _leaf_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.0, p]), np.array([0.0, 1.0 - p])
 
 
+def _root_first(
+    red: np.ndarray,
+    green: np.ndarray,
+    rr: np.ndarray,
+    rg: np.ndarray,
+    gg: np.ndarray,
+    p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Tree node evaluated root first: probe the root, then one subtree,
+    then the other when the first differs from the root's color.  ``rr``,
+    ``rg`` and ``gg`` are the products of the subtree laws.  With
+    ``s = p g + (1 − p) r``::
+
+        r' = z (p r + s r)     g' = z ((1 − p) g + s g)
+    """
+    return (
+        _times_z(_add(p * red, p * rg + (1.0 - p) * rr)),
+        _times_z(_add((1.0 - p) * green, p * gg + (1.0 - p) * rg)),
+    )
+
+
+def probe_tree_probe_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of Probe_Tree's probe count and witness color, as
+    ``(red, green)`` like :func:`r_probe_tree_probe_law`.
+
+    Probe_Tree probes every node's root first, then its right subtree, and
+    its left subtree only when the right one differs from the root.  The
+    subtrees are i.i.d., so this is R_Probe_Tree's root-first step with
+    weight 1 (see :func:`_root_first`).
+    """
+    red, green = _leaf_law(height, p)
+    for _ in range(height):
+        rr, rg, gg = np.convolve(red, red), np.convolve(red, green), np.convolve(green, green)
+        red, green = _root_first(red, green, rr, rg, gg, p)
+    return red, green
+
+
 def r_probe_tree_probe_law(height: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of R_Probe_Tree's probe count and witness color: arrays
     ``(red, green)`` where ``red[k]`` is the probability that the tree is
@@ -220,19 +258,17 @@ def r_probe_tree_probe_law(height: int, p: float) -> tuple[np.ndarray, np.ndarra
 
     A node probes its root first with probability 2/3 (then one subtree,
     then the other when the first differs from the root) and last with
-    probability 1/3 (both subtrees, then the root when they differ).  With
-    ``s = p g + (1 − p) r`` for "the first subtree differs from the root"::
+    probability 1/3 (both subtrees, then the root when they differ).  The
+    root-first step is :func:`_root_first`'s; the root-last one is::
 
-        root first:  r' = z (p r + s r)     g' = z ((1 − p) g + s g)
-        root last:   r' = r² + 2p z r g     g' = g² + 2(1 − p) z r g
+        r' = r² + 2p z r g     g' = g² + 2(1 − p) z r g
 
     Its first moment is :func:`r_probe_tree_expected_probes`.
     """
     red, green = _leaf_law(height, p)
     for _ in range(height):
         rr, rg, gg = np.convolve(red, red), np.convolve(red, green), np.convolve(green, green)
-        first_red = _times_z(_add(p * red, p * rg + (1.0 - p) * rr))
-        first_green = _times_z(_add((1.0 - p) * green, p * gg + (1.0 - p) * rg))
+        first_red, first_green = _root_first(red, green, rr, rg, gg, p)
         last_red = _add(rr, _times_z(2.0 * p * rg))
         last_green = _add(gg, _times_z(2.0 * (1.0 - p) * rg))
         red = (2.0 * first_red + last_red) / 3.0

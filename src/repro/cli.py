@@ -10,8 +10,6 @@ writing Python:
 * ``repro-probe probe``            — run one probing episode on a random coloring
 * ``repro-probe estimate``         — Monte-Carlo PPC estimate vs the paper bound
 * ``repro-probe sweep``            — batched (p, n) grid sweep + JSON artifact
-* ``repro-probe worker``           — serve chunk leases to a distributed
-  coordinator (``estimate``/``sweep --workers``)
 * ``repro-probe table1``           — regenerate Table 1
 * ``repro-probe list``             — list the registered experiments
 * ``repro-probe run <id>``         — run registered experiments through the
@@ -51,14 +49,6 @@ default — failed cells/experiments are recorded in the artifact with
 ``status``/``error`` and exit nonzero — while ``--fail-fast`` restores
 strict abort-on-first-error behavior.
 
-Distributed execution (see README, "Distributed workers"):
-``estimate``/``sweep`` accept ``--workers HOST:PORT[,...]`` (bind a
-coordinator and lease chunks to workers dialing in with
-``repro-probe worker --connect HOST:PORT``) or ``--spawn-workers N``
-(loopback workers), plus ``--min-workers``, ``--lease-timeout`` and
-``--no-local-fallback``; distributed runs are byte-identical to
-``--jobs 1``.
-
 The module is also usable as ``python -m repro.cli ...``.
 """
 
@@ -66,8 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 
 from repro.algorithms import default_deterministic_algorithm, default_randomized_algorithm
 from repro.core.coloring import Coloring
@@ -161,84 +150,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _distributed_coordinator(args: argparse.Namespace) -> Iterator:
-    """Coordinator lifecycle for ``--workers``/``--spawn-workers`` commands.
-
-    Yields ``None`` when the command is not distributed; otherwise binds
-    the coordinator, optionally spawns loopback workers, waits for the
-    expected head count (a loud error if they don't show up), and tears
-    everything down — shutdown frames to workers, reaped child processes —
-    when the block ends.
-    """
-    addresses = getattr(args, "workers", None)
-    spawn = getattr(args, "spawn_workers", 0)
-    if not addresses and not spawn:
-        yield None
-        return
-    from repro.distributed import Coordinator, shutdown_workers, spawn_local_workers
-    from repro.signals import trap_as_keyboard_interrupt
-
-    bind = (
-        [entry.strip() for entry in addresses.split(",") if entry.strip()]
-        if addresses
-        else [("127.0.0.1", 0)]
-    )
-    kwargs = {"local_fallback": not args.no_local_fallback}
-    if args.lease_timeout is not None:
-        kwargs["lease_timeout"] = args.lease_timeout
-    try:
-        coordinator = Coordinator(bind, **kwargs)
-    except (ValueError, OSError) as error:
-        raise SystemExit(str(error)) from None
-    processes = []
-    # SIGTERM unwinds like Ctrl-C, so a supervisor stopping this run still
-    # reaches the finally below: workers get shutdown frames and spawned
-    # processes are reaped instead of tripping the lease-expiry path.
-    with trap_as_keyboard_interrupt():
-        try:
-            for host, port in coordinator.addresses:
-                print(f"coordinator listening on {host}:{port}", file=sys.stderr)
-            if spawn:
-                processes = spawn_local_workers(spawn, coordinator.addresses[0])
-            expected = args.min_workers if args.min_workers is not None else (spawn or 1)
-            try:
-                coordinator.wait_for_workers(expected, timeout=60.0)
-            except TimeoutError as error:
-                raise SystemExit(str(error)) from None
-            yield coordinator
-        finally:
-            coordinator.close()
-            if processes:
-                shutdown_workers(processes)
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """``worker --connect``: serve chunk leases to a coordinator."""
-    from repro.distributed import (
-        DEFAULT_HEARTBEAT_INTERVAL,
-        DEFAULT_RECONNECT_FOR,
-        run_worker,
-    )
-
-    try:
-        return run_worker(
-            args.connect,
-            heartbeat_interval=(
-                DEFAULT_HEARTBEAT_INTERVAL
-                if args.heartbeat_interval is None
-                else args.heartbeat_interval
-            ),
-            reconnect_for=(
-                DEFAULT_RECONNECT_FOR
-                if args.reconnect_for is None
-                else args.reconnect_for
-            ),
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: run the probe-estimation HTTP daemon until SIGTERM."""
     import logging
@@ -268,22 +179,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_resume(args: argparse.Namespace) -> int:
     """``estimate --resume``: continue a checkpointed run, self-contained."""
     from repro.core.engine import resume_stream
-    from repro.distributed import DistributedError
 
     try:
-        with _distributed_coordinator(args) as coordinator:
-            result = resume_stream(
-                args.resume,
-                jobs=args.jobs,
-                coordinator=coordinator,
-                retries=args.retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint_path=args.checkpoint,
-            )
+        result = resume_stream(
+            args.resume,
+            jobs=args.jobs,
+            retries=args.retries,
+            chunk_timeout=args.chunk_timeout,
+            checkpoint_path=args.checkpoint,
+        )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
-    except DistributedError as error:
-        raise SystemExit(f"{type(error).__name__}: {error}") from None
     print(f"resumed   : {args.resume}")
     print(f"algorithm : {result.algorithm}")
     print(f"inputs    : {result.source}")
@@ -326,29 +232,24 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _reject_trials_with_target_ci(args)
     from repro.core.batched import supports_batched
     from repro.core.engine import stream_probes
-    from repro.distributed import DistributedError
 
     try:
-        with _distributed_coordinator(args) as coordinator:
-            stream_result = stream_probes(
-                algorithm,
-                source,
-                p=args.p,
-                trials=args.trials,
-                target_ci=args.target_ci,
-                chunk_size=args.chunk_size,
-                max_trials=args.max_trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                coordinator=coordinator,
-                retries=args.retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint_path=args.checkpoint,
-            )
+        stream_result = stream_probes(
+            algorithm,
+            source,
+            p=args.p,
+            trials=args.trials,
+            target_ci=args.target_ci,
+            chunk_size=args.chunk_size,
+            max_trials=args.max_trials,
+            seed=args.seed,
+            jobs=args.jobs,
+            retries=args.retries,
+            chunk_timeout=args.chunk_timeout,
+            checkpoint_path=args.checkpoint,
+        )
     except ValueError as error:
         raise SystemExit(str(error)) from None
-    except DistributedError as error:
-        raise SystemExit(f"{type(error).__name__}: {error}") from None
     estimate = stream_result.estimate
     print(f"system    : {system.name} (n={system.n})")
     print(f"algorithm : {algorithm.name}")
@@ -359,15 +260,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     jobs = f", {args.jobs} jobs" if args.jobs > 1 else ""
     print(f"estimator : streaming ({kind}, chunk {stream_result.chunk_size}{jobs})")
     print(f"backend   : {stream_result.backend}")
-    if (
-        stream_result.retries_used
-        or stream_result.pool_respawns
-        or stream_result.worker_reassignments
-    ):
+    if stream_result.retries_used or stream_result.pool_respawns:
         print(
             f"recovery  : {stream_result.retries_used} chunk retries, "
-            f"{stream_result.pool_respawns} pool respawns, "
-            f"{stream_result.worker_reassignments} lease reassignments"
+            f"{stream_result.pool_respawns} pool respawns"
         )
     if stream_result.target_ci is not None:
         verdict = "reached" if stream_result.reached_target else "NOT reached"
@@ -405,7 +301,6 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.distributed import DistributedError
     from repro.experiments.sweep import (
         render_sweep,
         resume_sweep,
@@ -415,42 +310,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     _reject_trials_with_target_ci(args)
     try:
-        with _distributed_coordinator(args) as coordinator:
-            if args.resume is not None:
-                # Self-contained: the grid definition comes from the
-                # checkpoint; only execution knobs apply here.
-                result = resume_sweep(
-                    args.resume,
-                    jobs=args.jobs,
-                    fail_fast=args.fail_fast,
-                    retries=args.retries,
-                    chunk_timeout=args.chunk_timeout,
-                    coordinator=coordinator,
-                    checkpoint_path=args.checkpoint,
-                )
-            else:
-                result = run_sweep(
-                    args.system,
-                    sizes=args.sizes,
-                    ps=args.ps,
-                    trials=args.trials,
-                    seed=args.seed,
-                    randomized=args.randomized,
-                    distribution=args.distribution,
-                    chunk_size=args.chunk_size,
-                    target_ci=args.target_ci,
-                    max_trials=args.max_trials,
-                    jobs=args.jobs,
-                    fail_fast=args.fail_fast,
-                    retries=args.retries,
-                    chunk_timeout=args.chunk_timeout,
-                    coordinator=coordinator,
-                    checkpoint_path=args.checkpoint,
-                )
+        if args.resume is not None:
+            # Self-contained: the grid definition comes from the
+            # checkpoint; only execution knobs apply here.
+            result = resume_sweep(
+                args.resume,
+                jobs=args.jobs,
+                fail_fast=args.fail_fast,
+                retries=args.retries,
+                chunk_timeout=args.chunk_timeout,
+                checkpoint_path=args.checkpoint,
+            )
+        else:
+            result = run_sweep(
+                args.system,
+                sizes=args.sizes,
+                ps=args.ps,
+                trials=args.trials,
+                seed=args.seed,
+                randomized=args.randomized,
+                distribution=args.distribution,
+                chunk_size=args.chunk_size,
+                target_ci=args.target_ci,
+                max_trials=args.max_trials,
+                jobs=args.jobs,
+                fail_fast=args.fail_fast,
+                retries=args.retries,
+                chunk_timeout=args.chunk_timeout,
+                checkpoint_path=args.checkpoint,
+            )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
-    except DistributedError as error:
-        raise SystemExit(f"{type(error).__name__}: {error}") from None
     print(render_sweep(result))
     # The default artifact name encodes every result-changing axis so two
     # sweeps of the same system cannot silently overwrite each other.
@@ -681,49 +571,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_distributed_arguments(parser: argparse.ArgumentParser) -> None:
-    """The distributed-backend knobs shared by ``estimate`` and ``sweep``."""
-    parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="HOST:PORT[,...]",
-        help="run distributed: bind a coordinator on these addresses and "
-        "lease chunks to workers dialing in via `repro-probe worker --connect`",
-    )
-    parser.add_argument(
-        "--spawn-workers",
-        type=int,
-        default=0,
-        dest="spawn_workers",
-        metavar="N",
-        help="run distributed: spawn N loopback worker processes",
-    )
-    parser.add_argument(
-        "--min-workers",
-        type=int,
-        default=None,
-        dest="min_workers",
-        metavar="N",
-        help="wait for N connected workers before starting "
-        "(default: the --spawn-workers count, else 1)",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=None,
-        dest="lease_timeout",
-        help="seconds without a heartbeat before a worker's lease is "
-        "reassigned (default 10)",
-    )
-    parser.add_argument(
-        "--no-local-fallback",
-        action="store_true",
-        dest="no_local_fallback",
-        help="fail with AllWorkersLostError instead of computing locally "
-        "when every worker is gone",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -776,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue a checkpointed run (self-contained: other flags ignored)",
     )
     _add_engine_arguments(estimate)
-    _add_distributed_arguments(estimate)
     estimate.set_defaults(func=_cmd_estimate)
 
     sweep = sub.add_parser(
@@ -833,33 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(self-contained: grid flags ignored)",
     )
     _add_engine_arguments(sweep)
-    _add_distributed_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    worker = sub.add_parser(
-        "worker", help="serve chunk leases to a distributed coordinator"
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to dial (an estimate/sweep run with --workers)",
-    )
-    worker.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        dest="heartbeat_interval",
-        help="seconds between lease heartbeats while computing (default 1)",
-    )
-    worker.add_argument(
-        "--reconnect-for",
-        type=float,
-        default=None,
-        dest="reconnect_for",
-        help="seconds of failed reconnection attempts before giving up (default 10)",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     serve = sub.add_parser(
         "serve", help="run the probe-estimation HTTP service"

@@ -63,9 +63,8 @@ takes, packed words or a bool matrix, is asked of the kernel registry
 (:func:`repro.core.batched.resolve_backend`) wherever the chunk runs.
 
 Execution is one scheduler over *chunk leases*, whichever transport runs
-the chunks: inline in the caller (``jobs=1``), a respawnable process pool
-(:class:`ChunkPool`, ``jobs > 1``) or networked workers
-(:class:`repro.distributed.Coordinator`).  The scheduler keeps a window of
+the chunks: inline in the caller (``jobs=1``) or a respawnable process
+pool (:class:`ChunkPool`, ``jobs > 1``).  The scheduler keeps a window of
 leases in absolute chunk order and merges only at its head, evaluating the
 ``target_ci`` stopping rule after each in-order merge, so speculative
 chunks computed past the stopping point are discarded and every transport
@@ -247,9 +246,9 @@ class StreamResult:
     ``target_ci`` mode.  ``histogram[v]`` counts trials with probe count
     ``v`` (exact).  ``seconds`` is wall clock and excluded from every
     determinism claim, as are the fault-recovery counters
-    ``retries_used``/``pool_respawns``/``worker_reassignments`` — a
-    recovered run reports how bumpy the ride was, but its statistics are
-    byte-identical to a fault-free run's.
+    ``retries_used``/``pool_respawns`` — a recovered run reports how bumpy
+    the ride was, but its statistics are byte-identical to a fault-free
+    run's.
     """
 
     algorithm: str
@@ -267,7 +266,6 @@ class StreamResult:
     seconds: float
     retries_used: int = 0
     pool_respawns: int = 0
-    worker_reassignments: int = 0
     #: The kernel backend the run executed on, derived from the algorithm
     #: (:func:`repro.core.batched.resolve_backend`): "bitpacked" or "numpy".
     backend: str = "numpy"
@@ -303,7 +301,7 @@ class _ThreadCollectors(threading.local):
 _RECOVERY_COLLECTORS = _ThreadCollectors()
 
 #: Counter keys a recovery collector accumulates.
-RECOVERY_KEYS = ("retries_used", "pool_respawns", "worker_reassignments")
+RECOVERY_KEYS = ("retries_used", "pool_respawns")
 
 
 @contextmanager
@@ -312,11 +310,11 @@ def collect_recovery() -> Iterator[dict]:
 
     Yields a dict with :data:`RECOVERY_KEYS`; each :func:`stream_probes`
     completion on the calling thread adds its ``retries_used``/
-    ``pool_respawns``/``worker_reassignments`` into it.  Used by the
-    experiment and sweep runners to persist recovery statistics in
-    artifacts without threading the counters through every
-    ``ExperimentSpec.run`` signature.  Collectors are per thread, so runs
-    on other threads (the service's workers) never count here.
+    ``pool_respawns`` into it.  Used by the experiment and sweep runners
+    to persist recovery statistics in artifacts without threading the
+    counters through every ``ExperimentSpec.run`` signature.  Collectors
+    are per thread, so runs on other threads (the service's workers)
+    never count here.
     """
     totals = dict.fromkeys(RECOVERY_KEYS, 0)
     _RECOVERY_COLLECTORS.stack.append(totals)
@@ -421,10 +419,9 @@ class ChunkTask:
         """The pickled ``(algorithm, source)`` pair plus a cache token,
         serialized once per run.
 
-        The same bytes ship with every pool task and to every networked
-        worker; workers deserialize once per token (:func:`cached_pair`)
-        and then reuse the *same* objects for all their chunks, so the
-        per-algorithm kernel scratch
+        The same bytes ship with every pool task; workers deserialize once
+        per token (:func:`cached_pair`) and then reuse the *same* objects
+        for all their chunks, so the per-algorithm kernel scratch
         (:func:`repro.core.batched.kernel_scratch`) stays warm inside
         workers exactly as it does inline.
         """
@@ -453,19 +450,16 @@ PAIR_CACHE_MAX = 8
 _pair_cache = threading.local()
 
 
-def cached_pair(
-    token: str, blob: bytes | None = None
-) -> tuple[ProbingAlgorithm, ColoringSource] | None:
-    """The pair a pool or networked worker cached under ``token``,
-    deserializing ``blob`` on a miss; ``None`` when the token is unknown
-    and no blob came with it."""
+def cached_pair(token: str, blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource]:
+    """The pair a pool worker cached under ``token``, deserializing
+    ``blob`` on a miss."""
     pairs = getattr(_pair_cache, "pairs", None)
     if pairs is None:
         pairs = _pair_cache.pairs = OrderedDict()
     pair = pairs.get(token)
     if pair is not None:
         pairs.move_to_end(token)
-    elif blob is not None:
+    else:
         pair = pairs[token] = load_pair(blob)
         while len(pairs) > PAIR_CACHE_MAX:
             pairs.popitem(last=False)
@@ -576,19 +570,17 @@ class ChunkLedger:
 class Lease:
     """One chunk ``[start, start + size)`` in the scheduler's window.
 
-    ``handle`` is the transport's claim on the running chunk (a future, a
-    worker link) and ``None`` while the chunk awaits dispatch;
-    ``deadline`` is an expiry the transport may keep; ``stats`` holds the
+    ``handle`` is the transport's claim on the running chunk (a future)
+    and ``None`` while the chunk awaits dispatch; ``stats`` holds the
     result once it arrived, merged when the lease reaches the head.
     """
 
-    __slots__ = ("start", "size", "handle", "deadline", "stats")
+    __slots__ = ("start", "size", "handle", "stats")
 
     def __init__(self, start: int, size: int) -> None:
         self.start = start
         self.size = size
         self.handle = None
-        self.deadline: float | None = None
         self.stats: ChunkStats | None = None
 
 
@@ -611,7 +603,7 @@ class Transport:
     """How one run's leases get computed; the scheduler's only dependency.
 
     * ``window()`` — how many leases may be outstanding (asked once per
-      scheduler step);
+      run);
     * ``advance(pending)`` — dispatch every lease whose ``handle`` is
       ``None``, wait for progress, set ``stats`` on finished leases and
       return this step's failures, detaching (``handle = None``) each lease
@@ -620,11 +612,10 @@ class Transport:
       detached and re-dispatched;
     * ``cancel(lease)`` — drop a speculative lease when the run ends.
 
-    ``respawns``/``reassignments`` count the recoveries the run reports.
+    ``respawns`` counts the pool respawns the run reports.
     """
 
     respawns = 0
-    reassignments = 0
 
     def window(self) -> int:
         raise NotImplementedError
@@ -829,12 +820,12 @@ class _Scheduler:
         schedule = self.rule.chunk_starts(self.chunk_size, first=self.next_start)
         pending: list[Lease] = []
         exhausted = False
+        window = transport.window()
         try:
             while True:
                 while pending and pending[0].stats is not None:
                     if self._merge(pending.pop(0)):
                         return
-                window = transport.window()
                 while not exhausted and len(pending) < window:
                     item = next(schedule, None)
                     if item is None:
@@ -932,7 +923,6 @@ def stream_probes(
     seed: int | None = None,
     jobs: int = 1,
     executor: ChunkPool | None = None,
-    coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
     checkpoint_path: str | Path | None = None,
@@ -966,9 +956,6 @@ def stream_probes(
     runs (e.g. the sweep grid) may pass a shared ``executor`` — a
     :class:`ChunkPool`, which the engine respawns after a worker crash but
     never shuts down — so worker processes are spawned once, not per run.
-    A ``coordinator`` (:class:`repro.distributed.Coordinator`) leases
-    chunks to networked workers instead (mutually exclusive with
-    ``jobs > 1``/``executor``).
 
     Fault tolerance: each chunk has a retry budget of ``retries``
     (default :data:`DEFAULT_RETRIES`) with exponential backoff
@@ -1072,11 +1059,6 @@ def stream_probes(
             f"{type(executor).__name__}; a ChunkPool can be respawned after "
             "a worker crash, a raw executor cannot"
         )
-    if coordinator is not None and (jobs > 1 or executor is not None):
-        raise ValueError(
-            "a distributed coordinator replaces the process pool; pass "
-            "either coordinator or jobs/executor, not both"
-        )
     retries = DEFAULT_RETRIES if retries is None else retries
     if chunk_timeout is not None and chunk_timeout <= 0:
         raise ValueError("chunk_timeout must be positive (None disables it)")
@@ -1120,9 +1102,7 @@ def stream_probes(
 
     start_time = time.perf_counter()
     owned = ChunkPool(jobs) if jobs > 1 and executor is None else None
-    if coordinator is not None:
-        transport = coordinator.transport(task, fallback=_InlineTransport(task))
-    elif executor is not None or owned is not None:
+    if executor is not None or owned is not None:
         transport = _PoolTransport(executor or owned, task, chunk_timeout)
     else:
         transport = _InlineTransport(task)
@@ -1150,7 +1130,6 @@ def stream_probes(
         seconds=seconds,
         retries_used=scheduler.ledger.failures,
         pool_respawns=transport.respawns,
-        worker_reassignments=transport.reassignments,
         backend=backend,
     )
     for totals in _RECOVERY_COLLECTORS.stack:
@@ -1164,7 +1143,6 @@ def resume_stream(
     *,
     jobs: int = 1,
     executor: ChunkPool | None = None,
-    coordinator=None,
     retries: int | None = None,
     chunk_timeout: float | None = None,
     checkpoint_path: str | Path | None = None,
@@ -1193,7 +1171,6 @@ def resume_stream(
         source,
         jobs=jobs,
         executor=executor,
-        coordinator=coordinator,
         retries=retries,
         chunk_timeout=chunk_timeout,
         checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,

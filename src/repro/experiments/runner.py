@@ -38,8 +38,9 @@ from repro.experiments.report import Row, row_from_dict, row_to_dict, violations
 
 #: Version of the unified artifact JSON schema.  Version 2 added the
 #: ``status``/``error`` fields (degraded runs); version 3 adds the
-#: ``recovery`` counters (chunk retries / pool respawns / distributed
-#: lease reassignments observed by the run's engine calls); version 4
+#: ``recovery`` counters (chunk retries / pool respawns observed by the
+#: run's engine calls; older files may also hold a TCP lease-reassignment
+#: count, loaded as is); version 4
 #: added a ``backend`` kernel-backend knob, which version 6 drops again
 #: (each algorithm has one kernel); version 5 marks numbers seeded on the
 #: bit-plane Bernoulli stream, version 7 randomized gate numbers seeded on

@@ -59,13 +59,14 @@ SWEEP_KIND = "p_sweep"
 
 #: Version of the sweep artifact JSON schema.  Version 1 added the
 #: per-cell ``status``/``error`` fields (degraded grids); version 2 adds
-#: the per-cell recovery counters (``retries_used``/``pool_respawns``/
-#: ``worker_reassignments``); version 3 adds the per-cell resolved kernel
-#: ``backend``; version 4 marks cells seeded on the bit-plane Bernoulli
-#: stream, version 5 randomized gate cells seeded on the bit-plane order
-#: choices, version 6 Bernoulli cells seeded on the tail-queue stream
-#: ``bitplane-v3``.  Older artifacts still load, with every cell ``"ok"``
-#: (v0), all recovery counters zero (v0/v1) and backend ``"numpy"`` (v0-v2).
+#: the per-cell recovery counters (``retries_used``/``pool_respawns``, and
+#: a TCP lease-reassignment count that loading now drops); version 3 adds
+#: the per-cell resolved kernel ``backend``; version 4 marks cells seeded
+#: on the bit-plane Bernoulli stream, version 5 randomized gate cells
+#: seeded on the bit-plane order choices, version 6 Bernoulli cells seeded
+#: on the tail-queue stream ``bitplane-v3``.  Older artifacts still load,
+#: with every cell ``"ok"`` (v0), all recovery counters zero (v0/v1) and
+#: backend ``"numpy"`` (v0-v2).
 SWEEP_SCHEMA_VERSION = 6
 
 #: ``kind`` field of sweep checkpoint files (grid-level resume).
@@ -94,9 +95,9 @@ class SweepCell:
 
     The recovery counters record how bumpy the cell's run was —
     ``retries_used`` chunk retries, ``pool_respawns`` process-pool
-    respawns, ``worker_reassignments`` distributed lease reassignments —
-    and are excluded from every determinism claim (like ``seconds``): a
-    recovered cell's statistics are byte-identical to a fault-free run's.
+    respawns — and are excluded from every determinism claim (like
+    ``seconds``): a recovered cell's statistics are byte-identical to a
+    fault-free run's.
     """
 
     system: str
@@ -114,7 +115,6 @@ class SweepCell:
     error: str = ""
     retries_used: int = 0
     pool_respawns: int = 0
-    worker_reassignments: int = 0
     #: Kernel backend the cell ran on, derived from the algorithm
     #: ("bitpacked" for the deterministic ones, "numpy" otherwise).
     backend: str = "numpy"
@@ -201,6 +201,18 @@ def save_sweep_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> Path
     return atomic_write_json(path, checkpoint.to_payload())
 
 
+def _load_cell(fields: dict) -> SweepCell:
+    """A :class:`SweepCell` from its JSON form.
+
+    Older artifacts and checkpoints also carry ``worker_reassignments``,
+    the lease-reassignment count of the retired TCP transport: a recovery
+    counter outside every statistic, so it is dropped rather than refused.
+    """
+    fields = dict(fields)
+    fields.pop("worker_reassignments", None)
+    return SweepCell(**fields)
+
+
 def load_sweep_checkpoint(path: str | Path) -> SweepCheckpoint:
     """Load a sweep checkpoint; strict about kind, schema and fields."""
     payload = load_json_payload(path, SWEEP_CHECKPOINT_KIND)
@@ -208,7 +220,7 @@ def load_sweep_checkpoint(path: str | Path) -> SweepCheckpoint:
     return SweepCheckpoint(
         config=dict(required_field(payload, "config", path)),
         cells=tuple(
-            SweepCell(**cell) for cell in required_field(payload, "cells", path)
+            _load_cell(cell) for cell in required_field(payload, "cells", path)
         ),
         complete=bool(required_field(payload, "complete", path)),
     )
@@ -230,7 +242,6 @@ def run_sweep(
     fail_fast: bool = False,
     retries: int | None = None,
     chunk_timeout: float | None = None,
-    coordinator=None,
     checkpoint_path: str | Path | None = None,
     resume: "SweepCheckpoint | str | Path | None" = None,
     backend: str | None = None,
@@ -278,9 +289,7 @@ def run_sweep(
     :class:`SweepCheckpoint` atomically after every measured cell, and
     ``resume`` (a checkpoint path or loaded checkpoint) skips the cells it
     already holds — the run configuration must match the checkpoint's, and
-    a mismatch is a loud error naming the differing settings.  A
-    ``coordinator`` (:class:`repro.distributed.Coordinator`) runs every
-    cell over networked workers instead of a local pool.
+    a mismatch is a loud error naming the differing settings.
 
     Cooperative control (the serving layer's drain/deadline hooks):
     ``stop_event`` and ``run_timeout`` are threaded into every cell's
@@ -298,11 +307,6 @@ def run_sweep(
     deadline_at = None if run_timeout is None else time.monotonic() + run_timeout
     if not sizes or not ps:
         raise ValueError("sweep needs at least one size and one p")
-    if coordinator is not None and jobs > 1:
-        raise ValueError(
-            "a distributed coordinator replaces the process pool; pass "
-            "either coordinator or jobs > 1, not both"
-        )
     # Canonical name: aliases like "iid" render and serialize as the
     # source they resolve to, so artifact consumers compare one spelling.
     distribution = canonical_source_name(distribution)
@@ -344,9 +348,7 @@ def run_sweep(
     # dwarf small cells' compute.  A ChunkPool, not a raw executor, so a
     # worker crash recovered inside one cell leaves the pool usable by the
     # next.
-    executor = (
-        ChunkPool(max_workers=jobs) if jobs > 1 and coordinator is None else None
-    )
+    executor = ChunkPool(max_workers=jobs) if jobs > 1 else None
 
     def write_checkpoint(complete: bool) -> None:
         if checkpoint_path is None:
@@ -431,7 +433,6 @@ def run_sweep(
                         seed=cell_seed(seed, int(size), float(p)),
                         jobs=jobs,
                         executor=executor,
-                        coordinator=coordinator,
                         retries=retries,
                         chunk_timeout=chunk_timeout,
                         backend=backend,
@@ -462,7 +463,6 @@ def run_sweep(
                         n_trials_used=result.n_trials_used,
                         retries_used=result.retries_used,
                         pool_respawns=result.pool_respawns,
-                        worker_reassignments=result.worker_reassignments,
                         backend=result.backend,
                     )
                 )
@@ -492,7 +492,6 @@ def resume_sweep(
     fail_fast: bool = False,
     retries: int | None = None,
     chunk_timeout: float | None = None,
-    coordinator=None,
     checkpoint_path: str | Path | None = None,
     stop_event=None,
     run_timeout: float | None = None,
@@ -524,7 +523,6 @@ def resume_sweep(
         fail_fast=fail_fast,
         retries=retries,
         chunk_timeout=chunk_timeout,
-        coordinator=coordinator,
         checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
         resume=state,
         stop_event=stop_event,
@@ -577,11 +575,9 @@ def render_sweep(result: SweepResult) -> str:
         lines.append(f"adaptive stopping used {used} trials across the grid")
     retried = sum(c.retries_used for c in measured)
     respawned = sum(c.pool_respawns for c in measured)
-    reassigned = sum(c.worker_reassignments for c in measured)
-    if retried or respawned or reassigned:
+    if retried or respawned:
         lines.append(
-            f"recovery: {retried} chunk retries, {respawned} pool respawns, "
-            f"{reassigned} lease reassignments"
+            f"recovery: {retried} chunk retries, {respawned} pool respawns"
         )
     for cell in result.failed_cells:
         lines.append(f"FAILED cell (size={cell.size}, p={cell.p:g}): {cell.error}")
@@ -615,7 +611,7 @@ def load_sweep_artifact(path: str | Path) -> SweepResult:
     # Legacy (pre-engine) artifacts: every cell used exactly its requested
     # trial count and had no adaptive-stopping tolerance.
     cells = tuple(
-        SweepCell(**{"n_trials_used": cell.get("trials", 0), **cell})
+        _load_cell({"n_trials_used": cell.get("trials", 0), **cell})
         for cell in required_field(payload, "cells", path)
     )
     return SweepResult(

@@ -22,7 +22,9 @@ Robustness model (the point of this module):
   rebuild their run from the journaled parameters and resume from the
   checkpoint's chunk state alone (no code object is read back from disk),
   byte-identical to uninterrupted runs (the engine's ``(seed, start)``
-  chunk keying).  Completed jobs are never re-run.
+  chunk keying).  Completed jobs are never re-run, and a job's checkpoint
+  is removed once its terminal (``done`` or ``failed``) record is durable,
+  so the data directory holds checkpoints of unsettled jobs only.
 * **Admission control** — a bounded queue; a full queue or a non-ready
   service answers ``503`` with a ``Retry-After`` header instead of
   accepting work it cannot do.  Failed runs retry with exponential
@@ -107,7 +109,9 @@ class ProbeService:
     The HTTP layer (:class:`ProbeServer`) is a thin shell over this
     object; tests drive it directly.  ``data_dir`` holds everything
     durable: ``journal/`` (job records, results included) and
-    ``journal/checkpoints/`` (engine and sweep checkpoints).
+    ``journal/checkpoints/`` (engine and sweep checkpoints of unsettled
+    jobs; a job's file goes once its ``done`` or ``failed`` record is
+    durable).
     """
 
     def __init__(
@@ -419,6 +423,7 @@ class ProbeService:
         with self._lock:
             done = replace(job, state="done", result=result, error="")
         self.journal.write(done)
+        self._drop_checkpoint(job)
         self.cache.put(job.cache_key, result)
         self.metrics.inc("jobs_done_total")
         self.metrics.inc("job_seconds_total", seconds)
@@ -439,7 +444,13 @@ class ProbeService:
             self._settle(job)
         self.metrics.inc("jobs_failed_total")
         self.journal.write(job)
+        self._drop_checkpoint(job)
         _logger.warning("%s failed: %s", job.id, error)
+
+    def _drop_checkpoint(self, job: Job) -> None:
+        """Remove a settled job's checkpoint once its terminal record is
+        durable; drained and retried jobs keep theirs to resume from."""
+        self.journal.checkpoint_path(job).unlink(missing_ok=True)
 
     def _settle(self, job: Job) -> None:
         """Drop ``job`` from the in-flight index (call under ``_lock``)."""

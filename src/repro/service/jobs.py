@@ -71,12 +71,7 @@ JOB_KINDS = ("estimate", "sweep")
 #: Result keys that describe *how* a run went, not *what* it computed —
 #: wall clock and fault-recovery counters.  Excluded from the
 #: ``statistics`` block, so byte-identity claims compare real payloads.
-NONDETERMINISTIC_KEYS = (
-    "seconds",
-    "retries_used",
-    "pool_respawns",
-    "worker_reassignments",
-)
+NONDETERMINISTIC_KEYS = ("seconds", "retries_used", "pool_respawns")
 
 
 class BadRequest(ValueError):
@@ -236,7 +231,6 @@ def estimate_result_payload(result: StreamResult) -> dict:
         "recovery": {
             "retries_used": result.retries_used,
             "pool_respawns": result.pool_respawns,
-            "worker_reassignments": result.worker_reassignments,
         },
     }
 
@@ -250,9 +244,6 @@ def sweep_result_payload(result) -> dict:
         "recovery": {
             "retries_used": sum(cell.retries_used for cell in cells),
             "pool_respawns": sum(cell.pool_respawns for cell in cells),
-            "worker_reassignments": sum(
-                cell.worker_reassignments for cell in cells
-            ),
         },
     }
 

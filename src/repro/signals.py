@@ -3,25 +3,17 @@
 Supervisors (systemd, Kubernetes, a shell ``timeout``) stop a process with
 SIGTERM and expect it to wind down: deregister, close sockets, flush
 state.  Python's default reaction to SIGTERM is immediate termination with
-no cleanup — ``finally`` blocks don't run, coordinators see an abrupt
-disconnect and burn a lease-expiry timeout, daemons leave jobs marked
-running.  This module gives every long-lived entry point one shared,
-restorable way to turn those signals into something Python can unwind:
+no cleanup — ``finally`` blocks don't run and daemons leave jobs marked
+running.  :func:`trap_to_callback` turns those signals into something the
+process can unwind: SIGTERM/SIGINT invoke a callback instead of killing
+the process; the first signal triggers it, a second one falls back to
+``KeyboardInterrupt`` so a wedged drain can still be escaped.  The
+estimation service uses it, because its drain (stop intake, checkpoint
+in-flight jobs, exit) is event-driven rather than exception-driven.
 
-* :func:`trap_as_keyboard_interrupt` — SIGTERM behaves like Ctrl-C: the
-  blocking call in the main thread raises ``KeyboardInterrupt``, existing
-  ``except KeyboardInterrupt`` / ``finally`` cleanup paths run.  Used by
-  the networked worker (close the socket, exit 0) and the CLI coordinator
-  context (send shutdown frames, reap spawned workers).
-* :func:`trap_to_callback` — SIGTERM/SIGINT invoke a callback instead of
-  killing the process; the first signal triggers it, a second one falls
-  back to ``KeyboardInterrupt`` so a wedged drain can still be escaped.
-  Used by the estimation service, whose drain (stop intake, checkpoint
-  in-flight jobs, exit) is event-driven rather than exception-driven.
-
-Both are no-ops off the main thread (``signal.signal`` is main-thread
-only) and both restore the previous handlers on exit, so nesting and test
-suites stay safe.
+It is a no-op off the main thread (``signal.signal`` is main-thread only)
+and restores the previous handlers on exit, so nesting and test suites
+stay safe.
 """
 
 from __future__ import annotations
@@ -37,30 +29,6 @@ STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 def _on_main_thread() -> bool:
     return threading.current_thread() is threading.main_thread()
-
-
-@contextmanager
-def trap_as_keyboard_interrupt(
-    signals: Sequence[signal.Signals] = STOP_SIGNALS,
-) -> Iterator[None]:
-    """Make ``signals`` raise ``KeyboardInterrupt`` inside the block.
-
-    SIGINT already does this by default; adding SIGTERM means a
-    supervisor's stop request runs the very same cleanup path as Ctrl-C.
-    Restores the previous handlers on exit; silently a no-op off the main
-    thread, where Python forbids installing handlers.
-    """
-    if not _on_main_thread():
-        yield
-        return
-    previous = {}
-    for signum in signals:
-        previous[signum] = signal.signal(signum, signal.default_int_handler)
-    try:
-        yield
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
 
 @contextmanager

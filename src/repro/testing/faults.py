@@ -5,25 +5,9 @@ at two well-defined sites:
 
 * ``"chunk"`` — inside :func:`~repro.core.engine._run_chunk`, keyed by the
   chunk's absolute start trial index.  Runs in the worker process under
-  ``jobs > 1``, in the main process sequentially — and inside networked
-  workers (:mod:`repro.distributed.worker`), where a ``"kill"`` here is
-  the kill-worker fault (the coordinator sees the connection drop).
+  ``jobs > 1``, in the main process sequentially.
 * ``"merge"`` — in the parent, keyed by the 1-based ordinal of the chunk
   merge that just completed.
-
-The distributed worker adds two *network* sites whose actions need the
-socket in hand, so they are consumed by the call site via
-:func:`take_fault` instead of executed centrally:
-
-* ``"worker-heartbeat"`` — in the worker's heartbeat thread, keyed by the
-  chunk's start trial.  A ``"delay"`` here suppresses heartbeats for
-  ``seconds`` while the chunk keeps computing — the partition/hang shape
-  that must trip the coordinator's lease expiry.
-* ``"worker-send"`` — just before the worker sends a chunk result, keyed
-  by the chunk's start trial.  ``"drop"`` closes the connection without
-  sending (drop-connection); ``"corrupt"`` sends the result frame with a
-  flipped payload byte so the coordinator's CRC check rejects it
-  (corrupt-frame).
 
 The estimation service (:mod:`repro.service`) adds three sites of its own:
 
@@ -56,14 +40,9 @@ Actions:
   cleanup, like SIGKILL.  In a worker this surfaces as
   ``BrokenProcessPool`` in the parent.
 * ``"raise"``     — raise :class:`FaultInjected` (a kernel-level error).
-* ``"delay"``     — sleep ``seconds`` (drives chunk-timeout and
-  lease-expiry paths; at ``"worker-heartbeat"`` it delays the beats, not
-  the chunk).
+* ``"delay"``     — sleep ``seconds`` (drives chunk-timeout paths).
 * ``"interrupt"`` — raise ``KeyboardInterrupt`` (drives checkpoint-on-
   interrupt paths; meaningful at the ``"merge"`` site).
-* ``"drop"`` / ``"corrupt"`` — network actions, only meaningful at sites
-  whose call sites consume them with :func:`take_fault` (see above);
-  reaching :func:`fire_fault` with one is a planning error and raises.
 
 When ``REPRO_FAULTS`` is unset, :func:`fire_fault` is a single dict lookup
 — the production path pays one environment read per chunk.
@@ -89,20 +68,8 @@ KILL_EXIT_CODE = 43
 #: Any-key wildcard for :attr:`Fault.key`.
 ANY_KEY = -1
 
-_SITES = (
-    "chunk",
-    "merge",
-    "worker-heartbeat",
-    "worker-send",
-    "journal-write",
-    "service-handler",
-    "service-pool",
-)
-_ACTIONS = ("kill", "raise", "delay", "interrupt", "drop", "corrupt")
-
-#: Actions that need their call site's context (a socket) to execute;
-#: :func:`fire_fault` refuses them — they go through :func:`take_fault`.
-CALLER_HANDLED_ACTIONS = ("drop", "corrupt")
+_SITES = ("chunk", "merge", "journal-write", "service-handler", "service-pool")
+_ACTIONS = ("kill", "raise", "delay", "interrupt")
 
 
 class FaultInjected(RuntimeError):
@@ -240,35 +207,7 @@ def fire_fault(site: str, key: int) -> None:
         _execute(fault, site, key)
 
 
-def take_fault(
-    site: str, key: int, actions: Sequence[str] = CALLER_HANDLED_ACTIONS
-) -> Fault | None:
-    """Claim and return a planned fault for the call site to execute itself.
-
-    Network actions (``"drop"``, ``"corrupt"``) and the heartbeat
-    ``"delay"`` need the live socket or thread in hand, so the site that
-    owns it asks for a matching fault and performs the action.  Claiming
-    honors the same once-only sentinel as :func:`fire_fault`; returns
-    ``None`` when no plan is installed or nothing matches.
-    """
-    plan_path = os.environ.get(ENV_VAR)
-    if not plan_path:
-        return None
-    for index, fault in enumerate(_load_plan(plan_path)):
-        if not fault.matches(site, key) or fault.action not in actions:
-            continue
-        if fault.once and not _claim(plan_path, index):
-            continue
-        return fault
-    return None
-
-
 def _execute(fault: Fault, site: str, key: int) -> None:
-    if fault.action in CALLER_HANDLED_ACTIONS:
-        raise ValueError(
-            f"fault action {fault.action!r} at site {site!r} must be consumed "
-            "by its call site via take_fault(), not executed by fire_fault()"
-        )
     if fault.action == "kill":
         # Dies like SIGKILL: no cleanup, no Python-level unwinding.
         os._exit(KILL_EXIT_CODE)

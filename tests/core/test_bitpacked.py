@@ -15,7 +15,6 @@ directly; ``bitpacked`` on a randomized algorithm must fail loudly.
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 import pytest
@@ -509,30 +508,20 @@ class TestStreamIdentity:
         assert _histograms_match(resumed, base)
 
 
-
-class TestDistributedIdentity:
-    def test_loopback_workers_match_sequential(self):
-        from repro.distributed import Coordinator, run_worker
-
+class TestPoolIdentity:
+    @pytest.mark.parametrize(
+        "stopping",
+        [dict(trials=512), dict(target_ci=0.25, min_trials=128, max_trials=2048)],
+        ids=["fixed", "adaptive"],
+    )
+    def test_pool_workers_match_sequential(self, stopping):
+        # Pool workers rebuild the bitpacked pair from the task's blob; the
+        # sharded run must merge to the sequential statistics exactly.
         algorithm = ProbeCW(TriangSystem(8))
-        kwargs = dict(p=0.5, trials=512, seed=29, chunk_size=64)
+        kwargs = dict(p=0.5, seed=29, chunk_size=64, **stopping)
         base = stream_probes(algorithm, **kwargs)
-        with Coordinator() as coordinator:
-            workers = [
-                threading.Thread(
-                    target=run_worker,
-                    args=(coordinator.addresses[0],),
-                    kwargs={"heartbeat_interval": 0.05, "reconnect_for": 5.0,
-                            "name": f"bitpacked-worker-{i}"},
-                    daemon=True,
-                )
-                for i in range(2)
-            ]
-            for worker in workers:
-                worker.start()
-            coordinator.wait_for_workers(2, timeout=30.0)
-            packed = stream_probes(algorithm, coordinator=coordinator, **kwargs)
-        assert packed.backend == "bitpacked"
+        packed = stream_probes(algorithm, jobs=2, **kwargs)
+        assert packed.backend == base.backend == "bitpacked"
         assert _histograms_match(packed, base)
 
 

@@ -275,11 +275,11 @@ class TestResultShape:
         source = BernoulliSource(25, 0.5)
         blob, token = engine_module.ChunkTask(algorithm, source, 5).payload
         first = engine_module._run_chunk_task((blob, token, 5, 0, 16))
-        cached_algorithm = engine_module.cached_pair(token)[0]
+        cached_algorithm = engine_module.cached_pair(token, blob)[0]
         second = engine_module._run_chunk_task((blob, token, 5, 16, 16))
         # Same deserialized object served both chunks, so its kernel
         # scratch stays warm inside a worker.
-        assert engine_module.cached_pair(token)[0] is cached_algorithm
+        assert engine_module.cached_pair(token, blob)[0] is cached_algorithm
         assert "maj_columns" in kernel_scratch(cached_algorithm)
         assert first.trials == second.trials == 16
 

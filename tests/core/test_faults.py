@@ -24,6 +24,17 @@ class TestFaultValidation:
         with pytest.raises(ValueError, match="unknown fault action"):
             Fault("chunk", 0, "explode")
 
+    @pytest.mark.parametrize(
+        "site, action",
+        [("worker-heartbeat", "delay"), ("worker-send", "raise"),
+         ("chunk", "drop"), ("chunk", "corrupt")],
+    )
+    def test_retired_transport_sites_and_actions_rejected(self, site, action):
+        # The TCP transport's sites and its frame-level actions went with it;
+        # an old plan naming them fails loudly instead of never firing.
+        with pytest.raises(ValueError, match="unknown fault"):
+            Fault(site, 0, action)
+
     def test_matches_exact_and_wildcard_keys(self):
         assert Fault("chunk", 5, "raise").matches("chunk", 5)
         assert not Fault("chunk", 5, "raise").matches("chunk", 6)

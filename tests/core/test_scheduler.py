@@ -5,9 +5,9 @@ chunk order, merges only at the head, charges every failure a transport
 reports to the :class:`ChunkLedger` and cancels its own speculative
 leases on every exit path.  These tests drive it with scripted transports
 (which finish leases out of order, fail them on cue and record what the
-scheduler asked of them) and check the three shipped transports —
-inline, :class:`ChunkPool` and the distributed coordinator — against the
-:class:`Transport` contract, without spawning worker processes.
+scheduler asked of them) and check the two shipped transports — inline
+and :class:`ChunkPool` — against the :class:`Transport` contract, without
+spawning worker processes.
 """
 
 from __future__ import annotations
@@ -235,7 +235,6 @@ class TestChunkTask:
             engine._run_chunk_task((blob, token, entropy, 0, 8))
             tokens.append(token)
         assert list(engine._pair_cache.pairs) == tokens[3:]
-        assert engine.cached_pair(tokens[0]) is None
 
     def test_worker_pair_cache_is_per_thread(self):
         # In-process worker threads must not share algorithm objects: their
@@ -244,15 +243,12 @@ class TestChunkTask:
         mine = engine.cached_pair(token, blob)
         theirs = []
         thread = threading.Thread(
-            target=lambda: theirs.append(
-                (engine.cached_pair(token), engine.cached_pair(token, blob))
-            )
+            target=lambda: theirs.append(engine.cached_pair(token, blob))
         )
         thread.start()
         thread.join()
-        assert theirs[0][0] is None
-        assert theirs[0][1][0] is not mine[0]
-        assert engine.cached_pair(token) is mine
+        assert theirs[0][0] is not mine[0]
+        assert engine.cached_pair(token, blob) is mine
 
     @pytest.mark.parametrize("split", [1, 31, 64, 150])
     def test_chunks_compose_to_the_whole_run(self, split):
@@ -309,14 +305,13 @@ class TestWindow:
         _scheduler().drive(transport)
         assert transport.max_pending == window
 
-    def test_window_is_asked_every_step(self):
-        # The coordinator's window follows the live workers; the scheduler
-        # must re-read it each step rather than fix it at the start.
+    def test_window_is_asked_once_per_run(self):
+        # Both shipped transports have a fixed window, so the scheduler
+        # reads it once; a changing answer would go unseen.
         transport = ScriptedTransport(_task(), window=lambda step: 1 + step % 4)
         scheduler = _scheduler()
         scheduler.drive(transport)
-        assert len(transport.window_sizes) >= transport.steps
-        assert set(transport.window_sizes) == {1, 2, 3, 4}
+        assert transport.window_sizes == [1] and transport.max_pending == 1
         assert _matches(scheduler, _reference())
 
     def test_leases_are_dispatched_in_absolute_chunk_order(self):
@@ -528,7 +523,7 @@ class TestInlineTransport:
 
     def test_stream_probes_counts_no_respawns_inline(self):
         result = _reference()
-        assert (result.pool_respawns, result.worker_reassignments) == (0, 0)
+        assert result.pool_respawns == 0
 
 
 # -- the ChunkPool transport ------------------------------------------------------
@@ -678,43 +673,6 @@ class TestPoolTransport:
         assert (result.mean, result.std) == (reference.mean, reference.std)
 
 
-# -- the coordinator transport ----------------------------------------------------
-
-
-class TestCoordinatorTransport:
-    def test_window_without_workers(self):
-        from repro.distributed import Coordinator
-
-        with Coordinator() as coordinator:
-            task = _task()
-            transport = coordinator.transport(task, fallback=_InlineTransport(task))
-            assert transport.window() == 4
-
-    def test_no_live_worker_falls_back_to_inline(self):
-        from repro.distributed import Coordinator
-
-        with Coordinator() as coordinator:
-            result = _reference(coordinator=coordinator)
-        reference = _reference()
-        assert result.histogram == reference.histogram
-        assert (result.mean, result.std) == (reference.mean, reference.std)
-        assert result.worker_reassignments == 0
-
-    def test_fallback_disabled_fails_loudly(self):
-        from repro.distributed import AllWorkersLostError, Coordinator
-
-        with Coordinator(local_fallback=False) as coordinator:
-            with pytest.raises(AllWorkersLostError, match="local fallback"):
-                _reference(coordinator=coordinator)
-
-    def test_coordinator_excludes_a_pool(self):
-        from repro.distributed import Coordinator
-
-        with Coordinator() as coordinator:
-            with pytest.raises(ValueError, match="coordinator"):
-                _reference(coordinator=coordinator, jobs=2)
-
-
 # -- removed options --------------------------------------------------------------
 
 
@@ -736,10 +694,21 @@ class TestRemovedOptions:
             ["estimate", "--system", "maj", "--size", "9", "--backend", "bitpacked"],
             ["sweep", "--backend", "numpy"],
             ["run", "table1", "--backend", "auto"],
+            ["estimate", "--system", "maj", "--size", "9", "--workers", "127.0.0.1:0"],
+            ["sweep", "--spawn-workers", "2"],
+            ["estimate", "--system", "maj", "--size", "9", "--spawn-workers", "2"],
+            ["estimate", "--system", "maj", "--size", "9", "--min-workers", "2"],
+            ["estimate", "--system", "maj", "--size", "9", "--lease-timeout", "2.5"],
+            ["sweep", "--workers", "127.0.0.1:0"],
+            ["sweep", "--min-workers", "2"],
+            ["sweep", "--lease-timeout", "2.5"],
         ],
         ids=["estimate-compiled", "sweep-compiled", "run-compiled",
              "estimate-threshold", "run-threshold",
-             "estimate-backend", "sweep-backend", "run-backend"],
+             "estimate-backend", "sweep-backend", "run-backend",
+             "estimate-workers", "sweep-spawn-workers",
+             "estimate-spawn-workers", "estimate-min-workers", "estimate-lease-timeout",
+             "sweep-workers", "sweep-min-workers", "sweep-lease-timeout"],
     )
     def test_cli_rejects_removed_flags(self, argv, capsys):
         from repro.cli import main
@@ -749,6 +718,40 @@ class TestRemovedOptions:
         assert exited.value.code == 2
         error = capsys.readouterr().err
         assert "unrecognized arguments" in error and argv[-2] in error
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_cli_rejects_the_removed_fallback_switch(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--no-local-fallback"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --no-local-fallback" in capsys.readouterr().err
+
+    def test_cli_has_no_worker_subcommand(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["worker", "--connect", "127.0.0.1:9999"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry_point", ["stream_probes", "resume_stream", "run_sweep", "resume_sweep"]
+    )
+    def test_entry_points_take_no_coordinator(self, entry_point, tmp_path):
+        from repro.experiments import sweep
+
+        call = {
+            "stream_probes": lambda **kw: stream_probes(
+                ProbeMaj(MajoritySystem(9)), p=0.5, trials=64, **kw
+            ),
+            "resume_stream": lambda **kw: engine.resume_stream(tmp_path / "x.ckpt", **kw),
+            "run_sweep": lambda **kw: sweep.run_sweep("tree", (2,), (0.5,), trials=64, **kw),
+            "resume_sweep": lambda **kw: sweep.resume_sweep(tmp_path / "x.ckpt", **kw),
+        }[entry_point]
+        with pytest.raises(TypeError, match="coordinator"):
+            call(coordinator=None)
 
     def test_raw_executor_names_chunk_pool(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -5,44 +5,22 @@ small fault plans at random (seeded, so failures reproduce) and asserts
 the one invariant that must hold for every plan, stopping mode and
 backend: the recovered run's statistics are byte-identical to a clean
 run's.  Each backend draws from the fault pool it can actually survive —
-``kill`` needs a respawnable process (the pool backend) or a networked
-worker process, never an in-thread worker.
+``kill`` needs a respawnable process (the pool backend), never the
+caller's own process.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from contextlib import contextmanager
 
 import pytest
 
 from repro.algorithms import ProbeTree
 from repro.core import engine
 from repro.core.engine import stream_probes
-from repro.distributed import Coordinator, run_worker
 from repro.systems import build_system
 from repro.testing import faults
 from repro.testing.faults import Fault
-
-
-@contextmanager
-def _cluster(count: int, **coordinator_kwargs):
-    """In-thread worker cluster (kills stay out of its fault pool)."""
-    with Coordinator(**coordinator_kwargs) as coordinator:
-        for index in range(count):
-            threading.Thread(
-                target=run_worker,
-                args=(coordinator.addresses[0],),
-                kwargs={
-                    "heartbeat_interval": 0.05,
-                    "reconnect_for": 5.0,
-                    "name": f"soak-worker-{index}",
-                },
-                daemon=True,
-            ).start()
-        coordinator.wait_for_workers(count, timeout=30.0)
-        yield coordinator
 
 
 @pytest.fixture(autouse=True)
@@ -56,9 +34,7 @@ MODES = {
 }
 
 #: (site, action, seconds) pools per backend.  Delays are short — the
-#: soak exercises ordering and retry paths, not wall-clock behavior —
-#: except the heartbeat delay, which must outlast the cluster's tight
-#: lease timeout to actually trip an expiry.
+#: soak exercises ordering and retry paths, not wall-clock behavior.
 _COMMON = [
     ("chunk", "raise", 0.0),
     ("chunk", "delay", 0.05),
@@ -66,12 +42,6 @@ _COMMON = [
 _POOLS = {
     "sequential": _COMMON,
     "pool": _COMMON + [("chunk", "kill", 0.0)],
-    "distributed": _COMMON
-    + [
-        ("worker-heartbeat", "delay", 2.0),
-        ("worker-send", "drop", 0.0),
-        ("worker-send", "corrupt", 0.0),
-    ],
 }
 
 
@@ -122,12 +92,4 @@ class TestSoak:
         plan = _random_plan("pool", mode, seed)
         with faults.active_plan(plan, tmp_path):
             faulted = _run(mode, jobs=2)
-        assert _same_statistics(faulted, clean), f"plan {plan} broke identity"
-
-    def test_distributed(self, mode, seed, tmp_path):
-        clean = _run(mode)
-        plan = _random_plan("distributed", mode, seed)
-        with faults.active_plan(plan, tmp_path):
-            with _cluster(2, lease_timeout=0.5) as coordinator:
-                faulted = _run(mode, coordinator=coordinator)
         assert _same_statistics(faulted, clean), f"plan {plan} broke identity"

@@ -216,10 +216,45 @@ class TestRecoveryCounters:
         result = run_sweep("tree", **GRID)
         payload = result.to_dict()
         for cell in payload["cells"]:
-            for key in ("retries_used", "pool_respawns", "worker_reassignments"):
+            for key in ("retries_used", "pool_respawns"):
                 del cell[key]
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(payload))
         loaded = load_sweep_artifact(path)
         assert all(c.retries_used == 0 for c in loaded.cells)
         assert _stats(loaded) == _stats(result)
+
+    def test_files_with_the_retired_reassignment_counter_still_load(self, tmp_path):
+        # Files written while the TCP transport existed carry its lease
+        # reassignment counter in every cell; the loaders drop the key.
+        full = run_sweep("tree", **GRID)
+        artifact = tmp_path / "old.json"
+        write_sweep_artifact(full, artifact)
+        payload = json.loads(artifact.read_text())
+        for cell in payload["cells"]:
+            cell["worker_reassignments"] = 2
+        artifact.write_text(json.dumps(payload))
+        assert _stats(load_sweep_artifact(artifact)) == _stats(full)
+
+        path = tmp_path / "old.ckpt"
+        run_sweep("tree", checkpoint_path=path, **GRID)
+        state = json.loads(path.read_text())
+        # As if interrupted after two cells: resume measures the other two.
+        state["cells"], state["complete"] = state["cells"][:2], False
+        for cell in state["cells"]:
+            cell["worker_reassignments"] = 2
+        path.write_text(json.dumps(state))
+        assert len(load_sweep_checkpoint(path).cells) == 2
+        resumed = resume_sweep(path)
+        assert _stats(resumed) == _stats(full)
+
+    def test_loaders_drop_only_the_retired_counter(self, tmp_path):
+        # The drop is for that one key: any other unknown cell field still
+        # fails the load instead of vanishing.
+        path = tmp_path / "odd.ckpt"
+        run_sweep("tree", checkpoint_path=path, **GRID)
+        state = json.loads(path.read_text())
+        state["cells"][0]["lease_reassignments"] = 2
+        path.write_text(json.dumps(state))
+        with pytest.raises(TypeError, match="lease_reassignments"):
+            load_sweep_checkpoint(path)

@@ -56,6 +56,23 @@ def submit_and_wait(service, request=REQUEST, kind="estimate"):
     return wait_for_state(service.job_view, body["id"])
 
 
+def _job_with_an_older_stream_checkpoint(service_factory, kind, request_body):
+    """A running ``kind`` job in ``<tmp>/data`` whose checkpoint is on the
+    pre-bitplane-v3 stream, as a daemon upgraded mid-job finds it."""
+    from repro.service.jobs import normalize_sweep
+
+    normalize = {"estimate": normalize_estimate, "sweep": normalize_sweep}[kind]
+    old = service_factory(start=False)
+    job = old.journal.new_job(kind, normalize(dict(request_body)))
+    old.journal.write(job)
+    old._execute(job)  # leaves the job's checkpoint
+    checkpoint = old.journal.checkpoint_path(job)
+    payload = json.loads(checkpoint.read_text())
+    payload["schema"] = 3
+    checkpoint.write_text(json.dumps(payload))
+    return job, checkpoint
+
+
 class TestLifecycle:
     def test_estimate_matches_direct_engine_run_byte_for_byte(self, service_factory):
         service = service_factory()
@@ -330,21 +347,22 @@ class TestDrainAndCrashRecovery:
     def test_crash_between_checkpoint_and_done_write_reconciles(
         self, service_factory
     ):
-        service = service_factory()
-        record = submit_and_wait(service)
-        service.drain()
         # Simulate the crash window: the engine checkpoint is complete on
         # disk but the journal still says "running" with no result, so
         # nothing indexes the result either.
-        job = service.journal.load(record["id"])
-        job.state, job.result = "running", None
-        service.journal.write(job)
+        crashed = service_factory(start=False)
+        job = crashed.journal.new_job("estimate", normalize_estimate(dict(REQUEST)))
+        job.state = "running"
+        crashed.journal.write(job)
+        crashed._execute(job)
+        assert crashed.journal.checkpoint_path(job).is_file()
         reopened = service_factory(subdir="data")
-        recovered = wait_for_state(reopened.job_view, record["id"])
+        recovered = wait_for_state(reopened.job_view, job.id)
         assert recovered["state"] == "done"
         assert canonical_json(recovered["result"]["statistics"]) == canonical_json(
-            record["result"]["statistics"]
+            expected_statistics()
         )
+        assert not reopened.journal.checkpoint_path(job).exists()
         # The finished job's result serves repeats again.
         status, body = reopened.submit("estimate", dict(REQUEST))
         assert (status, body["cached"]) == (200, True)
@@ -393,17 +411,9 @@ class TestDrainAndCrashRecovery:
         # A daemon upgraded past a stream switch finds its in-flight jobs'
         # checkpoints on the old stream.  The refusal is deterministic, so
         # the job fails on its first attempt, naming the file and stream.
-        from repro.service.jobs import normalize_estimate, normalize_sweep
-
-        normalize = {"estimate": normalize_estimate, "sweep": normalize_sweep}[kind]
-        old = service_factory(start=False)
-        job = old.journal.new_job(kind, normalize(dict(request_body)))
-        old.journal.write(job)
-        old._execute(job)  # leaves the job's checkpoint
-        checkpoint = old.journal.checkpoint_path(job)
-        payload = json.loads(checkpoint.read_text())
-        payload["schema"] = 3
-        checkpoint.write_text(json.dumps(payload))
+        job, checkpoint = _job_with_an_older_stream_checkpoint(
+            service_factory, kind, request_body
+        )
         upgraded = service_factory(subdir="data", job_retries=3)
         record = wait_for_state(upgraded.job_view, job.id)
         assert record["state"] == "failed" and record["attempts"] == 1
@@ -473,6 +483,105 @@ class TestDrainAndCrashRecovery:
         faults.truncate_file(path, 30)
         with pytest.raises(ValueError, match=str(path)):
             ProbeService(service.data_dir)
+
+
+class TestCheckpointCleanup:
+    """A job's checkpoint lives exactly as long as the job can resume it."""
+
+    def test_done_jobs_leave_no_checkpoints(self, service_factory):
+        service = service_factory()
+        assert submit_and_wait(service)["state"] == "done"
+        sweep = {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32}
+        assert submit_and_wait(service, sweep, kind="sweep")["state"] == "done"
+        assert list(service.journal.checkpoints.iterdir()) == []
+
+    def test_deadline_failed_job_leaves_no_checkpoint(self, service_factory, tmp_path):
+        plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
+        with faults.active_plan(plan, tmp_path / "plan"):
+            service = service_factory(deadline=0.01)
+            record = submit_and_wait(service)
+        assert record["state"] == "failed" and "deadline" in record["error"]
+        assert list(service.journal.checkpoints.iterdir()) == []
+
+    def test_drained_job_keeps_its_checkpoint_until_restart_finishes_it(
+        self, service_factory, tmp_path
+    ):
+        plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
+        with faults.active_plan(plan, tmp_path / "plan"):
+            service = service_factory()
+            status, body = service.submit("estimate", {**REQUEST, "chunk_size": 8})
+            assert status == 202
+            wait_for_state(service.job_view, body["id"], states=("running",))
+            service.begin_drain()
+            service.drain()
+        checkpoint = service.journal.checkpoint_path(service.journal.load(body["id"]))
+        assert checkpoint.is_file()
+        reopened = service_factory(subdir="data")
+        assert wait_for_state(reopened.job_view, body["id"])["state"] == "done"
+        assert not checkpoint.exists()
+        assert list(reopened.journal.checkpoints.iterdir()) == []
+
+    def _record_checkpoints_at_backoff(self, monkeypatch, services):
+        """Make the retry backoff record which checkpoint files exist."""
+        from repro.service import app
+
+        seen = []
+        monkeypatch.setattr(
+            app,
+            "_sleep",
+            lambda seconds: seen.append(
+                [path.name for path in services[0].journal.checkpoints.iterdir()]
+            ),
+        )
+        return seen
+
+    def test_retried_job_keeps_its_checkpoint_between_attempts(
+        self, service_factory, tmp_path, monkeypatch
+    ):
+        services = []
+        seen = self._record_checkpoints_at_backoff(monkeypatch, services)
+        plan = [Fault("chunk", 32, "raise")]  # third chunk, once
+        with faults.active_plan(plan, tmp_path / "plan"):
+            services.append(service_factory(retries=0, job_retries=1))
+            record = submit_and_wait(services[0])
+        assert record["state"] == "done" and record["attempts"] == 2
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert canonical_json(record["result"]["statistics"]) == canonical_json(
+            expected_statistics()
+        )
+        assert list(services[0].journal.checkpoints.iterdir()) == []
+
+    def test_job_out_of_retries_leaves_no_checkpoint(
+        self, service_factory, tmp_path, monkeypatch
+    ):
+        services = []
+        seen = self._record_checkpoints_at_backoff(monkeypatch, services)
+        plan = [Fault("chunk", 32, "raise", once=False)]  # third chunk, always
+        with faults.active_plan(plan, tmp_path / "plan"):
+            services.append(service_factory(retries=0, job_retries=1))
+            record = submit_and_wait(services[0])
+        assert record["state"] == "failed" and record["attempts"] == 2
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert list(services[0].journal.checkpoints.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "kind, request_body",
+        [
+            ("estimate", REQUEST),
+            ("sweep", {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32}),
+        ],
+    )
+    def test_refused_checkpoint_goes_with_its_failed_job(
+        self, service_factory, kind, request_body
+    ):
+        job, checkpoint = _job_with_an_older_stream_checkpoint(
+            service_factory, kind, request_body
+        )
+        upgraded = service_factory(subdir="data")
+        record = wait_for_state(upgraded.job_view, job.id)
+        assert record["state"] == "failed" and "CheckpointRefused" in record["error"]
+        assert not checkpoint.exists()
+        assert list(upgraded.journal.checkpoints.iterdir()) == []
 
 
 class TestHTTP:

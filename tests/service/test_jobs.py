@@ -138,7 +138,7 @@ def test_deterministic_view_strips_wall_clock_recursively():
         "seconds": 1.0,
         "cells": [{"mean": 2.0, "seconds": 0.1, "retries_used": 3}],
         "recovery": {"pool_respawns": 1},
-        "nested": {"worker_reassignments": 2, "kept": True},
+        "nested": {"pool_respawns": 2, "kept": True},
     }
     assert deterministic_view(payload) == {
         "cells": [{"mean": 2.0}],

@@ -393,49 +393,7 @@ class TestStreamingEngineCLI:
         assert "adaptive stopping" in out
 
 
-class TestDistributedCLI:
-    def test_worker_and_distributed_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["worker", "--connect", "127.0.0.1:9999", "--heartbeat-interval", "0.5"]
-        )
-        assert args.connect == "127.0.0.1:9999"
-        args = parser.parse_args(
-            [
-                "estimate", "--system", "tree", "--size", "3",
-                "--workers", "127.0.0.1:0,127.0.0.1:0",
-                "--min-workers", "2",
-                "--lease-timeout", "2.5",
-                "--no-local-fallback",
-            ]
-        )
-        assert args.workers == "127.0.0.1:0,127.0.0.1:0"
-        assert args.min_workers == 2 and args.no_local_fallback
-        args = parser.parse_args(
-            ["sweep", "--checkpoint", "s.ckpt", "--spawn-workers", "2"]
-        )
-        assert args.spawn_workers == 2 and args.checkpoint == "s.ckpt"
-
-    def test_worker_rejects_malformed_address(self):
-        with pytest.raises(SystemExit):
-            main(["worker", "--connect", "nocolon"])
-
-    def test_estimate_with_spawned_workers_matches_sequential(self, capsys):
-        base = ["estimate", "--system", "tree", "--size", "2", "--trials", "64",
-                "--chunk-size", "16", "--seed", "7"]
-        main(base)
-        plain = capsys.readouterr().out
-        main(base + ["--spawn-workers", "2"])
-        distributed = capsys.readouterr().out
-
-        def statistics(text):
-            return [
-                line for line in text.splitlines()
-                if not line.startswith(("estimator", "recovery"))
-            ]
-
-        assert statistics(distributed) == statistics(plain)
-
+class TestSweepResumeCLI:
     def test_sweep_resume_flag_round_trips(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         main(["sweep", "--system", "tree", "--sizes", "2", "--ps", "0.5",

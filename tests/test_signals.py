@@ -1,4 +1,4 @@
-"""Signal trapping: SIGTERM behaves like Ctrl-C, or invokes a callback."""
+"""Signal trapping: SIGTERM/SIGINT invoke a callback."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.signals import STOP_SIGNALS, trap_as_keyboard_interrupt, trap_to_callback
+from repro.signals import STOP_SIGNALS, trap_to_callback
 
 
 def test_stop_signals_cover_term_and_int():
@@ -16,16 +16,10 @@ def test_stop_signals_cover_term_and_int():
     assert signal.SIGINT in STOP_SIGNALS
 
 
-def test_sigterm_raises_keyboard_interrupt_inside_trap():
-    with pytest.raises(KeyboardInterrupt):
-        with trap_as_keyboard_interrupt():
-            os.kill(os.getpid(), signal.SIGTERM)
-
-
 def test_previous_handler_restored_after_trap():
     previous = signal.getsignal(signal.SIGTERM)
-    with trap_as_keyboard_interrupt():
-        assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+    with trap_to_callback(lambda signum: None):
+        assert signal.getsignal(signal.SIGTERM) is not previous
     assert signal.getsignal(signal.SIGTERM) is previous
 
 
@@ -39,11 +33,21 @@ def test_first_signal_invokes_callback_second_interrupts():
     assert received == [signal.SIGTERM]
 
 
+@pytest.mark.parametrize("signum", STOP_SIGNALS, ids=lambda s: signal.Signals(s).name)
+def test_each_stop_signal_reaches_the_callback_and_is_restored(signum):
+    previous = signal.getsignal(signum)
+    received = []
+    with trap_to_callback(received.append):
+        os.kill(os.getpid(), signum)
+        assert received == [signum]
+    assert signal.getsignal(signum) is previous
+
+
 def test_traps_are_no_ops_off_the_main_thread():
     outcome = {}
 
     def worker():
-        with trap_as_keyboard_interrupt():
+        with trap_to_callback(lambda signum: None):
             outcome["handler"] = signal.getsignal(signal.SIGTERM)
 
     before = signal.getsignal(signal.SIGTERM)
