@@ -44,10 +44,12 @@ budget) and ``--chunk-timeout`` (seconds before a chunk's worker is
 declared hung); ``estimate`` adds ``--checkpoint <path>`` (periodic
 crash-safe state) and ``--resume <path>`` (continue a checkpointed run
 byte-identically), and ``sweep`` the grid-level equivalents (skip
-completed cells on resume).  ``sweep`` and ``run`` degrade gracefully by
-default — failed cells/experiments are recorded in the artifact with
-``status``/``error`` and exit nonzero — while ``--fail-fast`` restores
-strict abort-on-first-error behavior.
+completed cells on resume).  A resume is the fresh command plus
+``--resume``: the run is rebuilt from its flags and checked against the
+checkpoint, whose file holds no pickle.  ``sweep`` and ``run`` degrade
+gracefully by default — failed cells/experiments are recorded in the
+artifact with ``status``/``error`` and exit nonzero — while
+``--fail-fast`` restores strict abort-on-first-error behavior.
 
 The module is also usable as ``python -m repro.cli ...``.
 """
@@ -176,40 +178,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(str(error)) from None
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """``estimate --resume``: continue a checkpointed run, self-contained."""
-    from repro.core.engine import resume_stream
-
-    try:
-        result = resume_stream(
-            args.resume,
-            jobs=args.jobs,
-            retries=args.retries,
-            chunk_timeout=args.chunk_timeout,
-            checkpoint_path=args.checkpoint,
-        )
-    except (FileNotFoundError, ValueError) as error:
-        raise SystemExit(str(error)) from None
-    print(f"resumed   : {args.resume}")
-    print(f"algorithm : {result.algorithm}")
-    print(f"inputs    : {result.source}")
-    print(f"backend   : {result.backend}")
-    if result.target_ci is not None:
-        verdict = "reached" if result.reached_target else "NOT reached"
-        print(
-            f"stopping  : target ci95 {result.target_ci:g} {verdict} "
-            f"after {result.n_trials_used} trials (ci95 {result.ci95:.4g})"
-        )
-    print(
-        f"avg probes: {result.mean:.3f} ± {result.ci95:.3f} "
-        f"({result.n_trials_used} trials)"
-    )
-    return 0
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.resume is not None:
-        return _cmd_resume(args)
     system = build_system(args.system, args.size)
     algorithm = (
         default_randomized_algorithm(system)
@@ -246,9 +215,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             retries=args.retries,
             chunk_timeout=args.chunk_timeout,
-            checkpoint_path=args.checkpoint,
+            checkpoint_path=args.checkpoint or args.resume,
+            resume=args.resume,
         )
-    except ValueError as error:
+    except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
     estimate = stream_result.estimate
     print(f"system    : {system.name} (n={system.n})")
@@ -301,44 +271,28 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import (
-        render_sweep,
-        resume_sweep,
-        run_sweep,
-        write_sweep_artifact,
-    )
+    from repro.experiments.sweep import render_sweep, run_sweep, write_sweep_artifact
 
     _reject_trials_with_target_ci(args)
     try:
-        if args.resume is not None:
-            # Self-contained: the grid definition comes from the
-            # checkpoint; only execution knobs apply here.
-            result = resume_sweep(
-                args.resume,
-                jobs=args.jobs,
-                fail_fast=args.fail_fast,
-                retries=args.retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint_path=args.checkpoint,
-            )
-        else:
-            result = run_sweep(
-                args.system,
-                sizes=args.sizes,
-                ps=args.ps,
-                trials=args.trials,
-                seed=args.seed,
-                randomized=args.randomized,
-                distribution=args.distribution,
-                chunk_size=args.chunk_size,
-                target_ci=args.target_ci,
-                max_trials=args.max_trials,
-                jobs=args.jobs,
-                fail_fast=args.fail_fast,
-                retries=args.retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint_path=args.checkpoint,
-            )
+        result = run_sweep(
+            args.system,
+            sizes=args.sizes,
+            ps=args.ps,
+            trials=args.trials,
+            seed=args.seed,
+            randomized=args.randomized,
+            distribution=args.distribution,
+            chunk_size=args.chunk_size,
+            target_ci=args.target_ci,
+            max_trials=args.max_trials,
+            jobs=args.jobs,
+            fail_fast=args.fail_fast,
+            retries=args.retries,
+            chunk_timeout=args.chunk_timeout,
+            checkpoint_path=args.checkpoint or args.resume,
+            resume=args.resume,
+        )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
     print(render_sweep(result))
@@ -620,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         default=None,
         metavar="CKPT",
-        help="continue a checkpointed run (self-contained: other flags ignored)",
+        help="continue the run checkpointed in CKPT; repeat the run's own flags "
+        "(the seed and stopping flags may be left out) and it keeps writing to "
+        "CKPT unless --checkpoint names another file",
     )
     _add_engine_arguments(estimate)
     estimate.set_defaults(func=_cmd_estimate)
@@ -675,8 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         default=None,
         metavar="CKPT",
-        help="continue a checkpointed sweep, skipping completed cells "
-        "(self-contained: grid flags ignored)",
+        help="continue the sweep checkpointed in CKPT, skipping completed cells; "
+        "repeat the sweep's grid flags, and it keeps writing to CKPT unless "
+        "--checkpoint names another file",
     )
     _add_engine_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)

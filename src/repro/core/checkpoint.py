@@ -23,6 +23,7 @@ message naming the file and the offending field — never a raw
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import os
@@ -41,9 +42,9 @@ CHECKPOINT_KIND = "engine_checkpoint"
 
 #: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
 #: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
-#: ``bitplane-v3``).  Older runs drew from another stream and cannot be
-#: continued.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: ``bitplane-v3``; 5: the pair's digest instead of its pickle).  Versions
+#: before 4 drew from another stream and cannot be continued.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: What each pre-``bitplane-v3`` checkpoint schema drew differently.
 _OLDER_STREAMS = {
@@ -51,6 +52,12 @@ _OLDER_STREAMS = {
     2: "the randomized gate kernels' order choices with generator.integers",
     3: "Bernoulli colorings from the sampler stream 'bitplane-v2'",
 }
+
+
+def blob_digest(blob: bytes) -> str:
+    """The token that names a pickled ``(algorithm, source)`` pair: in the
+    pool workers' pair cache and as an engine checkpoint's ``pair_digest``."""
+    return hashlib.blake2s(blob, digest_size=16).hexdigest()
 
 
 class CheckpointRefused(ValueError):
@@ -216,10 +223,11 @@ class EngineCheckpoint:
     ``histogram``/``count``/``witness_red``.  The stored configuration
     (``trials``/``target_ci``/``chunk_size``/guards/``entropy``) is the
     *resolved* one, so a resumed run reproduces the exact chunk schedule
-    and stopping decisions of the interrupted run.  ``pair_blob`` is the
-    pickled ``(algorithm, source)`` pair — optional, but when present a
-    checkpoint is fully self-contained and ``repro-probe estimate
-    --resume`` needs no other flags.
+    and stopping decisions of the interrupted run.  ``pair_digest`` is the
+    :func:`blob_digest` of the pickled ``(algorithm, source)`` pair: a resume
+    rebuilds the pair from its own arguments and must hash to it, and
+    nothing in the file is ever unpickled.  A schema-4 file stored the
+    pickle itself (``pair_blob``); loading hashes those bytes instead.
     """
 
     entropy: int
@@ -232,13 +240,13 @@ class EngineCheckpoint:
     algorithm: str
     source: str
     n: int
+    pair_digest: str
     count: int
     witness_red: int
     histogram: tuple[int, ...]
     chunks_merged: int
     next_start: int
     complete: bool
-    pair_blob: bytes | None = None
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-ready representation."""
@@ -255,26 +263,28 @@ class EngineCheckpoint:
             "algorithm": self.algorithm,
             "source": self.source,
             "n": self.n,
+            "pair_digest": self.pair_digest,
             "count": self.count,
             "witness_red": self.witness_red,
             "histogram": list(self.histogram),
             "chunks_merged": self.chunks_merged,
             "next_start": self.next_start,
             "complete": self.complete,
-            "pair_blob": (
-                None
-                if self.pair_blob is None
-                else base64.b64encode(self.pair_blob).decode("ascii")
-            ),
         }
 
     @classmethod
     def from_payload(
         cls, payload: Mapping[str, Any], path: str | Path = "<payload>"
     ) -> "EngineCheckpoint":
-        check_resumable(check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path), path)
+        version = check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path)
+        check_resumable(version, path)
         field = lambda key: required_field(payload, key, path)  # noqa: E731
-        blob = field("pair_blob")
+        if version >= 5:
+            digest = str(field("pair_digest"))
+        elif field("pair_blob") is None:
+            raise CheckpointRefused(f"{path}: no 'pair_blob', so no pair can be checked")
+        else:
+            digest = blob_digest(base64.b64decode(payload["pair_blob"]))
         return cls(
             entropy=int(field("entropy")),
             mode=str(field("mode")),
@@ -288,13 +298,13 @@ class EngineCheckpoint:
             algorithm=str(field("algorithm")),
             source=str(field("source")),
             n=int(field("n")),
+            pair_digest=digest,
             count=int(field("count")),
             witness_red=int(field("witness_red")),
             histogram=tuple(int(c) for c in field("histogram")),
             chunks_merged=int(field("chunks_merged")),
             next_start=int(field("next_start")),
             complete=bool(field("complete")),
-            pair_blob=None if blob is None else base64.b64decode(blob),
         )
 
 

@@ -58,9 +58,11 @@ Seeding guarantees (the "seed schedule"):
   across chunk layouts (same caveat as batched-vs-sequential before).
 
 A chunk is described by the pickled ``(algorithm, source)`` pair and the
-run's entropy (:class:`ChunkTask`); which input the algorithm's kernel
-takes, packed words or a bool matrix, is asked of the kernel registry
-(:func:`repro.core.batched.resolve_backend`) wherever the chunk runs.
+run's entropy (:class:`ChunkTask`), and the pair is named by the digest of
+its pickle (:func:`repro.core.checkpoint.blob_digest`); which input the
+algorithm's kernel takes, packed words or a bool matrix, is asked of the
+kernel registry (:func:`repro.core.batched.resolve_backend`) wherever the
+chunk runs.
 
 Execution is one scheduler over *chunk leases*, whichever transport runs
 the chunks: inline in the caller (``jobs=1``) or a respawnable process
@@ -79,16 +81,18 @@ re-dispatches only the unmerged chunks.  Because chunks are keyed by
 byte-identical to a fault-free one.  ``checkpoint_path`` serializes the
 exact-integer accumulator plus the lease position durably (tmp + fsync +
 ``os.replace``) after every merge — and on ``KeyboardInterrupt`` — so
-``resume=``/:func:`resume_stream` continues a killed run byte-identically
-from the last durable chunk boundary.  The fault paths are exercised, not just claimed: :mod:`repro.testing.faults`
-injects worker kills, delays, kernel errors and interrupts at the
+:func:`stream_probes` called again with ``resume=`` continues a killed run
+byte-identically from the last durable chunk boundary.  A checkpoint holds
+the pair's digest, never its pickle: the resumed call builds the pair
+itself, and only the bytes a pool worker gets from this process are ever
+unpickled.  The fault paths are exercised, not just claimed:
+:mod:`repro.testing.faults` injects worker kills, delays, kernel errors and interrupts at the
 ``"chunk"``/``"merge"`` sites wired into :func:`_run_chunk` and the merge
 step.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import pickle
 import threading
@@ -98,7 +102,7 @@ from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -416,30 +420,26 @@ class ChunkTask:
 
     @cached_property
     def payload(self) -> tuple[bytes, str]:
-        """The pickled ``(algorithm, source)`` pair plus a cache token,
+        """The pickled ``(algorithm, source)`` pair plus its digest,
         serialized once per run.
 
         The same bytes ship with every pool task; workers deserialize once
-        per token (:func:`cached_pair`) and then reuse the *same* objects
+        per digest (:func:`cached_pair`) and then reuse the *same* objects
         for all their chunks, so the per-algorithm kernel scratch
         (:func:`repro.core.batched.kernel_scratch`) stays warm inside
-        workers exactly as it does inline.
+        workers exactly as it does inline.  The digest is also the
+        checkpoint's ``pair_digest``, which a resume must match.
         """
+        from repro.core.checkpoint import blob_digest
+
         blob = pickle.dumps(
             (self.algorithm, self.source), protocol=pickle.HIGHEST_PROTOCOL
         )
-        return blob, hashlib.blake2s(blob, digest_size=16).hexdigest()
+        return blob, blob_digest(blob)
 
     def run(self, start: int, size: int) -> ChunkStats:
         """Evaluate the chunk ``[start, start + size)`` in this process."""
         return _run_chunk(self.algorithm, self.source, self.entropy, start, size)
-
-
-def load_pair(blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource]:
-    """Deserialize a :attr:`ChunkTask.payload` blob to ``(algorithm,
-    source)``; the backend that older checkpoints pickled third is dropped."""
-    algorithm, source, *_ = pickle.loads(blob)
-    return algorithm, source
 
 
 #: Deserialized pairs a worker keeps (least recently used out first).
@@ -452,7 +452,8 @@ _pair_cache = threading.local()
 
 def cached_pair(token: str, blob: bytes) -> tuple[ProbingAlgorithm, ColoringSource]:
     """The pair a pool worker cached under ``token``, deserializing
-    ``blob`` on a miss."""
+    ``blob`` on a miss.  The blob is the :attr:`ChunkTask.payload` that the
+    parent process pickled; no other bytes reach here."""
     pairs = getattr(_pair_cache, "pairs", None)
     if pairs is None:
         pairs = _pair_cache.pairs = OrderedDict()
@@ -460,7 +461,7 @@ def cached_pair(token: str, blob: bytes) -> tuple[ProbingAlgorithm, ColoringSour
     if pair is not None:
         pairs.move_to_end(token)
     else:
-        pair = pairs[token] = load_pair(blob)
+        pair = pairs[token] = pickle.loads(blob)
         while len(pairs) > PAIR_CACHE_MAX:
             pairs.popitem(last=False)
     return pair
@@ -910,6 +911,35 @@ def resolve_fixed_trials(
     return trials
 
 
+def _check_same_run(resume, state, task: ChunkTask, settings: dict) -> None:
+    """Refuse to continue ``state`` unless the caller describes its run.
+
+    ``settings`` holds the caller's stopping-mode and seed arguments; an
+    unset one (``None``) takes the checkpoint's value.  Names alone do not
+    pin the pair (a BernoulliSource is "bernoulli" at every p), so the
+    digest of its pickle is compared; nothing is unpickled.
+    """
+    differ = []
+    for name, value in settings.items():
+        recorded = getattr(state, "entropy" if name == "seed" else name)
+        if value is not None and value != recorded:
+            differ.append(f"{name}={value!r} (checkpoint: {recorded!r})")
+    if task.payload[1] != state.pair_digest:
+        differ.append(
+            f"the (algorithm, source) pair (the checkpoint records {state.algorithm} "
+            f"on {state.source} (n={state.n}); this {task.algorithm.name} on "
+            f"{task.source.name} (n={task.source.n}) is pickled to another digest)"
+        )
+    if differ:
+        from repro.core.checkpoint import CheckpointRefused
+
+        where = "checkpoint" if resume is state else str(resume)
+        raise CheckpointRefused(
+            f"{where}: written by another run; these settings differ: "
+            + ", ".join(differ)
+        )
+
+
 def stream_probes(
     algorithm: ProbingAlgorithm,
     source: ColoringSource | None = None,
@@ -965,13 +995,13 @@ def stream_probes(
     run state atomically after every merged chunk and on
     ``KeyboardInterrupt``; ``resume`` (a checkpoint path or loaded
     :class:`~repro.core.checkpoint.EngineCheckpoint`) continues such a run
-    from its last durable chunk boundary — the resumed configuration comes
-    from the checkpoint, so the stopping-mode and seeding arguments must
-    be left unset, and the ``(algorithm, source)`` pair must pickle to the
-    checkpoint's ``pair_blob`` byte for byte.  A checkpoint of an older
-    draw stream or of another pair raises
+    from its last durable chunk boundary.  The arguments still describe
+    the run: an unset stopping-mode or seed argument takes the
+    checkpoint's value, a set one must equal it, and the ``(algorithm,
+    source)`` pair must hash to the checkpoint's ``pair_digest``.  A
+    checkpoint of an older draw stream or of another run raises
     :class:`~repro.core.checkpoint.CheckpointRefused` (a ``ValueError``)
-    naming it.
+    naming it and every setting that differs.
 
     Cooperative control: ``stop_event`` (a ``threading.Event``-alike) is
     polled after every merged chunk — once set, the run checkpoints (when
@@ -980,39 +1010,6 @@ def stream_probes(
     raising :class:`RunDeadlineExceeded`.  Both land on a chunk boundary,
     so the interrupted run is exactly as resumable as a ``KeyboardInterrupt``.
     """
-    state = None
-    if resume is not None:
-        from repro.core.checkpoint import (
-            CheckpointRefused,
-            EngineCheckpoint,
-            load_engine_checkpoint,
-        )
-
-        state = (
-            resume
-            if isinstance(resume, EngineCheckpoint)
-            else load_engine_checkpoint(resume)
-        )
-        explicit = {
-            "trials": trials,
-            "target_ci": target_ci,
-            "chunk_size": chunk_size,
-            "min_trials": min_trials,
-            "max_trials": max_trials,
-            "seed": seed,
-        }
-        given = sorted(name for name, value in explicit.items() if value is not None)
-        if given:
-            raise ValueError(
-                "resume restores the run configuration from the checkpoint; "
-                f"don't pass {', '.join(given)}"
-            )
-        trials = state.trials
-        target_ci = state.target_ci
-        chunk_size = state.chunk_size
-        min_trials = state.min_trials
-        max_trials = state.max_trials
-        seed = state.entropy
     if source is None:
         if p is None:
             raise ValueError("pass a failure probability p or a ColoringSource")
@@ -1022,16 +1019,25 @@ def stream_probes(
             f"source draws over n={source.n}, "
             f"algorithm runs on n={algorithm.system.n}"
         )
-    if state is not None and (
-        state.algorithm != algorithm.name
-        or state.source != source.name
-        or state.n != source.n
-    ):
-        raise CheckpointRefused(
-            f"checkpoint records {state.algorithm} on {state.source} "
-            f"(n={state.n}); resuming with {algorithm.name} on {source.name} "
-            f"(n={source.n})"
+    settings = dict(
+        trials=trials,
+        target_ci=target_ci,
+        chunk_size=chunk_size,
+        min_trials=min_trials,
+        max_trials=max_trials,
+        seed=seed,
+    )
+    state = None
+    if resume is not None:
+        from repro.core.checkpoint import EngineCheckpoint, load_engine_checkpoint
+
+        state = (
+            resume
+            if isinstance(resume, EngineCheckpoint)
+            else load_engine_checkpoint(resume)
         )
+        trials, target_ci, chunk_size = state.trials, state.target_ci, state.chunk_size
+        min_trials, max_trials, seed = state.min_trials, state.max_trials, state.entropy
     trials = resolve_fixed_trials(trials, target_ci, default=1000)
     if target_ci is None:
         mode = "fixed"
@@ -1068,15 +1074,8 @@ def stream_probes(
 
     backend = resolve_backend(algorithm, backend)
     task = ChunkTask(algorithm, source, _resolve_entropy(seed))
-    if state is not None and state.pair_blob is not None and state.pair_blob != task.payload[0]:
-        # Names alone do not pin the run: a BernoulliSource is "bernoulli"
-        # at every p.  The pickled pair does; it is compared, never loaded.
-        where = "checkpoint" if resume is state else str(resume)
-        raise CheckpointRefused(
-            f"{where}: the checkpoint's pickled (algorithm, source) pair "
-            f"differs from this {algorithm.name} on {source.name} "
-            f"(n={source.n}), so resuming would not continue its run"
-        )
+    if state is not None:
+        _check_same_run(resume, state, task, settings)
     scheduler = _Scheduler(
         _StoppingRule(trials, target_ci, min_trials, max_trials),
         ChunkLedger(retries, DEFAULT_RETRY_BACKOFF),
@@ -1094,7 +1093,7 @@ def stream_probes(
             algorithm=algorithm.name,
             source=source.name,
             n=source.n,
-            pair_blob=None if checkpoint_path is None else task.payload[0],
+            pair_digest=None if checkpoint_path is None else task.payload[1],
         ),
         stop_event=stop_event,
         run_timeout=run_timeout,
@@ -1137,46 +1136,3 @@ def stream_probes(
             totals[key] += getattr(result, key)
     return result
 
-
-def resume_stream(
-    path: str | Path,
-    *,
-    jobs: int = 1,
-    executor: ChunkPool | None = None,
-    retries: int | None = None,
-    chunk_timeout: float | None = None,
-    checkpoint_path: str | Path | None = None,
-    stop_event=None,
-    run_timeout: float | None = None,
-) -> StreamResult:
-    """Continue a checkpointed run from its own serialized state.
-
-    The checkpoint carries the pickled ``(algorithm, source)`` payload,
-    so no other description of the run is needed — this is what
-    ``repro-probe estimate --resume`` calls.  By default the continued run
-    keeps checkpointing to the same file.
-    """
-    from repro.core.checkpoint import load_engine_checkpoint
-
-    state = load_engine_checkpoint(path)
-    if state.pair_blob is None:
-        raise ValueError(
-            f"{path}: checkpoint carries no serialized (algorithm, source) "
-            "pair; resume through stream_probes(resume=...) with the "
-            "original objects instead"
-        )
-    algorithm, source = load_pair(state.pair_blob)
-    return stream_probes(
-        algorithm,
-        source,
-        jobs=jobs,
-        executor=executor,
-        retries=retries,
-        chunk_timeout=chunk_timeout,
-        checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
-        # The pair is the checkpoint's own, so there is nothing to compare
-        # (and an older build's blob pickled a third, dropped field).
-        resume=replace(state, pair_blob=None),
-        stop_event=stop_event,
-        run_timeout=run_timeout,
-    )

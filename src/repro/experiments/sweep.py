@@ -36,6 +36,7 @@ from repro.algorithms import (
 )
 from repro.core.batched import supports_batched
 from repro.core.checkpoint import (
+    CheckpointRefused,
     atomic_write_json,
     check_resumable,
     check_schema_version,
@@ -288,8 +289,11 @@ def run_sweep(
     Grid-level resume: ``checkpoint_path`` persists a
     :class:`SweepCheckpoint` atomically after every measured cell, and
     ``resume`` (a checkpoint path or loaded checkpoint) skips the cells it
-    already holds — the run configuration must match the checkpoint's, and
-    a mismatch is a loud error naming the differing settings.
+    already holds.  The arguments repeat the interrupted sweep's: the grid
+    configuration must match the checkpoint's, and a mismatch raises
+    :class:`~repro.core.checkpoint.CheckpointRefused` naming the file and
+    the differing settings.  Execution knobs (``jobs``, ``retries``, ...)
+    may differ, as they do not change a cell's bytes.
 
     Cooperative control (the serving layer's drain/deadline hooks):
     ``stop_event`` and ``run_timeout`` are threaded into every cell's
@@ -337,8 +341,9 @@ def run_sweep(
             if config.get(key) != state.config.get(key)
         )
         if mismatched:
-            raise ValueError(
-                "sweep checkpoint was written by a different run; "
+            where = "sweep checkpoint" if resume is state else str(resume)
+            raise CheckpointRefused(
+                f"{where}: written by a different run; "
                 f"these settings differ: {', '.join(mismatched)}"
             )
         completed = {(cell.size, float(cell.p)): cell for cell in state.cells}
@@ -482,51 +487,6 @@ def run_sweep(
         cells=tuple(cells),
         distribution=distribution,
         target_ci=target_ci,
-    )
-
-
-def resume_sweep(
-    path: str | Path,
-    *,
-    jobs: int = 1,
-    fail_fast: bool = False,
-    retries: int | None = None,
-    chunk_timeout: float | None = None,
-    checkpoint_path: str | Path | None = None,
-    stop_event=None,
-    run_timeout: float | None = None,
-) -> SweepResult:
-    """Continue a checkpointed sweep from its own serialized state.
-
-    The checkpoint's ``config`` carries the full grid definition, so no
-    other description of the sweep is needed — this is what
-    ``repro-probe sweep --resume`` calls.  By default the continued run
-    keeps checkpointing to the same file.  Execution knobs (``jobs``,
-    ``retries``, ...) may differ from the interrupted run's: they do not
-    affect a cell's bytes.
-    """
-    state = load_sweep_checkpoint(path)
-    config = state.config
-    return run_sweep(
-        config["system"],
-        config["sizes"],
-        config["ps"],
-        trials=config["trials"],
-        seed=config["seed"],
-        randomized=config["randomized"],
-        distribution=config["distribution"],
-        chunk_size=config["chunk_size"],
-        target_ci=config["target_ci"],
-        min_trials=config["min_trials"],
-        max_trials=config["max_trials"],
-        jobs=jobs,
-        fail_fast=fail_fast,
-        retries=retries,
-        chunk_timeout=chunk_timeout,
-        checkpoint_path=Path(path) if checkpoint_path is None else checkpoint_path,
-        resume=state,
-        stop_event=stop_event,
-        run_timeout=run_timeout,
     )
 
 

@@ -23,8 +23,9 @@ Robustness model (the point of this module):
   checkpoint's chunk state alone (no code object is read back from disk),
   byte-identical to uninterrupted runs (the engine's ``(seed, start)``
   chunk keying).  Completed jobs are never re-run, and a job's checkpoint
-  is removed once its terminal (``done`` or ``failed``) record is durable,
-  so the data directory holds checkpoints of unsettled jobs only.
+  is removed once its terminal (``done`` or ``failed``) record is durable
+  (or at the next start, after a crash in between), so the data
+  directory holds checkpoints of unsettled jobs only.
 * **Admission control** — a bounded queue; a full queue or a non-ready
   service answers ``503`` with a ``Retry-After`` header instead of
   accepting work it cannot do.  Failed runs retry with exponential
@@ -173,6 +174,8 @@ class ProbeService:
         pending, finished = self.journal.recover()
         for job in finished:
             self._jobs[job.id] = job
+            # A crash between the terminal record and its unlink left this.
+            self._drop_checkpoint(job)
             # Schema-1 records carry no CRC: served, but not indexed.
             if job.state == "done" and job.schema >= 2:
                 self.cache.put(job.cache_key, job.result)
@@ -367,17 +370,15 @@ class ProbeService:
                 else default_deterministic_algorithm(system)
             )
             source = build_source(params["distribution"], system, params["p"])
-            # A resumed run takes its stopping rule and seed from the
-            # checkpoint, which this job's own parameters wrote.
-            stopping = {} if resume else {
-                name: params[name]
-                for name in ("trials", "target_ci", "chunk_size", "min_trials",
-                             "max_trials", "seed")
-            }
             result = stream_probes(
                 algorithm,
                 source,
-                **stopping,
+                trials=params["trials"],
+                target_ci=params["target_ci"],
+                chunk_size=params["chunk_size"],
+                min_trials=params["min_trials"],
+                max_trials=params["max_trials"],
+                seed=params["seed"],
                 jobs=self.engine_jobs,
                 executor=self._pool,
                 retries=self.retries,

@@ -486,7 +486,6 @@ class TestStreamIdentity:
         )
 
     def test_checkpoint_resume_preserves_backend(self, tmp_path):
-        from repro.core.engine import resume_stream
         from repro.testing import faults
         from repro.testing.faults import Fault
 
@@ -501,9 +500,9 @@ class TestStreamIdentity:
                 stream_probes(
                     algorithm, backend="bitpacked", checkpoint_path=path, **kwargs
                 )
-        # The backend rides in the checkpoint's pair blob: the resume keeps
-        # running bitpacked without being told, bit-identically.
-        resumed = resume_stream(path)
+        # The backend follows from the algorithm: the resume keeps running
+        # bitpacked without being told, bit-identically.
+        resumed = stream_probes(algorithm, p=0.4, resume=path)
         assert resumed.backend == "bitpacked"
         assert _histograms_match(resumed, base)
 

@@ -7,6 +7,7 @@ write — and every loader failure names the file and the offending field.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
@@ -14,9 +15,11 @@ import pytest
 
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
+    CheckpointRefused,
     EngineCheckpoint,
     atomic_write_json,
     atomic_write_text,
+    blob_digest,
     check_schema_version,
     load_engine_checkpoint,
     load_json_payload,
@@ -38,13 +41,13 @@ def _checkpoint(**overrides) -> EngineCheckpoint:
         algorithm="ProbeTree",
         source="bernoulli",
         n=7,
+        pair_digest="0123456789abcdef0123456789abcdef",
         count=32,
         witness_red=3,
         histogram=(0, 0, 5, 10, 17),
         chunks_merged=2,
         next_start=32,
         complete=False,
-        pair_blob=b"\x80\x04pickled",
     )
     base.update(overrides)
     return EngineCheckpoint(**base)
@@ -116,11 +119,30 @@ class TestEngineCheckpoint:
         save_engine_checkpoint(path, state)
         assert load_engine_checkpoint(path) == state
 
-    def test_round_trip_without_pair_blob(self, tmp_path):
-        state = _checkpoint(pair_blob=None)
-        path = tmp_path / "run.ckpt"
-        save_engine_checkpoint(path, state)
-        assert load_engine_checkpoint(path) == state
+    def test_file_holds_the_digest_and_no_pickle(self, tmp_path):
+        path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION == 5
+        assert payload["pair_digest"] == _checkpoint().pair_digest
+        assert "pair_blob" not in payload
+
+    def _schema_4(self, tmp_path, blob):
+        """A schema-4 file: the pickled pair base64-encoded in ``pair_blob``."""
+        path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
+        payload = json.loads(path.read_text())
+        del payload["pair_digest"]
+        payload.update(schema=4, pair_blob=blob and base64.b64encode(blob).decode("ascii"))
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_schema_4_loads_the_digest_of_its_blob(self, tmp_path):
+        blob = b"\x80\x04not unpickled"
+        state = load_engine_checkpoint(self._schema_4(tmp_path, blob))
+        assert state == _checkpoint(pair_digest=blob_digest(blob))
+
+    def test_schema_4_without_a_blob_is_refused(self, tmp_path):
+        with pytest.raises(CheckpointRefused, match=r"run\.ckpt: no 'pair_blob'"):
+            load_engine_checkpoint(self._schema_4(tmp_path, None))
 
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -139,7 +161,7 @@ class TestEngineCheckpoint:
     def test_never_raises_raw_key_error(self, tmp_path):
         path = tmp_path / "run.ckpt"
         save_engine_checkpoint(path, _checkpoint())
-        for field in ("entropy", "mode", "count", "next_start", "complete"):
+        for field in ("entropy", "mode", "pair_digest", "count", "next_start", "complete"):
             drop_json_field(path, field)
             try:
                 load_engine_checkpoint(path)

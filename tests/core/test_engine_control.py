@@ -17,10 +17,9 @@ from repro.core.checkpoint import load_engine_checkpoint
 from repro.core.engine import (
     RunDeadlineExceeded,
     RunInterrupted,
-    resume_stream,
     stream_probes,
 )
-from repro.experiments.sweep import load_sweep_checkpoint, resume_sweep, run_sweep
+from repro.experiments.sweep import load_sweep_checkpoint, run_sweep
 from repro.systems import build_system
 
 
@@ -59,7 +58,7 @@ class TestStopEvent:
         event.set()
         with pytest.raises(RunInterrupted):
             _baseline(checkpoint_path=checkpoint, stop_event=event)
-        resumed = resume_stream(checkpoint)
+        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     def test_unset_event_is_a_no_op(self):
@@ -93,7 +92,7 @@ class TestRunTimeout:
         monkeypatch.undo()
         state = load_engine_checkpoint(checkpoint)
         assert not state.complete
-        resumed = resume_stream(checkpoint)
+        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     def test_generous_deadline_changes_nothing(self):
@@ -124,7 +123,7 @@ class TestSweepControl:
             run_sweep(
                 "tree", checkpoint_path=checkpoint, stop_event=event, **self.GRID
             )
-        resumed = resume_sweep(checkpoint)
+        resumed = run_sweep("tree", resume=checkpoint, **self.GRID)
         baseline = run_sweep("tree", **self.GRID)
         from repro.service.jobs import deterministic_view
 

@@ -17,7 +17,7 @@ The load-bearing claims (ISSUE 6):
 
 from __future__ import annotations
 
-import dataclasses
+import base64
 import json
 import os
 import pickle
@@ -33,13 +33,12 @@ from repro.core import engine
 from repro.core.checkpoint import (
     CheckpointRefused,
     load_engine_checkpoint,
-    save_engine_checkpoint,
 )
 from repro.core.distributions import BernoulliSource, FixedCountSource, build_source
 from repro.core.engine import (
     ChunkLedger,
     ChunkPool,
-    resume_stream,
+    ChunkTask,
     stream_probes,
 )
 from repro.systems import build_system
@@ -275,19 +274,31 @@ class TestInterruptionSemantics:
         state = load_engine_checkpoint(checkpoint)
         assert not state.complete
         assert state.next_start % mode_kwargs["chunk_size"] == 0
-        resumed = resume_stream(checkpoint, jobs=jobs)
+        resumed = stream_probes(
+            _algorithm(), p=0.2, resume=checkpoint, jobs=jobs, checkpoint_path=checkpoint
+        )
         assert _same_statistics(resumed, base)
         # The final checkpoint is marked complete; resuming again is a no-op
         # with the same statistics.
         assert load_engine_checkpoint(checkpoint).complete
-        again = resume_stream(checkpoint)
+        again = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(again, base)
 
     def test_resume_rejects_conflicting_configuration(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"
         _baseline(checkpoint_path=checkpoint)
-        with pytest.raises(ValueError, match="don't pass.*seed.*trials|trials.*seed"):
-            stream_probes(_algorithm(), resume=checkpoint, trials=10, seed=3)
+        with pytest.raises(
+            CheckpointRefused, match=r"run\.ckpt: .*trials=10 .*seed=3 \(checkpoint: 7\)"
+        ):
+            stream_probes(_algorithm(), p=0.2, resume=checkpoint, trials=10, seed=3)
+
+    def test_resume_with_the_runs_own_settings_is_bit_identical(self, tmp_path):
+        # The same call plus resume=: every setting equals the checkpoint's.
+        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
+        resumed = stream_probes(
+            _algorithm(), p=0.2, trials=64, chunk_size=16, seed=7, resume=checkpoint
+        )
+        assert _same_statistics(resumed, _baseline())
 
     def test_resume_rejects_mismatched_pair(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"
@@ -343,22 +354,38 @@ class TestInterruptionSemantics:
         resumed = stream_probes(algorithm, used, resume=checkpoint)
         assert _same_statistics(resumed, base)
 
-    @pytest.mark.parametrize("recorded", ["numpy", "bitpacked", "compiled"])
-    def test_checkpoint_resumes_whatever_backend_it_recorded(self, tmp_path, recorded):
-        # Earlier builds pickled an (algorithm, source, backend) triple into
-        # the checkpoint; such a checkpoint resumes bit-identically on the
-        # algorithm's own kernel, whichever backend it recorded.
-        checkpoint = tmp_path / "run.ckpt"
-        with pytest.raises(KeyboardInterrupt):
-            with faults.active_plan([Fault("merge", 1, "interrupt")], tmp_path / "plan"):
-                _baseline(checkpoint_path=checkpoint)
-        state = load_engine_checkpoint(checkpoint)
-        assert not state.complete
-        algorithm, source = pickle.loads(state.pair_blob)
-        blob = pickle.dumps((algorithm, source, recorded))
-        save_engine_checkpoint(checkpoint, dataclasses.replace(state, pair_blob=blob))
-        resumed = resume_stream(checkpoint)
-        assert resumed.backend == "bitpacked"
+    @staticmethod
+    def _as_schema_4(checkpoint, source):
+        """Rewrite a checkpoint as schema 4 stored it: the pair's pickle,
+        base64-encoded in ``pair_blob``, and no ``pair_digest``."""
+        payload = json.loads(checkpoint.read_text())
+        del payload["pair_digest"]
+        blob = ChunkTask(_algorithm(), source, 0).payload[0]
+        payload.update(schema=4, pair_blob=base64.b64encode(blob).decode("ascii"))
+        checkpoint.write_text(json.dumps(payload))
+
+    def test_tampered_schema_4_checkpoint_is_refused(self, tmp_path):
+        # The blob is hashed, never loaded: another pair's pickle only
+        # changes the digest, and the resume is refused.
+        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
+        self._as_schema_4(checkpoint, BernoulliSource(7, 0.9))
+        with pytest.raises(CheckpointRefused, match=r"run\.ckpt: .*pickled"):
+            stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+
+    @pytest.mark.parametrize("schema", [4, 5])
+    def test_resume_never_unpickles(self, tmp_path, monkeypatch, schema):
+        # Schema 4, the previous format, kept the pickle in the file: it
+        # resumes bit-identically too, its blob hashed and never loaded.
+        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
+        if schema == 4:
+            self._as_schema_4(checkpoint, BernoulliSource(7, 0.2))
+        assert not load_engine_checkpoint(checkpoint).complete
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resume unpickled bytes")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     @pytest.mark.parametrize(
@@ -378,14 +405,7 @@ class TestInterruptionSemantics:
         with pytest.raises(
             CheckpointRefused, match=f"run.ckpt.*{drawn}.*sampler stream 'bitplane-v3'"
         ):
-            resume_stream(checkpoint)
-
-    def test_checkpoint_written_without_pair_blob_refuses_cli_resume(self, tmp_path):
-        checkpoint = tmp_path / "run.ckpt"
-        _baseline(checkpoint_path=checkpoint)
-        faults.drop_json_field(checkpoint, "pair_blob")
-        with pytest.raises(ValueError, match="pair_blob"):
-            resume_stream(checkpoint)
+            stream_probes(_algorithm(), p=0.2, resume=checkpoint)
 
 
 class TestCrashResume:
@@ -415,5 +435,5 @@ class TestCrashResume:
         state = load_engine_checkpoint(checkpoint)
         assert not state.complete
         assert state.chunks_merged == 1  # durable point before the kill
-        resumed = resume_stream(checkpoint)
+        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())

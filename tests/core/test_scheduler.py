@@ -38,7 +38,6 @@ from repro.core.engine import (
     _PoolTransport,
     _Scheduler,
     _StoppingRule,
-    load_pair,
     stream_probes,
 )
 from repro.systems import MajoritySystem
@@ -209,11 +208,11 @@ class TestChunkTask:
         algorithm, source = pair
         assert type(algorithm) is ProbeMaj and type(source) is BernoulliSource
 
-    def test_load_pair_roundtrip(self):
-        algorithm, source = load_pair(_task().payload[0])
-        assert algorithm.name == ALGORITHM.name
-        assert algorithm.system.n == ALGORITHM.system.n
-        assert (source.n, source.name) == (25, BernoulliSource(25, P).name)
+    def test_token_is_the_checkpoint_digest_of_the_blob(self):
+        from repro.core.checkpoint import blob_digest
+
+        blob, token = _task().payload
+        assert token == blob_digest(blob)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_run_matches_worker_entry_point(self, form):
@@ -337,7 +336,7 @@ class TestWindow:
             entropy=ENTROPY, mode="fixed", trials=300, target_ci=None,
             chunk_size=32, min_trials=32, max_trials=4096,
             algorithm=ALGORITHM.name, source=BernoulliSource(25, P).name, n=25,
-            count=32, witness_red=first.witness_red,
+            pair_digest=_task().payload[1], count=32, witness_red=first.witness_red,
             histogram=tuple(int(c) for c in first.histogram),
             chunks_merged=1, next_start=32, complete=False,
         )
@@ -736,19 +735,15 @@ class TestRemovedOptions:
         assert exited.value.code == 2
         assert "invalid choice: 'worker'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "entry_point", ["stream_probes", "resume_stream", "run_sweep", "resume_sweep"]
-    )
-    def test_entry_points_take_no_coordinator(self, entry_point, tmp_path):
+    @pytest.mark.parametrize("entry_point", ["stream_probes", "run_sweep"])
+    def test_entry_points_take_no_coordinator(self, entry_point):
         from repro.experiments import sweep
 
         call = {
             "stream_probes": lambda **kw: stream_probes(
                 ProbeMaj(MajoritySystem(9)), p=0.5, trials=64, **kw
             ),
-            "resume_stream": lambda **kw: engine.resume_stream(tmp_path / "x.ckpt", **kw),
             "run_sweep": lambda **kw: sweep.run_sweep("tree", (2,), (0.5,), trials=64, **kw),
-            "resume_sweep": lambda **kw: sweep.resume_sweep(tmp_path / "x.ckpt", **kw),
         }[entry_point]
         with pytest.raises(TypeError, match="coordinator"):
             call(coordinator=None)

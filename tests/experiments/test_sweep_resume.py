@@ -22,7 +22,6 @@ from repro.experiments.sweep import (
     load_sweep_artifact,
     load_sweep_checkpoint,
     render_sweep,
-    resume_sweep,
     run_sweep,
     save_sweep_checkpoint,
     write_sweep_artifact,
@@ -74,7 +73,7 @@ class TestResume:
         )
         save_sweep_checkpoint(path, doctored)
         calls = _counting_stream_probes(monkeypatch)
-        resumed = resume_sweep(path)
+        resumed = run_sweep("tree", resume=path, **GRID)
         assert len(calls) == 1
         assert _stats(resumed) == _stats(full)
 
@@ -84,7 +83,7 @@ class TestResume:
         path = tmp_path / "sweep.ckpt"
         full = run_sweep("tree", checkpoint_path=path, **GRID)
         calls = _counting_stream_probes(monkeypatch)
-        resumed = resume_sweep(path)
+        resumed = run_sweep("tree", resume=path, **GRID)
         assert calls == []
         assert _stats(resumed) == _stats(full)
 
@@ -107,7 +106,7 @@ class TestResume:
 
         state = load_sweep_checkpoint(path)
         assert not state.complete and len(state.cells) == 2
-        resumed = resume_sweep(path)
+        resumed = run_sweep("tree", resume=path, **GRID)
         assert _stats(resumed) == _stats(full)
         # The two pre-interrupt cells came straight from the checkpoint,
         # wall-clock fields included.
@@ -134,14 +133,14 @@ class TestResume:
         # Only the three ok cells persist; resume re-measures the failure.
         state = load_sweep_checkpoint(path)
         assert len(state.cells) == 3
-        resumed = resume_sweep(path)
+        resumed = run_sweep("tree", resume=path, **GRID)
         assert resumed.failed_cells == ()
         assert _stats(resumed) == _stats(run_sweep("tree", **GRID))
 
     def test_mismatched_config_is_refused_naming_the_difference(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         run_sweep("tree", checkpoint_path=path, **GRID)
-        with pytest.raises(ValueError, match="different run.*seed"):
+        with pytest.raises(CheckpointRefused, match=r"sweep\.ckpt: .*different run.*seed"):
             run_sweep("tree", resume=path, **{**GRID, "seed": 10})
         with pytest.raises(ValueError, match="trials"):
             run_sweep("tree", resume=path, **{**GRID, "trials": 128})
@@ -245,7 +244,7 @@ class TestRecoveryCounters:
             cell["worker_reassignments"] = 2
         path.write_text(json.dumps(state))
         assert len(load_sweep_checkpoint(path).cells) == 2
-        resumed = resume_sweep(path)
+        resumed = run_sweep("tree", resume=path, **GRID)
         assert _stats(resumed) == _stats(full)
 
     def test_loaders_drop_only_the_retired_counter(self, tmp_path):

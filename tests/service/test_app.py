@@ -14,7 +14,6 @@ The load-bearing robustness claims (ISSUE 10):
 
 from __future__ import annotations
 
-import base64
 import json
 import sys
 import threading
@@ -367,13 +366,13 @@ class TestDrainAndCrashRecovery:
         status, body = reopened.submit("estimate", dict(REQUEST))
         assert (status, body["cached"]) == (200, True)
 
-    def test_resumed_estimate_never_reads_the_pickled_pair(
+    def test_resumed_estimate_with_a_wrong_pair_digest_fails_at_once(
         self, service_factory, tmp_path
     ):
         # The job rebuilds its (algorithm, source) from its parameters and
-        # only compares their pickled bytes with the checkpoint's blob: a
-        # garbage blob fails the job, naming the checkpoint, without being
-        # loaded, and a repeat of the request then runs afresh.
+        # compares the digest of their pickle with the checkpoint's: another
+        # digest fails the job at its first attempt, naming the checkpoint,
+        # and a repeat of the request then runs afresh.
         plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
         request = {**REQUEST, "chunk_size": 8}
         with faults.active_plan(plan, tmp_path / "plan"):
@@ -384,13 +383,15 @@ class TestDrainAndCrashRecovery:
         job = service.journal.load(body["id"])
         checkpoint = service.journal.checkpoint_path(job)
         payload = json.loads(checkpoint.read_text())
-        assert payload["pair_blob"] is not None and not payload["complete"]
-        payload["pair_blob"] = base64.b64encode(b"not a pickle").decode()
+        assert "pair_blob" not in payload and not payload["complete"]
+        payload["pair_digest"] = "0" * 32
         checkpoint.write_text(json.dumps(payload))
-        restarted = service_factory(subdir="data")
+        restarted = service_factory(subdir="data", job_retries=3)
         record = wait_for_state(restarted.job_view, body["id"])
-        assert record["state"] == "failed"
-        assert f"{checkpoint}: " in record["error"] and "pickled" in record["error"]
+        # One attempt after the drained one: the refusal is not retried.
+        assert record["state"] == "failed" and record["attempts"] == job.attempts + 1
+        assert record["error"].startswith(f"CheckpointRefused: {checkpoint}: ")
+        assert "pickled" in record["error"]
         repeat = submit_and_wait(restarted, request)
         fresh = submit_and_wait(service_factory(subdir="baseline"), request)
         assert repeat["state"] == "done" and repeat["id"] != body["id"]
@@ -563,6 +564,32 @@ class TestCheckpointCleanup:
         assert record["state"] == "failed" and record["attempts"] == 2
         assert len(seen) == 1 and len(seen[0]) == 1
         assert list(services[0].journal.checkpoints.iterdir()) == []
+
+    def test_restart_drops_the_checkpoints_of_settled_jobs(
+        self, service_factory, monkeypatch
+    ):
+        # A crash between a job's terminal record and the unlink of its
+        # checkpoint leaves the file behind; the next start removes it.  An
+        # unsettled job keeps its checkpoint to resume from.
+        old = service_factory(start=False)
+        jobs = {}
+        for seed, state in enumerate(("done", "failed", "submitted")):
+            job = old.journal.new_job(
+                "estimate", normalize_estimate({**REQUEST, "seed": seed})
+            )
+            if state == "done":
+                job.result = old._execute(job)  # leaves the job's checkpoint
+            else:
+                old.journal.checkpoint_path(job).write_text("{}")
+            job.state = state
+            old.journal.write(job)
+            jobs[state] = old.journal.checkpoint_path(job)
+        assert all(path.is_file() for path in jobs.values())
+        # Keep the submitted job off the queue, so only start() acts.
+        monkeypatch.setattr(ProbeService, "_enqueue", lambda self, job: None)
+        service_factory(subdir="data")
+        assert not jobs["done"].exists() and not jobs["failed"].exists()
+        assert jobs["submitted"].is_file()
 
     @pytest.mark.parametrize(
         "kind, request_body",

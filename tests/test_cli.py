@@ -396,10 +396,12 @@ class TestStreamingEngineCLI:
 class TestSweepResumeCLI:
     def test_sweep_resume_flag_round_trips(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        main(["sweep", "--system", "tree", "--sizes", "2", "--ps", "0.5",
-              "--trials", "64", "--seed", "3", "--checkpoint", "s.ckpt"])
+        grid = ["sweep", "--system", "tree", "--sizes", "2", "--ps", "0.5",
+                "--trials", "64", "--seed", "3"]
+        main([*grid, "--checkpoint", "s.ckpt"])
         first = capsys.readouterr().out
-        main(["sweep", "--resume", "s.ckpt"])
+        # The resume repeats the sweep's grid flags.
+        main([*grid, "--resume", "s.ckpt"])
         resumed = capsys.readouterr().out
 
         def table(text):
@@ -410,6 +412,32 @@ class TestSweepResumeCLI:
 
         assert table(resumed) == table(first)
 
+    def test_estimate_resume_continues_an_interrupted_run(self, capsys, tmp_path):
+        from repro.testing import faults
+        from repro.testing.faults import Fault
+
+        command = ["estimate", "--system", "tree", "--size", "3", "--p", "0.3",
+                   "--trials", "512", "--chunk-size", "64", "--seed", "5"]
+        checkpoint = str(tmp_path / "e.ckpt")
+        assert main(command) == 0
+        uninterrupted = capsys.readouterr().out
+        with pytest.raises(KeyboardInterrupt):
+            with faults.active_plan([Fault("merge", 3, "interrupt")], tmp_path / "plan"):
+                main([*command, "--checkpoint", checkpoint])
+        capsys.readouterr()
+        assert main([*command, "--resume", checkpoint]) == 0
+        resumed = capsys.readouterr().out
+        assert resumed == uninterrupted
+        assert "avg probes" in resumed
+        # The resumed run kept writing to the checkpoint, now complete; the
+        # seed and stopping flags may be left out, taking the checkpoint's.
+        assert main(command[:-4] + ["--resume", checkpoint]) == 0
+        mean_line = [line for line in resumed.splitlines() if line.startswith("avg probes")]
+        assert mean_line[0] in capsys.readouterr().out
+
     def test_sweep_resume_missing_checkpoint_exits_cleanly(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--resume", "/nonexistent/sweep.ckpt"])
+        # Both resumable commands exit with a message naming the file.
+        for command in ("sweep", "estimate"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, "--resume", "/nonexistent/x.ckpt"])
+            assert "/nonexistent/x.ckpt" in str(exited.value.code)
