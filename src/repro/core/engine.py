@@ -1010,6 +1010,8 @@ def stream_probes(
     raising :class:`RunDeadlineExceeded`.  Both land on a chunk boundary,
     so the interrupted run is exactly as resumable as a ``KeyboardInterrupt``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if source is None:
         if p is None:
             raise ValueError("pass a failure probability p or a ColoringSource")

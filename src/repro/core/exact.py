@@ -20,15 +20,15 @@ PPC_{1/2} = 5/2, PCR = 8/3) and the optimality claim for Probe_HQS
 (Theorem 3.9), and serve as ground truth in the test-suite.
 
 Knowledge states are represented as ``(green_mask, red_mask)`` integer
-pairs (see :mod:`repro.core.bitmask`), so the settled test and the child
-transitions are single word operations, and the DP caches live on the
-solver *instance*: repeated queries on one solver — ``probe_complexity()``
-followed by ``optimal_worst_case_tree()``, or
-``probabilistic_probe_complexity`` at several values of ``p`` — reuse every
-previously settled witness state instead of re-solving from scratch.
-
-The state space has size ``3^n`` so the computations are intended for ``n``
-up to roughly :data:`EXACT_LIMIT`.
+pairs (see :mod:`repro.core.bitmask`).  Each measure — ``PC``, or
+``PPC_p`` at one ``p`` — has one value function over them, which its value
+and its optimal strategy tree both read: for ``n <= 15`` the vectorized
+sweep over all ``3^n`` states (its array lives for one query; the solver
+keeps the root value), above that the memoized recursion, whose memo lives
+on the solver so that a value and then its tree, or ``PPC_p`` at several
+``p``, reuse every solved state.  Only ``PC`` at ``16 <= n <= 21`` takes
+the word-batched packed mask-DP instead.  The state space has size ``3^n``,
+so the computations are intended for ``n`` up to :data:`EXACT_LIMIT`.
 """
 
 from __future__ import annotations
@@ -41,16 +41,16 @@ from repro.systems.base import QuorumSystem
 from repro.systems.boolean import CharacteristicFunction
 
 #: Hard cap on the universe size accepted by the exact solvers.  Up to
-#: :data:`_TABLE_DP_LIMIT` the vectorized table sweep keeps queries in the
-#: seconds range; up to :data:`_PACKED_DP_LIMIT` the word-batched mask-DP
-#: (64 bit-sliced DP cells per ``uint64`` word, two rolling levels) keeps
-#: ``PC`` solves inside workstation memory — the peak footprint is
+#: :data:`_TABLE_DP_LIMIT` the vectorized table sweep keeps values and trees
+#: in the seconds range; up to :data:`_PACKED_DP_LIMIT` the word-batched
+#: mask-DP (64 bit-sliced DP cells per ``uint64`` word, two rolling levels)
+#: keeps ``PC`` solves inside workstation memory — the peak footprint is
 #: ``2 * max_k C(n,k) * 2^k * (B + 1) / 8`` bytes with ``B = n.bit_length()``
 #: value planes, roughly 0.06 GB at n = 18, 1 GB at n = 20, 9 GB at n = 22
-#: and 70 GB at n = 24.  Beyond the packed limit the recursive dict DP is
-#: used and both time and memory grow as ``3^n``, so treat the upper end as
-#: headroom for structured Yao distributions and partial queries (where the
-#: settled/consistency pruning bites), not routine full solves.
+#: and 70 GB at n = 24.  Everything else above the table limit runs the
+#: recursive dict DP, whose time and memory grow as ``3^n``, so treat the
+#: upper end as headroom for structured Yao distributions and partial
+#: queries (where the settled/consistency pruning bites), not full solves.
 EXACT_LIMIT = 24
 
 #: Universe-size cap for the vectorized full-table DP (memory-bound: the
@@ -71,6 +71,20 @@ def _check_size(system: QuorumSystem) -> None:
             f"exact probe-complexity computation is limited to n <= {EXACT_LIMIT}; "
             f"{system.name} has n = {system.n}"
         )
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"failure probability must be in [0, 1], got {p}")
+
+
+def _combine(measure):
+    """How a probe's two outcome values merge: the adversary's worse one for
+    ``"pc"``, the expectimax blend for a failure probability ``p``."""
+    if measure == "pc":
+        return lambda on_green, on_red: on_green if on_green >= on_red else on_red
+    q = 1.0 - measure
+    return lambda on_green, on_red: q * on_green + measure * on_red
 
 
 # -- word-batched mask-DP (bit-sliced PC over packed uint64 lanes) ----------------
@@ -203,11 +217,11 @@ def _planes_incr(planes) -> None:
 class ExactSolver:
     """Dynamic-programming solver for optimal probe strategies.
 
-    One solver instance holds per-(measure, parameter) DP caches plus a
-    shared settled-witness cache, all keyed by ``(green_mask, red_mask)``
-    knowledge states.  The caches persist across queries, so a solver is
-    cheap to reuse and a fresh instance is only needed for a different
-    system.
+    One solver instance holds a memo per measure (``"pc"``, or a failure
+    probability ``p``) plus a shared settled-witness cache, all keyed by
+    ``(green_mask, red_mask)`` knowledge states.  The caches persist
+    across queries, so a solver is cheap to reuse and a fresh instance is
+    only needed for a different system.
     """
 
     def __init__(self, system: QuorumSystem) -> None:
@@ -219,19 +233,15 @@ class ExactSolver:
         # than tuples in the multi-million-state DP sweeps.
         # Settled-witness colors, shared by every measure below.
         self._settled: dict[int, Color | None] = {}
-        # Deterministic worst-case values (PC).
-        self._pc_values: dict[int, int] = {}
-        # Expectimax values per failure probability p (PPC_p).
-        self._ppc_values: dict[float, dict[int, float]] = {}
+        # State values per measure: every state the recursion solved above
+        # n = 15, only the root (key 0) on the table route.
+        self._values: dict[object, dict[int, float]] = {}
         # Per-distribution Yao DP caches; distributions are compared by
         # identity, and kept referenced so ids stay unique.
         self._yao_caches: list[tuple[ColoringDistribution, dict[int, float]]] = []
-        # Lazy state tables for the vectorized full-table DP (n <= 15):
-        # trit-coded knowledge states, their green/red masks and the settled
-        # predicate.  Built once per solver and shared by PC and every PPC_p.
+        # Lazy state tables of the vectorized full-table DP (n <= 15, see
+        # _tables), shared by PC and every PPC_p.
         self._state_tables = None
-        self._pc_table_result: int | None = None
-        self._ppc_table_results: dict[float, float] = {}
         # The 2^n characteristic-function table (bool per green mask) shared
         # by the trit-table DP and the packed mask-DP, plus the packed DP's
         # cached result.
@@ -247,7 +257,9 @@ class ExactSolver:
         1 known green, 2 known red.  The settled predicate factors through
         the two ``2^n`` mask tables — ``contains_quorum_mask`` of the green
         mask and of the complement of the red mask — so it costs ``2^n``
-        characteristic-function calls, not ``3^n``.
+        characteristic-function calls, not ``3^n``.  ``trit[mask]`` is the
+        code of the state knowing ``mask`` green, so state ``(green, red)``
+        has code ``trit[green] + 2 * trit[red]``.
         """
         if self._state_tables is not None:
             return self._state_tables
@@ -271,7 +283,10 @@ class ExactSolver:
         settled = contains_table[green_idx] | ~contains_table[self._full - red_idx]
         # Group codes by unknown count so each DP level is one fancy-index.
         levels = [codes[unknown_count == u] for u in range(n + 1)]
-        self._state_tables = (levels, settled)
+        trit = np.zeros(1 << n, dtype=np.int64)
+        for i in range(n):  # masks with top bit i extend those below it
+            trit[1 << i : 2 << i] = trit[: 1 << i] + 3**i
+        self._state_tables = (levels, settled, trit)
         return self._state_tables
 
     def _table_dp(self, combine):
@@ -279,12 +294,12 @@ class ExactSolver:
 
         ``combine(value_on_green, value_on_red)`` merges the two child-value
         arrays of the probed element (``max`` for PC, the expectimax blend
-        for PPC).  Returns the root value (the no-knowledge state).
+        for PPC).  Returns the value of every trit-coded state.
         """
         import numpy as np
 
         n = self._system.n
-        levels, settled = self._tables()
+        levels, settled, _ = self._tables()
         pow3 = [3**i for i in range(n)]
         value = np.zeros(3**n, dtype=np.float64)
         for u in range(1, n + 1):
@@ -302,7 +317,7 @@ class ExactSolver:
                 candidate = combine(value[idx + p3], value[idx + 2 * p3])
                 best[is_unknown] = np.minimum(best[is_unknown], candidate)
             value[active] = 1.0 + best
-        return float(value[0])
+        return value
 
     def _contains_np_table(self):
         """The ``2^n`` bool table of ``contains_quorum_mask``, built once."""
@@ -436,10 +451,6 @@ class ExactSolver:
             self._packed_pc_result = self._packed_pc()
         return self._packed_pc_result
 
-    # The settled predicate (green contains a quorum / red is a transversal)
-    # is deliberately inlined again inside the _pc_value and _ppc_value_fn
-    # hot loops: a method call per DP state costs ~25% there.  Any change to
-    # the witness rule must touch those two copies as well.
     def _settled_at(self, green: int, red: int) -> Color | None:
         key = (green << self._system.n) | red
         try:
@@ -456,22 +467,40 @@ class ExactSolver:
         self._settled[key] = value
         return value
 
-    # -- deterministic worst case (PC) -------------------------------------------
+    # -- one value function per measure: PC ("pc") and PPC_p (p) ---------------------
 
-    def _pc_value(self, green: int, red: int) -> int:
-        memo = self._pc_values
+    def _value_fn(self, measure):
+        """``value(green, red)`` of ``measure``: up to :data:`_TABLE_DP_LIMIT`
+        the table DP's array (held by this function only) read at trit code
+        ``T[green] + 2 * T[red]``, above it the memoized recursion."""
+        if self._system.n > _TABLE_DP_LIMIT:
+            return self._recursive_value_fn(measure)
+        import numpy as np
+
+        values = self._table_dp(np.maximum if measure == "pc" else _combine(measure))
+        trit = memoryview(self._tables()[2])  # indexes to plain ints, copy-free
+        return lambda green, red: values.item(trit[green] + 2 * trit[red])
+
+    def _recursive_value_fn(self, measure):
+        """The memoized recursive DP of ``measure``; its memo is the solver's
+        per-measure dict, so every state it solves is kept for later queries."""
+        memo = self._values.setdefault(measure, {})
         memo_get = memo.get
+        combine = _combine(measure)
         settled_memo = self._settled
         contains = self._system.contains_quorum_mask
         full = self._full
         n = self._system.n
+        inf = float("inf")
         _missing = _MISSING
 
-        def value(green: int, red: int) -> int:
+        def value(green: int, red: int):
             key = (green << n) | red
             cached = memo_get(key)
             if cached is not None:
                 return cached
+            # The settled test of _settled_at, inlined: a method call per
+            # state costs ~25% in this loop.
             settled = settled_memo.get(key, _missing)
             if settled is _missing:
                 if contains(green):
@@ -484,83 +513,6 @@ class ExactSolver:
             if settled is not None:
                 memo[key] = 0
                 return 0
-            best = n + 1
-            m = full & ~(green | red)
-            while m:
-                bit = m & -m
-                m ^= bit
-                g2 = green | bit
-                a = memo_get((g2 << n) | red)
-                if a is None:
-                    a = value(g2, red)
-                r2 = red | bit
-                b = memo_get((green << n) | r2)
-                if b is None:
-                    b = value(green, r2)
-                outcome = a if a >= b else b
-                if outcome < best:
-                    best = outcome
-                    if best == 0:  # both children settled; no probe beats 1
-                        break
-            result = 1 + best
-            memo[key] = result
-            return result
-
-        return value(green, red)
-
-    def probe_complexity(self) -> int:
-        """The deterministic worst-case probe complexity ``PC(S)``."""
-        if self._system.n <= _TABLE_DP_LIMIT:
-            if self._pc_table_result is None:
-                import numpy as np
-
-                self._pc_table_result = round(self._table_dp(np.maximum))
-            return self._pc_table_result
-        if self._system.n <= _PACKED_DP_LIMIT:
-            return self.packed_probe_complexity()
-        return self._pc_value(0, 0)
-
-    def is_evasive(self) -> bool:
-        """True when ``PC(S) = n``, i.e. the system is evasive.
-
-        The paper (Lemma 2.2, from [PW02]) notes that Maj, Wheel, CW and
-        Tree are all evasive.
-        """
-        return self.probe_complexity() == self._system.n
-
-    # -- probabilistic model (PPC_p) ------------------------------------------------
-
-    def _ppc_value_fn(self, p: float):
-        """The memoized expectimax value function at failure probability ``p``."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"failure probability must be in [0, 1], got {p}")
-        memo = self._ppc_values.setdefault(p, {})
-        memo_get = memo.get
-        q = 1.0 - p
-        settled_memo = self._settled
-        contains = self._system.contains_quorum_mask
-        full = self._full
-        n = self._system.n
-        inf = float("inf")
-        _missing = _MISSING
-
-        def value(green: int, red: int) -> float:
-            key = (green << n) | red
-            cached = memo_get(key)
-            if cached is not None:
-                return cached
-            settled = settled_memo.get(key, _missing)
-            if settled is _missing:
-                if contains(green):
-                    settled = Color.GREEN
-                elif not contains(full & ~red):
-                    settled = Color.RED
-                else:
-                    settled = None
-                settled_memo[key] = settled
-            if settled is not None:
-                memo[key] = 0.0
-                return 0.0
             best = inf
             m = full & ~(green | red)
             while m:
@@ -574,72 +526,41 @@ class ExactSolver:
                 b = memo_get((green << n) | r2)
                 if b is None:
                     b = value(green, r2)
-                outcome = q * a + p * b
+                outcome = combine(a, b)
                 if outcome < best:
                     best = outcome
-                    if best == 0.0:  # both children settled; optimal already
+                    if best == 0:  # both children settled; no probe beats 1
                         break
-            result = 1.0 + best
+            result = 1 + best
             memo[key] = result
             return result
 
         return value
 
-    def probabilistic_probe_complexity(self, p: float) -> float:
-        """The optimal expected probe count ``PPC_p(S)`` in the i.i.d. model."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"failure probability must be in [0, 1], got {p}")
-        if self._system.n <= _TABLE_DP_LIMIT:
-            cached = self._ppc_table_results.get(p)
-            if cached is None:
-                q = 1.0 - p
-                cached = self._table_dp(lambda on_green, on_red: q * on_green + p * on_red)
-                self._ppc_table_results[p] = cached
-            return cached
-        return self._ppc_value_fn(p)(0, 0)
+    def _root_value(self, measure):
+        """The no-knowledge state's value of ``measure``, kept per measure."""
+        memo = self._values.setdefault(measure, {})
+        if 0 not in memo:
+            memo[0] = self._value_fn(measure)(0, 0)
+        return memo[0]
 
-    def optimal_strategy_tree(self, p: float) -> StrategyTree:
-        """An optimal strategy tree for the probabilistic model at ``p``."""
-        value = self._ppc_value_fn(p)
-        q = 1.0 - p
+    def _optimal_tree(self, measure) -> StrategyTree:
+        """The tree that probes, in every unsettled state, the lowest element
+        whose combined child values under ``measure`` are least."""
+        value = self._value_fn(measure)
+        combine = _combine(measure)
 
         def build(green: int, red: int) -> StrategyNode:
             settled = self._settled_at(green, red)
             if settled is not None:
                 return Leaf(settled)
-            remaining = green | red
             best_bit = 0
             best_cost = float("inf")
-            m = self._full & ~remaining
-            while m:
-                bit = m & -m
-                m ^= bit
-                cost = q * value(green | bit, red) + p * value(green, red | bit)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_bit = bit
-            return ProbeNode(
-                element=best_bit.bit_length(),
-                on_green=build(green | best_bit, red),
-                on_red=build(green, red | best_bit),
-            )
-
-        return StrategyTree(self._system, build(0, 0))
-
-    def optimal_worst_case_tree(self) -> StrategyTree:
-        """A strategy tree achieving the deterministic worst-case optimum."""
-
-        def build(green: int, red: int) -> StrategyNode:
-            settled = self._settled_at(green, red)
-            if settled is not None:
-                return Leaf(settled)
-            best_bit = 0
-            best_cost = self._system.n + 1
             m = self._full & ~(green | red)
             while m:
                 bit = m & -m
                 m ^= bit
-                cost = max(self._pc_value(green | bit, red), self._pc_value(green, red | bit))
+                cost = combine(value(green | bit, red), value(green, red | bit))
                 if cost < best_cost:
                     best_cost = cost
                     best_bit = bit
@@ -650,6 +571,34 @@ class ExactSolver:
             )
 
         return StrategyTree(self._system, build(0, 0))
+
+    def probe_complexity(self) -> int:
+        """The deterministic worst-case probe complexity ``PC(S)``."""
+        if _TABLE_DP_LIMIT < self._system.n <= _PACKED_DP_LIMIT:
+            return self.packed_probe_complexity()
+        return round(self._root_value("pc"))
+
+    def is_evasive(self) -> bool:
+        """True when ``PC(S) = n``, i.e. the system is evasive.
+
+        The paper (Lemma 2.2, from [PW02]) notes that Maj, Wheel, CW and
+        Tree are all evasive.
+        """
+        return self.probe_complexity() == self._system.n
+
+    def probabilistic_probe_complexity(self, p: float) -> float:
+        """The optimal expected probe count ``PPC_p(S)`` in the i.i.d. model."""
+        _check_probability(p)
+        return float(self._root_value(p))
+
+    def optimal_strategy_tree(self, p: float) -> StrategyTree:
+        """An optimal strategy tree for the probabilistic model at ``p``."""
+        _check_probability(p)
+        return self._optimal_tree(p)
+
+    def optimal_worst_case_tree(self) -> StrategyTree:
+        """A strategy tree achieving the deterministic worst-case optimum."""
+        return self._optimal_tree("pc")
 
     # -- best deterministic strategy under an input distribution (Yao) ---------------
 

@@ -221,6 +221,8 @@ def run_experiments(
     error instead.  Unknown experiment ids always raise up front, before
     anything runs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ids = list(experiment_ids)
     shared = dict(overrides or {})
     for experiment_id in ids:

@@ -306,6 +306,8 @@ def run_sweep(
     ``run_timeout`` bounds the whole grid's wall clock, not one cell's.
     """
     trials = resolve_fixed_trials(trials, target_ci, default=1000)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if run_timeout is not None and run_timeout <= 0:
         raise ValueError("run_timeout must be positive (None disables it)")
     deadline_at = None if run_timeout is None else time.monotonic() + run_timeout

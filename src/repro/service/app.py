@@ -131,6 +131,8 @@ class ProbeService:
             raise ValueError("queue_size must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        if engine_jobs < 1:
+            raise ValueError("engine_jobs must be at least 1")
         if job_retries < 0:
             raise ValueError("job_retries must be >= 0")
         self.data_dir = Path(data_dir)

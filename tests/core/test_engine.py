@@ -214,6 +214,11 @@ class TestTargetCI:
         with pytest.raises(ValueError):
             stream_probes(algorithm, BernoulliSource(7, 0.5))  # n mismatch
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            stream_probes(ProbeMaj(MajoritySystem(5)), p=0.5, trials=10, jobs=jobs)
+
     def test_default_max_trials(self):
         assert DEFAULT_MAX_TRIALS == 1_000_000
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.analysis.yao import majority_hard_distribution, majority_lower_bound
+from repro.core import exact
 from repro.core.coloring import ColoringDistribution
 from repro.core.exact import (
     EXACT_LIMIT,
@@ -128,6 +129,26 @@ class TestOptimalTrees:
         tree.validate()
         assert tree.depth() == solver.probe_complexity()
 
+    def test_trees_achieve_the_values_at_n13(self):
+        # CW(1,3,3,3,3): both trees read the table route's value arrays.
+        solver = ExactSolver(CrumblingWall([1, 3, 3, 3, 3]))
+        assert solver.optimal_worst_case_tree().depth() == solver.probe_complexity() == 13
+        assert solver.optimal_strategy_tree(0.5).expected_depth(
+            0.5
+        ) == solver.probabilistic_probe_complexity(0.5)
+
+    def test_table_route_keeps_only_root_values(self):
+        # The value arrays live for one query; PPC at k values of p keeps
+        # k floats on the solver.
+        solver = ExactSolver(TriangSystem(3))
+        solver.optimal_worst_case_tree()
+        for p in (0.1, 0.3, 0.5):
+            solver.optimal_strategy_tree(p)
+            solver.probabilistic_probe_complexity(p)
+        assert {measure: len(memo) for measure, memo in solver._values.items()} == {
+            0.1: 1, 0.3: 1, 0.5: 1
+        }
+
     def test_optimal_tree_never_beats_lower_bound(self):
         system = MajoritySystem(5)
         solver = ExactSolver(system)
@@ -242,11 +263,22 @@ class TestPackedMaskDP:
         [MajoritySystem(11), TriangSystem(4), TreeSystem(2), HQS(2)],
         ids=lambda s: s.name,
     )
-    def test_sparse_dict_dp_matches(self, system):
-        # The dict DP, the route above the packed limit, agrees with both.
-        solver = ExactSolver(system)
-        pc = solver.probe_complexity()
-        assert ExactSolver(system)._pc_value(0, 0) == solver.packed_probe_complexity() == pc
+    def test_sparse_dict_dp_matches(self, system, monkeypatch):
+        # The dict DP, the route above the packed limit, agrees with the
+        # table and packed routes bit for bit, values and trees alike.
+        table = ExactSolver(system)
+        pc = table.probe_complexity()
+        assert table.packed_probe_complexity() == pc
+        monkeypatch.setattr(exact, "_TABLE_DP_LIMIT", 0)
+        monkeypatch.setattr(exact, "_PACKED_DP_LIMIT", 0)
+        recursive = ExactSolver(system)
+        assert recursive.probe_complexity() == pc
+        assert recursive.optimal_worst_case_tree().root == table.optimal_worst_case_tree().root
+        for p in (0.0, 0.1, 0.3, 0.5, 1.0):
+            assert float.hex(recursive.probabilistic_probe_complexity(p)) == float.hex(
+                table.probabilistic_probe_complexity(p)
+            )
+            assert recursive.optimal_strategy_tree(p).root == table.optimal_strategy_tree(p).root
 
     def test_non_evasive_system(self):
         # Two quorums sharing element 1: probe 1 (must, else adversary

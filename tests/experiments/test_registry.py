@@ -131,6 +131,11 @@ class TestRegistryDriverParity:
 
 
 class TestRunner:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_experiments(["maj3"], TINY, jobs=jobs)
+
     def test_parallel_matches_sequential(self):
         ids = ["maj3", "lemmas", "availability"]
         sequential = run_experiments(ids, TINY, jobs=1)

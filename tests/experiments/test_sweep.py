@@ -84,6 +84,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep("tree", sizes=(3,), ps=(0.5,), trials=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep("tree", sizes=(2,), ps=(0.5,), trials=10, jobs=jobs)
+
 
 class TestSweepArtifact:
     def test_round_trip(self, tmp_path):

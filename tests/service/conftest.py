@@ -21,7 +21,9 @@ def service_factory(tmp_path):
         server = None
         if http:
             server = make_server(service)
-            threading.Thread(target=server.serve_forever, daemon=True).start()
+            threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            ).start()
         running.append((service, server))
         if http:
             host, port = server.server_address[:2]

@@ -193,6 +193,24 @@ class TestAdmission:
             service.submit("estimate", {"system": "nope", "p": 0.2})
         assert service.journal.load_all() == []
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", "abc"), ("trials", 2.5), ("chunk_size", 0), ("min_trials", 0),
+         ("max_trials", 0), ("target_ci", -1), ("seed", -1), ("randomized", "false")],
+    )
+    def test_malformed_run_field_answers_bad_request_unjournaled(
+        self, service_factory, field, value
+    ):
+        service = service_factory()
+        body = {key: item for key, item in REQUEST.items() if key != "trials"}
+        with pytest.raises(BadRequest, match=field):
+            service.submit("estimate", {**body, field: value})
+        assert service.journal.load_all() == []
+
+    def test_engine_jobs_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="engine_jobs must be at least 1"):
+            ProbeService(tmp_path / "data", engine_jobs=0)
+
 
 class TestRepeatsJoinInFlightJobs:
     def test_repeat_of_a_queued_request_joins_its_job(self, service_factory):
@@ -685,3 +703,10 @@ class TestHTTP:
         status, body, _ = http_post(base + "/estimate", {"system": "nope", "p": 0.2})
         assert status == 400
         assert "unknown system" in body["error"]
+
+    def test_non_integer_trials_answers_400(self, service_factory):
+        service, base = service_factory(http=True)
+        status, body, _ = http_post(base + "/estimate", {**REQUEST, "trials": "abc"})
+        assert status == 400
+        assert "trials must be an integer" in body["error"]
+        assert service.journal.load_all() == []

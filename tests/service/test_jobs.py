@@ -72,6 +72,56 @@ class TestNormalizeEstimate:
         with pytest.raises(BadRequest, match="seed"):
             normalize_estimate({"system": "maj", "p": 0.3, "seed": True})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trials", "abc", "trials must be an integer"),
+            ("trials", 2.5, "trials must be an integer"),
+            ("trials", True, "trials must be an integer"),
+            ("trials", 0, "trials must be at least 1"),
+            ("chunk_size", 0, "chunk_size must be at least 1"),
+            ("chunk_size", "16", "chunk_size must be an integer"),
+            ("min_trials", 0, "min_trials must be at least 1"),
+            ("min_trials", 1.0, "min_trials must be an integer"),
+            ("max_trials", -5, "max_trials must be at least 1"),
+            ("max_trials", False, "max_trials must be an integer"),
+            ("target_ci", -1, "target_ci must be a positive finite number"),
+            ("target_ci", 0, "target_ci must be a positive finite number"),
+            ("target_ci", float("inf"), "target_ci must be a positive finite number"),
+            ("target_ci", float("nan"), "target_ci must be a positive finite number"),
+            ("target_ci", "0.1", "target_ci must be a positive finite number"),
+            ("target_ci", True, "target_ci must be a positive finite number"),
+            ("seed", -1, "seed must be at least 0"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("randomized", "false", "randomized must be a JSON boolean"),
+            ("randomized", 1, "randomized must be a JSON boolean"),
+        ],
+    )
+    def test_malformed_run_field_rejected(self, field, value, message):
+        with pytest.raises(BadRequest, match=message):
+            normalize_estimate({"system": "maj", "p": 0.3, field: value})
+
+    def test_min_trials_above_max_trials_rejected(self):
+        with pytest.raises(BadRequest, match=r"min_trials \(50\) must not exceed max_trials \(40\)"):
+            normalize_estimate(
+                {"system": "maj", "p": 0.3, "target_ci": 0.1,
+                 "min_trials": 50, "max_trials": 40}
+            )
+        # Without max_trials the cap is the engine's default.
+        with pytest.raises(BadRequest, match="must not exceed max_trials"):
+            normalize_estimate(
+                {"system": "maj", "p": 0.3, "target_ci": 0.1, "min_trials": 2_000_000}
+            )
+
+    def test_valid_run_fields_keep_their_form(self):
+        body = {"system": "maj", "p": 0.3, "target_ci": 1, "chunk_size": 16,
+                "min_trials": 16, "max_trials": 64, "seed": 0, "randomized": True}
+        params = normalize_estimate(body)
+        for field in ("target_ci", "chunk_size", "min_trials", "max_trials",
+                      "seed", "randomized"):
+            assert params[field] == body[field]
+            assert type(params[field]) is type(body[field])
+
     @pytest.mark.parametrize("p", ["high", [0.3]])
     def test_non_numeric_p_rejected(self, p):
         with pytest.raises(BadRequest, match="p must be a number"):
@@ -102,6 +152,8 @@ class TestNormalizeSweep:
             ({"distribution": "nope"}, "nope"),
             ({"system": "quorumish"}, "unknown system"),
             ({"ps": ["x"]}, "ps"),
+            ({"chunk_size": 0}, "chunk_size"),
+            ({"randomized": "yes"}, "randomized"),
         ],
     )
     def test_shares_the_estimate_checks(self, extra, message):

@@ -310,6 +310,12 @@ class TestDistributionsCLI:
 
 
 class TestStreamingEngineCLI:
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_jobs_below_one_exits_with_a_message(self, command):
+        args = [command, "--system", "maj", "--trials", "10", "--jobs", "-2"]
+        with pytest.raises(SystemExit, match="jobs must be at least 1"):
+            main(args)
+
     def test_estimate_target_ci_reports_stopping(self, capsys):
         code = main(
             [
