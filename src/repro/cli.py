@@ -43,10 +43,12 @@ resume"): ``estimate``/``sweep`` accept ``--retries`` (per-chunk retry
 budget) and ``--chunk-timeout`` (seconds before a chunk's worker is
 declared hung); ``estimate`` adds ``--checkpoint <path>`` (periodic
 crash-safe state) and ``--resume <path>`` (continue a checkpointed run
-byte-identically), and ``sweep`` the grid-level equivalents (skip
-completed cells on resume).  A resume is the fresh command plus
-``--resume``: the run is rebuilt from its flags and checked against the
-checkpoint, whose file holds no pickle.  ``sweep`` and ``run`` degrade
+byte-identically), and ``sweep`` the same two flags naming a directory
+that holds one such engine checkpoint per cell (on resume, finished cells
+run no chunk and an interrupted cell continues from its last merged
+chunk).  A resume is the fresh command plus ``--resume``: each run is
+rebuilt from its flags and checked against its checkpoint, whose file
+holds no pickle.  ``sweep`` and ``run`` degrade
 gracefully by default — failed cells/experiments are recorded in the
 artifact with ``status``/``error`` and exit nonzero — while
 ``--fail-fast`` restores strict abort-on-first-error behavior.
@@ -293,7 +295,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_path=args.checkpoint or args.resume,
             resume=args.resume,
         )
-    except (FileNotFoundError, ValueError) as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error)) from None
     print(render_sweep(result))
     # The default artifact name encodes every result-changing axis so two
@@ -625,15 +627,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint",
         default=None,
-        help="write grid-resume state to this file after every measured cell",
+        metavar="DIR",
+        help="keep each cell's crash-safe run state in DIR, written after every "
+        "merged chunk",
     )
     sweep.add_argument(
         "--resume",
         default=None,
-        metavar="CKPT",
-        help="continue the sweep checkpointed in CKPT, skipping completed cells; "
-        "repeat the sweep's grid flags, and it keeps writing to CKPT unless "
-        "--checkpoint names another file",
+        metavar="DIR",
+        help="continue the sweep checkpointed in DIR: finished cells run no chunk "
+        "and an interrupted cell continues where it stopped; repeat the sweep's "
+        "flags, and it keeps writing to DIR unless --checkpoint names another",
     )
     _add_engine_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)

@@ -1,8 +1,8 @@
 """Vectorized Monte-Carlo estimation over coloring batches.
 
-The per-trial estimators in :mod:`repro.core.estimator` construct a fresh
-:class:`~repro.core.coloring.Coloring`, a fresh oracle and a fresh Python
-probe loop for every sample.  For the paper's structured algorithms the
+A probing algorithm (:mod:`repro.algorithms`) runs one trial at a time: a
+fresh :class:`~repro.core.coloring.Coloring`, a fresh oracle and a fresh
+Python probe loop for every sample.  For the paper's structured algorithms the
 whole trial batch can instead be evaluated with array arithmetic: a batch
 of colorings is one boolean matrix (``True`` = red, column ``i`` ⇔ element
 ``i + 1``, the convention of :meth:`ColoringSource.sample_matrix

@@ -198,19 +198,6 @@ def check_schema_version(
     return version
 
 
-def check_resumable(version: int, path: str | Path) -> None:
-    """Refuse an engine or sweep checkpoint of an older draw stream with
-    :class:`CheckpointRefused`: version 1 drew Bernoulli floats, version 2
-    the gate algorithms' order choices with ``generator.integers``, version
-    3 the Bernoulli colorings of stream ``bitplane-v2``."""
-    if version < 4:
-        raise CheckpointRefused(
-            f"{path}: schema version {version} drew {_OLDER_STREAMS[max(version, 1)]}, "
-            f"not from the sampler stream {SAMPLER_STREAM!r}; resuming would mix two "
-            "streams, so start afresh"
-        )
-
-
 # -- engine checkpoints -----------------------------------------------------------
 
 
@@ -277,7 +264,12 @@ class EngineCheckpoint:
         cls, payload: Mapping[str, Any], path: str | Path = "<payload>"
     ) -> "EngineCheckpoint":
         version = check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path)
-        check_resumable(version, path)
+        if version < 4:
+            raise CheckpointRefused(
+                f"{path}: schema version {version} drew {_OLDER_STREAMS[max(version, 1)]}, "
+                f"not from the sampler stream {SAMPLER_STREAM!r}; resuming would mix two "
+                "streams, so start afresh"
+            )
         field = lambda key: required_field(payload, key, path)  # noqa: E731
         if version >= 5:
             digest = str(field("pair_digest"))

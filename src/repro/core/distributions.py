@@ -427,8 +427,8 @@ class CorrelatedGroupsSource(ColoringSource):
     def _memberships(self) -> np.ndarray:
         """``(depth, n)`` group indices: row ``k`` holds each element's
         ``k``-th group, or ``len(groups)`` (a group that never fails) once
-        the element has no more.  Built on first use, so a source unpickled
-        from a checkpoint written before the table existed works too."""
+        the element has no more.  Built on first use and left out of the
+        pickle (:meth:`__getstate__`), so a pool worker rebuilds it."""
         per_element: list[list[int]] = [[] for _ in range(self._n)]
         for index, group in enumerate(self._groups):
             for element in group:

@@ -102,7 +102,7 @@ from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -911,6 +911,61 @@ def resolve_fixed_trials(
     return trials
 
 
+@dataclass(frozen=True)
+class RunSettings:
+    """A run's stopping rule and chunking with every default filled in, as
+    an engine checkpoint records them (:func:`check_run_settings`)."""
+
+    trials: int | None
+    target_ci: float | None
+    chunk_size: int
+    min_trials: int
+    max_trials: int
+
+
+def check_run_settings(
+    trials: int | None = None,
+    target_ci: float | None = None,
+    chunk_size: int | None = None,
+    min_trials: int | None = None,
+    max_trials: int | None = None,
+    *,
+    jobs: int = 1,
+    retries: int | None = None,
+    chunk_timeout: float | None = None,
+    run_timeout: float | None = None,
+) -> RunSettings:
+    """Check every run argument, raising ``ValueError`` on a bad one, and
+    resolve the stopping rule and chunking.  :func:`stream_probes` calls it
+    for its run, and the sweep once for its grid, before any cell runs."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    trials = resolve_fixed_trials(trials, target_ci, default=1000)
+    if target_ci is not None and not target_ci > 0:
+        raise ValueError("target_ci must be positive")
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_TRIALS if trials is None else min(
+            trials, DEFAULT_CHUNK_TRIALS
+        )
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least one trial")
+    if max_trials is None:
+        max_trials = DEFAULT_MAX_TRIALS
+    if min_trials is None:
+        min_trials = min(chunk_size, max_trials)
+    if not 1 <= min_trials <= max_trials:
+        raise ValueError(
+            f"need 1 <= min_trials ({min_trials}) <= max_trials ({max_trials})"
+        )
+    if retries is not None and retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if chunk_timeout is not None and chunk_timeout <= 0:
+        raise ValueError("chunk_timeout must be positive (None disables it)")
+    if run_timeout is not None and run_timeout <= 0:
+        raise ValueError("run_timeout must be positive (None disables it)")
+    return RunSettings(trials, target_ci, chunk_size, min_trials, max_trials)
+
+
 def _check_same_run(resume, state, task: ChunkTask, settings: dict) -> None:
     """Refuse to continue ``state`` unless the caller describes its run.
 
@@ -1010,8 +1065,6 @@ def stream_probes(
     raising :class:`RunDeadlineExceeded`.  Both land on a chunk boundary,
     so the interrupted run is exactly as resumable as a ``KeyboardInterrupt``.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if source is None:
         if p is None:
             raise ValueError("pass a failure probability p or a ColoringSource")
@@ -1040,38 +1093,24 @@ def stream_probes(
         )
         trials, target_ci, chunk_size = state.trials, state.target_ci, state.chunk_size
         min_trials, max_trials, seed = state.min_trials, state.max_trials, state.entropy
-    trials = resolve_fixed_trials(trials, target_ci, default=1000)
-    if target_ci is None:
-        mode = "fixed"
-    else:
-        if target_ci <= 0:
-            raise ValueError("target_ci must be positive")
-        mode = "target_ci"
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_TRIALS if trials is None else min(
-            trials, DEFAULT_CHUNK_TRIALS
-        )
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least one trial")
-    if max_trials is None:
-        max_trials = DEFAULT_MAX_TRIALS
-    if min_trials is None:
-        min_trials = min(chunk_size, max_trials)
-    if not 1 <= min_trials <= max_trials:
-        raise ValueError(
-            f"need 1 <= min_trials ({min_trials}) <= max_trials ({max_trials})"
-        )
+    run = check_run_settings(
+        trials,
+        target_ci,
+        chunk_size,
+        min_trials,
+        max_trials,
+        jobs=jobs,
+        retries=retries,
+        chunk_timeout=chunk_timeout,
+        run_timeout=run_timeout,
+    )
+    mode = "fixed" if run.target_ci is None else "target_ci"
     if executor is not None and not isinstance(executor, ChunkPool):
         raise TypeError(
             f"executor must be a repro.core.engine.ChunkPool, not "
             f"{type(executor).__name__}; a ChunkPool can be respawned after "
             "a worker crash, a raw executor cannot"
         )
-    retries = DEFAULT_RETRIES if retries is None else retries
-    if chunk_timeout is not None and chunk_timeout <= 0:
-        raise ValueError("chunk_timeout must be positive (None disables it)")
-    if run_timeout is not None and run_timeout <= 0:
-        raise ValueError("run_timeout must be positive (None disables it)")
     from repro.core.batched import resolve_backend
 
     backend = resolve_backend(algorithm, backend)
@@ -1079,19 +1118,15 @@ def stream_probes(
     if state is not None:
         _check_same_run(resume, state, task, settings)
     scheduler = _Scheduler(
-        _StoppingRule(trials, target_ci, min_trials, max_trials),
-        ChunkLedger(retries, DEFAULT_RETRY_BACKOFF),
-        chunk_size,
+        _StoppingRule(run.trials, run.target_ci, run.min_trials, run.max_trials),
+        ChunkLedger(DEFAULT_RETRIES if retries is None else retries, DEFAULT_RETRY_BACKOFF),
+        run.chunk_size,
         state=state,
         checkpoint_path=checkpoint_path,
         checkpoint_config=dict(
             entropy=task.entropy,
             mode=mode,
-            trials=trials,
-            target_ci=target_ci,
-            chunk_size=chunk_size,
-            min_trials=min_trials,
-            max_trials=max_trials,
+            **asdict(run),
             algorithm=algorithm.name,
             source=source.name,
             n=source.n,
@@ -1122,12 +1157,12 @@ def stream_probes(
         mean=accumulator.mean,
         std=accumulator.std,
         n_trials_used=accumulator.count,
-        chunk_size=chunk_size,
+        chunk_size=run.chunk_size,
         chunks=scheduler.chunks_merged,
         witness_red=accumulator.witness_red,
         histogram=tuple(int(c) for c in accumulator.histogram),
-        target_ci=target_ci,
-        reached_target=None if target_ci is None else accumulator.ci95 <= target_ci,
+        target_ci=run.target_ci,
+        reached_target=None if run.target_ci is None else accumulator.ci95 <= run.target_ci,
         seconds=seconds,
         retries_used=scheduler.ledger.failures,
         pool_respawns=transport.respawns,

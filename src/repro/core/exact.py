@@ -345,7 +345,7 @@ class ExactSolver:
 
         from repro.core.bitpacked import pack_matrix
 
-        full = self._full
+        full = contains_table.size - 1
         rows = masks.size
         lanes = 1 << k
         out = np.empty((rows, words), dtype=np.uint64)
@@ -371,16 +371,30 @@ class ExactSolver:
         probing element ``i`` reads the child mask's array split along the
         probed element's lane bit, the adversary max and the strategy min
         run as bit-sliced comparator circuits, and only two adjacent levels
-        are ever alive.
+        are ever alive.  The DP runs over the elements that matter only: a
+        dummy element, whose flip never changes a row of the
+        ``contains_quorum_mask`` table, never settles a state, so probing it
+        never lowers the cost.
         """
         import numpy as np
 
         from repro.core.bitpacked import popcount64
 
-        n = self._system.n
         contains_table = self._contains_np_table()
-        width = n.bit_length()  # PC values live in [0, n]
+        relevant = [
+            i
+            for i in range(self._system.n)
+            if not np.array_equal(*contains_table.reshape(-1, 2, 1 << i).swapaxes(0, 1))
+        ]
+        n = len(relevant)
         codes = np.arange(1 << n, dtype=np.int64)
+        if n < self._system.n:
+            # The table over the relevant elements; a dummy's bit is moot.
+            spread = np.zeros_like(codes)
+            for j, i in enumerate(relevant):
+                spread |= ((codes >> j) & 1) << i
+            contains_table = contains_table[spread]
+        width = n.bit_length()  # PC values live in [0, n]
         counts = popcount64(codes.astype(np.uint64))
         level_masks = [codes[counts == k] for k in range(n + 1)]
         # Level n: full knowledge always settles the witness, so value 0.

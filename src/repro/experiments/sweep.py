@@ -38,7 +38,6 @@ from repro.core.batched import supports_batched
 from repro.core.checkpoint import (
     CheckpointRefused,
     atomic_write_json,
-    check_resumable,
     check_schema_version,
     load_json_payload,
     remove_stale_tmp,
@@ -49,7 +48,7 @@ from repro.core.engine import (
     ChunkPool,
     RunDeadlineExceeded,
     RunInterrupted,
-    resolve_fixed_trials,
+    check_run_settings,
     stream_probes,
 )
 from repro.core.seeding import cell_seed
@@ -69,15 +68,6 @@ SWEEP_KIND = "p_sweep"
 #: with every cell ``"ok"`` (v0), all recovery counters zero (v0/v1) and
 #: backend ``"numpy"`` (v0-v2).
 SWEEP_SCHEMA_VERSION = 6
-
-#: ``kind`` field of sweep checkpoint files (grid-level resume).
-SWEEP_CHECKPOINT_KIND = "sweep_checkpoint"
-
-#: Version of the sweep checkpoint JSON schema (2: bit-plane Bernoulli
-#: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
-#: ``bitplane-v3``).  Older grids cannot be resumed.
-SWEEP_CHECKPOINT_SCHEMA_VERSION = 4
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -166,65 +156,28 @@ class SweepResult:
         }
 
 
-@dataclass(frozen=True)
-class SweepCheckpoint:
-    """Durable grid-resume state: the sweep's configuration + finished cells.
-
-    ``config`` pins everything that determines a cell's bytes (system,
-    grid, resolved trials/tolerance, seed, distribution, chunking);
-    ``cells`` holds the ``"ok"`` cells measured so far — failed cells are
-    *not* checkpointed, so a resume re-runs them.  Because every cell's
-    seed depends only on its own ``(size, p)``, a resumed grid is
-    byte-identical to an uninterrupted one (``seconds`` aside).
-    """
-
-    config: dict
-    cells: tuple[SweepCell, ...]
-    complete: bool = False
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": SWEEP_CHECKPOINT_KIND,
-            "schema": SWEEP_CHECKPOINT_SCHEMA_VERSION,
-            "config": dict(self.config),
-            "complete": self.complete,
-            "cells": [asdict(cell) for cell in self.cells],
-        }
+def _cell_checkpoint(directory: str | Path | None, size: int, p: float) -> Path | None:
+    """The engine checkpoint of cell ``(size, p)`` in a sweep's checkpoint
+    directory (``None`` without one), named from the cell's own values like
+    the cell's seed."""
+    return None if directory is None else Path(directory) / f"cell-{int(size)}-{float(p)!r}.ckpt"
 
 
-def save_sweep_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> Path:
-    """Write a sweep checkpoint atomically (tmp + fsync + ``os.replace``).
-
-    Stale ``*.tmp`` leftovers of a crashed earlier write are logged and
-    removed first (:func:`repro.core.checkpoint.remove_stale_tmp`).
-    """
-    remove_stale_tmp(path)
-    return atomic_write_json(path, checkpoint.to_payload())
-
-
-def _load_cell(fields: dict) -> SweepCell:
-    """A :class:`SweepCell` from its JSON form.
-
-    Older artifacts and checkpoints also carry ``worker_reassignments``,
-    the lease-reassignment count of the retired TCP transport: a recovery
-    counter outside every statistic, so it is dropped rather than refused.
-    """
-    fields = dict(fields)
-    fields.pop("worker_reassignments", None)
-    return SweepCell(**fields)
-
-
-def load_sweep_checkpoint(path: str | Path) -> SweepCheckpoint:
-    """Load a sweep checkpoint; strict about kind, schema and fields."""
-    payload = load_json_payload(path, SWEEP_CHECKPOINT_KIND)
-    check_resumable(check_schema_version(payload, SWEEP_CHECKPOINT_SCHEMA_VERSION, path), path)
-    return SweepCheckpoint(
-        config=dict(required_field(payload, "config", path)),
-        cells=tuple(
-            _load_cell(cell) for cell in required_field(payload, "cells", path)
-        ),
-        complete=bool(required_field(payload, "complete", path)),
-    )
+def _open_checkpoint_dirs(
+    checkpoint_path: str | Path | None, resume: str | Path | None
+) -> None:
+    """Check the ``resume`` directory and create the ``checkpoint_path`` one."""
+    if resume is not None:
+        if Path(resume).is_file():
+            raise CheckpointRefused(
+                f"{resume}: a sweep checkpoint file of an older build; a sweep now "
+                "resumes from a directory of per-cell engine checkpoints, so start "
+                "afresh"
+            )
+        if not Path(resume).is_dir():
+            raise FileNotFoundError(f"{resume}: no such sweep checkpoint directory")
+    if checkpoint_path is not None:
+        Path(checkpoint_path).mkdir(parents=True, exist_ok=True)
 
 
 def run_sweep(
@@ -244,7 +197,7 @@ def run_sweep(
     retries: int | None = None,
     chunk_timeout: float | None = None,
     checkpoint_path: str | Path | None = None,
-    resume: "SweepCheckpoint | str | Path | None" = None,
+    resume: str | Path | None = None,
     backend: str | None = None,
     stop_event=None,
     run_timeout: float | None = None,
@@ -286,69 +239,49 @@ def run_sweep(
     sub-grid run).  Pass ``fail_fast=True`` to restore strict abort-on-
     first-error behavior.
 
-    Grid-level resume: ``checkpoint_path`` persists a
-    :class:`SweepCheckpoint` atomically after every measured cell, and
-    ``resume`` (a checkpoint path or loaded checkpoint) skips the cells it
-    already holds.  The arguments repeat the interrupted sweep's: the grid
-    configuration must match the checkpoint's, and a mismatch raises
-    :class:`~repro.core.checkpoint.CheckpointRefused` naming the file and
-    the differing settings.  Execution knobs (``jobs``, ``retries``, ...)
-    may differ, as they do not change a cell's bytes.
+    Resume: ``checkpoint_path`` names a directory in which every cell keeps
+    its own engine checkpoint (:func:`repro.core.engine.stream_probes`),
+    named from the cell's ``(size, p)`` and written after every merged
+    chunk.  ``resume`` names such a directory: a cell whose file is there
+    continues from it (a finished cell returns at once, an interrupted one
+    from its last merged chunk) and any other cell runs afresh, so a
+    sub-grid or an extended grid resumes the cells it shares.  The
+    arguments repeat the interrupted sweep's, and the engine refuses a cell
+    whose settings, seed or ``(algorithm, source)`` pair differ from its
+    file's with :class:`~repro.core.checkpoint.CheckpointRefused` naming
+    the file; the refusal ends the sweep instead of degrading the cell.
+    Execution knobs (``jobs``, ``retries``, ...) may differ, as they do not
+    change a cell's bytes.  Run settings are checked once, before the
+    first cell: a bad one raises ``ValueError``.
 
     Cooperative control (the serving layer's drain/deadline hooks):
     ``stop_event`` and ``run_timeout`` are threaded into every cell's
     engine run and also checked between cells.  Unlike an ordinary cell
-    failure they are *not* recorded as degraded cells — the grid
-    checkpoint is written with the cells measured so far and
+    failure they are *not* recorded as degraded cells:
     :class:`~repro.core.engine.RunInterrupted` /
-    :class:`~repro.core.engine.RunDeadlineExceeded` propagates, so a
-    drained sweep resumes from its completed cells, byte-identically.
-    ``run_timeout`` bounds the whole grid's wall clock, not one cell's.
+    :class:`~repro.core.engine.RunDeadlineExceeded` propagates with the
+    interrupted cell's checkpoint durable at its last merged chunk, so a
+    drained sweep resumes mid-cell, byte-identically.  ``run_timeout``
+    bounds the whole grid's wall clock, not one cell's.
     """
-    trials = resolve_fixed_trials(trials, target_ci, default=1000)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if run_timeout is not None and run_timeout <= 0:
-        raise ValueError("run_timeout must be positive (None disables it)")
+    run = check_run_settings(
+        trials,
+        target_ci,
+        chunk_size,
+        min_trials,
+        max_trials,
+        jobs=jobs,
+        retries=retries,
+        chunk_timeout=chunk_timeout,
+        run_timeout=run_timeout,
+    )
     deadline_at = None if run_timeout is None else time.monotonic() + run_timeout
     if not sizes or not ps:
         raise ValueError("sweep needs at least one size and one p")
+    _open_checkpoint_dirs(checkpoint_path, resume)
     # Canonical name: aliases like "iid" render and serialize as the
     # source they resolve to, so artifact consumers compare one spelling.
     distribution = canonical_source_name(distribution)
-    # Everything that pins a cell's bytes, for checkpoint config matching.
-    config = {
-        "system": system_name,
-        "sizes": [int(s) for s in sizes],
-        "ps": [float(p) for p in ps],
-        "trials": trials,
-        "target_ci": target_ci,
-        "seed": int(seed),
-        "randomized": bool(randomized),
-        "distribution": distribution,
-        "chunk_size": chunk_size,
-        "min_trials": min_trials,
-        "max_trials": max_trials,
-    }
-    completed: dict[tuple[int, float], SweepCell] = {}
-    if resume is not None:
-        state = (
-            resume
-            if isinstance(resume, SweepCheckpoint)
-            else load_sweep_checkpoint(resume)
-        )
-        mismatched = sorted(
-            key
-            for key in config.keys() | state.config.keys()
-            if config.get(key) != state.config.get(key)
-        )
-        if mismatched:
-            where = "sweep checkpoint" if resume is state else str(resume)
-            raise CheckpointRefused(
-                f"{where}: written by a different run; "
-                f"these settings differ: {', '.join(mismatched)}"
-            )
-        completed = {(cell.size, float(cell.p)): cell for cell in state.cells}
     cells: list[SweepCell] = []
     algorithm_name = ""
     # One worker pool for the whole grid: spawning processes per cell would
@@ -356,18 +289,6 @@ def run_sweep(
     # worker crash recovered inside one cell leaves the pool usable by the
     # next.
     executor = ChunkPool(max_workers=jobs) if jobs > 1 else None
-
-    def write_checkpoint(complete: bool) -> None:
-        if checkpoint_path is None:
-            return
-        save_sweep_checkpoint(
-            checkpoint_path,
-            SweepCheckpoint(
-                config=config,
-                cells=tuple(cell for cell in cells if cell.status == "ok"),
-                complete=complete,
-            ),
-        )
 
     def failed_cell(size: int, n: int, p: float, error: Exception) -> SweepCell:
         return SweepCell(
@@ -400,21 +321,13 @@ def run_sweep(
                     raise
                 # The whole row is unbuildable: every p of this size fails.
                 cells.extend(failed_cell(size, 0, p, error) for p in ps)
-                write_checkpoint(complete=False)
                 continue
             algorithm_name = algorithm.name
             for p in ps:
-                done = completed.get((int(size), float(p)))
-                if done is not None:
-                    # Measured before the interruption; its seed depended
-                    # only on (size, p), so the recorded cell is the cell.
-                    cells.append(done)
-                    continue
-                # Drain/deadline land between cells too: the checkpoint
-                # already holds every finished cell, so raising here loses
-                # no work and the interruption is not a degraded cell.
+                # Drain/deadline land between cells too: every finished
+                # cell's checkpoint is durable, so raising here loses no
+                # work and the interruption is not a degraded cell.
                 if stop_event is not None and stop_event.is_set():
-                    write_checkpoint(complete=False)
                     raise RunInterrupted(
                         f"sweep stopped before cell (size={size}, p={p:g})"
                     )
@@ -422,38 +335,34 @@ def run_sweep(
                 if deadline_at is not None:
                     remaining = deadline_at - time.monotonic()
                     if remaining <= 0:
-                        write_checkpoint(complete=False)
                         raise RunDeadlineExceeded(
                             f"sweep exceeded run_timeout={run_timeout}s "
                             f"before cell (size={size}, p={p:g})"
                         )
+                cell_resume = _cell_checkpoint(resume, size, p)
                 try:
                     source = build_source(distribution, system, p)
                     result = stream_probes(
                         algorithm,
                         source,
-                        trials=trials,
-                        target_ci=target_ci,
-                        chunk_size=chunk_size,
-                        min_trials=min_trials,
-                        max_trials=max_trials,
+                        **asdict(run),
                         seed=cell_seed(seed, int(size), float(p)),
                         jobs=jobs,
                         executor=executor,
                         retries=retries,
                         chunk_timeout=chunk_timeout,
+                        checkpoint_path=_cell_checkpoint(checkpoint_path, size, p),
+                        resume=cell_resume if cell_resume and cell_resume.is_file() else None,
                         backend=backend,
                         stop_event=stop_event,
                         run_timeout=remaining,
                     )
-                except (RunInterrupted, RunDeadlineExceeded):
-                    write_checkpoint(complete=False)
+                except (RunInterrupted, RunDeadlineExceeded, CheckpointRefused):
                     raise
                 except Exception as error:
                     if fail_fast:
                         raise
                     cells.append(failed_cell(size, system.n, p, error))
-                    write_checkpoint(complete=False)
                     continue
                 cells.append(
                     SweepCell(
@@ -464,7 +373,9 @@ def run_sweep(
                         mean=result.mean,
                         std=result.std,
                         ci95=result.ci95,
-                        trials=result.n_trials_used if trials is None else trials,
+                        trials=(
+                            result.n_trials_used if run.trials is None else run.trials
+                        ),
                         batched_kernel=supports_batched(algorithm),
                         seconds=result.seconds,
                         n_trials_used=result.n_trials_used,
@@ -473,18 +384,16 @@ def run_sweep(
                         backend=result.backend,
                     )
                 )
-                write_checkpoint(complete=False)
     finally:
         if executor is not None:
             executor.shutdown(wait=False)
-    write_checkpoint(complete=True)
     return SweepResult(
         system=system_name,
         algorithm=algorithm_name,
         randomized=randomized,
         sizes=tuple(int(s) for s in sizes),
         ps=tuple(float(p) for p in ps),
-        trials=0 if trials is None else trials,
+        trials=0 if run.trials is None else run.trials,
         seed=seed,
         cells=tuple(cells),
         distribution=distribution,
@@ -570,12 +479,16 @@ def load_sweep_artifact(path: str | Path) -> SweepResult:
     """
     payload = load_json_payload(path, SWEEP_KIND)
     check_schema_version(payload, SWEEP_SCHEMA_VERSION, path, legacy_ok=True)
-    # Legacy (pre-engine) artifacts: every cell used exactly its requested
-    # trial count and had no adaptive-stopping tolerance.
-    cells = tuple(
-        _load_cell({"n_trials_used": cell.get("trials", 0), **cell})
-        for cell in required_field(payload, "cells", path)
-    )
+    cells = []
+    for fields in required_field(payload, "cells", path):
+        # Legacy (pre-engine) artifacts: every cell used exactly its
+        # requested trial count and had no adaptive-stopping tolerance.
+        fields = {"n_trials_used": fields.get("trials", 0), **fields}
+        # Artifacts of the retired TCP transport carry its lease-reassignment
+        # count: a recovery counter outside every statistic, so it is
+        # dropped rather than refused.
+        fields.pop("worker_reassignments", None)
+        cells.append(SweepCell(**fields))
     return SweepResult(
         system=required_field(payload, "system", path),
         algorithm=required_field(payload, "algorithm", path),
@@ -584,7 +497,7 @@ def load_sweep_artifact(path: str | Path) -> SweepResult:
         ps=tuple(required_field(payload, "ps", path)),
         trials=required_field(payload, "trials", path),
         seed=required_field(payload, "seed", path),
-        cells=cells,
+        cells=tuple(cells),
         distribution=payload.get("distribution", "bernoulli"),
         target_ci=payload.get("target_ci"),
     )

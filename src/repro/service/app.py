@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import logging
 import queue
+import shutil
 import threading
 import time
 from concurrent.futures import BrokenExecutor
@@ -110,9 +111,9 @@ class ProbeService:
     The HTTP layer (:class:`ProbeServer`) is a thin shell over this
     object; tests drive it directly.  ``data_dir`` holds everything
     durable: ``journal/`` (job records, results included) and
-    ``journal/checkpoints/`` (engine and sweep checkpoints of unsettled
-    jobs; a job's file goes once its ``done`` or ``failed`` record is
-    durable).
+    ``journal/checkpoints/`` (the engine checkpoints of unsettled jobs: one
+    file per estimate, one directory of per-cell files per sweep, removed
+    once the job's ``done`` or ``failed`` record is durable).
     """
 
     def __init__(
@@ -363,7 +364,7 @@ class ProbeService:
     def _execute(self, job: Job) -> dict:
         params = job.params
         checkpoint = self.journal.checkpoint_path(job)
-        resume = checkpoint if checkpoint.is_file() else None
+        resume = checkpoint if checkpoint.exists() else None
         if job.kind == "estimate":
             system = build_system(params["system"], params["size"])
             algorithm = (
@@ -453,7 +454,11 @@ class ProbeService:
     def _drop_checkpoint(self, job: Job) -> None:
         """Remove a settled job's checkpoint once its terminal record is
         durable; drained and retried jobs keep theirs to resume from."""
-        self.journal.checkpoint_path(job).unlink(missing_ok=True)
+        path = self.journal.checkpoint_path(job)
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
 
     def _settle(self, job: Job) -> None:
         """Drop ``job`` from the in-flight index (call under ``_lock``)."""

@@ -9,7 +9,9 @@ service's work:
   (seed, trials/tolerance, backend all pinned), so the record alone
   reproduces the run bit-for-bit.
 * ``running`` — a worker picked it up; its engine checkpoint (written by
-  the run itself under ``checkpoints/``) carries the chunk-level state.
+  the run itself under ``checkpoints/``: ``<job>.ckpt``, or for a sweep
+  the directory ``<job>.sweep/`` of per-cell engine checkpoints) carries
+  the chunk-level state.
 * ``done`` / ``failed`` — terminal; ``result`` (with its CRC-32,
   ``result_crc32``) or ``error`` is recorded.  A ``done`` record is the
   one durable copy of its result: the service's result cache is an
@@ -34,6 +36,7 @@ vouch for.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -54,6 +57,8 @@ from repro.core.engine import DEFAULT_MAX_TRIALS, StreamResult, resolve_fixed_tr
 from repro.service.cache import cache_key, result_crc
 from repro.systems import build_system
 from repro.testing.faults import fire_fault
+
+_logger = logging.getLogger("repro.service")
 
 #: ``kind`` field of job journal records.
 JOB_KIND = "service_job"
@@ -382,6 +387,13 @@ class JobJournal:
         # on startup (satellite of the same durability story).
         sweep_stale_tmp(self.directory)
         sweep_stale_tmp(self.checkpoints)
+        # Sweep checkpoints of older daemons were single grid files; sweeps
+        # now resume from per-cell engine checkpoints, so these go unread.
+        for stale in self.checkpoints.glob("*.sweep.ckpt"):
+            stale.unlink()
+            _logger.warning(
+                "removed a sweep checkpoint of an older format: %s", stale
+            )
         # The one read of the directory: ``recover`` hands these out.
         self._opened = self.load_all()
         self._next_seq = 1 + max((job.seq for job in self._opened), default=0)
@@ -391,7 +403,9 @@ class JobJournal:
         return self.directory / f"{job_id}.json"
 
     def checkpoint_path(self, job: Job) -> Path:
-        suffix = "sweep.ckpt" if job.kind == "sweep" else "ckpt"
+        """The job's engine checkpoint file, or for a sweep the directory of
+        its cells' engine checkpoints."""
+        suffix = "sweep" if job.kind == "sweep" else "ckpt"
         return self.checkpoints / f"{job.id}.{suffix}"
 
     def new_job(self, kind: str, params: dict) -> Job:

@@ -19,7 +19,7 @@ from repro.core.engine import (
     RunInterrupted,
     stream_probes,
 )
-from repro.experiments.sweep import load_sweep_checkpoint, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.systems import build_system
 
 
@@ -103,20 +103,18 @@ class TestRunTimeout:
 class TestSweepControl:
     GRID = dict(sizes=[2], ps=[0.2, 0.4], trials=32, seed=5, chunk_size=16)
 
-    def test_preset_stop_event_checkpoints_before_first_cell(self, tmp_path):
-        checkpoint = tmp_path / "sweep.ckpt"
+    def test_preset_stop_event_stops_before_first_cell(self, tmp_path):
+        checkpoint = tmp_path / "sweep"
         event = threading.Event()
         event.set()
         with pytest.raises(RunInterrupted, match="sweep stopped"):
             run_sweep(
                 "tree", checkpoint_path=checkpoint, stop_event=event, **self.GRID
             )
-        state = load_sweep_checkpoint(checkpoint)
-        assert not state.complete
-        assert state.cells == ()
+        assert list(checkpoint.iterdir()) == []
 
     def test_drained_sweep_resumes_byte_identically(self, tmp_path):
-        checkpoint = tmp_path / "sweep.ckpt"
+        checkpoint = tmp_path / "sweep"
         event = threading.Event()
         event.set()
         with pytest.raises(RunInterrupted):
@@ -125,6 +123,34 @@ class TestSweepControl:
             )
         resumed = run_sweep("tree", resume=checkpoint, **self.GRID)
         baseline = run_sweep("tree", **self.GRID)
+        from repro.service.jobs import deterministic_view
+
+        assert deterministic_view(resumed.to_dict()) == deterministic_view(
+            baseline.to_dict()
+        )
+
+    def test_sweep_drained_mid_cell_resumes_from_its_last_merge(self, tmp_path):
+        class StopAtMerge:
+            """Set from the second merged chunk on: the sweep polls before
+            every cell, the engine after every merge."""
+
+            def __init__(self):
+                self.polls = 0
+
+            def is_set(self):
+                self.polls += 1
+                return self.polls >= 3
+
+        grid = dict(self.GRID, trials=64)  # four chunks per cell
+        checkpoint = tmp_path / "sweep"
+        with pytest.raises(RunInterrupted, match=r"durable at .*cell-2-0\.2\.ckpt"):
+            run_sweep(
+                "tree", checkpoint_path=checkpoint, stop_event=StopAtMerge(), **grid
+            )
+        state = load_engine_checkpoint(checkpoint / "cell-2-0.2.ckpt")
+        assert state.chunks_merged == 2 and not state.complete
+        resumed = run_sweep("tree", resume=checkpoint, **grid)
+        baseline = run_sweep("tree", **grid)
         from repro.service.jobs import deterministic_view
 
         assert deterministic_view(resumed.to_dict()) == deterministic_view(

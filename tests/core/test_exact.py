@@ -289,6 +289,27 @@ class TestPackedMaskDP:
         assert solver.probe_complexity() == 3
 
     def test_packed_route_used_above_table_limit(self):
-        # n = 16 exceeds the trit-table limit; the star prunes instantly.
+        # n = 16 exceeds the trit-table limit; the star's fifteen dummy
+        # elements drop out of the DP, which runs over element 1 alone.
         system = ExplicitQuorumSystem(16, [[1]])
         assert probe_complexity(system) == 1
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # Maj3 on {2, 7, 11} of twelve elements.
+            ExplicitQuorumSystem(12, [[2, 7], [7, 11], [2, 11]]),
+            # The Fano plane's seven lines on odd elements of thirteen.
+            ExplicitQuorumSystem(
+                13,
+                [[1, 3, 5], [1, 7, 9], [1, 11, 13], [3, 7, 11], [3, 9, 13],
+                 [5, 7, 13], [5, 9, 11]],
+            ),
+            # A wheel on 1..5 of eleven elements.
+            ExplicitQuorumSystem(11, [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3, 4, 5]]),
+        ],
+        ids=["maj3-of-12", "fano-of-13", "wheel5-of-11"],
+    )
+    def test_dummy_elements_leave_packed_pc_unchanged(self, system):
+        solver = ExactSolver(system)
+        assert solver.packed_probe_complexity() == solver.probe_complexity()

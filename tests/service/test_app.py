@@ -56,8 +56,9 @@ def submit_and_wait(service, request=REQUEST, kind="estimate"):
 
 
 def _job_with_an_older_stream_checkpoint(service_factory, kind, request_body):
-    """A running ``kind`` job in ``<tmp>/data`` whose checkpoint is on the
-    pre-bitplane-v3 stream, as a daemon upgraded mid-job finds it."""
+    """A running ``kind`` job in ``<tmp>/data`` whose checkpoint (a sweep's
+    first cell file) is on the pre-bitplane-v3 stream, as a daemon upgraded
+    mid-job finds it."""
     from repro.service.jobs import normalize_sweep
 
     normalize = {"estimate": normalize_estimate, "sweep": normalize_sweep}[kind]
@@ -66,6 +67,8 @@ def _job_with_an_older_stream_checkpoint(service_factory, kind, request_body):
     old.journal.write(job)
     old._execute(job)  # leaves the job's checkpoint
     checkpoint = old.journal.checkpoint_path(job)
+    if kind == "sweep":
+        checkpoint = sorted(checkpoint.glob("cell-*.ckpt"))[0]
     payload = json.loads(checkpoint.read_text())
     payload["schema"] = 3
     checkpoint.write_text(json.dumps(payload))
@@ -137,7 +140,7 @@ class TestLifecycle:
         checkpoint = service.journal.checkpoint_path(job)
         first = run_sweep("maj", [5], [0.2], trials=32, seed=0, randomized=True,
                           backend="bitpacked", checkpoint_path=checkpoint)
-        assert checkpoint.is_file() and first.cells[0].status == "failed"
+        assert checkpoint.is_dir() and first.cells[0].status == "failed"
         cells = service._execute(job)["statistics"]["cells"]
         assert [cell["status"] for cell in cells] == ["failed"]
 
@@ -361,6 +364,38 @@ class TestDrainAndCrashRecovery:
             fresh["result"]["statistics"]
         )
 
+    def test_drained_sweep_job_resumes_mid_cell(self, service_factory, tmp_path):
+        # The first merge-3 pauses, so the drain lands on merge 2 or 3 of the
+        # first cell's eight chunks; the restart continues that cell there.
+        from repro.core.checkpoint import load_engine_checkpoint
+        from repro.service.jobs import deterministic_view
+
+        request = {"system": "tree", "sizes": [2, 3], "ps": [0.2, 0.4],
+                   "trials": 64, "chunk_size": 8}
+        plan = [Fault("merge", 3, "delay", seconds=1.0)]
+        with faults.active_plan(plan, tmp_path / "plan"):
+            service = service_factory()
+            status, body = service.submit("sweep", request)
+            assert status == 202
+            job = service.journal.load(body["id"])
+            cell = service.journal.checkpoint_path(job) / "cell-2-0.2.ckpt"
+            deadline = time.monotonic() + 30
+            while not (cell.is_file() and load_engine_checkpoint(cell).chunks_merged >= 2):
+                assert time.monotonic() < deadline, "the sweep never merged a chunk"
+                time.sleep(0.01)
+            service.begin_drain()
+            service.drain()
+        assert service.journal.load(body["id"]).state == "submitted"
+        state = load_engine_checkpoint(cell)
+        assert 2 <= state.chunks_merged <= 3 and not state.complete
+        assert not (cell.parent / "cell-3-0.2.ckpt").exists()
+        reopened = service_factory(subdir="data")
+        record = wait_for_state(reopened.job_view, body["id"])
+        assert record["state"] == "done"
+        fresh = submit_and_wait(service_factory(subdir="baseline"), request, kind="sweep")
+        assert deterministic_view(record["result"]) == deterministic_view(fresh["result"])
+        assert not cell.parent.exists()
+
     def test_crash_between_checkpoint_and_done_write_reconciles(
         self, service_factory
     ):
@@ -512,6 +547,28 @@ class TestCheckpointCleanup:
         assert submit_and_wait(service)["state"] == "done"
         sweep = {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32}
         assert submit_and_wait(service, sweep, kind="sweep")["state"] == "done"
+        assert list(service.journal.checkpoints.iterdir()) == []
+
+    def test_sweep_checkpoint_directory_goes_once_done_is_durable(
+        self, service_factory, monkeypatch
+    ):
+        service = service_factory(start=False)
+        seen = []
+        write = service.journal.write
+
+        def recording(job):
+            if job.state == "done":
+                directory = service.journal.checkpoint_path(job)
+                seen.append(sorted(path.name for path in directory.iterdir()))
+            return write(job)
+
+        monkeypatch.setattr(service.journal, "write", recording)
+        service.start()
+        sweep = {"system": "tree", "sizes": [2], "ps": [0.2, 0.4], "trials": 32}
+        assert submit_and_wait(service, sweep, kind="sweep")["state"] == "done"
+        # Every cell's checkpoint was still there when the done record was
+        # written, and the directory went after it.
+        assert seen == [["cell-2-0.2.ckpt", "cell-2-0.4.ckpt"]]
         assert list(service.journal.checkpoints.iterdir()) == []
 
     def test_deadline_failed_job_leaves_no_checkpoint(self, service_factory, tmp_path):

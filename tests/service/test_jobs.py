@@ -317,7 +317,18 @@ class TestJournal:
         estimate = journal.new_job("estimate", PARAMS)
         sweep = journal.new_job("sweep", PARAMS)
         assert journal.checkpoint_path(estimate).suffix == ".ckpt"
-        assert journal.checkpoint_path(sweep).name.endswith(".sweep.ckpt")
+        assert journal.checkpoint_path(sweep).name == f"{sweep.id}.sweep"
+
+    def test_sweep_checkpoint_file_of_an_older_daemon_is_removed_on_open(
+        self, tmp_path
+    ):
+        old = tmp_path / "checkpoints" / "job-000001.sweep.ckpt"
+        old.parent.mkdir()
+        old.write_text("{}")
+        estimate = tmp_path / "checkpoints" / "job-000002.ckpt"
+        estimate.write_text("{}")
+        JobJournal(tmp_path)
+        assert not old.exists() and estimate.exists()
 
     def test_stale_tmp_swept_on_open(self, tmp_path):
         stale = tmp_path / ".job-000001.json.1234.tmp"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, build_system, main
@@ -404,10 +406,11 @@ class TestSweepResumeCLI:
         monkeypatch.chdir(tmp_path)
         grid = ["sweep", "--system", "tree", "--sizes", "2", "--ps", "0.5",
                 "--trials", "64", "--seed", "3"]
-        main([*grid, "--checkpoint", "s.ckpt"])
+        main([*grid, "--checkpoint", "ckpt"])
         first = capsys.readouterr().out
+        assert [path.name for path in (tmp_path / "ckpt").iterdir()] == ["cell-2-0.5.ckpt"]
         # The resume repeats the sweep's grid flags.
-        main([*grid, "--resume", "s.ckpt"])
+        main([*grid, "--resume", "ckpt"])
         resumed = capsys.readouterr().out
 
         def table(text):
@@ -440,6 +443,24 @@ class TestSweepResumeCLI:
         assert main(command[:-4] + ["--resume", checkpoint]) == 0
         mean_line = [line for line in resumed.splitlines() if line.startswith("avg probes")]
         assert mean_line[0] in capsys.readouterr().out
+
+    def test_sweep_resume_refusals_exit_naming_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        grid = ["sweep", "--system", "tree", "--sizes", "2", "--ps", "0.5",
+                "--trials", "64", "--seed", "3"]
+        Path("old.ckpt").write_text('{"kind": "sweep_checkpoint", "schema": 4}')
+        with pytest.raises(SystemExit, match=r"old\.ckpt: .*start afresh"):
+            main([*grid, "--resume", "old.ckpt"])
+        main([*grid, "--checkpoint", "ckpt"])
+        with pytest.raises(SystemExit, match=r"cell-2-0\.5\.ckpt: written by another run"):
+            main([*grid, "--randomized", "--resume", "ckpt"])
+
+    def test_sweep_with_a_bad_setting_exits_before_any_cell(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="chunk_size must be at least one trial"):
+            main(["sweep", "--system", "tree", "--sizes", "2,3", "--ps", "0.3,0.5",
+                  "--chunk-size", "0", "--output", "out.json"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_resume_missing_checkpoint_exits_cleanly(self):
         # Both resumable commands exit with a message naming the file.
