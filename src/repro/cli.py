@@ -200,7 +200,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             source = build_source(distribution, system, args.p)
         except ValueError as error:
             raise SystemExit(str(error)) from None
-    _reject_trials_with_target_ci(args)
     from repro.core.batched import supports_batched
     from repro.core.engine import stream_probes
 
@@ -275,7 +274,6 @@ def _parse_float_list(text: str) -> list[float]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import render_sweep, run_sweep, write_sweep_artifact
 
-    _reject_trials_with_target_ci(args)
     try:
         result = run_sweep(
             args.system,
@@ -472,15 +470,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     print(f"\nAll {total_rows} checked relations consistent with the paper.")
     return 0
-
-
-def _reject_trials_with_target_ci(args: argparse.Namespace) -> None:
-    """An explicit --trials contradicts --target-ci: fail, don't guess."""
-    if args.target_ci is not None and args.trials is not None:
-        raise SystemExit(
-            "--trials and --target-ci are mutually exclusive: the adaptive mode "
-            "chooses the trial count itself; cap it with --max-trials instead"
-        )
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:

@@ -10,8 +10,8 @@ Two concerns live here because they share one durability primitive:
 * :class:`EngineCheckpoint` — the serialized state of a streaming
   estimation run (:mod:`repro.core.engine`).  Because chunks are keyed by
   ``(seed, start trial)`` and the accumulator is an exact integer
-  histogram, the checkpoint is *complete*: resuming from it re-runs only
-  the not-yet-merged chunks and produces results byte-identical to an
+  histogram, a resume needs nothing else: it re-runs only the
+  not-yet-merged chunks and produces results byte-identical to an
   uninterrupted run.
 
 Checkpoint loading is strict: a truncated or corrupt file, an unknown
@@ -42,9 +42,10 @@ CHECKPOINT_KIND = "engine_checkpoint"
 
 #: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
 #: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
-#: ``bitplane-v3``; 5: the pair's digest instead of its pickle).  Versions
-#: before 4 drew from another stream and cannot be continued.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: ``bitplane-v3``; 5: the pair's digest instead of its pickle; 6: no
+#: ``mode`` or ``complete`` field).  Versions before 4 drew from another
+#: stream and cannot be continued.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 #: What each pre-``bitplane-v3`` checkpoint schema drew differently.
 _OLDER_STREAMS = {
@@ -210,15 +211,19 @@ class EngineCheckpoint:
     ``histogram``/``count``/``witness_red``.  The stored configuration
     (``trials``/``target_ci``/``chunk_size``/guards/``entropy``) is the
     *resolved* one, so a resumed run reproduces the exact chunk schedule
-    and stopping decisions of the interrupted run.  ``pair_digest`` is the
-    :func:`blob_digest` of the pickled ``(algorithm, source)`` pair: a resume
-    rebuilds the pair from its own arguments and must hash to it, and
-    nothing in the file is ever unpickled.  A schema-4 file stored the
+    and stopping decisions of the interrupted run: the stopping mode is
+    fixed when ``target_ci`` is ``None``, and whether the run finished
+    follows from the settings and the position — a finished checkpoint
+    resumes with no chunk to run.  ``pair_digest`` is the
+    :func:`blob_digest` of the pickled ``(algorithm, source)`` pair: a
+    resume rebuilds the pair from its own arguments and must hash to it,
+    and nothing in the file is ever unpickled.  A schema-4 file stored the
     pickle itself (``pair_blob``); loading hashes those bytes instead.
+    Schema-4 and -5 files also carry ``mode`` and ``complete``, which
+    loading ignores.
     """
 
     entropy: int
-    mode: str
     trials: int | None
     target_ci: float | None
     chunk_size: int
@@ -233,7 +238,6 @@ class EngineCheckpoint:
     histogram: tuple[int, ...]
     chunks_merged: int
     next_start: int
-    complete: bool
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-ready representation."""
@@ -241,7 +245,6 @@ class EngineCheckpoint:
             "kind": CHECKPOINT_KIND,
             "schema": CHECKPOINT_SCHEMA_VERSION,
             "entropy": self.entropy,
-            "mode": self.mode,
             "trials": self.trials,
             "target_ci": self.target_ci,
             "chunk_size": self.chunk_size,
@@ -256,7 +259,6 @@ class EngineCheckpoint:
             "histogram": list(self.histogram),
             "chunks_merged": self.chunks_merged,
             "next_start": self.next_start,
-            "complete": self.complete,
         }
 
     @classmethod
@@ -279,7 +281,6 @@ class EngineCheckpoint:
             digest = blob_digest(base64.b64decode(payload["pair_blob"]))
         return cls(
             entropy=int(field("entropy")),
-            mode=str(field("mode")),
             trials=None if field("trials") is None else int(payload["trials"]),
             target_ci=(
                 None if field("target_ci") is None else float(payload["target_ci"])
@@ -296,7 +297,6 @@ class EngineCheckpoint:
             histogram=tuple(int(c) for c in field("histogram")),
             chunks_merged=int(field("chunks_merged")),
             next_start=int(field("next_start")),
-            complete=bool(field("complete")),
         )
 
 

@@ -94,6 +94,7 @@ step.
 from __future__ import annotations
 
 import math
+import numbers
 import pickle
 import threading
 import time
@@ -331,22 +332,6 @@ def collect_recovery() -> Iterator[dict]:
 # -- chunk execution --------------------------------------------------------------
 
 
-def _resolve_entropy(seed: int | None) -> int:
-    """The run's entropy (fresh OS entropy when unseeded).
-
-    The seed is used verbatim — ``PCG64(seed)`` must match the one-shot
-    path's ``default_rng(seed)`` for *every* accepted seed, so no silent
-    masking.  Negative seeds are rejected, as ``default_rng`` rejects
-    them.
-    """
-    if seed is None:
-        return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _chunk_sample_generator(
     source: ColoringSource, entropy: int, start: int
 ) -> tuple[np.random.Generator, int]:
@@ -534,16 +519,12 @@ class ChunkLedger:
     ``retries`` times; a failure is a worker exception, a lost worker
     (``BrokenProcessPool`` charges all in-flight leases, since any of them
     may have killed the worker) or an expired chunk timeout.  Exhausting a
-    budget re-raises the original error unchanged.
+    budget re-raises the original error unchanged.  Attempt ``k`` of a
+    chunk backs off ``DEFAULT_RETRY_BACKOFF * 2^(k-1)`` seconds.
     """
 
-    def __init__(self, retries: int, backoff: float) -> None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise ValueError(f"retry backoff must be >= 0, got {backoff}")
+    def __init__(self, retries: int) -> None:
         self.retries = retries
-        self.backoff = backoff
         self.failures = 0
         self._attempts: dict[int, int] = {}
 
@@ -563,9 +544,9 @@ class ChunkLedger:
     def backoff_seconds(self, start: int) -> float:
         """Exponential backoff before the chunk's next attempt."""
         count = self._attempts.get(start, 0)
-        if count == 0 or self.backoff == 0:
+        if count == 0:
             return 0.0
-        return self.backoff * (2 ** (count - 1))
+        return DEFAULT_RETRY_BACKOFF * (2 ** (count - 1))
 
 
 class Lease:
@@ -711,22 +692,18 @@ class _PoolTransport(Transport):
 # -- scheduling -------------------------------------------------------------------
 
 
-class _StoppingRule:
-    """When to stop merging chunks."""
+@dataclass(frozen=True)
+class RunSettings:
+    """A run's stopping rule and chunking with every default filled in, as
+    an engine checkpoint records them (:func:`check_run_settings`)."""
 
-    def __init__(
-        self,
-        trials: int | None,
-        target_ci: float | None,
-        min_trials: int,
-        max_trials: int,
-    ) -> None:
-        self.trials = trials
-        self.target_ci = target_ci
-        self.min_trials = min_trials
-        self.max_trials = max_trials
+    trials: int | None
+    target_ci: float | None
+    chunk_size: int
+    min_trials: int
+    max_trials: int
 
-    def chunk_starts(self, chunk_size: int, first: int = 0) -> Iterator[tuple[int, int]]:
+    def chunk_starts(self, first: int = 0) -> Iterator[tuple[int, int]]:
         """Yield ``(start, size)`` chunks in absolute order.
 
         ``first`` resumes the schedule at that absolute trial index; it is
@@ -734,18 +711,97 @@ class _StoppingRule:
         boundaries), so the resumed layout equals the uninterrupted one.
         """
         total = self.trials if self.target_ci is None else self.max_trials
-        start = first
-        while start < total:
-            yield start, min(chunk_size, total - start)
-            start += chunk_size
+        for start in range(first, total, self.chunk_size):
+            yield start, min(self.chunk_size, total - start)
 
     def should_stop(self, accumulator: MomentAccumulator) -> bool:
         """Evaluate after each in-order merge (``target_ci`` mode only)."""
-        if self.target_ci is None:
-            return False
-        if accumulator.count < self.min_trials:
+        if self.target_ci is None or accumulator.count < self.min_trials:
             return False
         return accumulator.ci95 <= self.target_ci
+
+
+def check_run_settings(
+    trials: int | None = None,
+    target_ci: float | None = None,
+    chunk_size: int | None = None,
+    min_trials: int | None = None,
+    max_trials: int | None = None,
+    *,
+    seed: int | None = None,
+    jobs: int = 1,
+    retries: int | None = None,
+    chunk_timeout: float | None = None,
+    run_timeout: float | None = None,
+) -> RunSettings:
+    """The one check of a run's arguments, raising ``ValueError`` naming
+    the first bad one, and the resolved stopping rule and chunking.
+
+    :func:`stream_probes` calls it per run, ``run_sweep`` once before any
+    cell or file, the service's normalizers per request and
+    ``ProbeService`` for its engine options.  Integer settings must be
+    ints (a bool or a float is refused, never truncated) — ``retries`` and
+    ``seed`` ≥ 0, the others ≥ 1 — ``target_ci`` and the timeouts positive
+    finite numbers; ``trials`` excludes ``target_ci`` and ``min_trials``
+    must not exceed ``max_trials``.  Unset values take the defaults
+    (``trials`` 1000 in fixed mode, ``chunk_size``
+    :data:`DEFAULT_CHUNK_TRIALS` or ``trials`` if fewer, ``max_trials``
+    :data:`DEFAULT_MAX_TRIALS`, ``min_trials`` one chunk).
+    """
+    for name, value, minimum in (
+        ("trials", trials, 1),
+        ("chunk_size", chunk_size, 1),
+        ("min_trials", min_trials, 1),
+        ("max_trials", max_trials, 1),
+        ("seed", seed, 0),
+        ("jobs", jobs, 1),
+        ("retries", retries, 0),
+    ):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    for name, value in (
+        ("target_ci", target_ci),
+        ("chunk_timeout", chunk_timeout),
+        ("run_timeout", run_timeout),
+    ):
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf
+        ):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    if target_ci is not None and trials is not None:
+        raise ValueError(
+            "trials and target_ci are mutually exclusive: pass either trials "
+            "(fixed mode) or target_ci (adaptive mode), not both; use max_trials "
+            "to cap an adaptive run"
+        )
+    if target_ci is None and trials is None:
+        trials = 1000
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_TRIALS if trials is None else min(
+            trials, DEFAULT_CHUNK_TRIALS
+        )
+    if max_trials is None:
+        max_trials = DEFAULT_MAX_TRIALS
+    if min_trials is None:
+        min_trials = min(chunk_size, max_trials)
+    if min_trials > max_trials:
+        raise ValueError(
+            f"min_trials ({min_trials}) must not exceed max_trials ({max_trials})"
+        )
+    # Plain ints, so a numpy integer setting still serializes to JSON.
+    return RunSettings(
+        None if trials is None else int(trials),
+        target_ci,
+        int(chunk_size),
+        int(min_trials),
+        int(max_trials),
+    )
 
 
 class _Scheduler:
@@ -755,26 +811,26 @@ class _Scheduler:
     transport sizes it) and merges only at its head, so statistics fold in
     sequential order whichever worker finishes when and however often a
     chunk is retried.  It charges every failure a transport reports to the
-    :class:`ChunkLedger` and sleeps its backoff, checkpoints, honours
-    ``stop_event``/``run_timeout``/``KeyboardInterrupt`` at chunk
-    boundaries, and cancels its own speculative leases on every exit path.
+    :class:`ChunkLedger` and sleeps its backoff, checkpoints after every
+    merge, honours ``stop_event``/``run_timeout``/``KeyboardInterrupt`` at
+    chunk boundaries, and cancels its own speculative leases on every exit
+    path.
     """
 
     def __init__(
         self,
-        rule: _StoppingRule,
+        run: RunSettings,
         ledger: ChunkLedger,
-        chunk_size: int,
         *,
         state,
         checkpoint_path: str | Path | None,
         checkpoint_config: dict,
+        saved: bool,
         stop_event,
         run_timeout: float | None,
     ) -> None:
-        self.rule = rule
+        self.run = run
         self.ledger = ledger
-        self.chunk_size = chunk_size
         self.accumulator = MomentAccumulator()
         self.chunks_merged = 0
         self.next_start = 0
@@ -782,23 +838,21 @@ class _Scheduler:
             self.accumulator.load_state(state.count, state.witness_red, state.histogram)
             self.chunks_merged = state.chunks_merged
             self.next_start = state.next_start
-        # A checkpoint marked complete has nothing left to run; an adaptive
-        # resume may likewise already satisfy its tolerance at the restored
-        # state (the interrupted run would have stopped at that very merge).
-        self._finished = (state is not None and state.complete) or (
-            self.accumulator.count > 0 and rule.should_stop(self.accumulator)
-        )
         self._checkpoint_path = checkpoint_path
         self._checkpoint_config = checkpoint_config
+        # Whether the checkpoint file already holds the state in memory, as
+        # the file a run resumed from does until its next merge.
+        self._saved = saved
         self._stop_event = stop_event
         self._run_timeout = run_timeout
         self._deadline_at = (
             None if run_timeout is None else time.monotonic() + run_timeout
         )
 
-    def checkpoint(self, complete: bool) -> None:
-        """Persist the run at the current chunk boundary (if asked to)."""
-        if self._checkpoint_path is None:
+    def checkpoint(self) -> None:
+        """Persist the run at the current chunk boundary, unless there is
+        no checkpoint file or it already holds this state."""
+        if self._checkpoint_path is None or self._saved:
             return
         from repro.core.checkpoint import EngineCheckpoint, save_engine_checkpoint
 
@@ -811,14 +865,17 @@ class _Scheduler:
                 histogram=tuple(int(c) for c in self.accumulator.histogram),
                 chunks_merged=self.chunks_merged,
                 next_start=self.next_start,
-                complete=complete,
             ),
         )
+        self._saved = True
 
     def drive(self, transport: Transport) -> None:
-        if self._finished:
+        # A resumed run may have stopped already: a finished schedule has no
+        # chunk left, and an adaptive run may meet its tolerance at the
+        # restored state (the interrupted run stopped at that very merge).
+        if self.run.should_stop(self.accumulator):
             return
-        schedule = self.rule.chunk_starts(self.chunk_size, first=self.next_start)
+        schedule = self.run.chunk_starts(first=self.next_start)
         pending: list[Lease] = []
         exhausted = False
         window = transport.window()
@@ -843,7 +900,7 @@ class _Scheduler:
                     _sleep(self.ledger.backoff_seconds(failure.leases[0].start))
         except KeyboardInterrupt:
             # Leave a durable resume point before propagating the interrupt.
-            self.checkpoint(complete=False)
+            self.checkpoint()
             raise
         finally:
             # Orphaned speculative chunks would otherwise keep running (or
@@ -856,12 +913,13 @@ class _Scheduler:
         self.accumulator.merge(lease.stats)
         self.chunks_merged += 1
         self.next_start = lease.start + lease.size
+        self._saved = False
         fire_fault("merge", self.chunks_merged)
-        self.checkpoint(complete=False)
-        if self.rule.should_stop(self.accumulator):
+        self.checkpoint()
+        if self.run.should_stop(self.accumulator):
             return True
-        # Cooperative control lands exactly here — after the merge, so the
-        # checkpoint written on the way out holds every finished chunk and
+        # Cooperative control lands exactly here — after the merge and its
+        # checkpoint, so the durable file holds every finished chunk and
         # resume continues byte-identically from this boundary.
         if self._stop_event is not None and self._stop_event.is_set():
             self._halt(
@@ -878,92 +936,12 @@ class _Scheduler:
         return False
 
     def _halt(self, error_type: type, message: str, unsaved: str = "") -> None:
-        """Checkpoint, then raise ``error_type`` saying where progress is."""
-        self.checkpoint(complete=False)
+        """Raise ``error_type`` saying where the progress is."""
         if self._checkpoint_path is not None:
             message += f"; checkpoint durable at {self._checkpoint_path}"
         elif unsaved:
             message += f"; {unsaved}"
         raise error_type(message)
-
-
-def resolve_fixed_trials(
-    trials: int | None, target_ci: float | None, default: int
-) -> int | None:
-    """The one trials/target_ci contract, shared by every entry point.
-
-    Fixed mode (``target_ci is None``): ``trials`` defaults to ``default``
-    and must be positive.  Adaptive mode: an explicit ``trials`` is a loud
-    error (the stopping rule chooses the count; ``max_trials`` is the cap)
-    and the resolved value is ``None``.
-    """
-    if target_ci is not None:
-        if trials is not None:
-            raise ValueError(
-                "pass either trials (fixed mode) or target_ci (adaptive mode), "
-                "not both; use max_trials to cap an adaptive run"
-            )
-        return None
-    if trials is None:
-        return default
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return trials
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """A run's stopping rule and chunking with every default filled in, as
-    an engine checkpoint records them (:func:`check_run_settings`)."""
-
-    trials: int | None
-    target_ci: float | None
-    chunk_size: int
-    min_trials: int
-    max_trials: int
-
-
-def check_run_settings(
-    trials: int | None = None,
-    target_ci: float | None = None,
-    chunk_size: int | None = None,
-    min_trials: int | None = None,
-    max_trials: int | None = None,
-    *,
-    jobs: int = 1,
-    retries: int | None = None,
-    chunk_timeout: float | None = None,
-    run_timeout: float | None = None,
-) -> RunSettings:
-    """Check every run argument, raising ``ValueError`` on a bad one, and
-    resolve the stopping rule and chunking.  :func:`stream_probes` calls it
-    for its run, and the sweep once for its grid, before any cell runs."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    trials = resolve_fixed_trials(trials, target_ci, default=1000)
-    if target_ci is not None and not target_ci > 0:
-        raise ValueError("target_ci must be positive")
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_TRIALS if trials is None else min(
-            trials, DEFAULT_CHUNK_TRIALS
-        )
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least one trial")
-    if max_trials is None:
-        max_trials = DEFAULT_MAX_TRIALS
-    if min_trials is None:
-        min_trials = min(chunk_size, max_trials)
-    if not 1 <= min_trials <= max_trials:
-        raise ValueError(
-            f"need 1 <= min_trials ({min_trials}) <= max_trials ({max_trials})"
-        )
-    if retries is not None and retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if chunk_timeout is not None and chunk_timeout <= 0:
-        raise ValueError("chunk_timeout must be positive (None disables it)")
-    if run_timeout is not None and run_timeout <= 0:
-        raise ValueError("run_timeout must be positive (None disables it)")
-    return RunSettings(trials, target_ci, chunk_size, min_trials, max_trials)
 
 
 def _check_same_run(resume, state, task: ChunkTask, settings: dict) -> None:
@@ -1032,7 +1010,10 @@ def stream_probes(
     the tolerance, evaluating the rule only after ``min_trials`` (default:
     one full chunk) and giving up at ``max_trials`` (default ``10^6``;
     ``reached_target`` reports which way it ended).  ``source`` defaults to
-    the i.i.d. model at ``p``.
+    the i.i.d. model at ``p``.  Every run argument goes through
+    :func:`check_run_settings` before any chunk runs: a bool or float where
+    an integer belongs, a negative seed or a non-finite ``target_ci``
+    raises ``ValueError`` naming the field.
 
     Where chunks run is the transport, and every transport is
     byte-identical to ``jobs=1`` (see the module docstring for the seeding
@@ -1048,9 +1029,12 @@ def stream_probes(
     that miss ``chunk_timeout`` seconds respawn the pool and re-run only
     the lost chunks, byte-identically.  ``checkpoint_path`` persists the
     run state atomically after every merged chunk and on
-    ``KeyboardInterrupt``; ``resume`` (a checkpoint path or loaded
+    ``KeyboardInterrupt``; a call that merges no chunk (a finished run
+    resumed) writes it once at its end, unless ``checkpoint_path`` is the
+    file it resumed from.  ``resume`` (a checkpoint path or loaded
     :class:`~repro.core.checkpoint.EngineCheckpoint`) continues such a run
-    from its last durable chunk boundary.  The arguments still describe
+    from its last durable chunk boundary; a finished run resumes with no
+    chunk to run and returns its statistics.  The arguments still describe
     the run: an unset stopping-mode or seed argument takes the
     checkpoint's value, a set one must equal it, and the ``(algorithm,
     source)`` pair must hash to the checkpoint's ``pair_digest``.  A
@@ -1059,8 +1043,8 @@ def stream_probes(
     naming it and every setting that differs.
 
     Cooperative control: ``stop_event`` (a ``threading.Event``-alike) is
-    polled after every merged chunk — once set, the run checkpoints (when
-    ``checkpoint_path`` is given) and raises :class:`RunInterrupted`;
+    polled after every merged chunk and its checkpoint — once set, the run
+    raises :class:`RunInterrupted`;
     ``run_timeout`` bounds this call's wall-clock seconds the same way,
     raising :class:`RunDeadlineExceeded`.  Both land on a chunk boundary,
     so the interrupted run is exactly as resumable as a ``KeyboardInterrupt``.
@@ -1091,20 +1075,21 @@ def stream_probes(
             if isinstance(resume, EngineCheckpoint)
             else load_engine_checkpoint(resume)
         )
-        trials, target_ci, chunk_size = state.trials, state.target_ci, state.chunk_size
-        min_trials, max_trials, seed = state.min_trials, state.max_trials, state.entropy
+        task = ChunkTask(algorithm, source, state.entropy)
+        _check_same_run(resume, state, task, settings)
+        settings = {
+            name: getattr(state, "entropy" if name == "seed" else name)
+            if value is None
+            else value
+            for name, value in settings.items()
+        }
     run = check_run_settings(
-        trials,
-        target_ci,
-        chunk_size,
-        min_trials,
-        max_trials,
+        **settings,
         jobs=jobs,
         retries=retries,
         chunk_timeout=chunk_timeout,
         run_timeout=run_timeout,
     )
-    mode = "fixed" if run.target_ci is None else "target_ci"
     if executor is not None and not isinstance(executor, ChunkPool):
         raise TypeError(
             f"executor must be a repro.core.engine.ChunkPool, not "
@@ -1114,23 +1099,30 @@ def stream_probes(
     from repro.core.batched import resolve_backend
 
     backend = resolve_backend(algorithm, backend)
-    task = ChunkTask(algorithm, source, _resolve_entropy(seed))
-    if state is not None:
-        _check_same_run(resume, state, task, settings)
+    if state is None:
+        # The checked seed is used verbatim: PCG64(seed) must match the
+        # one-shot path's default_rng(seed); unseeded runs draw OS entropy.
+        if seed is None:
+            seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+        task = ChunkTask(algorithm, source, int(seed))
     scheduler = _Scheduler(
-        _StoppingRule(run.trials, run.target_ci, run.min_trials, run.max_trials),
-        ChunkLedger(DEFAULT_RETRIES if retries is None else retries, DEFAULT_RETRY_BACKOFF),
-        run.chunk_size,
+        run,
+        ChunkLedger(DEFAULT_RETRIES if retries is None else retries),
         state=state,
         checkpoint_path=checkpoint_path,
         checkpoint_config=dict(
             entropy=task.entropy,
-            mode=mode,
             **asdict(run),
             algorithm=algorithm.name,
             source=source.name,
             n=source.n,
             pair_digest=None if checkpoint_path is None else task.payload[1],
+        ),
+        # A run resumed into the file it read from finds that file current.
+        saved=(
+            state is not resume
+            and checkpoint_path is not None
+            and Path(resume).resolve() == Path(checkpoint_path).resolve()
         ),
         stop_event=stop_event,
         run_timeout=run_timeout,
@@ -1147,13 +1139,15 @@ def stream_probes(
     finally:
         if owned is not None:
             owned.shutdown(wait=False)
-    scheduler.checkpoint(complete=True)
+    # Every merge wrote the checkpoint; a call that merged no chunk writes
+    # it here, unless the file is the one it resumed from.
+    scheduler.checkpoint()
     seconds = time.perf_counter() - start_time
     accumulator = scheduler.accumulator
     result = StreamResult(
         algorithm=algorithm.name,
         source=source.name,
-        mode=mode,
+        mode="fixed" if run.target_ci is None else "target_ci",
         mean=accumulator.mean,
         std=accumulator.std,
         n_trials_used=accumulator.count,

@@ -162,13 +162,13 @@ def _drive_sweep(
     seed: int | None,
     randomized: bool,
     distribution: str,
-    chunk_size: int,
+    chunk_size: int | None,
     target_ci: float | None,
-    max_trials: int,
+    max_trials: int | None,
 ) -> DriverResult:
-    # trials stays None unless explicitly overridden, so run_sweep applies
-    # the fixed-mode default AND raises loudly on trials + target_ci —
-    # the same contract as every other entry point.
+    # The run settings stay None unless explicitly overridden, so run_sweep
+    # applies the engine's defaults AND refuses a bad value (chunk_size=0,
+    # trials + target_ci) — the same contract as every other entry point.
     result = run_sweep(
         system,
         sizes=sizes,
@@ -177,9 +177,9 @@ def _drive_sweep(
         seed=0 if seed is None else seed,
         randomized=randomized,
         distribution=distribution,
-        chunk_size=chunk_size or None,
+        chunk_size=chunk_size,
         target_ci=target_ci,
-        max_trials=max_trials or None,
+        max_trials=max_trials,
     )
     # Degraded grids: failed cells carry no measurement, so they become
     # extra lines rather than rows with fabricated zeros.
@@ -239,7 +239,7 @@ def _sweep_spec(system: str, sizes: tuple[int, ...], ps: tuple[float, ...], tag:
             ParamSpec("seed", "seed", None, "sweep seed (default 0)"),
             ParamSpec("randomized", "bool", False, "use the randomized algorithm"),
             _distribution_param(),
-            ParamSpec("chunk_size", "int", 0, "engine chunk size (0 = auto)"),
+            ParamSpec("chunk_size", "int", None, "engine chunk size (unset = auto)"),
             ParamSpec(
                 "target_ci",
                 "float",
@@ -247,7 +247,7 @@ def _sweep_spec(system: str, sizes: tuple[int, ...], ps: tuple[float, ...], tag:
                 "adaptive stop: 95% CI half-width tolerance (unset = fixed trials)",
             ),
             ParamSpec(
-                "max_trials", "int", 0, "target_ci trial cap (0 = engine default)"
+                "max_trials", "int", None, "target_ci trial cap (unset = engine default)"
             ),
         ),
         tags=("sweep", "scaling", tag),

@@ -251,8 +251,10 @@ def run_sweep(
     file's with :class:`~repro.core.checkpoint.CheckpointRefused` naming
     the file; the refusal ends the sweep instead of degrading the cell.
     Execution knobs (``jobs``, ``retries``, ...) may differ, as they do not
-    change a cell's bytes.  Run settings are checked once, before the
-    first cell: a bad one raises ``ValueError``.
+    change a cell's bytes.  Run settings, ``seed`` included, are checked
+    once by :func:`repro.core.engine.check_run_settings` before the first
+    cell runs or any file is written: a bad one raises ``ValueError``
+    naming the field.
 
     Cooperative control (the serving layer's drain/deadline hooks):
     ``stop_event`` and ``run_timeout`` are threaded into every cell's
@@ -270,6 +272,7 @@ def run_sweep(
         chunk_size,
         min_trials,
         max_trials,
+        seed=seed,
         jobs=jobs,
         retries=retries,
         chunk_timeout=chunk_timeout,

@@ -71,6 +71,7 @@ from repro.core.engine import (
     ChunkPool,
     RunDeadlineExceeded,
     RunInterrupted,
+    check_run_settings,
     stream_probes,
 )
 from repro.service.cache import ResultCache, cache_key
@@ -132,10 +133,16 @@ class ProbeService:
             raise ValueError("queue_size must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if engine_jobs < 1:
-            raise ValueError("engine_jobs must be at least 1")
         if job_retries < 0:
             raise ValueError("job_retries must be >= 0")
+        # The engine options every job runs with, checked as the engine
+        # checks them, before anything is written.
+        check_run_settings(
+            jobs=engine_jobs,
+            retries=retries,
+            chunk_timeout=chunk_timeout,
+            run_timeout=deadline,
+        )
         self.data_dir = Path(data_dir)
         self.queue_size = queue_size
         self.workers = workers
@@ -539,11 +546,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/metrics":
             body = service.metrics.render().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._respond(200, "text/plain; version=0.0.4", body)
             return
         if self.path.startswith("/jobs/"):
             view = service.job_view(self.path[len("/jobs/") :])
@@ -589,11 +592,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, headers: dict | None = None
     ) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        self._respond(status, "application/json", body, headers)
+
+    def _respond(
+        self, status: int, content_type: str, body: bytes, headers: dict | None = None
+    ) -> None:
+        """Send one whole response; every answer leaves through here."""
         if status >= 400:
             self.service.metrics.inc("request_errors_total")
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)

@@ -37,7 +37,6 @@ vouch for.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +52,7 @@ from repro.core.checkpoint import (
     sweep_stale_tmp,
 )
 from repro.core.distributions import build_source, canonical_source_name
-from repro.core.engine import DEFAULT_MAX_TRIALS, StreamResult, resolve_fixed_trials
+from repro.core.engine import StreamResult, check_run_settings
 from repro.service.cache import cache_key, result_crc
 from repro.systems import build_system
 from repro.testing.faults import fire_fault
@@ -104,11 +103,9 @@ def _take(payload: dict, allowed: dict[str, Any]) -> dict:
     return resolved
 
 
-def _as_int(value, name: str, minimum: int | None = None) -> int:
+def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequest(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise BadRequest(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
@@ -136,41 +133,31 @@ def _as_float(value, name: str) -> float:
 
 def _resolve(payload, own_fields: dict[str, Any]) -> dict:
     """What both normalizers share: defaults, unknown keys, the system
-    name, the distribution, the stopping rule, the backend and the seed.
+    name, the distribution, the run settings, the backend and the seed.
 
-    Run fields are checked, never converted, so an accepted value keeps
-    the exact form the cache key is computed from.
+    The run settings and the seed are checked by the engine's own
+    :func:`~repro.core.engine.check_run_settings`, never converted, so an
+    accepted value keeps the exact form the cache key is computed from;
+    only ``trials`` is resolved (1000 in fixed mode, ``None`` in adaptive).
     """
     if not isinstance(payload, dict):
         raise BadRequest("request body must be a JSON object")
     params = _take(payload, {"system": None, **own_fields, **_RUN_FIELDS})
     params["system"] = str(_require(params, "system"))
-    for name in ("trials", "chunk_size", "min_trials", "max_trials"):
-        if params[name] is not None:
-            _as_int(params[name], name, minimum=1)
-    if params["min_trials"] is not None:
-        cap = DEFAULT_MAX_TRIALS if params["max_trials"] is None else params["max_trials"]
-        if params["min_trials"] > cap:
-            raise BadRequest(
-                f"min_trials ({params['min_trials']}) must not exceed max_trials ({cap})"
-            )
-    target_ci = params["target_ci"]
-    if target_ci is not None and (
-        isinstance(target_ci, bool)
-        or not isinstance(target_ci, (int, float))
-        or not 0 < target_ci < math.inf
-    ):
-        raise BadRequest(f"target_ci must be a positive finite number, got {target_ci!r}")
     if not isinstance(params["randomized"], bool):
         raise BadRequest(
             f"randomized must be a JSON boolean, got {params['randomized']!r}"
         )
-    _as_int(params["seed"], "seed", minimum=0)
     try:
+        params["trials"] = check_run_settings(
+            params["trials"],
+            params["target_ci"],
+            params["chunk_size"],
+            params["min_trials"],
+            params["max_trials"],
+            seed=params["seed"],
+        ).trials
         params["distribution"] = canonical_source_name(str(params["distribution"]))
-        params["trials"] = resolve_fixed_trials(
-            params["trials"], params["target_ci"], default=1000
-        )
         params["backend"] = check_backend_name(str(params["backend"]))
     except ValueError as error:
         raise BadRequest(str(error)) from None

@@ -32,7 +32,6 @@ from repro.testing.faults import drop_json_field, truncate_file
 def _checkpoint(**overrides) -> EngineCheckpoint:
     base = dict(
         entropy=7,
-        mode="fixed",
         trials=64,
         target_ci=None,
         chunk_size=16,
@@ -47,7 +46,6 @@ def _checkpoint(**overrides) -> EngineCheckpoint:
         histogram=(0, 0, 5, 10, 17),
         chunks_merged=2,
         next_start=32,
-        complete=False,
     )
     base.update(overrides)
     return EngineCheckpoint(**base)
@@ -122,9 +120,19 @@ class TestEngineCheckpoint:
     def test_file_holds_the_digest_and_no_pickle(self, tmp_path):
         path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
         payload = json.loads(path.read_text())
-        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION == 5
+        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION == 6
         assert payload["pair_digest"] == _checkpoint().pair_digest
         assert "pair_blob" not in payload
+        # The settings and the position determine the mode and whether the
+        # run finished.
+        assert "mode" not in payload and "complete" not in payload
+
+    def test_schema_5_loads_without_its_mode_and_complete(self, tmp_path):
+        path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
+        payload = json.loads(path.read_text())
+        payload.update(schema=5, mode="fixed", complete=True)
+        path.write_text(json.dumps(payload))
+        assert load_engine_checkpoint(path) == _checkpoint()
 
     def _schema_4(self, tmp_path, blob):
         """A schema-4 file: the pickled pair base64-encoded in ``pair_blob``."""
@@ -161,7 +169,7 @@ class TestEngineCheckpoint:
     def test_never_raises_raw_key_error(self, tmp_path):
         path = tmp_path / "run.ckpt"
         save_engine_checkpoint(path, _checkpoint())
-        for field in ("entropy", "mode", "pair_digest", "count", "next_start", "complete"):
+        for field in ("entropy", "trials", "pair_digest", "count", "next_start"):
             drop_json_field(path, field)
             try:
                 load_engine_checkpoint(path)

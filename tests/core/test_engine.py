@@ -257,7 +257,7 @@ class TestResultShape:
 
     def test_negative_seed_rejected_like_one_shot_path(self):
         algorithm = ProbeMaj(MajoritySystem(11))
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
             stream_probes(algorithm, p=0.5, trials=10, seed=-3)
 
     def test_large_seed_matches_one_shot_unmasked(self):

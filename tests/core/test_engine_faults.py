@@ -23,8 +23,10 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +75,7 @@ def _same_statistics(a, b) -> bool:
 
 class TestLedger:
     def test_budget_exhaustion_reraises_original_error(self):
-        ledger = ChunkLedger(retries=2, backoff=0.0)
+        ledger = ChunkLedger(retries=2)
         boom = RuntimeError("boom")
         ledger.record_failure(0, boom)
         ledger.record_failure(0, boom)
@@ -82,27 +84,23 @@ class TestLedger:
         assert ledger.failures == 3
 
     def test_budgets_are_per_chunk(self):
-        ledger = ChunkLedger(retries=1, backoff=0.0)
+        ledger = ChunkLedger(retries=1)
         ledger.record_failure(0, RuntimeError())
         ledger.record_failure(16, RuntimeError())  # different chunk: fine
 
     def test_backoff_grows_exponentially(self):
-        ledger = ChunkLedger(retries=10, backoff=0.05)
+        ledger = ChunkLedger(retries=10)
         assert ledger.backoff_seconds(0) == 0.0
-        for expected in (0.05, 0.1, 0.2):
+        for doublings in range(3):
             ledger.record_failure(0, RuntimeError())
-            assert ledger.backoff_seconds(0) == pytest.approx(expected)
+            assert ledger.backoff_seconds(0) == pytest.approx(
+                engine.DEFAULT_RETRY_BACKOFF * 2**doublings
+            )
 
     def test_zero_retries_fails_on_first_error(self):
-        ledger = ChunkLedger(retries=0, backoff=0.0)
+        ledger = ChunkLedger(retries=0)
         with pytest.raises(ValueError, match="first"):
             ledger.record_failure(0, ValueError("first"))
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkLedger(retries=-1, backoff=0.0)
-        with pytest.raises(ValueError):
-            ChunkLedger(retries=0, backoff=-0.5)
 
 
 class TestRecoveryInvariance:
@@ -260,7 +258,7 @@ class TestInterruptionSemantics:
             "adaptive-chunk1", "adaptive-prime", "adaptive-whole",
         ],
     )
-    def test_resume_is_bit_identical(self, tmp_path, jobs, mode_kwargs):
+    def test_resume_is_bit_identical(self, tmp_path, monkeypatch, jobs, mode_kwargs):
         base = stream_probes(_algorithm(), p=0.2, seed=7, **mode_kwargs)
         checkpoint = tmp_path / "run.ckpt"
         interrupted = _interrupt_case(
@@ -272,16 +270,18 @@ class TestInterruptionSemantics:
         )
         assert interrupted, "the injected interrupt must fire"
         state = load_engine_checkpoint(checkpoint)
-        assert not state.complete
+        assert state.chunks_merged == 1
         assert state.next_start % mode_kwargs["chunk_size"] == 0
         resumed = stream_probes(
             _algorithm(), p=0.2, resume=checkpoint, jobs=jobs, checkpoint_path=checkpoint
         )
         assert _same_statistics(resumed, base)
-        # The final checkpoint is marked complete; resuming again is a no-op
-        # with the same statistics.
-        assert load_engine_checkpoint(checkpoint).complete
+        # Resuming the final checkpoint runs no chunk and returns the same
+        # statistics: the settings and the position say the run finished.
+        ran = []
+        monkeypatch.setattr(engine, "_run_chunk", lambda *args: ran.append(args))
         again = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        assert ran == []
         assert _same_statistics(again, base)
 
     def test_resume_rejects_conflicting_configuration(self, tmp_path):
@@ -379,7 +379,7 @@ class TestInterruptionSemantics:
         checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
         if schema == 4:
             self._as_schema_4(checkpoint, BernoulliSource(7, 0.2))
-        assert not load_engine_checkpoint(checkpoint).complete
+        assert load_engine_checkpoint(checkpoint).chunks_merged == 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("a resume unpickled bytes")
@@ -433,7 +433,91 @@ class TestCrashResume:
         )
         assert process.returncode == KILL_EXIT_CODE
         state = load_engine_checkpoint(checkpoint)
-        assert not state.complete
         assert state.chunks_merged == 1  # durable point before the kill
         resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
+
+
+class TestCheckpointWrites:
+    """Every merge writes the checkpoint once; the end of a run writes only
+    when its call merged no chunk and the file does not already hold the
+    state."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        from repro.core import checkpoint as checkpoint_module
+
+        written: list = []
+        real = checkpoint_module.save_engine_checkpoint
+
+        def counting(path, state):
+            written.append(Path(path).name)
+            return real(path, state)
+
+        monkeypatch.setattr(checkpoint_module, "save_engine_checkpoint", counting)
+        return written
+
+    @pytest.mark.parametrize(
+        "mode_kwargs",
+        [{"trials": 64}, {"trials": 60}, {"target_ci": 0.5, "max_trials": 64}],
+        ids=["fixed", "fixed-short-tail", "adaptive"],
+    )
+    def test_n_merged_chunks_give_n_writes(self, tmp_path, writes, mode_kwargs):
+        result = stream_probes(
+            _algorithm(), p=0.2, chunk_size=16, seed=7,
+            checkpoint_path=tmp_path / "run.ckpt", **mode_kwargs,
+        )
+        assert result.chunks >= 2
+        assert writes == ["run.ckpt"] * result.chunks
+
+    def test_a_stopped_run_writes_once_per_merge(self, tmp_path, writes):
+        event = threading.Event()
+        event.set()
+        with pytest.raises(engine.RunInterrupted):
+            _baseline(checkpoint_path=tmp_path / "run.ckpt", stop_event=event)
+        assert writes == ["run.ckpt"]
+
+    def test_a_finished_run_resumed_into_its_own_file_writes_nothing(
+        self, tmp_path, writes
+    ):
+        checkpoint = tmp_path / "run.ckpt"
+        base = _baseline(checkpoint_path=checkpoint)
+        before = checkpoint.read_bytes()
+        writes.clear()
+        again = stream_probes(
+            _algorithm(), p=0.2, resume=checkpoint, checkpoint_path=checkpoint
+        )
+        assert writes == []
+        assert checkpoint.read_bytes() == before
+        assert _same_statistics(again, base)
+
+    def test_a_finished_run_resumed_into_a_new_path_writes_it_once(
+        self, tmp_path, writes
+    ):
+        checkpoint = tmp_path / "run.ckpt"
+        base = _baseline(checkpoint_path=checkpoint)
+        writes.clear()
+        again = stream_probes(
+            _algorithm(), p=0.2, resume=checkpoint, checkpoint_path=tmp_path / "copy.ckpt"
+        )
+        assert writes == ["copy.ckpt"]
+        assert load_engine_checkpoint(tmp_path / "copy.ckpt") == load_engine_checkpoint(
+            checkpoint
+        )
+        assert _same_statistics(again, base)
+
+    def test_a_finished_schema_5_file_resumes_without_running_a_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        # Schema 5 marked a finished run "complete"; schema 6 reads the same
+        # fact from the settings and the position, and ignores the marker.
+        checkpoint = tmp_path / "run.ckpt"
+        base = _baseline(checkpoint_path=checkpoint)
+        payload = json.loads(checkpoint.read_text())
+        payload.update(schema=5, mode="fixed", complete=True)
+        checkpoint.write_text(json.dumps(payload))
+        ran = []
+        monkeypatch.setattr(engine, "_run_chunk", lambda *args: ran.append(args))
+        again = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        assert ran == []
+        assert _same_statistics(again, base) and again.mean == base.mean

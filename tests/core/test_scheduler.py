@@ -36,8 +36,8 @@ from repro.core.engine import (
     Transport,
     _InlineTransport,
     _PoolTransport,
+    RunSettings,
     _Scheduler,
-    _StoppingRule,
     stream_probes,
 )
 from repro.systems import MajoritySystem
@@ -71,18 +71,17 @@ def _scheduler(
     target_ci: float | None = None,
     max_trials: int = 4096,
     retries: int = 2,
-    backoff: float = 0.0,
     state=None,
     stop_event=None,
     run_timeout: float | None = None,
 ) -> _Scheduler:
     return _Scheduler(
-        _StoppingRule(trials, target_ci, min(chunk_size, max_trials), max_trials),
-        ChunkLedger(retries, backoff),
-        chunk_size,
+        RunSettings(trials, target_ci, chunk_size, min(chunk_size, max_trials), max_trials),
+        ChunkLedger(retries),
         state=state,
         checkpoint_path=None,
         checkpoint_config={},
+        saved=False,
         stop_event=stop_event,
         run_timeout=run_timeout,
     )
@@ -328,34 +327,46 @@ class TestWindow:
         scheduler.drive(ScriptedTransport(_task(), window=3))
         assert sizes == [32, 32, 32, 4]
 
-    def test_resumed_state_starts_at_its_next_chunk(self):
+    @staticmethod
+    def _state(chunks: int):
+        """The checkpoint of the 300-trial reference run after ``chunks``
+        chunks of 32 (the last one short)."""
         from repro.core.checkpoint import EngineCheckpoint
 
-        first = _task().run(0, 32)
-        state = EngineCheckpoint(
-            entropy=ENTROPY, mode="fixed", trials=300, target_ci=None,
+        scheduler = _scheduler(trials=min(300, 32 * chunks))
+        scheduler.drive(ScriptedTransport(_task(), window=3))
+        accumulator = scheduler.accumulator
+        return EngineCheckpoint(
+            entropy=ENTROPY, trials=300, target_ci=None,
             chunk_size=32, min_trials=32, max_trials=4096,
             algorithm=ALGORITHM.name, source=BernoulliSource(25, P).name, n=25,
-            pair_digest=_task().payload[1], count=32, witness_red=first.witness_red,
-            histogram=tuple(int(c) for c in first.histogram),
-            chunks_merged=1, next_start=32, complete=False,
+            pair_digest=_task().payload[1], count=accumulator.count,
+            witness_red=accumulator.witness_red,
+            histogram=tuple(int(c) for c in accumulator.histogram),
+            chunks_merged=scheduler.chunks_merged, next_start=scheduler.next_start,
         )
-        scheduler = _scheduler(state=state)
+
+    def test_resumed_state_starts_at_its_next_chunk(self):
+        scheduler = _scheduler(state=self._state(1))
         transport = ScriptedTransport(_task(), window=3)
         scheduler.drive(transport)
         assert transport.dispatched[0] == 32
         assert _matches(scheduler, _reference())
 
     def test_complete_state_never_touches_the_transport(self):
-        scheduler = _scheduler()
-        scheduler._finished = True
+        # A finished checkpoint needs no marker: its schedule is empty.
+        scheduler = _scheduler(state=self._state(10))
 
         class Untouchable(Transport):
             def window(self):
-                raise AssertionError("a finished run asked for a window")
+                return 3
+
+            def advance(self, pending):
+                raise AssertionError("a finished run asked for a chunk")
 
         scheduler.drive(Untouchable())
-        assert scheduler.chunks_merged == 0
+        assert scheduler.chunks_merged == 10
+        assert _matches(scheduler, _reference())
 
 
 class TestFailureCharging:
@@ -407,8 +418,8 @@ class TestFailureCharging:
         transport = ScriptedTransport(
             _task(), fail={32: [(RuntimeError("a"), False), (RuntimeError("b"), False)]}
         )
-        _scheduler(backoff=0.5).drive(transport)
-        assert _no_backoff_sleep == [0.5, 1.0]
+        _scheduler().drive(transport)
+        assert _no_backoff_sleep == [engine.DEFAULT_RETRY_BACKOFF, 2 * engine.DEFAULT_RETRY_BACKOFF]
 
     def test_backoff_follows_the_first_reported_lease(self, _no_backoff_sleep):
         # A pool break charges all pending leases once; the sleep is the
@@ -416,13 +427,8 @@ class TestFailureCharging:
         transport = ScriptedTransport(
             _task(), window=3, fail={0: [(BrokenProcessPool("lost"), True)]}
         )
-        _scheduler(backoff=0.25).drive(transport)
-        assert _no_backoff_sleep == [0.25]
-
-    def test_zero_backoff_sleeps_zero_seconds(self, _no_backoff_sleep):
-        transport = ScriptedTransport(_task(), fail={0: [(RuntimeError("a"), False)]})
-        _scheduler(backoff=0.0).drive(transport)
-        assert _no_backoff_sleep == [0.0]
+        _scheduler().drive(transport)
+        assert _no_backoff_sleep == [engine.DEFAULT_RETRY_BACKOFF]
 
 
 class TestExitPaths:
@@ -451,7 +457,9 @@ class TestExitPaths:
     def test_keyboard_interrupt_checkpoints_and_cancels(self, monkeypatch):
         scheduler = _scheduler()
         saved = []
-        monkeypatch.setattr(scheduler, "checkpoint", lambda complete: saved.append(complete))
+        monkeypatch.setattr(
+            scheduler, "checkpoint", lambda: saved.append(scheduler.next_start)
+        )
         transport = ScriptedTransport(_task(), window=3)
         advance = transport.advance
 
@@ -463,8 +471,7 @@ class TestExitPaths:
         transport.advance = interrupting
         with pytest.raises(KeyboardInterrupt):
             scheduler.drive(transport)
-        assert saved[-1] is False
-        assert scheduler.next_start == 96
+        assert saved[-1] == scheduler.next_start == 96
         assert transport.cancelled == [96, 128, 160]
 
     def test_stop_event_halts_after_the_merge(self):

@@ -41,11 +41,10 @@ class TestRunSweep:
         assert prefix.cell(3, 0.3).mean == full.cell(3, 0.3).mean
         assert prefix.cell(3, 0.5).mean == full.cell(3, 0.5).mean
 
-    def test_negative_seed_accepted(self):
-        # random.Random accepts negative seeds, so the sweep path must too.
-        result = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=-1)
-        again = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=-1)
-        assert result.cell(3, 0.5).mean == again.cell(3, 0.5).mean
+    def test_negative_seed_refused(self):
+        # The engine's seed check: the service refuses seed -1 too.
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            run_sweep("tree", sizes=(3,), ps=(0.5,), trials=100, seed=-1)
 
     def test_randomized_flag_selects_randomized_algorithm(self):
         result = run_sweep("tree", sizes=(3,), ps=(0.5,), trials=200, seed=4, randomized=True)

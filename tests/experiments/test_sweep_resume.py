@@ -96,8 +96,7 @@ class TestResume:
         ]
         finished = load_engine_checkpoint(directory / "cell-2-0.0.ckpt")
         interrupted = load_engine_checkpoint(directory / "cell-2-0.5.ckpt")
-        assert finished.complete
-        assert not interrupted.complete and interrupted.chunks_merged == 2
+        assert interrupted.chunks_merged == 2
 
         chunks = _counting_chunks(monkeypatch)
         clean = run_sweep("tree", **ADAPTIVE)
@@ -148,7 +147,7 @@ class TestResume:
             with pytest.raises(KeyboardInterrupt):
                 run_sweep("tree", checkpoint_path=tmp_path / "ckpt", **GRID)
         state = load_engine_checkpoint(tmp_path / "ckpt" / "cell-2-0.3.ckpt")
-        assert state.chunks_merged == 3 and not state.complete
+        assert state.chunks_merged == 3
         chunks = _counting_chunks(monkeypatch)
         resumed = run_sweep("tree", resume=tmp_path / "ckpt", **GRID)
         assert _stats(resumed) == _stats(full)
@@ -228,7 +227,10 @@ class TestRunSettings:
             ({"chunk_timeout": 0}, "chunk_timeout"),
             ({"jobs": 0}, "jobs"),
             ({"run_timeout": -1}, "run_timeout"),
-            ({"trials": 0}, "at least one trial"),
+            ({"trials": 0}, "trials must be at least 1"),
+            ({"seed": -1}, "seed must be at least 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
             ({"target_ci": 0.5}, "either trials"),
         ],
     )

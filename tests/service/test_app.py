@@ -210,9 +210,61 @@ class TestAdmission:
             service.submit("estimate", {**body, field: value})
         assert service.journal.load_all() == []
 
-    def test_engine_jobs_below_one_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="engine_jobs must be at least 1"):
-            ProbeService(tmp_path / "data", engine_jobs=0)
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [("engine_jobs", 0, "jobs must be at least 1"),
+         ("deadline", 0, "run_timeout"), ("deadline", -1.0, "run_timeout"),
+         ("retries", -1, "retries"), ("chunk_timeout", 0, "chunk_timeout"),
+         ("engine_jobs", 1.5, "jobs"), ("retries", True, "retries")],
+    )
+    def test_engine_options_are_checked_before_anything_is_written(
+        self, tmp_path, option, value, name
+    ):
+        # Checked as the engine checks them, at start-up: not accepted and
+        # then failed job by job.
+        with pytest.raises(ValueError, match=name):
+            ProbeService(tmp_path / "data", **{option: value})
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--deadline", "0", "run_timeout"), ("--retries", "-1", "retries"),
+         ("--chunk-timeout", "0", "chunk_timeout")],
+    )
+    def test_serve_exits_on_a_bad_engine_option_before_binding(
+        self, tmp_path, monkeypatch, flag, value, name
+    ):
+        from repro.cli import main
+        from repro.service import app
+
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(app, "make_server", bind)
+        with pytest.raises(SystemExit, match=name):
+            main(["serve", "--data-dir", str(tmp_path / "data"), "--port", "0",
+                  flag, value])
+        assert not (tmp_path / "data").exists()
+
+
+class TestCheckpointWrites:
+    def test_a_four_chunk_job_writes_its_checkpoint_four_times(
+        self, service_factory, monkeypatch
+    ):
+        # One write per merged chunk; the end of the run writes nothing more.
+        from repro.core import checkpoint as checkpoint_module
+
+        written = []
+        real = checkpoint_module.save_engine_checkpoint
+        monkeypatch.setattr(
+            checkpoint_module,
+            "save_engine_checkpoint",
+            lambda path, state: written.append(state.chunks_merged) or real(path, state),
+        )
+        record = submit_and_wait(service_factory())
+        assert record["state"] == "done"
+        assert record["result"]["statistics"]["chunks"] == 4
+        assert written == [1, 2, 3, 4]
 
 
 class TestRepeatsJoinInFlightJobs:
@@ -387,7 +439,7 @@ class TestDrainAndCrashRecovery:
             service.drain()
         assert service.journal.load(body["id"]).state == "submitted"
         state = load_engine_checkpoint(cell)
-        assert 2 <= state.chunks_merged <= 3 and not state.complete
+        assert 2 <= state.chunks_merged <= 3
         assert not (cell.parent / "cell-3-0.2.ckpt").exists()
         reopened = service_factory(subdir="data")
         record = wait_for_state(reopened.job_view, body["id"])
@@ -436,7 +488,7 @@ class TestDrainAndCrashRecovery:
         job = service.journal.load(body["id"])
         checkpoint = service.journal.checkpoint_path(job)
         payload = json.loads(checkpoint.read_text())
-        assert "pair_blob" not in payload and not payload["complete"]
+        assert "pair_blob" not in payload and payload["next_start"] < payload["trials"]
         payload["pair_digest"] = "0" * 32
         checkpoint.write_text(json.dumps(payload))
         restarted = service_factory(subdir="data", job_retries=3)

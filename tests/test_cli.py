@@ -457,7 +457,7 @@ class TestSweepResumeCLI:
 
     def test_sweep_with_a_bad_setting_exits_before_any_cell(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match="chunk_size must be at least one trial"):
+        with pytest.raises(SystemExit, match="chunk_size must be at least 1"):
             main(["sweep", "--system", "tree", "--sizes", "2,3", "--ps", "0.3,0.5",
                   "--chunk-size", "0", "--output", "out.json"])
         assert list(tmp_path.iterdir()) == []
