@@ -46,9 +46,9 @@ crash-safe state) and ``--resume <path>`` (continue a checkpointed run
 byte-identically), and ``sweep`` the same two flags naming a directory
 that holds one such engine checkpoint per cell (on resume, finished cells
 run no chunk and an interrupted cell continues from its last merged
-chunk).  A resume is the fresh command plus ``--resume``: each run is
-rebuilt from its flags and checked against its checkpoint, whose file
-holds no pickle.  ``sweep`` and ``run`` degrade
+chunk).  A resume is the fresh command plus ``--resume``: each run's
+:class:`~repro.core.engine.RunSpec` is rebuilt from its flags and checked
+against its checkpoint's, field by field.  ``sweep`` and ``run`` degrade
 gracefully by default — failed cells/experiments are recorded in the
 artifact with ``status``/``error`` and exit nonzero — while
 ``--fail-fast`` restores strict abort-on-first-error behavior.
@@ -62,7 +62,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.algorithms import default_deterministic_algorithm, default_randomized_algorithm
 from repro.core.coloring import Coloring
 from repro.systems import (
     SYSTEM_CHOICES,
@@ -73,7 +72,6 @@ from repro.systems import (
     TreeSystem,
     TriangSystem,
     WheelSystem,
-    build_system,
 )
 
 
@@ -136,12 +134,10 @@ def _cmd_maj3(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     import random
 
-    system = build_system(args.system, args.size)
-    algorithm = (
-        default_randomized_algorithm(system)
-        if args.randomized
-        else default_deterministic_algorithm(system)
-    )
+    from repro.core.engine import RunSpec
+
+    algorithm, _ = RunSpec(args.system, args.size, args.p, args.randomized).build()
+    system = algorithm.system
     rng = random.Random(args.seed)
     coloring = Coloring.random(system.n, args.p, rng)
     run = algorithm.run_on(coloring, rng=rng, validate=True)
@@ -181,33 +177,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    system = build_system(args.system, args.size)
-    algorithm = (
-        default_randomized_algorithm(system)
-        if args.randomized
-        else default_deterministic_algorithm(system)
-    )
-    from repro.core.distributions import build_source, canonical_source_name
-
-    try:
-        distribution = canonical_source_name(args.distribution)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    bernoulli = distribution == "bernoulli"
-    source = None
-    if not bernoulli:
-        try:
-            source = build_source(distribution, system, args.p)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
     from repro.core.batched import supports_batched
-    from repro.core.engine import stream_probes
+    from repro.core.engine import RunSpec, stream_probes
 
     try:
+        spec = RunSpec(args.system, args.size, args.p, args.randomized, args.distribution)
+        # The pair for the report; the run builds its own from the spec.
+        algorithm, _ = spec.build()
         stream_result = stream_probes(
-            algorithm,
-            source,
-            p=args.p,
+            spec,
             trials=args.trials,
             target_ci=args.target_ci,
             chunk_size=args.chunk_size,
@@ -221,12 +199,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         )
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(str(error)) from None
+    system = algorithm.system
+    bernoulli = spec.distribution == "bernoulli"
     estimate = stream_result.estimate
     print(f"system    : {system.name} (n={system.n})")
     print(f"algorithm : {algorithm.name}")
     print(f"p         : {args.p}")
     if not bernoulli:
-        print(f"inputs    : {distribution}")
+        print(f"inputs    : {spec.distribution}")
     kind = "vectorized kernel" if supports_batched(algorithm) else "per-trial fallback"
     jobs = f", {args.jobs} jobs" if args.jobs > 1 else ""
     print(f"estimator : streaming ({kind}, chunk {stream_result.chunk_size}{jobs})")

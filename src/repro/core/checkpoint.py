@@ -8,11 +8,12 @@ Two concerns live here because they share one durability primitive:
   write.  Every artifact writer in the repo (experiment artifacts, sweep
   artifacts, engine checkpoints) goes through these helpers.
 * :class:`EngineCheckpoint` — the serialized state of a streaming
-  estimation run (:mod:`repro.core.engine`).  Because chunks are keyed by
-  ``(seed, start trial)`` and the accumulator is an exact integer
-  histogram, a resume needs nothing else: it re-runs only the
+  estimation run (:mod:`repro.core.engine`): the run's
+  :class:`~repro.core.engine.RunSpec` and settings, its exact integer
+  histogram and its position.  Because chunks are keyed by ``(seed, start
+  trial)``, a resume needs nothing else: it re-runs only the
   not-yet-merged chunks and produces results byte-identical to an
-  uninterrupted run.
+  uninterrupted run.  No checkpoint holds a pickle or a pickle's digest.
 
 Checkpoint loading is strict: a truncated or corrupt file, an unknown
 ``kind``, a newer schema version, or a missing field all fail with a
@@ -22,18 +23,17 @@ message naming the file and the offending field — never a raw
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import logging
 import os
 import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from repro.core.distributions import SAMPLER_STREAM
+from repro.core.engine import RunSpec
 
 _logger = logging.getLogger("repro.checkpoint")
 
@@ -43,9 +43,11 @@ CHECKPOINT_KIND = "engine_checkpoint"
 #: Version of the engine checkpoint JSON schema (2: bit-plane Bernoulli
 #: stream; 3: bit-plane gate order choices; 4: Bernoulli tail queue, stream
 #: ``bitplane-v3``; 5: the pair's digest instead of its pickle; 6: no
-#: ``mode`` or ``complete`` field).  Versions before 4 drew from another
-#: stream and cannot be continued.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: ``mode`` or ``complete`` field; 7: the run's ``RunSpec`` in ``run``
+#: instead of names and a digest).  Versions before 4 drew from another
+#: stream; versions 4-6 name their run by a pickle, which this build does
+#: not compare.  Neither is continued.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 #: What each pre-``bitplane-v3`` checkpoint schema drew differently.
 _OLDER_STREAMS = {
@@ -55,16 +57,11 @@ _OLDER_STREAMS = {
 }
 
 
-def blob_digest(blob: bytes) -> str:
-    """The token that names a pickled ``(algorithm, source)`` pair: in the
-    pool workers' pair cache and as an engine checkpoint's ``pair_digest``."""
-    return hashlib.blake2s(blob, digest_size=16).hexdigest()
-
-
 class CheckpointRefused(ValueError):
     """A checkpoint that this build will not continue: it was written on an
-    older draw stream or for another run.  The refusal is deterministic, so
-    a caller that retries failed work should not retry it."""
+    older draw stream or schema, or for another run.  The refusal is
+    deterministic, so a caller that retries failed work should not retry
+    it."""
 
 
 # -- atomic writes ----------------------------------------------------------------
@@ -214,13 +211,11 @@ class EngineCheckpoint:
     and stopping decisions of the interrupted run: the stopping mode is
     fixed when ``target_ci`` is ``None``, and whether the run finished
     follows from the settings and the position — a finished checkpoint
-    resumes with no chunk to run.  ``pair_digest`` is the
-    :func:`blob_digest` of the pickled ``(algorithm, source)`` pair: a
-    resume rebuilds the pair from its own arguments and must hash to it,
-    and nothing in the file is ever unpickled.  A schema-4 file stored the
-    pickle itself (``pair_blob``); loading hashes those bytes instead.
-    Schema-4 and -5 files also carry ``mode`` and ``complete``, which
-    loading ignores.
+    resumes with no chunk to run.  ``run`` is the
+    :class:`~repro.core.engine.RunSpec` the run was built from, stored as
+    its JSON fields: a resume passes its own spec, and every field must
+    equal this one.  Files of schema 4-6 name the run by a pickle digest
+    instead and are refused with "start afresh".
     """
 
     entropy: int
@@ -229,10 +224,7 @@ class EngineCheckpoint:
     chunk_size: int
     min_trials: int
     max_trials: int
-    algorithm: str
-    source: str
-    n: int
-    pair_digest: str
+    run: RunSpec
     count: int
     witness_red: int
     histogram: tuple[int, ...]
@@ -250,10 +242,7 @@ class EngineCheckpoint:
             "chunk_size": self.chunk_size,
             "min_trials": self.min_trials,
             "max_trials": self.max_trials,
-            "algorithm": self.algorithm,
-            "source": self.source,
-            "n": self.n,
-            "pair_digest": self.pair_digest,
+            "run": asdict(self.run),
             "count": self.count,
             "witness_red": self.witness_red,
             "histogram": list(self.histogram),
@@ -266,19 +255,22 @@ class EngineCheckpoint:
         cls, payload: Mapping[str, Any], path: str | Path = "<payload>"
     ) -> "EngineCheckpoint":
         version = check_schema_version(payload, CHECKPOINT_SCHEMA_VERSION, path)
-        if version < 4:
-            raise CheckpointRefused(
-                f"{path}: schema version {version} drew {_OLDER_STREAMS[max(version, 1)]}, "
-                f"not from the sampler stream {SAMPLER_STREAM!r}; resuming would mix two "
-                "streams, so start afresh"
+        if version < CHECKPOINT_SCHEMA_VERSION:
+            why = (
+                f"drew {_OLDER_STREAMS[max(version, 1)]}, not from the sampler stream "
+                f"{SAMPLER_STREAM!r}; resuming would mix two streams"
+                if version < 4
+                else "names its run by a pickle digest, not by the RunSpec this build compares"
             )
+            raise CheckpointRefused(f"{path}: schema version {version} {why}, so start afresh")
         field = lambda key: required_field(payload, key, path)  # noqa: E731
-        if version >= 5:
-            digest = str(field("pair_digest"))
-        elif field("pair_blob") is None:
-            raise CheckpointRefused(f"{path}: no 'pair_blob', so no pair can be checked")
-        else:
-            digest = blob_digest(base64.b64decode(payload["pair_blob"]))
+        run = field("run")
+        try:
+            spec = RunSpec(**{key.name: run[key.name] for key in fields(RunSpec)})
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"{path}: field 'run' holds no RunSpec ({type(error).__name__}: {error})"
+            ) from None
         return cls(
             entropy=int(field("entropy")),
             trials=None if field("trials") is None else int(payload["trials"]),
@@ -288,10 +280,7 @@ class EngineCheckpoint:
             chunk_size=int(field("chunk_size")),
             min_trials=int(field("min_trials")),
             max_trials=int(field("max_trials")),
-            algorithm=str(field("algorithm")),
-            source=str(field("source")),
-            n=int(field("n")),
-            pair_digest=digest,
+            run=spec,
             count=int(field("count")),
             witness_red=int(field("witness_red")),
             histogram=tuple(int(c) for c in field("histogram")),

@@ -427,8 +427,7 @@ class CorrelatedGroupsSource(ColoringSource):
     def _memberships(self) -> np.ndarray:
         """``(depth, n)`` group indices: row ``k`` holds each element's
         ``k``-th group, or ``len(groups)`` (a group that never fails) once
-        the element has no more.  Built on first use and left out of the
-        pickle (:meth:`__getstate__`), so a pool worker rebuilds it."""
+        the element has no more.  Built on first use."""
         per_element: list[list[int]] = [[] for _ in range(self._n)]
         for index, group in enumerate(self._groups):
             for element in group:
@@ -438,13 +437,6 @@ class CorrelatedGroupsSource(ColoringSource):
         for element, indices in enumerate(per_element):
             table[: len(indices), element] = indices
         return table
-
-    def __getstate__(self) -> dict:
-        # Leave the membership table out: the pickled bytes, which a resume
-        # compares with its checkpoint's, must not depend on prior sampling.
-        state = dict(self.__dict__)
-        state.pop("_memberships", None)
-        return state
 
     def _red(self, fails: np.ndarray) -> np.ndarray:
         """Red elements of each row of group failures (last axis = groups):

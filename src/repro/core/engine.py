@@ -57,12 +57,13 @@ Seeding guarantees (the "seed schedule"):
   later chunk's inputs.  Randomized algorithms are distribution-identical
   across chunk layouts (same caveat as batched-vs-sequential before).
 
-A chunk is described by the pickled ``(algorithm, source)`` pair and the
-run's entropy (:class:`ChunkTask`), and the pair is named by the digest of
-its pickle (:func:`repro.core.checkpoint.blob_digest`); which input the
-algorithm's kernel takes, packed words or a bool matrix, is asked of the
-kernel registry (:func:`repro.core.batched.resolve_backend`) wherever the
-chunk runs.
+A run is described by a :class:`RunSpec`, which builds its ``(algorithm,
+source)`` pair (a hand-built pair runs too, but never checkpoints).  A
+chunk is described by the pickled pair and the run's entropy
+(:class:`ChunkTask`), the pickle's digest being only the pool workers'
+pair-cache token; which input the kernel takes, packed words or a bool
+matrix, is asked of :func:`repro.core.batched.resolve_backend` wherever
+the chunk runs.
 
 Execution is one scheduler over *chunk leases*, whichever transport runs
 the chunks: inline in the caller (``jobs=1``) or a respawnable process
@@ -82,10 +83,10 @@ byte-identical to a fault-free one.  ``checkpoint_path`` serializes the
 exact-integer accumulator plus the lease position durably (tmp + fsync +
 ``os.replace``) after every merge — and on ``KeyboardInterrupt`` — so
 :func:`stream_probes` called again with ``resume=`` continues a killed run
-byte-identically from the last durable chunk boundary.  A checkpoint holds
-the pair's digest, never its pickle: the resumed call builds the pair
-itself, and only the bytes a pool worker gets from this process are ever
-unpickled.  The fault paths are exercised, not just claimed:
+byte-identically from the last durable chunk boundary.  A checkpoint
+names its run by its :class:`RunSpec`, never by a pickle, and only the
+bytes a pool worker gets from this process are ever unpickled.  The fault
+paths are exercised, not just claimed:
 :mod:`repro.testing.faults` injects worker kills, delays, kernel errors and interrupts at the
 ``"chunk"``/``"merge"`` sites wired into :func:`_run_chunk` and the merge
 step.
@@ -93,6 +94,7 @@ step.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import pickle
@@ -103,16 +105,23 @@ from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms import default_deterministic_algorithm, default_randomized_algorithm
 from repro.algorithms.base import ProbingAlgorithm
-from repro.core.distributions import BernoulliSource, ColoringSource
+from repro.core.distributions import (
+    BernoulliSource,
+    ColoringSource,
+    build_source,
+    canonical_source_name,
+)
 from repro.core.estimator import Estimate
 from repro.core.seeding import cell_sequence
+from repro.systems.factory import build_system, canonical_system_name
 from repro.testing.faults import fire_fault
 
 #: Default number of trials per chunk: large enough to amortize numpy call
@@ -176,12 +185,15 @@ class MomentAccumulator:
     one-shot runs agree on the mean to the last bit.
     """
 
-    __slots__ = ("count", "witness_red", "_histogram")
+    __slots__ = ("count", "witness_red", "_histogram", "_total", "_total_sq")
 
     def __init__(self) -> None:
         self.count = 0
         self.witness_red = 0
         self._histogram = np.zeros(0, dtype=np.int64)
+        # Exact ``Σ probes`` and ``Σ probes²`` as arbitrary-precision ints.
+        self._total = 0
+        self._total_sq = 0
 
     def merge(self, chunk: ChunkStats) -> None:
         """Fold one chunk's statistics into the running totals."""
@@ -191,8 +203,18 @@ class MomentAccumulator:
             grown[: self._histogram.size] = self._histogram
             self._histogram = grown
         self._histogram[: hist.size] += hist
+        self._add_sums(hist)
         self.count += int(chunk.trials)
         self.witness_red += int(chunk.witness_red)
+
+    def _add_sums(self, hist: np.ndarray) -> None:
+        """Add ``hist``'s exact ``Σ v`` and ``Σ v²``: in int64 while
+        ``Σ count · v²`` cannot reach 2^63, through Python ints beyond."""
+        exact = int(hist.sum()) * hist.size**2 < 2**63
+        values = np.arange(hist.size, dtype=np.int64 if exact else object)
+        weighted = hist * values
+        self._total += int(weighted.sum())
+        self._total_sq += int(weighted @ values)
 
     @property
     def histogram(self) -> np.ndarray:
@@ -206,32 +228,22 @@ class MomentAccumulator:
         self.count = int(count)
         self.witness_red = int(witness_red)
         self._histogram = np.asarray(tuple(histogram), dtype=np.int64)
-
-    def _exact_sums(self) -> tuple[int, int]:
-        """Exact ``(Σ probes, Σ probes²)`` as arbitrary-precision ints."""
-        total = 0
-        total_sq = 0
-        for value in np.nonzero(self._histogram)[0].tolist():
-            count = int(self._histogram[value])
-            total += count * value
-            total_sq += count * value * value
-        return total, total_sq
+        self._total = self._total_sq = 0
+        self._add_sums(self._histogram)
 
     @property
     def mean(self) -> float:
         """Exact sample mean (one correctly-rounded division)."""
         if self.count == 0:
             raise ValueError("no trials accumulated")
-        total, _ = self._exact_sums()
-        return total / self.count
+        return self._total / self.count
 
     @property
     def std(self) -> float:
         """Sample standard deviation (ddof=1) from exact integer sums."""
         if self.count <= 1:
             return 0.0
-        total, total_sq = self._exact_sums()
-        numerator = self.count * total_sq - total * total
+        numerator = self.count * self._total_sq - self._total * self._total
         return math.sqrt(numerator / (self.count * (self.count - 1)))
 
     @property
@@ -412,15 +424,13 @@ class ChunkTask:
         per digest (:func:`cached_pair`) and then reuse the *same* objects
         for all their chunks, so the per-algorithm kernel scratch
         (:func:`repro.core.batched.kernel_scratch`) stays warm inside
-        workers exactly as it does inline.  The digest is also the
-        checkpoint's ``pair_digest``, which a resume must match.
+        workers exactly as it does inline.  The digest never leaves the
+        process: a checkpoint names its run by its :class:`RunSpec`.
         """
-        from repro.core.checkpoint import blob_digest
-
         blob = pickle.dumps(
             (self.algorithm, self.source), protocol=pickle.HIGHEST_PROTOCOL
         )
-        return blob, blob_digest(blob)
+        return blob, hashlib.blake2s(blob, digest_size=16).hexdigest()
 
     def run(self, start: int, size: int) -> ChunkStats:
         """Evaluate the chunk ``[start, start + size)`` in this process."""
@@ -721,6 +731,50 @@ class RunSettings:
         return accumulator.ci95 <= self.target_ci
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """What a run measures, the paper's triple: a quorum system
+    (:func:`repro.systems.factory.build_system`'s name and size), its
+    deterministic or ``randomized`` probing algorithm, and the registered
+    coloring source ``distribution`` at ``p``.  Fields are canonical (one
+    name per alias, ``size`` an ``int``, ``p`` a ``float``), so two specs
+    of one run are equal; an engine checkpoint records them as JSON.
+    """
+
+    system: str
+    size: int
+    p: float
+    randomized: bool = False
+    distribution: str = "bernoulli"
+
+    def __post_init__(self) -> None:
+        if isinstance(self.size, bool) or not isinstance(self.size, numbers.Integral):
+            raise ValueError(f"size must be an integer, got {self.size!r}")
+        canonical = (
+            canonical_system_name(self.system), int(self.size), float(self.p),
+            bool(self.randomized), canonical_source_name(self.distribution),
+        )
+        for field, value in zip(fields(self), canonical):
+            object.__setattr__(self, field.name, value)
+
+    @property
+    def name(self) -> str:
+        """A short label of the run, e.g. ``tree(2) p=0.2``."""
+        label = f"{self.system}({self.size}) p={self.p:g}" + " randomized" * self.randomized
+        return label if self.distribution == "bernoulli" else f"{label} {self.distribution}"
+
+    def build(self) -> tuple[ProbingAlgorithm, ColoringSource]:
+        """A fresh ``(algorithm, source)`` pair: the one place a run's pair
+        is built."""
+        system = build_system(self.system, self.size)
+        algorithm = (
+            default_randomized_algorithm(system)
+            if self.randomized
+            else default_deterministic_algorithm(system)
+        )
+        return algorithm, build_source(self.distribution, system, self.p)
+
+
 def check_run_settings(
     trials: int | None = None,
     target_ci: float | None = None,
@@ -862,7 +916,7 @@ class _Scheduler:
                 **self._checkpoint_config,
                 count=self.accumulator.count,
                 witness_red=self.accumulator.witness_red,
-                histogram=tuple(int(c) for c in self.accumulator.histogram),
+                histogram=tuple(self.accumulator.histogram.tolist()),
                 chunks_merged=self.chunks_merged,
                 next_start=self.next_start,
             ),
@@ -944,25 +998,20 @@ class _Scheduler:
         raise error_type(message)
 
 
-def _check_same_run(resume, state, task: ChunkTask, settings: dict) -> None:
+def _check_same_run(resume, state, spec: RunSpec, settings: dict) -> None:
     """Refuse to continue ``state`` unless the caller describes its run.
 
     ``settings`` holds the caller's stopping-mode and seed arguments; an
-    unset one (``None``) takes the checkpoint's value.  Names alone do not
-    pin the pair (a BernoulliSource is "bernoulli" at every p), so the
-    digest of its pickle is compared; nothing is unpickled.
+    unset one (``None``) takes the checkpoint's value.  Every field of
+    ``spec`` must equal the checkpoint's ``run``.
     """
-    differ = []
-    for name, value in settings.items():
-        recorded = getattr(state, "entropy" if name == "seed" else name)
-        if value is not None and value != recorded:
-            differ.append(f"{name}={value!r} (checkpoint: {recorded!r})")
-    if task.payload[1] != state.pair_digest:
-        differ.append(
-            f"the (algorithm, source) pair (the checkpoint records {state.algorithm} "
-            f"on {state.source} (n={state.n}); this {task.algorithm.name} on "
-            f"{task.source.name} (n={task.source.n}) is pickled to another digest)"
-        )
+    recorded = {name: getattr(state, "entropy" if name == "seed" else name) for name in settings}
+    recorded.update(asdict(state.run))
+    differ = [
+        f"{name}={value!r} (checkpoint: {recorded[name]!r})"
+        for name, value in {**settings, **asdict(spec)}.items()
+        if value is not None and value != recorded[name]
+    ]
     if differ:
         from repro.core.checkpoint import CheckpointRefused
 
@@ -974,7 +1023,7 @@ def _check_same_run(resume, state, task: ChunkTask, settings: dict) -> None:
 
 
 def stream_probes(
-    algorithm: ProbingAlgorithm,
+    algorithm: ProbingAlgorithm | RunSpec,
     source: ColoringSource | None = None,
     *,
     p: float | None = None,
@@ -994,7 +1043,9 @@ def stream_probes(
     stop_event=None,
     run_timeout: float | None = None,
 ) -> StreamResult:
-    """Run the streaming engine for one (algorithm, source) pair.
+    """Run the streaming engine for one (algorithm, source) pair, or for the
+    pair a :class:`RunSpec` passed in place of ``algorithm`` builds (then
+    ``source`` and ``p`` stay unset).
 
     The kernel backend follows from the algorithm
     (:func:`repro.core.batched.resolve_backend`: packed when a packed
@@ -1034,11 +1085,12 @@ def stream_probes(
     file it resumed from.  ``resume`` (a checkpoint path or loaded
     :class:`~repro.core.checkpoint.EngineCheckpoint`) continues such a run
     from its last durable chunk boundary; a finished run resumes with no
-    chunk to run and returns its statistics.  The arguments still describe
-    the run: an unset stopping-mode or seed argument takes the
-    checkpoint's value, a set one must equal it, and the ``(algorithm,
-    source)`` pair must hash to the checkpoint's ``pair_digest``.  A
-    checkpoint of an older draw stream or of another run raises
+    chunk to run and returns its statistics.  Only a run described by a
+    :class:`RunSpec` checkpoints or resumes; a hand-built pair with either
+    argument raises ``ValueError``.  The arguments still describe the run:
+    an unset stopping-mode or seed argument takes the checkpoint's value, a
+    set one must equal it, and so must every field of the spec.  A
+    checkpoint of an older draw stream or schema, or of another run, raises
     :class:`~repro.core.checkpoint.CheckpointRefused` (a ``ValueError``)
     naming it and every setting that differs.
 
@@ -1049,7 +1101,14 @@ def stream_probes(
     raising :class:`RunDeadlineExceeded`.  Both land on a chunk boundary,
     so the interrupted run is exactly as resumable as a ``KeyboardInterrupt``.
     """
-    if source is None:
+    spec = algorithm if isinstance(algorithm, RunSpec) else None
+    if spec is not None:
+        if source is not None or p is not None:
+            raise ValueError("a RunSpec names its own source and p; pass neither")
+        algorithm, source = spec.build()
+    elif checkpoint_path is not None or resume is not None:
+        raise ValueError("a hand-built pair neither checkpoints nor resumes; pass a RunSpec")
+    elif source is None:
         if p is None:
             raise ValueError("pass a failure probability p or a ColoringSource")
         source = BernoulliSource(algorithm.system.n, p)
@@ -1075,8 +1134,7 @@ def stream_probes(
             if isinstance(resume, EngineCheckpoint)
             else load_engine_checkpoint(resume)
         )
-        task = ChunkTask(algorithm, source, state.entropy)
-        _check_same_run(resume, state, task, settings)
+        _check_same_run(resume, state, spec, settings)
         settings = {
             name: getattr(state, "entropy" if name == "seed" else name)
             if value is None
@@ -1099,25 +1157,19 @@ def stream_probes(
     from repro.core.batched import resolve_backend
 
     backend = resolve_backend(algorithm, backend)
-    if state is None:
+    if state is not None:
+        seed = state.entropy
+    elif seed is None:
         # The checked seed is used verbatim: PCG64(seed) must match the
         # one-shot path's default_rng(seed); unseeded runs draw OS entropy.
-        if seed is None:
-            seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-        task = ChunkTask(algorithm, source, int(seed))
+        seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+    task = ChunkTask(algorithm, source, int(seed))
     scheduler = _Scheduler(
         run,
         ChunkLedger(DEFAULT_RETRIES if retries is None else retries),
         state=state,
         checkpoint_path=checkpoint_path,
-        checkpoint_config=dict(
-            entropy=task.entropy,
-            **asdict(run),
-            algorithm=algorithm.name,
-            source=source.name,
-            n=source.n,
-            pair_digest=None if checkpoint_path is None else task.payload[1],
-        ),
+        checkpoint_config=dict(entropy=task.entropy, **asdict(run), run=spec),
         # A run resumed into the file it read from finds that file current.
         saved=(
             state is not resume
@@ -1154,7 +1206,7 @@ def stream_probes(
         chunk_size=run.chunk_size,
         chunks=scheduler.chunks_merged,
         witness_red=accumulator.witness_red,
-        histogram=tuple(int(c) for c in accumulator.histogram),
+        histogram=tuple(accumulator.histogram.tolist()),
         target_ci=run.target_ci,
         reached_target=None if run.target_ci is None else accumulator.ci95 <= run.target_ci,
         seconds=seconds,

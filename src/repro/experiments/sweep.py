@@ -30,10 +30,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.algorithms import (
-    default_deterministic_algorithm,
-    default_randomized_algorithm,
-)
 from repro.core.batched import supports_batched
 from repro.core.checkpoint import (
     CheckpointRefused,
@@ -43,16 +39,16 @@ from repro.core.checkpoint import (
     remove_stale_tmp,
     required_field,
 )
-from repro.core.distributions import build_source, canonical_source_name
+from repro.core.distributions import canonical_source_name
 from repro.core.engine import (
     ChunkPool,
     RunDeadlineExceeded,
     RunInterrupted,
+    RunSpec,
     check_run_settings,
     stream_probes,
 )
 from repro.core.seeding import cell_seed
-from repro.systems import build_system
 
 #: ``kind`` field of sweep artifacts.
 SWEEP_KIND = "p_sweep"
@@ -160,7 +156,7 @@ def _cell_checkpoint(directory: str | Path | None, size: int, p: float) -> Path 
     """The engine checkpoint of cell ``(size, p)`` in a sweep's checkpoint
     directory (``None`` without one), named from the cell's own values like
     the cell's seed."""
-    return None if directory is None else Path(directory) / f"cell-{int(size)}-{float(p)!r}.ckpt"
+    return None if directory is None else Path(directory) / f"cell-{size}-{p!r}.ckpt"
 
 
 def _open_checkpoint_dirs(
@@ -247,9 +243,12 @@ def run_sweep(
     from its last merged chunk) and any other cell runs afresh, so a
     sub-grid or an extended grid resumes the cells it shares.  The
     arguments repeat the interrupted sweep's, and the engine refuses a cell
-    whose settings, seed or ``(algorithm, source)`` pair differ from its
-    file's with :class:`~repro.core.checkpoint.CheckpointRefused` naming
-    the file; the refusal ends the sweep instead of degrading the cell.
+    whose settings, seed or :class:`~repro.core.engine.RunSpec` differ
+    from its file's with :class:`~repro.core.checkpoint.CheckpointRefused`
+    naming the file and each differing field; the refusal ends the sweep
+    instead of degrading the cell.  Every cell runs from its own
+    ``RunSpec``, whose ``p`` is a float: ``ps=[0, 0.5]`` resumes a grid
+    written with ``ps=[0.0, 0.5]``.
     Execution knobs (``jobs``, ``retries``, ...) may differ, as they do not
     change a cell's bytes.  Run settings, ``seed`` included, are checked
     once by :func:`repro.core.engine.check_run_settings` before the first
@@ -312,20 +311,6 @@ def run_sweep(
 
     try:
         for size in sizes:
-            try:
-                system = build_system(system_name, size)
-                algorithm = (
-                    default_randomized_algorithm(system)
-                    if randomized
-                    else default_deterministic_algorithm(system)
-                )
-            except Exception as error:
-                if fail_fast:
-                    raise
-                # The whole row is unbuildable: every p of this size fails.
-                cells.extend(failed_cell(size, 0, p, error) for p in ps)
-                continue
-            algorithm_name = algorithm.name
             for p in ps:
                 # Drain/deadline land between cells too: every finished
                 # cell's checkpoint is durable, so raising here loses no
@@ -342,19 +327,22 @@ def run_sweep(
                             f"sweep exceeded run_timeout={run_timeout}s "
                             f"before cell (size={size}, p={p:g})"
                         )
-                cell_resume = _cell_checkpoint(resume, size, p)
+                n = 0
                 try:
-                    source = build_source(distribution, system, p)
+                    spec = RunSpec(system_name, size, p, randomized, distribution)
+                    # The cell's pair, for its metadata; the run builds its own.
+                    algorithm, source = spec.build()
+                    algorithm_name, n = algorithm.name, source.n
+                    cell_resume = _cell_checkpoint(resume, spec.size, spec.p)
                     result = stream_probes(
-                        algorithm,
-                        source,
+                        spec,
                         **asdict(run),
-                        seed=cell_seed(seed, int(size), float(p)),
+                        seed=cell_seed(seed, spec.size, spec.p),
                         jobs=jobs,
                         executor=executor,
                         retries=retries,
                         chunk_timeout=chunk_timeout,
-                        checkpoint_path=_cell_checkpoint(checkpoint_path, size, p),
+                        checkpoint_path=_cell_checkpoint(checkpoint_path, spec.size, spec.p),
                         resume=cell_resume if cell_resume and cell_resume.is_file() else None,
                         backend=backend,
                         stop_event=stop_event,
@@ -365,13 +353,13 @@ def run_sweep(
                 except Exception as error:
                     if fail_fast:
                         raise
-                    cells.append(failed_cell(size, system.n, p, error))
+                    cells.append(failed_cell(size, n, p, error))
                     continue
                 cells.append(
                     SweepCell(
-                        system=system.name,
+                        system=algorithm.system.name,
                         size=size,
-                        n=system.n,
+                        n=n,
                         p=float(p),
                         mean=result.mean,
                         std=result.std,

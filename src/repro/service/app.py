@@ -19,13 +19,14 @@ Robustness model (the point of this module):
   checkpoint through the engine's own ``checkpoint_path`` hook, so
   ``kill -9`` at *any* moment loses at most the chunks since the last
   durable boundary: the startup scan re-queues interrupted jobs, which
-  rebuild their run from the journaled parameters and resume from the
-  checkpoint's chunk state alone (no code object is read back from disk),
-  byte-identical to uninterrupted runs (the engine's ``(seed, start)``
-  chunk keying).  Completed jobs are never re-run, and a job's checkpoint
-  is removed once its terminal (``done`` or ``failed``) record is durable
-  (or at the next start, after a crash in between), so the data
-  directory holds checkpoints of unsettled jobs only.
+  rebuild their :class:`~repro.core.engine.RunSpec` from the journaled
+  parameters and resume from the checkpoint's chunk state alone (no code
+  object is read back from disk), byte-identical to uninterrupted runs
+  (the engine's ``(seed, start)`` chunk keying).  Completed jobs are
+  never re-run, and a job's checkpoint is removed once its terminal
+  (``done`` or ``failed``) record is durable (or at the next start, after
+  a crash in between), so the data directory holds checkpoints of
+  unsettled jobs only.
 * **Admission control** — a bounded queue; a full queue or a non-ready
   service answers ``503`` with a ``Retry-After`` header instead of
   accepting work it cannot do.  Failed runs retry with exponential
@@ -33,7 +34,8 @@ Robustness model (the point of this module):
   service deadline (the engine's ``run_timeout``) and the existing
   chunk-timeout machinery.  A refused checkpoint
   (:class:`~repro.core.checkpoint.CheckpointRefused`: an older draw
-  stream or another run) fails the job at once, naming the file.
+  stream or schema, or another run) fails the job at once, naming the
+  file.
 * **Degraded mode** — a lost worker pool (``BrokenExecutor``, or the
   ``"service-pool"`` fault site) flips the service read-only: job status
   and cached results keep serving, new submissions get ``503``.
@@ -61,12 +63,7 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.algorithms import (
-    default_deterministic_algorithm,
-    default_randomized_algorithm,
-)
 from repro.core.checkpoint import CheckpointRefused
-from repro.core.distributions import build_source
 from repro.core.engine import (
     ChunkPool,
     RunDeadlineExceeded,
@@ -81,10 +78,10 @@ from repro.service.jobs import (
     Job,
     JobJournal,
     estimate_result_payload,
+    estimate_spec,
     sweep_result_payload,
 )
 from repro.service.metrics import STATE_CODES, ServiceMetrics
-from repro.systems import build_system
 from repro.testing.faults import FaultInjected, fire_fault
 
 _logger = logging.getLogger("repro.service")
@@ -373,16 +370,8 @@ class ProbeService:
         checkpoint = self.journal.checkpoint_path(job)
         resume = checkpoint if checkpoint.exists() else None
         if job.kind == "estimate":
-            system = build_system(params["system"], params["size"])
-            algorithm = (
-                default_randomized_algorithm(system)
-                if params["randomized"]
-                else default_deterministic_algorithm(system)
-            )
-            source = build_source(params["distribution"], system, params["p"])
             result = stream_probes(
-                algorithm,
-                source,
+                estimate_spec(params),
                 trials=params["trials"],
                 target_ci=params["target_ci"],
                 chunk_size=params["chunk_size"],

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -51,10 +51,10 @@ from repro.core.checkpoint import (
     required_field,
     sweep_stale_tmp,
 )
-from repro.core.distributions import build_source, canonical_source_name
-from repro.core.engine import StreamResult, check_run_settings
+from repro.core.distributions import canonical_source_name
+from repro.core.engine import RunSpec, StreamResult, check_run_settings
 from repro.service.cache import cache_key, result_crc
-from repro.systems import build_system
+from repro.systems.factory import canonical_system_name
 from repro.testing.faults import fire_fault
 
 _logger = logging.getLogger("repro.service")
@@ -170,18 +170,22 @@ def normalize_estimate(payload: dict) -> dict:
     Everything that pins the run's bytes is made explicit here — seed
     (default 0, so identical queries are cache hits; pass your own for
     independent samples), stopping mode, chunk size, backend — and the
-    system/distribution are built once to validate them.  The returned
-    dict *is* the cache key's content.
+    run's :class:`~repro.core.engine.RunSpec` is built once to validate
+    it.  The returned dict *is* the cache key's content.
     """
     params = _resolve(payload, {"size": 8, "p": None})
     params["size"] = _as_int(params["size"], "size")
     params["p"] = _as_float(_require(params, "p"), "p")
     try:
-        system = build_system(params["system"], params["size"])
-        build_source(params["distribution"], system, params["p"])
+        estimate_spec(params).build()
     except ValueError as error:
         raise BadRequest(str(error)) from None
     return params
+
+
+def estimate_spec(params: dict) -> RunSpec:
+    """The :class:`~repro.core.engine.RunSpec` of an estimate job's params."""
+    return RunSpec(**{key.name: params[key.name] for key in fields(RunSpec)})
 
 
 def normalize_sweep(payload: dict) -> dict:
@@ -196,7 +200,7 @@ def normalize_sweep(payload: dict) -> dict:
     params["sizes"] = [_as_int(size, "sizes[]") for size in sizes]
     params["ps"] = [_as_float(p, "ps[]") for p in ps]
     try:
-        build_system(params["system"], params["sizes"][0])
+        canonical_system_name(params["system"])
     except ValueError as error:
         raise BadRequest(str(error)) from None
     return params

@@ -55,8 +55,8 @@ class CharacteristicFunction:
         )
 
     def __getstate__(self) -> dict:
-        # Pickle the memo empty: the pickled bytes, which a resume compares
-        # with its checkpoint's, must not depend on the queries made so far.
+        # Pickle the memo empty: the pair a pool task ships must not grow
+        # with the queries made so far.
         state = dict(self.__dict__)
         if state["_settled_memo"] is not None:
             state["_settled_memo"] = {}

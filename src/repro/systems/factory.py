@@ -65,6 +65,17 @@ register_system_builder("grid", lambda size: GridSystem(max(size, 1)))
 SYSTEM_CHOICES = tuple(_BUILDERS)
 
 
+def canonical_system_name(name: str) -> str:
+    """Resolve ``name`` (any case, possibly an alias) to its registered name."""
+    key = name.lower()
+    key = _ALIASES.get(key, key)
+    if key not in _BUILDERS:
+        raise ValueError(
+            f"unknown system {name!r}; choose from {', '.join(SYSTEM_CHOICES)}"
+        )
+    return key
+
+
 def build_system(name: str, size: int) -> QuorumSystem:
     """Construct one of the paper's systems from a CLI name and size knob.
 
@@ -73,11 +84,4 @@ def build_system(name: str, size: int) -> QuorumSystem:
     Out-of-range knobs are clamped to the nearest valid value (an even
     Majority size is bumped to ``size + 1``).
     """
-    key = name.lower()
-    key = _ALIASES.get(key, key)
-    builder = _BUILDERS.get(key)
-    if builder is None:
-        raise ValueError(
-            f"unknown system {name!r}; choose from {', '.join(SYSTEM_CHOICES)}"
-        )
-    return builder(size)
+    return _BUILDERS[canonical_system_name(name)](size)

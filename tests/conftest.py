@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -112,3 +113,27 @@ def _bitplane_v2_packed(n: int, p: float, trials: int, seed: int) -> PackedColor
 def bitplane_v2_packed():
     """:func:`_bitplane_v2_packed`, for digests pinned on fixed colorings."""
     return _bitplane_v2_packed
+
+
+#: An engine checkpoint exactly as the schema-6 build wrote it: Probe_Tree
+#: on Tree(h=2) at p = 0.2, seed 7, stopped after one 16-trial chunk.  It
+#: names its run by names and a digest of the pickled pair, not a RunSpec.
+SCHEMA_6_CHECKPOINT = {
+    "kind": "engine_checkpoint", "schema": 6, "entropy": 7, "trials": 64,
+    "target_ci": None, "chunk_size": 16, "min_trials": 16, "max_trials": 1000000,
+    "algorithm": "ProbeTree", "source": "bernoulli", "n": 7,
+    "pair_digest": "a7312daca7c6de707fc32d89ef334f69", "count": 16, "witness_red": 1,
+    "histogram": [0, 0, 0, 8, 3, 3, 2], "chunks_merged": 1, "next_start": 16,
+}
+
+
+@pytest.fixture
+def write_schema_6_checkpoint():
+    """Writes :data:`SCHEMA_6_CHECKPOINT`, with ``changes``, to a path."""
+
+    def write(path, **changes):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({**SCHEMA_6_CHECKPOINT, **changes}))
+        return path
+
+    return write

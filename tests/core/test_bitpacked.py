@@ -51,7 +51,7 @@ from repro.core.distributions import (
     sample_bernoulli_matrix,
     unpack_words,
 )
-from repro.core.engine import ChunkTask, stream_probes
+from repro.core.engine import ChunkTask, RunSpec, stream_probes
 from repro.systems import (
     HQS,
     CrumblingWall,
@@ -489,20 +489,18 @@ class TestStreamIdentity:
         from repro.testing import faults
         from repro.testing.faults import Fault
 
-        algorithm = ProbeMaj(MajoritySystem(25))
-        kwargs = dict(p=0.4, trials=400, seed=19, chunk_size=64)
-        base = stream_probes(algorithm, backend="bitpacked", **kwargs)
+        run = RunSpec("maj", 25, 0.4)  # Probe_Maj on Maj(25)
+        kwargs = dict(trials=400, seed=19, chunk_size=64)
+        base = stream_probes(run, backend="bitpacked", **kwargs)
         path = tmp_path / "ckpt.json"
         with pytest.raises(KeyboardInterrupt):
             with faults.active_plan(
                 [Fault("merge", 1, "interrupt")], tmp_path / "plan"
             ):
-                stream_probes(
-                    algorithm, backend="bitpacked", checkpoint_path=path, **kwargs
-                )
+                stream_probes(run, backend="bitpacked", checkpoint_path=path, **kwargs)
         # The backend follows from the algorithm: the resume keeps running
         # bitpacked without being told, bit-identically.
-        resumed = stream_probes(algorithm, p=0.4, resume=path)
+        resumed = stream_probes(run, resume=path)
         assert resumed.backend == "bitpacked"
         assert _histograms_match(resumed, base)
 

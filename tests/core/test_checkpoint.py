@@ -7,7 +7,6 @@ write — and every loader failure names the file and the offending field.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 
@@ -19,13 +18,13 @@ from repro.core.checkpoint import (
     EngineCheckpoint,
     atomic_write_json,
     atomic_write_text,
-    blob_digest,
     check_schema_version,
     load_engine_checkpoint,
     load_json_payload,
     required_field,
     save_engine_checkpoint,
 )
+from repro.core.engine import RunSpec
 from repro.testing.faults import drop_json_field, truncate_file
 
 
@@ -37,10 +36,7 @@ def _checkpoint(**overrides) -> EngineCheckpoint:
         chunk_size=16,
         min_trials=16,
         max_trials=1_000_000,
-        algorithm="ProbeTree",
-        source="bernoulli",
-        n=7,
-        pair_digest="0123456789abcdef0123456789abcdef",
+        run=RunSpec("tree", 2, 0.2),
         count=32,
         witness_red=3,
         histogram=(0, 0, 5, 10, 17),
@@ -117,40 +113,50 @@ class TestEngineCheckpoint:
         save_engine_checkpoint(path, state)
         assert load_engine_checkpoint(path) == state
 
-    def test_file_holds_the_digest_and_no_pickle(self, tmp_path):
+    def test_file_holds_the_run_spec_and_no_pickle(self, tmp_path):
         path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
         payload = json.loads(path.read_text())
-        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION == 6
-        assert payload["pair_digest"] == _checkpoint().pair_digest
-        assert "pair_blob" not in payload
+        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION == 7
+        assert payload["run"] == {
+            "system": "tree", "size": 2, "p": 0.2,
+            "randomized": False, "distribution": "bernoulli",
+        }
+        for gone in ("algorithm", "source", "n", "pair_digest", "pair_blob"):
+            assert gone not in payload
         # The settings and the position determine the mode and whether the
         # run finished.
         assert "mode" not in payload and "complete" not in payload
 
-    def test_schema_5_loads_without_its_mode_and_complete(self, tmp_path):
+    def test_the_run_loads_canonical(self, tmp_path):
         path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
         payload = json.loads(path.read_text())
-        payload.update(schema=5, mode="fixed", complete=True)
+        payload["run"].update(system="TREE", p=0, distribution="iid")
         path.write_text(json.dumps(payload))
-        assert load_engine_checkpoint(path) == _checkpoint()
+        state = load_engine_checkpoint(path)
+        assert state == _checkpoint(run=RunSpec("tree", 2, 0.0))
+        assert type(state.run.p) is float
 
-    def _schema_4(self, tmp_path, blob):
-        """A schema-4 file: the pickled pair base64-encoded in ``pair_blob``."""
+    @pytest.mark.parametrize("run", [None, "tree", {"system": "tree"}, {
+        "system": "no-such-system", "size": 2, "p": 0.2,
+        "randomized": False, "distribution": "bernoulli",
+    }])
+    def test_a_run_that_is_no_run_spec_names_the_file(self, tmp_path, run):
         path = save_engine_checkpoint(tmp_path / "run.ckpt", _checkpoint())
         payload = json.loads(path.read_text())
-        del payload["pair_digest"]
-        payload.update(schema=4, pair_blob=blob and base64.b64encode(blob).decode("ascii"))
+        payload["run"] = run
         path.write_text(json.dumps(payload))
-        return path
+        with pytest.raises(ValueError, match=r"run\.ckpt: field 'run' holds no RunSpec"):
+            load_engine_checkpoint(path)
 
-    def test_schema_4_loads_the_digest_of_its_blob(self, tmp_path):
-        blob = b"\x80\x04not unpickled"
-        state = load_engine_checkpoint(self._schema_4(tmp_path, blob))
-        assert state == _checkpoint(pair_digest=blob_digest(blob))
-
-    def test_schema_4_without_a_blob_is_refused(self, tmp_path):
-        with pytest.raises(CheckpointRefused, match=r"run\.ckpt: no 'pair_blob'"):
-            load_engine_checkpoint(self._schema_4(tmp_path, None))
+    @pytest.mark.parametrize("schema", [4, 5, 6])
+    def test_schemas_4_to_6_are_refused_with_start_afresh(
+        self, tmp_path, write_schema_6_checkpoint, schema
+    ):
+        path = write_schema_6_checkpoint(tmp_path / "run.ckpt", schema=schema)
+        with pytest.raises(
+            CheckpointRefused, match=rf"run\.ckpt: schema version {schema} .*start afresh"
+        ):
+            load_engine_checkpoint(path)
 
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -169,7 +175,7 @@ class TestEngineCheckpoint:
     def test_never_raises_raw_key_error(self, tmp_path):
         path = tmp_path / "run.ckpt"
         save_engine_checkpoint(path, _checkpoint())
-        for field in ("entropy", "trials", "pair_digest", "count", "next_start"):
+        for field in ("entropy", "trials", "run", "count", "next_start"):
             drop_json_field(path, field)
             try:
                 load_engine_checkpoint(path)

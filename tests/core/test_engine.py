@@ -14,6 +14,8 @@ The load-bearing claims:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from repro.core.distributions import (
     sample_bernoulli_matrix,
 )
 from repro.core.engine import (
+    ChunkStats,
     DEFAULT_MAX_TRIALS,
     MomentAccumulator,
     stream_probes,
@@ -250,6 +253,26 @@ class TestResultShape:
         reference = Estimate.from_samples(samples)
         assert result.mean == reference.mean
         assert result.std == pytest.approx(reference.std, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [3, 2**40], ids=["int64", "past-int64"])
+    def test_moment_sums_stay_exact_in_merge_and_load_state(self, count):
+        # Σ count·v² of the second chunk passes 2^63 at count 2^40, where
+        # the sums leave int64 for Python ints.
+        histogram = np.zeros(5000, dtype=np.int64)
+        histogram[[1, 4999]] = count
+        total, total_sq = 5000 * count, (1 + 4999**2) * count
+        accumulator = MomentAccumulator()
+        for _ in range(2):
+            accumulator.merge(ChunkStats(2 * count, histogram, 0))
+        n = 4 * count
+        expected_mean = 2 * total / n
+        expected_std = math.sqrt((n * 2 * total_sq - 4 * total**2) / (n * (n - 1)))
+        assert (accumulator.mean, accumulator.std) == (expected_mean, expected_std)
+        loaded = MomentAccumulator()
+        loaded.load_state(n, 0, accumulator.histogram.tolist())
+        assert (loaded.mean, loaded.std, loaded.ci95) == (
+            accumulator.mean, accumulator.std, accumulator.ci95
+        )
 
     def test_empty_accumulator_rejects_mean(self):
         with pytest.raises(ValueError):

@@ -12,23 +12,21 @@ import threading
 
 import pytest
 
-from repro.algorithms import ProbeTree
 from repro.core.checkpoint import load_engine_checkpoint
 from repro.core.engine import (
     RunDeadlineExceeded,
     RunInterrupted,
+    RunSpec,
     stream_probes,
 )
 from repro.experiments.sweep import run_sweep
-from repro.systems import build_system
 
-
-def _algorithm():
-    return ProbeTree(build_system("tree", 2))
+#: Probe_Tree on Tree(h=2) at p = 0.2.
+RUN = RunSpec("tree", 2, 0.2)
 
 
 def _baseline(**kwargs):
-    return stream_probes(_algorithm(), p=0.2, trials=64, chunk_size=16, seed=7, **kwargs)
+    return stream_probes(RUN, trials=64, chunk_size=16, seed=7, **kwargs)
 
 
 def _same_statistics(a, b) -> bool:
@@ -57,7 +55,7 @@ class TestStopEvent:
         event.set()
         with pytest.raises(RunInterrupted):
             _baseline(checkpoint_path=checkpoint, stop_event=event)
-        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        resumed = stream_probes(RUN, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     def test_unset_event_is_a_no_op(self):
@@ -91,7 +89,7 @@ class TestRunTimeout:
         monkeypatch.undo()
         state = load_engine_checkpoint(checkpoint)
         assert state.next_start < 64
-        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        resumed = stream_probes(RUN, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     def test_generous_deadline_changes_nothing(self):

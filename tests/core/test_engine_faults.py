@@ -17,7 +17,6 @@ The load-bearing claims (ISSUE 6):
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import pickle
@@ -30,17 +29,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import ProbeTree, default_deterministic_algorithm
+from repro.algorithms import ProbeTree
 from repro.core import engine
 from repro.core.checkpoint import (
     CheckpointRefused,
     load_engine_checkpoint,
 )
-from repro.core.distributions import BernoulliSource, FixedCountSource, build_source
 from repro.core.engine import (
     ChunkLedger,
     ChunkPool,
-    ChunkTask,
+    RunSpec,
     stream_probes,
 )
 from repro.systems import build_system
@@ -54,12 +52,12 @@ def _fast_backoff(monkeypatch):
     monkeypatch.setattr(engine, "_sleep", lambda seconds: None)
 
 
-def _algorithm():
-    return ProbeTree(build_system("tree", 2))
+#: The run every test here measures: Probe_Tree on Tree(h=2) at p = 0.2.
+RUN = RunSpec("tree", 2, 0.2)
 
 
 def _baseline(**kwargs):
-    return stream_probes(_algorithm(), p=0.2, trials=64, chunk_size=16, seed=7, **kwargs)
+    return stream_probes(RUN, trials=64, chunk_size=16, seed=7, **kwargs)
 
 
 def _same_statistics(a, b) -> bool:
@@ -127,11 +125,10 @@ class TestRecoveryInvariance:
         assert result.pool_respawns == 1
 
     def test_adaptive_run_recovers_to_same_stop_point(self, tmp_path):
-        algorithm = _algorithm()
-        kwargs = dict(p=0.2, target_ci=0.2, chunk_size=32, seed=11, max_trials=4096)
-        base = stream_probes(algorithm, **kwargs)
+        kwargs = dict(target_ci=0.2, chunk_size=32, seed=11, max_trials=4096)
+        base = stream_probes(RUN, **kwargs)
         with faults.active_plan([Fault("chunk", 64, "kill")], tmp_path):
-            result = stream_probes(algorithm, jobs=2, **kwargs)
+            result = stream_probes(RUN, jobs=2, **kwargs)
         assert _same_statistics(result, base)
 
     def test_fault_free_runs_report_zero_recovery(self):
@@ -168,7 +165,7 @@ class TestFailurePaths:
             with faults.active_plan(plan, tmp_path):
                 with pytest.raises(FaultInjected):
                     stream_probes(
-                        _algorithm(), p=0.2, trials=64, chunk_size=4,
+                        RUN, trials=64, chunk_size=4,
                         seed=7, jobs=4, executor=pool, retries=0,
                     )
             pool.submit = original_submit
@@ -231,8 +228,7 @@ def _interrupt_case(tmp_path, *, jobs, checkpoint, plan_dir, **kwargs):
     try:
         with faults.active_plan([Fault("merge", 1, "interrupt")], plan_dir):
             stream_probes(
-                _algorithm(), p=0.2, seed=7, jobs=jobs,
-                checkpoint_path=checkpoint, **kwargs,
+                RUN, seed=7, jobs=jobs, checkpoint_path=checkpoint, **kwargs,
             )
     except KeyboardInterrupt:
         return True
@@ -259,7 +255,7 @@ class TestInterruptionSemantics:
         ],
     )
     def test_resume_is_bit_identical(self, tmp_path, monkeypatch, jobs, mode_kwargs):
-        base = stream_probes(_algorithm(), p=0.2, seed=7, **mode_kwargs)
+        base = stream_probes(RUN, seed=7, **mode_kwargs)
         checkpoint = tmp_path / "run.ckpt"
         interrupted = _interrupt_case(
             tmp_path,
@@ -272,15 +268,13 @@ class TestInterruptionSemantics:
         state = load_engine_checkpoint(checkpoint)
         assert state.chunks_merged == 1
         assert state.next_start % mode_kwargs["chunk_size"] == 0
-        resumed = stream_probes(
-            _algorithm(), p=0.2, resume=checkpoint, jobs=jobs, checkpoint_path=checkpoint
-        )
+        resumed = stream_probes(RUN, resume=checkpoint, jobs=jobs, checkpoint_path=checkpoint)
         assert _same_statistics(resumed, base)
         # Resuming the final checkpoint runs no chunk and returns the same
         # statistics: the settings and the position say the run finished.
         ran = []
         monkeypatch.setattr(engine, "_run_chunk", lambda *args: ran.append(args))
-        again = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        again = stream_probes(RUN, resume=checkpoint)
         assert ran == []
         assert _same_statistics(again, base)
 
@@ -290,102 +284,59 @@ class TestInterruptionSemantics:
         with pytest.raises(
             CheckpointRefused, match=r"run\.ckpt: .*trials=10 .*seed=3 \(checkpoint: 7\)"
         ):
-            stream_probes(_algorithm(), p=0.2, resume=checkpoint, trials=10, seed=3)
+            stream_probes(RUN, resume=checkpoint, trials=10, seed=3)
 
     def test_resume_with_the_runs_own_settings_is_bit_identical(self, tmp_path):
         # The same call plus resume=: every setting equals the checkpoint's.
-        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
-        resumed = stream_probes(
-            _algorithm(), p=0.2, trials=64, chunk_size=16, seed=7, resume=checkpoint
-        )
+        checkpoint = self._interrupted(tmp_path, RUN)
+        resumed = stream_probes(RUN, trials=64, chunk_size=16, seed=7, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
-    def test_resume_rejects_mismatched_pair(self, tmp_path):
+    def test_a_hand_built_pair_neither_checkpoints_nor_resumes(self, tmp_path):
         checkpoint = tmp_path / "run.ckpt"
+        algorithm = ProbeTree(build_system("tree", 2))
+        with pytest.raises(ValueError, match="RunSpec"):
+            stream_probes(algorithm, p=0.2, trials=64, checkpoint_path=checkpoint)
+        assert not checkpoint.exists()
         _baseline(checkpoint_path=checkpoint)
-        other = ProbeTree(build_system("tree", 3))
-        with pytest.raises(ValueError, match="checkpoint records"):
-            stream_probes(other, p=0.2, resume=checkpoint)
+        with pytest.raises(ValueError, match="RunSpec"):
+            stream_probes(algorithm, p=0.2, resume=checkpoint)
+
+    def test_a_run_spec_takes_no_source_or_p(self):
+        with pytest.raises(ValueError, match="RunSpec names its own source and p"):
+            stream_probes(RUN, p=0.2, trials=64)
 
     @staticmethod
-    def _interrupted(tmp_path, algorithm, source):
-        """A checkpoint of a 64-trial run of the pair, stopped after one merge."""
+    def _interrupted(tmp_path, run):
+        """A checkpoint of a 64-trial run of ``run``, stopped after one merge."""
         checkpoint = tmp_path / "run.ckpt"
         with pytest.raises(KeyboardInterrupt):
             with faults.active_plan([Fault("merge", 1, "interrupt")], tmp_path / "plan"):
-                stream_probes(algorithm, source, trials=64, chunk_size=16, seed=7,
+                stream_probes(run, trials=64, chunk_size=16, seed=7,
                               checkpoint_path=checkpoint)
         return checkpoint
 
     @pytest.mark.parametrize(
-        "written,resumed",
-        [
-            (BernoulliSource(7, 0.2), BernoulliSource(7, 0.9)),
-            (FixedCountSource(7, 2), FixedCountSource(7, 3)),
-        ],
-        ids=["bernoulli-p", "fixed_count-count"],
-    )
-    def test_resume_refuses_a_source_with_other_parameters(self, tmp_path, written, resumed):
-        # Same algorithm, same source name and n: only the pickled pair
-        # tells the runs apart.
-        checkpoint = self._interrupted(tmp_path, _algorithm(), written)
-        assert written.name == resumed.name
-        with pytest.raises(ValueError, match=r"run\.ckpt: .*pickled"):
-            stream_probes(_algorithm(), resumed, resume=checkpoint)
-        with pytest.raises(ValueError, match="checkpoint: .*pickled"):
-            stream_probes(_algorithm(), resumed, resume=load_engine_checkpoint(checkpoint))
-
-    @pytest.mark.parametrize(
-        "system,source",
-        [("tree", "correlated_groups"), ("wheel", "bernoulli")],
+        "run",
+        [RunSpec("tree", 3, 0.3, distribution="correlated_groups"), RunSpec("wheel", 3, 0.3)],
         ids=["correlated_groups-source", "per-trial-algorithm"],
     )
-    def test_a_used_pair_still_resumes_bit_identically(self, tmp_path, system, source):
-        # A correlated_groups source builds its membership table on first
-        # use, and the per-trial fallback memoizes settled states; neither
-        # cache may change the pickled pair a resume compares.
-        system = build_system(system, 3)
-        algorithm = default_deterministic_algorithm(system)
-        used = build_source(source, system, 0.3)
-        base = stream_probes(algorithm, used, trials=64, chunk_size=16, seed=7)
-        checkpoint = self._interrupted(
-            tmp_path, default_deterministic_algorithm(system), build_source(source, system, 0.3)
-        )
-        resumed = stream_probes(algorithm, used, resume=checkpoint)
+    def test_other_sources_and_the_per_trial_fallback_resume_bit_identically(
+        self, tmp_path, run
+    ):
+        base = stream_probes(run, trials=64, chunk_size=16, seed=7)
+        resumed = stream_probes(run, resume=self._interrupted(tmp_path, run))
         assert _same_statistics(resumed, base)
 
-    @staticmethod
-    def _as_schema_4(checkpoint, source):
-        """Rewrite a checkpoint as schema 4 stored it: the pair's pickle,
-        base64-encoded in ``pair_blob``, and no ``pair_digest``."""
-        payload = json.loads(checkpoint.read_text())
-        del payload["pair_digest"]
-        blob = ChunkTask(_algorithm(), source, 0).payload[0]
-        payload.update(schema=4, pair_blob=base64.b64encode(blob).decode("ascii"))
-        checkpoint.write_text(json.dumps(payload))
-
-    def test_tampered_schema_4_checkpoint_is_refused(self, tmp_path):
-        # The blob is hashed, never loaded: another pair's pickle only
-        # changes the digest, and the resume is refused.
-        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
-        self._as_schema_4(checkpoint, BernoulliSource(7, 0.9))
-        with pytest.raises(CheckpointRefused, match=r"run\.ckpt: .*pickled"):
-            stream_probes(_algorithm(), p=0.2, resume=checkpoint)
-
-    @pytest.mark.parametrize("schema", [4, 5])
-    def test_resume_never_unpickles(self, tmp_path, monkeypatch, schema):
-        # Schema 4, the previous format, kept the pickle in the file: it
-        # resumes bit-identically too, its blob hashed and never loaded.
-        checkpoint = self._interrupted(tmp_path, _algorithm(), BernoulliSource(7, 0.2))
-        if schema == 4:
-            self._as_schema_4(checkpoint, BernoulliSource(7, 0.2))
+    def test_resume_never_unpickles(self, tmp_path, monkeypatch):
+        checkpoint = self._interrupted(tmp_path, RUN)
         assert load_engine_checkpoint(checkpoint).chunks_merged == 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("a resume unpickled bytes")
 
         monkeypatch.setattr(pickle, "loads", refuse)
-        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        resumed = stream_probes(RUN, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
     @pytest.mark.parametrize(
@@ -405,7 +356,7 @@ class TestInterruptionSemantics:
         with pytest.raises(
             CheckpointRefused, match=f"run.ckpt.*{drawn}.*sampler stream 'bitplane-v3'"
         ):
-            stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+            stream_probes(RUN, resume=checkpoint)
 
 
 class TestCrashResume:
@@ -414,10 +365,8 @@ class TestCrashResume:
         checkpoint = tmp_path / "run.ckpt"
         plan_path = faults.write_plan([Fault("merge", 2, "kill")], tmp_path / "plan")
         script = (
-            "from repro.core.engine import stream_probes\n"
-            "from repro.algorithms import ProbeTree\n"
-            "from repro.systems import build_system\n"
-            "stream_probes(ProbeTree(build_system('tree', 2)), p=0.2, trials=64,\n"
+            "from repro.core.engine import RunSpec, stream_probes\n"
+            "stream_probes(RunSpec('tree', 2, 0.2), trials=64,\n"
             f"    chunk_size=16, seed=7, checkpoint_path={str(checkpoint)!r})\n"
         )
         env = dict(os.environ)
@@ -434,7 +383,7 @@ class TestCrashResume:
         assert process.returncode == KILL_EXIT_CODE
         state = load_engine_checkpoint(checkpoint)
         assert state.chunks_merged == 1  # durable point before the kill
-        resumed = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
+        resumed = stream_probes(RUN, resume=checkpoint)
         assert _same_statistics(resumed, _baseline())
 
 
@@ -464,8 +413,7 @@ class TestCheckpointWrites:
     )
     def test_n_merged_chunks_give_n_writes(self, tmp_path, writes, mode_kwargs):
         result = stream_probes(
-            _algorithm(), p=0.2, chunk_size=16, seed=7,
-            checkpoint_path=tmp_path / "run.ckpt", **mode_kwargs,
+            RUN, chunk_size=16, seed=7, checkpoint_path=tmp_path / "run.ckpt", **mode_kwargs,
         )
         assert result.chunks >= 2
         assert writes == ["run.ckpt"] * result.chunks
@@ -484,9 +432,7 @@ class TestCheckpointWrites:
         base = _baseline(checkpoint_path=checkpoint)
         before = checkpoint.read_bytes()
         writes.clear()
-        again = stream_probes(
-            _algorithm(), p=0.2, resume=checkpoint, checkpoint_path=checkpoint
-        )
+        again = stream_probes(RUN, resume=checkpoint, checkpoint_path=checkpoint)
         assert writes == []
         assert checkpoint.read_bytes() == before
         assert _same_statistics(again, base)
@@ -497,27 +443,9 @@ class TestCheckpointWrites:
         checkpoint = tmp_path / "run.ckpt"
         base = _baseline(checkpoint_path=checkpoint)
         writes.clear()
-        again = stream_probes(
-            _algorithm(), p=0.2, resume=checkpoint, checkpoint_path=tmp_path / "copy.ckpt"
-        )
+        again = stream_probes(RUN, resume=checkpoint, checkpoint_path=tmp_path / "copy.ckpt")
         assert writes == ["copy.ckpt"]
         assert load_engine_checkpoint(tmp_path / "copy.ckpt") == load_engine_checkpoint(
             checkpoint
         )
         assert _same_statistics(again, base)
-
-    def test_a_finished_schema_5_file_resumes_without_running_a_chunk(
-        self, tmp_path, monkeypatch
-    ):
-        # Schema 5 marked a finished run "complete"; schema 6 reads the same
-        # fact from the settings and the position, and ignores the marker.
-        checkpoint = tmp_path / "run.ckpt"
-        base = _baseline(checkpoint_path=checkpoint)
-        payload = json.loads(checkpoint.read_text())
-        payload.update(schema=5, mode="fixed", complete=True)
-        checkpoint.write_text(json.dumps(payload))
-        ran = []
-        monkeypatch.setattr(engine, "_run_chunk", lambda *args: ran.append(args))
-        again = stream_probes(_algorithm(), p=0.2, resume=checkpoint)
-        assert ran == []
-        assert _same_statistics(again, base) and again.mean == base.mean

@@ -37,6 +37,7 @@ from repro.core.engine import (
     _InlineTransport,
     _PoolTransport,
     RunSettings,
+    RunSpec,
     _Scheduler,
     stream_probes,
 )
@@ -207,11 +208,11 @@ class TestChunkTask:
         algorithm, source = pair
         assert type(algorithm) is ProbeMaj and type(source) is BernoulliSource
 
-    def test_token_is_the_checkpoint_digest_of_the_blob(self):
-        from repro.core.checkpoint import blob_digest
+    def test_token_is_the_blake2s_digest_of_the_blob(self):
+        import hashlib
 
         blob, token = _task().payload
-        assert token == blob_digest(blob)
+        assert token == hashlib.blake2s(blob, digest_size=16).hexdigest()
 
     @pytest.mark.parametrize("form", FORMS)
     def test_run_matches_worker_entry_point(self, form):
@@ -339,8 +340,7 @@ class TestWindow:
         return EngineCheckpoint(
             entropy=ENTROPY, trials=300, target_ci=None,
             chunk_size=32, min_trials=32, max_trials=4096,
-            algorithm=ALGORITHM.name, source=BernoulliSource(25, P).name, n=25,
-            pair_digest=_task().payload[1], count=accumulator.count,
+            run=RunSpec("maj", 25, P), count=accumulator.count,
             witness_red=accumulator.witness_red,
             histogram=tuple(int(c) for c in accumulator.histogram),
             chunks_merged=scheduler.chunks_merged, next_start=scheduler.next_start,

@@ -176,8 +176,8 @@ class TestResume:
     @pytest.mark.parametrize(
         "change,differs",
         [
-            ({"distribution": "fixed_count"}, "pair"),
-            ({"randomized": True}, "pair"),
+            ({"distribution": "fixed_count"}, r"distribution='fixed_count' \(checkpoint: 'bernoulli'\)"),
+            ({"randomized": True}, r"randomized=True \(checkpoint: False\)"),
             ({"seed": 10}, "seed="),
             ({"trials": 128}, "trials=128"),
         ],

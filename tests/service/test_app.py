@@ -471,12 +471,12 @@ class TestDrainAndCrashRecovery:
         status, body = reopened.submit("estimate", dict(REQUEST))
         assert (status, body["cached"]) == (200, True)
 
-    def test_resumed_estimate_with_a_wrong_pair_digest_fails_at_once(
+    def test_resumed_estimate_with_another_run_fails_at_once(
         self, service_factory, tmp_path
     ):
-        # The job rebuilds its (algorithm, source) from its parameters and
-        # compares the digest of their pickle with the checkpoint's: another
-        # digest fails the job at its first attempt, naming the checkpoint,
+        # The job rebuilds its RunSpec from its parameters and compares it
+        # with the checkpoint's ``run``, field by field: another run fails
+        # the job at its first attempt, naming the checkpoint and the field,
         # and a repeat of the request then runs afresh.
         plan = [Fault("chunk", ANY_KEY, "delay", seconds=0.05, once=False)]
         request = {**REQUEST, "chunk_size": 8}
@@ -488,21 +488,39 @@ class TestDrainAndCrashRecovery:
         job = service.journal.load(body["id"])
         checkpoint = service.journal.checkpoint_path(job)
         payload = json.loads(checkpoint.read_text())
-        assert "pair_blob" not in payload and payload["next_start"] < payload["trials"]
-        payload["pair_digest"] = "0" * 32
+        assert payload["run"]["p"] == 0.2 and payload["next_start"] < payload["trials"]
+        payload["run"]["p"] = 0.9
         checkpoint.write_text(json.dumps(payload))
         restarted = service_factory(subdir="data", job_retries=3)
         record = wait_for_state(restarted.job_view, body["id"])
         # One attempt after the drained one: the refusal is not retried.
         assert record["state"] == "failed" and record["attempts"] == job.attempts + 1
         assert record["error"].startswith(f"CheckpointRefused: {checkpoint}: ")
-        assert "pickled" in record["error"]
+        assert "p=0.2 (checkpoint: 0.9)" in record["error"]
         repeat = submit_and_wait(restarted, request)
         fresh = submit_and_wait(service_factory(subdir="baseline"), request)
         assert repeat["state"] == "done" and repeat["id"] != body["id"]
         assert canonical_json(repeat["result"]["statistics"]) == canonical_json(
             fresh["result"]["statistics"]
         )
+
+    def test_recovered_job_with_a_schema_6_checkpoint_fails_at_once(
+        self, service_factory, write_schema_6_checkpoint
+    ):
+        # A daemon upgraded past schema 7 finds an in-flight job's checkpoint
+        # named by a pickle digest: the job fails on its first attempt,
+        # naming the file, and is not retried.
+        old = service_factory(start=False)
+        job = old.journal.new_job("estimate", normalize_estimate(dict(REQUEST)))
+        job.state = "running"
+        old.journal.write(job)
+        checkpoint = write_schema_6_checkpoint(old.journal.checkpoint_path(job))
+        upgraded = service_factory(subdir="data", job_retries=3)
+        record = wait_for_state(upgraded.job_view, job.id)
+        assert record["state"] == "failed" and record["attempts"] == 1
+        assert record["error"].startswith(f"CheckpointRefused: {checkpoint}: schema version 6")
+        assert "start afresh" in record["error"]
+        assert upgraded.metrics.value("job_retries_total") == 0
 
     @pytest.mark.parametrize(
         "kind, request_body",

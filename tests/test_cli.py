@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, build_system, main
+from repro.cli import build_parser, main
 from repro.experiments.registry import experiment_ids
 from repro.systems import (
     HQS,
@@ -16,6 +16,7 @@ from repro.systems import (
     TreeSystem,
     TriangSystem,
     WheelSystem,
+    build_system,
 )
 
 

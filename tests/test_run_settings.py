@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import ProbeTree
 from repro.cli import main
-from repro.core.engine import stream_probes
+from repro.core.engine import RunSpec, stream_probes
 from repro.experiments.sweep import run_sweep
 from repro.service.jobs import BadRequest, normalize_estimate, normalize_sweep
 from repro.systems import build_system
@@ -133,11 +133,11 @@ def test_numpy_integer_settings_run_and_checkpoint(tmp_path):
     # the checkpoint still serializes.
     import numpy as np
 
-    algorithm = ProbeTree(build_system("tree", 2))
+    run = RunSpec("tree", np.int64(2), np.float64(0.2))
     checkpoint = tmp_path / "run.ckpt"
     result = stream_probes(
-        algorithm, p=0.2, trials=np.int64(64), chunk_size=np.int32(16),
+        run, trials=np.int64(64), chunk_size=np.int32(16),
         seed=np.int64(3), checkpoint_path=checkpoint,
     )
-    plain = stream_probes(algorithm, p=0.2, trials=64, chunk_size=16, seed=3)
+    plain = stream_probes(RunSpec("tree", 2, 0.2), trials=64, chunk_size=16, seed=3)
     assert result.histogram == plain.histogram and checkpoint.is_file()
